@@ -10,16 +10,18 @@ field modulus among the irreducible polynomials of degree n and, for the
 single-configuration workloads, the (L-infinity, L*) pair.
 
 ``--trace 0`` measures end-to-end figures, each child a fresh interpreter
-as a CLI user gets: ``wall_s`` (one CLI invocation, stdout drained),
-``setup_s`` (import plus ``make_field`` and ``time_pencil_context``) and
-``peak_rss_mb`` (the CLI child's own VmHWM); each is the median over the
-run.  ``--trace 1`` splits the time by module with spans around each
-layer's public functions (``child.py spans``), counts calls of the hot
-predicates under cProfile in a separate child (``child.py counts``), and
-reports its own overhead against untraced invocations made in the same
-run.  The last line of stdout is the JSON result; a readable summary goes
-to stderr.  ``--smoke`` runs the q = 4 variants of the three workloads in
-both modes in a few seconds.
+as a CLI user gets: ``wall_rel`` (the wall time of one CLI invocation,
+stdout drained, over the mean wall time of the yardstick runs right before
+and right after it, see ``yardstick.py``), ``setup_s`` (import plus
+``make_field`` and ``time_pencil_context``) and ``peak_rss_mb`` (the CLI
+child's own VmHWM); each is the median over the run.  ``--trace 1`` splits
+the time by module with spans around each layer's public functions
+(``child.py spans``), counts calls of the hot predicates under cProfile in
+a separate child (``child.py counts``), and reports its own overhead
+against untraced invocations made in the same run.  The last line of
+stdout is the JSON result; a readable summary goes to stderr.  ``--smoke``
+runs the q = 4 variants of the three kinds of workload in both modes in a
+few seconds.
 """
 
 from __future__ import annotations
@@ -37,12 +39,15 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import gate
+import yardstick
 
 BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 CHILD = BENCH / "child.py"
+YARDSTICK = BENCH / "yardstick.py"
 
 MIN_ROUNDS = 3          # rounds of (CLI, setup) per end-to-end run
+SETUP_ROUND_S = 0.5     # set-up children in a round: until they took this long
 RUN_LIMIT_S = 170.0     # no child starts after this; a running one is killed
 
 # --mode and output flags of the ``arrow`` command for each kind of workload
@@ -62,8 +67,10 @@ class Workload:
 # Why each workload exists is recorded in BENCHMARK.json and bench/README.md.
 WORKLOADS = {
     "sweep-arc-q16": Workload("arc-sweep", 4),
-    "single-arc-q64": Workload("arc-single", 6),
     "sweep-conic-q32": Workload("conic-sweep", 5),
+    # Not in BENCHMARK.json: at 6-8 s per invocation a run holds too few
+    # invocations for a steady median.  It can still be run by name.
+    "single-arc-q64": Workload("arc-single", 6),
     # q = 4 variants of the same commands, for --smoke
     "sweep-arc-q4": Workload("arc-sweep", 2),
     "single-arc-q4": Workload("arc-single", 2),
@@ -71,7 +78,9 @@ WORKLOADS = {
 }
 SMOKE = ("sweep-arc-q4", "single-arc-q4", "sweep-conic-q4")
 
-END_TO_END_UNITS = {"wall_s": "s", "setup_s": "s", "peak_rss_mb": "MiB"}
+END_TO_END_UNITS = {"wall_rel": "ratio", "setup_s": "s", "peak_rss_mb": "MiB"}
+# printed on stderr beside the end-to-end metrics, not part of the result
+RAW_UNITS = {"wall_s": "s", "yardstick_s": "s"}
 PER_LAYER_UNITS = {
     "cli.import_s": "s",
     "field.make_field_s": "s",
@@ -190,6 +199,19 @@ class Harness:
             report = None
         return Outcome(returncode, wall, stdout, stderr, report)
 
+    def yardstick(self) -> float:
+        """Wall time of one yardstick child; it is not an operation of the
+        program, so a yardstick that fails ends the run."""
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, str(YARDSTICK)], cwd=ROOT, env=self.env,
+                              capture_output=True,
+                              timeout=max(self.deadline - start, 0.0))
+        wall = time.perf_counter() - start
+        if done.returncode != 0 or done.stdout.decode().strip() != yardstick.CHECKSUM:
+            raise RuntimeError(f"yardstick failed: exit {done.returncode}, "
+                               f"{done.stdout.decode(errors='replace').strip()!r}")
+        return wall
+
     def record(self, out: Outcome, reason: str | None = None) -> bool:
         """Count one operation; it fails on a nonzero exit, a missing
         report or a reason from the output gate."""
@@ -224,17 +246,26 @@ class Harness:
 def end_to_end(harness: Harness, workload: Workload, argv: list[str],
                seconds: float) -> dict[str, list[float]]:
     setup_args = [str(workload.n), argv[argv.index("--modulus") + 1]]
-    samples: dict[str, list[float]] = {name: [] for name in END_TO_END_UNITS}
+    samples: dict[str, list[float]] = {name: [] for name in {**END_TO_END_UNITS, **RAW_UNITS}}
+    setup_round_s = SETUP_ROUND_S if seconds else 0.0    # one set-up a round in --smoke
     start, rounds = time.perf_counter(), 0
     while (rounds < MIN_ROUNDS or time.perf_counter() - start < seconds) \
             and not harness.out_of_time():
+        before = harness.yardstick()
         out = harness.child("cli", argv)
+        after = harness.yardstick()
+        samples["yardstick_s"] += [before, after]
         if harness.record_cli(workload, argv, out):
             samples["wall_s"].append(out.wall)
+            samples["wall_rel"].append(out.wall / ((before + after) / 2))
             samples["peak_rss_mb"].append(out.report["peak_rss_kb"] / 1024)
-        out = harness.child("setup", setup_args)
-        if harness.record(out):
-            samples["setup_s"].append(out.wall)
+        setup_start = time.perf_counter()
+        while True:
+            out = harness.child("setup", setup_args)
+            if harness.record(out):
+                samples["setup_s"].append(out.wall)
+            if time.perf_counter() - setup_start >= setup_round_s or harness.out_of_time():
+                break
         rounds += 1
     return samples
 
@@ -308,7 +339,7 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> dict | No
     print(f"bench: {name} seed {seed}: galois-arrow {' '.join(argv)}", file=sys.stderr)
 
     # Untimed warm-up at q = 4: compiles the .pyc files, so that compilation
-    # lands in neither wall_s nor setup_s.
+    # lands in neither wall_rel nor setup_s.
     warm = harness.child("cli", cli_argv(Workload(workload.kind, 2), seed))
     if warm.returncode != 0:
         print(f"bench: warm-up failed: {warm.stderr.decode(errors='replace')[-500:]}",
@@ -321,6 +352,8 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> dict | No
         print("bench: no successful sample for some metric", file=sys.stderr)
         return None
     metrics = summarize(samples, units)
+    if not trace:
+        summarize(samples, RAW_UNITS)
     print(f"bench:   fail_rate = {harness.failed}/{harness.attempted}", file=sys.stderr)
     return {"correct": harness.failed == 0, "attempted": harness.attempted,
             "failed": harness.failed, "metrics": metrics}
@@ -330,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seconds", type=float, default=45.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--smoke", action="store_true",
                         help="run the q = 4 workloads once in both modes")

@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import gate
 import run
+import yardstick
 
 ARC_SWEEP = run.WORKLOADS["sweep-arc-q4"]
 CONIC_SWEEP = run.WORKLOADS["sweep-conic-q4"]
@@ -101,6 +102,19 @@ class SmokeTest(unittest.TestCase):
                            if k.endswith(COUNT_SUFFIXES)} for r in (first, second)]
                 self.assertEqual(len(counts[0]), 7)
                 self.assertEqual(counts[0], counts[1])
+
+
+class YardstickTest(unittest.TestCase):
+    def test_checksum_is_checked(self):
+        harness = run.Harness(time.perf_counter() + 60)
+        self.assertGreater(harness.yardstick(), 0)
+        recorded = yardstick.CHECKSUM
+        try:
+            yardstick.CHECKSUM = "0" * 16
+            with self.assertRaisesRegex(RuntimeError, "yardstick failed"):
+                harness.yardstick()
+        finally:
+            yardstick.CHECKSUM = recorded
 
 
 class InputsTest(unittest.TestCase):
