@@ -20,7 +20,6 @@ from .errors import (
     DegenerateConic,
     DegenerateContactPoint,
     DuplicatePoints,
-    InvalidIdealLine,
     InvalidTangentLine,
     NotThroughNucleus,
     IntersectionNotSingle,
@@ -32,7 +31,6 @@ from .field import FieldSpec
 from .conic import (
     Conic,
     DegeneracyClass,
-    _evaluate_values,
     _nucleus_char2,
     classify,
     evaluate,
@@ -41,9 +39,10 @@ from .conic import (
 )
 from .pencil import (
     Pencil,
-    TimePencilContext,
-    _normalize_theta,
+    _touch_point,
+    member_through,
     time_pencil_context,
+    validate_ideal_line,
 )
 from .plane import Plane, ProjLine, ProjPoint, collinear, incident, meet
 
@@ -133,25 +132,11 @@ def touch_point(conic: Conic, lstar: ProjLine, plane: Plane) -> ProjPoint:
         raise DegenerateConic(f"{conic} is degenerate")
     if not incident(_nucleus_char2(conic), lstar):
         raise NotThroughNucleus(f"{lstar} misses the nucleus")
-    hits = [p for p in point_set(conic, plane) if incident(p, lstar)]
-    if len(hits) != 1:
-        raise IntersectionNotSingle(f"{lstar} meets the conic in {len(hits)} points")
-    return hits[0]
+    return _touch_point(point_set(conic, plane), lstar)
 
 
 def _in_plane_order(points: Iterable[ProjPoint], plane: Plane) -> tuple[ProjPoint, ...]:
     return tuple(sorted(points, key=plane.point_index.__getitem__))
-
-
-def _validate_family_lines(ctx: TimePencilContext, linf: ProjLine, lstar: ProjLine):
-    for name, pt in (("base point B1", ctx.B1), ("base point B2", ctx.B2),
-                     ("nucleus N", ctx.N)):
-        if incident(pt, linf):
-            raise InvalidIdealLine(f"ideal line {linf} passes through {name} {pt}")
-    if not incident(ctx.N, lstar):
-        raise InvalidTangentLine(f"{lstar} does not pass through the nucleus {ctx.N}")
-    if lstar == ctx.NB1 or lstar == ctx.NB2:
-        raise InvalidTangentLine(f"{lstar} joins the nucleus to a base point")
 
 
 def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine,
@@ -168,11 +153,16 @@ def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine,
     if spec.order < 4:
         raise UnsupportedField("no valid configuration exists over GF(2)")
     ctx = time_pencil_context(spec)
-    _validate_family_lines(ctx, linf, lstar)
+    validate_ideal_line(linf, ctx.plane)
+    if not incident(ctx.N, lstar):
+        raise InvalidTangentLine(f"{lstar} does not pass through the nucleus {ctx.N}")
+    if lstar == ctx.NB1 or lstar == ctx.NB2:
+        raise InvalidTangentLine(f"{lstar} joins the nucleus to a base point")
 
+    # A avoids B1 and B2 because linf does, so exactly one member passes through it
     contact = meet(linf, lstar)
-    qstar = _member_theta_through(ctx, contact)
-    if qstar is None:
+    qstar = member_through(ctx.pencil, contact, ctx.plane)
+    if not qstar.is_proper:
         raise DegenerateContactPoint(
             f"{contact} = {linf} ∧ {lstar} lies on a degenerate member")
 
@@ -191,21 +181,9 @@ def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine,
         ids.append(member_id)
         thetas.append(member.theta)
 
-    provenance = FamilyProvenance(ctx.pencil, linf, lstar, contact, qstar)
+    provenance = FamilyProvenance(ctx.pencil, linf, lstar, contact, qstar.theta)
     return ArcFamily(spec, ctx.plane, tuple(arcs), tuple(ids), tuple(thetas),
                      touches, provenance)
-
-
-def _member_theta_through(ctx: TimePencilContext, point: ProjPoint):
-    """Theta of the proper member through the point, or None if the point
-    sits on a degenerate member."""
-    field = ctx.spec
-    v1 = _evaluate_values(field, ctx.pencil.generator1.values, point.values)
-    v2 = _evaluate_values(field, ctx.pencil.generator2.values, point.values)
-    # (t1, t2) proportional to (v2, -v1) solves t1*v1 + t2*v2 = 0
-    theta = _normalize_theta(field, v2, field._neg_i(v1))
-    proper_thetas = {m.theta for _, m, _ in ctx.proper}
-    return theta if theta in proper_thetas else None
 
 
 def family_to_dict(family: ArcFamily) -> dict:

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Iterable
 
-from .errors import HitsBasePoint, HitsNucleus, IntersectionTooLarge, OddCharacteristic
+from .errors import OddCharacteristic
 from .field import FieldSpec
 from .arc import ArcFamily
-from .conic import LineClass, classify_line
-from .pencil import time_pencil_context
-from .plane import Plane, ProjLine, ProjPoint, incident
+from .conic import LineClass, _line_class, classify_line
+from .pencil import time_pencil_context, validate_ideal_line
+from .plane import ProjLine, ProjPoint, _line_hits
 
 
 class TemporalClass(enum.Enum):
@@ -85,24 +86,16 @@ class ArrowReport:
         }
 
 
-def validate_ideal_line(linf: ProjLine, plane: Plane) -> None:
-    """Reject ideal lines through a base point or the nucleus.
-
-    Valid lines are exactly those with all three coefficients nonzero.
-    """
-    field = plane.field
-    b1 = ProjPoint(field, (0, 1, 0))
-    b2 = ProjPoint(field, (1, 0, 0))
-    n = ProjPoint(field, (0, 0, 1))
-    if incident(b1, linf) or incident(b2, linf):
-        raise HitsBasePoint(f"ideal line {linf} passes through a base point")
-    if incident(n, linf):
-        raise HitsNucleus(f"ideal line {linf} passes through the nucleus {n}")
-
-
 def classify_member(points, linf: ProjLine) -> TemporalClass:
     """Secant -> Past, tangent -> Present, external -> Future."""
     return _LINE_TO_TEMPORAL[classify_line(points, linf)]
+
+
+def _classification(member_id: int, theta: tuple[int, int],
+                    points: Iterable[ProjPoint], linf: ProjLine) -> MemberClassification:
+    witnesses = _line_hits(points, linf)
+    temporal = _LINE_TO_TEMPORAL[_line_class(len(witnesses), linf)]
+    return MemberClassification(member_id, theta, temporal, witnesses)
 
 
 def conic_arrow(spec: FieldSpec, linf: ProjLine) -> ArrowReport:
@@ -112,29 +105,17 @@ def conic_arrow(spec: FieldSpec, linf: ProjLine) -> ArrowReport:
         raise OddCharacteristic("the conic arrow is defined over GF(2^n)")
     ctx = time_pencil_context(spec)
     validate_ideal_line(linf, ctx.plane)
-    classifications = []
-    for member_id, member, pts in ctx.proper:
-        witnesses = tuple(p for p in pts if incident(p, linf))
-        classifications.append(MemberClassification(
-            member_id, member.theta, _by_witness_count(len(witnesses), linf),
-            witnesses))
-    return ArrowReport(spec.order, "conic", linf, tuple(classifications))
+    classifications = tuple(_classification(member_id, member.theta, pts, linf)
+                            for member_id, member, pts in ctx.proper)
+    return ArrowReport(spec.order, "conic", linf, classifications)
 
 
 def arc_arrow(family: ArcFamily) -> ArrowReport:
     """Classify every member of an arc family against the family's own
     ideal line; exactly one member comes out Present."""
     linf = family.provenance.linf
-    classifications = []
-    for member_id, theta, arc in zip(family.member_ids, family.thetas,
-                                     family.members):
-        witnesses = tuple(p for p in arc.points if incident(p, linf))
-        classifications.append(MemberClassification(
-            member_id, theta, _by_witness_count(len(witnesses), linf), witnesses))
-    return ArrowReport(family.spec.order, "arc", linf, tuple(classifications))
-
-
-def _by_witness_count(hits: int, linf: ProjLine) -> TemporalClass:
-    if hits > 2:
-        raise IntersectionTooLarge(f"{linf}: {hits} intersection points")
-    return (TemporalClass.FUTURE, TemporalClass.PRESENT, TemporalClass.PAST)[hits]
+    classifications = tuple(
+        _classification(member_id, theta, arc.points, linf)
+        for member_id, theta, arc in zip(family.member_ids, family.thetas,
+                                         family.members))
+    return ArrowReport(family.spec.order, "arc", linf, classifications)

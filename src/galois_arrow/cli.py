@@ -4,18 +4,14 @@ Reports go to stdout, diagnostics to stderr as a single machine-parsable
 JSON line.  Exit codes: 0 success, 2 rejected input or usage error, 3
 internal invariant violation (never reachable from shipped defaults).
 
-Output is byte-identical across runs for identical configurations; the
-GALOIS_ARROW_THREADS environment variable caps the worker threads used by
---exhaustive sweeps without affecting the output.
+Output is byte-identical across runs for identical configurations.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import (
@@ -28,7 +24,7 @@ from .field import FieldSpec, make_field, parse_modulus
 from .plane import ProjLine, build_plane
 from .conic import canonical_conic, classify, nucleus, point_set, tangent_lines
 from .pencil import base_points, common_nucleus, time_pencil_context
-from .arc import build_time_family, family_to_dict
+from .arc import ArcFamily, build_time_family, family_to_dict
 from .arrow import arc_arrow, conic_arrow
 from .errors import OddCharacteristic
 
@@ -124,24 +120,6 @@ def parse_args(argv: list[str]) -> RunConfig:
     )
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("GALOIS_ARROW_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"GALOIS_ARROW_THREADS must be an integer, got {raw!r}") from exc
-    return max(count, 1)
-
-
-def _map_ordered(func, items):
-    """Apply func over items preserving order, optionally on worker threads."""
-    threads = _thread_count()
-    if threads == 1 or len(items) < 2:
-        return [func(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(func, items))
-
-
 # --- per-command payload builders --------------------------------------------
 
 def _payload_field_info(spec: FieldSpec) -> dict:
@@ -213,15 +191,17 @@ def _payload_family(spec: FieldSpec, config: RunConfig) -> dict:
     return family_to_dict(build_time_family(spec, linf, lstar))
 
 
+def _arc_report(family: ArcFamily) -> dict:
+    report = arc_arrow(family).to_dict()
+    report["lstar"] = str(family.provenance.lstar)
+    return report
+
+
 def _payload_arrow(spec: FieldSpec, config: RunConfig) -> dict:
     linf = ProjLine(spec, config.linf)
     if config.mode == "conic":
         return conic_arrow(spec, linf).to_dict()
-    lstar = ProjLine(spec, config.lstar)
-    family = build_time_family(spec, linf, lstar)
-    report = arc_arrow(family).to_dict()
-    report["lstar"] = str(lstar)
-    return report
+    return _arc_report(build_time_family(spec, linf, ProjLine(spec, config.lstar)))
 
 
 def _payload_arrow_exhaustive(spec: FieldSpec, config: RunConfig) -> dict:
@@ -234,31 +214,17 @@ def _payload_arrow_exhaustive(spec: FieldSpec, config: RunConfig) -> dict:
     reports: list[dict] = []
     rejected: list[dict] = []
     if config.mode == "conic":
-        configs = [(linf,) for linf in ctx.valid_ideal_lines()]
-
-        def work(cfg):
-            (linf,) = cfg
-            return conic_arrow(spec, linf).to_dict()
-
-        reports = _map_ordered(work, configs)
+        reports = [conic_arrow(spec, linf).to_dict() for linf in ctx.valid_ideal_lines()]
     else:
-        configs = [(linf, lstar)
-                   for linf in ctx.valid_ideal_lines()
-                   for lstar in ctx.valid_tangent_lines()]
-
-        def work(cfg):
-            linf, lstar = cfg
-            try:
-                family = build_time_family(spec, linf, lstar, verify=False)
-            except DegenerateContactPoint:
-                return {"linf": str(linf), "lstar": str(lstar),
-                        "rejected": "DegenerateContactPoint"}
-            report = arc_arrow(family).to_dict()
-            report["lstar"] = str(lstar)
-            return report
-
-        for result in _map_ordered(work, configs):
-            (rejected if "rejected" in result else reports).append(result)
+        for linf in ctx.valid_ideal_lines():
+            for lstar in ctx.valid_tangent_lines():
+                try:
+                    family = build_time_family(spec, linf, lstar, verify=False)
+                except DegenerateContactPoint:
+                    rejected.append({"linf": str(linf), "lstar": str(lstar),
+                                     "rejected": "DegenerateContactPoint"})
+                else:
+                    reports.append(_arc_report(family))
 
     distribution: dict[str, int] = {}
     for report in reports:

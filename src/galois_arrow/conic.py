@@ -24,7 +24,17 @@ from .errors import (
     UnclassifiableConic,
 )
 from .field import FieldElement, FieldSpec, solve_homogeneous
-from .plane import Plane, ProjLine, ProjPoint, collinear, incident, line_through, meet
+from .plane import (
+    Plane,
+    ProjLine,
+    ProjPoint,
+    _line_hits,
+    _normalize,
+    collinear,
+    incident,
+    line_through,
+    meet,
+)
 
 # coefficient order, fixed everywhere: x1^2, x1x2, x1x3, x2^2, x2x3, x3^2
 COEFF_NAMES = ("c11", "c12", "c13", "c22", "c23", "c33")
@@ -57,28 +67,11 @@ class Conic:
     __slots__ = ("field", "values")
 
     def __init__(self, field: FieldSpec, coefficients: Iterable):
-        vals = []
-        for c in coefficients:
-            if isinstance(c, FieldElement):
-                if c.field != field:
-                    raise MixedFields("coefficient from a different field")
-                vals.append(c.value)
-            else:
-                v = int(c)
-                if not 0 <= v < field.order:
-                    raise ValueError(f"coefficient {v} outside [0, {field.order})")
-                vals.append(v)
-        if len(vals) != 6:
+        coefficients = tuple(coefficients)
+        if len(coefficients) != 6:
             raise ValueError("a conic has exactly six coefficients")
-        lead = next((v for v in vals if v != 0), None)
-        if lead is None:
-            raise ValueError("the zero form is not a conic")
-        if lead != 1:
-            scale = field._inv_i(lead)
-            mul = field._mul_i
-            vals = [mul(scale, v) for v in vals]
         self.field = field
-        self.values = tuple(vals)
+        self.values = _normalize(field, coefficients)
 
     @property
     def coefficients(self) -> tuple[FieldElement, ...]:
@@ -195,12 +188,16 @@ def parametrize_canonical(spec: FieldSpec) -> list[ProjPoint]:
     return pts
 
 
-def classify_line(points: Iterable[ProjPoint], line: ProjLine) -> LineClass:
-    """Secant, tangent or external according to |line ∩ points| = 2, 1, 0."""
-    hits = sum(1 for p in points if incident(p, line))
+def _line_class(hits: int, line: ProjLine) -> LineClass:
+    """Secant, tangent or external according to hits = 2, 1, 0."""
     if hits > 2:
         raise IntersectionTooLarge(f"line {line} meets the set in {hits} points")
     return (LineClass.EXTERNAL, LineClass.TANGENT, LineClass.SECANT)[hits]
+
+
+def classify_line(points: Iterable[ProjPoint], line: ProjLine) -> LineClass:
+    """Secant, tangent or external according to |line ∩ points| = 2, 1, 0."""
+    return _line_class(len(_line_hits(points, line)), line)
 
 
 def tangent_lines(conic: Conic, plane: Plane) -> list[ProjLine]:
@@ -208,12 +205,8 @@ def tangent_lines(conic: Conic, plane: Plane) -> list[ProjLine]:
     if classify(conic, plane) is not DegeneracyClass.PROPER:
         raise DegenerateConic(f"{conic} is degenerate")
     pts = point_set(conic, plane)
-    out = []
-    for line in plane.lines:
-        hits = sum(1 for p in pts if incident(p, line))
-        if hits == 1:
-            out.append(line)
-    return out
+    return [line for line in plane.lines
+            if classify_line(pts, line) is LineClass.TANGENT]
 
 
 def nucleus(conic: Conic, plane: Plane) -> ProjPoint:

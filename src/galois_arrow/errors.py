@@ -32,6 +32,18 @@ class NoDefaultModulus(ValidationError):
     """No built-in modulus is shipped for the requested (p, n)."""
 
 
+class InvalidDegree(ValidationError, ValueError):
+    """The extension degree is not a positive integer."""
+
+
+class OrderTooLarge(ValidationError, ValueError):
+    """The field order exceeds the supported bound."""
+
+
+class ModulusDegreeMismatch(ValidationError, ValueError):
+    """The modulus degree differs from the requested extension degree."""
+
+
 class ZeroPolynomial(ValidationError):
     """The zero polynomial was passed where a nonzero one is required."""
 
@@ -94,7 +106,7 @@ class NoProperMember(ValidationError):
     """The pencil has no non-degenerate member."""
 
 
-class NucleiDiffer(GeometryError):
+class NucleiDiffer(ValidationError):
     """The proper members of the pencil do not share a nucleus."""
 
 

@@ -19,9 +19,12 @@ from .errors import (
     CompositeCharacteristic,
     DivisionByZero,
     EmptyMatrix,
+    InvalidDegree,
     MixedFields,
+    ModulusDegreeMismatch,
     NoDefaultModulus,
     OddCharacteristic,
+    OrderTooLarge,
     ReducibleModulus,
     ZeroPolynomial,
 )
@@ -222,9 +225,9 @@ class FieldSpec:
         if not isinstance(p, int) or not _is_prime(p):
             raise CompositeCharacteristic(f"characteristic must be prime, got {p!r}")
         if not isinstance(n, int) or n < 1:
-            raise ValueError(f"degree must be a positive integer, got {n!r}")
+            raise InvalidDegree(f"degree must be a positive integer, got {n!r}")
         if p ** n > MAX_ORDER:
-            raise ValueError(f"order {p}^{n} exceeds the supported bound 2^16")
+            raise OrderTooLarge(f"order {p}^{n} exceeds the supported bound 2^16")
         if modulus is None:
             try:
                 modulus = DEFAULT_MODULI[(p, n)]
@@ -234,7 +237,7 @@ class FieldSpec:
                 ) from None
         mod = _trim(c % p for c in modulus)
         if _deg(mod) != n:
-            raise ValueError(f"modulus degree {_deg(mod)} != field degree {n}")
+            raise ModulusDegreeMismatch(f"modulus degree {_deg(mod)} != field degree {n}")
         mod = _monic(mod, p)
         if not is_irreducible(mod, p):
             raise ReducibleModulus(f"modulus {list(mod)} is reducible over GF({p})")
@@ -246,18 +249,6 @@ class FieldSpec:
         self._build_tables()
 
     # -- representation plumbing -------------------------------------------
-
-    @property
-    def p(self) -> int:
-        return self.characteristic
-
-    @property
-    def n(self) -> int:
-        return self.degree
-
-    @property
-    def q(self) -> int:
-        return self.order
 
     def __eq__(self, other):
         if not isinstance(other, FieldSpec):

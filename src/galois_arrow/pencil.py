@@ -10,8 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
-from .errors import BasePoint, IntersectionNotSingle, NoProperMember, NucleiDiffer
+from .errors import (
+    BasePoint,
+    HitsBasePoint,
+    HitsNucleus,
+    IntersectionNotSingle,
+    InvalidIdealLine,
+    NoProperMember,
+    NucleiDiffer,
+)
 from .field import FieldElement, FieldSpec
 from .conic import (
     Conic,
@@ -22,7 +31,7 @@ from .conic import (
     nucleus,
     point_set,
 )
-from .plane import Plane, ProjLine, ProjPoint, build_plane, incident, line_through
+from .plane import Plane, ProjLine, ProjPoint, _line_hits, build_plane, incident, line_through
 
 
 class Pencil:
@@ -144,6 +153,44 @@ def common_nucleus(pencil: Pencil, plane: Plane) -> ProjPoint:
 # ---------------------------------------------------------------------------
 # shared, cached machinery around the canonical pencil
 
+@lru_cache(maxsize=None)
+def _time_pencil_points(spec: FieldSpec) -> tuple[ProjPoint, ProjPoint, ProjPoint]:
+    """B1 and B2, the base points of the canonical pencil, and N, the
+    common nucleus of its proper members in characteristic 2."""
+    return (ProjPoint(spec, (0, 1, 0)), ProjPoint(spec, (1, 0, 0)),
+            ProjPoint(spec, (0, 0, 1)))
+
+
+def _ideal_line_error(linf: ProjLine, plane: Plane) -> InvalidIdealLine | None:
+    """The InvalidIdealLine that linf deserves, or None if it avoids B1, B2
+    and N, which is the case iff all three of its coefficients are nonzero."""
+    b1, b2, n = _time_pencil_points(plane.field)
+    if incident(b1, linf) or incident(b2, linf):
+        return HitsBasePoint(f"ideal line {linf} passes through a base point")
+    if incident(n, linf):
+        return HitsNucleus(f"ideal line {linf} passes through the nucleus {n}")
+    return None
+
+
+def validate_ideal_line(linf: ProjLine, plane: Plane) -> None:
+    """Reject ideal lines through a base point or the nucleus.
+
+    Valid lines are exactly those with all three coefficients nonzero.
+    """
+    error = _ideal_line_error(linf, plane)
+    if error is not None:
+        raise error
+
+
+def _touch_point(points: Iterable[ProjPoint], lstar: ProjLine) -> ProjPoint:
+    """The single point of a proper member's zero set on a line through
+    the nucleus; every such line is tangent in characteristic 2."""
+    hits = _line_hits(points, lstar)
+    if len(hits) != 1:
+        raise IntersectionNotSingle(f"{lstar} meets the conic in {len(hits)} points")
+    return hits[0]
+
+
 class TimePencilContext:
     """Plane, canonical pencil, member point sets, and the distinguished
     points/lines every temporal construction needs.  One per field, cached;
@@ -161,9 +208,7 @@ class TimePencilContext:
             (idx, m, point_set(m.conic, self.plane))
             for idx, m in enumerate(self.members) if m.is_proper
         )
-        self.B1 = ProjPoint(spec, (0, 1, 0))
-        self.B2 = ProjPoint(spec, (1, 0, 0))
-        self.N = ProjPoint(spec, (0, 0, 1))
+        self.B1, self.B2, self.N = _time_pencil_points(spec)
         self.NB1 = line_through(self.N, self.B1)
         self.NB2 = line_through(self.N, self.B2)
         if spec.characteristic == 2:
@@ -176,23 +221,15 @@ class TimePencilContext:
         """For each proper member, its unique intersection with a line
         through the nucleus; aligned with self.proper."""
         cached = self._touch.get(lstar)
-        if cached is not None:
-            return cached
-        out = []
-        for _, member, pts in self.proper:
-            hits = [p for p in pts if incident(p, lstar)]
-            if len(hits) != 1:
-                raise IntersectionNotSingle(
-                    f"{lstar} meets member {member.theta} in {len(hits)} points")
-            out.append(hits[0])
-        result = tuple(out)
-        self._touch[lstar] = result
-        return result
+        if cached is None:
+            cached = tuple(_touch_point(pts, lstar) for _, _, pts in self.proper)
+            self._touch[lstar] = cached
+        return cached
 
     def valid_ideal_lines(self) -> tuple[ProjLine, ...]:
-        """Lines avoiding B1, B2 and N, i.e. with all coefficients nonzero,
-        in plane line order."""
-        return tuple(l for l in self.plane.lines if all(v != 0 for v in l.values))
+        """Lines passing validate_ideal_line, in plane line order."""
+        return tuple(l for l in self.plane.lines
+                     if _ideal_line_error(l, self.plane) is None)
 
     def valid_tangent_lines(self) -> tuple[ProjLine, ...]:
         """Lines through N other than NB1 and NB2, in plane line order."""

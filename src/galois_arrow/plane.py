@@ -16,23 +16,23 @@ from .errors import CoincidentLines, CoincidentPoints, MixedFields
 from .field import FieldElement, FieldSpec
 
 
-def _normalize(field: FieldSpec, triple) -> tuple[int, int, int]:
+def _normalize(field: FieldSpec, entries: tuple) -> tuple[int, ...]:
+    """Packed values of a homogeneous vector (elements or ints), scaled so
+    that the first nonzero entry is 1; the zero vector is rejected."""
     vals = []
-    for c in triple:
+    for c in entries:
         if isinstance(c, FieldElement):
             if c.field != field:
-                raise MixedFields("coordinate from a different field")
+                raise MixedFields("entry from a different field")
             vals.append(c.value)
         else:
             v = int(c)
             if not 0 <= v < field.order:
-                raise ValueError(f"coordinate {v} outside [0, {field.order})")
+                raise ValueError(f"entry {v} outside [0, {field.order})")
             vals.append(v)
-    if len(vals) != 3:
-        raise ValueError("homogeneous triples have exactly three coordinates")
     lead = next((v for v in vals if v != 0), None)
     if lead is None:
-        raise ValueError("the zero triple is not projective")
+        raise ValueError("the zero vector is not projective")
     if lead == 1:
         return tuple(vals)
     scale = field._inv_i(lead)
@@ -44,8 +44,11 @@ class _Triple:
     __slots__ = ("field", "values")
 
     def __init__(self, field: FieldSpec, coords: Iterable):
+        coords = tuple(coords)
+        if len(coords) != 3:
+            raise ValueError("homogeneous triples have exactly three coordinates")
         self.field = field
-        self.values = _normalize(field, tuple(coords))
+        self.values = _normalize(field, coords)
 
     @property
     def coords(self) -> tuple[FieldElement, FieldElement, FieldElement]:
@@ -99,7 +102,7 @@ class Plane:
         """The q+1 points of a line, in plane point order (cached scan)."""
         cached = self._on_line.get(line)
         if cached is None:
-            cached = tuple(p for p in self.points if incident(p, line))
+            cached = _line_hits(self.points, line)
             self._on_line[line] = cached
         return cached
 
@@ -142,6 +145,11 @@ def incident(point: ProjPoint, line: ProjLine) -> bool:
     l1, l2, l3 = line.values
     mul, add = f._mul_i, f._add_i
     return add(add(mul(l1, x1), mul(l2, x2)), mul(l3, x3)) == 0
+
+
+def _line_hits(points: Iterable[ProjPoint], line: ProjLine) -> tuple[ProjPoint, ...]:
+    """The points lying on the line, in the order given."""
+    return tuple(p for p in points if incident(p, line))
 
 
 def _cross(f: FieldSpec, a, b) -> tuple[int, int, int]:

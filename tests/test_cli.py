@@ -10,9 +10,7 @@ from galois_arrow.errors import InvariantViolation, UsageError
 from galois_arrow import cli
 
 
-def _run(argv, threads=None, monkeypatch=None):
-    if threads is not None and monkeypatch is not None:
-        monkeypatch.setenv("GALOIS_ARROW_THREADS", str(threads))
+def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(argv)
@@ -147,7 +145,7 @@ def test_run_rejected_configuration_exits_2():
     code, out, err = _run(["family", "--n", "3", "--linf", "1,0,0"])
     assert code == 2 and not out
     diagnostic = json.loads(err.strip())
-    assert diagnostic["error"] == "InvalidIdealLine"
+    assert diagnostic["error"] == "HitsBasePoint"
     assert "\n" not in err.strip()
 
 
@@ -217,19 +215,9 @@ def test_exhaustive_conic_q4_has_no_rejections():
     assert set(payload["summary"]["tally_distribution"]) == {"1:0:2"}
 
 
-def test_exhaustive_deterministic_across_thread_caps(monkeypatch):
-    runs = []
-    for threads in (1, 8, 1):
-        _, out, _ = _run(["arrow", "--n", "2", "--mode", "arc", "--exhaustive"],
-                         threads=threads, monkeypatch=monkeypatch)
-        runs.append(out)
-    assert runs[0] == runs[1] == runs[2]
-
-
-def test_bad_thread_env_is_a_usage_error(monkeypatch):
-    monkeypatch.setenv("GALOIS_ARROW_THREADS", "many")
-    with pytest.raises(UsageError):
-        cli._thread_count()
+def test_exhaustive_deterministic_across_runs():
+    argv = ["arrow", "--n", "2", "--mode", "arc", "--exhaustive"]
+    assert _run(argv)[1] == _run(argv)[1]
 
 
 def test_csv_exhaustive_includes_configuration_columns():
@@ -239,3 +227,18 @@ def test_csv_exhaustive_includes_configuration_columns():
     assert lines[0] == "q,mode,linf,lstar,member_id,theta,class"
     # 18 valid configurations, 3 members each
     assert len(lines) == 1 + 18 * 3
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["field-info", "--n", "17"], "OrderTooLarge"),
+    (["field-info", "--n", "3", "--modulus", "1,1"], "ModulusDegreeMismatch"),
+    (["field-info", "--n", "3", "--modulus", "0,0,0"], "ModulusDegreeMismatch"),
+    (["arrow", "--n", "3", "--mode", "conic", "--linf", "1,0,0"], "HitsBasePoint"),
+    (["arrow", "--n", "3", "--mode", "arc", "--linf", "1,0,0"], "HitsBasePoint"),
+])
+def test_rejected_input_follows_the_exit_code_contract(argv, error):
+    code, out, err = _run(argv)   # an exception escaping main is a traceback
+    assert code in (0, 2, 3) and not out
+    lines = err.splitlines()
+    assert len(lines) == 1 and "Traceback" not in err
+    assert json.loads(lines[0])["error"] == error
