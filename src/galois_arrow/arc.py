@@ -22,7 +22,6 @@ from .errors import (
     DuplicatePoints,
     InvalidTangentLine,
     NotThroughNucleus,
-    IntersectionNotSingle,
     OddCharacteristic,
     PointNotInArc,
     UnsupportedField,
@@ -101,7 +100,7 @@ def augment_with_nucleus(conic: Conic, plane: Plane) -> Arc:
         raise DegenerateConic(f"{conic} is degenerate")
     pts = set(point_set(conic, plane))
     pts.add(_nucleus_char2(conic))
-    return Arc(_in_plane_order(pts, plane))
+    return Arc(tuple(sorted(pts, key=plane.point_index.__getitem__)))
 
 
 def puncture(arc: Arc, point: ProjPoint) -> Arc:
@@ -135,18 +134,15 @@ def touch_point(conic: Conic, lstar: ProjLine, plane: Plane) -> ProjPoint:
     return _touch_point(point_set(conic, plane), lstar)
 
 
-def _in_plane_order(points: Iterable[ProjPoint], plane: Plane) -> tuple[ProjPoint, ...]:
-    return tuple(sorted(points, key=plane.point_index.__getitem__))
-
-
-def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine,
-                      verify: bool = True) -> ArcFamily:
+def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine) -> ArcFamily:
     """Build the arc family: per proper member, delete its touch point on
     lstar and add the nucleus.
 
-    With verify=True (the default) each arc is certified by checking every
-    triple through the added nucleus; triples inside the source conic are
-    already covered by its degeneracy census.
+    No arc is re-checked here: the census proves each member's points an
+    arc, and the time pencil context proves the nucleus joins each of
+    them by a distinct line, so every member stays an arc for every lstar.
+    Member points are in plane order and the nucleus (0:0:1) is the last
+    plane point, so each arc comes out in plane order.
     """
     if spec.characteristic != 2:
         raise OddCharacteristic("the family construction needs characteristic 2")
@@ -166,24 +162,14 @@ def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine,
         raise DegenerateContactPoint(
             f"{contact} = {linf} ∧ {lstar} lies on a degenerate member")
 
-    arcs, ids, thetas = [], [], []
     touches = ctx.touch_points(lstar)
-    for (member_id, member, pts), touch in zip(ctx.proper, touches):
-        kept = tuple(p for p in pts if p != touch)
-        arc_points = _in_plane_order(kept + (ctx.N,), ctx.plane)
-        if len(arc_points) != spec.order + 1:
-            raise IntersectionNotSingle(
-                f"member {member.theta}: arc has {len(arc_points)} points")
-        if verify and any(collinear(ctx.N, a, b) for a, b in combinations(kept, 2)):
-            raise IntersectionNotSingle(
-                f"member {member.theta}: nucleus collinear with two conic points")
-        arcs.append(Arc(arc_points))
-        ids.append(member_id)
-        thetas.append(member.theta)
+    arcs = tuple(Arc(tuple(p for p in pts if p != touch) + (ctx.N,))
+                 for (_, _, pts), touch in zip(ctx.proper, touches))
+    ids = tuple(member_id for member_id, _, _ in ctx.proper)
+    thetas = tuple(member.theta for _, member, _ in ctx.proper)
 
     provenance = FamilyProvenance(ctx.pencil, linf, lstar, contact, qstar.theta)
-    return ArcFamily(spec, ctx.plane, tuple(arcs), tuple(ids), tuple(thetas),
-                     touches, provenance)
+    return ArcFamily(spec, ctx.plane, arcs, ids, thetas, touches, provenance)
 
 
 def family_to_dict(family: ArcFamily) -> dict:

@@ -205,11 +205,7 @@ def _payload_arrow(spec: FieldSpec, config: RunConfig) -> dict:
 
 
 def _payload_arrow_exhaustive(spec: FieldSpec, config: RunConfig) -> dict:
-    """One report per valid configuration plus a summary.
-
-    Per-member re-verification is skipped inside the sweep; the default
-    single-configuration path and the test suite cover it.
-    """
+    """One report per valid configuration plus a summary."""
     ctx = time_pencil_context(spec)
     reports: list[dict] = []
     rejected: list[dict] = []
@@ -219,7 +215,7 @@ def _payload_arrow_exhaustive(spec: FieldSpec, config: RunConfig) -> dict:
         for linf in ctx.valid_ideal_lines():
             for lstar in ctx.valid_tangent_lines():
                 try:
-                    family = build_time_family(spec, linf, lstar, verify=False)
+                    family = build_time_family(spec, linf, lstar)
                 except DegenerateContactPoint:
                     rejected.append({"linf": str(linf), "lstar": str(lstar),
                                      "rejected": "DegenerateContactPoint"})

@@ -4,12 +4,16 @@ tangents, nucleus and five-point fitting.
 Degeneracy is decided by a census of the zero set rather than by a matrix
 determinant: in characteristic 2 the symmetric-matrix criterion breaks
 down, while the census (one point / one line / two lines / oval) is
-field-agnostic and matches how the classes behave geometrically.
+field-agnostic and matches how the classes behave geometrically.  The
+census counts the joins of pairs of zero-set points, so "no three
+collinear" is decided once, by distinct joins; the triple loop of
+arc.is_arc stays as the brute-force oracle for it.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -118,59 +122,33 @@ def point_set(conic: Conic, plane: Plane) -> tuple[ProjPoint, ...]:
                  if _evaluate_values(field, coeffs, p.values) == 0)
 
 
-def _no_three_collinear(points: Sequence[ProjPoint]) -> bool:
-    return not any(collinear(a, b, c) for a, b, c in combinations(points, 3))
-
-
 @lru_cache(maxsize=8192)
 def classify(conic: Conic, plane: Plane) -> DegeneracyClass:
-    """Degeneracy census of the zero set.
+    """Degeneracy census of the zero set by its joins.
 
-    Exactly one point -> conjugate line pair; a full line -> double line;
-    the union of two distinct lines -> real line pair; q+1 points with no
-    three collinear -> proper.  Anything else is impossible for a genuine
-    quadratic form and raises UnclassifiableConic.
+    Exactly one point -> conjugate line pair.  Otherwise count
+    line_through(a, b) over the pairs of the zero set: a line holding k of
+    its points carries C(k, 2) pairs, so a join carrying C(q+1, 2) pairs is
+    a full line inside the set.  q+1 points on one full join -> double
+    line; q+1 points with C(q+1, 2) distinct joins, i.e. no three
+    collinear -> proper; 2q+1 points holding two full joins -> real line
+    pair.  Anything else is impossible for a genuine quadratic form and
+    raises UnclassifiableConic.
     """
     pts = point_set(conic, plane)
     q = plane.order
     if len(pts) == 1:
         return DegeneracyClass.CONJUGATE_LINE_PAIR
-    if len(pts) == q + 1:
-        line = line_through(pts[0], pts[1])
-        if all(incident(p, line) for p in pts[2:]):
-            return DegeneracyClass.DOUBLE_LINE
-        if _no_three_collinear(pts):
-            return DegeneracyClass.PROPER
-        raise UnclassifiableConic(f"{conic}: {q + 1} points, neither line nor oval")
-    if len(pts) == 2 * q + 1:
-        first = _full_line_within(pts)
-        if first is not None:
-            rest = [p for p in pts if not incident(p, first)]
-            if len(rest) == q:
-                second = line_through(rest[0], rest[1])
-                on_first = set(plane.points_on(first))
-                on_second = set(plane.points_on(second))
-                if all(incident(p, second) for p in rest) and set(pts) == on_first | on_second:
-                    return DegeneracyClass.REAL_LINE_PAIR
-        raise UnclassifiableConic(f"{conic}: {2 * q + 1} points but not a line pair")
+    line_pairs = q * (q + 1) // 2
+    joins = Counter(line_through(a, b) for a, b in combinations(pts, 2))
+    full_joins = sum(1 for count in joins.values() if count == line_pairs)
+    if len(pts) == q + 1 and full_joins == 1:
+        return DegeneracyClass.DOUBLE_LINE
+    if len(pts) == q + 1 and len(joins) == line_pairs:
+        return DegeneracyClass.PROPER
+    if len(pts) == 2 * q + 1 and full_joins == 2:
+        return DegeneracyClass.REAL_LINE_PAIR
     raise UnclassifiableConic(f"{conic}: zero set of size {len(pts)} matches no class")
-
-
-def _full_line_within(pts: Sequence[ProjPoint]):
-    """A line entirely contained in pts (pts assumed of size 2q+1), or None.
-
-    A line through pts[0] lying inside pts carries q of the other points;
-    any other line through pts[0] carries at most one of them.
-    """
-    base = pts[0]
-    q = base.field.order
-    tally: dict[ProjLine, int] = {}
-    for other in pts[1:]:
-        line = line_through(base, other)
-        tally[line] = tally.get(line, 0) + 1
-        if tally[line] == q:
-            return line
-    return None
 
 
 def canonical_conic(spec: FieldSpec) -> Conic:

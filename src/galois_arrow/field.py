@@ -8,7 +8,8 @@ every downstream "first/canonical" choice inherits.
 
 Multiplication is table-driven for small fields and log/antilog-driven for
 larger ones; plain polynomial reduction is kept as the reference path and
-the two must agree bit for bit (see the test suite).
+the two must agree bit for bit (see the test suite).  Inverses are the
+Fermat powers a^(q-2) on the same multiplication backend.
 """
 
 from __future__ import annotations
@@ -79,12 +80,6 @@ def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
 
 def _deg(a: tuple[int, ...]) -> int:
     return len(a) - 1
-
-
-def _poly_add(a, b, p):
-    n = max(len(a), len(b))
-    return _trim(((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                 for i in range(n))
 
 
 def _poly_sub(a, b, p):
@@ -236,6 +231,8 @@ class FieldSpec:
                     f"no built-in modulus for GF({p}^{n}); pass one explicitly"
                 ) from None
         mod = _trim(c % p for c in modulus)
+        if not mod:
+            raise ZeroPolynomial("the zero polynomial is not a modulus")
         if _deg(mod) != n:
             raise ModulusDegreeMismatch(f"modulus degree {_deg(mod)} != field degree {n}")
         mod = _monic(mod, p)
@@ -354,18 +351,10 @@ class FieldSpec:
         return self.value_of(_poly_mod(prod, self.modulus, p))
 
     def _inv_i(self, a: int) -> int:
-        """Inverse by extended Euclid on the coefficient polynomials."""
+        """Inverse by Fermat: a^(q-2), since a^(q-1) = 1 for a != 0."""
         if a == 0:
             raise DivisionByZero("0 has no multiplicative inverse")
-        p = self.characteristic
-        r0, r1 = self.modulus, _trim(self.coeffs_of(a))
-        t0, t1 = (), (1,)
-        while _deg(r1) > 0:
-            quo, rem = _poly_divmod(r0, r1, p)
-            r0, r1 = r1, rem
-            t0, t1 = t1, _poly_sub(t0, _poly_mul(quo, t1, p), p)
-        scale = pow(r1[0], p - 2, p)
-        return self.value_of(_poly_mod(_poly_scale(t1, scale, p), self.modulus, p))
+        return self._pow_i(a, self.order - 2)
 
     def _pow_i(self, a: int, e: int) -> int:
         if e < 0:

@@ -26,7 +26,6 @@ from .conic import (
     Conic,
     DegeneracyClass,
     _evaluate_values,
-    _nucleus_char2,
     classify,
     nucleus,
     point_set,
@@ -212,8 +211,11 @@ class TimePencilContext:
         self.NB1 = line_through(self.N, self.B1)
         self.NB2 = line_through(self.N, self.B2)
         if spec.characteristic == 2:
-            for _, m, _pts in self.proper:
-                if _nucleus_char2(m.conic) != self.N:  # pragma: no cover
+            # N joins each member's points by pairwise distinct lines, so N is
+            # its nucleus and swapping any one of them for N leaves an arc
+            for _, m, pts in self.proper:
+                joins = {line_through(self.N, p) for p in pts}
+                if len(joins) != len(pts):  # pragma: no cover
                     raise NucleiDiffer(f"member {m.theta} has an unexpected nucleus")
         self._touch: dict[ProjLine, tuple[ProjPoint, ...]] = {}
 

@@ -67,9 +67,9 @@ def _default_lines(spec):
     return linf, lstar
 
 
-def _default_family(spec, verify=True):
+def _default_family(spec):
     linf, lstar = _default_lines(spec)
-    return build_time_family(spec, linf, lstar, verify=verify)
+    return build_time_family(spec, linf, lstar)
 
 
 # --- criterion 1 ----------------------------------------------------------------
@@ -366,7 +366,7 @@ def _tally_fingerprint(spec):
     for line in ctx.valid_ideal_lines():
         for tangent in ctx.valid_tangent_lines():
             try:
-                fam = build_time_family(spec, line, tangent, verify=False)
+                fam = build_time_family(spec, line, tangent)
             except DegenerateContactPoint:
                 key = "rejected"
             else:

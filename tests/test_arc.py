@@ -42,11 +42,10 @@ GF4 = make_field(2, 2)
 GF8 = make_field(2, 3)
 
 
-def _family(spec, linf=(1, 1, 1), lstar=None, **kwargs):
+def _family(spec, linf=(1, 1, 1), lstar=None):
     if lstar is None:
         lstar = (1, spec.characteristic if spec.degree >= 2 else 1, 0)
-    return build_time_family(spec, ProjLine(spec, linf), ProjLine(spec, lstar),
-                             **kwargs)
+    return build_time_family(spec, ProjLine(spec, linf), ProjLine(spec, lstar))
 
 
 # --- is_arc ---------------------------------------------------------------------
@@ -261,10 +260,32 @@ def test_touch_points_partition_lstar():
     assert leftovers <= double_line_pts
 
 
-def test_family_verify_flag_paths_agree():
-    loose = _family(GF8, verify=False)
-    strict = _family(GF8, verify=True)
-    assert [a.points for a in loose.members] == [a.points for a in strict.members]
+def _first_unrejected_family(ctx, lstar):
+    for linf in ctx.valid_ideal_lines():
+        try:
+            return build_time_family(ctx.spec, linf, lstar)
+        except DegenerateContactPoint:
+            pass
+    raise AssertionError(f"every ideal line is rejected for {lstar}")
+
+
+@pytest.mark.parametrize("spec", [GF4, GF8, make_field(2, 4)],
+                         ids=lambda s: f"q{s.order}")
+def test_family_members_are_arcs_for_every_lstar(spec):
+    """Brute-force oracle for the unchecked family build: for every valid
+    L*, with the first L-infinity that is not rejected, every member is a
+    (q+1)-arc listed in plane order."""
+    ctx = time_pencil_context(spec)
+    lstars = ctx.valid_tangent_lines()
+    assert len(lstars) == spec.order - 1
+    for lstar in lstars:
+        fam = _first_unrejected_family(ctx, lstar)
+        assert len(fam.members) == spec.order - 1
+        for arc in fam.members:
+            assert arc.size == spec.order + 1
+            assert is_arc(arc.points)
+            assert list(arc.points) == sorted(arc.points,
+                                              key=fam.plane.point_index.__getitem__)
 
 
 def test_family_serialization_schema():

@@ -232,7 +232,7 @@ def test_csv_exhaustive_includes_configuration_columns():
 @pytest.mark.parametrize("argv, error", [
     (["field-info", "--n", "17"], "OrderTooLarge"),
     (["field-info", "--n", "3", "--modulus", "1,1"], "ModulusDegreeMismatch"),
-    (["field-info", "--n", "3", "--modulus", "0,0,0"], "ModulusDegreeMismatch"),
+    (["field-info", "--n", "3", "--modulus", "0,0,0"], "ZeroPolynomial"),
     (["arrow", "--n", "3", "--mode", "conic", "--linf", "1,0,0"], "HitsBasePoint"),
     (["arrow", "--n", "3", "--mode", "arc", "--linf", "1,0,0"], "HitsBasePoint"),
 ])

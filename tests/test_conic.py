@@ -12,6 +12,7 @@ from galois_arrow.errors import (
     IntersectionTooLarge,
     OddCharacteristic,
 )
+from galois_arrow.arc import is_arc
 from galois_arrow.field import make_field
 from galois_arrow.conic import (
     Conic,
@@ -107,20 +108,29 @@ def test_classify_hidden_double_line_char2():
 @pytest.mark.parametrize("spec", [GF2, GF3, GF4], ids=lambda s: f"q{s.order}")
 def test_census_classifies_every_conic(spec):
     """UnclassifiableConic must be unreachable: every nonzero form over the
-    small fields lands in one of the four census classes."""
+    small fields lands in one of the four census classes, and each class
+    matches a brute-force description of the zero set."""
     from itertools import product
     plane = build_plane(spec)
+    q = spec.order
+    lines = {frozenset(plane.points_on(l)) for l in plane.lines}
+    line_pairs = {a | b for a, b in combinations(lines, 2)}
     seen = set()
-    for coeffs in product(range(spec.order), repeat=6):
+    for coeffs in product(range(q), repeat=6):
         if not any(coeffs):
             continue
         conic = Conic(spec, coeffs)
         if conic in seen:
             continue
         seen.add(conic)
-        assert classify(conic, plane) in DegeneracyClass
+        cls = classify(conic, plane)
+        pts = point_set(conic, plane)
+        assert (cls is DegeneracyClass.PROPER) == (len(pts) == q + 1 and is_arc(pts))
+        assert (cls is DegeneracyClass.DOUBLE_LINE) == (frozenset(pts) in lines)
+        assert (cls is DegeneracyClass.REAL_LINE_PAIR) == (frozenset(pts) in line_pairs)
+        assert (cls is DegeneracyClass.CONJUGATE_LINE_PAIR) == (len(pts) == 1)
     # normalized forms: (q^6 - 1) / (q - 1)
-    assert len(seen) == (spec.order ** 6 - 1) // (spec.order - 1)
+    assert len(seen) == (q ** 6 - 1) // (q - 1)
 
 
 def test_classify_stable_under_rescaling():

@@ -303,7 +303,8 @@ def test_mul_log_tables_match_polynomial_reduction():
 
 
 def test_inverse_consistent_with_mul_everywhere():
-    for spec in (GF4, GF8, make_field(2, 5), make_field(3, 2, (1, 0, 1))):
+    for spec in (GF3, GF4, GF8, make_field(2, 5), make_field(2, 7),
+                 make_field(3, 2, (1, 0, 1))):
         for a in elements(spec):
             if a:
                 assert a * inv(a) == spec.one
