@@ -152,7 +152,8 @@ def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine) -> ArcFa
     validate_ideal_line(linf, ctx.plane)
     if not incident(ctx.N, lstar):
         raise InvalidTangentLine(f"{lstar} does not pass through the nucleus {ctx.N}")
-    if lstar == ctx.NB1 or lstar == ctx.NB2:
+    # incident() above has checked lstar's field, so the values decide equality
+    if lstar.values in (ctx.NB1.values, ctx.NB2.values):
         raise InvalidTangentLine(f"{lstar} joins the nucleus to a base point")
 
     # A avoids B1 and B2 because linf does, so exactly one member passes through it
@@ -163,7 +164,8 @@ def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine) -> ArcFa
             f"{contact} = {linf} ∧ {lstar} lies on a degenerate member")
 
     touches = ctx.touch_points(lstar)
-    arcs = tuple(Arc(tuple(p for p in pts if p != touch) + (ctx.N,))
+    # each touch point is one of the objects in its member's cached pts tuple
+    arcs = tuple(Arc(tuple(p for p in pts if p is not touch) + (ctx.N,))
                  for (_, _, pts), touch in zip(ctx.proper, touches))
     ids = tuple(member_id for member_id, _, _ in ctx.proper)
     thetas = tuple(member.theta for _, member, _ in ctx.proper)

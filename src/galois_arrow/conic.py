@@ -197,18 +197,16 @@ def nucleus(conic: Conic, plane: Plane) -> ProjPoint:
 
 
 def _nucleus_char2(conic: Conic) -> ProjPoint:
-    """Algebraic fast path for the nucleus in characteristic 2: the common
-    zero of the three partial derivatives.  Must agree with nucleus()."""
+    """Closed-form nucleus in characteristic 2, the common zero of the partial
+    derivatives: their matrix is alternating, of rank 0 or 2, and a nonzero
+    (c23, c13, c12) spans its null space.  Must agree with nucleus()."""
     f = conic.field
     if f.characteristic != 2:
         raise OddCharacteristic("fast nucleus path needs characteristic 2")
-    _, c12, c13, _, c23, _ = (FieldElement(f, v) for v in conic.values)
-    zero = f.zero
-    rows = [[zero, c12, c13], [c12, zero, c23], [c13, c23, zero]]
-    basis = solve_homogeneous(rows)
-    if len(basis) != 1:
+    _, c12, c13, _, c23, _ = conic.values
+    if not (c12 or c13 or c23):
         raise DegenerateConic(f"{conic} has no single nucleus")
-    return ProjPoint(f, basis[0])
+    return ProjPoint(f, (c23, c13, c12))
 
 
 def fit_conic(points: Sequence[ProjPoint]) -> Conic:

@@ -14,6 +14,8 @@ Fermat powers a^(q-2) on the same multiplication backend.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -202,21 +204,27 @@ def parse_modulus(text: str, p: int) -> tuple[int, ...]:
     return coeffs
 
 
+# (p, n, monic modulus) -> the live FieldSpec of that field; weak, so a spec
+# nobody holds (and its tables) is still freed.  Stores take the lock, so two
+# threads building the same field still end up with one spec.
+_LIVE_SPECS = weakref.WeakValueDictionary()
+_LIVE_SPECS_LOCK = threading.Lock()
+
+
 class FieldSpec:
     """The field GF(p^n) for a fixed irreducible modulus.
 
     Immutable after construction; all arithmetic tables are built once.
-    Two specs compare equal iff they agree on (p, n, modulus), so elements
-    of independently constructed but identical fields interoperate.
+    Construction returns the one live spec of each field, so equality is identity.
     """
 
     __slots__ = (
         "characteristic", "degree", "modulus", "order",
         "_add_i", "_sub_i", "_neg_i", "_mul_i",
-        "_exp", "_log", "_hash",
+        "_exp", "_log", "__weakref__",
     )
 
-    def __init__(self, p: int, n: int, modulus: Sequence[int] | None = None):
+    def __new__(cls, p: int, n: int, modulus: Sequence[int] | None = None):
         if not isinstance(p, int) or not _is_prime(p):
             raise CompositeCharacteristic(f"characteristic must be prime, got {p!r}")
         if not isinstance(n, int) or n < 1:
@@ -236,26 +244,25 @@ class FieldSpec:
         if _deg(mod) != n:
             raise ModulusDegreeMismatch(f"modulus degree {_deg(mod)} != field degree {n}")
         mod = _monic(mod, p)
+        spec = _LIVE_SPECS.get((p, n, mod))
+        if spec is not None:
+            return spec
         if not is_irreducible(mod, p):
             raise ReducibleModulus(f"modulus {list(mod)} is reducible over GF({p})")
-        self.characteristic = p
-        self.degree = n
-        self.modulus = mod
-        self.order = p ** n
-        self._hash = hash((p, n, mod))
-        self._build_tables()
+        spec = super().__new__(cls)
+        spec.characteristic = p
+        spec.degree = n
+        spec.modulus = mod
+        spec.order = p ** n
+        spec._build_tables()
+        with _LIVE_SPECS_LOCK:
+            return _LIVE_SPECS.setdefault((p, n, mod), spec)
 
     # -- representation plumbing -------------------------------------------
 
-    def __eq__(self, other):
-        if not isinstance(other, FieldSpec):
-            return NotImplemented
-        return (self.characteristic == other.characteristic
-                and self.degree == other.degree
-                and self.modulus == other.modulus)
-
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        # copies and unpickled specs go through construction, so stay identical
+        return (FieldSpec, (self.characteristic, self.degree, self.modulus))
 
     def __repr__(self):
         return f"FieldSpec(GF({self.characteristic}^{self.degree}), q={self.order})"
@@ -480,8 +487,8 @@ class FieldElement:
 # module-level operation surface
 
 def make_field(p: int, n: int = 1, modulus: Sequence[int] | None = None) -> FieldSpec:
-    """Construct and validate GF(p^n); shipped defaults cover p = 2, n <= 8
-    and the prime fields GF(3), GF(5), GF(7)."""
+    """Construct and validate GF(p^n), or return its one live spec; shipped
+    defaults cover p = 2, n <= 8 and the prime fields GF(3), GF(5), GF(7)."""
     return FieldSpec(p, n, modulus)
 
 

@@ -21,7 +21,7 @@ from .errors import (
     NoProperMember,
     NucleiDiffer,
 )
-from .field import FieldElement, FieldSpec
+from .field import FieldSpec
 from .conic import (
     Conic,
     DegeneracyClass,
@@ -73,9 +73,6 @@ class PencilMember:
     @property
     def is_proper(self) -> bool:
         return self.degeneracy is DegeneracyClass.PROPER
-
-    def theta_elements(self, spec: FieldSpec) -> tuple[FieldElement, FieldElement]:
-        return (FieldElement(spec, self.theta[0]), FieldElement(spec, self.theta[1]))
 
 
 def time_pencil(spec: FieldSpec) -> Pencil:
@@ -129,9 +126,9 @@ def member_through(pencil: Pencil, point: ProjPoint, plane: Plane) -> PencilMemb
     v2 = _evaluate_values(field, pencil.generator2.values, point.values)
     if v1 == 0 and v2 == 0:
         raise BasePoint(f"{point} lies on every member")
-    theta = _normalize_theta(field, v2, field._neg_i(v1))
-    by_theta = {m.theta: m for m in members(pencil, plane)}
-    return by_theta[theta]
+    t1, t2 = _normalize_theta(field, v2, field._neg_i(v1))
+    # members() lists (1, t) at position t and (0, 1) last, at position q
+    return members(pencil, plane)[t2 if t1 else field.order]
 
 
 def common_nucleus(pencil: Pencil, plane: Plane) -> ProjPoint:

@@ -281,8 +281,9 @@ def test_family_members_are_arcs_for_every_lstar(spec):
     for lstar in lstars:
         fam = _first_unrejected_family(ctx, lstar)
         assert len(fam.members) == spec.order - 1
-        for arc in fam.members:
+        for arc, touch in zip(fam.members, fam.touch_points):
             assert arc.size == spec.order + 1
+            assert touch not in arc
             assert is_arc(arc.points)
             assert list(arc.points) == sorted(arc.points,
                                               key=fam.plane.point_index.__getitem__)

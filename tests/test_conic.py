@@ -1,7 +1,7 @@
 """Conics: evaluation, zero sets, degeneracy census, tangency, nucleus,
 and the five-point fit."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -237,6 +237,21 @@ def test_nucleus_fast_path_agrees_with_tangent_oracle(spec):
     for t in range(1, spec.order):
         member = Conic(spec, (0, 1, 0, 0, 0, t))
         assert _nucleus_char2(member) == nucleus(member, plane)
+
+
+@pytest.mark.parametrize("spec", [GF2, GF4], ids=lambda s: f"q{s.order}")
+def test_nucleus_closed_form_agrees_with_tangent_oracle_on_every_form(spec):
+    plane = build_plane(spec)
+    for coeffs in product(range(spec.order), repeat=6):
+        if not any(coeffs):
+            continue
+        conic = Conic(spec, coeffs)
+        _, c12, c13, _, c23, _ = conic.values
+        if not (c12 or c13 or c23):
+            with pytest.raises(DegenerateConic):
+                _nucleus_char2(conic)
+        if classify(conic, plane) is DegeneracyClass.PROPER:
+            assert _nucleus_char2(conic) == nucleus(conic, plane)
 
 
 def test_fit_conic_recovers_canonical():

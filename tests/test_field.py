@@ -1,7 +1,13 @@
 """Field arithmetic: construction, axioms, Frobenius, square roots,
 irreducibility, and the exact linear solver."""
 
+import copy
+import gc
+import pickle
 import random
+import sys
+import threading
+import weakref
 from itertools import product
 
 import pytest
@@ -11,6 +17,7 @@ from galois_arrow.errors import (
     DivisionByZero,
     EmptyMatrix,
     MixedFields,
+    ModulusDegreeMismatch,
     NoDefaultModulus,
     OddCharacteristic,
     ReducibleModulus,
@@ -31,6 +38,7 @@ from galois_arrow.field import (
     sqrt_char2,
     sub,
 )
+from galois_arrow.plane import ProjLine, ProjPoint, incident
 
 GF2 = make_field(2, 1)
 GF3 = make_field(3, 1)
@@ -85,7 +93,84 @@ def test_default_moduli_all_validate():
 
 def test_equal_parameters_mean_equal_fields():
     assert make_field(2, 3) == make_field(2, 3, (1, 1, 0, 1))
+    assert make_field(2, 3) is make_field(2, 3, (1, 1, 0, 1))
     assert make_field(2, 3) != make_field(2, 3, (1, 0, 1, 1))
+    # the modulus is made monic before the lookup
+    assert make_field(3, 2, (2, 0, 2)) is make_field(3, 2, (1, 0, 1))
+
+
+def test_spec_defines_no_structural_equality():
+    assert "__eq__" not in vars(FieldSpec)
+    assert "__hash__" not in vars(FieldSpec)
+    assert "_hash" not in FieldSpec.__slots__
+
+
+def test_refused_moduli_are_refused_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ReducibleModulus):
+            make_field(2, 2, (1, 0, 1))
+        with pytest.raises(ModulusDegreeMismatch):
+            make_field(2, 3, (1, 1, 1))
+        with pytest.raises(ZeroPolynomial):
+            make_field(2, 3, (0, 0, 0))
+
+
+def test_distinct_moduli_are_distinct_specs():
+    a = make_field(2, 3, (1, 1, 0, 1))  # x^3 + x + 1
+    b = make_field(2, 3, (1, 0, 1, 1))  # x^3 + x^2 + 1
+    assert a is not b and a != b
+    assert a.element(3) != b.element(3)
+    with pytest.raises(MixedFields):
+        a.element(3) * b.element(3)
+    with pytest.raises(MixedFields):
+        a.element(b.element(3))
+    with pytest.raises(MixedFields):
+        incident(ProjPoint(a, (1, 0, 0)), ProjLine(b, (0, 1, 0)))
+    assert ProjPoint(a, (1, 2, 3)) != ProjPoint(b, (1, 2, 3))
+
+
+def test_dropped_spec_leaves_the_registry():
+    from galois_arrow.field import _LIVE_SPECS
+
+    assert isinstance(_LIVE_SPECS, weakref.WeakValueDictionary)
+    spec = make_field(2, 6, (1, 0, 0, 0, 0, 1, 1))  # x^6 + x^5 + 1, unused elsewhere
+    key = (2, 6, spec.modulus)
+    assert _LIVE_SPECS[key] is spec
+    ref = weakref.ref(spec)
+    del spec
+    gc.collect()
+    assert ref() is None
+    assert key not in _LIVE_SPECS
+
+
+def test_threads_building_one_field_get_one_spec():
+    modulus = (1, 0, 0, 1, 0, 0, 0, 1)  # x^7 + x^3 + 1, unused elsewhere
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            specs = []
+            barrier = threading.Barrier(4)
+
+            def build():
+                barrier.wait(timeout=10)
+                specs.append(make_field(2, 7, modulus))
+
+            threads = [threading.Thread(target=build) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert len(specs) == 4 and len({id(s) for s in specs}) == 1
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_copies_and_pickles_are_the_live_spec():
+    assert copy.copy(GF8) is GF8
+    assert copy.deepcopy(GF8) is GF8
+    assert pickle.loads(pickle.dumps(GF8)) is GF8
 
 
 # --- irreducibility ------------------------------------------------------------
@@ -328,6 +413,7 @@ def test_parse_modulus_hex_bitmask():
 
 def test_hex_and_list_moduli_agree():
     assert make_field(2, 3, parse_modulus("0xB", 2)) == make_field(2, 3, parse_modulus("1,1,0,1", 2))
+    assert make_field(2, 3, parse_modulus("0xB", 2)) is make_field(2, 3, parse_modulus("1,1,0,1", 2))
 
 
 # --- homogeneous solver ------------------------------------------------------------
