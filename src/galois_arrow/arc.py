@@ -74,7 +74,8 @@ class FamilyProvenance:
 
 @dataclass(frozen=True)
 class ArcFamily:
-    """One arc per proper pencil member, in member order."""
+    """One arc per proper pencil member, in member order; masks holds each
+    arc's point mask over plane point indices."""
     spec: FieldSpec
     plane: Plane
     members: tuple[Arc, ...]
@@ -82,6 +83,7 @@ class ArcFamily:
     thetas: tuple[tuple[int, int], ...]
     touch_points: tuple[ProjPoint, ...]
     provenance: FamilyProvenance
+    masks: tuple[int, ...]
 
 
 def is_arc(points: Iterable[ProjPoint]) -> bool:
@@ -141,8 +143,8 @@ def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine) -> ArcFa
     No arc is re-checked here: the census proves each member's points an
     arc, and the time pencil context proves the nucleus joins each of
     them by a distinct line, so every member stays an arc for every lstar.
-    Member points are in plane order and the nucleus (0:0:1) is the last
-    plane point, so each arc comes out in plane order.
+    The arcs depend only on lstar, so they come from the context's
+    per-lstar cache, in plane order.
     """
     if spec.characteristic != 2:
         raise OddCharacteristic("the family construction needs characteristic 2")
@@ -163,15 +165,13 @@ def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine) -> ArcFa
         raise DegenerateContactPoint(
             f"{contact} = {linf} ∧ {lstar} lies on a degenerate member")
 
-    touches = ctx.touch_points(lstar)
-    # each touch point is one of the objects in its member's cached pts tuple
-    arcs = tuple(Arc(tuple(p for p in pts if p is not touch) + (ctx.N,))
-                 for (_, _, pts), touch in zip(ctx.proper, touches))
+    entry = ctx.lstar_entry(lstar)
     ids = tuple(member_id for member_id, _, _ in ctx.proper)
     thetas = tuple(member.theta for _, member, _ in ctx.proper)
 
     provenance = FamilyProvenance(ctx.pencil, linf, lstar, contact, qstar.theta)
-    return ArcFamily(spec, ctx.plane, arcs, ids, thetas, touches, provenance)
+    return ArcFamily(spec, ctx.plane, entry.arcs, ids, thetas, entry.touches,
+                     provenance, entry.masks)
 
 
 def family_to_dict(family: ArcFamily) -> dict:

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import OddCharacteristic
 from .field import FieldSpec
 from .arc import ArcFamily
-from .conic import LineClass, _line_class, classify_line
+from .conic import _line_class
 from .pencil import time_pencil_context, validate_ideal_line
-from .plane import ProjLine, ProjPoint, _line_hits
+from .plane import Plane, ProjLine, ProjPoint, _line_hits
 
 
 class TemporalClass(enum.Enum):
@@ -32,11 +31,8 @@ class TemporalClass(enum.Enum):
         return self.value
 
 
-_LINE_TO_TEMPORAL = {
-    LineClass.SECANT: TemporalClass.PAST,
-    LineClass.TANGENT: TemporalClass.PRESENT,
-    LineClass.EXTERNAL: TemporalClass.FUTURE,
-}
+# indexed by the number of points on the ideal line, as conic._line_class
+_TEMPORAL_BY_HITS = (TemporalClass.FUTURE, TemporalClass.PRESENT, TemporalClass.PAST)
 
 
 @dataclass(frozen=True)
@@ -86,16 +82,21 @@ class ArrowReport:
         }
 
 
+def _temporal(hits: int, linf: ProjLine) -> TemporalClass:
+    _line_class(hits, linf)   # raises IntersectionTooLarge past two hits
+    return _TEMPORAL_BY_HITS[hits]
+
+
 def classify_member(points, linf: ProjLine) -> TemporalClass:
     """Secant -> Past, tangent -> Present, external -> Future."""
-    return _LINE_TO_TEMPORAL[classify_line(points, linf)]
+    return _temporal(len(_line_hits(points, linf)), linf)
 
 
-def _classification(member_id: int, theta: tuple[int, int],
-                    points: Iterable[ProjPoint], linf: ProjLine) -> MemberClassification:
-    witnesses = _line_hits(points, linf)
-    temporal = _LINE_TO_TEMPORAL[_line_class(len(witnesses), linf)]
-    return MemberClassification(member_id, theta, temporal, witnesses)
+def _classification(member_id: int, theta: tuple[int, int], hit: int,
+                    plane: Plane, linf: ProjLine) -> MemberClassification:
+    """hit is the mask of the member's points on linf; they are the witnesses."""
+    temporal = _temporal(hit.bit_count(), linf)
+    return MemberClassification(member_id, theta, temporal, plane.points_of(hit))
 
 
 def conic_arrow(spec: FieldSpec, linf: ProjLine) -> ArrowReport:
@@ -105,8 +106,11 @@ def conic_arrow(spec: FieldSpec, linf: ProjLine) -> ArrowReport:
         raise OddCharacteristic("the conic arrow is defined over GF(2^n)")
     ctx = time_pencil_context(spec)
     validate_ideal_line(linf, ctx.plane)
-    classifications = tuple(_classification(member_id, member.theta, pts, linf)
-                            for member_id, member, pts in ctx.proper)
+    plane = ctx.plane
+    line = plane.line_mask(linf)
+    classifications = tuple(
+        _classification(member_id, member.theta, mask & line, plane, linf)
+        for (member_id, member, _), mask in zip(ctx.proper, ctx.masks))
     return ArrowReport(spec.order, "conic", linf, classifications)
 
 
@@ -114,8 +118,10 @@ def arc_arrow(family: ArcFamily) -> ArrowReport:
     """Classify every member of an arc family against the family's own
     ideal line; exactly one member comes out Present."""
     linf = family.provenance.linf
+    plane = family.plane
+    line = plane.line_mask(linf)
     classifications = tuple(
-        _classification(member_id, theta, arc.points, linf)
-        for member_id, theta, arc in zip(family.member_ids, family.thetas,
-                                         family.members))
+        _classification(member_id, theta, mask & line, plane, linf)
+        for member_id, theta, mask in zip(family.member_ids, family.thetas,
+                                          family.masks))
     return ArrowReport(family.spec.order, "arc", linf, classifications)

@@ -32,11 +32,11 @@ from .plane import (
     Plane,
     ProjLine,
     ProjPoint,
+    _join_index,
     _line_hits,
     _normalize,
     collinear,
     incident,
-    line_through,
     meet,
 )
 
@@ -126,8 +126,8 @@ def point_set(conic: Conic, plane: Plane) -> tuple[ProjPoint, ...]:
 def classify(conic: Conic, plane: Plane) -> DegeneracyClass:
     """Degeneracy census of the zero set by its joins.
 
-    Exactly one point -> conjugate line pair.  Otherwise count
-    line_through(a, b) over the pairs of the zero set: a line holding k of
+    Exactly one point -> conjugate line pair.  Otherwise count the plane
+    line index of the join of each pair of the zero set: a line holding k of
     its points carries C(k, 2) pairs, so a join carrying C(q+1, 2) pairs is
     a full line inside the set.  q+1 points on one full join -> double
     line; q+1 points with C(q+1, 2) distinct joins, i.e. no three
@@ -140,7 +140,9 @@ def classify(conic: Conic, plane: Plane) -> DegeneracyClass:
     if len(pts) == 1:
         return DegeneracyClass.CONJUGATE_LINE_PAIR
     line_pairs = q * (q + 1) // 2
-    joins = Counter(line_through(a, b) for a, b in combinations(pts, 2))
+    field = plane.field
+    joins = Counter(_join_index(field, a.values, b.values)
+                    for a, b in combinations(pts, 2))
     full_joins = sum(1 for count in joins.values() if count == line_pairs)
     if len(pts) == q + 1 and full_joins == 1:
         return DegeneracyClass.DOUBLE_LINE

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import (
     BasePoint,
@@ -30,7 +30,17 @@ from .conic import (
     nucleus,
     point_set,
 )
-from .plane import Plane, ProjLine, ProjPoint, _line_hits, build_plane, incident, line_through
+from .plane import (
+    Plane,
+    ProjLine,
+    ProjPoint,
+    _join_index,
+    _line_hits,
+    _triple_index,
+    build_plane,
+    incident,
+    line_through,
+)
 
 
 class Pencil:
@@ -187,13 +197,23 @@ def _touch_point(points: Iterable[ProjPoint], lstar: ProjLine) -> ProjPoint:
     return hits[0]
 
 
-class TimePencilContext:
-    """Plane, canonical pencil, member point sets, and the distinguished
-    points/lines every temporal construction needs.  One per field, cached;
-    also caches per-line touch points."""
+class LstarEntry(NamedTuple):
+    """What the arc family takes from one line L* through the nucleus, per
+    proper member (aligned with TimePencilContext.proper): its touch point
+    on L*, its arc (the member's points without the touch point, plus N)
+    and that arc's point mask."""
+    touches: tuple[ProjPoint, ...]
+    arcs: tuple            # of arc.Arc
+    masks: tuple[int, ...]
 
-    __slots__ = ("spec", "plane", "pencil", "members", "proper",
-                 "B1", "B2", "N", "NB1", "NB2", "_touch")
+
+class TimePencilContext:
+    """Plane, canonical pencil, member point sets and masks, and the
+    distinguished points/lines every temporal construction needs.  One per
+    field, cached; also caches one LstarEntry per line L*."""
+
+    __slots__ = ("spec", "plane", "pencil", "members", "proper", "masks",
+                 "B1", "B2", "N", "NB1", "NB2", "_by_lstar")
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
@@ -204,26 +224,46 @@ class TimePencilContext:
             (idx, m, point_set(m.conic, self.plane))
             for idx, m in enumerate(self.members) if m.is_proper
         )
+        q = spec.order
+        # each member's point mask over plane point indices; aligned with proper
+        self.masks = tuple(sum(1 << _triple_index(q, p.values) for p in pts)
+                           for _, _, pts in self.proper)
         self.B1, self.B2, self.N = _time_pencil_points(spec)
         self.NB1 = line_through(self.N, self.B1)
         self.NB2 = line_through(self.N, self.B2)
         if spec.characteristic == 2:
             # N joins each member's points by pairwise distinct lines, so N is
             # its nucleus and swapping any one of them for N leaves an arc
+            n = self.N.values
             for _, m, pts in self.proper:
-                joins = {line_through(self.N, p) for p in pts}
+                joins = {_join_index(spec, n, p.values) for p in pts}
                 if len(joins) != len(pts):  # pragma: no cover
                     raise NucleiDiffer(f"member {m.theta} has an unexpected nucleus")
-        self._touch: dict[ProjLine, tuple[ProjPoint, ...]] = {}
+        self._by_lstar: dict[ProjLine, LstarEntry] = {}
+
+    def lstar_entry(self, lstar: ProjLine) -> LstarEntry:
+        """Touch points, arcs and arc masks for a line through the nucleus."""
+        entry = self._by_lstar.get(lstar)
+        if entry is None:
+            from .arc import Arc   # arc imports this module
+            q = self.spec.order
+            n_bit = 1 << _triple_index(q, self.N.values)
+            touches, arcs, masks = [], [], []
+            for (_, _, pts), mask in zip(self.proper, self.masks):
+                touch = _touch_point(pts, lstar)
+                touches.append(touch)
+                # touch is one of the objects in pts, so identity drops it;
+                # N is the last plane point, so each arc stays in plane order
+                arcs.append(Arc(tuple(p for p in pts if p is not touch) + (self.N,)))
+                masks.append(mask & ~(1 << _triple_index(q, touch.values)) | n_bit)
+            entry = LstarEntry(tuple(touches), tuple(arcs), tuple(masks))
+            self._by_lstar[lstar] = entry
+        return entry
 
     def touch_points(self, lstar: ProjLine) -> tuple[ProjPoint, ...]:
         """For each proper member, its unique intersection with a line
         through the nucleus; aligned with self.proper."""
-        cached = self._touch.get(lstar)
-        if cached is None:
-            cached = tuple(_touch_point(pts, lstar) for _, _, pts in self.proper)
-            self._touch[lstar] = cached
-        return cached
+        return self.lstar_entry(lstar).touches
 
     def valid_ideal_lines(self) -> tuple[ProjLine, ...]:
         """Lines passing validate_ideal_line, in plane line order."""

@@ -2,9 +2,11 @@
 
 Points and lines are normalized homogeneous triples (first nonzero
 coordinate scaled to 1), so projectively equal triples compare equal.
-Incidence is the exact dot-product test; the per-plane caches of points
-on a line / lines through a point are conveniences that must agree with
-it (the test suite checks this exhaustively).
+Incidence is the exact dot-product test and stays the oracle.  The fast
+path is the plane's enumeration: point and line i both have the values
+of _enumerate_triples(field)[i], and a point set is a Python-int bitmask
+over those indices.  A line's mask is built in closed form in O(q); the
+test suite checks it against the incidence scan exhaustively.
 """
 
 from __future__ import annotations
@@ -81,8 +83,7 @@ class ProjLine(_Triple):
 class Plane:
     """All points and lines of PG(2, q), in a fixed enumeration order."""
 
-    __slots__ = ("field", "points", "lines", "point_index", "line_index",
-                 "_on_line", "_through_point")
+    __slots__ = ("field", "points", "lines", "point_index", "_masks")
 
     def __init__(self, field: FieldSpec):
         self.field = field
@@ -90,29 +91,37 @@ class Plane:
         self.points = tuple(ProjPoint(field, t) for t in triples)
         self.lines = tuple(ProjLine(field, t) for t in triples)
         self.point_index = {pt: i for i, pt in enumerate(self.points)}
-        self.line_index = {ln: i for i, ln in enumerate(self.lines)}
-        self._on_line: dict[ProjLine, tuple[ProjPoint, ...]] = {}
-        self._through_point: dict[ProjPoint, tuple[ProjLine, ...]] = {}
+        self._masks: dict[tuple[int, int, int], int] = {}
 
     @property
     def order(self) -> int:
         return self.field.order
 
+    def _mask(self, triple: _Triple) -> int:
+        if triple.field != self.field:
+            raise MixedFields(f"{triple} belongs to a different field than the plane")
+        # incidence is symmetric and points and lines share one enumeration,
+        # so the mask of a line's points and of a point's lines is one function
+        mask = self._masks.get(triple.values)
+        if mask is None:
+            mask = self._masks[triple.values] = _incidence_mask(self.field, triple.values)
+        return mask
+
+    def line_mask(self, line: ProjLine) -> int:
+        """Bitmask of the line's q+1 points over plane point indices (cached)."""
+        return self._mask(line)
+
+    def points_of(self, mask: int) -> tuple[ProjPoint, ...]:
+        """The points at the set bits of a mask, in plane point order."""
+        return _select(self.points, mask)
+
     def points_on(self, line: ProjLine) -> tuple[ProjPoint, ...]:
-        """The q+1 points of a line, in plane point order (cached scan)."""
-        cached = self._on_line.get(line)
-        if cached is None:
-            cached = _line_hits(self.points, line)
-            self._on_line[line] = cached
-        return cached
+        """The q+1 points of a line, in plane point order."""
+        return self.points_of(self._mask(line))
 
     def lines_through(self, point: ProjPoint) -> tuple[ProjLine, ...]:
-        """The q+1 lines through a point, in plane line order (cached scan)."""
-        cached = self._through_point.get(point)
-        if cached is None:
-            cached = tuple(l for l in self.lines if incident(point, l))
-            self._through_point[point] = cached
-        return cached
+        """The q+1 lines through a point, in plane line order."""
+        return _select(self.lines, self._mask(point))
 
     def __repr__(self):
         return f"Plane(PG(2,{self.order}), {len(self.points)} points)"
@@ -124,6 +133,47 @@ def _enumerate_triples(field: FieldSpec) -> list[tuple[int, int, int]]:
     out += [(0, 1, a) for a in range(q)]
     out.append((0, 0, 1))
     return out
+
+
+def _triple_index(q: int, values: tuple[int, int, int]) -> int:
+    """Position of normalized values in _enumerate_triples."""
+    x1, x2, x3 = values
+    if x1:
+        return x2 * q + x3
+    if x2:
+        return q * q + x3
+    return q * q + q
+
+
+def _incidence_mask(field: FieldSpec, values: tuple[int, int, int]) -> int:
+    """Bitmask of the triples of _enumerate_triples whose dot product with
+    the nonzero vector (l1, l2, l3) vanishes, solved for in O(q)."""
+    q = field.order
+    l1, l2, l3 = values
+    mul, add, neg = field._mul_i, field._add_i, field._neg_i
+    if l3:
+        # (1:a:b) with b = -(l1 + l2*a)/l3 for each a, and (0:1:c) with c = -l2/l3
+        s = neg(field._inv_i(l3))
+        mask = 1 << (q * q + mul(s, l2))
+        for a in range(q):
+            mask |= 1 << (a * q + mul(s, add(l1, mul(l2, a))))
+        return mask
+    if l2:
+        # (1:a:b) with a = -l1/l2 for each b, and (0:0:1)
+        a = mul(neg(l1), field._inv_i(l2))
+        return ((1 << q) - 1) << (a * q) | 1 << (q * q + q)
+    # l1*x1 = 0: (0:1:c) for each c, and (0:0:1)
+    return ((1 << (q + 1)) - 1) << (q * q)
+
+
+def _select(items: tuple, mask: int) -> tuple:
+    """The items at the set bits of mask, in ascending index order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(items[low.bit_length() - 1])
+        mask ^= low
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -159,6 +209,19 @@ def _cross(f: FieldSpec, a, b) -> tuple[int, int, int]:
     return (sub(mul(a2, b3), mul(a3, b2)),
             sub(mul(a3, b1), mul(a1, b3)),
             sub(mul(a1, b2), mul(a2, b1)))
+
+
+def _join_index(f: FieldSpec, a, b) -> int:
+    """Plane line index of the join of two distinct points given by their
+    values: their cross product, normalized, then indexed."""
+    c1, c2, c3 = _cross(f, a, b)
+    q = f.order
+    if c1:
+        s = f._inv_i(c1)
+        return f._mul_i(s, c2) * q + f._mul_i(s, c3)
+    if c2:
+        return q * q + f._mul_i(f._inv_i(c2), c3)
+    return q * q + q
 
 
 def line_through(p1: ProjPoint, p2: ProjPoint) -> ProjLine:
@@ -199,6 +262,4 @@ def collinear(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> bool:
 
 def points_on(line: ProjLine, plane: Plane) -> list[ProjPoint]:
     """The q+1 points of the line, in plane point order."""
-    if line.field != plane.field:
-        raise MixedFields("line belongs to a different field than the plane")
     return list(plane.points_on(line))

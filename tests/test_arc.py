@@ -281,12 +281,14 @@ def test_family_members_are_arcs_for_every_lstar(spec):
     for lstar in lstars:
         fam = _first_unrejected_family(ctx, lstar)
         assert len(fam.members) == spec.order - 1
-        for arc, touch in zip(fam.members, fam.touch_points):
+        assert len(fam.masks) == len(fam.members)
+        for arc, touch, mask in zip(fam.members, fam.touch_points, fam.masks):
             assert arc.size == spec.order + 1
             assert touch not in arc
             assert is_arc(arc.points)
             assert list(arc.points) == sorted(arc.points,
                                               key=fam.plane.point_index.__getitem__)
+            assert fam.plane.points_of(mask) == arc.points
 
 
 def test_family_serialization_schema():

@@ -4,6 +4,7 @@ and the two arrow modes."""
 import pytest
 
 from galois_arrow.errors import (
+    DegenerateContactPoint,
     HitsBasePoint,
     HitsNucleus,
     InvalidIdealLine,
@@ -11,7 +12,7 @@ from galois_arrow.errors import (
 )
 from galois_arrow.field import make_field
 from galois_arrow.pencil import time_pencil_context
-from galois_arrow.plane import ProjLine, ProjPoint, build_plane, incident
+from galois_arrow.plane import ProjLine, ProjPoint, _line_hits, build_plane, incident
 from galois_arrow.arc import build_time_family
 from galois_arrow.arrow import (
     TemporalClass,
@@ -160,3 +161,53 @@ def test_present_classification_is_the_tangent_case():
                if c.temporal is TemporalClass.PRESENT]
     assert len(present) == 1
     assert len(present[0].witnesses) == 1
+
+
+_CLASS_BY_HITS = {2: TemporalClass.PAST, 1: TemporalClass.PRESENT, 0: TemporalClass.FUTURE}
+
+
+def _oracle_row(member_id, theta, points, linf):
+    """Class and witnesses by the incidence scan of the member's points."""
+    hits = _line_hits(points, linf)
+    return (member_id, theta, _CLASS_BY_HITS[len(hits)], hits)
+
+
+def _rows(report):
+    return [(c.member_id, c.theta, c.temporal, c.witnesses)
+            for c in report.classifications]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4], ids=lambda n: f"q{2 ** n}")
+def test_conic_arrow_matches_incidence_oracle(n):
+    """The mask tally agrees with the incidence scan, class and witnesses,
+    for every valid ideal line."""
+    spec = make_field(2, n)
+    ctx = time_pencil_context(spec)
+    for linf in ctx.valid_ideal_lines():
+        expected = [_oracle_row(member_id, member.theta, pts, linf)
+                    for member_id, member, pts in ctx.proper]
+        assert _rows(conic_arrow(spec, linf)) == expected
+
+
+@pytest.mark.parametrize("n", [2, 3], ids=lambda n: f"q{2 ** n}")
+def test_arc_arrow_matches_incidence_oracle(n):
+    """Same for the arc arrow over every valid (L-infinity, L*); the oracle
+    rebuilds each arc from the member's points, its touch point on L* and
+    the nucleus."""
+    spec = make_field(2, n)
+    ctx = time_pencil_context(spec)
+    built = 0
+    for linf in ctx.valid_ideal_lines():
+        for lstar in ctx.valid_tangent_lines():
+            try:
+                family = build_time_family(spec, linf, lstar)
+            except DegenerateContactPoint:
+                continue
+            built += 1
+            expected = []
+            for member_id, member, pts in ctx.proper:
+                (touch,) = _line_hits(pts, lstar)
+                arc_pts = [p for p in pts if p != touch] + [ctx.N]
+                expected.append(_oracle_row(member_id, member.theta, arc_pts, linf))
+            assert _rows(arc_arrow(family)) == expected
+    assert built == (spec.order - 1) ** 3 - (spec.order - 1) ** 2

@@ -18,6 +18,13 @@ import pytest
 from galois_arrow import cli
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden_stdout.json"
+# the benchmark's own digests; read here, never written
+BENCH_GOLDEN_PATH = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
+# the two benchmark sweeps, at q = 16 and q = 32
+BENCH_COMMANDS = (
+    "arrow --n 4 --modulus 0x13 --mode arc --exhaustive",
+    "arrow --n 5 --modulus 0x25 --mode conic --exhaustive --output csv",
+)
 
 
 def _commands() -> list[str]:
@@ -60,6 +67,11 @@ def test_golden_covers_exactly_the_command_set():
 @pytest.mark.parametrize("command", _commands())
 def test_stdout_matches_golden_digest(command):
     assert _stdout_digest(command) == _golden()[command]
+
+
+@pytest.mark.parametrize("command", BENCH_COMMANDS)
+def test_sweep_stdout_matches_benchmark_digest(command):
+    assert _stdout_digest(command) == json.loads(BENCH_GOLDEN_PATH.read_text())[command]
 
 
 if __name__ == "__main__":

@@ -162,3 +162,11 @@ def test_context_collects_proper_members_in_order():
     assert all(len(pts) == 9 for _, _, pts in ctx.proper)
     assert len(ctx.valid_ideal_lines()) == 7 * 7
     assert len(ctx.valid_tangent_lines()) == 7
+
+
+@pytest.mark.parametrize("spec", [GF4, GF8, GF16], ids=lambda s: f"q{s.order}")
+def test_context_masks_are_the_member_point_sets(spec):
+    ctx = time_pencil_context(spec)
+    assert len(ctx.masks) == len(ctx.proper)
+    for (_, _, pts), mask in zip(ctx.proper, ctx.masks):
+        assert ctx.plane.points_of(mask) == pts

@@ -9,6 +9,9 @@ from galois_arrow.field import make_field, elements
 from galois_arrow.plane import (
     ProjLine,
     ProjPoint,
+    _join_index,
+    _line_hits,
+    _triple_index,
     build_plane,
     collinear,
     incident,
@@ -173,17 +176,61 @@ def test_points_on_counts_and_membership():
             assert len(points_on(line, plane)) == spec.order + 1
 
 
-@pytest.mark.parametrize("spec", [GF2, GF4, GF8], ids=lambda s: f"q{s.order}")
+GF3 = make_field(3)
+GF5 = make_field(5)
+GF9 = make_field(3, 2, (1, 0, 1))
+MASK_FIELDS = [GF2, GF3, GF4, GF5, GF8, GF9]
+
+
+def _q(spec) -> str:
+    return f"q{spec.order}"
+
+
+def _bits(indices) -> int:
+    return sum(1 << i for i in indices)
+
+
+@pytest.mark.parametrize("spec", MASK_FIELDS, ids=_q)
 def test_plane_caches_agree_with_incidence_oracle(spec):
+    """Every line's closed-form mask is the bits of the incidence scan of
+    all points, and the same function on a point's values is the bits of
+    the scan of all lines; q in {2, 3, 4, 5, 8, 9}, so odd p too."""
     plane = build_plane(spec)
     for line in plane.lines:
-        cached = plane.points_on(line)
-        oracle = tuple(p for p in plane.points if incident(p, line))
-        assert cached == oracle
+        oracle = _line_hits(plane.points, line)
+        assert plane.line_mask(line) == _bits(plane.point_index[pt] for pt in oracle)
+        assert plane.points_on(line) == oracle
     for pt in plane.points:
-        cached = plane.lines_through(pt)
         oracle = tuple(l for l in plane.lines if incident(pt, l))
-        assert cached == oracle
+        assert plane._mask(pt) == _bits(i for i, l in enumerate(plane.lines)
+                                        if incident(pt, l))
+        assert plane.lines_through(pt) == oracle
+
+
+@pytest.mark.parametrize("spec", MASK_FIELDS, ids=_q)
+def test_triple_index_is_the_enumeration_position(spec):
+    plane = build_plane(spec)
+    for i, (pt, line) in enumerate(zip(plane.points, plane.lines)):
+        assert _triple_index(spec.order, pt.values) == i
+        assert _triple_index(spec.order, line.values) == i
+        assert plane.points_of(1 << i) == (pt,)
+    everything = (1 << len(plane.points)) - 1
+    assert plane.points_of(everything) == plane.points
+    assert plane.points_of(0) == ()
+
+
+@pytest.mark.parametrize("spec", [GF3, GF4, GF5, GF9], ids=_q)
+def test_join_index_matches_line_through(spec):
+    plane = build_plane(spec)
+    for a, b in combinations(plane.points, 2):
+        assert plane.lines[_join_index(spec, a.values, b.values)] == line_through(a, b)
+
+
+def test_line_mask_rejects_other_fields():
+    with pytest.raises(MixedFields):
+        build_plane(GF4).line_mask(ProjLine(GF8, (1, 1, 1)))
+    with pytest.raises(MixedFields):
+        build_plane(GF4).lines_through(ProjPoint(GF2, (1, 1, 1)))
 
 
 def test_mixed_fields_rejected():
