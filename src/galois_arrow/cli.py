@@ -4,15 +4,19 @@ Reports go to stdout, diagnostics to stderr as a single machine-parsable
 JSON line.  Exit codes: 0 success, 2 rejected input or usage error, 3
 internal invariant violation (never reachable from shipped defaults).
 
-Output is byte-identical across runs for identical configurations.
+Output is byte-identical across runs for identical configurations.  The
+arrow command writes its reports one at a time as they are built, so an
+exhaustive sweep holds one report in memory, not all of them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import (
     DegenerateContactPoint,
@@ -24,8 +28,8 @@ from .field import FieldSpec, make_field, parse_modulus
 from .plane import ProjLine, build_plane
 from .conic import canonical_conic, classify, nucleus, point_set, tangent_lines
 from .pencil import base_points, common_nucleus, time_pencil_context
-from .arc import ArcFamily, build_time_family, family_to_dict
-from .arrow import arc_arrow, conic_arrow
+from .arc import build_time_family, family_to_dict
+from .arrow import ArrowReport, MemberClassification, arc_arrow, conic_arrow
 from .errors import OddCharacteristic
 
 COMMANDS = ("field-info", "plane", "conic", "pencil", "family", "arrow")
@@ -191,58 +195,175 @@ def _payload_family(spec: FieldSpec, config: RunConfig) -> dict:
     return family_to_dict(build_time_family(spec, linf, lstar))
 
 
-def _arc_report(family: ArcFamily) -> dict:
-    report = arc_arrow(family).to_dict()
-    report["lstar"] = str(family.provenance.lstar)
-    return report
+# --- arrow reports, streamed ------------------------------------------------
 
-
-def _payload_arrow(spec: FieldSpec, config: RunConfig) -> dict:
-    linf = ProjLine(spec, config.linf)
-    if config.mode == "conic":
-        return conic_arrow(spec, linf).to_dict()
-    return _arc_report(build_time_family(spec, linf, ProjLine(spec, config.lstar)))
-
-
-def _payload_arrow_exhaustive(spec: FieldSpec, config: RunConfig) -> dict:
-    """One report per valid configuration plus a summary."""
+def _arrow_reports(spec: FieldSpec, config: RunConfig, rejected: list[tuple[ProjLine, ProjLine]]
+                   ) -> Iterator[tuple[ArrowReport, ProjLine | None]]:
+    """(report, L*) for each configuration of the run, built one at a time;
+    L* is None in conic mode.  Arc configurations refused with
+    DegenerateContactPoint during a sweep are appended to rejected as
+    (L-infinity, L*) pairs."""
+    if not config.exhaustive:
+        linf = ProjLine(spec, config.linf)
+        if config.mode == "conic":
+            yield conic_arrow(spec, linf), None
+        else:
+            family = build_time_family(spec, linf, ProjLine(spec, config.lstar))
+            yield arc_arrow(family), family.provenance.lstar
+        return
     ctx = time_pencil_context(spec)
-    reports: list[dict] = []
-    rejected: list[dict] = []
-    if config.mode == "conic":
-        reports = [conic_arrow(spec, linf).to_dict() for linf in ctx.valid_ideal_lines()]
-    else:
-        for linf in ctx.valid_ideal_lines():
-            for lstar in ctx.valid_tangent_lines():
-                try:
-                    family = build_time_family(spec, linf, lstar)
-                except DegenerateContactPoint:
-                    rejected.append({"linf": str(linf), "lstar": str(lstar),
-                                     "rejected": "DegenerateContactPoint"})
-                else:
-                    reports.append(_arc_report(family))
+    for linf in ctx.valid_ideal_lines():
+        if config.mode == "conic":
+            yield conic_arrow(spec, linf), None
+            continue
+        for lstar in ctx.valid_tangent_lines():
+            try:
+                family = build_time_family(spec, linf, lstar)
+            except DegenerateContactPoint:
+                rejected.append((linf, lstar))
+            else:
+                yield arc_arrow(family), family.provenance.lstar
 
+
+def _json_block(items: list[str], pad: str, brackets: str = "[]") -> str:
+    """A list or dict laid out as json.dumps(..., indent=2) lays it out,
+    from its rendered items (each starting with its own newline and
+    indentation); pad is the indentation of the closing bracket."""
+    if not items:
+        return brackets
+    return brackets[0] + ",".join(items) + "\n" + pad + brackets[1]
+
+
+class _ReportText:
+    """Text of ArrowReports, byte-equal to json.dumps of ArrowReport.to_dict
+    with indent=2 (the report's opening brace indented by depth spaces) or
+    to its CSV rows.  Every string in a report is hex or decimal digits,
+    (a:b:c) or a class name, so nothing needs escaping.  Point strings and
+    each member's id and theta text are built on first use and reused for
+    the rest of the run."""
+
+    def __init__(self, spec: FieldSpec, depth: int = 0):
+        self._fmt = spec.format
+        b = self._pad = " " * depth
+        # the fixed text around a member's witness list
+        self._witnesses_key = f'",\n{b}      "witnesses": '
+        self._witnesses_close = f"\n{b}      ]"
+        self._member_close = f"\n{b}    }}"
+        self._points: dict[tuple[int, int, int], str] = {}
+        self._witnesses: dict[tuple[int, int, int], str] = {}
+        self._json_heads: dict[tuple, str] = {}
+        self._csv_heads: dict[tuple, str] = {}
+
+    def triple(self, values: tuple[int, int, int]) -> str:
+        text = self._points.get(values)
+        if text is None:
+            text = self._points[values] = "(" + ":".join(map(self._fmt, values)) + ")"
+        return text
+
+    def _witness(self, values: tuple[int, int, int]) -> str:
+        text = self._witnesses.get(values)
+        if text is None:
+            text = self._witnesses[values] = f'\n{self._pad}        "{self.triple(values)}"'
+        return text
+
+    def _json_head(self, c: MemberClassification) -> str:
+        key = (c.member_id, c.theta)
+        text = self._json_heads.get(key)
+        if text is None:
+            b, fmt = self._pad, self._fmt
+            text = self._json_heads[key] = (
+                f'\n{b}    {{\n{b}      "id": {c.member_id},\n{b}      "theta": [\n'
+                f'{b}        "{fmt(c.theta[0])}",\n{b}        "{fmt(c.theta[1])}"\n'
+                f'{b}      ],\n{b}      "class": "')
+        return text
+
+    def to_json(self, report: ArrowReport, tallies: dict[str, int],
+                lstar: ProjLine | None) -> str:
+        b = self._pad
+        witness, head = self._witness, self._json_head
+        key, close, witnesses_close = (self._witnesses_key, self._member_close,
+                                       self._witnesses_close)
+        members = []
+        for c in report.classifications:
+            # _json_block inlined: this loop runs once per member of every report
+            points = c.witnesses
+            witnesses = ("[" + ",".join([witness(p.values) for p in points])
+                         + witnesses_close) if points else "[]"
+            members.append(head(c) + c.temporal.value + key + witnesses + close)
+        tail = f',\n{b}  "lstar": "{self.triple(lstar.values)}"' if lstar else ""
+        return (
+            f'{{\n{b}  "q": {report.q},\n{b}  "mode": "{report.mode}",\n'
+            f'{b}  "ideal_line": "{self.triple(report.ideal_line.values)}",\n'
+            f'{b}  "tallies": {{\n{b}    "past": {tallies["past"]},\n'
+            f'{b}    "present": {tallies["present"]},\n{b}    "future": {tallies["future"]}\n'
+            f'{b}  }},\n{b}  "members": {_json_block(members, b + "  ")}{tail}\n{b}}}')
+
+    def to_csv(self, report: ArrowReport, prefix: str) -> str:
+        """One row per member, each row prefix + "id,theta,class\\n"."""
+        heads, fmt = self._csv_heads, self._fmt
+        rows = []
+        for c in report.classifications:
+            key = (c.member_id, c.theta)
+            head = heads.get(key)
+            if head is None:
+                head = heads[key] = f"{c.member_id},{fmt(c.theta[0])}:{fmt(c.theta[1])},"
+            rows.append(f"{prefix}{head}{c.temporal.value}\n")
+        return "".join(rows)
+
+
+def _arrow_json(spec: FieldSpec, config: RunConfig) -> Iterator[str]:
+    rejected: list[tuple[ProjLine, ProjLine]] = []
+    reports = _arrow_reports(spec, config, rejected)
+    if not config.exhaustive:
+        text = _ReportText(spec)
+        for report, lstar in reports:
+            yield text.to_json(report, report.tallies, lstar) + "\n"
+        return
+    text = _ReportText(spec, 4)
+    # the opening goes out with the first report, so that a run refused
+    # before it prints nothing
+    opening = (f'{{\n  "q": {spec.order},\n  "mode": "{config.mode}",\n'
+               f'  "exhaustive": true,\n  "reports": [')
+    separator = opening
     distribution: dict[str, int] = {}
-    for report in reports:
-        t = report["tallies"]
-        key = f"{t['past']}:{t['present']}:{t['future']}"
+    for report, lstar in reports:
+        tallies = report.tallies
+        key = f"{tallies['past']}:{tallies['present']}:{tallies['future']}"
         distribution[key] = distribution.get(key, 0) + 1
-    return {
-        "q": spec.order,
-        "mode": config.mode,
-        "exhaustive": True,
-        "reports": reports,
-        "rejected": rejected,
-        "summary": {
-            "total_configurations": len(reports) + len(rejected),
-            "valid": len(reports),
-            "rejected": len(rejected),
-            "tally_distribution": {k: distribution[k] for k in sorted(distribution)},
-        },
-    }
+        yield separator + "\n    " + text.to_json(report, tallies, lstar)
+        separator = ","
+    yield (opening + "]") if separator is opening else "\n  ]"
+    triple = text.triple
+    entries = [f'\n    {{\n      "linf": "{triple(linf.values)}",\n'
+               f'      "lstar": "{triple(lstar.values)}",\n'
+               f'      "rejected": "DegenerateContactPoint"\n    }}'
+               for linf, lstar in rejected]
+    counts = [f'\n      "{key}": {distribution[key]}' for key in sorted(distribution)]
+    valid = sum(distribution.values())
+    yield (f',\n  "rejected": {_json_block(entries, "  ")},\n  "summary": {{\n'
+           f'    "total_configurations": {valid + len(rejected)},\n'
+           f'    "valid": {valid},\n    "rejected": {len(rejected)},\n'
+           f'    "tally_distribution": {_json_block(counts, "    ", "{}")}\n  }}\n}}\n')
 
 
-# --- CSV flattening ------------------------------------------------------------
+def _arrow_csv(spec: FieldSpec, config: RunConfig) -> Iterator[str]:
+    text = _ReportText(spec)
+    if config.exhaustive:
+        header = "q,mode,linf,lstar,member_id,theta,class\n"
+    else:
+        header = "q,mode,member_id,theta,class\n"
+    for report, lstar in _arrow_reports(spec, config, []):
+        prefix = f"{report.q},{report.mode},"
+        if config.exhaustive:
+            prefix += (f"{text.triple(report.ideal_line.values)},"
+                       f"{text.triple(lstar.values) if lstar else ''},")
+        # the header goes out with the first report, as in _arrow_json
+        yield header + text.to_csv(report, prefix)
+        header = ""
+    yield header
+
+
+# --- CSV flattening (pencil, family) -------------------------------------------
 
 def _csv_lines(config: RunConfig, payload: dict) -> list[str]:
     if config.command == "pencil":
@@ -250,44 +371,38 @@ def _csv_lines(config: RunConfig, payload: dict) -> list[str]:
         for i, m in enumerate(payload["members"]):
             lines.append(f"{payload['q']},{i},{m['theta'][0]}:{m['theta'][1]},{m['class']}")
         return lines
-    if config.command == "family":
-        lines = ["q,member_id,theta,size,is_conic"]
-        for i, m in enumerate(payload["members"]):
-            lines.append(f"{payload['q']},{i},{m['theta'][0]}:{m['theta'][1]},"
-                         f"{len(m['points'])},{str(m['is_conic']).lower()}")
-        return lines
-    if config.exhaustive:
-        lines = ["q,mode,linf,lstar,member_id,theta,class"]
-        for report in payload["reports"]:
-            lstar = report.get("lstar", "")
-            for m in report["members"]:
-                lines.append(f"{report['q']},{report['mode']},{report['ideal_line']},"
-                             f"{lstar},{m['id']},{m['theta'][0]}:{m['theta'][1]},{m['class']}")
-        return lines
-    lines = ["q,mode,member_id,theta,class"]
-    for m in payload["members"]:
-        lines.append(f"{payload['q']},{payload['mode']},{m['id']},"
-                     f"{m['theta'][0]}:{m['theta'][1]},{m['class']}")
+    lines = ["q,member_id,theta,size,is_conic"]
+    for i, m in enumerate(payload["members"]):
+        lines.append(f"{payload['q']},{i},{m['theta'][0]}:{m['theta'][1]},"
+                     f"{len(m['points'])},{str(m['is_conic']).lower()}")
     return lines
 
 
 # --- driver ---------------------------------------------------------------------
 
-def _execute(config: RunConfig) -> dict:
+def _execute(config: RunConfig) -> Iterator[str]:
+    """The command's stdout, in chunks; an arrow run yields one per report."""
     spec = make_field(config.p, config.n, config.modulus)
+    if config.command == "arrow":
+        if config.output == "csv":
+            yield from _arrow_csv(spec, config)
+        else:
+            yield from _arrow_json(spec, config)
+        return
     if config.command == "field-info":
-        return _payload_field_info(spec)
-    if config.command == "plane":
-        return _payload_plane(spec)
-    if config.command == "conic":
-        return _payload_conic(spec)
-    if config.command == "pencil":
-        return _payload_pencil(spec)
-    if config.command == "family":
-        return _payload_family(spec, config)
-    if config.exhaustive:
-        return _payload_arrow_exhaustive(spec, config)
-    return _payload_arrow(spec, config)
+        payload = _payload_field_info(spec)
+    elif config.command == "plane":
+        payload = _payload_plane(spec)
+    elif config.command == "conic":
+        payload = _payload_conic(spec)
+    elif config.command == "pencil":
+        payload = _payload_pencil(spec)
+    else:
+        payload = _payload_family(spec, config)
+    if config.output == "csv":
+        yield "\n".join(_csv_lines(config, payload)) + "\n"
+    else:
+        yield json.dumps(payload, indent=2) + "\n"
 
 
 def _emit_error(exc: Exception) -> None:
@@ -296,19 +411,27 @@ def _emit_error(exc: Exception) -> None:
 
 
 def run(config: RunConfig) -> int:
-    """Execute one command; report on stdout, exit code returned."""
+    """Execute one command; report on stdout, exit code returned.
+
+    Output is written as it is produced, so after exit 3 stdout may hold
+    a truncated report."""
     try:
-        payload = _execute(config)
+        for chunk in _execute(config):
+            sys.stdout.write(chunk)
+        sys.stdout.flush()
     except InvariantViolation as exc:
         _emit_error(exc)
         return 3
     except ValidationError as exc:
         _emit_error(exc)
         return 2
-    if config.output == "csv":
-        sys.stdout.write("\n".join(_csv_lines(config, payload)) + "\n")
-    else:
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    except BrokenPipeError:
+        # the reader has closed stdout (as `| head` does): what it did not
+        # read is dropped, and stdout points at devnull so that the flush at
+        # interpreter exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 

@@ -8,8 +8,9 @@ every downstream "first/canonical" choice inherits.
 
 Multiplication is table-driven for small fields and log/antilog-driven for
 larger ones; plain polynomial reduction is kept as the reference path and
-the two must agree bit for bit (see the test suite).  Inverses are the
-Fermat powers a^(q-2) on the same multiplication backend.
+the two must agree bit for bit (see the test suite).  Inverses are a
+lookup into a table of q entries, read off the product table's rows or the
+log tables; Fermat's a^(q-2) is their oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ class FieldSpec:
     __slots__ = (
         "characteristic", "degree", "modulus", "order",
         "_add_i", "_sub_i", "_neg_i", "_mul_i",
-        "_exp", "_log", "__weakref__",
+        "_exp", "_log", "_inv", "__weakref__",
     )
 
     def __new__(cls, p: int, n: int, modulus: Sequence[int] | None = None):
@@ -309,6 +310,8 @@ class FieldSpec:
             self._mul_i = lambda a, b, _t=mul: _t[a][b]
             self._exp = None
             self._log = None
+            # the inverse of a is where row a of the product table holds 1
+            self._inv = [0] + [mul[a].index(1) for a in range(1, q)]
         else:
             self._build_log_tables()
             exp, log, m = self._exp, self._log, q - 1
@@ -317,6 +320,8 @@ class FieldSpec:
                     return 0
                 return _e[(_l[a] + _l[b]) % _m]
             self._mul_i = _mul
+            # a = g^k has inverse g^(-k); O(q), so 2^16 stays cheap
+            self._inv = [0] + [exp[-log[a] % m] for a in range(1, q)]
 
     def _build_log_tables(self):
         q = self.order
@@ -358,10 +363,10 @@ class FieldSpec:
         return self.value_of(_poly_mod(prod, self.modulus, p))
 
     def _inv_i(self, a: int) -> int:
-        """Inverse by Fermat: a^(q-2), since a^(q-1) = 1 for a != 0."""
+        """Inverse by table lookup; the oracle is Fermat's a^(q-2)."""
         if a == 0:
             raise DivisionByZero("0 has no multiplicative inverse")
-        return self._pow_i(a, self.order - 2)
+        return self._inv[a]
 
     def _pow_i(self, a: int, e: int) -> int:
         if e < 0:

@@ -1,13 +1,23 @@
-"""Command-line surface: parsing, payloads, exit codes, output formats."""
+"""Command-line surface: parsing, payloads, exit codes, output formats,
+and the streamed arrow output against its to_dict oracle."""
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
-from galois_arrow.errors import InvariantViolation, UsageError
+from galois_arrow.errors import DegenerateContactPoint, InvariantViolation, UsageError
 from galois_arrow import cli
+from galois_arrow.arc import build_time_family
+from galois_arrow.arrow import arc_arrow, conic_arrow
+from galois_arrow.field import make_field
+from galois_arrow.pencil import time_pencil_context
+from galois_arrow.plane import ProjLine
 
 
 def _run(argv):
@@ -242,3 +252,135 @@ def test_rejected_input_follows_the_exit_code_contract(argv, error):
     lines = err.splitlines()
     assert len(lines) == 1 and "Traceback" not in err
     assert json.loads(lines[0])["error"] == error
+
+
+# --- streamed arrow output ------------------------------------------------------
+
+def _oracle_arc_report(family) -> dict:
+    report = arc_arrow(family).to_dict()
+    report["lstar"] = str(family.provenance.lstar)
+    return report
+
+
+def _oracle_payload(config) -> dict:
+    """The arrow payload built whole from ArrowReport.to_dict."""
+    spec = make_field(config.p, config.n, config.modulus)
+    if not config.exhaustive:
+        linf = ProjLine(spec, config.linf)
+        if config.mode == "conic":
+            return conic_arrow(spec, linf).to_dict()
+        return _oracle_arc_report(
+            build_time_family(spec, linf, ProjLine(spec, config.lstar)))
+    ctx = time_pencil_context(spec)
+    reports, rejected = [], []
+    if config.mode == "conic":
+        reports = [conic_arrow(spec, linf).to_dict() for linf in ctx.valid_ideal_lines()]
+    else:
+        for linf in ctx.valid_ideal_lines():
+            for lstar in ctx.valid_tangent_lines():
+                try:
+                    family = build_time_family(spec, linf, lstar)
+                except DegenerateContactPoint:
+                    rejected.append({"linf": str(linf), "lstar": str(lstar),
+                                     "rejected": "DegenerateContactPoint"})
+                else:
+                    reports.append(_oracle_arc_report(family))
+    distribution = {}
+    for report in reports:
+        t = report["tallies"]
+        key = f"{t['past']}:{t['present']}:{t['future']}"
+        distribution[key] = distribution.get(key, 0) + 1
+    return {
+        "q": spec.order,
+        "mode": config.mode,
+        "exhaustive": True,
+        "reports": reports,
+        "rejected": rejected,
+        "summary": {
+            "total_configurations": len(reports) + len(rejected),
+            "valid": len(reports),
+            "rejected": len(rejected),
+            "tally_distribution": {k: distribution[k] for k in sorted(distribution)},
+        },
+    }
+
+
+def _oracle_csv_lines(config, payload: dict) -> list[str]:
+    if config.exhaustive:
+        lines = ["q,mode,linf,lstar,member_id,theta,class"]
+        for report in payload["reports"]:
+            lstar = report.get("lstar", "")
+            for m in report["members"]:
+                lines.append(f"{report['q']},{report['mode']},{report['ideal_line']},"
+                             f"{lstar},{m['id']},{m['theta'][0]}:{m['theta'][1]},{m['class']}")
+        return lines
+    lines = ["q,mode,member_id,theta,class"]
+    for m in payload["members"]:
+        lines.append(f"{payload['q']},{payload['mode']},{m['id']},"
+                     f"{m['theta'][0]}:{m['theta'][1]},{m['class']}")
+    return lines
+
+
+def _oracle_stdout(argv) -> str:
+    config = cli.parse_args(argv)
+    payload = _oracle_payload(config)
+    if config.output == "csv":
+        return "\n".join(_oracle_csv_lines(config, payload)) + "\n"
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("field", ["--n 2", "--n 3", "--n 3 --modulus 0xd"])
+@pytest.mark.parametrize("mode", ["conic", "arc"])
+@pytest.mark.parametrize("sweep", ["", " --exhaustive"])
+@pytest.mark.parametrize("output", ["json", "csv"])
+def test_streamed_arrow_matches_the_to_dict_oracle(field, mode, sweep, output):
+    argv = f"arrow {field} --mode {mode}{sweep} --output {output}".split()
+    code, out, err = _run(argv)
+    assert code == 0 and not err
+    assert out == _oracle_stdout(argv)
+
+
+def test_first_report_is_written_before_the_last_configuration_is_built(monkeypatch):
+    out, lengths = io.StringIO(), []
+
+    def recording(*args):
+        lengths.append(len(out.getvalue()))
+        return build_time_family(*args)
+
+    monkeypatch.setattr(cli, "build_time_family", recording)
+    with redirect_stdout(out):
+        code = cli.main(["arrow", "--n", "2", "--mode", "arc", "--exhaustive"])
+    assert code == 0 and len(lengths) == 27
+    assert 0 < lengths[-1] < len(out.getvalue())
+
+
+def test_invariant_violation_mid_sweep_exits_3(monkeypatch):
+    built = []
+
+    def third_fails(family):
+        built.append(family)
+        if len(built) == 3:
+            raise InvariantViolation("forced on the third configuration")
+        return arc_arrow(family)
+
+    monkeypatch.setattr(cli, "arc_arrow", third_fails)
+    code, out, err = _run(["arrow", "--n", "2", "--mode", "arc", "--exhaustive"])
+    assert code == 3 and out   # the reports before it were already written
+    lines = err.splitlines()
+    assert len(lines) == 1 and "Traceback" not in err
+    assert json.loads(lines[0])["error"] == "InvariantViolation"
+
+
+def test_closed_stdout_exits_0_quietly():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "galois_arrow.cli", "arrow", "--n", "4",
+         "--mode", "arc", "--exhaustive"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0
+    assert len(head) == 100
+    assert err == b"" and b"Traceback" not in err

@@ -387,6 +387,18 @@ def test_mul_log_tables_match_polynomial_reduction():
             assert spec._mul_i(a, b) == spec._mul_slow(a, b)
 
 
+@pytest.mark.parametrize("spec", [GF2, GF3, GF4, GF8, make_field(3, 2, (1, 0, 1)),
+                                  make_field(2, 4), make_field(2, 6), make_field(2, 7)],
+                         ids=lambda s: f"q{s.order}")
+def test_inverse_table_matches_fermat(spec):
+    # q <= 64 reads the product table, q = 128 the log tables
+    assert (spec._exp is None) == (spec.order <= 64)
+    for a in range(1, spec.order):
+        assert spec._inv_i(a) == spec._pow_i(a, spec.order - 2)
+    with pytest.raises(DivisionByZero):
+        spec._inv_i(0)
+
+
 def test_inverse_consistent_with_mul_everywhere():
     for spec in (GF3, GF4, GF8, make_field(2, 5), make_field(2, 7),
                  make_field(3, 2, (1, 0, 1))):
