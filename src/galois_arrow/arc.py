@@ -140,9 +140,11 @@ def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine) -> ArcFa
     """Build the arc family: per proper member, delete its touch point on
     lstar and add the nucleus.
 
-    No arc is re-checked here: the census proves each member's points an
-    arc, and the time pencil context proves the nucleus joins each of
-    them by a distinct line, so every member stays an arc for every lstar.
+    No arc is re-checked here: each proper member's discriminant is
+    nonzero, so its q+1 points (which the time pencil context checks are
+    its zero set) form an oval, an arc; the context also proves the
+    nucleus joins each of them by a distinct line, so every member stays
+    an arc for every lstar.
     The arcs depend only on lstar, so they come from the context's
     per-lstar cache, in plane order.
     """

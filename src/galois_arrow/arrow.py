@@ -14,10 +14,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import OddCharacteristic
+from .errors import IntersectionTooLarge, OddCharacteristic
 from .field import FieldSpec
 from .arc import ArcFamily
-from .conic import _line_class
 from .pencil import time_pencil_context, validate_ideal_line
 from .plane import Plane, ProjLine, ProjPoint, _line_hits
 
@@ -53,10 +52,11 @@ class ArrowReport:
 
     @property
     def tallies(self) -> dict[str, int]:
-        counts = {"past": 0, "present": 0, "future": 0}
-        for c in self.classifications:
-            counts[c.temporal.value.lower()] += 1
-        return counts
+        temporals = [c.temporal for c in self.classifications]
+        # list.count compares by identity first, so no enum attribute is read
+        return {"past": temporals.count(TemporalClass.PAST),
+                "present": temporals.count(TemporalClass.PRESENT),
+                "future": temporals.count(TemporalClass.FUTURE)}
 
     @property
     def present_member_ids(self) -> tuple[int, ...]:
@@ -83,7 +83,8 @@ class ArrowReport:
 
 
 def _temporal(hits: int, linf: ProjLine) -> TemporalClass:
-    _line_class(hits, linf)   # raises IntersectionTooLarge past two hits
+    if hits > 2:   # as conic._line_class
+        raise IntersectionTooLarge(f"line {linf} meets the set in {hits} points")
     return _TEMPORAL_BY_HITS[hits]
 
 

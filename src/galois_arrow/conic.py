@@ -1,19 +1,27 @@
-"""Conics as quadratic forms: evaluation, zero sets, degeneracy census,
+"""Conics as quadratic forms: evaluation, zero sets, degeneracy classes,
 tangents, nucleus and five-point fitting.
 
-Degeneracy is decided by a census of the zero set rather than by a matrix
-determinant: in characteristic 2 the symmetric-matrix criterion breaks
-down, while the census (one point / one line / two lines / oval) is
-field-agnostic and matches how the classes behave geometrically.  The
-census counts the joins of pairs of zero-set points, so "no three
-collinear" is decided once, by distinct joins; the triple loop of
-arc.is_arc stays as the brute-force oracle for it.
+Write a form as a*x1^2 + h*x1x2 + g*x1x3 + b*x2^2 + f*x2x3 + c*x3^2.  It is
+proper exactly when Hirschfeld's discriminant
+
+    Delta = 4abc + fgh - af^2 - bg^2 - ch^2
+
+is nonzero, in every characteristic; in characteristic 2 it reads
+af^2 + bg^2 + ch^2 + fgh.  (In odd characteristic Delta is half the
+determinant of the form's symmetric matrix; unlike that determinant it
+still decides degeneracy in characteristic 2.)  A degenerate form is one
+point (conjugate line pair), q+1 points (double line) or 2q+1 points (real
+line pair), so the size of its zero set names its class.
+
+point_set scans the whole plane; it is the oracle for closed-form zero
+sets such as the time pencil's members.  The join census of the test
+suite (distinct lines through pairs of zero-set points) is the oracle for
+classify, beside the triple loop of arc.is_arc.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -32,7 +40,6 @@ from .plane import (
     Plane,
     ProjLine,
     ProjPoint,
-    _join_index,
     _line_hits,
     _normalize,
     collinear,
@@ -116,41 +123,48 @@ def evaluate(conic: Conic, point: ProjPoint) -> FieldElement:
 
 @lru_cache(maxsize=8192)
 def point_set(conic: Conic, plane: Plane) -> tuple[ProjPoint, ...]:
-    """All plane points where the form vanishes, in plane order."""
+    """All plane points where the form vanishes, in plane order, by a scan
+    of the whole plane; the oracle for closed-form zero sets."""
     field, coeffs = conic.field, conic.values
     return tuple(p for p in plane.points
                  if _evaluate_values(field, coeffs, p.values) == 0)
 
 
+def _discriminant(field: FieldSpec, coeffs: Sequence[int]) -> int:
+    """Hirschfeld's Delta = 4abc + fgh - af^2 - bg^2 - ch^2 of the form with
+    coefficients (a, h, g, b, f, c) in COEFF_NAMES order; nonzero iff the
+    conic is proper.  The 4abc term is a doubled doubling, so it vanishes
+    in characteristic 2 by itself."""
+    a, h, g, b, f, c = coeffs
+    mul, add, sub = field._mul_i, field._add_i, field._sub_i
+    abc = mul(mul(a, b), c)
+    abc2 = add(abc, abc)
+    delta = add(add(abc2, abc2), mul(mul(f, g), h))
+    for coeff, other in ((a, f), (b, g), (c, h)):
+        delta = sub(delta, mul(coeff, mul(other, other)))
+    return delta
+
+
 @lru_cache(maxsize=8192)
 def classify(conic: Conic, plane: Plane) -> DegeneracyClass:
-    """Degeneracy census of the zero set by its joins.
+    """Degeneracy class by the discriminant.
 
-    Exactly one point -> conjugate line pair.  Otherwise count the plane
-    line index of the join of each pair of the zero set: a line holding k of
-    its points carries C(k, 2) pairs, so a join carrying C(q+1, 2) pairs is
-    a full line inside the set.  q+1 points on one full join -> double
-    line; q+1 points with C(q+1, 2) distinct joins, i.e. no three
-    collinear -> proper; 2q+1 points holding two full joins -> real line
-    pair.  Anything else is impossible for a genuine quadratic form and
-    raises UnclassifiableConic.
+    Delta != 0 -> proper, and no zero set is computed.  Otherwise the size
+    of the zero set decides: 1 point -> conjugate line pair, q+1 -> double
+    line, 2q+1 -> real line pair.  Any other size is impossible for a
+    genuine quadratic form and raises UnclassifiableConic.
     """
-    pts = point_set(conic, plane)
-    q = plane.order
-    if len(pts) == 1:
-        return DegeneracyClass.CONJUGATE_LINE_PAIR
-    line_pairs = q * (q + 1) // 2
-    field = plane.field
-    joins = Counter(_join_index(field, a.values, b.values)
-                    for a, b in combinations(pts, 2))
-    full_joins = sum(1 for count in joins.values() if count == line_pairs)
-    if len(pts) == q + 1 and full_joins == 1:
-        return DegeneracyClass.DOUBLE_LINE
-    if len(pts) == q + 1 and len(joins) == line_pairs:
+    if _discriminant(conic.field, conic.values):
         return DegeneracyClass.PROPER
-    if len(pts) == 2 * q + 1 and full_joins == 2:
+    size = len(point_set(conic, plane))
+    q = plane.order
+    if size == 1:
+        return DegeneracyClass.CONJUGATE_LINE_PAIR
+    if size == q + 1:
+        return DegeneracyClass.DOUBLE_LINE
+    if size == 2 * q + 1:
         return DegeneracyClass.REAL_LINE_PAIR
-    raise UnclassifiableConic(f"{conic}: zero set of size {len(pts)} matches no class")
+    raise UnclassifiableConic(f"{conic}: zero set of size {size} matches no class")
 
 
 def canonical_conic(spec: FieldSpec) -> Conic:

@@ -77,7 +77,7 @@ class CoincidentLines(ValidationError):
 # --- conics -------------------------------------------------------------------
 
 class UnclassifiableConic(InvariantViolation):
-    """Zero-set census matched no degeneracy class."""
+    """A degenerate form's zero set has a size that matches no degeneracy class."""
 
 
 class IntersectionTooLarge(ValidationError):
@@ -108,6 +108,10 @@ class NoProperMember(ValidationError):
 
 class NucleiDiffer(ValidationError):
     """The proper members of the pencil do not share a nucleus."""
+
+
+class MemberPointsMismatch(InvariantViolation):
+    """A member's closed-form points are not the zero set of its form."""
 
 
 # --- arcs ---------------------------------------------------------------------

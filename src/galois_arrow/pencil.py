@@ -18,6 +18,7 @@ from .errors import (
     HitsNucleus,
     IntersectionNotSingle,
     InvalidIdealLine,
+    MemberPointsMismatch,
     NoProperMember,
     NucleiDiffer,
 )
@@ -26,9 +27,8 @@ from .conic import (
     Conic,
     DegeneracyClass,
     _evaluate_values,
+    _nucleus_char2,
     classify,
-    nucleus,
-    point_set,
 )
 from .plane import (
     Plane,
@@ -142,14 +142,15 @@ def member_through(pencil: Pencil, point: ProjPoint, plane: Plane) -> PencilMemb
 
 
 def common_nucleus(pencil: Pencil, plane: Plane) -> ProjPoint:
-    """The nucleus shared by all proper members (characteristic 2).
+    """The nucleus shared by all proper members (characteristic 2), each
+    member's in closed form; conic.nucleus, from its tangents, is the oracle.
 
     NucleiDiffer is a legitimate outcome for general pencils, not a bug.
     """
     proper = [m for m in members(pencil, plane) if m.is_proper]
     if not proper:
         raise NoProperMember("pencil has no proper member")
-    nuclei = [nucleus(m.conic, plane) for m in proper]
+    nuclei = [_nucleus_char2(m.conic) for m in proper]
     first = nuclei[0]
     if any(nuc != first for nuc in nuclei[1:]):
         raise NucleiDiffer("proper members have distinct nuclei")
@@ -210,7 +211,11 @@ class LstarEntry(NamedTuple):
 class TimePencilContext:
     """Plane, canonical pencil, member point sets and masks, and the
     distinguished points/lines every temporal construction needs.  One per
-    field, cached; also caches one LstarEntry per line L*."""
+    field, cached; also caches one LstarEntry per line L*.
+
+    A proper member x1*x2 + t*x3^2 (t != 0) is the oval of the points
+    (1 : -t*c^2 : c), c in the field, and (0:1:0); its mask is built from
+    that in O(q), and conic.point_set's plane scan is the oracle."""
 
     __slots__ = ("spec", "plane", "pencil", "members", "proper", "masks",
                  "B1", "B2", "N", "NB1", "NB2", "_by_lstar")
@@ -220,15 +225,30 @@ class TimePencilContext:
         self.plane = build_plane(spec)
         self.pencil = time_pencil(spec)
         self.members = members(self.pencil, self.plane)
-        self.proper = tuple(
-            (idx, m, point_set(m.conic, self.plane))
-            for idx, m in enumerate(self.members) if m.is_proper
-        )
-        q = spec.order
-        # each member's point mask over plane point indices; aligned with proper
-        self.masks = tuple(sum(1 << _triple_index(q, p.values) for p in pts)
-                           for _, _, pts in self.proper)
         self.B1, self.B2, self.N = _time_pencil_points(spec)
+        q = spec.order
+        mul, neg = spec._mul_i, spec._neg_i
+        b1_bit = 1 << _triple_index(q, self.B1.values)   # (0:1:0)
+        proper, masks = [], []
+        for idx, m in enumerate(self.members):
+            if not m.is_proper:
+                continue
+            values = m.conic.values
+            s = neg(values[5])     # -t, the conic being (0, 1, 0, 0, 0, t)
+            # each member's point mask over plane point indices; aligned with proper
+            mask = b1_bit
+            for c in range(q):
+                mask |= 1 << _triple_index(q, (1, mul(s, mul(c, c)), c))
+            pts = self.plane.points_of(mask)
+            # a proper conic has exactly q+1 points, so q+1 of its points are all of them
+            if len(pts) != q + 1 or any(_evaluate_values(spec, values, p.values)
+                                        for p in pts):  # pragma: no cover
+                raise MemberPointsMismatch(
+                    f"member {m.theta}: closed-form points are not its zero set")
+            proper.append((idx, m, pts))
+            masks.append(mask)
+        self.proper = tuple(proper)
+        self.masks = tuple(masks)
         self.NB1 = line_through(self.N, self.B1)
         self.NB2 = line_through(self.N, self.B2)
         if spec.characteristic == 2:

@@ -7,6 +7,7 @@ from galois_arrow.errors import (
     DegenerateContactPoint,
     HitsBasePoint,
     HitsNucleus,
+    IntersectionTooLarge,
     InvalidIdealLine,
     OddCharacteristic,
 )
@@ -65,6 +66,22 @@ def test_classify_member_mapping():
     linf = fam.provenance.linf
     for cls, arc in zip(report.classifications, fam.members):
         assert classify_member(arc.points, linf) is cls.temporal
+
+
+def test_classify_member_rejects_three_points_on_the_line():
+    plane = build_plane(GF8)
+    linf = ProjLine(GF8, (1, 1, 1))
+    with pytest.raises(IntersectionTooLarge,
+                       match=r"^line \(1:1:1\) meets the set in 3 points$"):
+        classify_member(plane.points_on(linf)[:3], linf)
+
+
+def test_tallies_count_every_class_in_fixed_key_order():
+    report = arc_arrow(_family(GF8))
+    tallies = report.tallies
+    assert list(tallies) == ["past", "present", "future"]
+    for key, cls in zip(tallies, TemporalClass):
+        assert tallies[key] == sum(1 for c in report.classifications if c.temporal is cls)
 
 
 def test_conic_arrow_q8_reference_tallies():

@@ -1,6 +1,7 @@
-"""Conics: evaluation, zero sets, degeneracy census, tangency, nucleus,
-and the five-point fit."""
+"""Conics: evaluation, zero sets, degeneracy classes (the discriminant
+against the join census), tangency, nucleus, and the five-point fit."""
 
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -18,6 +19,7 @@ from galois_arrow.conic import (
     Conic,
     DegeneracyClass,
     LineClass,
+    _discriminant,
     _nucleus_char2,
     canonical_conic,
     classify,
@@ -29,13 +31,41 @@ from galois_arrow.conic import (
     point_set,
     tangent_lines,
 )
-from galois_arrow.plane import ProjLine, ProjPoint, build_plane, incident
+from galois_arrow.plane import ProjLine, ProjPoint, _join_index, build_plane, incident
 
 GF2 = make_field(2, 1)
 GF3 = make_field(3, 1)
 GF4 = make_field(2, 2)
+GF5 = make_field(5, 1)
 GF8 = make_field(2, 3)
 GF9 = make_field(3, 2, (1, 0, 1))
+
+
+def _join_census(conic, plane):
+    """Oracle for classify: the degeneracy class read off the zero set by
+    the joins of its pairs of points, or None if no class fits.
+
+    Exactly one point -> conjugate line pair.  A line holding k of the
+    points carries C(k, 2) pairs, so a join carrying C(q+1, 2) pairs is a
+    full line inside the set.  q+1 points on one full join -> double line;
+    q+1 points with C(q+1, 2) distinct joins, i.e. no three collinear ->
+    proper; 2q+1 points holding two full joins -> real line pair.
+    """
+    pts = point_set(conic, plane)
+    q = plane.order
+    if len(pts) == 1:
+        return DegeneracyClass.CONJUGATE_LINE_PAIR
+    line_pairs = q * (q + 1) // 2
+    joins = Counter(_join_index(plane.field, a.values, b.values)
+                    for a, b in combinations(pts, 2))
+    full_joins = sum(1 for count in joins.values() if count == line_pairs)
+    if len(pts) == q + 1 and full_joins == 1:
+        return DegeneracyClass.DOUBLE_LINE
+    if len(pts) == q + 1 and len(joins) == line_pairs:
+        return DegeneracyClass.PROPER
+    if len(pts) == 2 * q + 1 and full_joins == 2:
+        return DegeneracyClass.REAL_LINE_PAIR
+    return None
 
 
 def test_conic_normalization_and_equality():
@@ -105,17 +135,18 @@ def test_classify_hidden_double_line_char2():
     assert classify(conic, plane) is DegeneracyClass.DOUBLE_LINE
 
 
-@pytest.mark.parametrize("spec", [GF2, GF3, GF4], ids=lambda s: f"q{s.order}")
+@pytest.mark.parametrize("spec", [GF2, GF3, GF4, GF5], ids=lambda s: f"q{s.order}")
 def test_census_classifies_every_conic(spec):
     """UnclassifiableConic must be unreachable: every nonzero form over the
-    small fields lands in one of the four census classes, and each class
-    matches a brute-force description of the zero set."""
-    from itertools import product
+    small fields lands in one of the four classes, the discriminant's class
+    is the join census's, and each class matches a brute-force description
+    of the zero set."""
     plane = build_plane(spec)
     q = spec.order
     lines = {frozenset(plane.points_on(l)) for l in plane.lines}
     line_pairs = {a | b for a, b in combinations(lines, 2)}
     seen = set()
+    proper = 0
     for coeffs in product(range(q), repeat=6):
         if not any(coeffs):
             continue
@@ -124,13 +155,27 @@ def test_census_classifies_every_conic(spec):
             continue
         seen.add(conic)
         cls = classify(conic, plane)
+        assert cls is _join_census(conic, plane), conic
         pts = point_set(conic, plane)
         assert (cls is DegeneracyClass.PROPER) == (len(pts) == q + 1 and is_arc(pts))
         assert (cls is DegeneracyClass.DOUBLE_LINE) == (frozenset(pts) in lines)
         assert (cls is DegeneracyClass.REAL_LINE_PAIR) == (frozenset(pts) in line_pairs)
         assert (cls is DegeneracyClass.CONJUGATE_LINE_PAIR) == (len(pts) == 1)
-    # normalized forms: (q^6 - 1) / (q - 1)
+        proper += cls is DegeneracyClass.PROPER
+    # normalized forms: (q^6 - 1) / (q - 1), of which q^5 - q^2 are proper
     assert len(seen) == (q ** 6 - 1) // (q - 1)
+    assert proper == q ** 5 - q ** 2
+
+
+def test_discriminant_of_reference_forms():
+    # x1^2 + x2^2 + x3^2: Delta = 4abc = 4, nonzero for odd q only
+    assert _discriminant(GF3, (1, 0, 0, 1, 0, 1)) == 1
+    assert _discriminant(GF5, (1, 0, 0, 1, 0, 1)) == 4
+    assert _discriminant(GF4, (1, 0, 0, 1, 0, 1)) == 0
+    # x1*x2 + t*x3^2: Delta = -c*h^2 = -t
+    assert _discriminant(GF5, (0, 1, 0, 0, 0, 2)) == 3
+    assert _discriminant(GF8, (0, 1, 0, 0, 0, 5)) == 5
+    assert _discriminant(GF8, (0, 1, 0, 0, 0, 0)) == 0
 
 
 def test_classify_stable_under_rescaling():

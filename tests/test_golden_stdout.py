@@ -44,7 +44,12 @@ def _commands() -> list[str]:
         "family --n 3 --modulus 0xD --linf 1,5,3 --lstar 1,6,0",
         "arrow --n 3 --mode arc --linf 1,5,3 --lstar 1,6,0",
         "arrow --n 3 --mode conic --linf 1,5,3",
+        # odd q: the 4abc term of the discriminant and the degenerate members
+        "pencil --p 3 --n 2 --modulus 1,0,1", "pencil --p 5",
     ]
+    # q = 64 multiplies by table, q = 128 by log/antilog
+    out += ["arrow --n 6 --mode arc", "arrow --n 7 --mode arc",
+            "arrow --n 7 --mode conic"]
     return out
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from galois_arrow.errors import BasePoint, NoProperMember, NucleiDiffer
 from galois_arrow.field import make_field
-from galois_arrow.conic import Conic, DegeneracyClass, evaluate, point_set
+from galois_arrow.conic import Conic, DegeneracyClass, evaluate, nucleus, point_set
 from galois_arrow.pencil import (
     Pencil,
     base_points,
@@ -18,9 +18,13 @@ from galois_arrow.pencil import (
 from galois_arrow.plane import ProjLine, ProjPoint, build_plane, meet
 
 GF2 = make_field(2, 1)
+GF3 = make_field(3, 1)
 GF4 = make_field(2, 2)
+GF5 = make_field(5, 1)
 GF8 = make_field(2, 3)
+GF9 = make_field(3, 2, (1, 0, 1))
 GF16 = make_field(2, 4)
+GF32 = make_field(2, 5)
 
 
 def test_time_pencil_generators():
@@ -123,6 +127,14 @@ def test_common_nucleus(spec):
     assert common_nucleus(time_pencil(spec), plane) == ProjPoint(spec, (0, 0, 1))
 
 
+@pytest.mark.parametrize("spec", [GF4, GF8, GF16], ids=lambda s: f"q{s.order}")
+def test_common_nucleus_closed_form_agrees_with_tangent_oracle(spec):
+    plane = build_plane(spec)
+    pencil = time_pencil(spec)
+    oracle = {nucleus(m.conic, plane) for m in members(pencil, plane) if m.is_proper}
+    assert oracle == {common_nucleus(pencil, plane)}
+
+
 def test_common_nucleus_no_proper_member():
     # theta1*x1^2 + theta2*x2^2 = (s*x1 + t*x2)^2 in char 2: all double lines
     pencil = Pencil(Conic(GF4, (1, 0, 0, 0, 0, 0)), Conic(GF4, (0, 0, 0, 1, 0, 0)))
@@ -164,9 +176,28 @@ def test_context_collects_proper_members_in_order():
     assert len(ctx.valid_tangent_lines()) == 7
 
 
-@pytest.mark.parametrize("spec", [GF4, GF8, GF16], ids=lambda s: f"q{s.order}")
+@pytest.mark.parametrize("spec", [GF3, GF4, GF5, GF8, GF9, GF16, GF32],
+                         ids=lambda s: f"q{s.order}")
 def test_context_masks_are_the_member_point_sets(spec):
+    """The context's closed-form member points and masks against the
+    point_set scan, and the degenerate members' scans against their lines."""
     ctx = time_pencil_context(spec)
-    assert len(ctx.masks) == len(ctx.proper)
-    for (_, _, pts), mask in zip(ctx.proper, ctx.masks):
-        assert ctx.plane.points_of(mask) == pts
+    plane = ctx.plane
+    x1, x2, x3 = (plane.line_mask(ProjLine(spec, v))
+                  for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    proper = iter(zip(ctx.proper, ctx.masks))
+    for idx, m in enumerate(ctx.members):
+        scan = point_set(m.conic, plane)
+        if m.theta == (1, 0):       # x1*x2: the lines x1 = 0 and x2 = 0
+            assert m.degeneracy is DegeneracyClass.REAL_LINE_PAIR
+            assert scan == plane.points_of(x1 | x2)
+        elif m.theta == (0, 1):     # x3^2: the line x3 = 0, twice
+            assert m.degeneracy is DegeneracyClass.DOUBLE_LINE
+            assert scan == plane.points_of(x3)
+        else:
+            assert m.is_proper
+            (member_id, member, pts), mask = next(proper)
+            assert (member_id, member) == (idx, m)
+            assert pts == scan and all(a is b for a, b in zip(pts, scan))
+            assert plane.points_of(mask) == scan
+    assert next(proper, None) is None
