@@ -43,7 +43,7 @@ from .pencil import (
     time_pencil_context,
     validate_ideal_line,
 )
-from .plane import Plane, ProjLine, ProjPoint, collinear, incident, meet
+from .plane import Plane, ProjLine, ProjPoint, _triple_index, collinear, incident, meet
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,8 @@ def augment_with_nucleus(conic: Conic, plane: Plane) -> Arc:
         raise DegenerateConic(f"{conic} is degenerate")
     pts = set(point_set(conic, plane))
     pts.add(_nucleus_char2(conic))
-    return Arc(tuple(sorted(pts, key=plane.point_index.__getitem__)))
+    q = plane.order
+    return Arc(tuple(sorted(pts, key=lambda pt: _triple_index(q, pt.values))))
 
 
 def puncture(arc: Arc, point: ProjPoint) -> Arc:

@@ -21,10 +21,11 @@ from typing import Iterator
 from .errors import (
     DegenerateContactPoint,
     InvariantViolation,
+    OrderTooLarge,
     UsageError,
     ValidationError,
 )
-from .field import FieldSpec, make_field, parse_modulus
+from .field import FieldSpec, field_order, make_field, parse_modulus
 from .plane import ProjLine, build_plane
 from .conic import canonical_conic, classify, nucleus, point_set, tangent_lines
 from .pencil import base_points, common_nucleus, time_pencil_context
@@ -99,9 +100,9 @@ def parse_args(argv: list[str]) -> RunConfig:
             modulus = parse_modulus(ns.modulus, ns.p)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-    q = ns.p ** ns.n
     if ns.command in ("family", "arrow") and ns.p != 2:
         raise UsageError(f"{ns.command} requires characteristic 2, got p={ns.p}")
+    q = field_order(ns.p, ns.n)
     mode = getattr(ns, "mode", "conic")
     if ns.command == "family" or (ns.command == "arrow" and mode == "arc"):
         if q < 4:
@@ -438,7 +439,7 @@ def run(config: RunConfig) -> int:
 def main(argv: list[str] | None = None) -> int:
     try:
         config = parse_args(sys.argv[1:] if argv is None else argv)
-    except UsageError as exc:
+    except (UsageError, OrderTooLarge) as exc:
         _emit_error(exc)
         return 2
     return run(config)

@@ -6,11 +6,14 @@ the additive and multiplicative identities, equality and hashing are
 structural, and the enumeration order 0, 1, ..., q-1 is the element order
 every downstream "first/canonical" choice inherits.
 
-Multiplication is table-driven for small fields and log/antilog-driven for
-larger ones; plain polynomial reduction is kept as the reference path and
-the two must agree bit for bit (see the test suite).  Inverses are a
-lookup into a table of q entries, read off the product table's rows or the
-log tables; Fermat's a^(q-2) is their oracle in the test suite.
+Every field multiplies through one pair of log/antilog tables (Lidl &
+Niederreiter, *Finite Fields*): log[0] is a sentinel that sends any product
+with a zero factor into a block of zeros at the end of the antilog table,
+so a product is two lookups and an index sum, with no branch and no
+modulo.  Plain polynomial reduction is kept as the reference path and the
+two must agree bit for bit (see the test suite).  Inverses are a lookup
+into a table of q entries read off the log tables; Fermat's a^(q-2) is
+their oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -51,8 +54,7 @@ DEFAULT_MODULI = {
     (7, 1): (0, 1),
 }
 
-# table-size cutoffs: full q*q product table below, log/antilog above
-_MUL_TABLE_MAX = 64
+# odd p: addition table up to this order, coefficient arithmetic above
 _ADD_TABLE_MAX = 256
 
 
@@ -69,6 +71,15 @@ def _is_prime(m: int) -> bool:
             return False
         d += 2
     return True
+
+
+def field_order(p: int, n: int) -> int:
+    """The order p**n of GF(p^n), for p >= 2 and n >= 1; OrderTooLarge past
+    MAX_ORDER, refused before the power is computed: n > 16 already exceeds
+    2^16, so a huge degree costs nothing."""
+    if n > 16 or p ** n > MAX_ORDER:
+        raise OrderTooLarge(f"order {p}^{n} exceeds the supported bound 2^16")
+    return p ** n
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +237,15 @@ class FieldSpec:
     )
 
     def __new__(cls, p: int, n: int, modulus: Sequence[int] | None = None):
-        if not isinstance(p, int) or not _is_prime(p):
+        if not isinstance(p, int) or p < 2:
             raise CompositeCharacteristic(f"characteristic must be prime, got {p!r}")
         if not isinstance(n, int) or n < 1:
             raise InvalidDegree(f"degree must be a positive integer, got {n!r}")
-        if p ** n > MAX_ORDER:
-            raise OrderTooLarge(f"order {p}^{n} exceeds the supported bound 2^16")
+        # the bound first: trial division is O(sqrt(p)), so a huge p is refused
+        # by its order before its primality is tested
+        order = field_order(p, n)
+        if not _is_prime(p):
+            raise CompositeCharacteristic(f"characteristic must be prime, got {p!r}")
         if modulus is None:
             try:
                 modulus = DEFAULT_MODULI[(p, n)]
@@ -254,7 +268,7 @@ class FieldSpec:
         spec.characteristic = p
         spec.degree = n
         spec.modulus = mod
-        spec.order = p ** n
+        spec.order = order
         spec._build_tables()
         with _LIVE_SPECS_LOCK:
             return _LIVE_SPECS.setdefault((p, n, mod), spec)
@@ -305,48 +319,39 @@ class FieldSpec:
             self._add_i = self._add_slow
             self._neg_i = self._neg_slow
             self._sub_i = lambda a, b: self._add_slow(a, self._neg_slow(b))
-        if q <= _MUL_TABLE_MAX:
-            mul = [[self._mul_slow(a, b) for b in range(q)] for a in range(q)]
-            self._mul_i = lambda a, b, _t=mul: _t[a][b]
-            self._exp = None
-            self._log = None
-            # the inverse of a is where row a of the product table holds 1
-            self._inv = [0] + [mul[a].index(1) for a in range(1, q)]
-        else:
-            self._build_log_tables()
-            exp, log, m = self._exp, self._log, q - 1
-            def _mul(a, b, _e=exp, _l=log, _m=m):
-                if a == 0 or b == 0:
-                    return 0
-                return _e[(_l[a] + _l[b]) % _m]
-            self._mul_i = _mul
-            # a = g^k has inverse g^(-k); O(q), so 2^16 stays cheap
-            self._inv = [0] + [exp[-log[a] % m] for a in range(1, q)]
+        self._build_log_tables()
+        exp, log, m = self._exp, self._log, q - 1
+        self._mul_i = lambda a, b, _e=exp, _l=log: _e[_l[a] + _l[b]]
+        # a = g^k has inverse g^(-k); O(q), so 2^16 stays cheap
+        self._inv = [0] + [exp[-log[a] % m] for a in range(1, q)]
 
     def _build_log_tables(self):
+        """exp[k] = g^k for k in [0, 2m) with m = q - 1, then 2m + 1 zeros;
+        log[g^k] = k and log[0] = 2m.  Two logs of nonzero values sum below
+        2m, and any sum with log[0] in it lands in [2m, 4m], the zeros."""
         q = self.order
-        for g in range(2, q):
+        m = q - 1
+        # from 1, not 2: the unit group of GF(2) is {1}
+        for g in range(1, q):
             acc, seen = g, 1
             while acc != 1:
                 acc = self._mul_slow(acc, g)
                 seen += 1
-            if seen == q - 1:
+            if seen == m:
                 break
         else:  # pragma: no cover - a cyclic group always has a generator
             raise ArithmeticError("no generator found")
-        exp = [1] * (q - 1)
-        log = [0] * q
+        exp = [0] * (4 * m + 1)
+        log = [2 * m] * q
         acc = 1
-        for k in range(q - 1):
-            exp[k] = acc
+        for k in range(m):
+            exp[k] = exp[k + m] = acc
             log[acc] = k
             acc = self._mul_slow(acc, g)
         self._exp = exp
         self._log = log
 
     def _add_slow(self, a: int, b: int) -> int:
-        if self.characteristic == 2:
-            return a ^ b
         return self.value_of(
             (x + y) % self.characteristic
             for x, y in zip(self.coeffs_of(a), self.coeffs_of(b))

@@ -83,14 +83,13 @@ class ProjLine(_Triple):
 class Plane:
     """All points and lines of PG(2, q), in a fixed enumeration order."""
 
-    __slots__ = ("field", "points", "lines", "point_index", "_masks")
+    __slots__ = ("field", "points", "lines", "_masks")
 
     def __init__(self, field: FieldSpec):
         self.field = field
         triples = _enumerate_triples(field)
         self.points = tuple(ProjPoint(field, t) for t in triples)
         self.lines = tuple(ProjLine(field, t) for t in triples)
-        self.point_index = {pt: i for i, pt in enumerate(self.points)}
         self._masks: dict[tuple[int, int, int], int] = {}
 
     @property

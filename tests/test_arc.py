@@ -287,7 +287,7 @@ def test_family_members_are_arcs_for_every_lstar(spec):
             assert touch not in arc
             assert is_arc(arc.points)
             assert list(arc.points) == sorted(arc.points,
-                                              key=fam.plane.point_index.__getitem__)
+                                              key=fam.plane.points.index)
             assert fam.plane.points_of(mask) == arc.points
 
 

@@ -245,6 +245,8 @@ def test_csv_exhaustive_includes_configuration_columns():
     (["field-info", "--n", "3", "--modulus", "0,0,0"], "ZeroPolynomial"),
     (["arrow", "--n", "3", "--mode", "conic", "--linf", "1,0,0"], "HitsBasePoint"),
     (["arrow", "--n", "3", "--mode", "arc", "--linf", "1,0,0"], "HitsBasePoint"),
+    (["field-info", "--p", "2305843009213693951", "--n", "1"], "OrderTooLarge"),
+    (["field-info", "--p", "3", "--n", "30000000"], "OrderTooLarge"),
 ])
 def test_rejected_input_follows_the_exit_code_contract(argv, error):
     code, out, err = _run(argv)   # an exception escaping main is a traceback

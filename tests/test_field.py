@@ -20,6 +20,7 @@ from galois_arrow.errors import (
     ModulusDegreeMismatch,
     NoDefaultModulus,
     OddCharacteristic,
+    OrderTooLarge,
     ReducibleModulus,
     ZeroPolynomial,
 )
@@ -70,6 +71,15 @@ def test_make_field_rejects_composite_characteristic():
         make_field(4, 1)
     with pytest.raises(CompositeCharacteristic):
         make_field(1, 1)
+
+
+def test_oversized_order_is_refused_before_it_is_computed():
+    # 2^61 - 1 is prime, so refusing it by primality would trial-divide up to
+    # 2^30.5; 3^30000000 is a 47-million-bit power
+    with pytest.raises(OrderTooLarge):
+        make_field(2**61 - 1, 1)
+    with pytest.raises(OrderTooLarge):
+        make_field(3, 30_000_000)
 
 
 def test_make_field_without_default_modulus():
@@ -370,18 +380,14 @@ def test_sqrt_odd_characteristic_rejected():
 
 # --- fast path vs reference path -------------------------------------------------
 
-@pytest.mark.parametrize("spec", [GF4, GF8, make_field(2, 4), make_field(2, 5),
-                                  make_field(3, 2, (1, 0, 1))],
+@pytest.mark.parametrize("spec", [GF2, GF3, GF4, make_field(5), make_field(7), GF8,
+                                  make_field(3, 2, (1, 0, 1)), make_field(2, 4),
+                                  make_field(2, 5), make_field(2, 6),
+                                  make_field(3, 4, (2, 1, 0, 0, 1)), make_field(2, 7)],
                          ids=lambda s: f"q{s.order}")
 def test_mul_table_matches_polynomial_reduction(spec):
-    for a in range(spec.order):
-        for b in range(spec.order):
-            assert spec._mul_i(a, b) == spec._mul_slow(a, b)
-
-
-def test_mul_log_tables_match_polynomial_reduction():
-    spec = make_field(2, 7)  # q = 128 takes the log/antilog path
-    assert spec._exp is not None
+    """Every product, zero factors included, against the reference path;
+    q = 2 has the trivial unit group and p = 3, 5, 7 cover odd p."""
     for a in range(spec.order):
         for b in range(spec.order):
             assert spec._mul_i(a, b) == spec._mul_slow(a, b)
@@ -391,8 +397,6 @@ def test_mul_log_tables_match_polynomial_reduction():
                                   make_field(2, 4), make_field(2, 6), make_field(2, 7)],
                          ids=lambda s: f"q{s.order}")
 def test_inverse_table_matches_fermat(spec):
-    # q <= 64 reads the product table, q = 128 the log tables
-    assert (spec._exp is None) == (spec.order <= 64)
     for a in range(1, spec.order):
         assert spec._inv_i(a) == spec._pow_i(a, spec.order - 2)
     with pytest.raises(DivisionByZero):

@@ -47,7 +47,7 @@ def _commands() -> list[str]:
         # odd q: the 4abc term of the discriminant and the degenerate members
         "pencil --p 3 --n 2 --modulus 1,0,1", "pencil --p 5",
     ]
-    # q = 64 multiplies by table, q = 128 by log/antilog
+    # larger fields: the arc arrow at q = 64 and q = 128, the conic arrow at 128
     out += ["arrow --n 6 --mode arc", "arrow --n 7 --mode arc",
             "arrow --n 7 --mode conic"]
     return out

@@ -198,7 +198,7 @@ def test_plane_caches_agree_with_incidence_oracle(spec):
     plane = build_plane(spec)
     for line in plane.lines:
         oracle = _line_hits(plane.points, line)
-        assert plane.line_mask(line) == _bits(plane.point_index[pt] for pt in oracle)
+        assert plane.line_mask(line) == _bits(plane.points.index(pt) for pt in oracle)
         assert plane.points_on(line) == oracle
     for pt in plane.points:
         oracle = tuple(l for l in plane.lines if incident(pt, l))
