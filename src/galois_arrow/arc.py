@@ -169,11 +169,8 @@ def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine) -> ArcFa
             f"{contact} = {linf} ∧ {lstar} lies on a degenerate member")
 
     entry = ctx.lstar_entry(lstar)
-    ids = tuple(member_id for member_id, _, _ in ctx.proper)
-    thetas = tuple(member.theta for _, member, _ in ctx.proper)
-
     provenance = FamilyProvenance(ctx.pencil, linf, lstar, contact, qstar.theta)
-    return ArcFamily(spec, ctx.plane, entry.arcs, ids, thetas, entry.touches,
+    return ArcFamily(spec, ctx.plane, entry.arcs, ctx.ids, ctx.thetas, entry.touches,
                      provenance, entry.masks)
 
 

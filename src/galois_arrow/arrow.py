@@ -93,11 +93,18 @@ def classify_member(points, linf: ProjLine) -> TemporalClass:
     return _temporal(len(_line_hits(points, linf)), linf)
 
 
-def _classification(member_id: int, theta: tuple[int, int], hit: int,
-                    plane: Plane, linf: ProjLine) -> MemberClassification:
-    """hit is the mask of the member's points on linf; they are the witnesses."""
-    temporal = _temporal(hit.bit_count(), linf)
-    return MemberClassification(member_id, theta, temporal, plane.points_of(hit))
+def _report(spec: FieldSpec, mode: str, plane: Plane, linf: ProjLine,
+            ids: tuple[int, ...], thetas: tuple[tuple[int, int], ...],
+            masks: tuple[int, ...]) -> ArrowReport:
+    """Class each member (ids, thetas and point masks aligned) by its
+    points on linf, which are its witnesses; both arrows classify here."""
+    line = plane.line_mask(linf)
+    classifications = []
+    for member_id, theta, mask in zip(ids, thetas, masks):
+        hit = mask & line
+        classifications.append(MemberClassification(
+            member_id, theta, _temporal(hit.bit_count(), linf), plane.points_of(hit)))
+    return ArrowReport(spec.order, mode, linf, tuple(classifications))
 
 
 def conic_arrow(spec: FieldSpec, linf: ProjLine) -> ArrowReport:
@@ -107,22 +114,11 @@ def conic_arrow(spec: FieldSpec, linf: ProjLine) -> ArrowReport:
         raise OddCharacteristic("the conic arrow is defined over GF(2^n)")
     ctx = time_pencil_context(spec)
     validate_ideal_line(linf, ctx.plane)
-    plane = ctx.plane
-    line = plane.line_mask(linf)
-    classifications = tuple(
-        _classification(member_id, member.theta, mask & line, plane, linf)
-        for (member_id, member, _), mask in zip(ctx.proper, ctx.masks))
-    return ArrowReport(spec.order, "conic", linf, classifications)
+    return _report(spec, "conic", ctx.plane, linf, ctx.ids, ctx.thetas, ctx.masks)
 
 
 def arc_arrow(family: ArcFamily) -> ArrowReport:
     """Classify every member of an arc family against the family's own
     ideal line; exactly one member comes out Present."""
-    linf = family.provenance.linf
-    plane = family.plane
-    line = plane.line_mask(linf)
-    classifications = tuple(
-        _classification(member_id, theta, mask & line, plane, linf)
-        for member_id, theta, mask in zip(family.member_ids, family.thetas,
-                                          family.masks))
-    return ArrowReport(family.spec.order, "arc", linf, classifications)
+    return _report(family.spec, "arc", family.plane, family.provenance.linf,
+                   family.member_ids, family.thetas, family.masks)

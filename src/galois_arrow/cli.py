@@ -5,8 +5,11 @@ JSON line.  Exit codes: 0 success, 2 rejected input or usage error, 3
 internal invariant violation (never reachable from shipped defaults).
 
 Output is byte-identical across runs for identical configurations.  The
-arrow command writes its reports one at a time as they are built, so an
-exhaustive sweep holds one report in memory, not all of them.
+arrow command runs one loop over (L-infinity, L*) pairs, of which a single
+configuration is the one-pair case, and writes its reports one at a time
+as they are built, so an exhaustive sweep holds one report in memory, not
+all of them.  Reports are laid out once, as entries of a sweep; a single
+configuration's one report is dedented to the top level.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .errors import (
 )
 from .field import FieldSpec, field_order, make_field, parse_modulus
 from .plane import ProjLine, build_plane
-from .conic import canonical_conic, classify, nucleus, point_set, tangent_lines
+from .conic import _nucleus_char2, canonical_conic, classify, point_set, tangent_lines
 from .pencil import base_points, common_nucleus, time_pencil_context
 from .arc import build_time_family, family_to_dict
 from .arrow import ArrowReport, MemberClassification, arc_arrow, conic_arrow
@@ -157,7 +160,8 @@ def _payload_conic(spec: FieldSpec) -> dict:
     conic = canonical_conic(spec)
     tangents = tangent_lines(conic, plane)
     try:
-        nuc = str(nucleus(conic, plane))
+        # the closed form; conic.nucleus would scan every line again
+        nuc = str(_nucleus_char2(conic))
     except OddCharacteristic:
         nuc = None
     return {
@@ -200,30 +204,31 @@ def _payload_family(spec: FieldSpec, config: RunConfig) -> dict:
 
 def _arrow_reports(spec: FieldSpec, config: RunConfig, rejected: list[tuple[ProjLine, ProjLine]]
                    ) -> Iterator[tuple[ArrowReport, ProjLine | None]]:
-    """(report, L*) for each configuration of the run, built one at a time;
-    L* is None in conic mode.  Arc configurations refused with
-    DegenerateContactPoint during a sweep are appended to rejected as
-    (L-infinity, L*) pairs."""
-    if not config.exhaustive:
-        linf = ProjLine(spec, config.linf)
-        if config.mode == "conic":
-            yield conic_arrow(spec, linf), None
-        else:
-            family = build_time_family(spec, linf, ProjLine(spec, config.lstar))
-            yield arc_arrow(family), family.provenance.lstar
-        return
-    ctx = time_pencil_context(spec)
-    for linf in ctx.valid_ideal_lines():
-        if config.mode == "conic":
-            yield conic_arrow(spec, linf), None
-            continue
-        for lstar in ctx.valid_tangent_lines():
+    """(report, L*) for each (L-infinity, L*) pair of the run, built one at
+    a time; L* is None in conic mode.  A single run is the one-pair case.
+    Arc configurations refused with DegenerateContactPoint during a sweep
+    are appended to rejected; in a single run the refusal propagates."""
+    arc = config.mode == "arc"
+    if config.exhaustive:
+        ctx = time_pencil_context(spec)
+        linfs = ctx.valid_ideal_lines()
+        lstars = ctx.valid_tangent_lines() if arc else (None,)
+    else:
+        linfs = (ProjLine(spec, config.linf),)
+        lstars = (ProjLine(spec, config.lstar),) if arc else (None,)
+    for linf in linfs:
+        for lstar in lstars:
+            if lstar is None:
+                yield conic_arrow(spec, linf), None
+                continue
             try:
                 family = build_time_family(spec, linf, lstar)
             except DegenerateContactPoint:
+                if not config.exhaustive:
+                    raise
                 rejected.append((linf, lstar))
             else:
-                yield arc_arrow(family), family.provenance.lstar
+                yield arc_arrow(family), lstar
 
 
 def _json_block(items: list[str], pad: str, brackets: str = "[]") -> str:
@@ -236,22 +241,17 @@ def _json_block(items: list[str], pad: str, brackets: str = "[]") -> str:
 
 
 class _ReportText:
-    """Text of ArrowReports, byte-equal to json.dumps of ArrowReport.to_dict
-    with indent=2 (the report's opening brace indented by depth spaces) or
-    to its CSV rows.  Every string in a report is hex or decimal digits,
-    (a:b:c) or a class name, so nothing needs escaping.  Point strings and
-    each member's id and theta text are built on first use and reused for
-    the rest of the run."""
+    """Text of ArrowReports: JSON byte-equal to json.dumps of
+    ArrowReport.to_dict with indent=2, laid out as an entry of a sweep's
+    "reports" list (every line after the first indented four spaces), or
+    CSV rows.  Every string in a report is hex or decimal digits, (a:b:c)
+    or a class name, so nothing needs escaping.  Point strings and each
+    member's id and theta text are built on first use and reused for the
+    rest of the run."""
 
-    def __init__(self, spec: FieldSpec, depth: int = 0):
+    def __init__(self, spec: FieldSpec):
         self._fmt = spec.format
-        b = self._pad = " " * depth
-        # the fixed text around a member's witness list
-        self._witnesses_key = f'",\n{b}      "witnesses": '
-        self._witnesses_close = f"\n{b}      ]"
-        self._member_close = f"\n{b}    }}"
         self._points: dict[tuple[int, int, int], str] = {}
-        self._witnesses: dict[tuple[int, int, int], str] = {}
         self._json_heads: dict[tuple, str] = {}
         self._csv_heads: dict[tuple, str] = {}
 
@@ -261,43 +261,37 @@ class _ReportText:
             text = self._points[values] = "(" + ":".join(map(self._fmt, values)) + ")"
         return text
 
-    def _witness(self, values: tuple[int, int, int]) -> str:
-        text = self._witnesses.get(values)
-        if text is None:
-            text = self._witnesses[values] = f'\n{self._pad}        "{self.triple(values)}"'
-        return text
-
     def _json_head(self, c: MemberClassification) -> str:
         key = (c.member_id, c.theta)
         text = self._json_heads.get(key)
         if text is None:
-            b, fmt = self._pad, self._fmt
+            fmt = self._fmt
             text = self._json_heads[key] = (
-                f'\n{b}    {{\n{b}      "id": {c.member_id},\n{b}      "theta": [\n'
-                f'{b}        "{fmt(c.theta[0])}",\n{b}        "{fmt(c.theta[1])}"\n'
-                f'{b}      ],\n{b}      "class": "')
+                f'\n        {{\n          "id": {c.member_id},\n          "theta": [\n'
+                f'            "{fmt(c.theta[0])}",\n            "{fmt(c.theta[1])}"\n'
+                f'          ],\n          "class": "')
         return text
 
     def to_json(self, report: ArrowReport, tallies: dict[str, int],
                 lstar: ProjLine | None) -> str:
-        b = self._pad
-        witness, head = self._witness, self._json_head
-        key, close, witnesses_close = (self._witnesses_key, self._member_close,
-                                       self._witnesses_close)
+        triple, head = self.triple, self._json_head
         members = []
         for c in report.classifications:
             # _json_block inlined: this loop runs once per member of every report
             points = c.witnesses
-            witnesses = ("[" + ",".join([witness(p.values) for p in points])
-                         + witnesses_close) if points else "[]"
-            members.append(head(c) + c.temporal.value + key + witnesses + close)
-        tail = f',\n{b}  "lstar": "{self.triple(lstar.values)}"' if lstar else ""
+            witnesses = ('[\n            "'
+                         + '",\n            "'.join([triple(p.values) for p in points])
+                         + '"\n          ]') if points else "[]"
+            members.append(f'{head(c)}{c.temporal.value}",\n          "witnesses": '
+                           f'{witnesses}\n        }}')
+        tail = f',\n      "lstar": "{triple(lstar.values)}"' if lstar else ""
         return (
-            f'{{\n{b}  "q": {report.q},\n{b}  "mode": "{report.mode}",\n'
-            f'{b}  "ideal_line": "{self.triple(report.ideal_line.values)}",\n'
-            f'{b}  "tallies": {{\n{b}    "past": {tallies["past"]},\n'
-            f'{b}    "present": {tallies["present"]},\n{b}    "future": {tallies["future"]}\n'
-            f'{b}  }},\n{b}  "members": {_json_block(members, b + "  ")}{tail}\n{b}}}')
+            f'{{\n      "q": {report.q},\n      "mode": "{report.mode}",\n'
+            f'      "ideal_line": "{triple(report.ideal_line.values)}",\n'
+            f'      "tallies": {{\n        "past": {tallies["past"]},\n'
+            f'        "present": {tallies["present"]},\n'
+            f'        "future": {tallies["future"]}\n      }},\n'
+            f'      "members": {_json_block(members, "      ")}{tail}\n    }}')
 
     def to_csv(self, report: ArrowReport, prefix: str) -> str:
         """One row per member, each row prefix + "id,theta,class\\n"."""
@@ -313,14 +307,14 @@ class _ReportText:
 
 
 def _arrow_json(spec: FieldSpec, config: RunConfig) -> Iterator[str]:
+    text = _ReportText(spec)
     rejected: list[tuple[ProjLine, ProjLine]] = []
     reports = _arrow_reports(spec, config, rejected)
     if not config.exhaustive:
-        text = _ReportText(spec)
         for report, lstar in reports:
-            yield text.to_json(report, report.tallies, lstar) + "\n"
+            # the one report stands at the top level, not inside "reports"
+            yield text.to_json(report, report.tallies, lstar).replace("\n    ", "\n") + "\n"
         return
-    text = _ReportText(spec, 4)
     # the opening goes out with the first report, so that a run refused
     # before it prints nothing
     opening = (f'{{\n  "q": {spec.order},\n  "mode": "{config.mode}",\n'

@@ -121,29 +121,22 @@ def _poly_mul(a, b, p):
     return _trim(out)
 
 
-def _poly_divmod(a, b, p):
+def _poly_mod(a, b, p):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(a)
-    quo = [0] * max(len(a) - len(b) + 1, 0)
     inv_lead = pow(b[-1], p - 2, p)
     db = _deg(b)
     while len(rem) - 1 >= db and any(rem):
-        dr = len(rem) - 1
         if rem[-1] == 0:
             rem.pop()
             continue
         k = (rem[-1] * inv_lead) % p
-        shift = dr - db
-        quo[shift] = k
+        shift = len(rem) - 1 - db
         for i, cb in enumerate(b):
             rem[shift + i] = (rem[shift + i] - k * cb) % p
         rem.pop()
-    return _trim(quo), _trim(rem)
-
-
-def _poly_mod(a, b, p):
-    return _poly_divmod(a, b, p)[1]
+    return _trim(rem)
 
 
 def _monic(a, p):
@@ -331,23 +324,24 @@ class FieldSpec:
         2m, and any sum with log[0] in it lands in [2m, 4m], the zeros."""
         q = self.order
         m = q - 1
-        # from 1, not 2: the unit group of GF(2) is {1}
+        exp = [0] * (4 * m + 1)
+        log = [2 * m] * q
+        # each candidate fills the tables as it walks its powers and is
+        # dropped if they return to 1 before m steps; the generator's full
+        # walk overwrites every entry a dropped one wrote.  From 1, not 2:
+        # the unit group of GF(2) is {1}
         for g in range(1, q):
-            acc, seen = g, 1
-            while acc != 1:
+            acc = 1
+            for k in range(m):
+                exp[k] = exp[k + m] = acc
+                log[acc] = k
                 acc = self._mul_slow(acc, g)
-                seen += 1
-            if seen == m:
+                if acc == 1:
+                    break
+            if k == m - 1:
                 break
         else:  # pragma: no cover - a cyclic group always has a generator
             raise ArithmeticError("no generator found")
-        exp = [0] * (4 * m + 1)
-        log = [2 * m] * q
-        acc = 1
-        for k in range(m):
-            exp[k] = exp[k + m] = acc
-            log[acc] = k
-            acc = self._mul_slow(acc, g)
         self._exp = exp
         self._log = log
 

@@ -209,16 +209,16 @@ class LstarEntry(NamedTuple):
 
 
 class TimePencilContext:
-    """Plane, canonical pencil, member point sets and masks, and the
-    distinguished points/lines every temporal construction needs.  One per
-    field, cached; also caches one LstarEntry per line L*.
+    """Plane, canonical pencil, member ids, thetas, point sets and masks,
+    and the distinguished points/lines every temporal construction needs.
+    One per field, cached; also caches one LstarEntry per line L*.
 
     A proper member x1*x2 + t*x3^2 (t != 0) is the oval of the points
     (1 : -t*c^2 : c), c in the field, and (0:1:0); its mask is built from
     that in O(q), and conic.point_set's plane scan is the oracle."""
 
-    __slots__ = ("spec", "plane", "pencil", "members", "proper", "masks",
-                 "B1", "B2", "N", "NB1", "NB2", "_by_lstar")
+    __slots__ = ("spec", "plane", "pencil", "members", "proper", "ids", "thetas",
+                 "masks", "B1", "B2", "N", "NB1", "NB2", "_by_lstar")
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
@@ -248,6 +248,9 @@ class TimePencilContext:
             proper.append((idx, m, pts))
             masks.append(mask)
         self.proper = tuple(proper)
+        # member ids, thetas and point masks, aligned with proper
+        self.ids = tuple(idx for idx, _, _ in proper)
+        self.thetas = tuple(m.theta for _, m, _ in proper)
         self.masks = tuple(masks)
         self.NB1 = line_through(self.N, self.B1)
         self.NB2 = line_through(self.N, self.B2)

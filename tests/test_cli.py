@@ -132,6 +132,23 @@ def test_run_conic_includes_nucleus_only_for_even_q():
     assert json.loads(out3)["nucleus"] is None
 
 
+def test_run_conic_scans_the_lines_for_tangents_once(monkeypatch):
+    """The nucleus comes from the closed form, not from a second scan of
+    every line through conic.nucleus."""
+    from galois_arrow import conic
+    tangent_lines, calls = conic.tangent_lines, []
+
+    def counting(*args):
+        calls.append(args)
+        return tangent_lines(*args)
+
+    monkeypatch.setattr(conic, "tangent_lines", counting)
+    monkeypatch.setattr(cli, "tangent_lines", counting)
+    code, out, _ = _run(["conic", "--n", "3"])
+    assert code == 0 and json.loads(out)["nucleus"] == "(0:0:1)"
+    assert len(calls) == 1
+
+
 def test_run_pencil_census_json():
     code, out, _ = _run(["pencil", "--n", "3"])
     payload = json.loads(out)

@@ -411,6 +411,21 @@ def test_inverse_consistent_with_mul_everywhere():
                 assert a * inv(a) == spec.one
 
 
+def test_odd_field_above_the_add_table_size_adds_by_coefficients():
+    """q = 3^6 = 729 is past _ADD_TABLE_MAX, so addition, negation and
+    subtraction go coefficient by coefficient; they must still be a field's
+    with the logarithm-table product."""
+    spec = make_field(3, 6, (1, 0, 0, 0, 1, 1, 1))
+    assert spec._add_i == spec._add_slow and spec._neg_i == spec._neg_slow
+    add, neg, sub, mul = spec._add_i, spec._neg_i, spec._sub_i, spec._mul_i
+    rng = random.Random(729)
+    for _ in range(2000):
+        a, b, c = (rng.randrange(spec.order) for _ in range(3))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+        assert add(a, neg(a)) == 0
+        assert sub(a, b) == add(a, neg(b))
+
+
 # --- modulus parsing --------------------------------------------------------------
 
 def test_parse_modulus_coefficient_list():

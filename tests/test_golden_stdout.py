@@ -18,13 +18,10 @@ import pytest
 from galois_arrow import cli
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden_stdout.json"
-# the benchmark's own digests; read here, never written
+# the benchmark's own digests, every sweep modulus and both single
+# configurations; read here, never written
 BENCH_GOLDEN_PATH = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
-# the two benchmark sweeps, at q = 16 and q = 32
-BENCH_COMMANDS = (
-    "arrow --n 4 --modulus 0x13 --mode arc --exhaustive",
-    "arrow --n 5 --modulus 0x25 --mode conic --exhaustive --output csv",
-)
+BENCH_GOLDEN = json.loads(BENCH_GOLDEN_PATH.read_text())
 
 
 def _commands() -> list[str]:
@@ -74,9 +71,9 @@ def test_stdout_matches_golden_digest(command):
     assert _stdout_digest(command) == _golden()[command]
 
 
-@pytest.mark.parametrize("command", BENCH_COMMANDS)
+@pytest.mark.parametrize("command", sorted(BENCH_GOLDEN))
 def test_sweep_stdout_matches_benchmark_digest(command):
-    assert _stdout_digest(command) == json.loads(BENCH_GOLDEN_PATH.read_text())[command]
+    assert _stdout_digest(command) == BENCH_GOLDEN[command]
 
 
 if __name__ == "__main__":
