@@ -22,6 +22,7 @@ classify, beside the triple loop of arc.is_arc.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -145,7 +146,6 @@ def _discriminant(field: FieldSpec, coeffs: Sequence[int]) -> int:
     return delta
 
 
-@lru_cache(maxsize=8192)
 def classify(conic: Conic, plane: Plane) -> DegeneracyClass:
     """Degeneracy class by the discriminant.
 
@@ -195,12 +195,14 @@ def classify_line(points: Iterable[ProjPoint], line: ProjLine) -> LineClass:
 
 
 def tangent_lines(conic: Conic, plane: Plane) -> list[ProjLine]:
-    """All lines meeting the conic in exactly one point, by exhaustive count."""
+    """All lines meeting the conic in exactly one point, in plane line order:
+    the lines through each conic point are tallied, and a tangent is a line
+    counted once.  classify_line is its oracle in the test suite."""
     if classify(conic, plane) is not DegeneracyClass.PROPER:
         raise DegenerateConic(f"{conic} is degenerate")
-    pts = point_set(conic, plane)
-    return [line for line in plane.lines
-            if classify_line(pts, line) is LineClass.TANGENT]
+    hits = Counter(line for pt in point_set(conic, plane)
+                   for line in plane.lines_through(pt))
+    return [line for line in plane.lines if hits[line] == 1]
 
 
 def nucleus(conic: Conic, plane: Plane) -> ProjPoint:

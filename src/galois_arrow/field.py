@@ -14,6 +14,11 @@ modulo.  Plain polynomial reduction is kept as the reference path and the
 two must agree bit for bit (see the test suite).  Inverses are a lookup
 into a table of q entries read off the log tables; Fermat's a^(q-2) is
 their oracle in the test suite.
+
+Characteristic 2 adds by XOR.  Every odd-characteristic field adds,
+subtracts and negates through Zech logarithms, 1 + g^k = g^Z(k), one
+table of q - 1 entries beside the log tables; coefficient-wise addition
+and negation (_add_slow, _neg_slow) are its reference in the test suite.
 """
 
 from __future__ import annotations
@@ -53,9 +58,6 @@ DEFAULT_MODULI = {
     (5, 1): (0, 1),
     (7, 1): (0, 1),
 }
-
-# odd p: addition table up to this order, coefficient arithmetic above
-_ADD_TABLE_MAX = 256
 
 
 def _is_prime(m: int) -> bool:
@@ -298,25 +300,31 @@ class FieldSpec:
 
     def _build_tables(self):
         p, q = self.characteristic, self.order
-        if p == 2:
-            self._add_i = int.__xor__
-            self._sub_i = int.__xor__
-            self._neg_i = lambda a: a
-        elif q <= _ADD_TABLE_MAX:
-            add = [[self._add_slow(a, b) for b in range(q)] for a in range(q)]
-            neg = [self._neg_slow(a) for a in range(q)]
-            self._add_i = lambda a, b, _t=add: _t[a][b]
-            self._neg_i = lambda a, _t=neg: _t[a]
-            self._sub_i = lambda a, b, _t=add, _n=neg: _t[a][_n[b]]
-        else:
-            self._add_i = self._add_slow
-            self._neg_i = self._neg_slow
-            self._sub_i = lambda a, b: self._add_slow(a, self._neg_slow(b))
         self._build_log_tables()
         exp, log, m = self._exp, self._log, q - 1
         self._mul_i = lambda a, b, _e=exp, _l=log: _e[_l[a] + _l[b]]
         # a = g^k has inverse g^(-k); O(q), so 2^16 stays cheap
         self._inv = [0] + [exp[-log[a] % m] for a in range(1, q)]
+        if p == 2:
+            self._add_i = int.__xor__
+            self._sub_i = int.__xor__
+            self._neg_i = lambda a: a
+            return
+        # Zech logarithms: 1 + g^k = g^zech[k].  Adding 1 changes only the
+        # lowest base-p digit of a packed value, and zech[m/2] is the log[0]
+        # sentinel, since g^(m/2) = -1.  So a + b = a * (1 + b/a) is a Zech
+        # lookup and a log sum, which lands in the zero block when b = -a, and
+        # negating adds m/2 to the log, 0 staying in the zero block.  A zero
+        # operand makes the other the result, hence `a | b`; for a - b the
+        # zero block of exp[log[0] + h] also covers b = 0.  _add_slow and
+        # _neg_slow are the reference these must match.
+        zech = [log[e - e % p + (e + 1) % p] for e in exp[:m]]
+        h = m // 2
+        self._neg_i = lambda a: exp[log[a] + h]
+        self._add_i = lambda a, b: (exp[log[a] + zech[(log[b] - log[a]) % m]]
+                                    if a and b else a | b)
+        self._sub_i = lambda a, b: (exp[log[a] + zech[(log[b] + h - log[a]) % m]]
+                                    if a and b else a | exp[log[b] + h])
 
     def _build_log_tables(self):
         """exp[k] = g^k for k in [0, 2m) with m = q - 1, then 2m + 1 zeros;

@@ -1,6 +1,7 @@
 """Conics: evaluation, zero sets, degeneracy classes (the discriminant
 against the join census), tangency, nucleus, and the five-point fit."""
 
+import random
 from collections import Counter
 from itertools import combinations, product
 
@@ -229,6 +230,28 @@ def test_tangents_are_exactly_the_lines_through_the_nucleus(spec):
     conic = canonical_conic(spec)
     nuc = nucleus(conic, plane)
     assert set(tangent_lines(conic, plane)) == set(plane.lines_through(nuc))
+
+
+@pytest.mark.parametrize("spec", [GF3, GF4, GF5, make_field(7), GF8, GF9],
+                         ids=lambda s: f"q{s.order}")
+def test_tangent_lines_match_the_line_classifier(spec):
+    """20 seeded proper forms per field: the tally of lines through the
+    conic's points against classify_line run on every plane line."""
+    plane = build_plane(spec)
+    rng = random.Random(spec.order)
+    conics = []
+    while len(conics) < 20:
+        coeffs = [rng.randrange(spec.order) for _ in range(6)]
+        if not any(coeffs):
+            continue   # the zero form is not a conic
+        conic = Conic(spec, coeffs)
+        if classify(conic, plane) is DegeneracyClass.PROPER:
+            conics.append(conic)
+    for conic in conics:
+        pts = point_set(conic, plane)
+        assert tangent_lines(conic, plane) == [
+            line for line in plane.lines
+            if classify_line(pts, line) is LineClass.TANGENT]
 
 
 def test_line_class_census_q8():
