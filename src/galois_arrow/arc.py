@@ -74,8 +74,7 @@ class FamilyProvenance:
 
 @dataclass(frozen=True)
 class ArcFamily:
-    """One arc per proper pencil member, in member order; masks holds each
-    arc's point mask over plane point indices."""
+    """One arc per proper pencil member, in member order."""
     spec: FieldSpec
     plane: Plane
     members: tuple[Arc, ...]
@@ -83,7 +82,13 @@ class ArcFamily:
     thetas: tuple[tuple[int, int], ...]
     touch_points: tuple[ProjPoint, ...]
     provenance: FamilyProvenance
-    masks: tuple[int, ...]
+
+    @property
+    def masks(self) -> tuple[int, ...]:
+        """Each arc's point set as a bitmask over plane point indices."""
+        q = self.spec.order
+        return tuple(sum(1 << _triple_index(q, p.values) for p in arc.points)
+                     for arc in self.members)
 
 
 def is_arc(points: Iterable[ProjPoint]) -> bool:
@@ -171,7 +176,7 @@ def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine) -> ArcFa
     entry = ctx.lstar_entry(lstar)
     provenance = FamilyProvenance(ctx.pencil, linf, lstar, contact, qstar.theta)
     return ArcFamily(spec, ctx.plane, entry.arcs, ctx.ids, ctx.thetas, entry.touches,
-                     provenance, entry.masks)
+                     provenance)
 
 
 def family_to_dict(family: ArcFamily) -> dict:

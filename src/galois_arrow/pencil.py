@@ -17,7 +17,6 @@ from .errors import (
     HitsBasePoint,
     HitsNucleus,
     IntersectionNotSingle,
-    InvalidIdealLine,
     MemberPointsMismatch,
     NoProperMember,
     NucleiDiffer,
@@ -34,11 +33,11 @@ from .plane import (
     Plane,
     ProjLine,
     ProjPoint,
+    _check_field,
     _join_index,
     _line_hits,
     _triple_index,
     build_plane,
-    incident,
     line_through,
 )
 
@@ -160,33 +159,18 @@ def common_nucleus(pencil: Pencil, plane: Plane) -> ProjPoint:
 # ---------------------------------------------------------------------------
 # shared, cached machinery around the canonical pencil
 
-@lru_cache(maxsize=None)
-def _time_pencil_points(spec: FieldSpec) -> tuple[ProjPoint, ProjPoint, ProjPoint]:
-    """B1 and B2, the base points of the canonical pencil, and N, the
-    common nucleus of its proper members in characteristic 2."""
-    return (ProjPoint(spec, (0, 1, 0)), ProjPoint(spec, (1, 0, 0)),
-            ProjPoint(spec, (0, 0, 1)))
-
-
-def _ideal_line_error(linf: ProjLine, plane: Plane) -> InvalidIdealLine | None:
-    """The InvalidIdealLine that linf deserves, or None if it avoids B1, B2
-    and N, which is the case iff all three of its coefficients are nonzero."""
-    b1, b2, n = _time_pencil_points(plane.field)
-    if incident(b1, linf) or incident(b2, linf):
-        return HitsBasePoint(f"ideal line {linf} passes through a base point")
-    if incident(n, linf):
-        return HitsNucleus(f"ideal line {linf} passes through the nucleus {n}")
-    return None
-
-
 def validate_ideal_line(linf: ProjLine, plane: Plane) -> None:
-    """Reject ideal lines through a base point or the nucleus.
+    """Reject ideal lines through a base point, B1 = (0:1:0) or
+    B2 = (1:0:0), or the nucleus N = (0:0:1).
 
     Valid lines are exactly those with all three coefficients nonzero.
     """
-    error = _ideal_line_error(linf, plane)
-    if error is not None:
-        raise error
+    _check_field(linf, plane)
+    l1, l2, l3 = linf.values
+    if not (l1 and l2):
+        raise HitsBasePoint(f"ideal line {linf} passes through a base point")
+    if not l3:
+        raise HitsNucleus(f"ideal line {linf} passes through the nucleus (0:0:1)")
 
 
 def _touch_point(points: Iterable[ProjPoint], lstar: ProjLine) -> ProjPoint:
@@ -201,60 +185,71 @@ def _touch_point(points: Iterable[ProjPoint], lstar: ProjLine) -> ProjPoint:
 class LstarEntry(NamedTuple):
     """What the arc family takes from one line L* through the nucleus, per
     proper member (aligned with TimePencilContext.proper): its touch point
-    on L*, its arc (the member's points without the touch point, plus N)
-    and that arc's point mask."""
+    on L* and its arc (the member's points without the touch point, plus N)."""
     touches: tuple[ProjPoint, ...]
     arcs: tuple            # of arc.Arc
-    masks: tuple[int, ...]
+
+
+def _quadratic_roots(spec: FieldSpec) -> list[int | None]:
+    """For each k of GF(2^n), a root y of y^2 + y = k, or None if there is
+    none, which is exactly when the absolute trace of k is 1; y + 1 is the
+    other root.  y -> y^2 + y is two-to-one, so one pass over y fills it."""
+    roots = [None] * spec.order
+    for y in range(spec.order):
+        roots[spec._mul_i(y, y) ^ y] = y
+    return roots
 
 
 class TimePencilContext:
-    """Plane, canonical pencil, member ids, thetas, point sets and masks,
-    and the distinguished points/lines every temporal construction needs.
-    One per field, cached; also caches one LstarEntry per line L*.
+    """Plane, canonical pencil, member ids, thetas and point sets, and the
+    distinguished points/lines every temporal construction needs.  One per
+    field, cached; also caches one LstarEntry per line L*.
 
     A proper member x1*x2 + t*x3^2 (t != 0) is the oval of the points
-    (1 : -t*c^2 : c), c in the field, and (0:1:0); its mask is built from
-    that in O(q), and conic.point_set's plane scan is the oracle."""
+    (1 : -t*c^2 : c), c in the field, and (0:1:0), built in O(q);
+    conic.point_set's plane scan is the oracle.  In characteristic 2,
+    roots is _quadratic_roots(spec), from which arrow._report finds each
+    member's points on an ideal line."""
 
     __slots__ = ("spec", "plane", "pencil", "members", "proper", "ids", "thetas",
-                 "masks", "B1", "B2", "N", "NB1", "NB2", "_by_lstar")
+                 "roots", "B1", "B2", "N", "NB1", "NB2", "_by_lstar")
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
         self.plane = build_plane(spec)
         self.pencil = time_pencil(spec)
         self.members = members(self.pencil, self.plane)
-        self.B1, self.B2, self.N = _time_pencil_points(spec)
+        self.B1 = ProjPoint(spec, (0, 1, 0))
+        self.B2 = ProjPoint(spec, (1, 0, 0))
+        self.N = ProjPoint(spec, (0, 0, 1))
         q = spec.order
         mul, neg = spec._mul_i, spec._neg_i
-        b1_bit = 1 << _triple_index(q, self.B1.values)   # (0:1:0)
-        proper, masks = [], []
+        points = self.plane.points
+        proper = []
         for idx, m in enumerate(self.members):
             if not m.is_proper:
                 continue
             values = m.conic.values
             s = neg(values[5])     # -t, the conic being (0, 1, 0, 0, 0, t)
-            # each member's point mask over plane point indices; aligned with proper
-            mask = b1_bit
-            for c in range(q):
-                mask |= 1 << _triple_index(q, (1, mul(s, mul(c, c)), c))
-            pts = self.plane.points_of(mask)
+            # (0:1:0), at index q*q, comes after every (1 : x2 : x3)
+            indices = sorted({_triple_index(q, (1, mul(s, mul(c, c)), c))
+                              for c in range(q)}) + [q * q]
+            pts = tuple(points[i] for i in indices)
             # a proper conic has exactly q+1 points, so q+1 of its points are all of them
             if len(pts) != q + 1 or any(_evaluate_values(spec, values, p.values)
                                         for p in pts):  # pragma: no cover
                 raise MemberPointsMismatch(
                     f"member {m.theta}: closed-form points are not its zero set")
             proper.append((idx, m, pts))
-            masks.append(mask)
         self.proper = tuple(proper)
-        # member ids, thetas and point masks, aligned with proper
+        # member ids and thetas, aligned with proper
         self.ids = tuple(idx for idx, _, _ in proper)
         self.thetas = tuple(m.theta for _, m, _ in proper)
-        self.masks = tuple(masks)
         self.NB1 = line_through(self.N, self.B1)
         self.NB2 = line_through(self.N, self.B2)
+        self.roots = None
         if spec.characteristic == 2:
+            self.roots = _quadratic_roots(spec)
             # N joins each member's points by pairwise distinct lines, so N is
             # its nucleus and swapping any one of them for N leaves an arc
             n = self.N.values
@@ -265,21 +260,18 @@ class TimePencilContext:
         self._by_lstar: dict[ProjLine, LstarEntry] = {}
 
     def lstar_entry(self, lstar: ProjLine) -> LstarEntry:
-        """Touch points, arcs and arc masks for a line through the nucleus."""
+        """Touch points and arcs for a line through the nucleus."""
         entry = self._by_lstar.get(lstar)
         if entry is None:
             from .arc import Arc   # arc imports this module
-            q = self.spec.order
-            n_bit = 1 << _triple_index(q, self.N.values)
-            touches, arcs, masks = [], [], []
-            for (_, _, pts), mask in zip(self.proper, self.masks):
+            touches, arcs = [], []
+            for _, _, pts in self.proper:
                 touch = _touch_point(pts, lstar)
                 touches.append(touch)
                 # touch is one of the objects in pts, so identity drops it;
                 # N is the last plane point, so each arc stays in plane order
                 arcs.append(Arc(tuple(p for p in pts if p is not touch) + (self.N,)))
-                masks.append(mask & ~(1 << _triple_index(q, touch.values)) | n_bit)
-            entry = LstarEntry(tuple(touches), tuple(arcs), tuple(masks))
+            entry = LstarEntry(tuple(touches), tuple(arcs))
             self._by_lstar[lstar] = entry
         return entry
 
@@ -289,14 +281,15 @@ class TimePencilContext:
         return self.lstar_entry(lstar).touches
 
     def valid_ideal_lines(self) -> tuple[ProjLine, ...]:
-        """Lines passing validate_ideal_line, in plane line order."""
-        return tuple(l for l in self.plane.lines
-                     if _ideal_line_error(l, self.plane) is None)
+        """Lines passing validate_ideal_line, those with all three
+        coefficients nonzero, in plane line order."""
+        return tuple(l for l in self.plane.lines if all(l.values))
 
     def valid_tangent_lines(self) -> tuple[ProjLine, ...]:
-        """Lines through N other than NB1 and NB2, in plane line order."""
-        return tuple(l for l in self.plane.lines
-                     if l.values[2] == 0 and l not in (self.NB1, self.NB2))
+        """Lines through N other than NB1 = (1:0:0) and NB2 = (0:1:0), which
+        are the lines (1 : a : 0) with a != 0, at index a*q, in plane line order."""
+        q = self.spec.order
+        return tuple(self.plane.lines[a * q] for a in range(1, q))
 
 
 @lru_cache(maxsize=None)

@@ -4,9 +4,9 @@ Points and lines are normalized homogeneous triples (first nonzero
 coordinate scaled to 1), so projectively equal triples compare equal.
 Incidence is the exact dot-product test and stays the oracle.  The fast
 path is the plane's enumeration: point and line i both have the values
-of _enumerate_triples(field)[i], and a point set is a Python-int bitmask
-over those indices.  A line's mask is built in closed form in O(q); the
-test suite checks it against the incidence scan exhaustively.
+of _enumerate_triples(field)[i], and the indices of a line's points (and
+of a point's lines) are solved for in closed form in O(q); the test suite
+checks them against the incidence scan exhaustively.
 """
 
 from __future__ import annotations
@@ -83,44 +83,32 @@ class ProjLine(_Triple):
 class Plane:
     """All points and lines of PG(2, q), in a fixed enumeration order."""
 
-    __slots__ = ("field", "points", "lines", "_masks")
+    __slots__ = ("field", "points", "lines")
 
     def __init__(self, field: FieldSpec):
         self.field = field
         triples = _enumerate_triples(field)
         self.points = tuple(ProjPoint(field, t) for t in triples)
         self.lines = tuple(ProjLine(field, t) for t in triples)
-        self._masks: dict[tuple[int, int, int], int] = {}
 
     @property
     def order(self) -> int:
         return self.field.order
 
-    def _mask(self, triple: _Triple) -> int:
+    def _incident_to(self, triple: _Triple, items: tuple) -> tuple:
         if triple.field != self.field:
             raise MixedFields(f"{triple} belongs to a different field than the plane")
         # incidence is symmetric and points and lines share one enumeration,
-        # so the mask of a line's points and of a point's lines is one function
-        mask = self._masks.get(triple.values)
-        if mask is None:
-            mask = self._masks[triple.values] = _incidence_mask(self.field, triple.values)
-        return mask
-
-    def line_mask(self, line: ProjLine) -> int:
-        """Bitmask of the line's q+1 points over plane point indices (cached)."""
-        return self._mask(line)
-
-    def points_of(self, mask: int) -> tuple[ProjPoint, ...]:
-        """The points at the set bits of a mask, in plane point order."""
-        return _select(self.points, mask)
+        # so a line's points and a point's lines are one function
+        return tuple(items[i] for i in _incidence_indices(self.field, triple.values))
 
     def points_on(self, line: ProjLine) -> tuple[ProjPoint, ...]:
         """The q+1 points of a line, in plane point order."""
-        return self.points_of(self._mask(line))
+        return self._incident_to(line, self.points)
 
     def lines_through(self, point: ProjPoint) -> tuple[ProjLine, ...]:
         """The q+1 lines through a point, in plane line order."""
-        return _select(self.lines, self._mask(point))
+        return self._incident_to(point, self.lines)
 
     def __repr__(self):
         return f"Plane(PG(2,{self.order}), {len(self.points)} points)"
@@ -144,35 +132,23 @@ def _triple_index(q: int, values: tuple[int, int, int]) -> int:
     return q * q + q
 
 
-def _incidence_mask(field: FieldSpec, values: tuple[int, int, int]) -> int:
-    """Bitmask of the triples of _enumerate_triples whose dot product with
-    the nonzero vector (l1, l2, l3) vanishes, solved for in O(q)."""
+def _incidence_indices(field: FieldSpec, values: tuple[int, int, int]) -> list[int]:
+    """Ascending indices of the triples of _enumerate_triples whose dot
+    product with the nonzero vector (l1, l2, l3) vanishes, solved for in O(q)."""
     q = field.order
     l1, l2, l3 = values
     mul, add, neg = field._mul_i, field._add_i, field._neg_i
     if l3:
-        # (1:a:b) with b = -(l1 + l2*a)/l3 for each a, and (0:1:c) with c = -l2/l3
+        # (1:a:b) with b = -(l1 + l2*a)/l3 for each a, then (0:1:c) with c = -l2/l3
         s = neg(field._inv_i(l3))
-        mask = 1 << (q * q + mul(s, l2))
-        for a in range(q):
-            mask |= 1 << (a * q + mul(s, add(l1, mul(l2, a))))
-        return mask
+        return ([a * q + mul(s, add(l1, mul(l2, a))) for a in range(q)]
+                + [q * q + mul(s, l2)])
     if l2:
-        # (1:a:b) with a = -l1/l2 for each b, and (0:0:1)
+        # (1:a:b) with a = -l1/l2 for each b, then (0:0:1)
         a = mul(neg(l1), field._inv_i(l2))
-        return ((1 << q) - 1) << (a * q) | 1 << (q * q + q)
+        return [*range(a * q, a * q + q), q * q + q]
     # l1*x1 = 0: (0:1:c) for each c, and (0:0:1)
-    return ((1 << (q + 1)) - 1) << (q * q)
-
-
-def _select(items: tuple, mask: int) -> tuple:
-    """The items at the set bits of mask, in ascending index order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(items[low.bit_length() - 1])
-        mask ^= low
-    return tuple(out)
+    return list(range(q * q, q * q + q + 1))
 
 
 @lru_cache(maxsize=None)

@@ -194,10 +194,10 @@ def _rows(report):
             for c in report.classifications]
 
 
-@pytest.mark.parametrize("n", [2, 3, 4], ids=lambda n: f"q{2 ** n}")
+@pytest.mark.parametrize("n", [2, 3, 4, 5], ids=lambda n: f"q{2 ** n}")
 def test_conic_arrow_matches_incidence_oracle(n):
-    """The mask tally agrees with the incidence scan, class and witnesses,
-    for every valid ideal line."""
+    """The closed-form classification agrees with the incidence scan, class
+    and witnesses in plane order, for every valid ideal line."""
     spec = make_field(2, n)
     ctx = time_pencil_context(spec)
     for linf in ctx.valid_ideal_lines():
@@ -206,7 +206,7 @@ def test_conic_arrow_matches_incidence_oracle(n):
         assert _rows(conic_arrow(spec, linf)) == expected
 
 
-@pytest.mark.parametrize("n", [2, 3], ids=lambda n: f"q{2 ** n}")
+@pytest.mark.parametrize("n", [2, 3, 4], ids=lambda n: f"q{2 ** n}")
 def test_arc_arrow_matches_incidence_oracle(n):
     """Same for the arc arrow over every valid (L-infinity, L*); the oracle
     rebuilds each arc from the member's points, its touch point on L* and

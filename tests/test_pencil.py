@@ -3,19 +3,29 @@ point, and the common nucleus."""
 
 import pytest
 
-from galois_arrow.errors import BasePoint, NoProperMember, NucleiDiffer
-from galois_arrow.field import make_field
+from galois_arrow.errors import (
+    BasePoint,
+    HitsBasePoint,
+    HitsNucleus,
+    InvalidIdealLine,
+    MixedFields,
+    NoProperMember,
+    NucleiDiffer,
+)
+from galois_arrow.field import make_field, parse_modulus
 from galois_arrow.conic import Conic, DegeneracyClass, evaluate, nucleus, point_set
 from galois_arrow.pencil import (
     Pencil,
+    _quadratic_roots,
     base_points,
     common_nucleus,
     member_through,
     members,
     time_pencil,
     time_pencil_context,
+    validate_ideal_line,
 )
-from galois_arrow.plane import ProjLine, ProjPoint, build_plane, meet
+from galois_arrow.plane import ProjLine, ProjPoint, build_plane, incident, meet
 
 GF2 = make_field(2, 1)
 GF3 = make_field(3, 1)
@@ -179,25 +189,89 @@ def test_context_collects_proper_members_in_order():
 @pytest.mark.parametrize("spec", [GF3, GF4, GF5, GF8, GF9, GF16, GF32],
                          ids=lambda s: f"q{s.order}")
 def test_context_masks_are_the_member_point_sets(spec):
-    """The context's closed-form member points and masks against the
-    point_set scan, and the degenerate members' scans against their lines."""
+    """The context's closed-form member points against the point_set scan,
+    and the degenerate members' scans against their lines."""
     ctx = time_pencil_context(spec)
     plane = ctx.plane
-    x1, x2, x3 = (plane.line_mask(ProjLine(spec, v))
+    x1, x2, x3 = (plane.points_on(ProjLine(spec, v))
                   for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    proper = iter(zip(ctx.proper, ctx.masks))
+    proper = iter(ctx.proper)
     for idx, m in enumerate(ctx.members):
         scan = point_set(m.conic, plane)
         if m.theta == (1, 0):       # x1*x2: the lines x1 = 0 and x2 = 0
             assert m.degeneracy is DegeneracyClass.REAL_LINE_PAIR
-            assert scan == plane.points_of(x1 | x2)
+            assert list(scan) == sorted(set(x1) | set(x2), key=plane.points.index)
         elif m.theta == (0, 1):     # x3^2: the line x3 = 0, twice
             assert m.degeneracy is DegeneracyClass.DOUBLE_LINE
-            assert scan == plane.points_of(x3)
+            assert scan == x3
         else:
             assert m.is_proper
-            (member_id, member, pts), mask = next(proper)
+            member_id, member, pts = next(proper)
             assert (member_id, member) == (idx, m)
             assert pts == scan and all(a is b for a, b in zip(pts, scan))
-            assert plane.points_of(mask) == scan
     assert next(proper, None) is None
+
+
+@pytest.mark.parametrize("spec", [GF3, GF4, GF5, GF8, GF9, GF16],
+                         ids=lambda s: f"q{s.order}")
+def test_line_validity_from_coefficients_matches_incidence(spec):
+    """The valid ideal and tangent lines, and the error validate_ideal_line
+    raises for every plane line, all read off coefficients, against their
+    incidence definitions: an ideal line avoids B1, B2 and N; L* passes
+    through N and is neither NB1 nor NB2."""
+    ctx = time_pencil_context(spec)
+    plane = ctx.plane
+    for line in plane.lines:
+        if incident(ctx.B1, line) or incident(ctx.B2, line):
+            expected = (HitsBasePoint, f"ideal line {line} passes through a base point")
+        elif incident(ctx.N, line):
+            expected = (HitsNucleus, f"ideal line {line} passes through the nucleus {ctx.N}")
+        else:
+            expected = None
+        try:
+            validate_ideal_line(line, plane)
+            got = None
+        except InvalidIdealLine as exc:
+            got = (type(exc), str(exc))
+        assert got == expected
+    assert ctx.valid_ideal_lines() == tuple(
+        l for l in plane.lines if not any(incident(pt, l) for pt in (ctx.B1, ctx.B2, ctx.N)))
+    assert ctx.valid_tangent_lines() == tuple(
+        l for l in plane.lines if incident(ctx.N, l) and l not in (ctx.NB1, ctx.NB2))
+
+
+def test_validate_ideal_line_rejects_other_fields():
+    with pytest.raises(MixedFields):
+        validate_ideal_line(ProjLine(GF4, (1, 1, 1)), build_plane(GF8))
+
+
+def _trace(spec, k):
+    """Absolute trace k + k^2 + k^4 + ... + k^(2^(n-1)) of GF(2^n)."""
+    total = 0
+    for _ in range(spec.degree):
+        total ^= k
+        k = spec._mul_i(k, k)
+    return total
+
+
+@pytest.mark.parametrize("spec", [make_field(2, n) for n in range(1, 9)]
+                         + [make_field(2, 10, parse_modulus("0x409", 2))],
+                         ids=lambda s: f"q{s.order}")
+def test_quadratic_roots_follow_the_trace(spec):
+    """roots[k] is None exactly when Tr(k) = 1, and otherwise solves
+    y^2 + y = k; the time pencil context carries the same table."""
+    roots = _quadratic_roots(spec)
+    assert len(roots) == spec.order
+    for k, y in enumerate(roots):
+        tr = _trace(spec, k)
+        assert tr in (0, 1)
+        if tr:
+            assert y is None
+        else:
+            assert spec._mul_i(y, y) ^ y == k
+    if spec.order <= 32:
+        assert time_pencil_context(spec).roots == roots
+
+
+def test_context_has_no_roots_in_odd_characteristic():
+    assert time_pencil_context(GF9).roots is None
