@@ -38,6 +38,8 @@ from .conic import (
 )
 from .pencil import (
     Pencil,
+    PencilMember,
+    TimePencilContext,
     _touch_point,
     member_through,
     time_pencil_context,
@@ -142,6 +144,34 @@ def touch_point(conic: Conic, lstar: ProjLine, plane: Plane) -> ProjPoint:
     return _touch_point(point_set(conic, plane), lstar)
 
 
+def validate_lines(ctx: TimePencilContext, linfs: Iterable[ProjLine],
+                   lstars: Iterable[ProjLine]) -> None:
+    """The line checks of a family configuration, in this order: each ideal
+    line by validate_ideal_line, then each L* must pass through the nucleus
+    and be neither NB1 nor NB2.  contact_member checks each pair."""
+    for linf in linfs:
+        validate_ideal_line(linf, ctx.plane)
+    for lstar in lstars:
+        if not incident(ctx.N, lstar):
+            raise InvalidTangentLine(f"{lstar} does not pass through the nucleus {ctx.N}")
+        # incident() above has checked lstar's field, so the values decide equality
+        if lstar.values in (ctx.NB1.values, ctx.NB2.values):
+            raise InvalidTangentLine(f"{lstar} joins the nucleus to a base point")
+
+
+def contact_member(ctx: TimePencilContext, linf: ProjLine, lstar: ProjLine
+                   ) -> tuple[ProjPoint, PencilMember]:
+    """The contact point A = linf ∧ lstar of lines passing validate_lines,
+    and the member Q* through it, which must be proper."""
+    # A avoids B1 and B2 because linf does, so exactly one member passes through it
+    contact = meet(linf, lstar)
+    qstar = member_through(ctx.pencil, contact, ctx.plane)
+    if not qstar.is_proper:
+        raise DegenerateContactPoint(
+            f"{contact} = {linf} ∧ {lstar} lies on a degenerate member")
+    return contact, qstar
+
+
 def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine) -> ArcFamily:
     """Build the arc family: per proper member, delete its touch point on
     lstar and add the nucleus.
@@ -159,20 +189,8 @@ def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine) -> ArcFa
     if spec.order < 4:
         raise UnsupportedField("no valid configuration exists over GF(2)")
     ctx = time_pencil_context(spec)
-    validate_ideal_line(linf, ctx.plane)
-    if not incident(ctx.N, lstar):
-        raise InvalidTangentLine(f"{lstar} does not pass through the nucleus {ctx.N}")
-    # incident() above has checked lstar's field, so the values decide equality
-    if lstar.values in (ctx.NB1.values, ctx.NB2.values):
-        raise InvalidTangentLine(f"{lstar} joins the nucleus to a base point")
-
-    # A avoids B1 and B2 because linf does, so exactly one member passes through it
-    contact = meet(linf, lstar)
-    qstar = member_through(ctx.pencil, contact, ctx.plane)
-    if not qstar.is_proper:
-        raise DegenerateContactPoint(
-            f"{contact} = {linf} ∧ {lstar} lies on a degenerate member")
-
+    validate_lines(ctx, (linf,), (lstar,))
+    contact, qstar = contact_member(ctx, linf, lstar)
     entry = ctx.lstar_entry(lstar)
     provenance = FamilyProvenance(ctx.pencil, linf, lstar, contact, qstar.theta)
     return ArcFamily(spec, ctx.plane, entry.arcs, ctx.ids, ctx.thetas, entry.touches,
@@ -184,6 +202,13 @@ def family_to_dict(family: ArcFamily) -> dict:
     spec = family.spec
     prov = family.provenance
     fmt = spec.format
+    # Whether each member lies on a conic, in closed form; is_conic_arc is
+    # the oracle.  A member is C - P + N: a pencil conic C without its touch
+    # point P on L*, plus the nucleus N.  At q = 4 that is 5 points, no
+    # three collinear, which lie on exactly one conic.  At q >= 8, a conic
+    # C' through C - P + N would share those q > 4 points with C, and two
+    # distinct conics share at most 4, so C' = C; but N is not on C.
+    is_conic = spec.order == 4
     return {
         "q": spec.order,
         "Linf": str(prov.linf),
@@ -194,7 +219,7 @@ def family_to_dict(family: ArcFamily) -> dict:
             {
                 "theta": [fmt(theta[0]), fmt(theta[1])],
                 "points": [str(p) for p in arc.points],
-                "is_conic": is_conic_arc(arc),
+                "is_conic": is_conic,
             }
             for theta, arc in zip(family.thetas, family.members)
         ],

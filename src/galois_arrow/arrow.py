@@ -13,6 +13,21 @@ line where y^2 + y = k for one k of the field, which has two roots when
 the absolute trace of k is 0 and none otherwise (Lidl and Niederreiter,
 Finite Fields).  A table of roots per field turns each member into one
 lookup; the incidence scan (classify_member) is the oracle.
+
+The arc arrow is the conic arrow with one member changed.  Fix a valid
+(L-infinity, L*) with contact point A = L-infinity ∧ L* on a proper member
+Q*.  Then the arc arrow equals the conic arrow on L-infinity member for
+member, except that Q* goes from Past to Present and drops A from its
+witnesses:
+
+- an arc member is its conic member, minus its touch point on L*, plus N;
+- N is off every valid L-infinity;
+- a touch point lies on L-infinity only if it is A, the one point of L*
+  on L-infinity, so only Q* changes;
+- Q* is Past, since A is on it and the conic arrow has no Present.
+
+_arc_delta is that change, and arc_arrow and the CLI's sweep both use it;
+it raises ArcDeltaMismatch if Q* is not Past with A as a witness.
 """
 
 from __future__ import annotations
@@ -20,11 +35,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import IntersectionTooLarge, OddCharacteristic
+from .errors import ArcDeltaMismatch, IntersectionTooLarge, OddCharacteristic
 from .field import FieldSpec
 from .arc import ArcFamily
 from .pencil import time_pencil_context, validate_ideal_line
-from .plane import ProjLine, ProjPoint, _line_hits, _triple_index
+from .plane import ProjLine, ProjPoint, _line_hits
 
 
 class TemporalClass(enum.Enum):
@@ -96,25 +111,20 @@ def classify_member(points, linf: ProjLine) -> TemporalClass:
     return _TEMPORAL_BY_HITS[hits]
 
 
-def _report(spec: FieldSpec, mode: str, linf: ProjLine,
-            contact: ProjPoint | None = None) -> ArrowReport:
+def _report(spec: FieldSpec, mode: str, linf: ProjLine) -> ArrowReport:
     """Class each proper member of the time pencil by its points on linf,
     which are its witnesses, in plane order; both arrows classify here.
 
     linf = (1 : b : c), bc != 0, misses (0:1:0) and meets the member
     x1*x2 + t*x3^2 at the points (1 : t*s^2 : s) with b*t*s^2 + c*s = 1.
     With k = (b/c^2)*t and s = d*y, d = 1/(c*k), that is y^2 + y = k: two
-    roots y, y + 1 when Tr(k) = 0 (Past), none otherwise (Future).  A
-    contact point is left out of the witnesses, which makes its member
-    Present."""
+    roots y, y + 1 when Tr(k) = 0 (Past), none otherwise (Future)."""
     ctx = time_pencil_context(spec)
     q = spec.order
     mul, inv = spec._mul_i, spec._inv_i
     roots, points = ctx.roots, ctx.plane.points
     _, b, c = linf.values
     u = mul(b, inv(mul(c, c)))
-    # plane indices are compared, not points: no index is -1
-    drop = -1 if contact is None else _triple_index(q, contact.values)
     classifications = []
     for member_id, theta in zip(ctx.ids, ctx.thetas):
         t = theta[1]
@@ -127,13 +137,28 @@ def _report(spec: FieldSpec, mode: str, linf: ProjLine,
             s1 = s0 ^ d
             i0 = mul(t, mul(s0, s0)) * q + s0
             i1 = mul(t, mul(s1, s1)) * q + s1
-            if i0 > i1:
-                i0, i1 = i1, i0
-            hits = ((points[i1],) if i0 == drop else (points[i0],) if i1 == drop
-                    else (points[i0], points[i1]))
+            hits = (points[i0], points[i1]) if i0 < i1 else (points[i1], points[i0])
         classifications.append(MemberClassification(
             member_id, theta, _TEMPORAL_BY_HITS[len(hits)], hits))
     return ArrowReport(q, mode, linf, tuple(classifications))
+
+
+def _arc_delta(report: ArrowReport, contact: ProjPoint, qstar_theta: tuple[int, int]
+               ) -> tuple[int, MemberClassification]:
+    """The one member in which the arc arrow differs from the conic
+    classification report of the same ideal line (see the module
+    docstring): its position in report.classifications and its arc class,
+    Present with the witness other than the contact point A."""
+    # the proper members are (1, t), t = 1 .. q-1, in order
+    position = qstar_theta[1] - 1
+    c = report.classifications[position]
+    a = contact.values
+    rest = tuple(w for w in c.witnesses if w.values != a)
+    if c.theta != qstar_theta or c.temporal is not TemporalClass.PAST or len(rest) != 1:
+        raise ArcDeltaMismatch(
+            f"member {c.theta} through {contact} is {c.temporal} on {report.ideal_line}"
+            f" with witnesses {', '.join(map(str, c.witnesses))}")
+    return position, MemberClassification(c.member_id, c.theta, TemporalClass.PRESENT, rest)
 
 
 def conic_arrow(spec: FieldSpec, linf: ProjLine) -> ArrowReport:
@@ -149,10 +174,12 @@ def arc_arrow(family: ArcFamily) -> ArrowReport:
     """Classify every member of an arc family against the family's own
     ideal line; exactly one member comes out Present.
 
-    This is the conic arrow with the contact point A = L-infinity ∧ L*
-    removed: an arc member is its conic member minus its touch point on
-    L*, plus N; N is off every valid L-infinity, and a touch point lies on
-    L-infinity only when it is A.  So only the family's provenance is read,
-    not its members."""
+    This is the conic classification with the member Q* through the
+    contact point changed by _arc_delta, so only the family's provenance
+    is read, not its members."""
     prov = family.provenance
-    return _report(family.spec, "arc", prov.linf, prov.contact_point)
+    report = _report(family.spec, "arc", prov.linf)
+    position, present = _arc_delta(report, prov.contact_point, prov.qstar_theta)
+    classifications = list(report.classifications)
+    classifications[position] = present
+    return ArrowReport(report.q, "arc", prov.linf, tuple(classifications))

@@ -7,8 +7,12 @@ internal invariant violation (never reachable from shipped defaults).
 Output is byte-identical across runs for identical configurations.  The
 arrow command runs one loop over (L-infinity, L*) pairs, of which a single
 configuration is the one-pair case, and writes its reports one at a time
-as they are built, so an exhaustive sweep holds one report in memory, not
-all of them.  Reports are laid out once, as entries of a sweep; a single
+as they are built, so an exhaustive sweep holds one ideal line's texts in
+memory, not all of its reports.  Each ideal line is classified and its
+members' texts rendered once.  In arc mode each L* then changes one
+member, Q* through the contact point, from Past to Present
+(arrow._arc_delta); that member is rendered anew and joined with the
+others' texts.  Reports are laid out once, as entries of a sweep; a single
 configuration's one report is dedented to the top level.
 """
 
@@ -19,7 +23,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     DegenerateContactPoint,
@@ -32,8 +36,8 @@ from .field import FieldSpec, field_order, make_field, parse_modulus
 from .plane import ProjLine, build_plane
 from .conic import _nucleus_char2, canonical_conic, classify, point_set, tangent_lines
 from .pencil import base_points, common_nucleus, time_pencil_context
-from .arc import build_time_family, family_to_dict
-from .arrow import ArrowReport, MemberClassification, arc_arrow, conic_arrow
+from .arc import build_time_family, contact_member, family_to_dict, validate_lines
+from .arrow import ArrowReport, MemberClassification, _arc_delta, _report
 from .errors import OddCharacteristic
 
 COMMANDS = ("field-info", "plane", "conic", "pencil", "family", "arrow")
@@ -203,32 +207,65 @@ def _payload_family(spec: FieldSpec, config: RunConfig) -> dict:
 # --- arrow reports, streamed ------------------------------------------------
 
 def _arrow_reports(spec: FieldSpec, config: RunConfig, rejected: list[tuple[ProjLine, ProjLine]]
-                   ) -> Iterator[tuple[ArrowReport, ProjLine | None]]:
-    """(report, L*) for each (L-infinity, L*) pair of the run, built one at
-    a time; L* is None in conic mode.  A single run is the one-pair case.
-    Arc configurations refused with DegenerateContactPoint during a sweep
-    are appended to rejected; in a single run the refusal propagates."""
+                   ) -> Iterator[tuple[ArrowReport, dict[str, int], Iterable[
+                       tuple[ProjLine | None, tuple[int, MemberClassification] | None]]]]:
+    """Per L-infinity of the run, one at a time: its classification, made
+    once, the tallies of its reports, and its configurations (L*, delta),
+    one per report.  A delta (position, classification) is the member in
+    which the report differs from the classification.  In conic mode the
+    one configuration is (None, None).  In arc mode there is one per L*,
+    and the delta is _arc_delta's change of the member Q* through the
+    contact point, the only member the arc arrow changes.  A single run is
+    the one-pair case.  Arc configurations refused with
+    DegenerateContactPoint during a sweep are appended to rejected; in a
+    single run the refusal propagates."""
+    ctx = time_pencil_context(spec)
     arc = config.mode == "arc"
     if config.exhaustive:
-        ctx = time_pencil_context(spec)
         linfs = ctx.valid_ideal_lines()
-        lstars = ctx.valid_tangent_lines() if arc else (None,)
+        lstars = ctx.valid_tangent_lines() if arc else ()
     else:
         linfs = (ProjLine(spec, config.linf),)
-        lstars = (ProjLine(spec, config.lstar),) if arc else (None,)
-    for linf in linfs:
+        lstars = (ProjLine(spec, config.lstar),) if arc else ()
+    validate_lines(ctx, linfs, lstars)
+
+    def arc_configurations(report: ArrowReport):
+        linf = report.ideal_line
         for lstar in lstars:
-            if lstar is None:
-                yield conic_arrow(spec, linf), None
-                continue
             try:
-                family = build_time_family(spec, linf, lstar)
+                contact, qstar = contact_member(ctx, linf, lstar)
             except DegenerateContactPoint:
                 if not config.exhaustive:
                     raise
                 rejected.append((linf, lstar))
             else:
-                yield arc_arrow(family), lstar
+                yield lstar, _arc_delta(report, contact, qstar.theta)
+
+    for linf in linfs:
+        report = _report(spec, config.mode, linf)
+        tallies = report.tallies
+        if not arc:
+            yield report, tallies, ((None, None),)
+            continue
+        # Q* goes from Past to Present in every report of this ideal line
+        tallies = {"past": tallies["past"] - 1, "present": tallies["present"] + 1,
+                   "future": tallies["future"]}
+        yield report, tallies, arc_configurations(report)
+
+
+def _spliced(separator: str, texts: list[str],
+             delta: tuple[int, MemberClassification] | None,
+             render: Callable[[MemberClassification], str]) -> str:
+    """separator.join(texts), the text of the member a delta names rendered
+    from its new classification."""
+    if delta is None:
+        return separator.join(texts)
+    position, member = delta
+    kept = texts[position]
+    texts[position] = render(member)
+    joined = separator.join(texts)
+    texts[position] = kept
+    return joined
 
 
 def _json_block(items: list[str], pad: str, brackets: str = "[]") -> str:
@@ -245,9 +282,10 @@ class _ReportText:
     ArrowReport.to_dict with indent=2, laid out as an entry of a sweep's
     "reports" list (every line after the first indented four spaces), or
     CSV rows.  Every string in a report is hex or decimal digits, (a:b:c)
-    or a class name, so nothing needs escaping.  Point strings and each
-    member's id and theta text are built on first use and reused for the
-    rest of the run."""
+    or a class name, so nothing needs escaping.  A report's text is its
+    head, its members' texts and its tail, each made once per ideal line
+    by the callers.  Point strings and each member's id and theta text
+    are built on first use and reused for the rest of the run."""
 
     def __init__(self, spec: FieldSpec):
         self._fmt = spec.format
@@ -261,72 +299,73 @@ class _ReportText:
             text = self._points[values] = "(" + ":".join(map(self._fmt, values)) + ")"
         return text
 
-    def _json_head(self, c: MemberClassification) -> str:
-        key = (c.member_id, c.theta)
-        text = self._json_heads.get(key)
-        if text is None:
-            fmt = self._fmt
-            text = self._json_heads[key] = (
-                f'\n        {{\n          "id": {c.member_id},\n          "theta": [\n'
-                f'            "{fmt(c.theta[0])}",\n            "{fmt(c.theta[1])}"\n'
-                f'          ],\n          "class": "')
-        return text
-
-    def to_json(self, report: ArrowReport, tallies: dict[str, int],
-                lstar: ProjLine | None) -> str:
-        triple, head = self.triple, self._json_head
-        members = []
-        for c in report.classifications:
-            # _json_block inlined: this loop runs once per member of every report
-            points = c.witnesses
-            witnesses = ('[\n            "'
-                         + '",\n            "'.join([triple(p.values) for p in points])
-                         + '"\n          ]') if points else "[]"
-            members.append(f'{head(c)}{c.temporal.value}",\n          "witnesses": '
-                           f'{witnesses}\n        }}')
-        tail = f',\n      "lstar": "{triple(lstar.values)}"' if lstar else ""
+    def json_head(self, report: ArrowReport, tallies: dict[str, int]) -> str:
+        """The report's text up to the opening bracket of its members (every
+        report has a member: a proper pencil member exists for q >= 2)."""
         return (
             f'{{\n      "q": {report.q},\n      "mode": "{report.mode}",\n'
-            f'      "ideal_line": "{triple(report.ideal_line.values)}",\n'
+            f'      "ideal_line": "{self.triple(report.ideal_line.values)}",\n'
             f'      "tallies": {{\n        "past": {tallies["past"]},\n'
             f'        "present": {tallies["present"]},\n'
             f'        "future": {tallies["future"]}\n      }},\n'
-            f'      "members": {_json_block(members, "      ")}{tail}\n    }}')
+            f'      "members": [')
 
-    def to_csv(self, report: ArrowReport, prefix: str) -> str:
-        """One row per member, each row prefix + "id,theta,class\\n"."""
-        heads, fmt = self._csv_heads, self._fmt
-        rows = []
-        for c in report.classifications:
-            key = (c.member_id, c.theta)
-            head = heads.get(key)
-            if head is None:
-                head = heads[key] = f"{c.member_id},{fmt(c.theta[0])}:{fmt(c.theta[1])},"
-            rows.append(f"{prefix}{head}{c.temporal.value}\n")
-        return "".join(rows)
+    def json_tail(self, lstar: ProjLine | None) -> str:
+        """The report's text after its last member."""
+        tail = f',\n      "lstar": "{self.triple(lstar.values)}"' if lstar else ""
+        return f"\n      ]{tail}\n    }}"
+
+    def member_json(self, c: MemberClassification) -> str:
+        key = (c.member_id, c.theta)
+        head = self._json_heads.get(key)
+        if head is None:
+            fmt = self._fmt
+            head = self._json_heads[key] = (
+                f'\n        {{\n          "id": {c.member_id},\n          "theta": [\n'
+                f'            "{fmt(c.theta[0])}",\n            "{fmt(c.theta[1])}"\n'
+                f'          ],\n          "class": "')
+        points = c.witnesses
+        # _json_block inlined: this runs once per member of every ideal line
+        witnesses = ('[\n            "'
+                     + '",\n            "'.join([self.triple(p.values) for p in points])
+                     + '"\n          ]') if points else "[]"
+        return f'{head}{c.temporal.value}",\n          "witnesses": {witnesses}\n        }}'
+
+    def member_csv(self, c: MemberClassification) -> str:
+        """The member's row after the configuration columns: id,theta,class."""
+        key = (c.member_id, c.theta)
+        head = self._csv_heads.get(key)
+        if head is None:
+            fmt = self._fmt
+            head = self._csv_heads[key] = f"{c.member_id},{fmt(c.theta[0])}:{fmt(c.theta[1])},"
+        return head + c.temporal.value
 
 
 def _arrow_json(spec: FieldSpec, config: RunConfig) -> Iterator[str]:
     text = _ReportText(spec)
     rejected: list[tuple[ProjLine, ProjLine]] = []
-    reports = _arrow_reports(spec, config, rejected)
-    if not config.exhaustive:
-        for report, lstar in reports:
-            # the one report stands at the top level, not inside "reports"
-            yield text.to_json(report, report.tallies, lstar).replace("\n    ", "\n") + "\n"
-        return
     # the opening goes out with the first report, so that a run refused
     # before it prints nothing
     opening = (f'{{\n  "q": {spec.order},\n  "mode": "{config.mode}",\n'
                f'  "exhaustive": true,\n  "reports": [')
     separator = opening
     distribution: dict[str, int] = {}
-    for report, lstar in reports:
-        tallies = report.tallies
+    for report, tallies, configurations in _arrow_reports(spec, config, rejected):
+        head = text.json_head(report, tallies)
+        members = [text.member_json(c) for c in report.classifications]
         key = f"{tallies['past']}:{tallies['present']}:{tallies['future']}"
-        distribution[key] = distribution.get(key, 0) + 1
-        yield separator + "\n    " + text.to_json(report, tallies, lstar)
-        separator = ","
+        for lstar, delta in configurations:
+            report_text = (head + _spliced(",", members, delta, text.member_json)
+                           + text.json_tail(lstar))
+            if not config.exhaustive:
+                # the one report stands at the top level, not inside "reports"
+                yield report_text.replace("\n    ", "\n") + "\n"
+                continue
+            distribution[key] = distribution.get(key, 0) + 1
+            yield separator + "\n    " + report_text
+            separator = ","
+    if not config.exhaustive:
+        return
     yield (opening + "]") if separator is opening else "\n  ]"
     triple = text.triple
     entries = [f'\n    {{\n      "linf": "{triple(linf.values)}",\n'
@@ -347,14 +386,18 @@ def _arrow_csv(spec: FieldSpec, config: RunConfig) -> Iterator[str]:
         header = "q,mode,linf,lstar,member_id,theta,class\n"
     else:
         header = "q,mode,member_id,theta,class\n"
-    for report, lstar in _arrow_reports(spec, config, []):
-        prefix = f"{report.q},{report.mode},"
+    for report, _, configurations in _arrow_reports(spec, config, []):
+        rows = [text.member_csv(c) for c in report.classifications]
+        lead = f"{report.q},{report.mode},"
         if config.exhaustive:
-            prefix += (f"{text.triple(report.ideal_line.values)},"
-                       f"{text.triple(lstar.values) if lstar else ''},")
-        # the header goes out with the first report, as in _arrow_json
-        yield header + text.to_csv(report, prefix)
-        header = ""
+            lead += f"{text.triple(report.ideal_line.values)},"
+        for lstar, delta in configurations:
+            prefix = lead
+            if config.exhaustive:
+                prefix += f"{text.triple(lstar.values) if lstar else ''},"
+            # the header goes out with the first report, as in _arrow_json
+            yield header + prefix + _spliced("\n" + prefix, rows, delta, text.member_csv) + "\n"
+            header = ""
     yield header
 
 

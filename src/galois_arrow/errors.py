@@ -156,6 +156,11 @@ class DegenerateContactPoint(ValidationError):
     """The contact point lies on a degenerate pencil member."""
 
 
+class ArcDeltaMismatch(InvariantViolation):
+    """The member through the contact point is not Past on the ideal line
+    with the contact point as one of its two witnesses."""
+
+
 class UnsupportedField(ValidationError):
     """No valid configuration exists over this field."""
 

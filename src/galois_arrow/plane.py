@@ -72,6 +72,15 @@ class _Triple:
         return f"{type(self).__name__}{self}"
 
 
+def _from_normalized(cls: type, field: FieldSpec, values: tuple[int, int, int]):
+    """A point or line of values already normalized, such as those of
+    _enumerate_triples, built without _normalize's scaling and checks."""
+    triple = object.__new__(cls)
+    triple.field = field
+    triple.values = values
+    return triple
+
+
 class ProjPoint(_Triple):
     """A point of PG(2, q), normalized."""
 
@@ -88,8 +97,8 @@ class Plane:
     def __init__(self, field: FieldSpec):
         self.field = field
         triples = _enumerate_triples(field)
-        self.points = tuple(ProjPoint(field, t) for t in triples)
-        self.lines = tuple(ProjLine(field, t) for t in triples)
+        self.points = tuple([_from_normalized(ProjPoint, field, t) for t in triples])
+        self.lines = tuple([_from_normalized(ProjLine, field, t) for t in triples])
 
     @property
     def order(self) -> int:

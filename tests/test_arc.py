@@ -282,6 +282,9 @@ def test_family_members_are_arcs_for_every_lstar(spec):
         fam = _first_unrejected_family(ctx, lstar)
         assert len(fam.members) == spec.order - 1
         assert len(fam.masks) == len(fam.members)
+        # the closed-form is_conic against the five-point fit
+        assert ([m["is_conic"] for m in family_to_dict(fam)["members"]]
+                == [is_conic_arc(arc) for arc in fam.members])
         for arc, touch, mask in zip(fam.members, fam.touch_points, fam.masks):
             assert arc.size == spec.order + 1
             assert touch not in arc

@@ -7,17 +7,30 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from galois_arrow.errors import DegenerateContactPoint, InvariantViolation, UsageError
+from galois_arrow.errors import (
+    ArcDeltaMismatch,
+    DegenerateContactPoint,
+    InvariantViolation,
+    UsageError,
+)
 from galois_arrow import cli
-from galois_arrow.arc import build_time_family
-from galois_arrow.arrow import arc_arrow, conic_arrow
+from galois_arrow.arc import build_time_family, contact_member
+from galois_arrow.arrow import (
+    TemporalClass,
+    _arc_delta,
+    _report,
+    arc_arrow,
+    classify_member,
+    conic_arrow,
+)
 from galois_arrow.field import make_field
 from galois_arrow.pencil import time_pencil_context
-from galois_arrow.plane import ProjLine
+from galois_arrow.plane import ProjLine, _line_hits
 
 
 def _run(argv):
@@ -348,7 +361,7 @@ def _oracle_stdout(argv) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("field", ["--n 2", "--n 3", "--n 3 --modulus 0xd"])
+@pytest.mark.parametrize("field", ["--n 2", "--n 3", "--n 3 --modulus 0xd", "--n 4"])
 @pytest.mark.parametrize("mode", ["conic", "arc"])
 @pytest.mark.parametrize("sweep", ["", " --exhaustive"])
 @pytest.mark.parametrize("output", ["json", "csv"])
@@ -356,7 +369,14 @@ def test_streamed_arrow_matches_the_to_dict_oracle(field, mode, sweep, output):
     argv = f"arrow {field} --mode {mode}{sweep} --output {output}".split()
     code, out, err = _run(argv)
     assert code == 0 and not err
-    assert out == _oracle_stdout(argv)
+    expected = _oracle_stdout(argv)
+    if out != expected:
+        # named by its first differing line: pytest's own diff of the
+        # megabytes of a q = 16 sweep would take minutes
+        lines, want = out.splitlines(), expected.splitlines()
+        i = next((i for i, (a, b) in enumerate(zip(lines, want)) if a != b),
+                 min(len(lines), len(want)))
+        pytest.fail(f"stdout line {i + 1} is {lines[i:i + 1]}, the oracle's {want[i:i + 1]}")
 
 
 def test_first_report_is_written_before_the_last_configuration_is_built(monkeypatch):
@@ -364,9 +384,9 @@ def test_first_report_is_written_before_the_last_configuration_is_built(monkeypa
 
     def recording(*args):
         lengths.append(len(out.getvalue()))
-        return build_time_family(*args)
+        return contact_member(*args)
 
-    monkeypatch.setattr(cli, "build_time_family", recording)
+    monkeypatch.setattr(cli, "contact_member", recording)
     with redirect_stdout(out):
         code = cli.main(["arrow", "--n", "2", "--mode", "arc", "--exhaustive"])
     assert code == 0 and len(lengths) == 27
@@ -376,18 +396,76 @@ def test_first_report_is_written_before_the_last_configuration_is_built(monkeypa
 def test_invariant_violation_mid_sweep_exits_3(monkeypatch):
     built = []
 
-    def third_fails(family):
-        built.append(family)
+    def third_fails(*args):
+        built.append(args)
         if len(built) == 3:
             raise InvariantViolation("forced on the third configuration")
-        return arc_arrow(family)
+        return _arc_delta(*args)
 
-    monkeypatch.setattr(cli, "arc_arrow", third_fails)
+    monkeypatch.setattr(cli, "_arc_delta", third_fails)
     code, out, err = _run(["arrow", "--n", "2", "--mode", "arc", "--exhaustive"])
     assert code == 3 and out   # the reports before it were already written
     lines = err.splitlines()
     assert len(lines) == 1 and "Traceback" not in err
     assert json.loads(lines[0])["error"] == "InvariantViolation"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4], ids=lambda n: f"q{2 ** n}")
+def test_arc_sweep_matches_the_incidence_oracle(n):
+    """Each report of the arc sweep, made from its ideal line's one
+    classification with one member changed, has the classes and witnesses
+    that the incidence scan finds on build_time_family's arcs, for every
+    valid (L-infinity, L*)."""
+    code, out, err = _run(["arrow", "--n", str(n), "--mode", "arc", "--exhaustive"])
+    assert code == 0 and not err
+    reports = iter(json.loads(out)["reports"])
+    spec = make_field(2, n)
+    ctx = time_pencil_context(spec)
+    for linf in ctx.valid_ideal_lines():
+        for lstar in ctx.valid_tangent_lines():
+            try:
+                family = build_time_family(spec, linf, lstar)
+            except DegenerateContactPoint:
+                continue
+            report = next(reports)
+            assert (report["ideal_line"], report["lstar"]) == (str(linf), str(lstar))
+            expected = [(member_id, str(classify_member(arc.points, linf)),
+                         [str(p) for p in _line_hits(arc.points, linf)])
+                        for member_id, arc in zip(family.member_ids, family.members)]
+            assert [(m["id"], m["class"], m["witnesses"])
+                    for m in report["members"]] == expected
+    assert next(reports, None) is None
+
+
+def _future(report, ctx):
+    return [replace(c, temporal=TemporalClass.FUTURE, witnesses=())
+            for c in report.classifications]
+
+
+def _past_without_the_contact_point(report, ctx):
+    # B2 and N lie on no valid ideal line, so neither is a contact point
+    return [replace(c, witnesses=(ctx.B2, ctx.N)) if c.witnesses else c
+            for c in report.classifications]
+
+
+@pytest.mark.parametrize("change", [_future, _past_without_the_contact_point])
+@pytest.mark.parametrize("argv", ["arrow --n 2 --mode arc --exhaustive",
+                                  "arrow --n 3 --mode arc --output csv"])
+def test_qstar_not_past_with_the_contact_point_exits_3(monkeypatch, change, argv):
+    """The arc reports rely on Q* being Past with the contact point as a
+    witness; a classification that breaks this stops the run with exit 3."""
+    def changed(spec, mode, linf):
+        report = _report(spec, mode, linf)
+        return replace(report, classifications=tuple(
+            change(report, time_pencil_context(spec))))
+
+    monkeypatch.setattr(cli, "_report", changed)
+    code, out, err = _run(argv.split())
+    assert code == 3 and not out
+    lines = err.splitlines()
+    assert len(lines) == 1 and "Traceback" not in err
+    assert json.loads(lines[0])["error"] == "ArcDeltaMismatch"
+    assert issubclass(ArcDeltaMismatch, InvariantViolation)
 
 
 def test_closed_stdout_exits_0_quietly():

@@ -9,6 +9,7 @@ from galois_arrow.field import make_field, elements
 from galois_arrow.plane import (
     ProjLine,
     ProjPoint,
+    _enumerate_triples,
     _incidence_indices,
     _join_index,
     _line_hits,
@@ -204,6 +205,17 @@ def test_plane_caches_agree_with_incidence_oracle(spec):
         assert (_incidence_indices(spec, pt.values)
                 == [i for i, l in enumerate(plane.lines) if incident(pt, l)])
         assert plane.lines_through(pt) == oracle
+
+
+@pytest.mark.parametrize("spec", MASK_FIELDS, ids=_q)
+def test_plane_equals_the_normalizing_construction(spec):
+    """The plane builds its points and lines from the enumeration's values
+    without normalizing them again; the public constructors, which
+    normalize and check, give equal objects."""
+    plane = build_plane(spec)
+    triples = _enumerate_triples(spec)
+    assert plane.points == tuple(ProjPoint(spec, t) for t in triples)
+    assert plane.lines == tuple(ProjLine(spec, t) for t in triples)
 
 
 @pytest.mark.parametrize("spec", MASK_FIELDS, ids=_q)
