@@ -14,6 +14,15 @@ the absolute trace of k is 0 and none otherwise (Lidl and Niederreiter,
 Finite Fields).  A table of roots per field turns each member into one
 lookup; the incidence scan (classify_member) is the oracle.
 
+The conic arrow on (1 : b : c) depends only on its orbit u = b/c^2.  The
+collineation σ_λ : (x1 : x2 : x3) -> (x1 : λ^2 x2 : λ x3) scales each
+member x1*x2 + t*x3^2 by λ^2, so fixes its points as a set, and maps
+(1 : b : c) to (1 : b/λ^2 : c/λ).  As (1 : b : c) = σ_{1/c}(1 : u : 1), each
+member has the same class on both lines, and its witnesses on (1 : b : c)
+are the images (1 : y2/c^2 : y3/c) of those (1 : y2 : y3) on (1 : u : 1).
+So the (q-1)^2 valid ideal lines form q-1 orbits of q-1 lines; _orbit
+classifies once per orbit, and _report builds its line's witnesses.
+
 The arc arrow is the conic arrow with one member changed.  Fix a valid
 (L-infinity, L*) with contact point A = L-infinity ∧ L* on a proper member
 Q*.  Then the arc arrow equals the conic arrow on L-infinity member for
@@ -38,7 +47,7 @@ from dataclasses import dataclass
 from .errors import ArcDeltaMismatch, IntersectionTooLarge, OddCharacteristic
 from .field import FieldSpec
 from .arc import ArcFamily
-from .pencil import time_pencil_context, validate_ideal_line
+from .pencil import TimePencilContext, time_pencil_context, validate_ideal_line
 from .plane import ProjLine, ProjPoint, _line_hits
 
 
@@ -111,28 +120,38 @@ def classify_member(points, linf: ProjLine) -> TemporalClass:
     return _TEMPORAL_BY_HITS[hits]
 
 
+def _orbit(ctx: TimePencilContext, linf: ProjLine) -> tuple[int, tuple[int | None, ...]]:
+    """The orbit u = b/c^2 of linf = (1 : b : c) and its classification,
+    made once per orbit and kept on ctx: for each proper member
+    x1*x2 + t*x3^2, a root y of y^2 + y = u*t, or None (Future)."""
+    mul = ctx.spec._mul_i
+    _, b, c = linf.values
+    u = mul(b, ctx.spec._inv_i(mul(c, c)))
+    if u not in ctx.orbits:
+        ctx.orbits[u] = tuple([ctx.roots[mul(u, t)] for _, t in ctx.thetas])
+    return u, ctx.orbits[u]
+
+
 def _report(spec: FieldSpec, mode: str, linf: ProjLine) -> ArrowReport:
     """Class each proper member of the time pencil by its points on linf,
     which are its witnesses, in plane order; both arrows classify here.
 
     linf = (1 : b : c), bc != 0, misses (0:1:0) and meets the member
     x1*x2 + t*x3^2 at the points (1 : t*s^2 : s) with b*t*s^2 + c*s = 1.
-    With k = (b/c^2)*t and s = d*y, d = 1/(c*k), that is y^2 + y = k: two
-    roots y, y + 1 when Tr(k) = 0 (Past), none otherwise (Future)."""
+    With k = (b/c^2)*t and s = d*y, d = 1/(c*k), that is y^2 + y = k: roots
+    y (from _orbit) and y + 1 when Tr(k) = 0 (Past), none otherwise (Future)."""
     ctx = time_pencil_context(spec)
     q = spec.order
     mul, inv = spec._mul_i, spec._inv_i
-    roots, points = ctx.roots, ctx.plane.points
-    _, b, c = linf.values
-    u = mul(b, inv(mul(c, c)))
+    points = ctx.plane.points
+    c = linf.values[2]
+    u, ys = _orbit(ctx, linf)
     classifications = []
-    for member_id, theta in zip(ctx.ids, ctx.thetas):
-        t = theta[1]
-        k = mul(u, t)
-        y = roots[k]
+    for member_id, theta, y in zip(ctx.ids, ctx.thetas, ys):
         hits = ()
         if y is not None:
-            d = inv(mul(c, k))
+            t = theta[1]
+            d = inv(mul(c, mul(u, t)))
             s0 = mul(d, y)
             s1 = s0 ^ d
             i0 = mul(t, mul(s0, s0)) * q + s0

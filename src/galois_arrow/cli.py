@@ -8,12 +8,13 @@ Output is byte-identical across runs for identical configurations.  The
 arrow command runs one loop over (L-infinity, L*) pairs, of which a single
 configuration is the one-pair case, and writes its reports one at a time
 as they are built, so an exhaustive sweep holds one ideal line's texts in
-memory, not all of its reports.  Each ideal line is classified and its
-members' texts rendered once.  In arc mode each L* then changes one
-member, Q* through the contact point, from Past to Present
-(arrow._arc_delta); that member is rendered anew and joined with the
-others' texts.  Reports are laid out once, as entries of a sweep; a single
-configuration's one report is dedented to the top level.
+memory, not all of its reports.  Members' CSV rows are rendered once per
+orbit of ideal lines (arrow._orbit); JSON, which prints each line's own
+witnesses, classifies and renders once per ideal line.  In arc mode each
+L* then changes one member, Q* through the contact point, from Past to
+Present (arrow._arc_delta); that member is rendered anew and joined with
+the others' texts.  Reports are laid out once, as entries of a sweep; a
+single configuration's one report is dedented to the top level.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Callable, Iterable, Iterator
 from .errors import (
     DegenerateContactPoint,
     InvariantViolation,
+    OddCharacteristic,
     OrderTooLarge,
     UsageError,
     ValidationError,
@@ -35,10 +37,9 @@ from .errors import (
 from .field import FieldSpec, field_order, make_field, parse_modulus
 from .plane import ProjLine, build_plane
 from .conic import _nucleus_char2, canonical_conic, classify, point_set, tangent_lines
-from .pencil import base_points, common_nucleus, time_pencil_context
+from .pencil import common_nucleus, time_pencil_context
 from .arc import build_time_family, contact_member, family_to_dict, validate_lines
-from .arrow import ArrowReport, MemberClassification, _arc_delta, _report
-from .errors import OddCharacteristic
+from .arrow import ArrowReport, MemberClassification, TemporalClass, _arc_delta, _orbit, _report
 
 COMMANDS = ("field-info", "plane", "conic", "pencil", "family", "arrow")
 _CSV_COMMANDS = ("pencil", "family", "arrow")
@@ -119,16 +120,16 @@ def parse_args(argv: list[str]) -> RunConfig:
 
     linf_text = getattr(ns, "linf", None)
     lstar_text = getattr(ns, "lstar", None)
+    exhaustive = getattr(ns, "exhaustive", False)
+    if exhaustive and (linf_text is not None or lstar_text is not None):
+        raise UsageError("--exhaustive sweeps every valid line and takes no --linf or --lstar")
+    gen = ns.p if ns.n >= 2 else 1   # canonical generator value
     linf = _parse_triple(linf_text, q) if linf_text else (1, 1, 1)
-    if lstar_text:
-        lstar = _parse_triple(lstar_text, q)
-    else:
-        gen = ns.p if ns.n >= 2 else 1   # canonical generator value
-        lstar = (1, gen, 0)
+    lstar = _parse_triple(lstar_text, q) if lstar_text else (1, gen, 0)
     return RunConfig(
         command=ns.command, p=ns.p, n=ns.n, modulus=modulus,
         linf=linf, lstar=lstar, mode=mode, output=ns.output,
-        exhaustive=getattr(ns, "exhaustive", False),
+        exhaustive=exhaustive,
     )
 
 
@@ -183,7 +184,8 @@ def _payload_pencil(spec: FieldSpec) -> dict:
     fmt = spec.format
     payload = {
         "q": spec.order,
-        "base_points": [str(p) for p in base_points(ctx.pencil, ctx.plane)],
+        # x1*x2 = x3^2 = 0 in plane order, for every q; pencil.base_points is the oracle
+        "base_points": [str(ctx.B2), str(ctx.B1)],
         "members": [
             {
                 "theta": [fmt(m.theta[0]), fmt(m.theta[1])],
@@ -199,26 +201,25 @@ def _payload_pencil(spec: FieldSpec) -> dict:
 
 
 def _payload_family(spec: FieldSpec, config: RunConfig) -> dict:
-    linf = ProjLine(spec, config.linf)
-    lstar = ProjLine(spec, config.lstar)
+    linf, lstar = ProjLine(spec, config.linf), ProjLine(spec, config.lstar)
     return family_to_dict(build_time_family(spec, linf, lstar))
 
 
 # --- arrow reports, streamed ------------------------------------------------
 
 def _arrow_reports(spec: FieldSpec, config: RunConfig, rejected: list[tuple[ProjLine, ProjLine]]
-                   ) -> Iterator[tuple[ArrowReport, dict[str, int], Iterable[
+                   ) -> Iterator[tuple[ProjLine, ArrowReport | None, Iterable[
                        tuple[ProjLine | None, tuple[int, MemberClassification] | None]]]]:
-    """Per L-infinity of the run, one at a time: its classification, made
-    once, the tallies of its reports, and its configurations (L*, delta),
-    one per report.  A delta (position, classification) is the member in
-    which the report differs from the classification.  In conic mode the
-    one configuration is (None, None).  In arc mode there is one per L*,
-    and the delta is _arc_delta's change of the member Q* through the
-    contact point, the only member the arc arrow changes.  A single run is
-    the one-pair case.  Arc configurations refused with
-    DegenerateContactPoint during a sweep are appended to rejected; in a
-    single run the refusal propagates."""
+    """Per L-infinity of the run, one at a time: the line, its
+    classification (made once; None in a conic CSV run, whose rows come
+    from the line's orbit) and its configurations (L*, delta), one per
+    report.  A delta (position, classification) is the member in which the
+    report differs from the classification: in conic mode the one
+    configuration is (None, None); in arc mode there is one per L*, and the
+    delta is _arc_delta's change of Q*, the member through the contact
+    point.  A single run is the one-pair case.  Arc configurations refused
+    with DegenerateContactPoint during a sweep are appended to rejected; in
+    a single run the refusal propagates."""
     ctx = time_pencil_context(spec)
     arc = config.mode == "arc"
     if config.exhaustive:
@@ -242,15 +243,8 @@ def _arrow_reports(spec: FieldSpec, config: RunConfig, rejected: list[tuple[Proj
                 yield lstar, _arc_delta(report, contact, qstar.theta)
 
     for linf in linfs:
-        report = _report(spec, config.mode, linf)
-        tallies = report.tallies
-        if not arc:
-            yield report, tallies, ((None, None),)
-            continue
-        # Q* goes from Past to Present in every report of this ideal line
-        tallies = {"past": tallies["past"] - 1, "present": tallies["present"] + 1,
-                   "future": tallies["future"]}
-        yield report, tallies, arc_configurations(report)
+        report = _report(spec, config.mode, linf) if arc or config.output == "json" else None
+        yield linf, report, arc_configurations(report) if arc else ((None, None),)
 
 
 def _spliced(separator: str, texts: list[str],
@@ -283,15 +277,15 @@ class _ReportText:
     "reports" list (every line after the first indented four spaces), or
     CSV rows.  Every string in a report is hex or decimal digits, (a:b:c)
     or a class name, so nothing needs escaping.  A report's text is its
-    head, its members' texts and its tail, each made once per ideal line
-    by the callers.  Point strings and each member's id and theta text
-    are built on first use and reused for the rest of the run."""
+    head, its members' texts and its tail, made once per ideal line (CSV
+    rows once per orbit) by the callers.  Point strings and each member's
+    id and theta text are built on first use and reused for the run."""
 
     def __init__(self, spec: FieldSpec):
         self._fmt = spec.format
         self._points: dict[tuple[int, int, int], str] = {}
         self._json_heads: dict[tuple, str] = {}
-        self._csv_heads: dict[tuple, str] = {}
+        self._csv_rows: dict[tuple, str] = {}
 
     def triple(self, values: tuple[int, int, int]) -> str:
         text = self._points.get(values)
@@ -331,14 +325,15 @@ class _ReportText:
                      + '"\n          ]') if points else "[]"
         return f'{head}{c.temporal.value}",\n          "witnesses": {witnesses}\n        }}'
 
-    def member_csv(self, c: MemberClassification) -> str:
-        """The member's row after the configuration columns: id,theta,class."""
-        key = (c.member_id, c.theta)
-        head = self._csv_heads.get(key)
-        if head is None:
+    def member_csv(self, member_id: int, theta: tuple[int, int], temporal: TemporalClass) -> str:
+        """The member's row after the configuration columns: id,theta,class;
+        one string per (member, class), shared by every orbit's rows."""
+        key = (member_id, theta, temporal)
+        row = self._csv_rows.get(key)
+        if row is None:
             fmt = self._fmt
-            head = self._csv_heads[key] = f"{c.member_id},{fmt(c.theta[0])}:{fmt(c.theta[1])},"
-        return head + c.temporal.value
+            row = self._csv_rows[key] = f"{member_id},{fmt(theta[0])}:{fmt(theta[1])},{temporal}"
+        return row
 
 
 def _arrow_json(spec: FieldSpec, config: RunConfig) -> Iterator[str]:
@@ -350,7 +345,10 @@ def _arrow_json(spec: FieldSpec, config: RunConfig) -> Iterator[str]:
                f'  "exhaustive": true,\n  "reports": [')
     separator = opening
     distribution: dict[str, int] = {}
-    for report, tallies, configurations in _arrow_reports(spec, config, rejected):
+    for _, report, configurations in _arrow_reports(spec, config, rejected):
+        tallies = report.tallies
+        if config.mode == "arc":   # Q* goes from Past to Present in every report of the line
+            tallies = dict(tallies, past=tallies["past"] - 1, present=tallies["present"] + 1)
         head = text.json_head(report, tallies)
         members = [text.member_json(c) for c in report.classifications]
         key = f"{tallies['past']}:{tallies['present']}:{tallies['future']}"
@@ -382,21 +380,23 @@ def _arrow_json(spec: FieldSpec, config: RunConfig) -> Iterator[str]:
 
 def _arrow_csv(spec: FieldSpec, config: RunConfig) -> Iterator[str]:
     text = _ReportText(spec)
-    if config.exhaustive:
-        header = "q,mode,linf,lstar,member_id,theta,class\n"
-    else:
-        header = "q,mode,member_id,theta,class\n"
-    for report, _, configurations in _arrow_reports(spec, config, []):
-        rows = [text.member_csv(c) for c in report.classifications]
-        lead = f"{report.q},{report.mode},"
-        if config.exhaustive:
-            lead += f"{text.triple(report.ideal_line.values)},"
+    ctx = time_pencil_context(spec)
+    header = f"q,mode,{'linf,lstar,' if config.exhaustive else ''}member_id,theta,class\n"
+    lead = f"{spec.order},{config.mode},"
+    rows_by_orbit: dict[int, list[str]] = {}
+    for linf, _, configurations in _arrow_reports(spec, config, []):
+        u, ys = _orbit(ctx, linf)
+        rows = rows_by_orbit.get(u)
+        if rows is None:   # a member with no root y is Future, as in arrow._report
+            classes = [TemporalClass.FUTURE if y is None else TemporalClass.PAST for y in ys]
+            rows = rows_by_orbit[u] = list(map(text.member_csv, ctx.ids, ctx.thetas, classes))
         for lstar, delta in configurations:
             prefix = lead
             if config.exhaustive:
-                prefix += f"{text.triple(lstar.values) if lstar else ''},"
+                prefix += f"{text.triple(linf.values)},{text.triple(lstar.values) if lstar else ''},"
             # the header goes out with the first report, as in _arrow_json
-            yield header + prefix + _spliced("\n" + prefix, rows, delta, text.member_csv) + "\n"
+            yield header + prefix + _spliced("\n" + prefix, rows, delta, lambda c: text.member_csv(
+                c.member_id, c.theta, c.temporal)) + "\n"
             header = ""
     yield header
 
@@ -427,16 +427,11 @@ def _execute(config: RunConfig) -> Iterator[str]:
         else:
             yield from _arrow_json(spec, config)
         return
-    if config.command == "field-info":
-        payload = _payload_field_info(spec)
-    elif config.command == "plane":
-        payload = _payload_plane(spec)
-    elif config.command == "conic":
-        payload = _payload_conic(spec)
-    elif config.command == "pencil":
-        payload = _payload_pencil(spec)
-    else:
+    if config.command == "family":
         payload = _payload_family(spec, config)
+    else:
+        payload = {"field-info": _payload_field_info, "plane": _payload_plane,
+                   "conic": _payload_conic, "pencil": _payload_pencil}[config.command](spec)
     if config.output == "csv":
         yield "\n".join(_csv_lines(config, payload)) + "\n"
     else:

@@ -42,34 +42,22 @@ from .plane import (
 )
 
 
+@dataclass(frozen=True, slots=True)
 class Pencil:
     """Two linearly independent generator conics."""
+    generator1: Conic
+    generator2: Conic
 
-    __slots__ = ("generator1", "generator2")
-
-    def __init__(self, generator1: Conic, generator2: Conic):
-        if generator1.field != generator2.field:
+    def __post_init__(self):
+        if self.generator1.field != self.generator2.field:
             raise ValueError("generators must come from the same field")
-        if generator1 == generator2:
+        if self.generator1 == self.generator2:
             # conics are stored normalized, so equality == proportionality
             raise ValueError("generators must be linearly independent")
-        self.generator1 = generator1
-        self.generator2 = generator2
 
     @property
     def field(self) -> FieldSpec:
         return self.generator1.field
-
-    def __eq__(self, other):
-        return (isinstance(other, Pencil)
-                and self.generator1 == other.generator1
-                and self.generator2 == other.generator2)
-
-    def __hash__(self):
-        return hash((self.generator1, self.generator2))
-
-    def __repr__(self):
-        return f"Pencil({self.generator1}, {self.generator2})"
 
 
 @dataclass(frozen=True)
@@ -208,11 +196,11 @@ class TimePencilContext:
     A proper member x1*x2 + t*x3^2 (t != 0) is the oval of the points
     (1 : -t*c^2 : c), c in the field, and (0:1:0), built in O(q);
     conic.point_set's plane scan is the oracle.  In characteristic 2,
-    roots is _quadratic_roots(spec), from which arrow._report finds each
-    member's points on an ideal line."""
+    roots is _quadratic_roots(spec), by which arrow._orbit classifies each
+    member on an ideal line."""
 
     __slots__ = ("spec", "plane", "pencil", "members", "proper", "ids", "thetas",
-                 "roots", "B1", "B2", "N", "NB1", "NB2", "_by_lstar")
+                 "roots", "orbits", "B1", "B2", "N", "NB1", "NB2", "_by_lstar")
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
@@ -258,6 +246,7 @@ class TimePencilContext:
                 if len(joins) != len(pts):  # pragma: no cover
                     raise NucleiDiffer(f"member {m.theta} has an unexpected nucleus")
         self._by_lstar: dict[ProjLine, LstarEntry] = {}
+        self.orbits: dict[int, tuple[int | None, ...]] = {}   # arrow._orbit, per orbit u
 
     def lstar_entry(self, lstar: ProjLine) -> LstarEntry:
         """Touch points and arcs for a line through the nucleus."""
@@ -274,11 +263,6 @@ class TimePencilContext:
             entry = LstarEntry(tuple(touches), tuple(arcs))
             self._by_lstar[lstar] = entry
         return entry
-
-    def touch_points(self, lstar: ProjLine) -> tuple[ProjPoint, ...]:
-        """For each proper member, its unique intersection with a line
-        through the nucleus; aligned with self.proper."""
-        return self.lstar_entry(lstar).touches
 
     def valid_ideal_lines(self) -> tuple[ProjLine, ...]:
         """Lines passing validate_ideal_line, those with all three

@@ -258,7 +258,7 @@ def _arc_tallies_by_ideal_points(spec, linf, lstar):
     member theta iff it is on that member's conic and is not the touch
     point (the nucleus is never on a valid ideal line)."""
     ctx = time_pencil_context(spec)
-    touches = ctx.touch_points(lstar)
+    touches = ctx.lstar_entry(lstar).touches
     counts = {m.theta: 0 for _, m, _ in ctx.proper}
     for pt in points_on(linf, ctx.plane):
         for (_, member, _), touch in zip(ctx.proper, touches):

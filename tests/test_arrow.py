@@ -13,7 +13,14 @@ from galois_arrow.errors import (
 )
 from galois_arrow.field import make_field
 from galois_arrow.pencil import time_pencil_context
-from galois_arrow.plane import ProjLine, ProjPoint, _line_hits, build_plane, incident
+from galois_arrow.plane import (
+    ProjLine,
+    ProjPoint,
+    _line_hits,
+    _triple_index,
+    build_plane,
+    incident,
+)
 from galois_arrow.arc import build_time_family
 from galois_arrow.arrow import (
     TemporalClass,
@@ -228,3 +235,57 @@ def test_arc_arrow_matches_incidence_oracle(n):
                 expected.append(_oracle_row(member_id, member.theta, arc_pts, linf))
             assert _rows(arc_arrow(family)) == expected
     assert built == (spec.order - 1) ** 3 - (spec.order - 1) ** 2
+
+
+def _check_orbits(spec):
+    """Check conic_arrow on every valid L-infinity = (1 : b : c) against its
+    orbit representative (1 : u : 1), u = b/c^2: the same class per member,
+    and as witnesses the images (1 : y2/c^2 : y3/c) under sigma_{1/c} of the
+    representative's, in plane order.  Returns each class pattern with the
+    set of orbits u that show it."""
+    ctx = time_pencil_context(spec)
+    q, mul, inv = spec.order, spec._mul_i, spec._inv_i
+    representatives, patterns = {}, {}
+    for linf in ctx.valid_ideal_lines():
+        _, b, c = linf.values
+        u = mul(b, inv(mul(c, c)))
+        if u not in representatives:
+            representatives[u] = conic_arrow(spec, ProjLine(spec, (1, u, 1)))
+        rep = representatives[u]
+        report = conic_arrow(spec, linf)
+        ic = inv(c)
+        ic2 = mul(ic, ic)
+        for got, want in zip(report.classifications, rep.classifications, strict=True):
+            assert (got.member_id, got.theta, got.temporal) == (
+                want.member_id, want.theta, want.temporal)
+            images = sorted(((y1, mul(y2, ic2), mul(y3, ic))
+                             for y1, y2, y3 in (w.values for w in want.witnesses)),
+                            key=lambda values: _triple_index(q, values))
+            assert [w.values for w in got.witnesses] == images
+        pattern = tuple(m.temporal for m in report.classifications)
+        patterns.setdefault(pattern, set()).add(u)
+    assert all(len(us) == 1 for us in patterns.values())
+    return patterns
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5], ids=lambda n: f"q{2 ** n}")
+def test_conic_arrow_is_its_orbit_representatives_image(n):
+    """The q-1 orbits of valid ideal lines under sigma show q-1 distinct
+    class patterns, one per orbit, and each line's witnesses are the
+    images of its representative's (the proof is in arrow's docstring)."""
+    spec = make_field(2, n)
+    assert len(_check_orbits(spec)) == spec.order - 1
+
+
+def test_conic_arrow_matches_incidence_oracle_q64_by_orbits():
+    """At q = 64 the incidence scan checks the 63 orbit representatives
+    (1 : u : 1), and every other valid ideal line is checked against its
+    representative by _check_orbits."""
+    spec = make_field(2, 6)
+    ctx = time_pencil_context(spec)
+    for u in range(1, spec.order):
+        linf = ProjLine(spec, (1, u, 1))
+        expected = [_oracle_row(member_id, member.theta, pts, linf)
+                    for member_id, member, pts in ctx.proper]
+        assert _rows(conic_arrow(spec, linf)) == expected
+    assert len(_check_orbits(spec)) == spec.order - 1

@@ -277,6 +277,8 @@ def test_csv_exhaustive_includes_configuration_columns():
     (["arrow", "--n", "3", "--mode", "arc", "--linf", "1,0,0"], "HitsBasePoint"),
     (["field-info", "--p", "2305843009213693951", "--n", "1"], "OrderTooLarge"),
     (["field-info", "--p", "3", "--n", "30000000"], "OrderTooLarge"),
+    (["arrow", "--n", "2", "--mode", "conic", "--exhaustive", "--linf", "1,1,0"], "UsageError"),
+    (["arrow", "--n", "2", "--mode", "arc", "--exhaustive", "--lstar", "1,1,0"], "UsageError"),
 ])
 def test_rejected_input_follows_the_exit_code_contract(argv, error):
     code, out, err = _run(argv)   # an exception escaping main is a traceback

@@ -82,6 +82,15 @@ def test_base_points():
         assert got == {ProjPoint(spec, (0, 1, 0)), ProjPoint(spec, (1, 0, 0))}
 
 
+@pytest.mark.parametrize("spec", [GF2, GF3, GF4, GF5, GF8, GF9], ids=lambda s: f"q{s.order}")
+def test_time_pencil_base_points_are_b2_then_b1(spec):
+    """The pencil command prints (B2, B1) = ((1:0:0), (0:1:0)) in closed form;
+    base_points' scan of every plane point is its oracle."""
+    ctx = time_pencil_context(spec)
+    assert base_points(ctx.pencil, ctx.plane) == (ctx.B2, ctx.B1)
+    assert [p.values for p in (ctx.B2, ctx.B1)] == [(1, 0, 0), (0, 1, 0)]
+
+
 def test_base_points_of_double_line_pencil():
     pencil = Pencil(Conic(GF4, (1, 0, 0, 0, 0, 0)), Conic(GF4, (0, 0, 0, 1, 0, 0)))
     got = base_points(pencil, build_plane(GF4))
