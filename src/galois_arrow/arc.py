@@ -3,9 +3,9 @@ is-it-a-conic test, and the family of arcs carved out of the canonical
 pencil by a chosen tangent line through the nucleus.
 
 The family construction: fix an ideal line avoiding both base points and
-the nucleus, and a line L* through the nucleus other than NB1, NB2.  From
-each proper pencil member delete the single point where L* touches it and
-add the nucleus.  Every resulting set is again a (q+1)-arc, and exactly
+the nucleus, and a line L* through the nucleus missing both base points.
+From each proper pencil member delete the single point where L* touches
+it and add the nucleus.  Every resulting set is again a (q+1)-arc, and exactly
 one of them is tangent to the ideal line.
 """
 
@@ -20,6 +20,7 @@ from .errors import (
     DegenerateConic,
     DegenerateContactPoint,
     DuplicatePoints,
+    IntersectionNotSingle,
     InvalidTangentLine,
     NotThroughNucleus,
     OddCharacteristic,
@@ -40,12 +41,12 @@ from .pencil import (
     Pencil,
     PencilMember,
     TimePencilContext,
-    _touch_point,
     member_through,
     time_pencil_context,
     validate_ideal_line,
 )
-from .plane import Plane, ProjLine, ProjPoint, _triple_index, collinear, incident, meet
+from .plane import (Plane, ProjLine, ProjPoint, _check_field, _join_index, _line_hits,
+                    _triple_index, collinear, incident)
 
 
 @dataclass(frozen=True)
@@ -84,13 +85,6 @@ class ArcFamily:
     thetas: tuple[tuple[int, int], ...]
     touch_points: tuple[ProjPoint, ...]
     provenance: FamilyProvenance
-
-    @property
-    def masks(self) -> tuple[int, ...]:
-        """Each arc's point set as a bitmask over plane point indices."""
-        q = self.spec.order
-        return tuple(sum(1 << _triple_index(q, p.values) for p in arc.points)
-                     for arc in self.members)
 
 
 def is_arc(points: Iterable[ProjPoint]) -> bool:
@@ -141,21 +135,27 @@ def touch_point(conic: Conic, lstar: ProjLine, plane: Plane) -> ProjPoint:
         raise DegenerateConic(f"{conic} is degenerate")
     if not incident(_nucleus_char2(conic), lstar):
         raise NotThroughNucleus(f"{lstar} misses the nucleus")
-    return _touch_point(point_set(conic, plane), lstar)
+    # every line through the nucleus is tangent in characteristic 2
+    hits = _line_hits(point_set(conic, plane), lstar)
+    if len(hits) != 1:
+        raise IntersectionNotSingle(f"{lstar} meets the conic in {len(hits)} points")
+    return hits[0]
 
 
 def validate_lines(ctx: TimePencilContext, linfs: Iterable[ProjLine],
                    lstars: Iterable[ProjLine]) -> None:
     """The line checks of a family configuration, in this order: each ideal
     line by validate_ideal_line, then each L* must pass through the nucleus
-    and be neither NB1 nor NB2.  contact_member checks each pair."""
+    N = (0:0:1) and miss both base points, that is be neither (1:0:0) nor
+    (0:1:0); so the valid L* are those with l3 = 0 and l1*l2 != 0.  contact_member checks each pair."""
     for linf in linfs:
         validate_ideal_line(linf, ctx.plane)
     for lstar in lstars:
-        if not incident(ctx.N, lstar):
+        _check_field(lstar, ctx.plane)
+        l1, l2, l3 = lstar.values
+        if l3:
             raise InvalidTangentLine(f"{lstar} does not pass through the nucleus {ctx.N}")
-        # incident() above has checked lstar's field, so the values decide equality
-        if lstar.values in (ctx.NB1.values, ctx.NB2.values):
+        if not (l1 and l2):
             raise InvalidTangentLine(f"{lstar} joins the nucleus to a base point")
 
 
@@ -163,8 +163,10 @@ def contact_member(ctx: TimePencilContext, linf: ProjLine, lstar: ProjLine
                    ) -> tuple[ProjPoint, PencilMember]:
     """The contact point A = linf ∧ lstar of lines passing validate_lines,
     and the member Q* through it, which must be proper."""
-    # A avoids B1 and B2 because linf does, so exactly one member passes through it
-    contact = meet(linf, lstar)
+    # points and lines share one enumeration, so the index of the join of two
+    # lines is the index of their meet; A avoids B1 and B2 because linf does,
+    # so exactly one member passes through it
+    contact = ctx.plane.points[_join_index(ctx.spec, linf.values, lstar.values)]
     qstar = member_through(ctx.pencil, contact, ctx.plane)
     if not qstar.is_proper:
         raise DegenerateContactPoint(
@@ -181,8 +183,9 @@ def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine) -> ArcFa
     its zero set) form an oval, an arc; the context also proves the
     nucleus joins each of them by a distinct line, so every member stays
     an arc for every lstar.
-    The arcs depend only on lstar, so they come from the context's
-    per-lstar cache, in plane order.
+    Each of the q+1 members meets lstar in one point: x1*x2 in N, x3^2 in
+    one point of x3 = 0 and each proper member in its touch point.  Each
+    arc keeps its member's plane order, N being the last plane point.
     """
     if spec.characteristic != 2:
         raise OddCharacteristic("the family construction needs characteristic 2")
@@ -191,10 +194,17 @@ def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine) -> ArcFa
     ctx = time_pencil_context(spec)
     validate_lines(ctx, (linf,), (lstar,))
     contact, qstar = contact_member(ctx, linf, lstar)
-    entry = ctx.lstar_entry(lstar)
+    on_member = {member_through(ctx.pencil, p, ctx.plane).theta: p
+                 for p in ctx.plane.points_on(lstar)}
+    if len(on_member) != spec.order + 1:
+        raise IntersectionNotSingle(f"{lstar} meets some member in more than one point")
+    touches = tuple(on_member[theta] for theta in ctx.thetas)
+    # each touch point is one of the plane's point objects, as are the
+    # members' points, so identity drops it
+    arcs = tuple(Arc(tuple(p for p in pts if p is not touch) + (ctx.N,))
+                 for (_, _, pts), touch in zip(ctx.proper, touches))
     provenance = FamilyProvenance(ctx.pencil, linf, lstar, contact, qstar.theta)
-    return ArcFamily(spec, ctx.plane, entry.arcs, ctx.ids, ctx.thetas, entry.touches,
-                     provenance)
+    return ArcFamily(spec, ctx.plane, arcs, ctx.ids, ctx.thetas, touches, provenance)
 
 
 def family_to_dict(family: ArcFamily) -> dict:

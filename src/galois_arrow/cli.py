@@ -123,6 +123,8 @@ def parse_args(argv: list[str]) -> RunConfig:
     exhaustive = getattr(ns, "exhaustive", False)
     if exhaustive and (linf_text is not None or lstar_text is not None):
         raise UsageError("--exhaustive sweeps every valid line and takes no --linf or --lstar")
+    if ns.command == "arrow" and mode == "conic" and lstar_text is not None:
+        raise UsageError("--lstar selects the arc family; --mode conic takes none")
     gen = ns.p if ns.n >= 2 else 1   # canonical generator value
     linf = _parse_triple(linf_text, q) if linf_text else (1, 1, 1)
     lstar = _parse_triple(lstar_text, q) if lstar_text else (1, gen, 0)

@@ -10,13 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple
 
 from .errors import (
     BasePoint,
     HitsBasePoint,
     HitsNucleus,
-    IntersectionNotSingle,
     MemberPointsMismatch,
     NoProperMember,
     NucleiDiffer,
@@ -35,10 +33,8 @@ from .plane import (
     ProjPoint,
     _check_field,
     _join_index,
-    _line_hits,
     _triple_index,
     build_plane,
-    line_through,
 )
 
 
@@ -161,23 +157,6 @@ def validate_ideal_line(linf: ProjLine, plane: Plane) -> None:
         raise HitsNucleus(f"ideal line {linf} passes through the nucleus (0:0:1)")
 
 
-def _touch_point(points: Iterable[ProjPoint], lstar: ProjLine) -> ProjPoint:
-    """The single point of a proper member's zero set on a line through
-    the nucleus; every such line is tangent in characteristic 2."""
-    hits = _line_hits(points, lstar)
-    if len(hits) != 1:
-        raise IntersectionNotSingle(f"{lstar} meets the conic in {len(hits)} points")
-    return hits[0]
-
-
-class LstarEntry(NamedTuple):
-    """What the arc family takes from one line L* through the nucleus, per
-    proper member (aligned with TimePencilContext.proper): its touch point
-    on L* and its arc (the member's points without the touch point, plus N)."""
-    touches: tuple[ProjPoint, ...]
-    arcs: tuple            # of arc.Arc
-
-
 def _quadratic_roots(spec: FieldSpec) -> list[int | None]:
     """For each k of GF(2^n), a root y of y^2 + y = k, or None if there is
     none, which is exactly when the absolute trace of k is 1; y + 1 is the
@@ -190,8 +169,8 @@ def _quadratic_roots(spec: FieldSpec) -> list[int | None]:
 
 class TimePencilContext:
     """Plane, canonical pencil, member ids, thetas and point sets, and the
-    distinguished points/lines every temporal construction needs.  One per
-    field, cached; also caches one LstarEntry per line L*.
+    distinguished points B1, B2 and N every temporal construction needs.
+    One per field, cached.
 
     A proper member x1*x2 + t*x3^2 (t != 0) is the oval of the points
     (1 : -t*c^2 : c), c in the field, and (0:1:0), built in O(q);
@@ -200,7 +179,7 @@ class TimePencilContext:
     member on an ideal line."""
 
     __slots__ = ("spec", "plane", "pencil", "members", "proper", "ids", "thetas",
-                 "roots", "orbits", "B1", "B2", "N", "NB1", "NB2", "_by_lstar")
+                 "roots", "orbits", "B1", "B2", "N")
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
@@ -233,8 +212,6 @@ class TimePencilContext:
         # member ids and thetas, aligned with proper
         self.ids = tuple(idx for idx, _, _ in proper)
         self.thetas = tuple(m.theta for _, m, _ in proper)
-        self.NB1 = line_through(self.N, self.B1)
-        self.NB2 = line_through(self.N, self.B2)
         self.roots = None
         if spec.characteristic == 2:
             self.roots = _quadratic_roots(spec)
@@ -245,24 +222,7 @@ class TimePencilContext:
                 joins = {_join_index(spec, n, p.values) for p in pts}
                 if len(joins) != len(pts):  # pragma: no cover
                     raise NucleiDiffer(f"member {m.theta} has an unexpected nucleus")
-        self._by_lstar: dict[ProjLine, LstarEntry] = {}
         self.orbits: dict[int, tuple[int | None, ...]] = {}   # arrow._orbit, per orbit u
-
-    def lstar_entry(self, lstar: ProjLine) -> LstarEntry:
-        """Touch points and arcs for a line through the nucleus."""
-        entry = self._by_lstar.get(lstar)
-        if entry is None:
-            from .arc import Arc   # arc imports this module
-            touches, arcs = [], []
-            for _, _, pts in self.proper:
-                touch = _touch_point(pts, lstar)
-                touches.append(touch)
-                # touch is one of the objects in pts, so identity drops it;
-                # N is the last plane point, so each arc stays in plane order
-                arcs.append(Arc(tuple(p for p in pts if p is not touch) + (self.N,)))
-            entry = LstarEntry(tuple(touches), tuple(arcs))
-            self._by_lstar[lstar] = entry
-        return entry
 
     def valid_ideal_lines(self) -> tuple[ProjLine, ...]:
         """Lines passing validate_ideal_line, those with all three
@@ -270,8 +230,9 @@ class TimePencilContext:
         return tuple(l for l in self.plane.lines if all(l.values))
 
     def valid_tangent_lines(self) -> tuple[ProjLine, ...]:
-        """Lines through N other than NB1 = (1:0:0) and NB2 = (0:1:0), which
-        are the lines (1 : a : 0) with a != 0, at index a*q, in plane line order."""
+        """Lines through N other than (1:0:0) and (0:1:0), its joins with B1
+        and B2, which are the lines (1 : a : 0) with a != 0, at index a*q, in
+        plane line order."""
         q = self.spec.order
         return tuple(self.plane.lines[a * q] for a in range(1, q))
 

@@ -38,7 +38,7 @@ from galois_arrow.conic import (
     tangent_lines,
 )
 from galois_arrow.pencil import members, time_pencil, time_pencil_context
-from galois_arrow.arc import Arc, build_time_family, is_arc, is_conic_arc
+from galois_arrow.arc import Arc, build_time_family, is_arc, is_conic_arc, touch_point
 from galois_arrow.arrow import arc_arrow, conic_arrow
 
 GF2 = make_field(2, 1)
@@ -258,7 +258,7 @@ def _arc_tallies_by_ideal_points(spec, linf, lstar):
     member theta iff it is on that member's conic and is not the touch
     point (the nucleus is never on a valid ideal line)."""
     ctx = time_pencil_context(spec)
-    touches = ctx.lstar_entry(lstar).touches
+    touches = [touch_point(member.conic, lstar, ctx.plane) for _, member, _ in ctx.proper]
     counts = {m.theta: 0 for _, m, _ in ctx.proper}
     for pt in points_on(linf, ctx.plane):
         for (_, member, _), touch in zip(ctx.proper, touches):

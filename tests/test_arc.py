@@ -9,8 +9,10 @@ from galois_arrow.errors import (
     ArcTooSmall,
     DegenerateContactPoint,
     DuplicatePoints,
+    IntersectionNotSingle,
     InvalidIdealLine,
     InvalidTangentLine,
+    MixedFields,
     NotThroughNucleus,
     OddCharacteristic,
     PointNotInArc,
@@ -24,6 +26,7 @@ from galois_arrow.conic import (
     fit_conic,
     point_set,
 )
+from galois_arrow import arc as arc_module
 from galois_arrow.pencil import time_pencil_context
 from galois_arrow.plane import ProjLine, ProjPoint, build_plane, incident, points_on
 from galois_arrow.arc import (
@@ -222,6 +225,11 @@ def test_family_rejects_bad_ideal_lines():
         _family(GF8, linf=(1, 1, 0))
 
 
+def test_family_rejects_tangent_line_from_another_field():
+    with pytest.raises(MixedFields):
+        build_time_family(GF8, ProjLine(GF8, (1, 1, 1)), ProjLine(GF4, (1, 2, 0)))
+
+
 def test_family_rejects_degenerate_contact_point():
     # A = (1:1:0) lands on the double line x3 = 0
     with pytest.raises(DegenerateContactPoint):
@@ -260,6 +268,18 @@ def test_touch_points_partition_lstar():
     assert leftovers <= double_line_pts
 
 
+def test_family_refuses_lstar_not_one_to_one_on_members(monkeypatch):
+    """Each point of L* lies on its own member; were two on one member,
+    that member's touch point would not be single."""
+    ctx = time_pencil_context(GF8)
+    qstar = _family(GF8).provenance.qstar_theta
+    member = next(m for _, m, _ in ctx.proper if m.theta == qstar)
+    monkeypatch.setattr(arc_module, "member_through", lambda *args: member)
+    with pytest.raises(IntersectionNotSingle,
+                       match=r"^\(1:2:0\) meets some member in more than one point$"):
+        _family(GF8)
+
+
 def _first_unrejected_family(ctx, lstar):
     for linf in ctx.valid_ideal_lines():
         try:
@@ -274,26 +294,24 @@ def _first_unrejected_family(ctx, lstar):
 def test_family_members_are_arcs_for_every_lstar(spec):
     """Brute-force oracle for the unchecked family build: for every valid
     L*, with the first L-infinity that is not rejected, every member is a
-    (q+1)-arc listed in plane order."""
+    (q+1)-arc listed in plane order, without its member's touch point on
+    L* as the touch_point oracle finds it."""
     ctx = time_pencil_context(spec)
     lstars = ctx.valid_tangent_lines()
     assert len(lstars) == spec.order - 1
     for lstar in lstars:
         fam = _first_unrejected_family(ctx, lstar)
         assert len(fam.members) == spec.order - 1
-        assert len(fam.masks) == len(fam.members)
         # the closed-form is_conic against the five-point fit
         assert ([m["is_conic"] for m in family_to_dict(fam)["members"]]
                 == [is_conic_arc(arc) for arc in fam.members])
-        for arc, touch, mask in zip(fam.members, fam.touch_points, fam.masks):
+        for (_, member, _), arc, touch in zip(ctx.proper, fam.members, fam.touch_points):
+            assert touch == touch_point(member.conic, lstar, fam.plane)
             assert arc.size == spec.order + 1
             assert touch not in arc
             assert is_arc(arc.points)
             assert list(arc.points) == sorted(arc.points,
                                               key=fam.plane.points.index)
-            # the masks property, bit by bit: set exactly at the arc's points
-            assert ([i for i in range(len(fam.plane.points)) if mask >> i & 1]
-                    == [fam.plane.points.index(p) for p in arc.points])
 
 
 def test_family_serialization_schema():

@@ -279,6 +279,8 @@ def test_csv_exhaustive_includes_configuration_columns():
     (["field-info", "--p", "3", "--n", "30000000"], "OrderTooLarge"),
     (["arrow", "--n", "2", "--mode", "conic", "--exhaustive", "--linf", "1,1,0"], "UsageError"),
     (["arrow", "--n", "2", "--mode", "arc", "--exhaustive", "--lstar", "1,1,0"], "UsageError"),
+    (["arrow", "--n", "3", "--mode", "conic", "--lstar", "1,1,1"], "UsageError"),
+    (["arrow", "--n", "3", "--lstar", "1,0,0"], "UsageError"),
 ])
 def test_rejected_input_follows_the_exit_code_contract(argv, error):
     code, out, err = _run(argv)   # an exception escaping main is a traceback

@@ -8,6 +8,7 @@ from galois_arrow.errors import (
     HitsBasePoint,
     HitsNucleus,
     InvalidIdealLine,
+    InvalidTangentLine,
     MixedFields,
     NoProperMember,
     NucleiDiffer,
@@ -25,7 +26,8 @@ from galois_arrow.pencil import (
     time_pencil_context,
     validate_ideal_line,
 )
-from galois_arrow.plane import ProjLine, ProjPoint, build_plane, incident, meet
+from galois_arrow.plane import ProjLine, ProjPoint, build_plane, incident, line_through, meet
+from galois_arrow.arc import validate_lines
 
 GF2 = make_field(2, 1)
 GF3 = make_field(3, 1)
@@ -224,13 +226,26 @@ def test_context_masks_are_the_member_point_sets(spec):
 @pytest.mark.parametrize("spec", [GF3, GF4, GF5, GF8, GF9, GF16],
                          ids=lambda s: f"q{s.order}")
 def test_line_validity_from_coefficients_matches_incidence(spec):
-    """The valid ideal and tangent lines, and the error validate_ideal_line
-    raises for every plane line, all read off coefficients, against their
-    incidence definitions: an ideal line avoids B1, B2 and N; L* passes
-    through N and is neither NB1 nor NB2."""
+    """The valid ideal and tangent lines, and the errors validate_ideal_line
+    and validate_lines raise for every plane line, all read off
+    coefficients, against their incidence definitions: an ideal line avoids
+    B1, B2 and N; L* passes through N and is neither NB1 nor NB2."""
     ctx = time_pencil_context(spec)
     plane = ctx.plane
+    nb1, nb2 = line_through(ctx.N, ctx.B1), line_through(ctx.N, ctx.B2)
     for line in plane.lines:
+        if not incident(ctx.N, line):
+            expected = (InvalidTangentLine, f"{line} does not pass through the nucleus {ctx.N}")
+        elif line in (nb1, nb2):
+            expected = (InvalidTangentLine, f"{line} joins the nucleus to a base point")
+        else:
+            expected = None
+        try:
+            validate_lines(ctx, (), (line,))
+            got = None
+        except InvalidTangentLine as exc:
+            got = (type(exc), str(exc))
+        assert got == expected
         if incident(ctx.B1, line) or incident(ctx.B2, line):
             expected = (HitsBasePoint, f"ideal line {line} passes through a base point")
         elif incident(ctx.N, line):
@@ -246,7 +261,7 @@ def test_line_validity_from_coefficients_matches_incidence(spec):
     assert ctx.valid_ideal_lines() == tuple(
         l for l in plane.lines if not any(incident(pt, l) for pt in (ctx.B1, ctx.B2, ctx.N)))
     assert ctx.valid_tangent_lines() == tuple(
-        l for l in plane.lines if incident(ctx.N, l) and l not in (ctx.NB1, ctx.NB2))
+        l for l in plane.lines if incident(ctx.N, l) and l not in (nb1, nb2))
 
 
 def test_validate_ideal_line_rejects_other_fields():
