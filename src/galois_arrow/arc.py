@@ -11,9 +11,8 @@ one of them is tangent to the ideal line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import (
     ArcTooSmall,
@@ -45,14 +44,34 @@ from .pencil import (
     time_pencil_context,
     validate_ideal_line,
 )
-from .plane import (Plane, ProjLine, ProjPoint, _check_field, _join_index, _line_hits,
-                    _triple_index, collinear, incident)
+from .plane import (Plane, ProjLine, ProjPoint, _check_field, _line_hits, _triple_index,
+                    collinear, incident)
 
 
-@dataclass(frozen=True)
 class Arc:
-    """A set of points no three of which are collinear, in a fixed order."""
-    points: tuple[ProjPoint, ...]
+    """A set of points no three of which are collinear, in a fixed order.
+
+    Immutable, equal and hashed by its points; not a tuple, so that len()
+    and iteration are not those of a one-field record."""
+    __slots__ = ("points",)
+
+    def __init__(self, points: tuple[ProjPoint, ...]):
+        object.__setattr__(self, "points", points)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of an Arc")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r} of an Arc")
+
+    def __eq__(self, other):
+        return self.points == other.points if type(other) is Arc else NotImplemented
+
+    def __hash__(self):
+        return hash(self.points)
+
+    def __repr__(self):
+        return f"Arc(points={self.points!r})"
 
     @property
     def size(self) -> int:
@@ -65,8 +84,7 @@ class Arc:
         return iter(self.points)
 
 
-@dataclass(frozen=True)
-class FamilyProvenance:
+class FamilyProvenance(NamedTuple):
     """What the family was built from, kept for auditability."""
     pencil: Pencil
     linf: ProjLine
@@ -75,8 +93,7 @@ class FamilyProvenance:
     qstar_theta: tuple[int, int]       # parameter of the member through A
 
 
-@dataclass(frozen=True)
-class ArcFamily:
+class ArcFamily(NamedTuple):
     """One arc per proper pencil member, in member order."""
     spec: FieldSpec
     plane: Plane
@@ -162,16 +179,27 @@ def validate_lines(ctx: TimePencilContext, linfs: Iterable[ProjLine],
 def contact_member(ctx: TimePencilContext, linf: ProjLine, lstar: ProjLine
                    ) -> tuple[ProjPoint, PencilMember]:
     """The contact point A = linf ∧ lstar of lines passing validate_lines,
-    and the member Q* through it, which must be proper."""
-    # points and lines share one enumeration, so the index of the join of two
-    # lines is the index of their meet; A avoids B1 and B2 because linf does,
-    # so exactly one member passes through it
-    contact = ctx.plane.points[_join_index(ctx.spec, linf.values, lstar.values)]
-    qstar = member_through(ctx.pencil, contact, ctx.plane)
-    if not qstar.is_proper:
+    and the member Q* through it, which must be proper.
+
+    In closed form; plane.meet and member_through are the oracle.  Such
+    lines are linf = (1 : b : c), bc != 0, and lstar = (1 : a : 0), a != 0,
+    so in characteristic 2 A = linf × lstar = (ca : c : a + b).  If a = b,
+    A = (1 : 1/a : 0) lies on x3^2 = 0, a degenerate member.  Otherwise
+    A = (1 : 1/a : (a + b)/(ac)), at index (1/a)*q + (a + b)/(ac), and the
+    member x1*x2 + t*x3^2 through it has t = x1*x2/x3^2 = c^2*a/(a + b)^2,
+    which is nonzero: Q* is the proper member (1, t), at position t."""
+    spec = ctx.spec
+    mul, inv = spec._mul_i, spec._inv_i
+    _, b, c = linf.values
+    a = lstar.values[1]
+    a_plus_b = a ^ b
+    x2 = inv(a)
+    if not a_plus_b:
+        contact = ctx.plane.points[x2 * spec.order]
         raise DegenerateContactPoint(
             f"{contact} = {linf} ∧ {lstar} lies on a degenerate member")
-    return contact, qstar
+    contact = ctx.plane.points[x2 * spec.order + mul(a_plus_b, inv(mul(a, c)))]
+    return contact, ctx.members[mul(mul(c, c), mul(a, inv(mul(a_plus_b, a_plus_b))))]
 
 
 def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine) -> ArcFamily:

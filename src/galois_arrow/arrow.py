@@ -42,7 +42,7 @@ it raises ArcDeltaMismatch if Q* is not Past with A as a witness.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ArcDeltaMismatch, IntersectionTooLarge, OddCharacteristic
 from .field import FieldSpec
@@ -64,16 +64,14 @@ class TemporalClass(enum.Enum):
 _TEMPORAL_BY_HITS = (TemporalClass.FUTURE, TemporalClass.PRESENT, TemporalClass.PAST)
 
 
-@dataclass(frozen=True)
-class MemberClassification:
+class MemberClassification(NamedTuple):
     member_id: int
     theta: tuple[int, int]
     temporal: TemporalClass
     witnesses: tuple[ProjPoint, ...]   # the member's points on the ideal line
 
 
-@dataclass(frozen=True)
-class ArrowReport:
+class ArrowReport(NamedTuple):
     """Per-member temporal classes plus tallies, for one ideal line."""
     q: int
     mode: str                          # "conic" or "arc"

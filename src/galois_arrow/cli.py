@@ -23,8 +23,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
     DegenerateContactPoint,
@@ -45,8 +44,7 @@ COMMANDS = ("field-info", "plane", "conic", "pencil", "family", "arrow")
 _CSV_COMMANDS = ("pencil", "family", "arrow")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     p: int
     n: int

@@ -8,8 +8,9 @@ are indexed by theta = (t1, t2), normalized so the first nonzero entry is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import (
     BasePoint,
@@ -38,26 +39,24 @@ from .plane import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Pencil:
+class Pencil(namedtuple("Pencil", "generator1 generator2")):
     """Two linearly independent generator conics."""
-    generator1: Conic
-    generator2: Conic
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.generator1.field != self.generator2.field:
+    def __new__(cls, generator1: Conic, generator2: Conic):
+        if generator1.field != generator2.field:
             raise ValueError("generators must come from the same field")
-        if self.generator1 == self.generator2:
+        if generator1 == generator2:
             # conics are stored normalized, so equality == proportionality
             raise ValueError("generators must be linearly independent")
+        return super().__new__(cls, generator1, generator2)
 
     @property
     def field(self) -> FieldSpec:
         return self.generator1.field
 
 
-@dataclass(frozen=True)
-class PencilMember:
+class PencilMember(NamedTuple):
     """One member: its normalized parameter, its conic, and its degeneracy."""
     theta: tuple[int, int]
     conic: Conic

@@ -27,12 +27,13 @@ from galois_arrow.conic import (
     point_set,
 )
 from galois_arrow import arc as arc_module
-from galois_arrow.pencil import time_pencil_context
-from galois_arrow.plane import ProjLine, ProjPoint, build_plane, incident, points_on
+from galois_arrow.pencil import member_through, time_pencil_context
+from galois_arrow.plane import ProjLine, ProjPoint, build_plane, incident, meet, points_on
 from galois_arrow.arc import (
     Arc,
     augment_with_nucleus,
     build_time_family,
+    contact_member,
     family_to_dict,
     is_arc,
     is_conic_arc,
@@ -234,6 +235,29 @@ def test_family_rejects_degenerate_contact_point():
     # A = (1:1:0) lands on the double line x3 = 0
     with pytest.raises(DegenerateContactPoint):
         _family(GF8, linf=(1, 1, 1), lstar=(1, 1, 0))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5], ids=lambda n: f"q{2 ** n}")
+def test_contact_member_matches_the_incidence_oracle(n):
+    """The closed-form contact point and Q* against plane.meet and
+    member_through on every valid (L-infinity, L*) pair, the rejected pairs
+    and their messages included."""
+    spec = make_field(2, n)
+    ctx = time_pencil_context(spec)
+    rejected = 0
+    for linf in ctx.valid_ideal_lines():
+        for lstar in ctx.valid_tangent_lines():
+            contact = meet(linf, lstar)
+            qstar = member_through(ctx.pencil, contact, ctx.plane)
+            if qstar.is_proper:
+                assert contact_member(ctx, linf, lstar) == (contact, qstar)
+                continue
+            rejected += 1
+            with pytest.raises(DegenerateContactPoint) as exc:
+                contact_member(ctx, linf, lstar)
+            assert str(exc.value) == f"{contact} = {linf} ∧ {lstar} lies on a degenerate member"
+    # A lies on the double line x3 = 0 exactly when L-infinity = (1 : a : c), L* = (1 : a : 0)
+    assert rejected == (spec.order - 1) ** 2
 
 
 def test_family_unsupported_fields():

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,7 +18,7 @@ from galois_arrow.errors import (
     UsageError,
 )
 from galois_arrow import cli
-from galois_arrow.arc import build_time_family, contact_member
+from galois_arrow.arc import Arc, build_time_family, contact_member
 from galois_arrow.arrow import (
     TemporalClass,
     _arc_delta,
@@ -29,7 +28,7 @@ from galois_arrow.arrow import (
     conic_arrow,
 )
 from galois_arrow.field import make_field
-from galois_arrow.pencil import time_pencil_context
+from galois_arrow.pencil import PencilMember, time_pencil, time_pencil_context
 from galois_arrow.plane import ProjLine, _line_hits
 
 
@@ -442,13 +441,13 @@ def test_arc_sweep_matches_the_incidence_oracle(n):
 
 
 def _future(report, ctx):
-    return [replace(c, temporal=TemporalClass.FUTURE, witnesses=())
+    return [c._replace(temporal=TemporalClass.FUTURE, witnesses=())
             for c in report.classifications]
 
 
 def _past_without_the_contact_point(report, ctx):
     # B2 and N lie on no valid ideal line, so neither is a contact point
-    return [replace(c, witnesses=(ctx.B2, ctx.N)) if c.witnesses else c
+    return [c._replace(witnesses=(ctx.B2, ctx.N)) if c.witnesses else c
             for c in report.classifications]
 
 
@@ -460,7 +459,7 @@ def test_qstar_not_past_with_the_contact_point_exits_3(monkeypatch, change, argv
     witness; a classification that breaks this stops the run with exit 3."""
     def changed(spec, mode, linf):
         report = _report(spec, mode, linf)
-        return replace(report, classifications=tuple(
+        return report._replace(classifications=tuple(
             change(report, time_pencil_context(spec))))
 
     monkeypatch.setattr(cli, "_report", changed)
@@ -485,3 +484,65 @@ def test_closed_stdout_exits_0_quietly():
     assert proc.wait(timeout=120) == 0
     assert len(head) == 100
     assert err == b"" and b"Traceback" not in err
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """The records are named tuples and slotted classes, so importing the
+    CLI adds neither module to those argparse and json already load."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, argparse, json\n"
+            "before = set(sys.modules)\n"
+            "import galois_arrow.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def _records():
+    """Per record type: two equal records built apart, and an unequal one."""
+    gf8 = make_field(2, 3)
+    ctx = time_pencil_context(gf8)
+    families = [build_time_family(gf8, ProjLine(gf8, (1, 1, 1)), ProjLine(gf8, lstar))
+                for lstar in ((1, 2, 0), (1, 2, 0), (1, 3, 0))]
+    reports = [arc_arrow(family) for family in families]
+    return {
+        "Pencil": [time_pencil(gf8), time_pencil(gf8), time_pencil(make_field(2, 2))],
+        "PencilMember": [ctx.members[1], PencilMember(*ctx.members[1]), ctx.members[2]],
+        "Arc": [family.members[0] for family in families],
+        "FamilyProvenance": [family.provenance for family in families],
+        "ArcFamily": families,
+        "MemberClassification": [
+            next(c for c in r.classifications if c.temporal is TemporalClass.PRESENT)
+            for r in reports],
+        "ArrowReport": reports,
+        "RunConfig": [cli.parse_args(argv.split())
+                      for argv in ("arrow --n 3", "arrow --n 3", "arrow --n 4")],
+    }
+
+
+@pytest.mark.parametrize("name", ["Pencil", "PencilMember", "Arc", "FamilyProvenance",
+                                  "ArcFamily", "MemberClassification", "ArrowReport",
+                                  "RunConfig"])
+def test_records_are_immutable_and_equal_by_value(name):
+    record, again, other = _records()[name]
+    assert type(record).__name__ == name
+    assert record is not again and record == again and hash(record) == hash(again)
+    assert record != other
+    assert {record, again, other} == {record, other}
+    field = getattr(record, "_fields", ("points",))[0]
+    for name in (field, "unknown_field"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert getattr(record, field) == getattr(again, field)
+
+
+def test_an_arc_is_not_a_one_field_tuple():
+    gf8 = make_field(2, 3)
+    arc = build_time_family(gf8, ProjLine(gf8, (1, 1, 1)), ProjLine(gf8, (1, 2, 0))).members[0]
+    assert isinstance(arc, Arc) and not isinstance(arc, tuple)
+    assert list(arc) == list(arc.points) and arc.size == 9
+    assert all(p in arc for p in arc.points)
