@@ -164,7 +164,8 @@ def validate_lines(ctx: TimePencilContext, linfs: Iterable[ProjLine],
     """The line checks of a family configuration, in this order: each ideal
     line by validate_ideal_line, then each L* must pass through the nucleus
     N = (0:0:1) and miss both base points, that is be neither (1:0:0) nor
-    (0:1:0); so the valid L* are those with l3 = 0 and l1*l2 != 0.  contact_member checks each pair."""
+    (0:1:0); so the valid L* are those with l3 = 0 and l1*l2 != 0.  _contacts
+    checks each pair."""
     for linf in linfs:
         validate_ideal_line(linf, ctx.plane)
     for lstar in lstars:
@@ -176,30 +177,49 @@ def validate_lines(ctx: TimePencilContext, linfs: Iterable[ProjLine],
             raise InvalidTangentLine(f"{lstar} joins the nucleus to a base point")
 
 
-def contact_member(ctx: TimePencilContext, linf: ProjLine, lstar: ProjLine
-                   ) -> tuple[ProjPoint, PencilMember]:
-    """The contact point A = linf ∧ lstar of lines passing validate_lines,
-    and the member Q* through it, which must be proper.
+def _contacts(spec: FieldSpec, linf_values: tuple[int, int, int], lstar_as: Iterable[int]
+              ) -> list[tuple[int, int] | None]:
+    """For linf = (1 : b : c), bc != 0, and each lstar = (1 : a : 0), a != 0,
+    a in lstar_as (lines passing validate_lines): None if the contact point
+    A = linf ∧ lstar lies on a degenerate member, else the plane index of A
+    and the t of the proper member Q* = (1, t) through it.
 
-    In closed form; plane.meet and member_through are the oracle.  Such
-    lines are linf = (1 : b : c), bc != 0, and lstar = (1 : a : 0), a != 0,
-    so in characteristic 2 A = linf × lstar = (ca : c : a + b).  If a = b,
+    In characteristic 2, A = linf × lstar = (ca : c : a + b).  If a = b,
     A = (1 : 1/a : 0) lies on x3^2 = 0, a degenerate member.  Otherwise
     A = (1 : 1/a : (a + b)/(ac)), at index (1/a)*q + (a + b)/(ac), and the
     member x1*x2 + t*x3^2 through it has t = x1*x2/x3^2 = c^2*a/(a + b)^2,
-    which is nonzero: Q* is the proper member (1, t), at position t."""
-    spec = ctx.spec
+    which is nonzero.  plane.meet and member_through are the oracle."""
     mul, inv = spec._mul_i, spec._inv_i
-    _, b, c = linf.values
-    a = lstar.values[1]
-    a_plus_b = a ^ b
-    x2 = inv(a)
-    if not a_plus_b:
-        contact = ctx.plane.points[x2 * spec.order]
-        raise DegenerateContactPoint(
-            f"{contact} = {linf} ∧ {lstar} lies on a degenerate member")
-    contact = ctx.plane.points[x2 * spec.order + mul(a_plus_b, inv(mul(a, c)))]
-    return contact, ctx.members[mul(mul(c, c), mul(a, inv(mul(a_plus_b, a_plus_b))))]
+    q = spec.order
+    _, b, c = linf_values
+    cc = mul(c, c)
+    out = []
+    for a in lstar_as:
+        a_plus_b = a ^ b
+        out.append((inv(a) * q + mul(a_plus_b, inv(mul(a, c))),
+                    mul(cc, mul(a, inv(mul(a_plus_b, a_plus_b))))) if a_plus_b else None)
+    return out
+
+
+def _degenerate_contact(ctx: TimePencilContext, linf: ProjLine, lstar: ProjLine
+                        ) -> DegenerateContactPoint:
+    """The refusal of a configuration _contacts gives None: its contact
+    point A = (1 : 1/a : 0), at index (1/a)*q, on the double line."""
+    contact = ctx.plane.points[ctx.spec._inv_i(lstar.values[1]) * ctx.spec.order]
+    return DegenerateContactPoint(f"{contact} = {linf} ∧ {lstar} lies on a degenerate member")
+
+
+def contact_member(ctx: TimePencilContext, linf: ProjLine, lstar: ProjLine
+                   ) -> tuple[ProjPoint, PencilMember]:
+    """The contact point A = linf ∧ lstar of lines passing validate_lines,
+    and the member Q* through it, which must be proper; _contacts for one
+    pair."""
+    (contact,) = _contacts(ctx.spec, linf.values, (lstar.values[1],))
+    if contact is None:
+        raise _degenerate_contact(ctx, linf, lstar)
+    index, t = contact
+    # the members are (1, t) at position t, then (0, 1)
+    return ctx.plane.points[index], ctx.members[t]
 
 
 def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine) -> ArcFamily:

@@ -21,7 +21,8 @@ member x1*x2 + t*x3^2 by λ^2, so fixes its points as a set, and maps
 member has the same class on both lines, and its witnesses on (1 : b : c)
 are the images (1 : y2/c^2 : y3/c) of those (1 : y2 : y3) on (1 : u : 1).
 So the (q-1)^2 valid ideal lines form q-1 orbits of q-1 lines; _orbit
-classifies once per orbit, and _report builds its line's witnesses.
+classifies once per orbit, and _witnesses finds its line's witnesses, as
+plane indices.
 
 The arc arrow is the conic arrow with one member changed.  Fix a valid
 (L-infinity, L*) with contact point A = L-infinity ∧ L* on a proper member
@@ -35,18 +36,24 @@ witnesses:
   on L-infinity, so only Q* changes;
 - Q* is Past, since A is on it and the conic arrow has no Present.
 
-_arc_delta is that change, and arc_arrow and the CLI's sweep both use it;
-it raises ArcDeltaMismatch if Q* is not Past with A as a witness.
+_arc_deltas is that change for every L* of one ideal line in one pass on
+plane indices: A and Q* from arc._contacts' closed form, a rejection where
+A is on a degenerate member, and Q*'s witness other than A, read off the
+line's conic witnesses.  It raises ArcDeltaMismatch if Q* is not Past
+with A as a witness.  arc_arrow and the CLI, single runs and sweeps alike,
+take the arc arrow from it.  Its oracles, in tests only: plane.meet for
+A, member_through for Q*, and the incidence scan of Q*'s points on
+L-infinity for the witness.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import ArcDeltaMismatch, IntersectionTooLarge, OddCharacteristic
 from .field import FieldSpec
-from .arc import ArcFamily
+from .arc import ArcFamily, _contacts
 from .pencil import TimePencilContext, time_pencil_context, validate_ideal_line
 from .plane import ProjLine, ProjPoint, _line_hits
 
@@ -130,52 +137,68 @@ def _orbit(ctx: TimePencilContext, linf: ProjLine) -> tuple[int, tuple[int | Non
     return u, ctx.orbits[u]
 
 
-def _report(spec: FieldSpec, mode: str, linf: ProjLine) -> ArrowReport:
-    """Class each proper member of the time pencil by its points on linf,
-    which are its witnesses, in plane order; both arrows classify here.
+def _witnesses(ctx: TimePencilContext, linf: ProjLine) -> tuple[tuple[int, ...], ...]:
+    """Per proper member of the time pencil, in member order, the plane
+    indices of its points on linf, ascending: two (Past) or none (Future).
 
     linf = (1 : b : c), bc != 0, misses (0:1:0) and meets the member
     x1*x2 + t*x3^2 at the points (1 : t*s^2 : s) with b*t*s^2 + c*s = 1.
     With k = (b/c^2)*t and s = d*y, d = 1/(c*k), that is y^2 + y = k: roots
     y (from _orbit) and y + 1 when Tr(k) = 0 (Past), none otherwise (Future)."""
-    ctx = time_pencil_context(spec)
+    spec = ctx.spec
     q = spec.order
     mul, inv = spec._mul_i, spec._inv_i
-    points = ctx.plane.points
-    c = linf.values[2]
     u, ys = _orbit(ctx, linf)
-    classifications = []
-    for member_id, theta, y in zip(ctx.ids, ctx.thetas, ys):
-        hits = ()
-        if y is not None:
-            t = theta[1]
-            d = inv(mul(c, mul(u, t)))
-            s0 = mul(d, y)
-            s1 = s0 ^ d
-            i0 = mul(t, mul(s0, s0)) * q + s0
-            i1 = mul(t, mul(s1, s1)) * q + s1
-            hits = (points[i0], points[i1]) if i0 < i1 else (points[i1], points[i0])
-        classifications.append(MemberClassification(
-            member_id, theta, _TEMPORAL_BY_HITS[len(hits)], hits))
-    return ArrowReport(q, mode, linf, tuple(classifications))
+    cu = mul(linf.values[2], u)
+    out = []
+    for (_, t), y in zip(ctx.thetas, ys):
+        if y is None:
+            out.append(())
+            continue
+        d = inv(mul(cu, t))
+        s0 = mul(d, y)
+        s1 = s0 ^ d
+        i0 = mul(t, mul(s0, s0)) * q + s0
+        i1 = mul(t, mul(s1, s1)) * q + s1
+        out.append((i0, i1) if i0 < i1 else (i1, i0))
+    return tuple(out)
 
 
-def _arc_delta(report: ArrowReport, contact: ProjPoint, qstar_theta: tuple[int, int]
-               ) -> tuple[int, MemberClassification]:
-    """The one member in which the arc arrow differs from the conic
-    classification report of the same ideal line (see the module
-    docstring): its position in report.classifications and its arc class,
-    Present with the witness other than the contact point A."""
-    # the proper members are (1, t), t = 1 .. q-1, in order
-    position = qstar_theta[1] - 1
-    c = report.classifications[position]
-    a = contact.values
-    rest = tuple(w for w in c.witnesses if w.values != a)
-    if c.theta != qstar_theta or c.temporal is not TemporalClass.PAST or len(rest) != 1:
-        raise ArcDeltaMismatch(
-            f"member {c.theta} through {contact} is {c.temporal} on {report.ideal_line}"
-            f" with witnesses {', '.join(map(str, c.witnesses))}")
-    return position, MemberClassification(c.member_id, c.theta, TemporalClass.PRESENT, rest)
+def _arc_deltas(ctx: TimePencilContext, linf: ProjLine, lstar_as: Sequence[int],
+                witnesses: Sequence[tuple[int, ...]]) -> list[tuple[int, int] | None]:
+    """The arc pass over one ideal line linf, whose conic witnesses are
+    witnesses (from _witnesses): per L* = (1 : a : 0), a in lstar_as, None
+    if the configuration is rejected (arc._contacts), else the one member in
+    which its arc arrow differs from the conic classification (see the
+    module docstring): the position of Q* and the plane index of its one
+    witness as a Present member, the one other than the contact point A."""
+    out = []
+    for contact in _contacts(ctx.spec, linf.values, lstar_as):
+        if contact is None:
+            out.append(None)
+            continue
+        index, t = contact
+        # the proper members are (1, t), t = 1 .. q-1, in order
+        hits = witnesses[t - 1]
+        if len(hits) != 2 or index not in hits:
+            points = ctx.plane.points
+            raise ArcDeltaMismatch(
+                f"member (1, {t}) through {points[index]} is"
+                f" {_TEMPORAL_BY_HITS[len(hits)]} on {linf}"
+                f" with witnesses {', '.join(str(points[i]) for i in hits)}")
+        out.append((t - 1, hits[1] if hits[0] == index else hits[0]))
+    return out
+
+
+def _report(ctx: TimePencilContext, mode: str, linf: ProjLine,
+            witnesses: Sequence[tuple[int, ...]]) -> ArrowReport:
+    """The report of the proper members of the time pencil on linf, each
+    classed by the number of its witnesses, given as plane indices."""
+    points = ctx.plane.points
+    return ArrowReport(ctx.spec.order, mode, linf, tuple([
+        MemberClassification(member_id, theta, _TEMPORAL_BY_HITS[len(hits)],
+                             tuple([points[i] for i in hits]))
+        for member_id, theta, hits in zip(ctx.ids, ctx.thetas, witnesses)]))
 
 
 def conic_arrow(spec: FieldSpec, linf: ProjLine) -> ArrowReport:
@@ -183,8 +206,9 @@ def conic_arrow(spec: FieldSpec, linf: ProjLine) -> ArrowReport:
     ideal line.  Over GF(2^n) the Present tally is always zero."""
     if spec.characteristic != 2:
         raise OddCharacteristic("the conic arrow is defined over GF(2^n)")
-    validate_ideal_line(linf, time_pencil_context(spec).plane)
-    return _report(spec, "conic", linf)
+    ctx = time_pencil_context(spec)
+    validate_ideal_line(linf, ctx.plane)
+    return _report(ctx, "conic", linf, _witnesses(ctx, linf))
 
 
 def arc_arrow(family: ArcFamily) -> ArrowReport:
@@ -192,11 +216,12 @@ def arc_arrow(family: ArcFamily) -> ArrowReport:
     ideal line; exactly one member comes out Present.
 
     This is the conic classification with the member Q* through the
-    contact point changed by _arc_delta, so only the family's provenance
+    contact point changed by _arc_deltas, so only the family's provenance
     is read, not its members."""
-    prov = family.provenance
-    report = _report(family.spec, "arc", prov.linf)
-    position, present = _arc_delta(report, prov.contact_point, prov.qstar_theta)
-    classifications = list(report.classifications)
-    classifications[position] = present
-    return ArrowReport(report.q, "arc", prov.linf, tuple(classifications))
+    ctx = time_pencil_context(family.spec)
+    linf, lstar = family.provenance.linf, family.provenance.lstar
+    witnesses = list(_witnesses(ctx, linf))
+    # build_time_family refuses the configurations _arc_deltas rejects
+    ((position, witness),) = _arc_deltas(ctx, linf, (lstar.values[1],), witnesses)
+    witnesses[position] = (witness,)
+    return _report(ctx, "arc", linf, witnesses)

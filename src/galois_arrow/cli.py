@@ -5,16 +5,21 @@ JSON line.  Exit codes: 0 success, 2 rejected input or usage error, 3
 internal invariant violation (never reachable from shipped defaults).
 
 Output is byte-identical across runs for identical configurations.  The
-arrow command runs one loop over (L-infinity, L*) pairs, of which a single
-configuration is the one-pair case, and writes its reports one at a time
-as they are built, so an exhaustive sweep holds one ideal line's texts in
-memory, not all of its reports.  Members' CSV rows are rendered once per
-orbit of ideal lines (arrow._orbit); JSON, which prints each line's own
-witnesses, classifies and renders once per ideal line.  In arc mode each
-L* then changes one member, Q* through the contact point, from Past to
-Present (arrow._arc_delta); that member is rendered anew and joined with
-the others' texts.  Reports are laid out once, as entries of a sweep; a
-single configuration's one report is dedented to the top level.
+arrow command runs one loop over ideal lines L-infinity, each with its
+configurations (L-infinity, L*); a single configuration is the one-pair
+case.  Each ideal line's reports are joined into one string and written
+at once, as soon as that line is done, so a sweep holds one ideal line's
+texts in memory, not all of its reports, and makes one write per ideal
+line (the first also holding the opening, a JSON sweep one more for its
+summary).  Members' CSV rows are rendered once per orbit of ideal lines
+(arrow._orbit); JSON, which prints each line's own witnesses, classifies
+and renders once per ideal line.  In arc mode one pass per ideal line,
+arrow._arc_deltas, gives for every L* the member Q* through the contact
+point, which goes from Past to Present, and its one remaining witness,
+all as plane indices; that member is rendered anew and joined with the
+others' texts, made once per ideal line, and the L*'s tail, made once per
+run.  Reports are laid out once, as entries of a sweep; a single
+configuration's one report is dedented to the top level.
 """
 
 from __future__ import annotations
@@ -23,10 +28,9 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import (
-    DegenerateContactPoint,
     InvariantViolation,
     OddCharacteristic,
     OrderTooLarge,
@@ -37,8 +41,8 @@ from .field import FieldSpec, field_order, make_field, parse_modulus
 from .plane import ProjLine, build_plane
 from .conic import _nucleus_char2, canonical_conic, classify, point_set, tangent_lines
 from .pencil import common_nucleus, time_pencil_context
-from .arc import build_time_family, contact_member, family_to_dict, validate_lines
-from .arrow import ArrowReport, MemberClassification, TemporalClass, _arc_delta, _orbit, _report
+from .arc import _degenerate_contact, build_time_family, family_to_dict, validate_lines
+from .arrow import _TEMPORAL_BY_HITS, TemporalClass, _arc_deltas, _orbit, _witnesses
 
 COMMANDS = ("field-info", "plane", "conic", "pencil", "family", "arrow")
 _CSV_COMMANDS = ("pencil", "family", "arrow")
@@ -208,18 +212,19 @@ def _payload_family(spec: FieldSpec, config: RunConfig) -> dict:
 # --- arrow reports, streamed ------------------------------------------------
 
 def _arrow_reports(spec: FieldSpec, config: RunConfig, rejected: list[tuple[ProjLine, ProjLine]]
-                   ) -> Iterator[tuple[ProjLine, ArrowReport | None, Iterable[
-                       tuple[ProjLine | None, tuple[int, MemberClassification] | None]]]]:
-    """Per L-infinity of the run, one at a time: the line, its
-    classification (made once; None in a conic CSV run, whose rows come
-    from the line's orbit) and its configurations (L*, delta), one per
-    report.  A delta (position, classification) is the member in which the
-    report differs from the classification: in conic mode the one
-    configuration is (None, None); in arc mode there is one per L*, and the
-    delta is _arc_delta's change of Q*, the member through the contact
-    point.  A single run is the one-pair case.  Arc configurations refused
-    with DegenerateContactPoint during a sweep are appended to rejected; in
-    a single run the refusal propagates."""
+                   ) -> Iterator[tuple[ProjLine, tuple[tuple[int, ...], ...] | None,
+                                       list[tuple[ProjLine | None, tuple[int, int] | None]]]]:
+    """Per L-infinity of the run, one at a time: the line, its members'
+    witnesses as plane indices (arrow._witnesses; None in a conic CSV run,
+    whose rows come from the line's orbit) and its configurations (L*,
+    delta), one per report.  A delta (position, witness) is the member in
+    which the report differs from the line's conic classification: Q*,
+    Present with that one witness.  In conic mode the one configuration is
+    (None, None); in arc mode there is one per L*, from the line's one
+    pass, arrow._arc_deltas.  A single run is the one-pair case.  Arc
+    configurations whose contact point lies on a degenerate member are
+    appended to rejected during a sweep; a single run raises
+    DegenerateContactPoint."""
     ctx = time_pencil_context(spec)
     arc = config.mode == "arc"
     if config.exhaustive:
@@ -229,37 +234,21 @@ def _arrow_reports(spec: FieldSpec, config: RunConfig, rejected: list[tuple[Proj
         linfs = (ProjLine(spec, config.linf),)
         lstars = (ProjLine(spec, config.lstar),) if arc else ()
     validate_lines(ctx, linfs, lstars)
-
-    def arc_configurations(report: ArrowReport):
-        linf = report.ideal_line
-        for lstar in lstars:
-            try:
-                contact, qstar = contact_member(ctx, linf, lstar)
-            except DegenerateContactPoint:
-                if not config.exhaustive:
-                    raise
+    lstar_as = [lstar.values[1] for lstar in lstars]   # each L* is (1 : a : 0)
+    for linf in linfs:
+        witnesses = _witnesses(ctx, linf) if arc or config.output == "json" else None
+        if not arc:
+            yield linf, witnesses, [(None, None)]
+            continue
+        configurations = []
+        for lstar, delta in zip(lstars, _arc_deltas(ctx, linf, lstar_as, witnesses)):
+            if delta is not None:
+                configurations.append((lstar, delta))
+            elif config.exhaustive:
                 rejected.append((linf, lstar))
             else:
-                yield lstar, _arc_delta(report, contact, qstar.theta)
-
-    for linf in linfs:
-        report = _report(spec, config.mode, linf) if arc or config.output == "json" else None
-        yield linf, report, arc_configurations(report) if arc else ((None, None),)
-
-
-def _spliced(separator: str, texts: list[str],
-             delta: tuple[int, MemberClassification] | None,
-             render: Callable[[MemberClassification], str]) -> str:
-    """separator.join(texts), the text of the member a delta names rendered
-    from its new classification."""
-    if delta is None:
-        return separator.join(texts)
-    position, member = delta
-    kept = texts[position]
-    texts[position] = render(member)
-    joined = separator.join(texts)
-    texts[position] = kept
-    return joined
+                raise _degenerate_contact(ctx, linf, lstar)
+        yield linf, witnesses, configurations
 
 
 def _json_block(items: list[str], pad: str, brackets: str = "[]") -> str:
@@ -272,58 +261,71 @@ def _json_block(items: list[str], pad: str, brackets: str = "[]") -> str:
 
 
 class _ReportText:
-    """Text of ArrowReports: JSON byte-equal to json.dumps of
+    """Text of arrow reports: JSON byte-equal to json.dumps of
     ArrowReport.to_dict with indent=2, laid out as an entry of a sweep's
     "reports" list (every line after the first indented four spaces), or
     CSV rows.  Every string in a report is hex or decimal digits, (a:b:c)
     or a class name, so nothing needs escaping.  A report's text is its
-    head, its members' texts and its tail, made once per ideal line (CSV
-    rows once per orbit) by the callers.  Point strings and each member's
-    id and theta text are built on first use and reused for the run."""
+    head, its members' texts and its tail; the callers make the members'
+    texts once per ideal line (CSV rows once per orbit).  Point strings,
+    L* tails and each member's id and theta text are built on first use
+    and reused for the run."""
 
     def __init__(self, spec: FieldSpec):
         self._fmt = spec.format
-        self._points: dict[tuple[int, int, int], str] = {}
+        self._points = time_pencil_context(spec).plane.points
+        self._triples: dict[tuple[int, int, int], str] = {}
         self._json_heads: dict[tuple, str] = {}
+        self._json_tails: dict[tuple[int, int, int] | None, str] = {}
         self._csv_rows: dict[tuple, str] = {}
+        self._classes = [temporal.value for temporal in _TEMPORAL_BY_HITS]
 
     def triple(self, values: tuple[int, int, int]) -> str:
-        text = self._points.get(values)
+        text = self._triples.get(values)
         if text is None:
-            text = self._points[values] = "(" + ":".join(map(self._fmt, values)) + ")"
+            text = self._triples[values] = "(" + ":".join(map(self._fmt, values)) + ")"
         return text
 
-    def json_head(self, report: ArrowReport, tallies: dict[str, int]) -> str:
+    def json_head(self, q: int, mode: str, linf: ProjLine, tallies: tuple[int, int, int]) -> str:
         """The report's text up to the opening bracket of its members (every
         report has a member: a proper pencil member exists for q >= 2)."""
+        past, present, future = tallies
         return (
-            f'{{\n      "q": {report.q},\n      "mode": "{report.mode}",\n'
-            f'      "ideal_line": "{self.triple(report.ideal_line.values)}",\n'
-            f'      "tallies": {{\n        "past": {tallies["past"]},\n'
-            f'        "present": {tallies["present"]},\n'
-            f'        "future": {tallies["future"]}\n      }},\n'
+            f'{{\n      "q": {q},\n      "mode": "{mode}",\n'
+            f'      "ideal_line": "{self.triple(linf.values)}",\n'
+            f'      "tallies": {{\n        "past": {past},\n'
+            f'        "present": {present},\n'
+            f'        "future": {future}\n      }},\n'
             f'      "members": [')
 
     def json_tail(self, lstar: ProjLine | None) -> str:
         """The report's text after its last member."""
-        tail = f',\n      "lstar": "{self.triple(lstar.values)}"' if lstar else ""
-        return f"\n      ]{tail}\n    }}"
+        key = lstar.values if lstar else None
+        text = self._json_tails.get(key)
+        if text is None:
+            tail = f',\n      "lstar": "{self.triple(key)}"' if lstar else ""
+            text = self._json_tails[key] = f"\n      ]{tail}\n    }}"
+        return text
 
-    def member_json(self, c: MemberClassification) -> str:
-        key = (c.member_id, c.theta)
+    def member_json(self, member_id: int, theta: tuple[int, int], witnesses: tuple[int, ...]
+                    ) -> str:
+        """The member's text, classed by its number of witnesses on the
+        ideal line, given as plane indices."""
+        key = (member_id, theta)
         head = self._json_heads.get(key)
         if head is None:
             fmt = self._fmt
             head = self._json_heads[key] = (
-                f'\n        {{\n          "id": {c.member_id},\n          "theta": [\n'
-                f'            "{fmt(c.theta[0])}",\n            "{fmt(c.theta[1])}"\n'
+                f'\n        {{\n          "id": {member_id},\n          "theta": [\n'
+                f'            "{fmt(theta[0])}",\n            "{fmt(theta[1])}"\n'
                 f'          ],\n          "class": "')
-        points = c.witnesses
+        points = self._points
         # _json_block inlined: this runs once per member of every ideal line
-        witnesses = ('[\n            "'
-                     + '",\n            "'.join([self.triple(p.values) for p in points])
-                     + '"\n          ]') if points else "[]"
-        return f'{head}{c.temporal.value}",\n          "witnesses": {witnesses}\n        }}'
+        listed = ('[\n            "'
+                  + '",\n            "'.join([self.triple(points[i].values) for i in witnesses])
+                  + '"\n          ]') if witnesses else "[]"
+        return (f'{head}{self._classes[len(witnesses)]}",\n'
+                f'          "witnesses": {listed}\n        }}')
 
     def member_csv(self, member_id: int, theta: tuple[int, int], temporal: TemporalClass) -> str:
         """The member's row after the configuration columns: id,theta,class;
@@ -337,34 +339,46 @@ class _ReportText:
 
 
 def _arrow_json(spec: FieldSpec, config: RunConfig) -> Iterator[str]:
+    """One chunk per ideal line, holding its reports, then the summary."""
+    ctx = time_pencil_context(spec)
     text = _ReportText(spec)
     rejected: list[tuple[ProjLine, ProjLine]] = []
-    # the opening goes out with the first report, so that a run refused
-    # before it prints nothing
+    # the opening goes out with the first ideal line's reports, so that a
+    # run refused before them prints nothing
     opening = (f'{{\n  "q": {spec.order},\n  "mode": "{config.mode}",\n'
                f'  "exhaustive": true,\n  "reports": [')
-    separator = opening
+    separator = opening + "\n    " if config.exhaustive else ""
     distribution: dict[str, int] = {}
-    for _, report, configurations in _arrow_reports(spec, config, rejected):
-        tallies = report.tallies
+    for linf, witnesses, configurations in _arrow_reports(spec, config, rejected):
+        future = witnesses.count(())
+        tallies = (len(witnesses) - future, 0, future)
         if config.mode == "arc":   # Q* goes from Past to Present in every report of the line
-            tallies = dict(tallies, past=tallies["past"] - 1, present=tallies["present"] + 1)
-        head = text.json_head(report, tallies)
-        members = [text.member_json(c) for c in report.classifications]
-        key = f"{tallies['past']}:{tallies['present']}:{tallies['future']}"
+            tallies = (tallies[0] - 1, 1, future)
+        head = text.json_head(spec.order, config.mode, linf, tallies)
+        # the members' texts with commas between them, member i at 2i; a
+        # report takes them by reference, so the line's texts are copied
+        # once, into its chunk
+        members = [","] * (2 * len(witnesses) - 1)
+        members[::2] = map(text.member_json, ctx.ids, ctx.thetas, witnesses)
+        pieces = []
         for lstar, delta in configurations:
-            report_text = (head + _spliced(",", members, delta, text.member_json)
-                           + text.json_tail(lstar))
-            if not config.exhaustive:
-                # the one report stands at the top level, not inside "reports"
-                yield report_text.replace("\n    ", "\n") + "\n"
-                continue
-            distribution[key] = distribution.get(key, 0) + 1
-            yield separator + "\n    " + report_text
-            separator = ","
-    if not config.exhaustive:
-        return
-    yield (opening + "]") if separator is opening else "\n  ]"
+            pieces += (separator, head)
+            if delta is None:
+                pieces += members
+            else:
+                i, witness = delta
+                pieces += members[:2 * i]
+                pieces.append(text.member_json(ctx.ids[i], ctx.thetas[i], (witness,)))
+                pieces += members[2 * i + 1:]
+            pieces.append(text.json_tail(lstar))
+            separator = ",\n    "
+        if not config.exhaustive:
+            # the one report stands at the top level, not inside "reports"
+            yield "".join(pieces).replace("\n    ", "\n") + "\n"
+            return
+        key = "%d:%d:%d" % tallies
+        distribution[key] = distribution.get(key, 0) + len(configurations)
+        yield "".join(pieces)
     triple = text.triple
     entries = [f'\n    {{\n      "linf": "{triple(linf.values)}",\n'
                f'      "lstar": "{triple(lstar.values)}",\n'
@@ -372,13 +386,15 @@ def _arrow_json(spec: FieldSpec, config: RunConfig) -> Iterator[str]:
                for linf, lstar in rejected]
     counts = [f'\n      "{key}": {distribution[key]}' for key in sorted(distribution)]
     valid = sum(distribution.values())
-    yield (f',\n  "rejected": {_json_block(entries, "  ")},\n  "summary": {{\n'
-           f'    "total_configurations": {valid + len(rejected)},\n'
-           f'    "valid": {valid},\n    "rejected": {len(rejected)},\n'
-           f'    "tally_distribution": {_json_block(counts, "    ", "{}")}\n  }}\n}}\n')
+    yield ("\n  ]" if distribution else opening + "]") + (
+        f',\n  "rejected": {_json_block(entries, "  ")},\n  "summary": {{\n'
+        f'    "total_configurations": {valid + len(rejected)},\n'
+        f'    "valid": {valid},\n    "rejected": {len(rejected)},\n'
+        f'    "tally_distribution": {_json_block(counts, "    ", "{}")}\n  }}\n}}\n')
 
 
 def _arrow_csv(spec: FieldSpec, config: RunConfig) -> Iterator[str]:
+    """One chunk per ideal line, holding its rows, the header with the first."""
     text = _ReportText(spec)
     ctx = time_pencil_context(spec)
     header = f"q,mode,{'linf,lstar,' if config.exhaustive else ''}member_id,theta,class\n"
@@ -387,18 +403,25 @@ def _arrow_csv(spec: FieldSpec, config: RunConfig) -> Iterator[str]:
     for linf, _, configurations in _arrow_reports(spec, config, []):
         u, ys = _orbit(ctx, linf)
         rows = rows_by_orbit.get(u)
-        if rows is None:   # a member with no root y is Future, as in arrow._report
+        if rows is None:   # a member with no root y is Future, as in arrow._witnesses
             classes = [TemporalClass.FUTURE if y is None else TemporalClass.PAST for y in ys]
             rows = rows_by_orbit[u] = list(map(text.member_csv, ctx.ids, ctx.thetas, classes))
+        pieces = [header]
         for lstar, delta in configurations:
             prefix = lead
             if config.exhaustive:
                 prefix += f"{text.triple(linf.values)},{text.triple(lstar.values) if lstar else ''},"
-            # the header goes out with the first report, as in _arrow_json
-            yield header + prefix + _spliced("\n" + prefix, rows, delta, lambda c: text.member_csv(
-                c.member_id, c.theta, c.temporal)) + "\n"
-            header = ""
-    yield header
+            if delta is not None:   # Q* is Present in this report only
+                i = delta[0]
+                kept, rows[i] = rows[i], text.member_csv(ctx.ids[i], ctx.thetas[i],
+                                                         TemporalClass.PRESENT)
+            pieces += (prefix, ("\n" + prefix).join(rows), "\n")
+            if delta is not None:
+                rows[i] = kept
+        header = ""
+        yield "".join(pieces)
+    if header:   # a run with no report prints the header alone
+        yield header
 
 
 # --- CSV flattening (pencil, family) -------------------------------------------

@@ -225,8 +225,11 @@ class TimePencilContext:
 
     def valid_ideal_lines(self) -> tuple[ProjLine, ...]:
         """Lines passing validate_ideal_line, those with all three
-        coefficients nonzero, in plane line order."""
-        return tuple(l for l in self.plane.lines if all(l.values))
+        coefficients nonzero, which are the lines (1 : b : c) with bc != 0,
+        at index b*q + c, in plane line order."""
+        q = self.spec.order
+        lines = self.plane.lines
+        return tuple([lines[b * q + c] for b in range(1, q) for c in range(1, q)])
 
     def valid_tangent_lines(self) -> tuple[ProjLine, ...]:
         """Lines through N other than (1:0:0) and (0:1:0), its joins with B1

@@ -12,7 +12,7 @@ from galois_arrow.errors import (
     OddCharacteristic,
 )
 from galois_arrow.field import make_field
-from galois_arrow.pencil import time_pencil_context
+from galois_arrow.pencil import member_through, time_pencil_context
 from galois_arrow.plane import (
     ProjLine,
     ProjPoint,
@@ -20,10 +20,13 @@ from galois_arrow.plane import (
     _triple_index,
     build_plane,
     incident,
+    meet,
 )
-from galois_arrow.arc import build_time_family
+from galois_arrow.arc import _contacts, build_time_family
 from galois_arrow.arrow import (
     TemporalClass,
+    _arc_deltas,
+    _witnesses,
     arc_arrow,
     classify_member,
     conic_arrow,
@@ -235,6 +238,43 @@ def test_arc_arrow_matches_incidence_oracle(n):
                 expected.append(_oracle_row(member_id, member.theta, arc_pts, linf))
             assert _rows(arc_arrow(family)) == expected
     assert built == (spec.order - 1) ** 3 - (spec.order - 1) ** 2
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5], ids=lambda n: f"q{2 ** n}")
+def test_arc_pass_matches_the_incidence_oracle(n):
+    """The arc pass of every valid ideal line, one entry per L*, against
+    the incidence oracles: the contact point A against plane.meet, Q*
+    against member_through, the rejected configurations against a = b
+    (L* = (1 : a : 0), L-infinity = (1 : b : c)), and Q*'s one witness as a
+    Present member against its points on L-infinity other than A, found by
+    _line_hits."""
+    spec = make_field(2, n)
+    q = spec.order
+    ctx = time_pencil_context(spec)
+    lstars = ctx.valid_tangent_lines()
+    lstar_as = [lstar.values[1] for lstar in lstars]
+    points_of = {member.theta: pts for _, member, pts in ctx.proper}
+    valid = rejected = 0
+    for linf in ctx.valid_ideal_lines():
+        contacts = _contacts(spec, linf.values, lstar_as)
+        deltas = _arc_deltas(ctx, linf, lstar_as, _witnesses(ctx, linf))
+        for lstar, contact, delta in zip(lstars, contacts, deltas, strict=True):
+            a = meet(linf, lstar)
+            qstar = member_through(ctx.pencil, a, ctx.plane)
+            if lstar.values[1] == linf.values[1]:
+                rejected += 1
+                assert not qstar.is_proper and contact is None and delta is None
+                continue
+            valid += 1
+            index, t = contact
+            assert ctx.plane.points[index] == a and ctx.members[t] == qstar
+            hits = _line_hits(points_of[qstar.theta], linf)
+            assert len(hits) == 2 and a in hits
+            (other,) = [p for p in hits if p != a]
+            position, witness = delta
+            assert ctx.thetas[position] == qstar.theta
+            assert witness == _triple_index(q, other.values)
+    assert (valid, rejected) == ((q - 1) ** 2 * (q - 2), (q - 1) ** 2)
 
 
 def _check_orbits(spec):

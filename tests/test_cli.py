@@ -18,18 +18,18 @@ from galois_arrow.errors import (
     UsageError,
 )
 from galois_arrow import cli
-from galois_arrow.arc import Arc, build_time_family, contact_member
+from galois_arrow.arc import Arc, build_time_family
 from galois_arrow.arrow import (
     TemporalClass,
-    _arc_delta,
-    _report,
+    _arc_deltas,
+    _witnesses,
     arc_arrow,
     classify_member,
     conic_arrow,
 )
 from galois_arrow.field import make_field
 from galois_arrow.pencil import PencilMember, time_pencil, time_pencil_context
-from galois_arrow.plane import ProjLine, _line_hits
+from galois_arrow.plane import ProjLine, _line_hits, _triple_index
 
 
 def _run(argv):
@@ -386,10 +386,11 @@ def test_first_report_is_written_before_the_last_configuration_is_built(monkeypa
     out, lengths = io.StringIO(), []
 
     def recording(*args):
-        lengths.append(len(out.getvalue()))
-        return contact_member(*args)
+        deltas = _arc_deltas(*args)   # one pass per ideal line, one entry per L*
+        lengths.extend([len(out.getvalue())] * len(deltas))
+        return deltas
 
-    monkeypatch.setattr(cli, "contact_member", recording)
+    monkeypatch.setattr(cli, "_arc_deltas", recording)
     with redirect_stdout(out):
         code = cli.main(["arrow", "--n", "2", "--mode", "arc", "--exhaustive"])
     assert code == 0 and len(lengths) == 27
@@ -399,18 +400,44 @@ def test_first_report_is_written_before_the_last_configuration_is_built(monkeypa
 def test_invariant_violation_mid_sweep_exits_3(monkeypatch):
     built = []
 
-    def third_fails(*args):
+    def second_fails(*args):
         built.append(args)
-        if len(built) == 3:
-            raise InvariantViolation("forced on the third configuration")
-        return _arc_delta(*args)
+        if len(built) == 2:
+            raise InvariantViolation("forced on the second ideal line")
+        return _arc_deltas(*args)
 
-    monkeypatch.setattr(cli, "_arc_delta", third_fails)
+    monkeypatch.setattr(cli, "_arc_deltas", second_fails)
     code, out, err = _run(["arrow", "--n", "2", "--mode", "arc", "--exhaustive"])
     assert code == 3 and out   # the reports before it were already written
     lines = err.splitlines()
     assert len(lines) == 1 and "Traceback" not in err
     assert json.loads(lines[0])["error"] == "InvariantViolation"
+
+
+class _CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("output", ["json", "csv"])
+def test_arc_sweep_writes_once_per_ideal_line(output):
+    """Each valid ideal line's reports go out in one write: at q = 8, 49
+    writes, the first also holding the opening (the JSON head or the CSV
+    header), and in JSON one more for the closing summary; not one per
+    configuration."""
+    out = _CountingStdout()
+    with redirect_stdout(out):
+        code = cli.main(["arrow", "--n", "3", "--mode", "arc", "--exhaustive",
+                         "--output", output])
+    assert code == 0
+    assert out.writes == 7 * 7 + (1 if output == "json" else 0)
+    assert out.getvalue() == _oracle_stdout(
+        ["arrow", "--n", "3", "--mode", "arc", "--exhaustive", "--output", output])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4], ids=lambda n: f"q{2 ** n}")
@@ -440,15 +467,14 @@ def test_arc_sweep_matches_the_incidence_oracle(n):
     assert next(reports, None) is None
 
 
-def _future(report, ctx):
-    return [c._replace(temporal=TemporalClass.FUTURE, witnesses=())
-            for c in report.classifications]
+def _future(witnesses, ctx):
+    return [() for _ in witnesses]
 
 
-def _past_without_the_contact_point(report, ctx):
+def _past_without_the_contact_point(witnesses, ctx):
     # B2 and N lie on no valid ideal line, so neither is a contact point
-    return [c._replace(witnesses=(ctx.B2, ctx.N)) if c.witnesses else c
-            for c in report.classifications]
+    others = tuple(_triple_index(ctx.spec.order, p.values) for p in (ctx.B2, ctx.N))
+    return [others if hits else hits for hits in witnesses]
 
 
 @pytest.mark.parametrize("change", [_future, _past_without_the_contact_point])
@@ -457,12 +483,10 @@ def _past_without_the_contact_point(report, ctx):
 def test_qstar_not_past_with_the_contact_point_exits_3(monkeypatch, change, argv):
     """The arc reports rely on Q* being Past with the contact point as a
     witness; a classification that breaks this stops the run with exit 3."""
-    def changed(spec, mode, linf):
-        report = _report(spec, mode, linf)
-        return report._replace(classifications=tuple(
-            change(report, time_pencil_context(spec))))
+    def changed(ctx, linf):
+        return tuple(change(_witnesses(ctx, linf), ctx))
 
-    monkeypatch.setattr(cli, "_report", changed)
+    monkeypatch.setattr(cli, "_witnesses", changed)
     code, out, err = _run(argv.split())
     assert code == 3 and not out
     lines = err.splitlines()

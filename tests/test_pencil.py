@@ -264,6 +264,17 @@ def test_line_validity_from_coefficients_matches_incidence(spec):
         l for l in plane.lines if incident(ctx.N, l) and l not in (nb1, nb2))
 
 
+@pytest.mark.parametrize("spec", [GF2, GF4, GF8, GF16, GF32], ids=lambda s: f"q{s.order}")
+def test_valid_ideal_lines_match_the_coefficient_filter(spec):
+    """The closed-form valid ideal lines, (1 : b : c) at index b*q + c,
+    against the filter of the plane's lines by their coefficients."""
+    ctx = time_pencil_context(spec)
+    expected = tuple(line for line in ctx.plane.lines if all(line.values))
+    got = ctx.valid_ideal_lines()
+    assert len(got) == len(expected) == (spec.order - 1) ** 2
+    assert all(a is b for a, b in zip(got, expected))
+
+
 def test_validate_ideal_line_rejects_other_fields():
     with pytest.raises(MixedFields):
         validate_ideal_line(ProjLine(GF4, (1, 1, 1)), build_plane(GF8))
