@@ -11,6 +11,7 @@ one of them is tangent to the ideal line.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
@@ -41,6 +42,7 @@ from .pencil import (
     PencilMember,
     TimePencilContext,
     member_through,
+    members,
     time_pencil_context,
     validate_ideal_line,
 )
@@ -219,18 +221,38 @@ def contact_member(ctx: TimePencilContext, linf: ProjLine, lstar: ProjLine
         raise _degenerate_contact(ctx, linf, lstar)
     index, t = contact
     # the members are (1, t) at position t, then (0, 1)
-    return ctx.plane.points[index], ctx.members[t]
+    return ctx.plane.points[index], members(ctx.pencil, ctx.plane)[t]
+
+
+@lru_cache(maxsize=None)
+def _member_points(ctx: TimePencilContext) -> tuple[tuple[ProjPoint, ...], ...]:
+    """Per proper member x1*x2 + t*x3^2 of the time pencil, in member order,
+    its q+1 points in plane order, in O(q) each: (1 : -t*c^2 : c), c in the
+    field, then (0:1:0).  Built on first use, once per context;
+    conic.point_set's plane scan is the oracle in tests."""
+    spec = ctx.spec
+    q = spec.order
+    mul = spec._mul_i
+    points = ctx.plane.points
+    out = []
+    for t in ctx.ids:
+        s = spec._neg_i(t)
+        indices = sorted([_triple_index(q, (1, mul(s, mul(c, c)), c)) for c in range(q)])
+        # (0:1:0), at index q*q, comes after every (1 : x2 : x3)
+        out.append(tuple([points[i] for i in indices] + [points[q * q]]))
+    return tuple(out)
 
 
 def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine) -> ArcFamily:
     """Build the arc family: per proper member, delete its touch point on
     lstar and add the nucleus.
 
-    No arc is re-checked here: each proper member's discriminant is
-    nonzero, so its q+1 points (which the time pencil context checks are
-    its zero set) form an oval, an arc; the context also proves the
-    nucleus joins each of them by a distinct line, so every member stays
-    an arc for every lstar.
+    No arc is checked here.  Each proper member's discriminant is nonzero,
+    so its q+1 points (_member_points; the tests check that they are zeros
+    of its form with distinct joins to N) form an oval.  In characteristic
+    2 its nucleus N joins them by q+1 distinct lines, so the oval plus N is
+    a (q+2)-arc, and the member, without its touch point, stays an arc for
+    every lstar.
     Each of the q+1 members meets lstar in one point: x1*x2 in N, x3^2 in
     one point of x3 = 0 and each proper member in its touch point.  Each
     arc keeps its member's plane order, N being the last plane point.
@@ -250,7 +272,7 @@ def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine) -> ArcFa
     # each touch point is one of the plane's point objects, as are the
     # members' points, so identity drops it
     arcs = tuple(Arc(tuple(p for p in pts if p is not touch) + (ctx.N,))
-                 for (_, _, pts), touch in zip(ctx.proper, touches))
+                 for pts, touch in zip(_member_points(ctx), touches))
     provenance = FamilyProvenance(ctx.pencil, linf, lstar, contact, qstar.theta)
     return ArcFamily(spec, ctx.plane, arcs, ctx.ids, ctx.thetas, touches, provenance)
 

@@ -51,11 +51,12 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple, Sequence
 
-from .errors import ArcDeltaMismatch, IntersectionTooLarge, OddCharacteristic
+from .errors import ArcDeltaMismatch, OddCharacteristic
 from .field import FieldSpec
+from .conic import _hit_count
 from .arc import ArcFamily, _contacts
 from .pencil import TimePencilContext, time_pencil_context, validate_ideal_line
-from .plane import ProjLine, ProjPoint, _line_hits
+from .plane import ProjLine, ProjPoint
 
 
 class TemporalClass(enum.Enum):
@@ -67,7 +68,7 @@ class TemporalClass(enum.Enum):
         return self.value
 
 
-# indexed by the number of points on the ideal line, as conic._line_class
+# indexed by the number of points on the ideal line, as conic.classify_line
 _TEMPORAL_BY_HITS = (TemporalClass.FUTURE, TemporalClass.PRESENT, TemporalClass.PAST)
 
 
@@ -119,10 +120,7 @@ class ArrowReport(NamedTuple):
 
 def classify_member(points, linf: ProjLine) -> TemporalClass:
     """Secant -> Past, tangent -> Present, external -> Future."""
-    hits = len(_line_hits(points, linf))
-    if hits > 2:   # as conic._line_class
-        raise IntersectionTooLarge(f"line {linf} meets the set in {hits} points")
-    return _TEMPORAL_BY_HITS[hits]
+    return _TEMPORAL_BY_HITS[_hit_count(points, linf)]
 
 
 def _orbit(ctx: TimePencilContext, linf: ProjLine) -> tuple[int, tuple[int | None, ...]]:
@@ -133,7 +131,7 @@ def _orbit(ctx: TimePencilContext, linf: ProjLine) -> tuple[int, tuple[int | Non
     _, b, c = linf.values
     u = mul(b, ctx.spec._inv_i(mul(c, c)))
     if u not in ctx.orbits:
-        ctx.orbits[u] = tuple([ctx.roots[mul(u, t)] for _, t in ctx.thetas])
+        ctx.orbits[u] = tuple([ctx.roots[mul(u, t)] for t in ctx.ids])
     return u, ctx.orbits[u]
 
 
@@ -151,7 +149,7 @@ def _witnesses(ctx: TimePencilContext, linf: ProjLine) -> tuple[tuple[int, ...],
     u, ys = _orbit(ctx, linf)
     cu = mul(linf.values[2], u)
     out = []
-    for (_, t), y in zip(ctx.thetas, ys):
+    for t, y in zip(ctx.ids, ys):
         if y is None:
             out.append(())
             continue

@@ -40,11 +40,16 @@ from .errors import (
 from .field import FieldSpec, field_order, make_field, parse_modulus
 from .plane import ProjLine, build_plane
 from .conic import _nucleus_char2, canonical_conic, classify, point_set, tangent_lines
-from .pencil import common_nucleus, time_pencil_context
+from .pencil import common_nucleus, members, time_pencil_context
 from .arc import _degenerate_contact, build_time_family, family_to_dict, validate_lines
 from .arrow import _TEMPORAL_BY_HITS, TemporalClass, _arc_deltas, _orbit, _witnesses
 
 COMMANDS = ("field-info", "plane", "conic", "pencil", "family", "arrow")
+_DESCRIPTION = (
+    "Exact finite geometry over GF(p^n): the field, PG(2, q), the canonical conic, the time "
+    "pencil, its arc family and their members' Past/Present/Future classes on an ideal line. "
+    "Reports go to stdout; a failure prints one JSON line on stderr.  Exit codes: 0 success, "
+    "2 rejected input or usage error, 3 internal invariant violation.")
 _CSV_COMMANDS = ("pencil", "family", "arrow")
 
 
@@ -66,7 +71,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="galois-arrow", description=__doc__)
+    parser = _Parser(prog="galois-arrow", description=_DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         cmd = sub.add_parser(name)
@@ -196,7 +201,7 @@ def _payload_pencil(spec: FieldSpec) -> dict:
                 "conic": [str(c) for c in m.conic.coefficients],
                 "class": str(m.degeneracy),
             }
-            for m in ctx.members
+            for m in members(ctx.pencil, ctx.plane)
         ],
     }
     if spec.characteristic == 2:

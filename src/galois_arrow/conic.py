@@ -182,16 +182,18 @@ def parametrize_canonical(spec: FieldSpec) -> list[ProjPoint]:
     return pts
 
 
-def _line_class(hits: int, line: ProjLine) -> LineClass:
-    """Secant, tangent or external according to hits = 2, 1, 0."""
+def _hit_count(points: Iterable[ProjPoint], line: ProjLine) -> int:
+    """|line ∩ points|, which is at most 2 for the points of a conic or an
+    arc; more raises IntersectionTooLarge."""
+    hits = len(_line_hits(points, line))
     if hits > 2:
         raise IntersectionTooLarge(f"line {line} meets the set in {hits} points")
-    return (LineClass.EXTERNAL, LineClass.TANGENT, LineClass.SECANT)[hits]
+    return hits
 
 
 def classify_line(points: Iterable[ProjPoint], line: ProjLine) -> LineClass:
     """Secant, tangent or external according to |line ∩ points| = 2, 1, 0."""
-    return _line_class(len(_line_hits(points, line)), line)
+    return (LineClass.EXTERNAL, LineClass.TANGENT, LineClass.SECANT)[_hit_count(points, line)]
 
 
 def tangent_lines(conic: Conic, plane: Plane) -> list[ProjLine]:

@@ -110,10 +110,6 @@ class NucleiDiffer(ValidationError):
     """The proper members of the pencil do not share a nucleus."""
 
 
-class MemberPointsMismatch(InvariantViolation):
-    """A member's closed-form points are not the zero set of its form."""
-
-
 # --- arcs ---------------------------------------------------------------------
 
 class DuplicatePoints(ValidationError):

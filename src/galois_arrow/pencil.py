@@ -4,6 +4,10 @@ base points, and the canonical pencil used for temporal classification.
 The canonical ("time") pencil is spanned by x1*x2 and x3^2.  Its members
 are indexed by theta = (t1, t2), normalized so the first nonzero entry is
 1; the enumeration runs (1, t2) over the field order and ends with (0, 1).
+The member (1, t) has discriminant -t, so the proper members are (1, t),
+t != 0, and the two degenerate ones are the real line pair (1, 0) and the
+double line (0, 1).  The time pencil context keeps these closed forms;
+members(), the census by classify, is their oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from .errors import (
     BasePoint,
     HitsBasePoint,
     HitsNucleus,
-    MemberPointsMismatch,
     NoProperMember,
     NucleiDiffer,
 )
@@ -33,8 +36,7 @@ from .plane import (
     ProjLine,
     ProjPoint,
     _check_field,
-    _join_index,
-    _triple_index,
+    _normalize,
     build_plane,
 )
 
@@ -70,15 +72,6 @@ class PencilMember(NamedTuple):
 def time_pencil(spec: FieldSpec) -> Pencil:
     """The canonical pencil spanned by x1*x2 and x3^2."""
     return Pencil(Conic(spec, (0, 1, 0, 0, 0, 0)), Conic(spec, (0, 0, 0, 0, 0, 1)))
-
-
-def _normalize_theta(field: FieldSpec, t1: int, t2: int) -> tuple[int, int]:
-    if t1 == 0 and t2 == 0:
-        raise ValueError("theta must be nonzero")
-    if t1 != 0:
-        scale = field._inv_i(t1)
-        return (1, field._mul_i(scale, t2))
-    return (0, 1)
 
 
 def _combine(pencil: Pencil, theta: tuple[int, int]) -> Conic:
@@ -118,7 +111,7 @@ def member_through(pencil: Pencil, point: ProjPoint, plane: Plane) -> PencilMemb
     v2 = _evaluate_values(field, pencil.generator2.values, point.values)
     if v1 == 0 and v2 == 0:
         raise BasePoint(f"{point} lies on every member")
-    t1, t2 = _normalize_theta(field, v2, field._neg_i(v1))
+    t1, t2 = _normalize(field, (v2, field._neg_i(v1)))
     # members() lists (1, t) at position t and (0, 1) last, at position q
     return members(pencil, plane)[t2 if t1 else field.order]
 
@@ -167,60 +160,28 @@ def _quadratic_roots(spec: FieldSpec) -> list[int | None]:
 
 
 class TimePencilContext:
-    """Plane, canonical pencil, member ids, thetas and point sets, and the
-    distinguished points B1, B2 and N every temporal construction needs.
-    One per field, cached.
+    """Plane, canonical pencil, the proper members' ids and thetas, and the
+    distinguished points B1, B2 and N every temporal construction needs,
+    all in closed form.  One per field, cached.
 
-    A proper member x1*x2 + t*x3^2 (t != 0) is the oval of the points
-    (1 : -t*c^2 : c), c in the field, and (0:1:0), built in O(q);
-    conic.point_set's plane scan is the oracle.  In characteristic 2,
-    roots is _quadratic_roots(spec), by which arrow._orbit classifies each
-    member on an ideal line."""
+    The proper members are (1, t), t != 0 (see the module docstring), at
+    position t of members(), which is their id.  In characteristic 2, roots
+    is _quadratic_roots(spec), by which arrow._orbit classifies each member
+    on an ideal line, and orbits keeps those classifications."""
 
-    __slots__ = ("spec", "plane", "pencil", "members", "proper", "ids", "thetas",
-                 "roots", "orbits", "B1", "B2", "N")
+    __slots__ = ("spec", "plane", "pencil", "ids", "thetas", "roots", "orbits",
+                 "B1", "B2", "N")
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
         self.plane = build_plane(spec)
         self.pencil = time_pencil(spec)
-        self.members = members(self.pencil, self.plane)
         self.B1 = ProjPoint(spec, (0, 1, 0))
         self.B2 = ProjPoint(spec, (1, 0, 0))
         self.N = ProjPoint(spec, (0, 0, 1))
-        q = spec.order
-        mul, neg = spec._mul_i, spec._neg_i
-        points = self.plane.points
-        proper = []
-        for idx, m in enumerate(self.members):
-            if not m.is_proper:
-                continue
-            values = m.conic.values
-            s = neg(values[5])     # -t, the conic being (0, 1, 0, 0, 0, t)
-            # (0:1:0), at index q*q, comes after every (1 : x2 : x3)
-            indices = sorted({_triple_index(q, (1, mul(s, mul(c, c)), c))
-                              for c in range(q)}) + [q * q]
-            pts = tuple(points[i] for i in indices)
-            # a proper conic has exactly q+1 points, so q+1 of its points are all of them
-            if len(pts) != q + 1 or any(_evaluate_values(spec, values, p.values)
-                                        for p in pts):  # pragma: no cover
-                raise MemberPointsMismatch(
-                    f"member {m.theta}: closed-form points are not its zero set")
-            proper.append((idx, m, pts))
-        self.proper = tuple(proper)
-        # member ids and thetas, aligned with proper
-        self.ids = tuple(idx for idx, _, _ in proper)
-        self.thetas = tuple(m.theta for _, m, _ in proper)
-        self.roots = None
-        if spec.characteristic == 2:
-            self.roots = _quadratic_roots(spec)
-            # N joins each member's points by pairwise distinct lines, so N is
-            # its nucleus and swapping any one of them for N leaves an arc
-            n = self.N.values
-            for _, m, pts in self.proper:
-                joins = {_join_index(spec, n, p.values) for p in pts}
-                if len(joins) != len(pts):  # pragma: no cover
-                    raise NucleiDiffer(f"member {m.theta} has an unexpected nucleus")
+        self.ids = tuple(range(1, spec.order))
+        self.thetas = tuple([(1, t) for t in self.ids])
+        self.roots = _quadratic_roots(spec) if spec.characteristic == 2 else None
         self.orbits: dict[int, tuple[int | None, ...]] = {}   # arrow._orbit, per orbit u
 
     def valid_ideal_lines(self) -> tuple[ProjLine, ...]:

@@ -242,9 +242,10 @@ def _conic_tallies_by_ideal_points(spec, linf):
     """Second counting path: walk the ideal line's points and count, per
     proper member, the points of the line lying on it."""
     ctx = time_pencil_context(spec)
-    counts = {m.theta: 0 for _, m, _ in ctx.proper}
+    proper = [m for m in members(ctx.pencil, ctx.plane) if m.is_proper]
+    counts = {m.theta: 0 for m in proper}
     for pt in points_on(linf, ctx.plane):
-        for _, member, _ in ctx.proper:
+        for member in proper:
             if not evaluate(member.conic, pt):
                 counts[member.theta] += 1
     hist = list(counts.values())
@@ -258,10 +259,11 @@ def _arc_tallies_by_ideal_points(spec, linf, lstar):
     member theta iff it is on that member's conic and is not the touch
     point (the nucleus is never on a valid ideal line)."""
     ctx = time_pencil_context(spec)
-    touches = [touch_point(member.conic, lstar, ctx.plane) for _, member, _ in ctx.proper]
-    counts = {m.theta: 0 for _, m, _ in ctx.proper}
+    proper = [m for m in members(ctx.pencil, ctx.plane) if m.is_proper]
+    touches = [touch_point(member.conic, lstar, ctx.plane) for member in proper]
+    counts = {m.theta: 0 for m in proper}
     for pt in points_on(linf, ctx.plane):
-        for (_, member, _), touch in zip(ctx.proper, touches):
+        for member, touch in zip(proper, touches):
             if pt != touch and not evaluate(member.conic, pt):
                 counts[member.theta] += 1
     hist = list(counts.values())

@@ -27,10 +27,11 @@ from galois_arrow.conic import (
     point_set,
 )
 from galois_arrow import arc as arc_module
-from galois_arrow.pencil import member_through, time_pencil_context
+from galois_arrow.pencil import member_through, members, time_pencil_context
 from galois_arrow.plane import ProjLine, ProjPoint, build_plane, incident, meet, points_on
 from galois_arrow.arc import (
     Arc,
+    _member_points,
     augment_with_nucleus,
     build_time_family,
     contact_member,
@@ -50,6 +51,11 @@ def _family(spec, linf=(1, 1, 1), lstar=None):
     if lstar is None:
         lstar = (1, spec.characteristic if spec.degree >= 2 else 1, 0)
     return build_time_family(spec, ProjLine(spec, linf), ProjLine(spec, lstar))
+
+
+def _proper(ctx):
+    """The proper members of the census members(), in member order."""
+    return [m for m in members(ctx.pencil, ctx.plane) if m.is_proper]
 
 
 # --- is_arc ---------------------------------------------------------------------
@@ -160,7 +166,7 @@ def test_fitted_conic_through_family_arc_is_proper_but_not_containing():
 
 def test_touch_point_is_the_unique_intersection():
     ctx = time_pencil_context(GF4)
-    member = ctx.proper[0][1]
+    member = _proper(ctx)[0]
     lstar = ProjLine(GF4, (1, 2, 0))
     got = touch_point(member.conic, lstar, ctx.plane)
     brute = [p for p in point_set(member.conic, ctx.plane) if incident(p, lstar)]
@@ -170,13 +176,13 @@ def test_touch_point_is_the_unique_intersection():
 def test_touch_point_on_nb1_is_b1_for_every_member():
     ctx = time_pencil_context(GF8)
     nb1 = ProjLine(GF8, (1, 0, 0))
-    for _, member, _ in ctx.proper:
+    for member in _proper(ctx):
         assert touch_point(member.conic, nb1, ctx.plane) == ProjPoint(GF8, (0, 1, 0))
 
 
 def test_touch_point_requires_line_through_nucleus():
     ctx = time_pencil_context(GF4)
-    member = ctx.proper[0][1]
+    member = _proper(ctx)[0]
     with pytest.raises(NotThroughNucleus):
         touch_point(member.conic, ProjLine(GF4, (1, 1, 1)), ctx.plane)
 
@@ -201,7 +207,9 @@ def test_family_q4_default_configuration():
 
 def test_family_members_share_q_points_with_their_conic():
     fam = _family(GF8)
-    for (_, member, pts), arc in zip(time_pencil_context(GF8).proper, fam.members):
+    ctx = time_pencil_context(GF8)
+    for member, pts, arc in zip(_proper(ctx), _member_points(ctx), fam.members, strict=True):
+        assert pts == point_set(member.conic, ctx.plane)
         assert len(set(arc.points) & set(pts)) == 8
 
 
@@ -297,7 +305,7 @@ def test_family_refuses_lstar_not_one_to_one_on_members(monkeypatch):
     that member's touch point would not be single."""
     ctx = time_pencil_context(GF8)
     qstar = _family(GF8).provenance.qstar_theta
-    member = next(m for _, m, _ in ctx.proper if m.theta == qstar)
+    member = next(m for m in _proper(ctx) if m.theta == qstar)
     monkeypatch.setattr(arc_module, "member_through", lambda *args: member)
     with pytest.raises(IntersectionNotSingle,
                        match=r"^\(1:2:0\) meets some member in more than one point$"):
@@ -321,6 +329,7 @@ def test_family_members_are_arcs_for_every_lstar(spec):
     (q+1)-arc listed in plane order, without its member's touch point on
     L* as the touch_point oracle finds it."""
     ctx = time_pencil_context(spec)
+    proper = _proper(ctx)
     lstars = ctx.valid_tangent_lines()
     assert len(lstars) == spec.order - 1
     for lstar in lstars:
@@ -329,7 +338,7 @@ def test_family_members_are_arcs_for_every_lstar(spec):
         # the closed-form is_conic against the five-point fit
         assert ([m["is_conic"] for m in family_to_dict(fam)["members"]]
                 == [is_conic_arc(arc) for arc in fam.members])
-        for (_, member, _), arc, touch in zip(ctx.proper, fam.members, fam.touch_points):
+        for member, arc, touch in zip(proper, fam.members, fam.touch_points):
             assert touch == touch_point(member.conic, lstar, fam.plane)
             assert arc.size == spec.order + 1
             assert touch not in arc

@@ -12,7 +12,7 @@ from galois_arrow.errors import (
     OddCharacteristic,
 )
 from galois_arrow.field import make_field
-from galois_arrow.pencil import member_through, time_pencil_context
+from galois_arrow.pencil import member_through, members, time_pencil_context
 from galois_arrow.plane import (
     ProjLine,
     ProjPoint,
@@ -22,7 +22,7 @@ from galois_arrow.plane import (
     incident,
     meet,
 )
-from galois_arrow.arc import _contacts, build_time_family
+from galois_arrow.arc import _contacts, _member_points, build_time_family
 from galois_arrow.arrow import (
     TemporalClass,
     _arc_deltas,
@@ -41,6 +41,13 @@ def _family(spec, linf=(1, 1, 1), lstar=None):
     if lstar is None:
         lstar = (1, spec.characteristic if spec.degree >= 2 else 1, 0)
     return build_time_family(spec, ProjLine(spec, linf), ProjLine(spec, lstar))
+
+
+def _proper(ctx):
+    """Per proper member, in member order: its id and member from the
+    census members(), and its closed-form points from arc._member_points."""
+    census = [(i, m) for i, m in enumerate(members(ctx.pencil, ctx.plane)) if m.is_proper]
+    return [(i, m, pts) for (i, m), pts in zip(census, _member_points(ctx), strict=True)]
 
 
 def test_validate_ideal_line_accepts_all_nonzero():
@@ -165,7 +172,7 @@ def test_witnesses_lie_on_line_and_member():
 def test_conic_witness_counts_match_secant_structure():
     ctx = time_pencil_context(GF8)
     report = conic_arrow(GF8, ProjLine(GF8, (1, 1, 1)))
-    for cls, (_, _, pts) in zip(report.classifications, ctx.proper):
+    for cls, (_, _, pts) in zip(report.classifications, _proper(ctx)):
         assert set(cls.witnesses) <= set(pts)
     total_witnesses = sum(len(c.witnesses) for c in report.classifications)
     assert total_witnesses == 2 * report.tallies["past"]
@@ -210,9 +217,10 @@ def test_conic_arrow_matches_incidence_oracle(n):
     and witnesses in plane order, for every valid ideal line."""
     spec = make_field(2, n)
     ctx = time_pencil_context(spec)
+    proper = _proper(ctx)
     for linf in ctx.valid_ideal_lines():
         expected = [_oracle_row(member_id, member.theta, pts, linf)
-                    for member_id, member, pts in ctx.proper]
+                    for member_id, member, pts in proper]
         assert _rows(conic_arrow(spec, linf)) == expected
 
 
@@ -223,6 +231,7 @@ def test_arc_arrow_matches_incidence_oracle(n):
     the nucleus."""
     spec = make_field(2, n)
     ctx = time_pencil_context(spec)
+    proper = _proper(ctx)
     built = 0
     for linf in ctx.valid_ideal_lines():
         for lstar in ctx.valid_tangent_lines():
@@ -232,7 +241,7 @@ def test_arc_arrow_matches_incidence_oracle(n):
                 continue
             built += 1
             expected = []
-            for member_id, member, pts in ctx.proper:
+            for member_id, member, pts in proper:
                 (touch,) = _line_hits(pts, lstar)
                 arc_pts = [p for p in pts if p != touch] + [ctx.N]
                 expected.append(_oracle_row(member_id, member.theta, arc_pts, linf))
@@ -253,7 +262,7 @@ def test_arc_pass_matches_the_incidence_oracle(n):
     ctx = time_pencil_context(spec)
     lstars = ctx.valid_tangent_lines()
     lstar_as = [lstar.values[1] for lstar in lstars]
-    points_of = {member.theta: pts for _, member, pts in ctx.proper}
+    points_of = {member.theta: pts for _, member, pts in _proper(ctx)}
     valid = rejected = 0
     for linf in ctx.valid_ideal_lines():
         contacts = _contacts(spec, linf.values, lstar_as)
@@ -267,7 +276,8 @@ def test_arc_pass_matches_the_incidence_oracle(n):
                 continue
             valid += 1
             index, t = contact
-            assert ctx.plane.points[index] == a and ctx.members[t] == qstar
+            assert ctx.plane.points[index] == a
+            assert members(ctx.pencil, ctx.plane)[t] == qstar
             hits = _line_hits(points_of[qstar.theta], linf)
             assert len(hits) == 2 and a in hits
             (other,) = [p for p in hits if p != a]
@@ -323,9 +333,10 @@ def test_conic_arrow_matches_incidence_oracle_q64_by_orbits():
     representative by _check_orbits."""
     spec = make_field(2, 6)
     ctx = time_pencil_context(spec)
+    proper = _proper(ctx)
     for u in range(1, spec.order):
         linf = ProjLine(spec, (1, u, 1))
         expected = [_oracle_row(member_id, member.theta, pts, linf)
-                    for member_id, member, pts in ctx.proper]
+                    for member_id, member, pts in proper]
         assert _rows(conic_arrow(spec, linf)) == expected
     assert len(_check_orbits(spec)) == spec.order - 1

@@ -4,6 +4,7 @@ and the streamed arrow output against its to_dict oracle."""
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -28,7 +29,7 @@ from galois_arrow.arrow import (
     conic_arrow,
 )
 from galois_arrow.field import make_field
-from galois_arrow.pencil import PencilMember, time_pencil, time_pencil_context
+from galois_arrow.pencil import PencilMember, members, time_pencil, time_pencil_context
 from galois_arrow.plane import ProjLine, _line_hits, _triple_index
 
 
@@ -100,6 +101,23 @@ def test_parse_modulus_flags():
     assert cfg_hex.modulus == cfg_list.modulus == (1, 1, 0, 1)
     with pytest.raises(UsageError):
         cli.parse_args(["field-info", "--n", "3", "--modulus", "0xZZ"])
+
+
+@pytest.mark.parametrize("argv", [["--help"]] + [[name, "--help"] for name in cli.COMMANDS],
+                         ids=" ".join)
+def test_help_exits_0_and_names_no_private_function(argv):
+    """--help prints usage and exits 0; the program's help states the exit
+    codes, and no help text names a private (_-prefixed) function."""
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    text = out.getvalue()
+    assert text.startswith("usage: galois-arrow")
+    assert re.findall(r"(?<![\w-])_\w+", text) == []
+    if argv == ["--help"]:
+        assert ("Exit codes: 0 success, 2 rejected input or usage error, 3 internal"
+                " invariant violation.") in " ".join(text.split())
 
 
 # --- running --------------------------------------------------------------------
@@ -528,12 +546,13 @@ def _records():
     """Per record type: two equal records built apart, and an unequal one."""
     gf8 = make_field(2, 3)
     ctx = time_pencil_context(gf8)
+    census = members(ctx.pencil, ctx.plane)
     families = [build_time_family(gf8, ProjLine(gf8, (1, 1, 1)), ProjLine(gf8, lstar))
                 for lstar in ((1, 2, 0), (1, 2, 0), (1, 3, 0))]
     reports = [arc_arrow(family) for family in families]
     return {
         "Pencil": [time_pencil(gf8), time_pencil(gf8), time_pencil(make_field(2, 2))],
-        "PencilMember": [ctx.members[1], PencilMember(*ctx.members[1]), ctx.members[2]],
+        "PencilMember": [census[1], PencilMember(*census[1]), census[2]],
         "Arc": [family.members[0] for family in families],
         "FamilyProvenance": [family.provenance for family in families],
         "ArcFamily": families,

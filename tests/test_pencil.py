@@ -1,5 +1,8 @@
 """The canonical pencil: member census, base points, the member through a
-point, and the common nucleus."""
+point, the common nucleus, and the time pencil context's closed forms."""
+
+import inspect
+import sys
 
 import pytest
 
@@ -14,9 +17,18 @@ from galois_arrow.errors import (
     NucleiDiffer,
 )
 from galois_arrow.field import make_field, parse_modulus
-from galois_arrow.conic import Conic, DegeneracyClass, evaluate, nucleus, point_set
+from galois_arrow.conic import (
+    Conic,
+    DegeneracyClass,
+    _evaluate_values,
+    classify,
+    evaluate,
+    nucleus,
+    point_set,
+)
 from galois_arrow.pencil import (
     Pencil,
+    TimePencilContext,
     _quadratic_roots,
     base_points,
     common_nucleus,
@@ -26,8 +38,17 @@ from galois_arrow.pencil import (
     time_pencil_context,
     validate_ideal_line,
 )
-from galois_arrow.plane import ProjLine, ProjPoint, build_plane, incident, line_through, meet
-from galois_arrow.arc import validate_lines
+from galois_arrow.plane import (
+    Plane,
+    ProjLine,
+    ProjPoint,
+    _join_index,
+    build_plane,
+    incident,
+    line_through,
+    meet,
+)
+from galois_arrow.arc import _member_points, validate_lines
 
 GF2 = make_field(2, 1)
 GF3 = make_field(3, 1)
@@ -37,6 +58,9 @@ GF8 = make_field(2, 3)
 GF9 = make_field(3, 2, (1, 0, 1))
 GF16 = make_field(2, 4)
 GF32 = make_field(2, 5)
+GF64 = make_field(2, 6)
+GF128 = make_field(2, 7)
+GF256 = make_field(2, 8)
 
 
 def test_time_pencil_generators():
@@ -191,23 +215,35 @@ def test_every_proper_member_contains_both_base_points():
 
 def test_context_collects_proper_members_in_order():
     ctx = time_pencil_context(GF8)
-    assert [m.theta for _, m, _ in ctx.proper] == [(1, t) for t in range(1, 8)]
-    assert all(len(pts) == 9 for _, _, pts in ctx.proper)
+    assert ctx.ids == tuple(range(1, 8))
+    assert list(ctx.thetas) == [(1, t) for t in range(1, 8)]
+    assert all(len(pts) == 9 for pts in _member_points(ctx))
     assert len(ctx.valid_ideal_lines()) == 7 * 7
     assert len(ctx.valid_tangent_lines()) == 7
 
 
 @pytest.mark.parametrize("spec", [GF3, GF4, GF5, GF8, GF9, GF16, GF32],
                          ids=lambda s: f"q{s.order}")
+def test_context_ids_and_thetas_are_the_census_proper_members(spec):
+    """The context's closed-form ids and thetas, (1, t) at position t for
+    t != 0, against the proper members of the census members()."""
+    ctx = time_pencil_context(spec)
+    census = members(ctx.pencil, ctx.plane)
+    assert ctx.ids == tuple(i for i, m in enumerate(census) if m.is_proper)
+    assert ctx.thetas == tuple(census[i].theta for i in ctx.ids)
+
+
+@pytest.mark.parametrize("spec", [GF3, GF4, GF5, GF8, GF9, GF16, GF32],
+                         ids=lambda s: f"q{s.order}")
 def test_context_masks_are_the_member_point_sets(spec):
-    """The context's closed-form member points against the point_set scan,
-    and the degenerate members' scans against their lines."""
+    """The closed-form member points (arc._member_points) against the
+    point_set scan, and the degenerate members' scans against their lines."""
     ctx = time_pencil_context(spec)
     plane = ctx.plane
     x1, x2, x3 = (plane.points_on(ProjLine(spec, v))
                   for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    proper = iter(ctx.proper)
-    for idx, m in enumerate(ctx.members):
+    proper = zip(ctx.ids, ctx.thetas, _member_points(ctx), strict=True)
+    for idx, m in enumerate(members(ctx.pencil, plane)):
         scan = point_set(m.conic, plane)
         if m.theta == (1, 0):       # x1*x2: the lines x1 = 0 and x2 = 0
             assert m.degeneracy is DegeneracyClass.REAL_LINE_PAIR
@@ -217,10 +253,54 @@ def test_context_masks_are_the_member_point_sets(spec):
             assert scan == x3
         else:
             assert m.is_proper
-            member_id, member, pts = next(proper)
-            assert (member_id, member) == (idx, m)
+            member_id, theta, pts = next(proper)
+            assert (member_id, theta) == (idx, m.theta)
             assert pts == scan and all(a is b for a, b in zip(pts, scan))
     assert next(proper, None) is None
+
+
+@pytest.mark.parametrize("spec", [GF2, GF3, GF4, GF5, GF8, GF9, GF16, GF32, GF64, GF128, GF256],
+                         ids=lambda s: f"q{s.order}")
+def test_member_points_are_zeros_with_distinct_joins_to_n(spec):
+    """Each proper member's closed-form points are q+1 distinct zeros of its
+    form, so all of its zero set; in characteristic 2, N joins them by q+1
+    distinct lines, so N is its nucleus and swapping any one point for N
+    leaves an arc, which build_time_family relies on."""
+    ctx = time_pencil_context(spec)
+    q = spec.order
+    n = ctx.N.values
+    for t, pts in zip(ctx.ids, _member_points(ctx), strict=True):
+        values = (0, 1, 0, 0, 0, t)   # x1*x2 + t*x3^2
+        assert len(set(pts)) == q + 1
+        assert not any(_evaluate_values(spec, values, p.values) for p in pts)
+        if spec.characteristic == 2:
+            assert len({_join_index(spec, n, p.values) for p in pts}) == q + 1
+
+
+@pytest.mark.parametrize("spec", [GF4, GF9], ids=lambda s: f"q{s.order}")
+def test_context_set_up_runs_no_census_scan_or_check(spec):
+    """Building the context classifies no member, scans no zero set and
+    joins no points: none of classify, point_set, _evaluate_values and
+    _join_index is called.  The census members() on a fresh plane, which
+    no cache holds, calls the first three under the same watch, so the
+    watch sees such calls."""
+    watched = {inspect.unwrap(func).__code__: func.__name__
+               for func in (classify, point_set, _evaluate_values, _join_index)}
+    called = []
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            called.append(watched[frame.f_code])
+
+    sys.setprofile(watch)
+    try:
+        ctx = TimePencilContext(spec)
+        set_up = set(called)
+        members.__wrapped__(ctx.pencil, Plane(spec))
+    finally:
+        sys.setprofile(None)
+    assert set_up == set()
+    assert set(called) == {"classify", "point_set", "_evaluate_values"}
 
 
 @pytest.mark.parametrize("spec", [GF3, GF4, GF5, GF8, GF9, GF16],
