@@ -39,10 +39,7 @@ from .conic import (
 )
 from .pencil import (
     Pencil,
-    PencilMember,
     TimePencilContext,
-    member_through,
-    members,
     time_pencil_context,
     validate_ideal_line,
 )
@@ -211,19 +208,6 @@ def _degenerate_contact(ctx: TimePencilContext, linf: ProjLine, lstar: ProjLine
     return DegenerateContactPoint(f"{contact} = {linf} ∧ {lstar} lies on a degenerate member")
 
 
-def contact_member(ctx: TimePencilContext, linf: ProjLine, lstar: ProjLine
-                   ) -> tuple[ProjPoint, PencilMember]:
-    """The contact point A = linf ∧ lstar of lines passing validate_lines,
-    and the member Q* through it, which must be proper; _contacts for one
-    pair."""
-    (contact,) = _contacts(ctx.spec, linf.values, (lstar.values[1],))
-    if contact is None:
-        raise _degenerate_contact(ctx, linf, lstar)
-    index, t = contact
-    # the members are (1, t) at position t, then (0, 1)
-    return ctx.plane.points[index], members(ctx.pencil, ctx.plane)[t]
-
-
 @lru_cache(maxsize=None)
 def _member_points(ctx: TimePencilContext) -> tuple[tuple[ProjPoint, ...], ...]:
     """Per proper member x1*x2 + t*x3^2 of the time pencil, in member order,
@@ -252,10 +236,18 @@ def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine) -> ArcFa
     of its form with distinct joins to N) form an oval.  In characteristic
     2 its nucleus N joins them by q+1 distinct lines, so the oval plus N is
     a (q+2)-arc, and the member, without its touch point, stays an arc for
-    every lstar.
-    Each of the q+1 members meets lstar in one point: x1*x2 in N, x3^2 in
-    one point of x3 = 0 and each proper member in its touch point.  Each
-    arc keeps its member's plane order, N being the last plane point.
+    every lstar.  Each arc keeps its member's plane order, N being the last
+    plane point.
+
+    All of it is in closed form, with no census of the members.  The
+    contact point A and the member Q* through it come from _contacts.  The
+    points of lstar = (1 : a : 0), that is x1 = a*x2, are N, on x1*x2, and
+    the points (1 : 1/a : x3): one on x3^2 and one on each proper member
+    x1*x2 + t*x3^2, its touch point.  That member's points (1 : t*c^2 : c)
+    have x2 = t*c^2, which takes each value of the field once as c does,
+    squaring being a bijection in characteristic 2; so in plane order its
+    point with x2 = v is at position v, and its touch point at position
+    1/a.  member_through over the points of lstar is the oracle in tests.
     """
     if spec.characteristic != 2:
         raise OddCharacteristic("the family construction needs characteristic 2")
@@ -263,17 +255,15 @@ def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine) -> ArcFa
         raise UnsupportedField("no valid configuration exists over GF(2)")
     ctx = time_pencil_context(spec)
     validate_lines(ctx, (linf,), (lstar,))
-    contact, qstar = contact_member(ctx, linf, lstar)
-    on_member = {member_through(ctx.pencil, p, ctx.plane).theta: p
-                 for p in ctx.plane.points_on(lstar)}
-    if len(on_member) != spec.order + 1:
-        raise IntersectionNotSingle(f"{lstar} meets some member in more than one point")
-    touches = tuple(on_member[theta] for theta in ctx.thetas)
-    # each touch point is one of the plane's point objects, as are the
-    # members' points, so identity drops it
-    arcs = tuple(Arc(tuple(p for p in pts if p is not touch) + (ctx.N,))
-                 for pts, touch in zip(_member_points(ctx), touches))
-    provenance = FamilyProvenance(ctx.pencil, linf, lstar, contact, qstar.theta)
+    (contact,) = _contacts(spec, linf.values, (lstar.values[1],))
+    if contact is None:
+        raise _degenerate_contact(ctx, linf, lstar)
+    index, t = contact
+    k = spec._inv_i(lstar.values[1])
+    member_points = _member_points(ctx)
+    touches = tuple([pts[k] for pts in member_points])
+    arcs = tuple([Arc(pts[:k] + pts[k + 1:] + (ctx.N,)) for pts in member_points])
+    provenance = FamilyProvenance(ctx.pencil, linf, lstar, ctx.plane.points[index], (1, t))
     return ArcFamily(spec, ctx.plane, arcs, ctx.ids, ctx.thetas, touches, provenance)
 
 

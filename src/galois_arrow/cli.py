@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .field import FieldSpec, field_order, make_field, parse_modulus
-from .plane import ProjLine, build_plane
+from .plane import ProjLine, _triple_values, build_plane
 from .conic import _nucleus_char2, canonical_conic, classify, point_set, tangent_lines
 from .pencil import common_nucleus, members, time_pencil_context
 from .arc import _degenerate_contact, build_time_family, family_to_dict, validate_lines
@@ -51,6 +51,12 @@ _DESCRIPTION = (
     "Reports go to stdout; a failure prints one JSON line on stderr.  Exit codes: 0 success, "
     "2 rejected input or usage error, 3 internal invariant violation.")
 _CSV_COMMANDS = ("pencil", "family", "arrow")
+# The largest order at which the commands that scan or print the whole
+# plane, and arrow sweeps, are accepted.  Their work grows as q^2 or
+# faster; at q = 2^10 each of plane, conic, pencil and family takes at
+# most about 8 s and 425 MiB on 2 cores.
+_PLANE_MAX_ORDER = 1 << 10
+_PLANE_COMMANDS = ("plane", "conic", "pencil", "family")
 
 
 class RunConfig(NamedTuple):
@@ -118,6 +124,10 @@ def parse_args(argv: list[str]) -> RunConfig:
     if ns.command in ("family", "arrow") and ns.p != 2:
         raise UsageError(f"{ns.command} requires characteristic 2, got p={ns.p}")
     q = field_order(ns.p, ns.n)
+    exhaustive = getattr(ns, "exhaustive", False)
+    if q > _PLANE_MAX_ORDER and (ns.command in _PLANE_COMMANDS or exhaustive):
+        what = "arrow --exhaustive" if exhaustive else ns.command
+        raise OrderTooLarge(f"{what} at q = {q} exceeds its supported bound 2^10")
     mode = getattr(ns, "mode", "conic")
     if ns.command == "family" or (ns.command == "arrow" and mode == "arc"):
         if q < 4:
@@ -127,7 +137,6 @@ def parse_args(argv: list[str]) -> RunConfig:
 
     linf_text = getattr(ns, "linf", None)
     lstar_text = getattr(ns, "lstar", None)
-    exhaustive = getattr(ns, "exhaustive", False)
     if exhaustive and (linf_text is not None or lstar_text is not None):
         raise UsageError("--exhaustive sweeps every valid line and takes no --linf or --lstar")
     if ns.command == "arrow" and mode == "conic" and lstar_text is not None:
@@ -278,8 +287,9 @@ class _ReportText:
 
     def __init__(self, spec: FieldSpec):
         self._fmt = spec.format
-        self._points = time_pencil_context(spec).plane.points
+        self._q = spec.order
         self._triples: dict[tuple[int, int, int], str] = {}
+        self._points: dict[int, str] = {}
         self._json_heads: dict[tuple, str] = {}
         self._json_tails: dict[tuple[int, int, int] | None, str] = {}
         self._csv_rows: dict[tuple, str] = {}
@@ -289,6 +299,11 @@ class _ReportText:
         text = self._triples.get(values)
         if text is None:
             text = self._triples[values] = "(" + ":".join(map(self._fmt, values)) + ")"
+        return text
+
+    def point(self, index: int) -> str:
+        """The text of the plane point at index, made from its values."""
+        text = self._points[index] = self.triple(_triple_values(self._q, index))
         return text
 
     def json_head(self, q: int, mode: str, linf: ProjLine, tallies: tuple[int, int, int]) -> str:
@@ -324,10 +339,11 @@ class _ReportText:
                 f'\n        {{\n          "id": {member_id},\n          "theta": [\n'
                 f'            "{fmt(theta[0])}",\n            "{fmt(theta[1])}"\n'
                 f'          ],\n          "class": "')
-        points = self._points
+        texts = self._points
         # _json_block inlined: this runs once per member of every ideal line
         listed = ('[\n            "'
-                  + '",\n            "'.join([self.triple(points[i].values) for i in witnesses])
+                  + '",\n            "'.join([texts[i] if i in texts else self.point(i)
+                                               for i in witnesses])
                   + '"\n          ]') if witnesses else "[]"
         return (f'{head}{self._classes[len(witnesses)]}",\n'
                 f'          "witnesses": {listed}\n        }}')

@@ -41,8 +41,10 @@ from .plane import (
     Plane,
     ProjLine,
     ProjPoint,
+    _incidence_indices,
     _line_hits,
     _normalize,
+    _triples,
     collinear,
     incident,
     meet,
@@ -127,8 +129,8 @@ def point_set(conic: Conic, plane: Plane) -> tuple[ProjPoint, ...]:
     """All plane points where the form vanishes, in plane order, by a scan
     of the whole plane; the oracle for closed-form zero sets."""
     field, coeffs = conic.field, conic.values
-    return tuple(p for p in plane.points
-                 if _evaluate_values(field, coeffs, p.values) == 0)
+    return tuple([plane.points[i] for i, values in enumerate(_triples(plane.order))
+                  if _evaluate_values(field, coeffs, values) == 0])
 
 
 def _discriminant(field: FieldSpec, coeffs: Sequence[int]) -> int:
@@ -198,13 +200,14 @@ def classify_line(points: Iterable[ProjPoint], line: ProjLine) -> LineClass:
 
 def tangent_lines(conic: Conic, plane: Plane) -> list[ProjLine]:
     """All lines meeting the conic in exactly one point, in plane line order:
-    the lines through each conic point are tallied, and a tangent is a line
-    counted once.  classify_line is its oracle in the test suite."""
+    the indices of the lines through each conic point are tallied, and a
+    tangent is a line counted once.  classify_line is its oracle in the
+    test suite."""
     if classify(conic, plane) is not DegeneracyClass.PROPER:
         raise DegenerateConic(f"{conic} is degenerate")
-    hits = Counter(line for pt in point_set(conic, plane)
-                   for line in plane.lines_through(pt))
-    return [line for line in plane.lines if hits[line] == 1]
+    hits = Counter(i for pt in point_set(conic, plane)
+                   for i in _incidence_indices(plane.field, pt.values))
+    return [plane.lines[i] for i in sorted(hits) if hits[i] == 1]
 
 
 def nucleus(conic: Conic, plane: Plane) -> ProjPoint:

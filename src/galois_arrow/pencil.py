@@ -37,6 +37,7 @@ from .plane import (
     ProjPoint,
     _check_field,
     _normalize,
+    _triples,
     build_plane,
 )
 
@@ -99,9 +100,9 @@ def base_points(pencil: Pencil, plane: Plane) -> tuple[ProjPoint, ...]:
     """Points lying on every member, i.e. on both generators; plane order."""
     field = pencil.field
     g1, g2 = pencil.generator1.values, pencil.generator2.values
-    return tuple(p for p in plane.points
-                 if _evaluate_values(field, g1, p.values) == 0
-                 and _evaluate_values(field, g2, p.values) == 0)
+    return tuple([plane.points[i] for i, values in enumerate(_triples(plane.order))
+                  if _evaluate_values(field, g1, values) == 0
+                  and _evaluate_values(field, g2, values) == 0])
 
 
 def member_through(pencil: Pencil, point: ProjPoint, plane: Plane) -> PencilMember:

@@ -3,16 +3,21 @@
 Points and lines are normalized homogeneous triples (first nonzero
 coordinate scaled to 1), so projectively equal triples compare equal.
 Incidence is the exact dot-product test and stays the oracle.  The fast
-path is the plane's enumeration: point and line i both have the values
-of _enumerate_triples(field)[i], and the indices of a line's points (and
-of a point's lines) are solved for in closed form in O(q); the test suite
-checks them against the incidence scan exhaustively.
+path is the plane's enumeration, a function of the index: point and line
+i both have the values _triple_values(q, i), whose inverse is
+_triple_index, so the plane stores no points or lines and makes one only
+when it is read.  The indices of a line's points (and of a point's
+lines) are solved for in closed form in O(q); the test suite checks them
+against the incidence scan exhaustively.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import Iterable
+from itertools import chain, product
+from typing import Iterable, Iterator
 
 from .errors import CoincidentLines, CoincidentPoints, MixedFields
 from .field import FieldElement, FieldSpec
@@ -72,15 +77,6 @@ class _Triple:
         return f"{type(self).__name__}{self}"
 
 
-def _from_normalized(cls: type, field: FieldSpec, values: tuple[int, int, int]):
-    """A point or line of values already normalized, such as those of
-    _enumerate_triples, built without _normalize's scaling and checks."""
-    triple = object.__new__(cls)
-    triple.field = field
-    triple.values = values
-    return triple
-
-
 class ProjPoint(_Triple):
     """A point of PG(2, q), normalized."""
 
@@ -89,22 +85,98 @@ class ProjLine(_Triple):
     """A line of PG(2, q); a point lies on it iff the coordinate dot product is 0."""
 
 
+def _triples(q: int) -> Iterator[tuple[int, int, int]]:
+    """The normalized values of the plane's enumeration, in order: (1 : a : b)
+    by a, then b, then (0 : 1 : a), then (0 : 0 : 1)."""
+    return chain(product((1,), range(q), range(q)), product((0,), (1,), range(q)), [(0, 0, 1)])
+
+
+def _triple_values(q: int, i: int) -> tuple[int, int, int]:
+    """The values at position i, 0 <= i <= q*q + q, of the enumeration."""
+    if i < q * q:
+        return (1, i // q, i % q)
+    if i < q * q + q:
+        return (0, 1, i - q * q)
+    return (0, 0, 1)
+
+
+def _triple_index(q: int, values: tuple[int, int, int]) -> int:
+    """Position of normalized values in the enumeration; _triple_values
+    inverts it."""
+    x1, x2, x3 = values
+    if x1:
+        return x2 * q + x3
+    if x2:
+        return q * q + x3
+    return q * q + q
+
+
+class _Enumeration(Sequence):
+    """The points, or the lines, of PG(2, q) in plane order: a read-only
+    sequence with tuple semantics whose items are made from their position
+    when read, without _normalize's scaling and checks."""
+
+    __slots__ = ("_cls", "_field", "_q", "_len")
+
+    def __init__(self, cls: type, field: FieldSpec):
+        self._cls = cls
+        self._field = field
+        self._q = field.order
+        self._len = self._q * self._q + self._q + 1
+
+    def _item(self, values: tuple[int, int, int]) -> _Triple:
+        triple = object.__new__(self._cls)
+        triple.field = self._field
+        triple.values = values
+        return triple
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return tuple([self[i] for i in range(*key.indices(self._len))])
+        i = operator.index(key)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError(f"index {key} outside a plane of {self._len} items")
+        return self._item(_triple_values(self._q, i))
+
+    def __iter__(self):
+        return map(self._item, _triples(self._q))
+
+    def _position(self, item) -> int | None:
+        if type(item) is self._cls and item.field == self._field:
+            return _triple_index(self._q, item.values)
+        return None
+
+    def __contains__(self, item) -> bool:
+        return self._position(item) is not None
+
+    def index(self, item, start: int = 0, stop: int | None = None) -> int:
+        i = self._position(item)
+        if i is None or i not in range(self._len)[start:stop]:
+            raise ValueError(f"{item!r} is not in the range searched")
+        return i
+
+
 class Plane:
-    """All points and lines of PG(2, q), in a fixed enumeration order."""
+    """All points and lines of PG(2, q), in a fixed enumeration order, as
+    two sequences that store no items."""
 
     __slots__ = ("field", "points", "lines")
 
     def __init__(self, field: FieldSpec):
         self.field = field
-        triples = _enumerate_triples(field)
-        self.points = tuple([_from_normalized(ProjPoint, field, t) for t in triples])
-        self.lines = tuple([_from_normalized(ProjLine, field, t) for t in triples])
+        self.points = _Enumeration(ProjPoint, field)
+        self.lines = _Enumeration(ProjLine, field)
 
     @property
     def order(self) -> int:
         return self.field.order
 
-    def _incident_to(self, triple: _Triple, items: tuple) -> tuple:
+    def _incident_to(self, triple: _Triple, items: _Enumeration) -> tuple:
         if triple.field != self.field:
             raise MixedFields(f"{triple} belongs to a different field than the plane")
         # incidence is symmetric and points and lines share one enumeration,
@@ -123,26 +195,8 @@ class Plane:
         return f"Plane(PG(2,{self.order}), {len(self.points)} points)"
 
 
-def _enumerate_triples(field: FieldSpec) -> list[tuple[int, int, int]]:
-    q = field.order
-    out = [(1, a, b) for a in range(q) for b in range(q)]
-    out += [(0, 1, a) for a in range(q)]
-    out.append((0, 0, 1))
-    return out
-
-
-def _triple_index(q: int, values: tuple[int, int, int]) -> int:
-    """Position of normalized values in _enumerate_triples."""
-    x1, x2, x3 = values
-    if x1:
-        return x2 * q + x3
-    if x2:
-        return q * q + x3
-    return q * q + q
-
-
 def _incidence_indices(field: FieldSpec, values: tuple[int, int, int]) -> list[int]:
-    """Ascending indices of the triples of _enumerate_triples whose dot
+    """Ascending indices of the triples of the enumeration whose dot
     product with the nonzero vector (l1, l2, l3) vanishes, solved for in O(q)."""
     q = field.order
     l1, l2, l3 = values
@@ -162,7 +216,8 @@ def _incidence_indices(field: FieldSpec, values: tuple[int, int, int]) -> list[i
 
 @lru_cache(maxsize=None)
 def build_plane(spec: FieldSpec) -> Plane:
-    """PG(2, q) over the given field; cached, since planes are immutable."""
+    """PG(2, q) over the given field; cached, since planes are immutable and
+    the caches of pencil.members and conic.point_set are keyed on them."""
     return Plane(spec)
 
 

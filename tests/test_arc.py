@@ -9,7 +9,6 @@ from galois_arrow.errors import (
     ArcTooSmall,
     DegenerateContactPoint,
     DuplicatePoints,
-    IntersectionNotSingle,
     InvalidIdealLine,
     InvalidTangentLine,
     MixedFields,
@@ -26,7 +25,6 @@ from galois_arrow.conic import (
     fit_conic,
     point_set,
 )
-from galois_arrow import arc as arc_module
 from galois_arrow.pencil import member_through, members, time_pencil_context
 from galois_arrow.plane import ProjLine, ProjPoint, build_plane, incident, meet, points_on
 from galois_arrow.arc import (
@@ -34,7 +32,6 @@ from galois_arrow.arc import (
     _member_points,
     augment_with_nucleus,
     build_time_family,
-    contact_member,
     family_to_dict,
     is_arc,
     is_conic_arc,
@@ -247,23 +244,32 @@ def test_family_rejects_degenerate_contact_point():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5], ids=lambda n: f"q{2 ** n}")
 def test_contact_member_matches_the_incidence_oracle(n):
-    """The closed-form contact point and Q* against plane.meet and
-    member_through on every valid (L-infinity, L*) pair, the rejected pairs
-    and their messages included."""
+    """On every valid (L-infinity, L*) pair, the family's contact point A and
+    contact member Q* against plane.meet and member_through, and its
+    closed-form touch points against member_through over the points of L*;
+    a pair whose A lies on a degenerate member is refused with its message."""
     spec = make_field(2, n)
     ctx = time_pencil_context(spec)
     rejected = 0
-    for linf in ctx.valid_ideal_lines():
-        for lstar in ctx.valid_tangent_lines():
+    for lstar in ctx.valid_tangent_lines():
+        # each point of L* lies on its own member, so each member's touch
+        # point is single: N on x1*x2, one point on x3^2, one per proper member
+        on_member = {member_through(ctx.pencil, p, ctx.plane).theta: p
+                     for p in points_on(lstar, ctx.plane)}
+        assert len(on_member) == spec.order + 1
+        touches = tuple(on_member[theta] for theta in ctx.thetas)
+        for linf in ctx.valid_ideal_lines():
             contact = meet(linf, lstar)
             qstar = member_through(ctx.pencil, contact, ctx.plane)
-            if qstar.is_proper:
-                assert contact_member(ctx, linf, lstar) == (contact, qstar)
+            if not qstar.is_proper:
+                rejected += 1
+                with pytest.raises(DegenerateContactPoint) as exc:
+                    build_time_family(spec, linf, lstar)
+                assert str(exc.value) == f"{contact} = {linf} ∧ {lstar} lies on a degenerate member"
                 continue
-            rejected += 1
-            with pytest.raises(DegenerateContactPoint) as exc:
-                contact_member(ctx, linf, lstar)
-            assert str(exc.value) == f"{contact} = {linf} ∧ {lstar} lies on a degenerate member"
+            fam = build_time_family(spec, linf, lstar)
+            assert fam.touch_points == touches
+            assert fam.provenance == (ctx.pencil, linf, lstar, contact, qstar.theta)
     # A lies on the double line x3 = 0 exactly when L-infinity = (1 : a : c), L* = (1 : a : 0)
     assert rejected == (spec.order - 1) ** 2
 
@@ -300,16 +306,22 @@ def test_touch_points_partition_lstar():
     assert leftovers <= double_line_pts
 
 
-def test_family_refuses_lstar_not_one_to_one_on_members(monkeypatch):
-    """Each point of L* lies on its own member; were two on one member,
-    that member's touch point would not be single."""
+def test_family_refuses_lstar_not_one_to_one_on_members():
+    """Each point of a valid L* lies on its own member, so each member's
+    touch point is single; every other line of the plane meets some member
+    in no point or in more than one, and the family refuses it."""
     ctx = time_pencil_context(GF8)
-    qstar = _family(GF8).provenance.qstar_theta
-    member = next(m for m in _proper(ctx) if m.theta == qstar)
-    monkeypatch.setattr(arc_module, "member_through", lambda *args: member)
-    with pytest.raises(IntersectionNotSingle,
-                       match=r"^\(1:2:0\) meets some member in more than one point$"):
-        _family(GF8)
+    census = [set(point_set(m.conic, ctx.plane)) for m in members(ctx.pencil, ctx.plane)]
+    one_to_one = []
+    for line in ctx.plane.lines:
+        pts = set(points_on(line, ctx.plane))
+        if all(len(pts & zeros) == 1 for zeros in census):
+            one_to_one.append(line)
+            assert _first_unrejected_family(ctx, line).provenance.lstar == line
+            continue
+        with pytest.raises(InvalidTangentLine):
+            _family(GF8, lstar=line.values)
+    assert tuple(one_to_one) == ctx.valid_tangent_lines()
 
 
 def _first_unrejected_family(ctx, lstar):

@@ -19,6 +19,7 @@ from galois_arrow.errors import (
     UsageError,
 )
 from galois_arrow import cli
+from galois_arrow import plane as plane_module
 from galois_arrow.arc import Arc, build_time_family
 from galois_arrow.arrow import (
     TemporalClass,
@@ -298,6 +299,11 @@ def test_csv_exhaustive_includes_configuration_columns():
     (["arrow", "--n", "2", "--mode", "arc", "--exhaustive", "--lstar", "1,1,0"], "UsageError"),
     (["arrow", "--n", "3", "--mode", "conic", "--lstar", "1,1,1"], "UsageError"),
     (["arrow", "--n", "3", "--lstar", "1,0,0"], "UsageError"),
+    (["plane", "--n", "16"], "OrderTooLarge"),
+    (["conic", "--n", "11", "--modulus", "0x805"], "OrderTooLarge"),
+    (["pencil", "--p", "65521", "--modulus", "0,1"], "OrderTooLarge"),
+    (["family", "--n", "16", "--modulus", "0x1100b"], "OrderTooLarge"),
+    (["arrow", "--n", "11", "--modulus", "0x805", "--exhaustive"], "OrderTooLarge"),
 ])
 def test_rejected_input_follows_the_exit_code_contract(argv, error):
     code, out, err = _run(argv)   # an exception escaping main is a traceback
@@ -526,6 +532,36 @@ def test_closed_stdout_exits_0_quietly():
     assert proc.wait(timeout=120) == 0
     assert len(head) == 100
     assert err == b"" and b"Traceback" not in err
+
+
+@pytest.mark.parametrize("mode, tallies", [("conic", [511, 0, 512]), ("arc", [510, 1, 512])],
+                         ids=["conic", "arc"])
+def test_single_arrow_run_reads_o_of_q_plane_items(monkeypatch, mode, tallies):
+    """A single arrow run at q = 1024 reads a few plane items per member,
+    not the q^2 + q + 1 of a plane scan.  Every item made from its
+    position (_triple_values) and every item of a scan (_triples) counts,
+    in whichever module calls it."""
+    read = [0]
+    originals = {name: getattr(plane_module, name) for name in ("_triple_values", "_triples")}
+
+    def triple_values(q, i):
+        read[0] += 1
+        return originals["_triple_values"](q, i)
+
+    def triples(q):
+        for values in originals["_triples"](q):
+            read[0] += 1
+            yield values
+
+    fakes = {"_triple_values": triple_values, "_triples": triples}
+    for module in [m for name, m in sys.modules.items() if name.startswith("galois_arrow")]:
+        for name, original in originals.items():
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, fakes[name])
+    code, out, err = _run(["arrow", "--n", "10", "--modulus", "0x409", "--mode", mode])
+    assert (code, err) == (0, "")
+    assert list(json.loads(out)["tallies"].values()) == tallies
+    assert 0 < read[0] <= 4 * 1024
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

@@ -255,7 +255,7 @@ def test_context_masks_are_the_member_point_sets(spec):
             assert m.is_proper
             member_id, theta, pts = next(proper)
             assert (member_id, theta) == (idx, m.theta)
-            assert pts == scan and all(a is b for a, b in zip(pts, scan))
+            assert pts == scan and all(a == b for a, b in zip(pts, scan))
     assert next(proper, None) is None
 
 
@@ -352,7 +352,7 @@ def test_valid_ideal_lines_match_the_coefficient_filter(spec):
     expected = tuple(line for line in ctx.plane.lines if all(line.values))
     got = ctx.valid_ideal_lines()
     assert len(got) == len(expected) == (spec.order - 1) ** 2
-    assert all(a is b for a, b in zip(got, expected))
+    assert all(a == b for a, b in zip(got, expected))
 
 
 def test_validate_ideal_line_rejects_other_fields():

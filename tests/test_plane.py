@@ -9,11 +9,11 @@ from galois_arrow.field import make_field, elements
 from galois_arrow.plane import (
     ProjLine,
     ProjPoint,
-    _enumerate_triples,
     _incidence_indices,
     _join_index,
     _line_hits,
     _triple_index,
+    _triple_values,
     build_plane,
     collinear,
     incident,
@@ -209,13 +209,53 @@ def test_plane_caches_agree_with_incidence_oracle(spec):
 
 @pytest.mark.parametrize("spec", MASK_FIELDS, ids=_q)
 def test_plane_equals_the_normalizing_construction(spec):
-    """The plane builds its points and lines from the enumeration's values
+    """The plane makes its points and lines from the enumeration's values
     without normalizing them again; the public constructors, which
     normalize and check, give equal objects."""
     plane = build_plane(spec)
-    triples = _enumerate_triples(spec)
-    assert plane.points == tuple(ProjPoint(spec, t) for t in triples)
-    assert plane.lines == tuple(ProjLine(spec, t) for t in triples)
+    q = spec.order
+    triples = [_triple_values(q, i) for i in range(q * q + q + 1)]
+    assert tuple(plane.points) == tuple(ProjPoint(spec, t) for t in triples)
+    assert tuple(plane.lines) == tuple(ProjLine(spec, t) for t in triples)
+
+
+@pytest.mark.parametrize("spec", [GF2, GF3, GF4, GF5], ids=_q)
+def test_plane_sequences_have_tuple_semantics(spec):
+    """The points and the lines, each made from its position when read,
+    behave as the tuple of their items: len, every index and negative
+    index, stepped slices, IndexError out of range, iteration, index()
+    and `in`."""
+    plane = build_plane(spec)
+    other = build_plane(GF8)
+    for view, other_view, foreign in ((plane.points, other.points, plane.lines),
+                                      (plane.lines, other.lines, plane.points)):
+        items = tuple(view)
+        n = len(items)
+        assert len(view) == n == spec.order ** 2 + spec.order + 1
+        for i in range(-n, n):
+            assert view[i] == items[i]
+        for bad in (n, n + 1, -n - 1):
+            with pytest.raises(IndexError):
+                view[bad]
+        for start, stop, step in product((None, 0, 1, -2, n, n + 3), (None, 2, -1, n + 5),
+                                          (None, 1, 2, -1, -3)):
+            assert view[start:stop:step] == items[start:stop:step]
+        for i, item in enumerate(items):
+            assert item in view and view.index(item) == i == items.index(item)
+            assert view.index(item, i) == i == view.index(item, -n, i + 1)
+            for start, stop in ((i + 1, None), (0, i), (-n, i - n)):
+                with pytest.raises(ValueError):
+                    view.index(item, start, stop)
+        for stranger in (other_view[1], foreign[1], items[1].values, None):
+            assert stranger not in view and stranger not in items
+            with pytest.raises(ValueError):
+                view.index(stranger)
+
+
+def test_triple_values_inverts_triple_index():
+    for q in range(2, 65):
+        for i in range(q * q + q + 1):
+            assert _triple_index(q, _triple_values(q, i)) == i
 
 
 @pytest.mark.parametrize("spec", MASK_FIELDS, ids=_q)
