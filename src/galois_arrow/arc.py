@@ -7,6 +7,10 @@ the nucleus, and a line L* through the nucleus missing both base points.
 From each proper pencil member delete the single point where L* touches
 it and add the nucleus.  Every resulting set is again a (q+1)-arc, and exactly
 one of them is tangent to the ideal line.
+
+The configuration's checks, and its contact point A and member Q* in
+closed form, are the kernel's (kernel.validate_lines, kernel._contacts),
+shared with the arrow pass, which loads no module of arcs.
 """
 
 from __future__ import annotations
@@ -18,10 +22,8 @@ from typing import Iterable, NamedTuple
 from .errors import (
     ArcTooSmall,
     DegenerateConic,
-    DegenerateContactPoint,
     DuplicatePoints,
     IntersectionNotSingle,
-    InvalidTangentLine,
     NotThroughNucleus,
     OddCharacteristic,
     PointNotInArc,
@@ -37,14 +39,15 @@ from .conic import (
     fit_conic,
     point_set,
 )
-from .pencil import (
-    Pencil,
+from .pencil import Pencil, time_pencil
+from .kernel import (
     TimePencilContext,
+    _contacts,
+    _degenerate_contact,
     time_pencil_context,
-    validate_ideal_line,
+    validate_lines,
 )
-from .plane import (Plane, ProjLine, ProjPoint, _check_field, _line_hits, _triple_index,
-                    collinear, incident)
+from .plane import Plane, ProjLine, ProjPoint, _line_hits, _triple_index, collinear, incident
 
 
 class Arc:
@@ -158,56 +161,6 @@ def touch_point(conic: Conic, lstar: ProjLine, plane: Plane) -> ProjPoint:
     return hits[0]
 
 
-def validate_lines(ctx: TimePencilContext, linfs: Iterable[ProjLine],
-                   lstars: Iterable[ProjLine]) -> None:
-    """The line checks of a family configuration, in this order: each ideal
-    line by validate_ideal_line, then each L* must pass through the nucleus
-    N = (0:0:1) and miss both base points, that is be neither (1:0:0) nor
-    (0:1:0); so the valid L* are those with l3 = 0 and l1*l2 != 0.  _contacts
-    checks each pair."""
-    for linf in linfs:
-        validate_ideal_line(linf, ctx.plane)
-    for lstar in lstars:
-        _check_field(lstar, ctx.plane)
-        l1, l2, l3 = lstar.values
-        if l3:
-            raise InvalidTangentLine(f"{lstar} does not pass through the nucleus {ctx.N}")
-        if not (l1 and l2):
-            raise InvalidTangentLine(f"{lstar} joins the nucleus to a base point")
-
-
-def _contacts(spec: FieldSpec, linf_values: tuple[int, int, int], lstar_as: Iterable[int]
-              ) -> list[tuple[int, int] | None]:
-    """For linf = (1 : b : c), bc != 0, and each lstar = (1 : a : 0), a != 0,
-    a in lstar_as (lines passing validate_lines): None if the contact point
-    A = linf ∧ lstar lies on a degenerate member, else the plane index of A
-    and the t of the proper member Q* = (1, t) through it.
-
-    In characteristic 2, A = linf × lstar = (ca : c : a + b).  If a = b,
-    A = (1 : 1/a : 0) lies on x3^2 = 0, a degenerate member.  Otherwise
-    A = (1 : 1/a : (a + b)/(ac)), at index (1/a)*q + (a + b)/(ac), and the
-    member x1*x2 + t*x3^2 through it has t = x1*x2/x3^2 = c^2*a/(a + b)^2,
-    which is nonzero.  plane.meet and member_through are the oracle."""
-    mul, inv = spec._mul_i, spec._inv_i
-    q = spec.order
-    _, b, c = linf_values
-    cc = mul(c, c)
-    out = []
-    for a in lstar_as:
-        a_plus_b = a ^ b
-        out.append((inv(a) * q + mul(a_plus_b, inv(mul(a, c))),
-                    mul(cc, mul(a, inv(mul(a_plus_b, a_plus_b))))) if a_plus_b else None)
-    return out
-
-
-def _degenerate_contact(ctx: TimePencilContext, linf: ProjLine, lstar: ProjLine
-                        ) -> DegenerateContactPoint:
-    """The refusal of a configuration _contacts gives None: its contact
-    point A = (1 : 1/a : 0), at index (1/a)*q, on the double line."""
-    contact = ctx.plane.points[ctx.spec._inv_i(lstar.values[1]) * ctx.spec.order]
-    return DegenerateContactPoint(f"{contact} = {linf} ∧ {lstar} lies on a degenerate member")
-
-
 @lru_cache(maxsize=None)
 def _member_points(ctx: TimePencilContext) -> tuple[tuple[ProjPoint, ...], ...]:
     """Per proper member x1*x2 + t*x3^2 of the time pencil, in member order,
@@ -263,7 +216,8 @@ def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine) -> ArcFa
     member_points = _member_points(ctx)
     touches = tuple([pts[k] for pts in member_points])
     arcs = tuple([Arc(pts[:k] + pts[k + 1:] + (ctx.N,)) for pts in member_points])
-    provenance = FamilyProvenance(ctx.pencil, linf, lstar, ctx.plane.points[index], (1, t))
+    provenance = FamilyProvenance(time_pencil(spec), linf, lstar, ctx.plane.points[index],
+                                  (1, t))
     return ArcFamily(spec, ctx.plane, arcs, ctx.ids, ctx.thetas, touches, provenance)
 
 

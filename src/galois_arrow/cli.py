@@ -12,14 +12,17 @@ at once, as soon as that line is done, so a sweep holds one ideal line's
 texts in memory, not all of its reports, and makes one write per ideal
 line (the first also holding the opening, a JSON sweep one more for its
 summary).  Members' CSV rows are rendered once per orbit of ideal lines
-(arrow._orbit); JSON, which prints each line's own witnesses, classifies
+(kernel._orbit); JSON, which prints each line's own witnesses, classifies
 and renders once per ideal line.  In arc mode one pass per ideal line,
-arrow._arc_deltas, gives for every L* the member Q* through the contact
+kernel._arc_deltas, gives for every L* the member Q* through the contact
 point, which goes from Past to Present, and its one remaining witness,
 all as plane indices; that member is rendered anew and joined with the
 others' texts, made once per ideal line, and the L*'s tail, made once per
 run.  Reports are laid out once, as entries of a sweep; a single
 configuration's one report is dedented to the top level.
+
+The arrow command runs on the kernel module alone; the conic, pencil and
+family payloads import their modules when they run.
 """
 
 from __future__ import annotations
@@ -39,10 +42,8 @@ from .errors import (
 )
 from .field import FieldSpec, field_order, make_field, parse_modulus
 from .plane import ProjLine, _triple_values, build_plane
-from .conic import _nucleus_char2, canonical_conic, classify, point_set, tangent_lines
-from .pencil import common_nucleus, members, time_pencil_context
-from .arc import _degenerate_contact, build_time_family, family_to_dict, validate_lines
-from .arrow import _TEMPORAL_BY_HITS, TemporalClass, _arc_deltas, _orbit, _witnesses
+from .kernel import (_TEMPORAL_BY_HITS, TemporalClass, _arc_deltas, _degenerate_contact, _orbit,
+                     _witnesses, time_pencil_context, validate_lines)
 
 COMMANDS = ("field-info", "plane", "conic", "pencil", "family", "arrow")
 _DESCRIPTION = (
@@ -179,6 +180,7 @@ def _payload_plane(spec: FieldSpec) -> dict:
 
 
 def _payload_conic(spec: FieldSpec) -> dict:
+    from .conic import _nucleus_char2, canonical_conic, classify, point_set, tangent_lines
     plane = build_plane(spec)
     conic = canonical_conic(spec)
     tangents = tangent_lines(conic, plane)
@@ -198,7 +200,9 @@ def _payload_conic(spec: FieldSpec) -> dict:
 
 
 def _payload_pencil(spec: FieldSpec) -> dict:
+    from .pencil import common_nucleus, members, time_pencil
     ctx = time_pencil_context(spec)
+    pencil = time_pencil(spec)
     fmt = spec.format
     payload = {
         "q": spec.order,
@@ -210,15 +214,16 @@ def _payload_pencil(spec: FieldSpec) -> dict:
                 "conic": [str(c) for c in m.conic.coefficients],
                 "class": str(m.degeneracy),
             }
-            for m in members(ctx.pencil, ctx.plane)
+            for m in members(pencil, ctx.plane)
         ],
     }
     if spec.characteristic == 2:
-        payload["common_nucleus"] = str(common_nucleus(ctx.pencil, ctx.plane))
+        payload["common_nucleus"] = str(common_nucleus(pencil, ctx.plane))
     return payload
 
 
 def _payload_family(spec: FieldSpec, config: RunConfig) -> dict:
+    from .arc import build_time_family, family_to_dict
     linf, lstar = ProjLine(spec, config.linf), ProjLine(spec, config.lstar)
     return family_to_dict(build_time_family(spec, linf, lstar))
 
@@ -229,13 +234,13 @@ def _arrow_reports(spec: FieldSpec, config: RunConfig, rejected: list[tuple[Proj
                    ) -> Iterator[tuple[ProjLine, tuple[tuple[int, ...], ...] | None,
                                        list[tuple[ProjLine | None, tuple[int, int] | None]]]]:
     """Per L-infinity of the run, one at a time: the line, its members'
-    witnesses as plane indices (arrow._witnesses; None in a conic CSV run,
+    witnesses as plane indices (kernel._witnesses; None in a conic CSV run,
     whose rows come from the line's orbit) and its configurations (L*,
     delta), one per report.  A delta (position, witness) is the member in
     which the report differs from the line's conic classification: Q*,
     Present with that one witness.  In conic mode the one configuration is
     (None, None); in arc mode there is one per L*, from the line's one
-    pass, arrow._arc_deltas.  A single run is the one-pair case.  Arc
+    pass, kernel._arc_deltas.  A single run is the one-pair case.  Arc
     configurations whose contact point lies on a degenerate member are
     appended to rejected during a sweep; a single run raises
     DegenerateContactPoint."""
@@ -424,7 +429,7 @@ def _arrow_csv(spec: FieldSpec, config: RunConfig) -> Iterator[str]:
     for linf, _, configurations in _arrow_reports(spec, config, []):
         u, ys = _orbit(ctx, linf)
         rows = rows_by_orbit.get(u)
-        if rows is None:   # a member with no root y is Future, as in arrow._witnesses
+        if rows is None:   # a member with no root y is Future, as in kernel._witnesses
             classes = [TemporalClass.FUTURE if y is None else TemporalClass.PAST for y in ys]
             rows = rows_by_orbit[u] = list(map(text.member_csv, ctx.ids, ctx.thetas, classes))
         pieces = [header]

@@ -6,8 +6,10 @@ are indexed by theta = (t1, t2), normalized so the first nonzero entry is
 1; the enumeration runs (1, t2) over the field order and ends with (0, 1).
 The member (1, t) has discriminant -t, so the proper members are (1, t),
 t != 0, and the two degenerate ones are the real line pair (1, 0) and the
-double line (0, 1).  The time pencil context keeps these closed forms;
-members(), the census by classify, is their oracle.
+double line (0, 1).  The time pencil context, kernel.TimePencilContext,
+keeps these closed forms; members(), the census by classify, is their
+oracle.  This module imports the kernel only to bind time_pencil_context
+here as well, the name the benchmark's spans time the context under.
 """
 
 from __future__ import annotations
@@ -16,13 +18,7 @@ from collections import namedtuple
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import (
-    BasePoint,
-    HitsBasePoint,
-    HitsNucleus,
-    NoProperMember,
-    NucleiDiffer,
-)
+from .errors import BasePoint, NoProperMember, NucleiDiffer
 from .field import FieldSpec
 from .conic import (
     Conic,
@@ -31,15 +27,8 @@ from .conic import (
     _nucleus_char2,
     classify,
 )
-from .plane import (
-    Plane,
-    ProjLine,
-    ProjPoint,
-    _check_field,
-    _normalize,
-    _triples,
-    build_plane,
-)
+from .kernel import time_pencil_context  # noqa: F401  (see the module docstring)
+from .plane import Plane, ProjPoint, _normalize, _triples
 
 
 class Pencil(namedtuple("Pencil", "generator1 generator2")):
@@ -131,76 +120,3 @@ def common_nucleus(pencil: Pencil, plane: Plane) -> ProjPoint:
     if any(nuc != first for nuc in nuclei[1:]):
         raise NucleiDiffer("proper members have distinct nuclei")
     return first
-
-
-# ---------------------------------------------------------------------------
-# shared, cached machinery around the canonical pencil
-
-def validate_ideal_line(linf: ProjLine, plane: Plane) -> None:
-    """Reject ideal lines through a base point, B1 = (0:1:0) or
-    B2 = (1:0:0), or the nucleus N = (0:0:1).
-
-    Valid lines are exactly those with all three coefficients nonzero.
-    """
-    _check_field(linf, plane)
-    l1, l2, l3 = linf.values
-    if not (l1 and l2):
-        raise HitsBasePoint(f"ideal line {linf} passes through a base point")
-    if not l3:
-        raise HitsNucleus(f"ideal line {linf} passes through the nucleus (0:0:1)")
-
-
-def _quadratic_roots(spec: FieldSpec) -> list[int | None]:
-    """For each k of GF(2^n), a root y of y^2 + y = k, or None if there is
-    none, which is exactly when the absolute trace of k is 1; y + 1 is the
-    other root.  y -> y^2 + y is two-to-one, so one pass over y fills it."""
-    roots = [None] * spec.order
-    for y in range(spec.order):
-        roots[spec._mul_i(y, y) ^ y] = y
-    return roots
-
-
-class TimePencilContext:
-    """Plane, canonical pencil, the proper members' ids and thetas, and the
-    distinguished points B1, B2 and N every temporal construction needs,
-    all in closed form.  One per field, cached.
-
-    The proper members are (1, t), t != 0 (see the module docstring), at
-    position t of members(), which is their id.  In characteristic 2, roots
-    is _quadratic_roots(spec), by which arrow._orbit classifies each member
-    on an ideal line, and orbits keeps those classifications."""
-
-    __slots__ = ("spec", "plane", "pencil", "ids", "thetas", "roots", "orbits",
-                 "B1", "B2", "N")
-
-    def __init__(self, spec: FieldSpec):
-        self.spec = spec
-        self.plane = build_plane(spec)
-        self.pencil = time_pencil(spec)
-        self.B1 = ProjPoint(spec, (0, 1, 0))
-        self.B2 = ProjPoint(spec, (1, 0, 0))
-        self.N = ProjPoint(spec, (0, 0, 1))
-        self.ids = tuple(range(1, spec.order))
-        self.thetas = tuple([(1, t) for t in self.ids])
-        self.roots = _quadratic_roots(spec) if spec.characteristic == 2 else None
-        self.orbits: dict[int, tuple[int | None, ...]] = {}   # arrow._orbit, per orbit u
-
-    def valid_ideal_lines(self) -> tuple[ProjLine, ...]:
-        """Lines passing validate_ideal_line, those with all three
-        coefficients nonzero, which are the lines (1 : b : c) with bc != 0,
-        at index b*q + c, in plane line order."""
-        q = self.spec.order
-        lines = self.plane.lines
-        return tuple([lines[b * q + c] for b in range(1, q) for c in range(1, q)])
-
-    def valid_tangent_lines(self) -> tuple[ProjLine, ...]:
-        """Lines through N other than (1:0:0) and (0:1:0), its joins with B1
-        and B2, which are the lines (1 : a : 0) with a != 0, at index a*q, in
-        plane line order."""
-        q = self.spec.order
-        return tuple(self.plane.lines[a * q] for a in range(1, q))
-
-
-@lru_cache(maxsize=None)
-def time_pencil_context(spec: FieldSpec) -> TimePencilContext:
-    return TimePencilContext(spec)

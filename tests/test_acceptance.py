@@ -37,9 +37,10 @@ from galois_arrow.conic import (
     point_set,
     tangent_lines,
 )
-from galois_arrow.pencil import members, time_pencil, time_pencil_context
+from galois_arrow.pencil import members, time_pencil
 from galois_arrow.arc import Arc, build_time_family, is_arc, is_conic_arc, touch_point
 from galois_arrow.arrow import arc_arrow, conic_arrow
+from galois_arrow.kernel import time_pencil_context
 
 GF2 = make_field(2, 1)
 GF3 = make_field(3, 1)
@@ -242,7 +243,7 @@ def _conic_tallies_by_ideal_points(spec, linf):
     """Second counting path: walk the ideal line's points and count, per
     proper member, the points of the line lying on it."""
     ctx = time_pencil_context(spec)
-    proper = [m for m in members(ctx.pencil, ctx.plane) if m.is_proper]
+    proper = [m for m in members(time_pencil(ctx.spec), ctx.plane) if m.is_proper]
     counts = {m.theta: 0 for m in proper}
     for pt in points_on(linf, ctx.plane):
         for member in proper:
@@ -259,7 +260,7 @@ def _arc_tallies_by_ideal_points(spec, linf, lstar):
     member theta iff it is on that member's conic and is not the touch
     point (the nucleus is never on a valid ideal line)."""
     ctx = time_pencil_context(spec)
-    proper = [m for m in members(ctx.pencil, ctx.plane) if m.is_proper]
+    proper = [m for m in members(time_pencil(ctx.spec), ctx.plane) if m.is_proper]
     touches = [touch_point(member.conic, lstar, ctx.plane) for member in proper]
     counts = {m.theta: 0 for m in proper}
     for pt in points_on(linf, ctx.plane):

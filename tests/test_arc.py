@@ -25,7 +25,8 @@ from galois_arrow.conic import (
     fit_conic,
     point_set,
 )
-from galois_arrow.pencil import member_through, members, time_pencil_context
+from galois_arrow.pencil import member_through, members, time_pencil
+from galois_arrow.kernel import time_pencil_context
 from galois_arrow.plane import ProjLine, ProjPoint, build_plane, incident, meet, points_on
 from galois_arrow.arc import (
     Arc,
@@ -52,7 +53,7 @@ def _family(spec, linf=(1, 1, 1), lstar=None):
 
 def _proper(ctx):
     """The proper members of the census members(), in member order."""
-    return [m for m in members(ctx.pencil, ctx.plane) if m.is_proper]
+    return [m for m in members(time_pencil(ctx.spec), ctx.plane) if m.is_proper]
 
 
 # --- is_arc ---------------------------------------------------------------------
@@ -250,17 +251,18 @@ def test_contact_member_matches_the_incidence_oracle(n):
     a pair whose A lies on a degenerate member is refused with its message."""
     spec = make_field(2, n)
     ctx = time_pencil_context(spec)
+    pencil = time_pencil(spec)
     rejected = 0
     for lstar in ctx.valid_tangent_lines():
         # each point of L* lies on its own member, so each member's touch
         # point is single: N on x1*x2, one point on x3^2, one per proper member
-        on_member = {member_through(ctx.pencil, p, ctx.plane).theta: p
+        on_member = {member_through(pencil, p, ctx.plane).theta: p
                      for p in points_on(lstar, ctx.plane)}
         assert len(on_member) == spec.order + 1
         touches = tuple(on_member[theta] for theta in ctx.thetas)
         for linf in ctx.valid_ideal_lines():
             contact = meet(linf, lstar)
-            qstar = member_through(ctx.pencil, contact, ctx.plane)
+            qstar = member_through(pencil, contact, ctx.plane)
             if not qstar.is_proper:
                 rejected += 1
                 with pytest.raises(DegenerateContactPoint) as exc:
@@ -269,7 +271,7 @@ def test_contact_member_matches_the_incidence_oracle(n):
                 continue
             fam = build_time_family(spec, linf, lstar)
             assert fam.touch_points == touches
-            assert fam.provenance == (ctx.pencil, linf, lstar, contact, qstar.theta)
+            assert fam.provenance == (pencil, linf, lstar, contact, qstar.theta)
     # A lies on the double line x3 = 0 exactly when L-infinity = (1 : a : c), L* = (1 : a : 0)
     assert rejected == (spec.order - 1) ** 2
 
@@ -311,7 +313,7 @@ def test_family_refuses_lstar_not_one_to_one_on_members():
     touch point is single; every other line of the plane meets some member
     in no point or in more than one, and the family refuses it."""
     ctx = time_pencil_context(GF8)
-    census = [set(point_set(m.conic, ctx.plane)) for m in members(ctx.pencil, ctx.plane)]
+    census = [set(point_set(m.conic, ctx.plane)) for m in members(time_pencil(ctx.spec), ctx.plane)]
     one_to_one = []
     for line in ctx.plane.lines:
         pts = set(points_on(line, ctx.plane))

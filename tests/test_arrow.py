@@ -12,7 +12,7 @@ from galois_arrow.errors import (
     OddCharacteristic,
 )
 from galois_arrow.field import make_field
-from galois_arrow.pencil import member_through, members, time_pencil_context
+from galois_arrow.pencil import member_through, members, time_pencil
 from galois_arrow.plane import (
     ProjLine,
     ProjPoint,
@@ -22,14 +22,14 @@ from galois_arrow.plane import (
     incident,
     meet,
 )
-from galois_arrow.arc import _contacts, _member_points, build_time_family
-from galois_arrow.arrow import (
+from galois_arrow.arc import _member_points, build_time_family
+from galois_arrow.arrow import arc_arrow, classify_member, conic_arrow
+from galois_arrow.kernel import (
     TemporalClass,
     _arc_deltas,
+    _contacts,
     _witnesses,
-    arc_arrow,
-    classify_member,
-    conic_arrow,
+    time_pencil_context,
     validate_ideal_line,
 )
 
@@ -46,7 +46,8 @@ def _family(spec, linf=(1, 1, 1), lstar=None):
 def _proper(ctx):
     """Per proper member, in member order: its id and member from the
     census members(), and its closed-form points from arc._member_points."""
-    census = [(i, m) for i, m in enumerate(members(ctx.pencil, ctx.plane)) if m.is_proper]
+    census = [(i, m) for i, m in enumerate(members(time_pencil(ctx.spec), ctx.plane))
+              if m.is_proper]
     return [(i, m, pts) for (i, m), pts in zip(census, _member_points(ctx), strict=True)]
 
 
@@ -260,6 +261,7 @@ def test_arc_pass_matches_the_incidence_oracle(n):
     spec = make_field(2, n)
     q = spec.order
     ctx = time_pencil_context(spec)
+    pencil = time_pencil(spec)
     lstars = ctx.valid_tangent_lines()
     lstar_as = [lstar.values[1] for lstar in lstars]
     points_of = {member.theta: pts for _, member, pts in _proper(ctx)}
@@ -269,7 +271,7 @@ def test_arc_pass_matches_the_incidence_oracle(n):
         deltas = _arc_deltas(ctx, linf, lstar_as, _witnesses(ctx, linf))
         for lstar, contact, delta in zip(lstars, contacts, deltas, strict=True):
             a = meet(linf, lstar)
-            qstar = member_through(ctx.pencil, a, ctx.plane)
+            qstar = member_through(pencil, a, ctx.plane)
             if lstar.values[1] == linf.values[1]:
                 rejected += 1
                 assert not qstar.is_proper and contact is None and delta is None
@@ -277,7 +279,7 @@ def test_arc_pass_matches_the_incidence_oracle(n):
             valid += 1
             index, t = contact
             assert ctx.plane.points[index] == a
-            assert members(ctx.pencil, ctx.plane)[t] == qstar
+            assert members(pencil, ctx.plane)[t] == qstar
             hits = _line_hits(points_of[qstar.theta], linf)
             assert len(hits) == 2 and a in hits
             (other,) = [p for p in hits if p != a]

@@ -21,16 +21,10 @@ from galois_arrow.errors import (
 from galois_arrow import cli
 from galois_arrow import plane as plane_module
 from galois_arrow.arc import Arc, build_time_family
-from galois_arrow.arrow import (
-    TemporalClass,
-    _arc_deltas,
-    _witnesses,
-    arc_arrow,
-    classify_member,
-    conic_arrow,
-)
+from galois_arrow.arrow import arc_arrow, classify_member, conic_arrow
 from galois_arrow.field import make_field
-from galois_arrow.pencil import PencilMember, members, time_pencil, time_pencil_context
+from galois_arrow.kernel import TemporalClass, _arc_deltas, _witnesses, time_pencil_context
+from galois_arrow.pencil import PencilMember, members, time_pencil
 from galois_arrow.plane import ProjLine, _line_hits, _triple_index
 
 
@@ -165,7 +159,8 @@ def test_run_conic_includes_nucleus_only_for_even_q():
 
 def test_run_conic_scans_the_lines_for_tangents_once(monkeypatch):
     """The nucleus comes from the closed form, not from a second scan of
-    every line through conic.nucleus."""
+    every line through conic.nucleus.  The payload builder imports
+    conic.tangent_lines when it runs, so it calls the patched one."""
     from galois_arrow import conic
     tangent_lines, calls = conic.tangent_lines, []
 
@@ -174,7 +169,6 @@ def test_run_conic_scans_the_lines_for_tangents_once(monkeypatch):
         return tangent_lines(*args)
 
     monkeypatch.setattr(conic, "tangent_lines", counting)
-    monkeypatch.setattr(cli, "tangent_lines", counting)
     code, out, _ = _run(["conic", "--n", "3"])
     assert code == 0 and json.loads(out)["nucleus"] == "(0:0:1)"
     assert len(calls) == 1
@@ -564,25 +558,49 @@ def test_single_arrow_run_reads_o_of_q_plane_items(monkeypatch, mode, tallies):
     assert 0 < read[0] <= 4 * 1024
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    """The records are named tuples and slotted classes, so importing the
-    CLI adds neither module to those argparse and json already load."""
+def _added_modules(statement: str, watched: str) -> str:
+    """The stdout of a fresh interpreter that runs statement after argparse
+    and json are loaded and prints, sorted, the modules it added that pass
+    the filter expression watched (over the module name m)."""
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     code = ("import sys, argparse, json\n"
             "before = set(sys.modules)\n"
-            "import galois_arrow.cli\n"
-            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+            f"{statement}\n"
+            f"print(sorted(m for m in set(sys.modules) - before if {watched}))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return proc.stdout
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """The records are named tuples and slotted classes, so importing the
+    CLI adds neither module to those argparse and json already load."""
+    assert _added_modules("import galois_arrow.cli", "m in {'dataclasses', 'inspect'}") == "[]\n"
+
+
+@pytest.mark.parametrize("statement, loaded", [
+    # the arrow command runs on the kernel alone
+    ("import galois_arrow.cli",
+     ["cli", "errors", "field", "kernel", "plane"]),
+    # the benchmark's set-up child: the field and the time-pencil context
+    ("from galois_arrow import make_field, parse_modulus, time_pencil_context",
+     ["errors", "field", "kernel", "plane"]),
+])
+def test_imports_load_only_the_modules_they_run(statement, loaded):
+    """The package resolves its names lazily and the CLI imports the
+    census (pencil), conic and arc modules only in the commands that use
+    them, so neither import loads them."""
+    want = ["galois_arrow", *(f"galois_arrow.{m}" for m in loaded)]
+    assert _added_modules(statement, "m.startswith('galois_arrow')") == f"{want}\n"
 
 
 def _records():
     """Per record type: two equal records built apart, and an unequal one."""
     gf8 = make_field(2, 3)
     ctx = time_pencil_context(gf8)
-    census = members(ctx.pencil, ctx.plane)
+    census = members(time_pencil(ctx.spec), ctx.plane)
     families = [build_time_family(gf8, ProjLine(gf8, (1, 1, 1)), ProjLine(gf8, lstar))
                 for lstar in ((1, 2, 0), (1, 2, 0), (1, 3, 0))]
     reports = [arc_arrow(family) for family in families]

@@ -10,6 +10,9 @@ intended output change, regenerate the digests with
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -69,6 +72,22 @@ def test_golden_covers_exactly_the_command_set():
 @pytest.mark.parametrize("command", _commands())
 def test_stdout_matches_golden_digest(command):
     assert _stdout_digest(command) == _golden()[command]
+
+
+@pytest.mark.parametrize("command", [
+    "field-info --n 2", "plane --n 2", "conic --n 2", "pencil --n 2 --output json",
+    "family --n 2 --output json", "arrow --n 2 --mode arc --exhaustive --output json"])
+def test_fresh_interpreter_stdout_matches_golden_digest(command):
+    """python -m galois_arrow.cli in a new interpreter, without bytecode:
+    each command imports only the modules it runs, so an import cycle or
+    a missing import in a command's code shows here, in a process that has
+    not loaded the package's other modules."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-m", "galois_arrow.cli", *command.split()],
+                          env=env, capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert hashlib.sha256(proc.stdout).hexdigest() == _golden()[command]
 
 
 @pytest.mark.parametrize("command", sorted(BENCH_GOLDEN))

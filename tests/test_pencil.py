@@ -28,15 +28,11 @@ from galois_arrow.conic import (
 )
 from galois_arrow.pencil import (
     Pencil,
-    TimePencilContext,
-    _quadratic_roots,
     base_points,
     common_nucleus,
     member_through,
     members,
     time_pencil,
-    time_pencil_context,
-    validate_ideal_line,
 )
 from galois_arrow.plane import (
     Plane,
@@ -48,7 +44,14 @@ from galois_arrow.plane import (
     line_through,
     meet,
 )
-from galois_arrow.arc import _member_points, validate_lines
+from galois_arrow.arc import _member_points
+from galois_arrow.kernel import (
+    TimePencilContext,
+    _quadratic_roots,
+    time_pencil_context,
+    validate_ideal_line,
+    validate_lines,
+)
 
 GF2 = make_field(2, 1)
 GF3 = make_field(3, 1)
@@ -113,7 +116,7 @@ def test_time_pencil_base_points_are_b2_then_b1(spec):
     """The pencil command prints (B2, B1) = ((1:0:0), (0:1:0)) in closed form;
     base_points' scan of every plane point is its oracle."""
     ctx = time_pencil_context(spec)
-    assert base_points(ctx.pencil, ctx.plane) == (ctx.B2, ctx.B1)
+    assert base_points(time_pencil(ctx.spec), ctx.plane) == (ctx.B2, ctx.B1)
     assert [p.values for p in (ctx.B2, ctx.B1)] == [(1, 0, 0), (0, 1, 0)]
 
 
@@ -228,7 +231,7 @@ def test_context_ids_and_thetas_are_the_census_proper_members(spec):
     """The context's closed-form ids and thetas, (1, t) at position t for
     t != 0, against the proper members of the census members()."""
     ctx = time_pencil_context(spec)
-    census = members(ctx.pencil, ctx.plane)
+    census = members(time_pencil(ctx.spec), ctx.plane)
     assert ctx.ids == tuple(i for i, m in enumerate(census) if m.is_proper)
     assert ctx.thetas == tuple(census[i].theta for i in ctx.ids)
 
@@ -243,7 +246,7 @@ def test_context_masks_are_the_member_point_sets(spec):
     x1, x2, x3 = (plane.points_on(ProjLine(spec, v))
                   for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     proper = zip(ctx.ids, ctx.thetas, _member_points(ctx), strict=True)
-    for idx, m in enumerate(members(ctx.pencil, plane)):
+    for idx, m in enumerate(members(time_pencil(ctx.spec), plane)):
         scan = point_set(m.conic, plane)
         if m.theta == (1, 0):       # x1*x2: the lines x1 = 0 and x2 = 0
             assert m.degeneracy is DegeneracyClass.REAL_LINE_PAIR
@@ -296,7 +299,7 @@ def test_context_set_up_runs_no_census_scan_or_check(spec):
     try:
         ctx = TimePencilContext(spec)
         set_up = set(called)
-        members.__wrapped__(ctx.pencil, Plane(spec))
+        members.__wrapped__(time_pencil(ctx.spec), Plane(spec))
     finally:
         sys.setprofile(None)
     assert set_up == set()
