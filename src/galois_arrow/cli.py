@@ -7,27 +7,31 @@ internal invariant violation (never reachable from shipped defaults).
 Output is byte-identical across runs for identical configurations.  The
 arrow command runs one loop over ideal lines L-infinity, each with its
 configurations (L-infinity, L*); a single configuration is the one-pair
-case.  Each ideal line's reports are joined into one string and written
-at once, as soon as that line is done, so a sweep holds one ideal line's
-texts in memory, not all of its reports, and makes one write per ideal
-line (the first also holding the opening, a JSON sweep one more for its
-summary).  Members' CSV rows are rendered once per orbit of ideal lines
-(kernel._orbit); JSON, which prints each line's own witnesses, classifies
-and renders once per ideal line.  In arc mode one pass per ideal line,
-kernel._arc_deltas, gives for every L* the member Q* through the contact
-point, which goes from Past to Present, and its one remaining witness,
-all as plane indices; that member is rendered anew and joined with the
-others' texts, made once per ideal line, and the L*'s tail, made once per
-run.  Reports are laid out once, as entries of a sweep; a single
-configuration's one report is dedented to the top level.
+case.  Each ideal line's reports are joined into one chunk as soon as
+that line is done (the first also holding the opening, a JSON sweep one
+more for its summary), and run() writes the chunks in blocks of at least
+64 KiB and the rest at the end, so a sweep holds at most one block and
+one ideal line's texts in memory, not all of its reports, and makes one
+write per pipeful of output, not one per ideal line.  Members' CSV rows
+are rendered once per orbit of ideal lines (kernel._orbit); JSON, which
+prints each line's own witnesses, classifies and renders once per ideal
+line.  In arc mode one pass per ideal line, kernel._arc_deltas, gives
+for every L* the member Q* through the contact point, which goes from
+Past to Present, and its one remaining witness, all as plane indices;
+that member is rendered anew and joined with the others' texts, made
+once per ideal line, and the L*'s tail, made once per run.  Reports are
+laid out once, as entries of a sweep; a single configuration's one
+report is dedented to the top level.
 
 The arrow command runs on the kernel module alone; the conic, pencil and
-family payloads import their modules when they run.
+family payloads import their modules when they run.  argv in plain form,
+a command and then options by their full flags, is read without argparse,
+from the table of options argparse is built from; help and any other argv
+go to argparse, which is imported only then.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -58,6 +62,10 @@ _CSV_COMMANDS = ("pencil", "family", "arrow")
 # most about 8 s and 425 MiB on 2 cores.
 _PLANE_MAX_ORDER = 1 << 10
 _PLANE_COMMANDS = ("plane", "conic", "pencil", "family")
+# The least stdout write, in characters (the output is ASCII): 64 KiB, the
+# default capacity of a Linux pipe, so a sweep's ~1 KB chunks per ideal
+# line go out a pipeful at a time, not one write(2) each.
+_BLOCK = 1 << 16
 
 
 class RunConfig(NamedTuple):
@@ -72,27 +80,76 @@ class RunConfig(NamedTuple):
     exhaustive: bool
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
+# Each option of the commands: its flag, its value type (bool for a flag
+# that takes no value), default and choices, and the commands that take it.
+# The plain-argv reader and argparse are both built from it.
+_OPTIONS = (
+    ("--p", int, 2, None, COMMANDS),
+    ("--n", int, 1, None, COMMANDS),
+    ("--modulus", str, None, None, COMMANDS),
+    ("--output", str, "json", ("json", "csv"), COMMANDS),
+    ("--linf", str, None, None, ("family", "arrow")),
+    ("--lstar", str, None, None, ("family", "arrow")),
+    ("--mode", str, "conic", ("conic", "arc"), ("arrow",)),
+    ("--exhaustive", bool, False, None, ("arrow",)),
+)
 
 
-def _build_parser() -> _Parser:
+def _build_parser():
+    """The argparse parser: the reference for every argv, and the only
+    reader of help requests and of argv that is not in plain form."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise UsageError(message)
+
     parser = _Parser(prog="galois-arrow", description=_DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         cmd = sub.add_parser(name)
-        cmd.add_argument("--p", type=int, default=2)
-        cmd.add_argument("--n", type=int, default=1)
-        cmd.add_argument("--modulus", type=str, default=None)
-        cmd.add_argument("--output", choices=("json", "csv"), default="json")
-        if name in ("family", "arrow"):
-            cmd.add_argument("--linf", type=str, default=None)
-            cmd.add_argument("--lstar", type=str, default=None)
-        if name == "arrow":
-            cmd.add_argument("--mode", choices=("conic", "arc"), default="conic")
-            cmd.add_argument("--exhaustive", action="store_true")
+        for flag, kind, default, choices, commands in _OPTIONS:
+            if name not in commands:
+                continue
+            if kind is bool:
+                cmd.add_argument(flag, action="store_true")
+            else:
+                cmd.add_argument(flag, type=kind, default=default, choices=choices)
     return parser
+
+
+def _plain_args(argv: list[str]) -> dict | None:
+    """vars() of the namespace argparse makes from argv, when argv is in
+    plain form: a command, then options by their full flags, each but
+    --exhaustive followed by a value that does not start with "-", that
+    int() reads where an int is due and that is one of the choices where
+    there are choices.  None for any other argv (help, abbreviations,
+    --flag=value, "--", stray tokens, values argparse rejects), which
+    argparse reads."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    options = {flag: (kind, default, choices) for flag, kind, default, choices, commands
+               in _OPTIONS if argv[0] in commands}
+    values = {"command": argv[0]}
+    values.update((flag[2:], default) for flag, (_, default, _) in options.items())
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        if flag not in options:
+            return None
+        kind, _, choices = options[flag]
+        if kind is bool:
+            values[flag[2:]] = True
+            continue
+        value = next(tokens, "-")   # a missing value is left to argparse
+        if value.startswith("-") or (choices and value not in choices):
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        values[flag[2:]] = value
+    return values
 
 
 def _parse_triple(text: str, q: int) -> tuple[int, int, int]:
@@ -110,44 +167,48 @@ def _parse_triple(text: str, q: int) -> tuple[int, int, int]:
 
 
 def parse_args(argv: list[str]) -> RunConfig:
-    """Deterministic parse; invalid combinations raise UsageError."""
-    ns = _build_parser().parse_args(argv)
-    if ns.p < 2:
-        raise UsageError(f"--p must be at least 2, got {ns.p}")
-    if ns.n < 1:
-        raise UsageError(f"--n must be at least 1, got {ns.n}")
+    """Deterministic parse; invalid combinations raise UsageError.  argv
+    in plain form is read without argparse, which reads any other."""
+    args = _plain_args(argv)
+    if args is None:
+        args = vars(_build_parser().parse_args(argv))
+    command, p, n = args["command"], args["p"], args["n"]
+    if p < 2:
+        raise UsageError(f"--p must be at least 2, got {p}")
+    if n < 1:
+        raise UsageError(f"--n must be at least 1, got {n}")
     modulus = None
-    if ns.modulus is not None:
+    if args["modulus"] is not None:
         try:
-            modulus = parse_modulus(ns.modulus, ns.p)
+            modulus = parse_modulus(args["modulus"], p)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-    if ns.command in ("family", "arrow") and ns.p != 2:
-        raise UsageError(f"{ns.command} requires characteristic 2, got p={ns.p}")
-    q = field_order(ns.p, ns.n)
-    exhaustive = getattr(ns, "exhaustive", False)
-    if q > _PLANE_MAX_ORDER and (ns.command in _PLANE_COMMANDS or exhaustive):
-        what = "arrow --exhaustive" if exhaustive else ns.command
+    if command in ("family", "arrow") and p != 2:
+        raise UsageError(f"{command} requires characteristic 2, got p={p}")
+    q = field_order(p, n)
+    exhaustive = args.get("exhaustive", False)
+    if q > _PLANE_MAX_ORDER and (command in _PLANE_COMMANDS or exhaustive):
+        what = "arrow --exhaustive" if exhaustive else command
         raise OrderTooLarge(f"{what} at q = {q} exceeds its supported bound 2^10")
-    mode = getattr(ns, "mode", "conic")
-    if ns.command == "family" or (ns.command == "arrow" and mode == "arc"):
+    mode = args.get("mode", "conic")
+    if command == "family" or (command == "arrow" and mode == "arc"):
         if q < 4:
             raise UsageError(f"q={q} is unsupported for the arc family; need q >= 4")
-    if ns.output == "csv" and ns.command not in _CSV_COMMANDS:
+    if args["output"] == "csv" and command not in _CSV_COMMANDS:
         raise UsageError(f"csv output is only available for {', '.join(_CSV_COMMANDS)}")
 
-    linf_text = getattr(ns, "linf", None)
-    lstar_text = getattr(ns, "lstar", None)
+    linf_text = args.get("linf")
+    lstar_text = args.get("lstar")
     if exhaustive and (linf_text is not None or lstar_text is not None):
         raise UsageError("--exhaustive sweeps every valid line and takes no --linf or --lstar")
-    if ns.command == "arrow" and mode == "conic" and lstar_text is not None:
+    if command == "arrow" and mode == "conic" and lstar_text is not None:
         raise UsageError("--lstar selects the arc family; --mode conic takes none")
-    gen = ns.p if ns.n >= 2 else 1   # canonical generator value
+    gen = p if n >= 2 else 1   # canonical generator value
     linf = _parse_triple(linf_text, q) if linf_text else (1, 1, 1)
     lstar = _parse_triple(lstar_text, q) if lstar_text else (1, gen, 0)
     return RunConfig(
-        command=ns.command, p=ns.p, n=ns.n, modulus=modulus,
-        linf=linf, lstar=lstar, mode=mode, output=ns.output,
+        command=command, p=p, n=n, modulus=modulus,
+        linf=linf, lstar=lstar, mode=mode, output=args["output"],
         exhaustive=exhaustive,
     )
 
@@ -495,11 +556,28 @@ def _emit_error(exc: Exception) -> None:
 def run(config: RunConfig) -> int:
     """Execute one command; report on stdout, exit code returned.
 
-    Output is written as it is produced, so after exit 3 stdout may hold
-    a truncated report."""
+    Output is written as it is produced, in blocks of at least _BLOCK
+    characters and the rest at the end, so after exit 3 stdout may hold a
+    truncated report: all that was made before the violation, written
+    before its diagnostic."""
+    pending: list[str] = []
+    size = 0
     try:
-        for chunk in _execute(config):
-            sys.stdout.write(chunk)
+        try:
+            for chunk in _execute(config):
+                pending.append(chunk)
+                size += len(chunk)
+                if size >= _BLOCK:
+                    # taken out of pending first: a failed write is not retried
+                    block = "".join(pending)
+                    pending.clear()
+                    size = 0
+                    sys.stdout.write(block)
+        finally:
+            # the rest, also when the run fails: what was made before an
+            # error goes out before its diagnostic
+            if pending:
+                sys.stdout.write("".join(pending))
         sys.stdout.flush()
     except InvariantViolation as exc:
         _emit_error(exc)

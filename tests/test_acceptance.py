@@ -22,7 +22,6 @@ from galois_arrow.plane import (
     ProjPoint,
     build_plane,
     collinear,
-    incident,
     points_on,
 )
 from galois_arrow.conic import (
@@ -38,7 +37,7 @@ from galois_arrow.conic import (
     tangent_lines,
 )
 from galois_arrow.pencil import members, time_pencil
-from galois_arrow.arc import Arc, build_time_family, is_arc, is_conic_arc, touch_point
+from galois_arrow.arc import build_time_family, is_arc, is_conic_arc, touch_point
 from galois_arrow.arrow import arc_arrow, conic_arrow
 from galois_arrow.kernel import time_pencil_context
 

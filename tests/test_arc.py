@@ -1,8 +1,6 @@
 """Arcs: verification, hyperoval construction, puncturing, the conic test,
 touch points, and the pencil-derived arc family."""
 
-from itertools import combinations
-
 import pytest
 
 from galois_arrow.errors import (

@@ -15,7 +15,6 @@ from galois_arrow.field import make_field
 from galois_arrow.pencil import member_through, members, time_pencil
 from galois_arrow.plane import (
     ProjLine,
-    ProjPoint,
     _line_hits,
     _triple_index,
     build_plane,

@@ -1,6 +1,7 @@
 """Command-line surface: parsing, payloads, exit codes, output formats,
 and the streamed arrow output against its to_dict oracle."""
 
+import ast
 import io
 import json
 import os
@@ -113,6 +114,71 @@ def test_help_exits_0_and_names_no_private_function(argv):
     if argv == ["--help"]:
         assert ("Exit codes: 0 success, 2 rejected input or usage error, 3 internal"
                 " invariant violation.") in " ".join(text.split())
+
+
+GOLDEN_COMMANDS = [
+    *json.loads((Path(__file__).resolve().parent / "golden_stdout.json").read_text()),
+    *json.loads((Path(__file__).resolve().parents[1] / "bench" / "golden.json").read_text()),
+]
+
+
+def _argv_grid() -> list[list[str]]:
+    """Every argv written in this module (the argument lists and the
+    command strings of its tests), the streamed-output grid, and per
+    command every option of any command with the values '', 0, 05, -1,
+    0x13 and x and each choice and one non-choice, as a pair and as
+    --flag=value, with no value, repeated, abbreviated, after "--" and
+    with a stray token; -h and --help, alone and after each command."""
+    grid = []
+    for node in ast.walk(ast.parse(Path(__file__).read_text())):
+        if isinstance(node, ast.List) and node.elts and all(
+                isinstance(e, ast.Constant) and isinstance(e.value, str) for e in node.elts):
+            argv = [e.value for e in node.elts]
+            if argv[0] in cli.COMMANDS or argv[0].startswith("-"):
+                grid.append(argv)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.split()[:1] and node.value.split()[0] in cli.COMMANDS):
+            grid.append(node.value.split())
+    grid += [f"arrow {field} --mode {mode}{sweep} --output {output}".split()
+             for field in STREAMED_FIELDS for mode in ("conic", "arc")
+             for sweep in ("", " --exhaustive") for output in ("json", "csv")]
+    grid += [[], ["-h"], ["--help"], ["--n", "3", "arrow"], ["Arrow"], ["arr"]]
+    for command in cli.COMMANDS:
+        grid += [[command], [command, "-h"], [command, "--help"], [command, "--"],
+                 [command, "--", "--n", "3"], [command, "stray"],
+                 [command, "--n", "3", "stray"], [command, "--n", "3", "--"]]
+        for flag, kind, _, choices, _ in cli._OPTIONS:
+            if kind is bool:
+                grid += [[command, flag], [command, flag, flag], [command, flag, "x"],
+                         [command, f"{flag}=1"], [command, "--n", "2", flag, "--n", "3"]]
+                continue
+            values = ["", "0", "05", "-1", "0x13", "x", *(choices or ()), "xml"]
+            for value in values:
+                grid += [[command, flag, value], [command, f"{flag}={value}"],
+                         [command, "--n", "3", flag, value]]
+            last = choices[-1] if choices else "3"
+            grid += [[command, flag], [command, "--n", "3", flag],
+                     [command, flag, "2", flag, last], [command, flag, last, flag, "x"],
+                     [command, flag[:4], last], [command, flag[:-1], last],
+                     [command, "--", flag, last], [command, flag, last, "stray"]]
+    return grid
+
+
+def test_plain_argv_reads_as_argparse_does():
+    """parse_args reads argv in plain form without argparse and leaves
+    every other argv to it: on each argv of the grid the plain reader
+    either defers or returns exactly argparse's namespace, and it answers
+    every golden and benchmark command itself."""
+    parser = cli._build_parser()
+    answered = 0
+    for argv in _argv_grid():
+        plain = cli._plain_args(argv)
+        if plain is not None:
+            assert plain == vars(parser.parse_args(argv)), argv
+            answered += 1
+    assert answered > 100
+    for command in GOLDEN_COMMANDS:
+        assert cli._plain_args(command.split()) is not None, command
 
 
 # --- running --------------------------------------------------------------------
@@ -382,7 +448,10 @@ def _oracle_stdout(argv) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("field", ["--n 2", "--n 3", "--n 3 --modulus 0xd", "--n 4"])
+STREAMED_FIELDS = ["--n 2", "--n 3", "--n 3 --modulus 0xd", "--n 4"]
+
+
+@pytest.mark.parametrize("field", STREAMED_FIELDS)
 @pytest.mark.parametrize("mode", ["conic", "arc"])
 @pytest.mark.parametrize("sweep", ["", " --exhaustive"])
 @pytest.mark.parametrize("output", ["json", "csv"])
@@ -401,6 +470,10 @@ def test_streamed_arrow_matches_the_to_dict_oracle(field, mode, sweep, output):
 
 
 def test_first_report_is_written_before_the_last_configuration_is_built(monkeypatch):
+    """Output goes out in blocks of at least cli._BLOCK characters as it is
+    made: the q = 4 arc sweep (14.5 KB) in one write at the end, after the
+    last ideal line's pass; the q = 8 arc sweep (445 KB) with its first
+    block written before the last ideal line's pass runs."""
     out, lengths = io.StringIO(), []
 
     def recording(*args):
@@ -412,10 +485,20 @@ def test_first_report_is_written_before_the_last_configuration_is_built(monkeypa
     with redirect_stdout(out):
         code = cli.main(["arrow", "--n", "2", "--mode", "arc", "--exhaustive"])
     assert code == 0 and len(lengths) == 27
-    assert 0 < lengths[-1] < len(out.getvalue())
+    assert lengths[-1] == 0 and 0 < len(out.getvalue()) < cli._BLOCK
+    out, lengths[:] = io.StringIO(), []
+    with redirect_stdout(out):
+        code = cli.main(["arrow", "--n", "3", "--mode", "arc", "--exhaustive"])
+    assert code == 0 and len(lengths) == 49 * 7
+    assert cli._BLOCK <= lengths[-1] < len(out.getvalue())
 
 
 def test_invariant_violation_mid_sweep_exits_3(monkeypatch):
+    """What was made before the violation, the first ideal line's chunk,
+    is written once, before the diagnostic: not dropped with the pending
+    block, nor written twice."""
+    argv = ["arrow", "--n", "2", "--mode", "arc", "--exhaustive"]
+    first = next(cli._execute(cli.parse_args(argv)))
     built = []
 
     def second_fails(*args):
@@ -425,37 +508,38 @@ def test_invariant_violation_mid_sweep_exits_3(monkeypatch):
         return _arc_deltas(*args)
 
     monkeypatch.setattr(cli, "_arc_deltas", second_fails)
-    code, out, err = _run(["arrow", "--n", "2", "--mode", "arc", "--exhaustive"])
-    assert code == 3 and out   # the reports before it were already written
+    code, out, err = _run(argv)
+    assert code == 3 and out == first   # the reports before it were written
     lines = err.splitlines()
     assert len(lines) == 1 and "Traceback" not in err
     assert json.loads(lines[0])["error"] == "InvariantViolation"
 
 
-class _CountingStdout(io.StringIO):
+class _RecordingStdout(io.StringIO):
     def __init__(self):
         super().__init__()
-        self.writes = 0
+        self.writes = []
 
     def write(self, text):
-        self.writes += 1
+        self.writes.append(len(text))
         return super().write(text)
 
 
 @pytest.mark.parametrize("output", ["json", "csv"])
-def test_arc_sweep_writes_once_per_ideal_line(output):
-    """Each valid ideal line's reports go out in one write: at q = 8, 49
-    writes, the first also holding the opening (the JSON head or the CSV
-    header), and in JSON one more for the closing summary; not one per
-    configuration."""
-    out = _CountingStdout()
+def test_arc_sweep_writes_in_64_kib_blocks(output):
+    """The sweep's chunks, one per ideal line, are joined into writes of at
+    least 64 KiB, each less than 64 KiB plus one chunk, and the rest goes
+    out at the end: at q = 8 the 445 KB of JSON and the 71 KB of CSV;
+    stdout is the oracle's."""
+    argv = ["arrow", "--n", "3", "--mode", "arc", "--exhaustive", "--output", output]
+    largest = max(map(len, cli._execute(cli.parse_args(argv))))
+    out = _RecordingStdout()
     with redirect_stdout(out):
-        code = cli.main(["arrow", "--n", "3", "--mode", "arc", "--exhaustive",
-                         "--output", output])
-    assert code == 0
-    assert out.writes == 7 * 7 + (1 if output == "json" else 0)
-    assert out.getvalue() == _oracle_stdout(
-        ["arrow", "--n", "3", "--mode", "arc", "--exhaustive", "--output", output])
+        code = cli.main(argv)
+    assert code == 0 and cli._BLOCK == 1 << 16
+    assert len(out.writes) >= 2
+    assert all(cli._BLOCK <= size < cli._BLOCK + largest for size in out.writes[:-1])
+    assert out.getvalue() == _oracle_stdout(argv)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4], ids=lambda n: f"q{2 ** n}")
@@ -558,13 +642,14 @@ def test_single_arrow_run_reads_o_of_q_plane_items(monkeypatch, mode, tallies):
     assert 0 < read[0] <= 4 * 1024
 
 
-def _added_modules(statement: str, watched: str) -> str:
-    """The stdout of a fresh interpreter that runs statement after argparse
-    and json are loaded and prints, sorted, the modules it added that pass
-    the filter expression watched (over the module name m)."""
+def _added_modules(statement: str, watched: str, preload: tuple[str, ...] = ("argparse", "json")
+                   ) -> str:
+    """The stdout of a fresh interpreter that runs statement after the
+    modules of preload are loaded and prints, sorted, the modules it added
+    that pass the filter expression watched (over the module name m)."""
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = ("import sys, argparse, json\n"
+    code = (f"import {', '.join(('sys', *preload))}\n"
             "before = set(sys.modules)\n"
             f"{statement}\n"
             f"print(sorted(m for m in set(sys.modules) - before if {watched}))")
@@ -594,6 +679,29 @@ def test_imports_load_only_the_modules_they_run(statement, loaded):
     them, so neither import loads them."""
     want = ["galois_arrow", *(f"galois_arrow.{m}" for m in loaded)]
     assert _added_modules(statement, "m.startswith('galois_arrow')") == f"{want}\n"
+
+
+BENCH_ARGVS = ["arrow --n 4 --modulus 0x13 --mode arc --exhaustive",
+               "arrow --n 5 --modulus 0x25 --mode conic --exhaustive --output csv"]
+
+
+def test_plain_argv_loads_no_argparse():
+    """The benchmark's sweeps are read without argparse, which (with
+    gettext) is loaded only for help and for argv not in plain form; in a
+    fresh process help still exits 0 and a bad value 2."""
+    parses = "; ".join(f"c.parse_args({argv.split()!r})" for argv in BENCH_ARGVS)
+    assert _added_modules(f"import galois_arrow.cli as c; {parses}",
+                          "m in {'argparse', 'gettext'}", preload=()) == "[]\n"
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for argv, code, stdout, stderr in [
+            ("arrow --help", 0, "usage: galois-arrow arrow", ""),
+            ("arrow --n x", 2, "", '{"error": "UsageError", "message": '
+                                   '"argument --n: invalid int value: \'x\'"}\n')]:
+        proc = subprocess.run([sys.executable, "-m", "galois_arrow.cli", *argv.split()],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == code and proc.stdout.startswith(stdout), argv
+        assert proc.stderr == stderr, argv
 
 
 def _records():

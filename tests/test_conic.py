@@ -8,7 +8,6 @@ from itertools import combinations, product
 import pytest
 
 from galois_arrow.errors import (
-    AmbiguousFit,
     CollinearTriple,
     DegenerateConic,
     IntersectionTooLarge,

@@ -5,7 +5,7 @@ from itertools import combinations, product
 import pytest
 
 from galois_arrow.errors import CoincidentLines, CoincidentPoints, MixedFields
-from galois_arrow.field import make_field, elements
+from galois_arrow.field import make_field
 from galois_arrow.plane import (
     ProjLine,
     ProjPoint,
