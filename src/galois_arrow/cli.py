@@ -7,21 +7,19 @@ internal invariant violation (never reachable from shipped defaults).
 Output is byte-identical across runs for identical configurations.  The
 arrow command runs one loop over ideal lines L-infinity, each with its
 configurations (L-infinity, L*); a single configuration is the one-pair
-case.  Each ideal line's reports are joined into one chunk as soon as
-that line is done (the first also holding the opening, a JSON sweep one
-more for its summary), and run() writes the chunks in blocks of at least
-64 KiB and the rest at the end, so a sweep holds at most one block and
-one ideal line's texts in memory, not all of its reports, and makes one
-write per pipeful of output, not one per ideal line.  Members' CSV rows
-are rendered once per orbit of ideal lines (kernel._orbit); JSON, which
-prints each line's own witnesses, classifies and renders once per ideal
-line.  In arc mode one pass per ideal line, kernel._arc_deltas, gives
-for every L* the member Q* through the contact point, which goes from
-Past to Present, and its one remaining witness, all as plane indices;
-that member is rendered anew and joined with the others' texts, made
-once per ideal line, and the L*'s tail, made once per run.  Reports are
-laid out once, as entries of a sweep; a single configuration's one
-report is dedented to the top level.
+case.  Each ideal line's reports are joined into one string and written
+at once, as soon as that line is done, so a sweep holds one ideal line's
+texts in memory, not all of its reports, and makes one write per ideal
+line (the first also holding the opening, a JSON sweep one more for its
+summary).  Members' CSV rows are rendered once per orbit of ideal lines
+(kernel._orbit); JSON, which prints each line's own witnesses, classifies
+and renders once per ideal line.  In arc mode one pass per ideal line,
+kernel._arc_deltas, gives for every L* the member Q* through the contact
+point, which goes from Past to Present, and its one remaining witness,
+all as plane indices; that member is rendered anew and joined with the
+others' texts, made once per ideal line, and the L*'s tail, made once per
+run.  Reports are laid out once, as entries of a sweep; a single
+configuration's one report is dedented to the top level.
 
 The arrow command runs on the kernel module alone; the conic, pencil and
 family payloads import their modules when they run.  argv in plain form,
@@ -62,10 +60,6 @@ _CSV_COMMANDS = ("pencil", "family", "arrow")
 # most about 8 s and 425 MiB on 2 cores.
 _PLANE_MAX_ORDER = 1 << 10
 _PLANE_COMMANDS = ("plane", "conic", "pencil", "family")
-# The least stdout write, in characters (the output is ASCII): 64 KiB, the
-# default capacity of a Linux pipe, so a sweep's ~1 KB chunks per ideal
-# line go out a pipeful at a time, not one write(2) each.
-_BLOCK = 1 << 16
 
 
 class RunConfig(NamedTuple):
@@ -556,28 +550,11 @@ def _emit_error(exc: Exception) -> None:
 def run(config: RunConfig) -> int:
     """Execute one command; report on stdout, exit code returned.
 
-    Output is written as it is produced, in blocks of at least _BLOCK
-    characters and the rest at the end, so after exit 3 stdout may hold a
-    truncated report: all that was made before the violation, written
-    before its diagnostic."""
-    pending: list[str] = []
-    size = 0
+    Output is written as it is produced, so after exit 3 stdout may hold
+    a truncated report."""
     try:
-        try:
-            for chunk in _execute(config):
-                pending.append(chunk)
-                size += len(chunk)
-                if size >= _BLOCK:
-                    # taken out of pending first: a failed write is not retried
-                    block = "".join(pending)
-                    pending.clear()
-                    size = 0
-                    sys.stdout.write(block)
-        finally:
-            # the rest, also when the run fails: what was made before an
-            # error goes out before its diagnostic
-            if pending:
-                sys.stdout.write("".join(pending))
+        for chunk in _execute(config):
+            sys.stdout.write(chunk)
         sys.stdout.flush()
     except InvariantViolation as exc:
         _emit_error(exc)

@@ -470,10 +470,6 @@ def test_streamed_arrow_matches_the_to_dict_oracle(field, mode, sweep, output):
 
 
 def test_first_report_is_written_before_the_last_configuration_is_built(monkeypatch):
-    """Output goes out in blocks of at least cli._BLOCK characters as it is
-    made: the q = 4 arc sweep (14.5 KB) in one write at the end, after the
-    last ideal line's pass; the q = 8 arc sweep (445 KB) with its first
-    block written before the last ideal line's pass runs."""
     out, lengths = io.StringIO(), []
 
     def recording(*args):
@@ -485,18 +481,12 @@ def test_first_report_is_written_before_the_last_configuration_is_built(monkeypa
     with redirect_stdout(out):
         code = cli.main(["arrow", "--n", "2", "--mode", "arc", "--exhaustive"])
     assert code == 0 and len(lengths) == 27
-    assert lengths[-1] == 0 and 0 < len(out.getvalue()) < cli._BLOCK
-    out, lengths[:] = io.StringIO(), []
-    with redirect_stdout(out):
-        code = cli.main(["arrow", "--n", "3", "--mode", "arc", "--exhaustive"])
-    assert code == 0 and len(lengths) == 49 * 7
-    assert cli._BLOCK <= lengths[-1] < len(out.getvalue())
+    assert 0 < lengths[-1] < len(out.getvalue())
 
 
 def test_invariant_violation_mid_sweep_exits_3(monkeypatch):
     """What was made before the violation, the first ideal line's chunk,
-    is written once, before the diagnostic: not dropped with the pending
-    block, nor written twice."""
+    is written once: not dropped, nor written twice."""
     argv = ["arrow", "--n", "2", "--mode", "arc", "--exhaustive"]
     first = next(cli._execute(cli.parse_args(argv)))
     built = []
@@ -515,31 +505,30 @@ def test_invariant_violation_mid_sweep_exits_3(monkeypatch):
     assert json.loads(lines[0])["error"] == "InvariantViolation"
 
 
-class _RecordingStdout(io.StringIO):
+class _CountingStdout(io.StringIO):
     def __init__(self):
         super().__init__()
-        self.writes = []
+        self.writes = 0
 
     def write(self, text):
-        self.writes.append(len(text))
+        self.writes += 1
         return super().write(text)
 
 
 @pytest.mark.parametrize("output", ["json", "csv"])
-def test_arc_sweep_writes_in_64_kib_blocks(output):
-    """The sweep's chunks, one per ideal line, are joined into writes of at
-    least 64 KiB, each less than 64 KiB plus one chunk, and the rest goes
-    out at the end: at q = 8 the 445 KB of JSON and the 71 KB of CSV;
-    stdout is the oracle's."""
-    argv = ["arrow", "--n", "3", "--mode", "arc", "--exhaustive", "--output", output]
-    largest = max(map(len, cli._execute(cli.parse_args(argv))))
-    out = _RecordingStdout()
+def test_arc_sweep_writes_once_per_ideal_line(output):
+    """Each valid ideal line's reports go out in one write: at q = 8, 49
+    writes, the first also holding the opening (the JSON head or the CSV
+    header), and in JSON one more for the closing summary; not one per
+    configuration."""
+    out = _CountingStdout()
     with redirect_stdout(out):
-        code = cli.main(argv)
-    assert code == 0 and cli._BLOCK == 1 << 16
-    assert len(out.writes) >= 2
-    assert all(cli._BLOCK <= size < cli._BLOCK + largest for size in out.writes[:-1])
-    assert out.getvalue() == _oracle_stdout(argv)
+        code = cli.main(["arrow", "--n", "3", "--mode", "arc", "--exhaustive",
+                         "--output", output])
+    assert code == 0
+    assert out.writes == 7 * 7 + (1 if output == "json" else 0)
+    assert out.getvalue() == _oracle_stdout(
+        ["arrow", "--n", "3", "--mode", "arc", "--exhaustive", "--output", output])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4], ids=lambda n: f"q{2 ** n}")
@@ -686,12 +675,16 @@ BENCH_ARGVS = ["arrow --n 4 --modulus 0x13 --mode arc --exhaustive",
 
 
 def test_plain_argv_loads_no_argparse():
-    """The benchmark's sweeps are read without argparse, which (with
-    gettext) is loaded only for help and for argv not in plain form; in a
-    fresh process help still exits 0 and a bad value 2."""
-    parses = "; ".join(f"c.parse_args({argv.split()!r})" for argv in BENCH_ARGVS)
-    assert _added_modules(f"import galois_arrow.cli as c; {parses}",
-                          "m in {'argparse', 'gettext'}", preload=()) == "[]\n"
+    """The benchmark's sweeps are read and run without argparse, which
+    (with gettext) is loaded only for help and for argv not in plain form;
+    in a fresh process help still exits 0 and a bad value 2."""
+    runs = ("import galois_arrow.cli as c\n"
+            f"for argv in {[argv.split() for argv in BENCH_ARGVS]!r}:\n"
+            "    c.parse_args(argv)\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert c.main(argv) == 0")
+    assert _added_modules(runs, "m in {'argparse', 'gettext'}",
+                          preload=("contextlib", "io")) == "[]\n"
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     for argv, code, stdout, stderr in [
