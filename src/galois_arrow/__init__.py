@@ -21,12 +21,12 @@ from . import field  # noqa: F401
 _EXPORTS = {
     "errors": ("GeometryError", "InvariantViolation", "ValidationError"),
     "field": ("FieldElement", "FieldSpec", "elements", "inv", "is_irreducible",
-              "make_field", "parse_modulus", "solve_homogeneous", "sqrt_char2"),
+              "make_field", "parse_modulus", "sqrt_char2"),
     "plane": ("Plane", "ProjLine", "ProjPoint", "build_plane", "collinear", "incident",
               "line_through", "meet", "points_on"),
     "conic": ("Conic", "DegeneracyClass", "LineClass", "canonical_conic", "classify",
               "classify_line", "evaluate", "fit_conic", "nucleus", "parametrize_canonical",
-              "point_set", "tangent_lines"),
+              "point_set", "solve_homogeneous", "tangent_lines"),
     "pencil": ("Pencil", "PencilMember", "base_points", "common_nucleus", "member_through",
                "members", "time_pencil"),
     "kernel": ("TemporalClass", "time_pencil_context", "validate_ideal_line"),

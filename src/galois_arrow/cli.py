@@ -8,44 +8,37 @@ Output is byte-identical across runs for identical configurations.  The
 arrow command runs one loop over ideal lines L-infinity, each with its
 configurations (L-infinity, L*); a single configuration is the one-pair
 case.  Each ideal line's reports are joined into one string and written
-at once, as soon as that line is done, so a sweep holds one ideal line's
-texts in memory, not all of its reports, and makes one write per ideal
-line (the first also holding the opening, a JSON sweep one more for its
-summary).  Members' CSV rows are rendered once per orbit of ideal lines
-(kernel._orbit); JSON, which prints each line's own witnesses, classifies
-and renders once per ideal line.  In arc mode one pass per ideal line,
-kernel._arc_deltas, gives for every L* the member Q* through the contact
-point, which goes from Past to Present, and its one remaining witness,
-all as plane indices; that member is rendered anew and joined with the
-others' texts, made once per ideal line, and the L*'s tail, made once per
-run.  Reports are laid out once, as entries of a sweep; a single
-configuration's one report is dedented to the top level.
+as soon as that line is done.  CSV rows are rendered once per orbit of
+ideal lines (kernel._orbit), JSON members once per ideal line; in arc
+mode, per L*, only the member Q* through the contact point is rendered
+anew (kernel._arc_deltas).  Each member's text, but for its witness
+points, is made once per run.  A single configuration's report is laid
+out as a sweep's entry and dedented to the top level.
 
-The arrow command runs on the kernel module alone; the conic, pencil and
-family payloads import their modules when they run.  argv in plain form,
-a command and then options by their full flags, is read without argparse,
-from the table of options argparse is built from; help and any other argv
-go to argparse, which is imported only then.
+The arrow command runs on the kernel module alone.  The other commands'
+payloads live in the payloads module, imported only when they run.  argv
+in plain form, a command and then options by their full flags, is read
+without argparse, from the table of options argparse is built from; help
+and any other argv go to argparse, which is imported only then.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from typing import Iterator, NamedTuple
 
 from .errors import (
     InvariantViolation,
-    OddCharacteristic,
     OrderTooLarge,
     UsageError,
     ValidationError,
 )
 from .field import FieldSpec, field_order, make_field, parse_modulus
-from .plane import ProjLine, _triple_values, build_plane
-from .kernel import (_TEMPORAL_BY_HITS, TemporalClass, _arc_deltas, _degenerate_contact, _orbit,
-                     _witnesses, time_pencil_context, validate_lines)
+from .plane import ProjLine, _triple_values
+from .kernel import (_TEMPORAL_BY_HITS, TemporalClass, TimePencilContext, _arc_deltas,
+                     _degenerate_contact, _orbit, _witnesses, time_pencil_context,
+                     validate_lines)
 
 COMMANDS = ("field-info", "plane", "conic", "pencil", "family", "arrow")
 _DESCRIPTION = (
@@ -207,82 +200,6 @@ def parse_args(argv: list[str]) -> RunConfig:
     )
 
 
-# --- per-command payload builders --------------------------------------------
-
-def _payload_field_info(spec: FieldSpec) -> dict:
-    payload = {
-        "p": spec.characteristic,
-        "n": spec.degree,
-        "q": spec.order,
-        "modulus": list(spec.modulus),
-        "generator": str(spec.generator),
-        "num_elements": spec.order,
-    }
-    if spec.characteristic == 2:
-        payload["modulus_hex"] = hex(sum(c << i for i, c in enumerate(spec.modulus)))
-    return payload
-
-
-def _payload_plane(spec: FieldSpec) -> dict:
-    plane = build_plane(spec)
-    return {
-        "q": spec.order,
-        "num_points": len(plane.points),
-        "num_lines": len(plane.lines),
-        "points": [str(p) for p in plane.points],
-        "lines": [str(l) for l in plane.lines],
-    }
-
-
-def _payload_conic(spec: FieldSpec) -> dict:
-    from .conic import _nucleus_char2, canonical_conic, classify, point_set, tangent_lines
-    plane = build_plane(spec)
-    conic = canonical_conic(spec)
-    tangents = tangent_lines(conic, plane)
-    try:
-        # the closed form; conic.nucleus would scan every line again
-        nuc = str(_nucleus_char2(conic))
-    except OddCharacteristic:
-        nuc = None
-    return {
-        "q": spec.order,
-        "coefficients": [str(c) for c in conic.coefficients],
-        "class": str(classify(conic, plane)),
-        "points": [str(p) for p in point_set(conic, plane)],
-        "tangent_lines": [str(l) for l in tangents],
-        "nucleus": nuc,
-    }
-
-
-def _payload_pencil(spec: FieldSpec) -> dict:
-    from .pencil import common_nucleus, members, time_pencil
-    ctx = time_pencil_context(spec)
-    pencil = time_pencil(spec)
-    fmt = spec.format
-    payload = {
-        "q": spec.order,
-        # x1*x2 = x3^2 = 0 in plane order, for every q; pencil.base_points is the oracle
-        "base_points": [str(ctx.B2), str(ctx.B1)],
-        "members": [
-            {
-                "theta": [fmt(m.theta[0]), fmt(m.theta[1])],
-                "conic": [str(c) for c in m.conic.coefficients],
-                "class": str(m.degeneracy),
-            }
-            for m in members(pencil, ctx.plane)
-        ],
-    }
-    if spec.characteristic == 2:
-        payload["common_nucleus"] = str(common_nucleus(pencil, ctx.plane))
-    return payload
-
-
-def _payload_family(spec: FieldSpec, config: RunConfig) -> dict:
-    from .arc import build_time_family, family_to_dict
-    linf, lstar = ProjLine(spec, config.linf), ProjLine(spec, config.lstar)
-    return family_to_dict(build_time_family(spec, linf, lstar))
-
-
 # --- arrow reports, streamed ------------------------------------------------
 
 def _arrow_reports(spec: FieldSpec, config: RunConfig, rejected: list[tuple[ProjLine, ProjLine]]
@@ -341,29 +258,37 @@ class _ReportText:
     CSV rows.  Every string in a report is hex or decimal digits, (a:b:c)
     or a class name, so nothing needs escaping.  A report's text is its
     head, its members' texts and its tail; the callers make the members'
-    texts once per ideal line (CSV rows once per orbit).  Point strings,
-    L* tails and each member's id and theta text are built on first use
-    and reused for the run."""
+    texts once per ideal line (CSV rows once per orbit).  Made on first use
+    and kept for the run: a Future member's whole text, a Past or Present
+    member's text up to its first witness, point texts, L* tails and CSV
+    rows.  Point and line texts are made from the q coordinate strings."""
 
-    def __init__(self, spec: FieldSpec):
-        self._fmt = spec.format
+    def __init__(self, ctx: TimePencilContext):
+        spec = ctx.spec
         self._q = spec.order
+        self._coords = [spec.format(v) for v in range(spec.order)]
+        self._ids = ctx.ids
+        self._thetas = ctx.thetas
         self._triples: dict[tuple[int, int, int], str] = {}
         self._points: dict[int, str] = {}
-        self._json_heads: dict[tuple, str] = {}
+        # per number of witnesses (Future, Present, Past), per member position
+        self._member_heads: list[list[str | None]] = [[None] * len(ctx.ids) for _ in range(3)]
         self._json_tails: dict[tuple[int, int, int] | None, str] = {}
-        self._csv_rows: dict[tuple, str] = {}
-        self._classes = [temporal.value for temporal in _TEMPORAL_BY_HITS]
+        self._csv_rows: dict[tuple[int, TemporalClass], str] = {}
+
+    def _text(self, values: tuple[int, int, int]) -> str:
+        coords = self._coords
+        return "(" + ":".join([coords[v] for v in values]) + ")"
 
     def triple(self, values: tuple[int, int, int]) -> str:
         text = self._triples.get(values)
         if text is None:
-            text = self._triples[values] = "(" + ":".join(map(self._fmt, values)) + ")"
+            text = self._triples[values] = self._text(values)
         return text
 
     def point(self, index: int) -> str:
         """The text of the plane point at index, made from its values."""
-        text = self._points[index] = self.triple(_triple_values(self._q, index))
+        text = self._points[index] = self._text(_triple_values(self._q, index))
         return text
 
     def json_head(self, q: int, mode: str, linf: ProjLine, tallies: tuple[int, int, int]) -> str:
@@ -387,42 +312,49 @@ class _ReportText:
             text = self._json_tails[key] = f"\n      ]{tail}\n    }}"
         return text
 
-    def member_json(self, member_id: int, theta: tuple[int, int], witnesses: tuple[int, ...]
-                    ) -> str:
-        """The member's text, classed by its number of witnesses on the
-        ideal line, given as plane indices."""
-        key = (member_id, theta)
-        head = self._json_heads.get(key)
-        if head is None:
-            fmt = self._fmt
-            head = self._json_heads[key] = (
-                f'\n        {{\n          "id": {member_id},\n          "theta": [\n'
-                f'            "{fmt(theta[0])}",\n            "{fmt(theta[1])}"\n'
-                f'          ],\n          "class": "')
-        texts = self._points
-        # _json_block inlined: this runs once per member of every ideal line
-        listed = ('[\n            "'
-                  + '",\n            "'.join([texts[i] if i in texts else self.point(i)
-                                               for i in witnesses])
-                  + '"\n          ]') if witnesses else "[]"
-        return (f'{head}{self._classes[len(witnesses)]}",\n'
-                f'          "witnesses": {listed}\n        }}')
+    def _member_head(self, i: int, hits: int) -> str:
+        """The text of the member at position i with hits witnesses, up to
+        its first witness; the whole text for a Future member."""
+        t1, t2 = self._thetas[i]
+        head = (f'\n        {{\n          "id": {self._ids[i]},\n          "theta": [\n'
+                f'            "{self._coords[t1]}",\n            "{self._coords[t2]}"\n'
+                f'          ],\n          "class": "{_TEMPORAL_BY_HITS[hits].value}",\n'
+                f'          "witnesses": ' + ('[\n            "' if hits else '[]\n        }'))
+        self._member_heads[hits][i] = head
+        return head
 
-    def member_csv(self, member_id: int, theta: tuple[int, int], temporal: TemporalClass) -> str:
-        """The member's row after the configuration columns: id,theta,class;
-        one string per (member, class), shared by every orbit's rows."""
-        key = (member_id, theta, temporal)
+    def member_json(self, i: int, witnesses: tuple[int, ...]) -> str:
+        """The text of the proper member at position i, classed by its
+        number of witnesses on the ideal line, given as plane indices."""
+        head = self._member_heads[len(witnesses)][i] or self._member_head(i, len(witnesses))
+        if not witnesses:
+            return head
+        # _json_block inlined: this runs once per member of every ideal line
+        points = self._points
+        a = witnesses[0]
+        text = head + (points[a] if a in points else self.point(a))
+        if len(witnesses) == 2:   # Past; Present has one witness
+            b = witnesses[1]
+            text += '",\n            "' + (points[b] if b in points else self.point(b))
+        return text + '"\n          ]\n        }'
+
+    def member_csv(self, i: int, temporal: TemporalClass) -> str:
+        """The row of the member at position i after the configuration
+        columns: id,theta,class; one string per (member, class), shared by
+        every orbit's rows."""
+        key = (i, temporal)
         row = self._csv_rows.get(key)
         if row is None:
-            fmt = self._fmt
-            row = self._csv_rows[key] = f"{member_id},{fmt(theta[0])}:{fmt(theta[1])},{temporal}"
+            t1, t2 = self._thetas[i]
+            row = self._csv_rows[key] = (f"{self._ids[i]},{self._coords[t1]}:{self._coords[t2]},"
+                                         f"{temporal}")
         return row
 
 
 def _arrow_json(spec: FieldSpec, config: RunConfig) -> Iterator[str]:
     """One chunk per ideal line, holding its reports, then the summary."""
     ctx = time_pencil_context(spec)
-    text = _ReportText(spec)
+    text = _ReportText(ctx)
     rejected: list[tuple[ProjLine, ProjLine]] = []
     # the opening goes out with the first ideal line's reports, so that a
     # run refused before them prints nothing
@@ -440,17 +372,14 @@ def _arrow_json(spec: FieldSpec, config: RunConfig) -> Iterator[str]:
         # report takes them by reference, so the line's texts are copied
         # once, into its chunk
         members = [","] * (2 * len(witnesses) - 1)
-        members[::2] = map(text.member_json, ctx.ids, ctx.thetas, witnesses)
+        members[::2] = map(text.member_json, range(len(witnesses)), witnesses)
         pieces = []
         for lstar, delta in configurations:
             pieces += (separator, head)
-            if delta is None:
-                pieces += members
-            else:
+            pieces += members
+            if delta is not None:   # Q* is member i of the members just added
                 i, witness = delta
-                pieces += members[:2 * i]
-                pieces.append(text.member_json(ctx.ids[i], ctx.thetas[i], (witness,)))
-                pieces += members[2 * i + 1:]
+                pieces[2 * i - len(members)] = text.member_json(i, (witness,))
             pieces.append(text.json_tail(lstar))
             separator = ",\n    "
         if not config.exhaustive:
@@ -476,8 +405,8 @@ def _arrow_json(spec: FieldSpec, config: RunConfig) -> Iterator[str]:
 
 def _arrow_csv(spec: FieldSpec, config: RunConfig) -> Iterator[str]:
     """One chunk per ideal line, holding its rows, the header with the first."""
-    text = _ReportText(spec)
     ctx = time_pencil_context(spec)
+    text = _ReportText(ctx)
     header = f"q,mode,{'linf,lstar,' if config.exhaustive else ''}member_id,theta,class\n"
     lead = f"{spec.order},{config.mode},"
     rows_by_orbit: dict[int, list[str]] = {}
@@ -486,7 +415,7 @@ def _arrow_csv(spec: FieldSpec, config: RunConfig) -> Iterator[str]:
         rows = rows_by_orbit.get(u)
         if rows is None:   # a member with no root y is Future, as in kernel._witnesses
             classes = [TemporalClass.FUTURE if y is None else TemporalClass.PAST for y in ys]
-            rows = rows_by_orbit[u] = list(map(text.member_csv, ctx.ids, ctx.thetas, classes))
+            rows = rows_by_orbit[u] = list(map(text.member_csv, range(len(classes)), classes))
         pieces = [header]
         for lstar, delta in configurations:
             prefix = lead
@@ -494,8 +423,7 @@ def _arrow_csv(spec: FieldSpec, config: RunConfig) -> Iterator[str]:
                 prefix += f"{text.triple(linf.values)},{text.triple(lstar.values) if lstar else ''},"
             if delta is not None:   # Q* is Present in this report only
                 i = delta[0]
-                kept, rows[i] = rows[i], text.member_csv(ctx.ids[i], ctx.thetas[i],
-                                                         TemporalClass.PRESENT)
+                kept, rows[i] = rows[i], text.member_csv(i, TemporalClass.PRESENT)
             pieces += (prefix, ("\n" + prefix).join(rows), "\n")
             if delta is not None:
                 rows[i] = kept
@@ -503,21 +431,6 @@ def _arrow_csv(spec: FieldSpec, config: RunConfig) -> Iterator[str]:
         yield "".join(pieces)
     if header:   # a run with no report prints the header alone
         yield header
-
-
-# --- CSV flattening (pencil, family) -------------------------------------------
-
-def _csv_lines(config: RunConfig, payload: dict) -> list[str]:
-    if config.command == "pencil":
-        lines = ["q,member_id,theta,class"]
-        for i, m in enumerate(payload["members"]):
-            lines.append(f"{payload['q']},{i},{m['theta'][0]}:{m['theta'][1]},{m['class']}")
-        return lines
-    lines = ["q,member_id,theta,size,is_conic"]
-    for i, m in enumerate(payload["members"]):
-        lines.append(f"{payload['q']},{i},{m['theta'][0]}:{m['theta'][1]},"
-                     f"{len(m['points'])},{str(m['is_conic']).lower()}")
-    return lines
 
 
 # --- driver ---------------------------------------------------------------------
@@ -531,18 +444,12 @@ def _execute(config: RunConfig) -> Iterator[str]:
         else:
             yield from _arrow_json(spec, config)
         return
-    if config.command == "family":
-        payload = _payload_family(spec, config)
-    else:
-        payload = {"field-info": _payload_field_info, "plane": _payload_plane,
-                   "conic": _payload_conic, "pencil": _payload_pencil}[config.command](spec)
-    if config.output == "csv":
-        yield "\n".join(_csv_lines(config, payload)) + "\n"
-    else:
-        yield json.dumps(payload, indent=2) + "\n"
+    from .payloads import render
+    yield render(spec, config)
 
 
 def _emit_error(exc: Exception) -> None:
+    import json
     line = json.dumps({"error": type(exc).__name__, "message": str(exc)})
     print(line, file=sys.stderr)
 
@@ -551,17 +458,18 @@ def run(config: RunConfig) -> int:
     """Execute one command; report on stdout, exit code returned.
 
     Output is written as it is produced, so after exit 3 stdout may hold
-    a truncated report."""
+    a truncated report.  stdout is flushed before a diagnostic is written,
+    so the report text made before a failure reaches stdout first."""
+    code, error = 0, None
     try:
-        for chunk in _execute(config):
-            sys.stdout.write(chunk)
+        try:
+            for chunk in _execute(config):
+                sys.stdout.write(chunk)
+        except InvariantViolation as exc:
+            code, error = 3, exc
+        except ValidationError as exc:
+            code, error = 2, exc
         sys.stdout.flush()
-    except InvariantViolation as exc:
-        _emit_error(exc)
-        return 3
-    except ValidationError as exc:
-        _emit_error(exc)
-        return 2
     except BrokenPipeError:
         # the reader has closed stdout (as `| head` does): what it did not
         # read is dropped, and stdout points at devnull so that the flush at
@@ -569,7 +477,9 @@ def run(config: RunConfig) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-    return 0
+    if error is not None:
+        _emit_error(error)
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,5 +1,5 @@
 """Conics as quadratic forms: evaluation, zero sets, degeneracy classes,
-tangents, nucleus and five-point fitting.
+tangents, nucleus and five-point fitting by exact Gaussian elimination.
 
 Write a form as a*x1^2 + h*x1x2 + g*x1x3 + b*x2^2 + f*x2x3 + c*x3^2.  It is
 proper exactly when Hirschfeld's discriminant
@@ -31,12 +31,13 @@ from .errors import (
     AmbiguousFit,
     CollinearTriple,
     DegenerateConic,
+    EmptyMatrix,
     IntersectionTooLarge,
     MixedFields,
     OddCharacteristic,
     UnclassifiableConic,
 )
-from .field import FieldElement, FieldSpec, solve_homogeneous
+from .field import FieldElement, FieldSpec
 from .plane import (
     Plane,
     ProjLine,
@@ -230,6 +231,64 @@ def _nucleus_char2(conic: Conic) -> ProjPoint:
     if not (c12 or c13 or c23):
         raise DegenerateConic(f"{conic} has no single nucleus")
     return ProjPoint(f, (c23, c13, c12))
+
+
+def _common_field(rows) -> FieldSpec:
+    field = None
+    for row in rows:
+        for entry in row:
+            if field is None:
+                field = entry.field
+            elif entry.field != field:
+                raise MixedFields("matrix entries belong to different fields")
+    if field is None:
+        raise EmptyMatrix("matrix has no entries")
+    return field
+
+
+def solve_homogeneous(matrix: Sequence[Sequence[FieldElement]]) -> list[list[FieldElement]]:
+    """Basis of the null space {v : Mv = 0} by exact Gaussian elimination.
+
+    Pivot order is deterministic (leftmost column, lowest row index), and
+    the basis vectors come out one per free column, ascending.
+    """
+    rows = [list(r) for r in matrix]
+    if not rows or any(len(r) == 0 for r in rows):
+        raise EmptyMatrix("matrix must have at least one row and one column")
+    ncols = len(rows[0])
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("ragged matrix")
+    field = _common_field(rows)
+    m = [[e.value for e in r] for r in rows]
+    mul_i, sub_i, inv_i = field._mul_i, field._sub_i, field._inv_i
+
+    pivot_cols: list[int] = []
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        scale = inv_i(m[rank][col])
+        m[rank] = [mul_i(scale, x) for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                k = m[r][col]
+                m[r] = [sub_i(x, mul_i(k, y)) for x, y in zip(m[r], m[rank])]
+        pivot_cols.append(col)
+        rank += 1
+        if rank == len(m):
+            break
+
+    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    basis = []
+    for free in free_cols:
+        vec = [0] * ncols
+        vec[free] = 1
+        for r, pc in enumerate(pivot_cols):
+            vec[pc] = field._neg_i(m[r][free])
+        basis.append([FieldElement(field, v) for v in vec])
+    return basis
 
 
 def fit_conic(points: Sequence[ProjPoint]) -> Conic:

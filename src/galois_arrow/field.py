@@ -1,4 +1,4 @@
-"""Exact arithmetic in GF(p^n) plus the small linear-algebra kernel.
+"""Exact arithmetic in GF(p^n).
 
 An element is a canonical coefficient vector over GF(p), packed as the
 integer sum(c_i * p**i) in [0, q).  With this encoding 0 and 1 are always
@@ -10,15 +10,16 @@ Every field multiplies through one pair of log/antilog tables (Lidl &
 Niederreiter, *Finite Fields*): log[0] is a sentinel that sends any product
 with a zero factor into a block of zeros at the end of the antilog table,
 so a product is two lookups and an index sum, with no branch and no
-modulo.  Plain polynomial reduction is kept as the reference path and the
-two must agree bit for bit (see the test suite).  Inverses are a lookup
-into a table of q entries read off the log tables; Fermat's a^(q-2) is
-their oracle in the test suite.
+modulo.  The tables walk the first generator's powers, by shift-and-xor in
+characteristic 2.  Plain polynomial reduction is kept as the reference
+path and the two must agree bit for bit (see the test suite).  Inverses
+are a lookup into a table of q entries read off the log tables; Fermat's
+a^(q-2) is their oracle in the test suite.
 
 Characteristic 2 adds by XOR.  Every odd-characteristic field adds,
 subtracts and negates through Zech logarithms, 1 + g^k = g^Z(k), one
 table of q - 1 entries beside the log tables; coefficient-wise addition
-and negation (_add_slow, _neg_slow) are its reference in the test suite.
+and negation are its reference in the test suite.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from typing import Iterable, Sequence
 from .errors import (
     CompositeCharacteristic,
     DivisionByZero,
-    EmptyMatrix,
     InvalidDegree,
     MixedFields,
     ModulusDegreeMismatch,
@@ -211,6 +211,26 @@ def parse_modulus(text: str, p: int) -> tuple[int, ...]:
     return coeffs
 
 
+def _char2_product(spec: "FieldSpec"):
+    """The product of GF(2^n) on packed values, for the table walk: a is
+    shifted and xored in once per bit of b, and reduced by the modulus bits
+    whenever it reaches degree n."""
+    n = spec.degree
+    bits = sum(c << i for i, c in enumerate(spec.modulus))
+
+    def times(a: int, b: int) -> int:
+        out = 0
+        while b:
+            if b & 1:
+                out ^= a
+            b >>= 1
+            a <<= 1
+            if a >> n:
+                a ^= bits
+        return out
+    return times
+
+
 # (p, n, monic modulus) -> the live FieldSpec of that field; weak, so a spec
 # nobody holds (and its tables) is still freed.  Stores take the lock, so two
 # threads building the same field still end up with one spec.
@@ -316,8 +336,9 @@ class FieldSpec:
         # lookup and a log sum, which lands in the zero block when b = -a, and
         # negating adds m/2 to the log, 0 staying in the zero block.  A zero
         # operand makes the other the result, hence `a | b`; for a - b the
-        # zero block of exp[log[0] + h] also covers b = 0.  _add_slow and
-        # _neg_slow are the reference these must match.
+        # zero block of exp[log[0] + h] also covers b = 0.  Coefficient-wise
+        # addition and negation, in the test suite, are the reference these
+        # must match.
         zech = [log[e - e % p + (e + 1) % p] for e in exp[:m]]
         h = m // 2
         self._neg_i = lambda a: exp[log[a] + h]
@@ -338,12 +359,13 @@ class FieldSpec:
         # dropped if they return to 1 before m steps; the generator's full
         # walk overwrites every entry a dropped one wrote.  From 1, not 2:
         # the unit group of GF(2) is {1}
+        times = self._mul_slow if self.characteristic != 2 else _char2_product(self)
         for g in range(1, q):
             acc = 1
             for k in range(m):
                 exp[k] = exp[k + m] = acc
                 log[acc] = k
-                acc = self._mul_slow(acc, g)
+                acc = times(acc, g)
                 if acc == 1:
                     break
             if k == m - 1:
@@ -352,16 +374,6 @@ class FieldSpec:
             raise ArithmeticError("no generator found")
         self._exp = exp
         self._log = log
-
-    def _add_slow(self, a: int, b: int) -> int:
-        return self.value_of(
-            (x + y) % self.characteristic
-            for x, y in zip(self.coeffs_of(a), self.coeffs_of(b))
-        )
-
-    def _neg_slow(self, a: int) -> int:
-        p = self.characteristic
-        return self.value_of((-c) % p for c in self.coeffs_of(a))
 
     def _mul_slow(self, a: int, b: int) -> int:
         """Reference multiplication: polynomial product reduced by the modulus."""
@@ -532,61 +544,3 @@ def sqrt_char2(a: FieldElement) -> FieldElement:
 def elements(spec: FieldSpec) -> list[FieldElement]:
     """All q elements in canonical order: 0 first, 1 second, then by value."""
     return spec.elements()
-
-
-def _common_field(rows) -> FieldSpec:
-    field = None
-    for row in rows:
-        for entry in row:
-            if field is None:
-                field = entry.field
-            elif entry.field != field:
-                raise MixedFields("matrix entries belong to different fields")
-    if field is None:
-        raise EmptyMatrix("matrix has no entries")
-    return field
-
-
-def solve_homogeneous(matrix: Sequence[Sequence[FieldElement]]) -> list[list[FieldElement]]:
-    """Basis of the null space {v : Mv = 0} by exact Gaussian elimination.
-
-    Pivot order is deterministic (leftmost column, lowest row index), and
-    the basis vectors come out one per free column, ascending.
-    """
-    rows = [list(r) for r in matrix]
-    if not rows or any(len(r) == 0 for r in rows):
-        raise EmptyMatrix("matrix must have at least one row and one column")
-    ncols = len(rows[0])
-    if any(len(r) != ncols for r in rows):
-        raise ValueError("ragged matrix")
-    field = _common_field(rows)
-    m = [[e.value for e in r] for r in rows]
-    mul_i, sub_i, inv_i = field._mul_i, field._sub_i, field._inv_i
-
-    pivot_cols: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        scale = inv_i(m[rank][col])
-        m[rank] = [mul_i(scale, x) for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                k = m[r][col]
-                m[r] = [sub_i(x, mul_i(k, y)) for x, y in zip(m[r], m[rank])]
-        pivot_cols.append(col)
-        rank += 1
-        if rank == len(m):
-            break
-
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    basis = []
-    for free in free_cols:
-        vec = [0] * ncols
-        vec[free] = 1
-        for r, pc in enumerate(pivot_cols):
-            vec[pc] = field._neg_i(m[r][free])
-        basis.append([FieldElement(field, v) for v in vec])
-    return basis

@@ -469,6 +469,27 @@ def test_streamed_arrow_matches_the_to_dict_oracle(field, mode, sweep, output):
         pytest.fail(f"stdout line {i + 1} is {lines[i:i + 1]}, the oracle's {want[i:i + 1]}")
 
 
+@pytest.mark.parametrize("argv", [
+    "arrow --n 5 --mode conic",
+    "arrow --n 5 --mode conic --linf 1,5,17",
+    "arrow --n 5 --mode arc",
+    "arrow --n 5 --mode arc --linf 1,5,17 --lstar 1,9,0",
+    "arrow --n 5 --modulus 0x3d --mode arc --linf 1,31,1 --lstar 1,30,0",
+    "arrow --n 6 --mode conic",
+    "arrow --n 6 --modulus 0x6d --mode conic --linf 1,49,57",
+    "arrow --n 6 --mode arc",
+    "arrow --n 6 --mode arc --linf 1,40,3 --lstar 1,7,0",
+    "arrow --n 6 --mode arc --linf 1,63,63 --lstar 1,1,0",
+])
+def test_single_arrow_json_matches_the_to_dict_oracle_at_q32_and_q64(argv):
+    """One configuration's JSON at q = 32 and 64, where every member's text
+    is made from texts kept for the run, against json.dumps of the
+    report's to_dict with indent=2."""
+    code, out, err = _run(argv.split())
+    assert code == 0 and not err
+    assert out == _oracle_stdout(argv.split())
+
+
 def test_first_report_is_written_before_the_last_configuration_is_built(monkeypatch):
     out, lengths = io.StringIO(), []
 
@@ -484,11 +505,13 @@ def test_first_report_is_written_before_the_last_configuration_is_built(monkeypa
     assert 0 < lengths[-1] < len(out.getvalue())
 
 
-def test_invariant_violation_mid_sweep_exits_3(monkeypatch):
-    """What was made before the violation, the first ideal line's chunk,
-    is written once: not dropped, nor written twice."""
-    argv = ["arrow", "--n", "2", "--mode", "arc", "--exhaustive"]
-    first = next(cli._execute(cli.parse_args(argv)))
+SWEEP_Q4 = ["arrow", "--n", "2", "--mode", "arc", "--exhaustive"]
+
+
+def _fail_on_the_second_ideal_line(monkeypatch) -> str:
+    """Make the arc pass over SWEEP_Q4's second ideal line raise an
+    InvariantViolation; the stdout chunk made before it is returned."""
+    first = next(cli._execute(cli.parse_args(SWEEP_Q4)))
     built = []
 
     def second_fails(*args):
@@ -498,11 +521,53 @@ def test_invariant_violation_mid_sweep_exits_3(monkeypatch):
         return _arc_deltas(*args)
 
     monkeypatch.setattr(cli, "_arc_deltas", second_fails)
-    code, out, err = _run(argv)
+    return first
+
+
+def test_invariant_violation_mid_sweep_exits_3(monkeypatch):
+    """What was made before the violation, the first ideal line's chunk,
+    is written once: not dropped, nor written twice."""
+    first = _fail_on_the_second_ideal_line(monkeypatch)
+    code, out, err = _run(SWEEP_Q4)
     assert code == 3 and out == first   # the reports before it were written
     lines = err.splitlines()
     assert len(lines) == 1 and "Traceback" not in err
     assert json.loads(lines[0])["error"] == "InvariantViolation"
+
+
+class _RawRecorder(io.RawIOBase):
+    def __init__(self):
+        super().__init__()
+        self.data = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.data += b
+        return len(b)
+
+
+def test_report_text_reaches_stdout_before_the_diagnostic(monkeypatch):
+    """With stdout buffered (here a 1 MiB buffer over a recording raw
+    stream), the first ideal line's chunk has reached stdout's raw stream,
+    whole, when the diagnostic of a violation on the second line is
+    written to stderr."""
+    first = _fail_on_the_second_ideal_line(monkeypatch)
+    raw = _RawRecorder()
+    stdout = io.TextIOWrapper(io.BufferedWriter(raw, buffer_size=1 << 20), encoding="utf-8")
+    seen = []
+
+    class Stderr(io.StringIO):
+        def write(self, text):
+            seen.append(bytes(raw.data))
+            return super().write(text)
+
+    err = Stderr()
+    with redirect_stdout(stdout), redirect_stderr(err):
+        code = cli.main(SWEEP_Q4)
+    assert code == 3 and json.loads(err.getvalue())["error"] == "InvariantViolation"
+    assert seen and all(data == first.encode() for data in seen)
 
 
 class _CountingStdout(io.StringIO):
@@ -695,6 +760,33 @@ def test_plain_argv_loads_no_argparse():
                               env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == code and proc.stdout.startswith(stdout), argv
         assert proc.stderr == stderr, argv
+
+
+def _main_quietly(argvs: list[str]) -> str:
+    """A statement that runs each argv through cli.main, stdout redirected."""
+    return ("import galois_arrow.cli as c\n"
+            f"for argv in {[argv.split() for argv in argvs]!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert c.main(argv) == 0")
+
+
+def test_arrow_runs_load_only_the_arrow_modules():
+    """The benchmark's sweeps, run through main in a fresh interpreter,
+    load exactly the package, errors, field, plane, kernel and cli, and no
+    json: the payloads module and json are for the other commands and for
+    diagnostics."""
+    want = ["galois_arrow", *(f"galois_arrow.{m}"
+                              for m in ("cli", "errors", "field", "kernel", "plane"))]
+    assert _added_modules(_main_quietly(BENCH_ARGVS),
+                          "m.split('.')[0] in ('galois_arrow', 'json')",
+                          preload=("contextlib", "io")) == f"{want}\n"
+
+
+@pytest.mark.parametrize("argv", ["field-info --n 2", "plane --n 2", "conic --n 2",
+                                  "pencil --n 2", "family --n 2"])
+def test_other_commands_load_the_payloads_module(argv):
+    assert _added_modules(_main_quietly([argv]), "m == 'galois_arrow.payloads'",
+                          preload=("contextlib", "io")) == "['galois_arrow.payloads']\n"
 
 
 def _records():

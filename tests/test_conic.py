@@ -31,7 +31,9 @@ from galois_arrow.conic import (
     point_set,
     tangent_lines,
 )
-from galois_arrow.plane import ProjLine, ProjPoint, _join_index, build_plane, incident
+from galois_arrow.plane import ProjLine, ProjPoint, build_plane, incident
+
+from oracles import _join_index
 
 GF2 = make_field(2, 1)
 GF3 = make_field(3, 1)
@@ -349,8 +351,7 @@ def test_fit_conic_rejects_collinear_and_bad_arity():
 def test_fit_conic_null_space_is_one_dimensional():
     """The 5x6 fit system for canonical-conic points over GF(4) has a
     one-dimensional solution space."""
-    from galois_arrow.field import solve_homogeneous
-    from galois_arrow.conic import _MONOMIALS
+    from galois_arrow.conic import _MONOMIALS, solve_homogeneous
 
     plane = build_plane(GF4)
     pts = point_set(canonical_conic(GF4), plane)[:5]

@@ -38,7 +38,6 @@ from galois_arrow.plane import (
     Plane,
     ProjLine,
     ProjPoint,
-    _join_index,
     build_plane,
     incident,
     line_through,
@@ -52,6 +51,8 @@ from galois_arrow.kernel import (
     validate_ideal_line,
     validate_lines,
 )
+
+from oracles import _join_index
 
 GF2 = make_field(2, 1)
 GF3 = make_field(3, 1)

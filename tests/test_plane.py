@@ -10,7 +10,6 @@ from galois_arrow.plane import (
     ProjLine,
     ProjPoint,
     _incidence_indices,
-    _join_index,
     _line_hits,
     _triple_index,
     _triple_values,
@@ -21,6 +20,8 @@ from galois_arrow.plane import (
     meet,
     points_on,
 )
+
+from oracles import _join_index
 
 GF2 = make_field(2, 1)
 GF4 = make_field(2, 2)
