@@ -210,7 +210,7 @@ def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine) -> ArcFa
     validate_lines(ctx, (linf,), (lstar,))
     (contact,) = _contacts(spec, linf.values, (lstar.values[1],))
     if contact is None:
-        raise _degenerate_contact(ctx, linf, lstar)
+        raise _degenerate_contact(spec, linf.values, lstar.values[1])
     index, t = contact
     k = spec._inv_i(lstar.values[1])
     member_points = _member_points(ctx)

@@ -107,7 +107,7 @@ def conic_arrow(spec: FieldSpec, linf: ProjLine) -> ArrowReport:
         raise OddCharacteristic("the conic arrow is defined over GF(2^n)")
     ctx = time_pencil_context(spec)
     validate_ideal_line(linf, ctx.plane)
-    return _report(ctx, "conic", linf, _witnesses(ctx, linf))
+    return _report(ctx, "conic", linf, _witnesses(ctx, linf.values))
 
 
 def arc_arrow(family: ArcFamily) -> ArrowReport:
@@ -119,8 +119,8 @@ def arc_arrow(family: ArcFamily) -> ArrowReport:
     is read, not its members."""
     ctx = time_pencil_context(family.spec)
     linf, lstar = family.provenance.linf, family.provenance.lstar
-    witnesses = list(_witnesses(ctx, linf))
+    witnesses = list(_witnesses(ctx, linf.values))
     # build_time_family refuses the configurations _arc_deltas rejects
-    ((position, witness),) = _arc_deltas(ctx, linf, (lstar.values[1],), witnesses)
+    ((position, witness),) = _arc_deltas(ctx, linf.values, (lstar.values[1],), witnesses)
     witnesses[position] = (witness,)
     return _report(ctx, "arc", linf, witnesses)

@@ -15,11 +15,13 @@ anew (kernel._arc_deltas).  Each member's text, but for its witness
 points, is made once per run.  A single configuration's report is laid
 out as a sweep's entry and dedented to the top level.
 
-The arrow command runs on the kernel module alone.  The other commands'
-payloads live in the payloads module, imported only when they run.  argv
-in plain form, a command and then options by their full flags, is read
-without argparse, from the table of options argparse is built from; help
-and any other argv go to argparse, which is imported only then.
+The arrow command runs on the kernel module alone, on lines as value
+triples; only a single run loads the plane module, to normalize its
+--linf and --lstar.  The other commands' payloads live in the payloads
+module, imported only when they run.  argv in plain form, a command and
+then options by their full flags, is read without argparse, from the
+table of options argparse is built from; help and any other argv go to
+argparse, which is imported only then.
 """
 
 from __future__ import annotations
@@ -35,10 +37,9 @@ from .errors import (
     ValidationError,
 )
 from .field import FieldSpec, field_order, make_field, parse_modulus
-from .plane import ProjLine, _triple_values
-from .kernel import (_TEMPORAL_BY_HITS, TemporalClass, TimePencilContext, _arc_deltas,
-                     _degenerate_contact, _orbit, _witnesses, time_pencil_context,
-                     validate_lines)
+from .kernel import (_TEMPORAL_BY_HITS, TimePencilContext, Values, _arc_deltas,
+                     _degenerate_contact, _orbit, _triple_values, _valid_lines, _witnesses,
+                     time_pencil_context, validate_lines)
 
 COMMANDS = ("field-info", "plane", "conic", "pencil", "family", "arrow")
 _DESCRIPTION = (
@@ -202,43 +203,43 @@ def parse_args(argv: list[str]) -> RunConfig:
 
 # --- arrow reports, streamed ------------------------------------------------
 
-def _arrow_reports(spec: FieldSpec, config: RunConfig, rejected: list[tuple[ProjLine, ProjLine]]
-                   ) -> Iterator[tuple[ProjLine, tuple[tuple[int, ...], ...] | None,
-                                       list[tuple[ProjLine | None, tuple[int, int] | None]]]]:
-    """Per L-infinity of the run, one at a time: the line, its members'
-    witnesses as plane indices (kernel._witnesses; None in a conic CSV run,
-    whose rows come from the line's orbit) and its configurations (L*,
-    delta), one per report.  A delta (position, witness) is the member in
-    which the report differs from the line's conic classification: Q*,
-    Present with that one witness.  In conic mode the one configuration is
-    (None, None); in arc mode there is one per L*, from the line's one
-    pass, kernel._arc_deltas.  A single run is the one-pair case.  Arc
-    configurations whose contact point lies on a degenerate member are
-    appended to rejected during a sweep; a single run raises
-    DegenerateContactPoint."""
+def _arrow_reports(spec: FieldSpec, config: RunConfig, rejected: list[tuple[Values, int]]
+                   ) -> Iterator[tuple[Values, tuple[tuple[int, ...], ...] | None,
+                                       list[tuple[int | None, tuple[int, int] | None]]]]:
+    """Per L-infinity = (1 : b : c) of the run, one at a time: its values,
+    its members' witnesses as plane indices (kernel._witnesses; None in a
+    conic CSV run, whose rows come from the line's orbit) and its
+    configurations (a, delta), L* = (1 : a : 0), one per report.  A delta
+    (position, witness) is the member in which the report differs from the
+    line's conic classification: Q*, Present with that one witness.  In
+    conic mode the one configuration is (None, None); in arc mode there is
+    one per L*, from the line's one pass, kernel._arc_deltas.  A single run
+    is the one-pair case.  Arc configurations whose contact point lies on a
+    degenerate member are appended to rejected during a sweep; a single run
+    raises DegenerateContactPoint."""
     ctx = time_pencil_context(spec)
     arc = config.mode == "arc"
     if config.exhaustive:
-        linfs = ctx.valid_ideal_lines()
-        lstars = ctx.valid_tangent_lines() if arc else ()
+        linfs, lstar_as = _valid_lines(spec.order)
     else:
-        linfs = (ProjLine(spec, config.linf),)
+        from .plane import ProjLine
+        linf = ProjLine(spec, config.linf)
         lstars = (ProjLine(spec, config.lstar),) if arc else ()
-    validate_lines(ctx, linfs, lstars)
-    lstar_as = [lstar.values[1] for lstar in lstars]   # each L* is (1 : a : 0)
+        validate_lines(ctx, (linf,), lstars)
+        linfs, lstar_as = (linf.values,), [lstar.values[1] for lstar in lstars]
     for linf in linfs:
         witnesses = _witnesses(ctx, linf) if arc or config.output == "json" else None
         if not arc:
             yield linf, witnesses, [(None, None)]
             continue
         configurations = []
-        for lstar, delta in zip(lstars, _arc_deltas(ctx, linf, lstar_as, witnesses)):
+        for a, delta in zip(lstar_as, _arc_deltas(ctx, linf, lstar_as, witnesses)):
             if delta is not None:
-                configurations.append((lstar, delta))
+                configurations.append((a, delta))
             elif config.exhaustive:
-                rejected.append((linf, lstar))
+                rejected.append((linf, a))
             else:
-                raise _degenerate_contact(ctx, linf, lstar)
+                raise _degenerate_contact(spec, linf, a)
         yield linf, witnesses, configurations
 
 
@@ -266,50 +267,43 @@ class _ReportText:
     def __init__(self, ctx: TimePencilContext):
         spec = ctx.spec
         self._q = spec.order
-        self._coords = [spec.format(v) for v in range(spec.order)]
+        self.coords = [spec.format(v) for v in range(spec.order)]
         self._ids = ctx.ids
         self._thetas = ctx.thetas
-        self._triples: dict[tuple[int, int, int], str] = {}
         self._points: dict[int, str] = {}
         # per number of witnesses (Future, Present, Past), per member position
         self._member_heads: list[list[str | None]] = [[None] * len(ctx.ids) for _ in range(3)]
-        self._json_tails: dict[tuple[int, int, int] | None, str] = {}
-        self._csv_rows: dict[tuple[int, TemporalClass], str] = {}
+        self._json_tails: dict[int | None, str] = {}
+        self._csv_rows: list[list[str | None]] = [[None] * len(ctx.ids) for _ in range(3)]
 
-    def _text(self, values: tuple[int, int, int]) -> str:
-        coords = self._coords
+    def triple(self, values: Values) -> str:
+        coords = self.coords
         return "(" + ":".join([coords[v] for v in values]) + ")"
-
-    def triple(self, values: tuple[int, int, int]) -> str:
-        text = self._triples.get(values)
-        if text is None:
-            text = self._triples[values] = self._text(values)
-        return text
 
     def point(self, index: int) -> str:
         """The text of the plane point at index, made from its values."""
-        text = self._points[index] = self._text(_triple_values(self._q, index))
+        text = self._points[index] = self.triple(_triple_values(self._q, index))
         return text
 
-    def json_head(self, q: int, mode: str, linf: ProjLine, tallies: tuple[int, int, int]) -> str:
+    def json_head(self, q: int, mode: str, linf: Values, tallies: tuple[int, int, int]) -> str:
         """The report's text up to the opening bracket of its members (every
         report has a member: a proper pencil member exists for q >= 2)."""
         past, present, future = tallies
         return (
             f'{{\n      "q": {q},\n      "mode": "{mode}",\n'
-            f'      "ideal_line": "{self.triple(linf.values)}",\n'
+            f'      "ideal_line": "{self.triple(linf)}",\n'
             f'      "tallies": {{\n        "past": {past},\n'
             f'        "present": {present},\n'
             f'        "future": {future}\n      }},\n'
             f'      "members": [')
 
-    def json_tail(self, lstar: ProjLine | None) -> str:
-        """The report's text after its last member."""
-        key = lstar.values if lstar else None
-        text = self._json_tails.get(key)
+    def json_tail(self, a: int | None) -> str:
+        """The report's text after its last member, L* = (1 : a : 0) in an
+        arc report."""
+        text = self._json_tails.get(a)
         if text is None:
-            tail = f',\n      "lstar": "{self.triple(key)}"' if lstar else ""
-            text = self._json_tails[key] = f"\n      ]{tail}\n    }}"
+            tail = f',\n      "lstar": "{self.triple((1, a, 0))}"' if a else ""
+            text = self._json_tails[a] = f"\n      ]{tail}\n    }}"
         return text
 
     def _member_head(self, i: int, hits: int) -> str:
@@ -317,7 +311,7 @@ class _ReportText:
         its first witness; the whole text for a Future member."""
         t1, t2 = self._thetas[i]
         head = (f'\n        {{\n          "id": {self._ids[i]},\n          "theta": [\n'
-                f'            "{self._coords[t1]}",\n            "{self._coords[t2]}"\n'
+                f'            "{self.coords[t1]}",\n            "{self.coords[t2]}"\n'
                 f'          ],\n          "class": "{_TEMPORAL_BY_HITS[hits].value}",\n'
                 f'          "witnesses": ' + ('[\n            "' if hits else '[]\n        }'))
         self._member_heads[hits][i] = head
@@ -338,16 +332,16 @@ class _ReportText:
             text += '",\n            "' + (points[b] if b in points else self.point(b))
         return text + '"\n          ]\n        }'
 
-    def member_csv(self, i: int, temporal: TemporalClass) -> str:
-        """The row of the member at position i after the configuration
-        columns: id,theta,class; one string per (member, class), shared by
-        every orbit's rows."""
-        key = (i, temporal)
-        row = self._csv_rows.get(key)
+    def member_csv(self, i: int, hits: int) -> str:
+        """The row of the member at position i with hits witnesses, after
+        the configuration columns: id,theta,class and the newline; one
+        string per (member, class), shared by every orbit's rows."""
+        row = self._csv_rows[hits][i]
         if row is None:
             t1, t2 = self._thetas[i]
-            row = self._csv_rows[key] = (f"{self._ids[i]},{self._coords[t1]}:{self._coords[t2]},"
-                                         f"{temporal}")
+            row = self._csv_rows[hits][i] = (
+                f"{self._ids[i]},{self.coords[t1]}:{self.coords[t2]},"
+                f"{_TEMPORAL_BY_HITS[hits].value}\n")
         return row
 
 
@@ -355,7 +349,7 @@ def _arrow_json(spec: FieldSpec, config: RunConfig) -> Iterator[str]:
     """One chunk per ideal line, holding its reports, then the summary."""
     ctx = time_pencil_context(spec)
     text = _ReportText(ctx)
-    rejected: list[tuple[ProjLine, ProjLine]] = []
+    rejected: list[tuple[Values, int]] = []
     # the opening goes out with the first ideal line's reports, so that a
     # run refused before them prints nothing
     opening = (f'{{\n  "q": {spec.order},\n  "mode": "{config.mode}",\n'
@@ -374,13 +368,13 @@ def _arrow_json(spec: FieldSpec, config: RunConfig) -> Iterator[str]:
         members = [","] * (2 * len(witnesses) - 1)
         members[::2] = map(text.member_json, range(len(witnesses)), witnesses)
         pieces = []
-        for lstar, delta in configurations:
+        for a, delta in configurations:
             pieces += (separator, head)
             pieces += members
             if delta is not None:   # Q* is member i of the members just added
                 i, witness = delta
                 pieces[2 * i - len(members)] = text.member_json(i, (witness,))
-            pieces.append(text.json_tail(lstar))
+            pieces.append(text.json_tail(a))
             separator = ",\n    "
         if not config.exhaustive:
             # the one report stands at the top level, not inside "reports"
@@ -390,10 +384,10 @@ def _arrow_json(spec: FieldSpec, config: RunConfig) -> Iterator[str]:
         distribution[key] = distribution.get(key, 0) + len(configurations)
         yield "".join(pieces)
     triple = text.triple
-    entries = [f'\n    {{\n      "linf": "{triple(linf.values)}",\n'
-               f'      "lstar": "{triple(lstar.values)}",\n'
+    entries = [f'\n    {{\n      "linf": "{triple(linf)}",\n'
+               f'      "lstar": "{triple((1, a, 0))}",\n'
                f'      "rejected": "DegenerateContactPoint"\n    }}'
-               for linf, lstar in rejected]
+               for linf, a in rejected]
     counts = [f'\n      "{key}": {distribution[key]}' for key in sorted(distribution)]
     valid = sum(distribution.values())
     yield ("\n  ]" if distribution else opening + "]") + (
@@ -407,26 +401,29 @@ def _arrow_csv(spec: FieldSpec, config: RunConfig) -> Iterator[str]:
     """One chunk per ideal line, holding its rows, the header with the first."""
     ctx = time_pencil_context(spec)
     text = _ReportText(ctx)
+    coords = text.coords
     header = f"q,mode,{'linf,lstar,' if config.exhaustive else ''}member_id,theta,class\n"
     lead = f"{spec.order},{config.mode},"
+    # per orbit, "" and the members' rows: prefix.join(rows) prefixes each
     rows_by_orbit: dict[int, list[str]] = {}
     for linf, _, configurations in _arrow_reports(spec, config, []):
         u, ys = _orbit(ctx, linf)
         rows = rows_by_orbit.get(u)
         if rows is None:   # a member with no root y is Future, as in kernel._witnesses
-            classes = [TemporalClass.FUTURE if y is None else TemporalClass.PAST for y in ys]
-            rows = rows_by_orbit[u] = list(map(text.member_csv, range(len(classes)), classes))
+            hits = [0 if y is None else 2 for y in ys]
+            rows = rows_by_orbit[u] = ["", *map(text.member_csv, range(len(hits)), hits)]
         pieces = [header]
-        for lstar, delta in configurations:
-            prefix = lead
-            if config.exhaustive:
-                prefix += f"{text.triple(linf.values)},{text.triple(lstar.values) if lstar else ''},"
+        if config.exhaustive:   # the configuration columns, from the coordinate strings
+            line_lead = f"{lead}(1:{coords[linf[1]]}:{coords[linf[2]]}),"
+        for a, delta in configurations:
+            prefix = (line_lead + (f"(1:{coords[a]}:0)," if a else ",")
+                      if config.exhaustive else lead)
             if delta is not None:   # Q* is Present in this report only
                 i = delta[0]
-                kept, rows[i] = rows[i], text.member_csv(i, TemporalClass.PRESENT)
-            pieces += (prefix, ("\n" + prefix).join(rows), "\n")
+                kept, rows[i + 1] = rows[i + 1], text.member_csv(i, 1)
+            pieces.append(prefix.join(rows))
             if delta is not None:
-                rows[i] = kept
+                rows[i + 1] = kept
         header = ""
         yield "".join(pieces)
     if header:   # a run with no report prints the header alone

@@ -11,8 +11,8 @@ Niederreiter, *Finite Fields*): log[0] is a sentinel that sends any product
 with a zero factor into a block of zeros at the end of the antilog table,
 so a product is two lookups and an index sum, with no branch and no
 modulo.  The tables walk the first generator's powers, by shift-and-xor in
-characteristic 2.  Plain polynomial reduction is kept as the reference
-path and the two must agree bit for bit (see the test suite).  Inverses
+GF(2^n) and % in GF(p).  Plain polynomial reduction is the reference path
+and the two must agree bit for bit (see the test suite).  Inverses
 are a lookup into a table of q entries read off the log tables; Fermat's
 a^(q-2) is their oracle in the test suite.
 
@@ -355,11 +355,11 @@ class FieldSpec:
         m = q - 1
         exp = [0] * (4 * m + 1)
         log = [2 * m] * q
-        # each candidate fills the tables as it walks its powers and is
-        # dropped if they return to 1 before m steps; the generator's full
-        # walk overwrites every entry a dropped one wrote.  From 1, not 2:
-        # the unit group of GF(2) is {1}
-        times = self._mul_slow if self.characteristic != 2 else _char2_product(self)
+        # each candidate fills the tables as it walks its powers, and is dropped
+        # if they return to 1 before m steps: the generator's full walk then
+        # overwrites what it wrote.  From 1, not 2: GF(2) has the one unit 1
+        times = (_char2_product(self) if self.characteristic == 2 else self._mul_slow
+                 if self.degree > 1 else lambda a, b, p=self.characteristic: a * b % p)
         for g in range(1, q):
             acc = 1
             for k in range(m):

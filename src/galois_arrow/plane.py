@@ -6,9 +6,11 @@ Incidence is the exact dot-product test and stays the oracle.  The fast
 path is the plane's enumeration, a function of the index: point and line
 i both have the values _triple_values(q, i), whose inverse is
 _triple_index, so the plane stores no points or lines and makes one only
-when it is read.  The indices of a line's points (and of a point's
-lines) are solved for in closed form in O(q); the test suite checks them
-against the incidence scan exhaustively.
+when it is read.  The enumeration is defined in the kernel module, which
+runs the arrow command on values alone, without this module.  The
+indices of a line's points (and of a point's lines) are solved for in
+closed form in O(q); the test suite checks them against the incidence
+scan exhaustively.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from functools import lru_cache
-from itertools import chain, product
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import CoincidentLines, CoincidentPoints, MixedFields
 from .field import FieldElement, FieldSpec
+from .kernel import _check_field, _text, _triple_index, _triple_values, _triples
 
 
 def _normalize(field: FieldSpec, entries: tuple) -> tuple[int, ...]:
@@ -70,8 +72,7 @@ class _Triple:
         return hash((type(self), self.field, self.values))
 
     def __str__(self):
-        fmt = self.field.format
-        return "(" + ":".join(fmt(v) for v in self.values) + ")"
+        return _text(self.field, self.values)
 
     def __repr__(self):
         return f"{type(self).__name__}{self}"
@@ -83,32 +84,6 @@ class ProjPoint(_Triple):
 
 class ProjLine(_Triple):
     """A line of PG(2, q); a point lies on it iff the coordinate dot product is 0."""
-
-
-def _triples(q: int) -> Iterator[tuple[int, int, int]]:
-    """The normalized values of the plane's enumeration, in order: (1 : a : b)
-    by a, then b, then (0 : 1 : a), then (0 : 0 : 1)."""
-    return chain(product((1,), range(q), range(q)), product((0,), (1,), range(q)), [(0, 0, 1)])
-
-
-def _triple_values(q: int, i: int) -> tuple[int, int, int]:
-    """The values at position i, 0 <= i <= q*q + q, of the enumeration."""
-    if i < q * q:
-        return (1, i // q, i % q)
-    if i < q * q + q:
-        return (0, 1, i - q * q)
-    return (0, 0, 1)
-
-
-def _triple_index(q: int, values: tuple[int, int, int]) -> int:
-    """Position of normalized values in the enumeration; _triple_values
-    inverts it."""
-    x1, x2, x3 = values
-    if x1:
-        return x2 * q + x3
-    if x2:
-        return q * q + x3
-    return q * q + q
 
 
 class _Enumeration(Sequence):
@@ -219,11 +194,6 @@ def build_plane(spec: FieldSpec) -> Plane:
     """PG(2, q) over the given field; cached, since planes are immutable and
     the caches of pencil.members and conic.point_set are keyed on them."""
     return Plane(spec)
-
-
-def _check_field(a, b):
-    if a.field != b.field:
-        raise MixedFields("operands belong to different fields")
 
 
 def incident(point: ProjPoint, line: ProjLine) -> bool:

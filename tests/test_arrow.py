@@ -27,6 +27,7 @@ from galois_arrow.kernel import (
     TemporalClass,
     _arc_deltas,
     _contacts,
+    _triple_values,
     _witnesses,
     time_pencil_context,
     validate_ideal_line,
@@ -267,7 +268,7 @@ def test_arc_pass_matches_the_incidence_oracle(n):
     valid = rejected = 0
     for linf in ctx.valid_ideal_lines():
         contacts = _contacts(spec, linf.values, lstar_as)
-        deltas = _arc_deltas(ctx, linf, lstar_as, _witnesses(ctx, linf))
+        deltas = _arc_deltas(ctx, linf.values, lstar_as, _witnesses(ctx, linf.values))
         for lstar, contact, delta in zip(lstars, contacts, deltas, strict=True):
             a = meet(linf, lstar)
             qstar = member_through(pencil, a, ctx.plane)
@@ -286,6 +287,42 @@ def test_arc_pass_matches_the_incidence_oracle(n):
             assert ctx.thetas[position] == qstar.theta
             assert witness == _triple_index(q, other.values)
     assert (valid, rejected) == ((q - 1) ** 2 * (q - 2), (q - 1) ** 2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4], ids=lambda n: f"q{2 ** n}")
+def test_arc_pass_is_its_orbit_representatives_image(n):
+    """The sigma-lemma for (L-infinity, L*) pairs (kernel docstring), for
+    every configuration: the arc pass on L-infinity = (1 : b : c), contacts
+    included, is the image under sigma_{1/c} of the pass on (1 : u : 1),
+    u = b/c^2, with each L* = (1 : a : 0) taken to (1 : a/c^2 : 0).  The
+    same configurations are rejected, Q* is the same member, and the
+    contact point and Q*'s witness are the images (1 : y2/c^2 : y3/c).
+    The (q-1)^3 configurations fall into (q-1)^2 orbits."""
+    spec = make_field(2, n)
+    q, mul, inv = spec.order, spec._mul_i, spec._inv_i
+    ctx = time_pencil_context(spec)
+    lstar_as = range(1, q)
+    orbits, rejected = set(), 0
+    for linf in ctx.valid_ideal_lines():
+        _, b, c = linf.values
+        ic = inv(c)
+        ic2 = mul(ic, ic)
+        rep, rep_as = (1, mul(b, ic2), 1), [mul(a, ic2) for a in lstar_as]
+
+        def image(index):
+            y1, y2, y3 = _triple_values(q, index)
+            assert y1 == 1
+            return _triple_index(q, (1, mul(y2, ic2), mul(y3, ic)))
+
+        contacts = [None if x is None else (image(x[0]), x[1])
+                    for x in _contacts(spec, rep, rep_as)]
+        deltas = [None if x is None else (x[0], image(x[1]))
+                  for x in _arc_deltas(ctx, rep, rep_as, _witnesses(ctx, rep))]
+        assert _contacts(spec, linf.values, lstar_as) == contacts
+        assert _arc_deltas(ctx, linf.values, lstar_as, _witnesses(ctx, linf.values)) == deltas
+        orbits.update((rep[1], a) for a in rep_as)
+        rejected += deltas.count(None)
+    assert len(orbits) == (q - 1) ** 2 and rejected == (q - 1) ** 2
 
 
 def _check_orbits(spec):

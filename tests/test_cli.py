@@ -20,7 +20,7 @@ from galois_arrow.errors import (
     UsageError,
 )
 from galois_arrow import cli
-from galois_arrow import plane as plane_module
+from galois_arrow import kernel
 from galois_arrow.arc import Arc, build_time_family
 from galois_arrow.arrow import arc_arrow, classify_member, conic_arrow
 from galois_arrow.field import make_field
@@ -672,9 +672,10 @@ def test_single_arrow_run_reads_o_of_q_plane_items(monkeypatch, mode, tallies):
     """A single arrow run at q = 1024 reads a few plane items per member,
     not the q^2 + q + 1 of a plane scan.  Every item made from its
     position (_triple_values) and every item of a scan (_triples) counts,
-    in whichever module calls it."""
+    in whichever module calls it: the kernel defines both, and the plane
+    module imports them."""
     read = [0]
-    originals = {name: getattr(plane_module, name) for name in ("_triple_values", "_triples")}
+    originals = {name: getattr(kernel, name) for name in ("_triple_values", "_triples")}
 
     def triple_values(q, i):
         read[0] += 1
@@ -722,15 +723,16 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 @pytest.mark.parametrize("statement, loaded", [
     # the arrow command runs on the kernel alone
     ("import galois_arrow.cli",
-     ["cli", "errors", "field", "kernel", "plane"]),
+     ["cli", "errors", "field", "kernel"]),
     # the benchmark's set-up child: the field and the time-pencil context
     ("from galois_arrow import make_field, parse_modulus, time_pencil_context",
-     ["errors", "field", "kernel", "plane"]),
+     ["errors", "field", "kernel"]),
 ])
 def test_imports_load_only_the_modules_they_run(statement, loaded):
-    """The package resolves its names lazily and the CLI imports the
-    census (pencil), conic and arc modules only in the commands that use
-    them, so neither import loads them."""
+    """The package resolves its names lazily, the CLI imports the census
+    (pencil), conic and arc modules only in the commands that use them, and
+    the kernel reads the plane module only when a plane is asked for, so
+    neither import loads them."""
     want = ["galois_arrow", *(f"galois_arrow.{m}" for m in loaded)]
     assert _added_modules(statement, "m.startswith('galois_arrow')") == f"{want}\n"
 
@@ -772,11 +774,10 @@ def _main_quietly(argvs: list[str]) -> str:
 
 def test_arrow_runs_load_only_the_arrow_modules():
     """The benchmark's sweeps, run through main in a fresh interpreter,
-    load exactly the package, errors, field, plane, kernel and cli, and no
-    json: the payloads module and json are for the other commands and for
-    diagnostics."""
-    want = ["galois_arrow", *(f"galois_arrow.{m}"
-                              for m in ("cli", "errors", "field", "kernel", "plane"))]
+    load exactly the package, errors, field, kernel and cli, and no json:
+    the sweeps run on value triples, with no plane; the payloads module and
+    json are for the other commands and for diagnostics."""
+    want = ["galois_arrow", *(f"galois_arrow.{m}" for m in ("cli", "errors", "field", "kernel"))]
     assert _added_modules(_main_quietly(BENCH_ARGVS),
                           "m.split('.')[0] in ('galois_arrow', 'json')",
                           preload=("contextlib", "io")) == f"{want}\n"

@@ -393,6 +393,29 @@ def test_mul_table_matches_polynomial_reduction(spec):
             assert spec._mul_i(a, b) == spec._mul_slow(a, b)
 
 
+def _is_primitive_root(h: int, p: int) -> bool:
+    """Whether h generates the units of GF(p): h^(m/r) != 1 for every prime
+    r dividing m = p - 1."""
+    m = p - 1
+    return all(pow(h, m // r, p) != 1 for r in range(2, m + 1)
+               if m % r == 0 and all(r % d for d in range(2, r)))
+
+
+@pytest.mark.parametrize("p", [p for p in range(2, 256) if all(p % d for d in range(2, p))]
+                         + [65521])
+def test_prime_field_tables_are_the_powers_of_the_least_primitive_root(p):
+    """A prime field's tables, walked with %, against pow: exp[k] = g^k mod
+    p over both periods, log inverts exp, and g is the least primitive root,
+    as the walk searches from 1 upwards and field-info reports it."""
+    spec = make_field(p, 1, (0, 1))
+    m = p - 1
+    g = spec._exp[1 % m]   # GF(2) has the one unit 1 = g^0
+    assert spec._exp[:2 * m] == [pow(g, k, p) for k in range(2 * m)]
+    assert [spec._log[spec._exp[k]] for k in range(m)] == list(range(m))
+    assert _is_primitive_root(g, p)
+    assert not any(_is_primitive_root(h, p) for h in range(1, g))
+
+
 @pytest.mark.parametrize("spec", [GF2, GF3, GF4, GF8, make_field(3, 2, (1, 0, 1)),
                                   make_field(2, 4), make_field(2, 6), make_field(2, 7)],
                          ids=lambda s: f"q{s.order}")

@@ -226,6 +226,22 @@ def test_context_collects_proper_members_in_order():
     assert len(ctx.valid_tangent_lines()) == 7
 
 
+@pytest.mark.parametrize("spec", [GF4, GF8, GF16], ids=lambda s: f"q{s.order}")
+def test_context_reads_its_plane_points_and_lines_from_the_plane_module(spec):
+    """The plane, B1, B2 and N, read from the plane module when asked for,
+    and the valid lines are what the context built when it held them: the
+    cached plane, the points (0:1:0), (1:0:0) and (0:0:1), and the lines
+    (1 : b : c), bc != 0, and (1 : a : 0), a != 0, in plane line order."""
+    q = spec.order
+    ctx = time_pencil_context(spec)
+    assert ctx.plane is build_plane(spec)
+    assert [(type(p), p.field, p.values) for p in (ctx.B1, ctx.B2, ctx.N)] == [
+        (ProjPoint, spec, values) for values in ((0, 1, 0), (1, 0, 0), (0, 0, 1))]
+    assert ctx.valid_ideal_lines() == tuple(
+        ProjLine(spec, (1, b, c)) for b in range(1, q) for c in range(1, q))
+    assert ctx.valid_tangent_lines() == tuple(ProjLine(spec, (1, a, 0)) for a in range(1, q))
+
+
 @pytest.mark.parametrize("spec", [GF3, GF4, GF5, GF8, GF9, GF16, GF32],
                          ids=lambda s: f"q{s.order}")
 def test_context_ids_and_thetas_are_the_census_proper_members(spec):
