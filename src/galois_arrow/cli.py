@@ -6,22 +6,20 @@ internal invariant violation (never reachable from shipped defaults).
 
 Output is byte-identical across runs for identical configurations.  The
 arrow command runs one loop over ideal lines L-infinity, each with its
-configurations (L-infinity, L*); a single configuration is the one-pair
-case.  Each ideal line's reports are joined into one string and written
-as soon as that line is done.  CSV rows are rendered once per orbit of
-ideal lines (kernel._orbit), JSON members once per ideal line; in arc
-mode, per L*, only the member Q* through the contact point is rendered
-anew (kernel._arc_deltas).  Each member's text, but for its witness
-points, is made once per run.  A single configuration's report is laid
-out as a sweep's entry and dedented to the top level.
+configurations (L-infinity, L*), _arrow_reports; a single configuration
+is the one-pair case.  Each ideal line's reports are joined into one
+string by the renderer of the --output format and written as soon as
+that line is done: JSON in the arrow_json module, CSV in the arrow_csv
+module, each imported only for its format.
 
 The arrow command runs on the kernel module alone, on lines as value
-triples; only a single run loads the plane module, to normalize its
---linf and --lstar.  The other commands' payloads live in the payloads
-module, imported only when they run.  argv in plain form, a command and
-then options by their full flags, is read without argparse, from the
-table of options argparse is built from; help and any other argv go to
-argparse, which is imported only then.
+triples: a single run normalizes its --linf and --lstar by
+kernel._normalized and checks them by kernel._check_line, so no arrow run
+loads the plane module.  The other commands' payloads live in the
+payloads module, imported only when they run.  argv in plain form, a
+command and then options by their full flags, is read without argparse,
+from the table of options argparse is built from; help and any other argv
+go to argparse, which is imported only then.
 """
 
 from __future__ import annotations
@@ -37,9 +35,8 @@ from .errors import (
     ValidationError,
 )
 from .field import FieldSpec, field_order, make_field, parse_modulus
-from .kernel import (_TEMPORAL_BY_HITS, TimePencilContext, Values, _arc_deltas,
-                     _degenerate_contact, _orbit, _triple_values, _valid_lines, _witnesses,
-                     time_pencil_context, validate_lines)
+from .kernel import (Values, _arc_deltas, _check_line, _degenerate_contact, _normalized,
+                     _valid_lines, _witnesses, time_pencil_context)
 
 COMMANDS = ("field-info", "plane", "conic", "pencil", "family", "arrow")
 _DESCRIPTION = (
@@ -214,7 +211,8 @@ def _arrow_reports(spec: FieldSpec, config: RunConfig, rejected: list[tuple[Valu
     line's conic classification: Q*, Present with that one witness.  In
     conic mode the one configuration is (None, None); in arc mode there is
     one per L*, from the line's one pass, kernel._arc_deltas.  A single run
-    is the one-pair case.  Arc configurations whose contact point lies on a
+    is the one-pair case, its lines normalized by kernel._normalized and
+    checked by kernel._check_line.  Arc configurations whose contact point lies on a
     degenerate member are appended to rejected during a sweep; a single run
     raises DegenerateContactPoint."""
     ctx = time_pencil_context(spec)
@@ -222,11 +220,12 @@ def _arrow_reports(spec: FieldSpec, config: RunConfig, rejected: list[tuple[Valu
     if config.exhaustive:
         linfs, lstar_as = _valid_lines(spec.order)
     else:
-        from .plane import ProjLine
-        linf = ProjLine(spec, config.linf)
-        lstars = (ProjLine(spec, config.lstar),) if arc else ()
-        validate_lines(ctx, (linf,), lstars)
-        linfs, lstar_as = (linf.values,), [lstar.values[1] for lstar in lstars]
+        linf = _normalized(spec, config.linf)
+        lstars = (_normalized(spec, config.lstar),) if arc else ()
+        _check_line(spec, linf, False)
+        for lstar in lstars:
+            _check_line(spec, lstar, True)
+        linfs, lstar_as = (linf,), [lstar[1] for lstar in lstars]
     for linf in linfs:
         witnesses = _witnesses(ctx, linf) if arc or config.output == "json" else None
         if not arc:
@@ -243,203 +242,20 @@ def _arrow_reports(spec: FieldSpec, config: RunConfig, rejected: list[tuple[Valu
         yield linf, witnesses, configurations
 
 
-def _json_block(items: list[str], pad: str, brackets: str = "[]") -> str:
-    """A list or dict laid out as json.dumps(..., indent=2) lays it out,
-    from its rendered items (each starting with its own newline and
-    indentation); pad is the indentation of the closing bracket."""
-    if not items:
-        return brackets
-    return brackets[0] + ",".join(items) + "\n" + pad + brackets[1]
-
-
-class _ReportText:
-    """Text of arrow reports: JSON byte-equal to json.dumps of
-    ArrowReport.to_dict with indent=2, laid out as an entry of a sweep's
-    "reports" list (every line after the first indented four spaces), or
-    CSV rows.  Every string in a report is hex or decimal digits, (a:b:c)
-    or a class name, so nothing needs escaping.  A report's text is its
-    head, its members' texts and its tail; the callers make the members'
-    texts once per ideal line (CSV rows once per orbit).  Made on first use
-    and kept for the run: a Future member's whole text, a Past or Present
-    member's text up to its first witness, point texts, L* tails and CSV
-    rows.  Point and line texts are made from the q coordinate strings."""
-
-    def __init__(self, ctx: TimePencilContext):
-        spec = ctx.spec
-        self._q = spec.order
-        self.coords = [spec.format(v) for v in range(spec.order)]
-        self._ids = ctx.ids
-        self._thetas = ctx.thetas
-        self._points: dict[int, str] = {}
-        # per number of witnesses (Future, Present, Past), per member position
-        self._member_heads: list[list[str | None]] = [[None] * len(ctx.ids) for _ in range(3)]
-        self._json_tails: dict[int | None, str] = {}
-        self._csv_rows: list[list[str | None]] = [[None] * len(ctx.ids) for _ in range(3)]
-
-    def triple(self, values: Values) -> str:
-        coords = self.coords
-        return "(" + ":".join([coords[v] for v in values]) + ")"
-
-    def point(self, index: int) -> str:
-        """The text of the plane point at index, made from its values."""
-        text = self._points[index] = self.triple(_triple_values(self._q, index))
-        return text
-
-    def json_head(self, q: int, mode: str, linf: Values, tallies: tuple[int, int, int]) -> str:
-        """The report's text up to the opening bracket of its members (every
-        report has a member: a proper pencil member exists for q >= 2)."""
-        past, present, future = tallies
-        return (
-            f'{{\n      "q": {q},\n      "mode": "{mode}",\n'
-            f'      "ideal_line": "{self.triple(linf)}",\n'
-            f'      "tallies": {{\n        "past": {past},\n'
-            f'        "present": {present},\n'
-            f'        "future": {future}\n      }},\n'
-            f'      "members": [')
-
-    def json_tail(self, a: int | None) -> str:
-        """The report's text after its last member, L* = (1 : a : 0) in an
-        arc report."""
-        text = self._json_tails.get(a)
-        if text is None:
-            tail = f',\n      "lstar": "{self.triple((1, a, 0))}"' if a else ""
-            text = self._json_tails[a] = f"\n      ]{tail}\n    }}"
-        return text
-
-    def _member_head(self, i: int, hits: int) -> str:
-        """The text of the member at position i with hits witnesses, up to
-        its first witness; the whole text for a Future member."""
-        t1, t2 = self._thetas[i]
-        head = (f'\n        {{\n          "id": {self._ids[i]},\n          "theta": [\n'
-                f'            "{self.coords[t1]}",\n            "{self.coords[t2]}"\n'
-                f'          ],\n          "class": "{_TEMPORAL_BY_HITS[hits].value}",\n'
-                f'          "witnesses": ' + ('[\n            "' if hits else '[]\n        }'))
-        self._member_heads[hits][i] = head
-        return head
-
-    def member_json(self, i: int, witnesses: tuple[int, ...]) -> str:
-        """The text of the proper member at position i, classed by its
-        number of witnesses on the ideal line, given as plane indices."""
-        head = self._member_heads[len(witnesses)][i] or self._member_head(i, len(witnesses))
-        if not witnesses:
-            return head
-        # _json_block inlined: this runs once per member of every ideal line
-        points = self._points
-        a = witnesses[0]
-        text = head + (points[a] if a in points else self.point(a))
-        if len(witnesses) == 2:   # Past; Present has one witness
-            b = witnesses[1]
-            text += '",\n            "' + (points[b] if b in points else self.point(b))
-        return text + '"\n          ]\n        }'
-
-    def member_csv(self, i: int, hits: int) -> str:
-        """The row of the member at position i with hits witnesses, after
-        the configuration columns: id,theta,class and the newline; one
-        string per (member, class), shared by every orbit's rows."""
-        row = self._csv_rows[hits][i]
-        if row is None:
-            t1, t2 = self._thetas[i]
-            row = self._csv_rows[hits][i] = (
-                f"{self._ids[i]},{self.coords[t1]}:{self.coords[t2]},"
-                f"{_TEMPORAL_BY_HITS[hits].value}\n")
-        return row
-
-
-def _arrow_json(spec: FieldSpec, config: RunConfig) -> Iterator[str]:
-    """One chunk per ideal line, holding its reports, then the summary."""
-    ctx = time_pencil_context(spec)
-    text = _ReportText(ctx)
-    rejected: list[tuple[Values, int]] = []
-    # the opening goes out with the first ideal line's reports, so that a
-    # run refused before them prints nothing
-    opening = (f'{{\n  "q": {spec.order},\n  "mode": "{config.mode}",\n'
-               f'  "exhaustive": true,\n  "reports": [')
-    separator = opening + "\n    " if config.exhaustive else ""
-    distribution: dict[str, int] = {}
-    for linf, witnesses, configurations in _arrow_reports(spec, config, rejected):
-        future = witnesses.count(())
-        tallies = (len(witnesses) - future, 0, future)
-        if config.mode == "arc":   # Q* goes from Past to Present in every report of the line
-            tallies = (tallies[0] - 1, 1, future)
-        head = text.json_head(spec.order, config.mode, linf, tallies)
-        # the members' texts with commas between them, member i at 2i; a
-        # report takes them by reference, so the line's texts are copied
-        # once, into its chunk
-        members = [","] * (2 * len(witnesses) - 1)
-        members[::2] = map(text.member_json, range(len(witnesses)), witnesses)
-        pieces = []
-        for a, delta in configurations:
-            pieces += (separator, head)
-            pieces += members
-            if delta is not None:   # Q* is member i of the members just added
-                i, witness = delta
-                pieces[2 * i - len(members)] = text.member_json(i, (witness,))
-            pieces.append(text.json_tail(a))
-            separator = ",\n    "
-        if not config.exhaustive:
-            # the one report stands at the top level, not inside "reports"
-            yield "".join(pieces).replace("\n    ", "\n") + "\n"
-            return
-        key = "%d:%d:%d" % tallies
-        distribution[key] = distribution.get(key, 0) + len(configurations)
-        yield "".join(pieces)
-    triple = text.triple
-    entries = [f'\n    {{\n      "linf": "{triple(linf)}",\n'
-               f'      "lstar": "{triple((1, a, 0))}",\n'
-               f'      "rejected": "DegenerateContactPoint"\n    }}'
-               for linf, a in rejected]
-    counts = [f'\n      "{key}": {distribution[key]}' for key in sorted(distribution)]
-    valid = sum(distribution.values())
-    yield ("\n  ]" if distribution else opening + "]") + (
-        f',\n  "rejected": {_json_block(entries, "  ")},\n  "summary": {{\n'
-        f'    "total_configurations": {valid + len(rejected)},\n'
-        f'    "valid": {valid},\n    "rejected": {len(rejected)},\n'
-        f'    "tally_distribution": {_json_block(counts, "    ", "{}")}\n  }}\n}}\n')
-
-
-def _arrow_csv(spec: FieldSpec, config: RunConfig) -> Iterator[str]:
-    """One chunk per ideal line, holding its rows, the header with the first."""
-    ctx = time_pencil_context(spec)
-    text = _ReportText(ctx)
-    coords = text.coords
-    header = f"q,mode,{'linf,lstar,' if config.exhaustive else ''}member_id,theta,class\n"
-    lead = f"{spec.order},{config.mode},"
-    # per orbit, "" and the members' rows: prefix.join(rows) prefixes each
-    rows_by_orbit: dict[int, list[str]] = {}
-    for linf, _, configurations in _arrow_reports(spec, config, []):
-        u, ys = _orbit(ctx, linf)
-        rows = rows_by_orbit.get(u)
-        if rows is None:   # a member with no root y is Future, as in kernel._witnesses
-            hits = [0 if y is None else 2 for y in ys]
-            rows = rows_by_orbit[u] = ["", *map(text.member_csv, range(len(hits)), hits)]
-        pieces = [header]
-        if config.exhaustive:   # the configuration columns, from the coordinate strings
-            line_lead = f"{lead}(1:{coords[linf[1]]}:{coords[linf[2]]}),"
-        for a, delta in configurations:
-            prefix = (line_lead + (f"(1:{coords[a]}:0)," if a else ",")
-                      if config.exhaustive else lead)
-            if delta is not None:   # Q* is Present in this report only
-                i = delta[0]
-                kept, rows[i + 1] = rows[i + 1], text.member_csv(i, 1)
-            pieces.append(prefix.join(rows))
-            if delta is not None:
-                rows[i + 1] = kept
-        header = ""
-        yield "".join(pieces)
-    if header:   # a run with no report prints the header alone
-        yield header
-
-
 # --- driver ---------------------------------------------------------------------
 
 def _execute(config: RunConfig) -> Iterator[str]:
     """The command's stdout, in chunks; an arrow run yields one per report."""
     spec = make_field(config.p, config.n, config.modulus)
     if config.command == "arrow":
+        rejected: list[tuple[Values, int]] = []
+        reports = _arrow_reports(spec, config, rejected)
         if config.output == "csv":
-            yield from _arrow_csv(spec, config)
+            from .arrow_csv import _arrow_csv
+            yield from _arrow_csv(spec, config, reports)
         else:
-            yield from _arrow_json(spec, config)
+            from .arrow_json import _arrow_json
+            yield from _arrow_json(spec, config, reports, rejected)
         return
     from .payloads import render
     yield render(spec, config)

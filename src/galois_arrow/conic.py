@@ -27,6 +27,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
+from .element import FieldElement
 from .errors import (
     AmbiguousFit,
     CollinearTriple,
@@ -37,7 +38,7 @@ from .errors import (
     OddCharacteristic,
     UnclassifiableConic,
 )
-from .field import FieldElement, FieldSpec
+from .field import FieldSpec
 from .plane import (
     Plane,
     ProjLine,

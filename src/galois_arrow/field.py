@@ -18,8 +18,18 @@ a^(q-2) is their oracle in the test suite.
 
 Characteristic 2 adds by XOR.  Every odd-characteristic field adds,
 subtracts and negates through Zech logarithms, 1 + g^k = g^Z(k), one
-table of q - 1 entries beside the log tables; coefficient-wise addition
-and negation are its reference in the test suite.
+table of q - 1 entries beside the log tables (the zech module, imported
+only when an odd-characteristic field is built); coefficient-wise
+addition and negation are its reference in the test suite.
+
+This module holds what constructing a field runs: validation, with the
+irreducibility test and its polynomial helpers, parse_modulus, the tables
+and make_field.  The element API (FieldElement, the module-level add, sub,
+neg, mul, inv, sqrt_char2 and elements, and FieldSpec's element, zero,
+one, generator, elements, _pow_i and _sqrt_i) lives in the element module
+and is loaded on its first use, from here (PEP 562, FieldSpec.__getattr__)
+or from the package, so a run on packed values, as the arrow command is,
+does not compile it.
 """
 
 from __future__ import annotations
@@ -32,10 +42,8 @@ from .errors import (
     CompositeCharacteristic,
     DivisionByZero,
     InvalidDegree,
-    MixedFields,
     ModulusDegreeMismatch,
     NoDefaultModulus,
-    OddCharacteristic,
     OrderTooLarge,
     ReducibleModulus,
     ZeroPolynomial,
@@ -231,6 +239,19 @@ def _char2_product(spec: "FieldSpec"):
     return times
 
 
+# The element API, defined in the element module and loaded on first use:
+# FieldSpec's methods that make or serve elements, and the module's names.
+_SPEC_ELEMENT_API = ("_pow_i", "_sqrt_i", "element", "zero", "one", "generator", "elements")
+_ELEMENT_NAMES = ("FieldElement", "add", "sub", "neg", "mul", "inv", "sqrt_char2", "elements")
+
+
+def __getattr__(name: str):
+    if name not in _ELEMENT_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import element
+    return getattr(element, name)
+
+
 # (p, n, monic modulus) -> the live FieldSpec of that field; weak, so a spec
 # nobody holds (and its tables) is still freed.  Stores take the lock, so two
 # threads building the same field still end up with one spec.
@@ -330,22 +351,8 @@ class FieldSpec:
             self._sub_i = int.__xor__
             self._neg_i = lambda a: a
             return
-        # Zech logarithms: 1 + g^k = g^zech[k].  Adding 1 changes only the
-        # lowest base-p digit of a packed value, and zech[m/2] is the log[0]
-        # sentinel, since g^(m/2) = -1.  So a + b = a * (1 + b/a) is a Zech
-        # lookup and a log sum, which lands in the zero block when b = -a, and
-        # negating adds m/2 to the log, 0 staying in the zero block.  A zero
-        # operand makes the other the result, hence `a | b`; for a - b the
-        # zero block of exp[log[0] + h] also covers b = 0.  Coefficient-wise
-        # addition and negation, in the test suite, are the reference these
-        # must match.
-        zech = [log[e - e % p + (e + 1) % p] for e in exp[:m]]
-        h = m // 2
-        self._neg_i = lambda a: exp[log[a] + h]
-        self._add_i = lambda a, b: (exp[log[a] + zech[(log[b] - log[a]) % m]]
-                                    if a and b else a | b)
-        self._sub_i = lambda a, b: (exp[log[a] + zech[(log[b] + h - log[a]) % m]]
-                                    if a and b else a | exp[log[b] + h])
+        from .zech import _zech_arithmetic
+        self._add_i, self._sub_i, self._neg_i = _zech_arithmetic(exp, log, p)
 
     def _build_log_tables(self):
         """exp[k] = g^k for k in [0, 2m) with m = q - 1, then 2m + 1 zeros;
@@ -387,124 +394,20 @@ class FieldSpec:
             raise DivisionByZero("0 has no multiplicative inverse")
         return self._inv[a]
 
-    def _pow_i(self, a: int, e: int) -> int:
-        if e < 0:
-            a, e = self._inv_i(a), -e
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = self._mul_i(result, base)
-            base = self._mul_i(base, base)
-            e >>= 1
-        return result
-
-    def _sqrt_i(self, a: int) -> int:
-        if self.characteristic != 2:
-            raise OddCharacteristic("square roots via Frobenius need characteristic 2")
-        return self._pow_i(a, 1 << (self.degree - 1))
-
-    # -- element construction ------------------------------------------------
-
-    def element(self, value) -> "FieldElement":
-        """Make an element from a packed value in [0, q) or a coefficient vector."""
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise MixedFields("element belongs to a different field")
-            return value
-        if isinstance(value, int):
-            if not 0 <= value < self.order:
-                raise ValueError(f"value {value} outside [0, {self.order})")
-            return FieldElement(self, value)
-        return FieldElement(self, self.value_of(value))
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    @property
-    def generator(self) -> "FieldElement":
-        """The canonical generator: the class of x for n >= 2, else 1."""
-        return FieldElement(self, self.characteristic if self.degree >= 2 else 1)
-
-    def elements(self) -> list["FieldElement"]:
-        return [FieldElement(self, v) for v in range(self.order)]
-
     def format(self, value: int) -> str:
         """Hex without prefix for p = 2, decimal otherwise."""
         return format(value, "x") if self.characteristic == 2 else str(value)
 
+    # -- the element API, from the element module ---------------------------
 
-class FieldElement:
-    """An immutable field element; arithmetic via the usual operators."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: FieldSpec, value: int):
-        self.field = field
-        self.value = value
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.coeffs_of(self.value)
-
-    def _coerce(self, other):
-        if not isinstance(other, FieldElement):
-            return None
-        if other.field != self.field:
-            raise MixedFields(f"{self!r} and {other!r} live in different fields")
-        return other
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field._add_i(self.value, other.value))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field._sub_i(self.value, other.value))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field._mul_i(self.value, other.value))
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return FieldElement(self.field,
-                            self.field._mul_i(self.value, self.field._inv_i(other.value)))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field._neg_i(self.value))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field._pow_i(self.value, e))
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.field == other.field and self.value == other.value
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __str__(self):
-        return self.field.format(self.value)
-
-    def __repr__(self):
-        return f"GF{self.field.order}({self})"
+    def __getattr__(self, name: str):
+        # called only for a name the spec and its class lack: loading the
+        # element module binds the element API onto this class, so this runs
+        # at most once per name
+        if name not in _SPEC_ELEMENT_API:
+            raise AttributeError(f"'FieldSpec' object has no attribute {name!r}")
+        from . import element  # noqa: F401
+        return getattr(self, name)
 
 
 # ---------------------------------------------------------------------------
@@ -514,33 +417,3 @@ def make_field(p: int, n: int = 1, modulus: Sequence[int] | None = None) -> Fiel
     """Construct and validate GF(p^n), or return its one live spec; shipped
     defaults cover p = 2, n <= 8 and the prime fields GF(3), GF(5), GF(7)."""
     return FieldSpec(p, n, modulus)
-
-
-def add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def sub(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a - b
-
-
-def neg(a: FieldElement) -> FieldElement:
-    return -a
-
-
-def mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def inv(a: FieldElement) -> FieldElement:
-    return FieldElement(a.field, a.field._inv_i(a.value))
-
-
-def sqrt_char2(a: FieldElement) -> FieldElement:
-    """The unique b with b*b = a; squaring is a bijection in GF(2^n)."""
-    return FieldElement(a.field, a.field._sqrt_i(a.value))
-
-
-def elements(spec: FieldSpec) -> list[FieldElement]:
-    """All q elements in canonical order: 0 first, 1 second, then by value."""
-    return spec.elements()

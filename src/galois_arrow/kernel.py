@@ -6,9 +6,10 @@ plane indices.
 This module imports only errors and field.  A line is its value triple:
 the arrow command runs on this module alone, so it loads no plane, census,
 conic or arc module; a sweep takes its lines as values in closed form
-(_valid_lines) and a single run's lines are normalized once by
-plane.ProjLine.  The plane's enumeration (_triples, _triple_values,
-_triple_index) is defined here and imported by the plane module.  Those
+(_valid_lines) and a single run's lines are normalized once, by
+_normalized, and checked by _check_line.  The plane's enumeration
+(_triples, _triple_values, _triple_index) and the scaling of a vector
+(_normalized) are defined here and imported by the plane module.  Those
 modules, and the oracles in them, import the kernel, never the reverse:
 the context reads its plane, B1, B2 and N from the plane module only when
 they are asked for.
@@ -131,6 +132,20 @@ def _triple_index(q: int, values: Values) -> int:
     if x2:
         return q * q + x3
     return q * q + q
+
+
+def _normalized(spec: FieldSpec, values: Sequence[int]) -> tuple[int, ...]:
+    """Packed values scaled by the inverse of the first nonzero one, which
+    becomes 1; the zero vector is rejected.  plane._normalize scales every
+    point and line through it."""
+    lead = next((v for v in values if v != 0), None)
+    if lead is None:
+        raise ValueError("the zero vector is not projective")
+    if lead == 1:
+        return tuple(values)
+    scale = spec._inv[lead]
+    mul = spec._mul_i
+    return tuple(mul(scale, v) for v in values)
 
 
 def _text(spec: FieldSpec, values: Values) -> str:

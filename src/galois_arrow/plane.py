@@ -20,14 +20,17 @@ from collections.abc import Sequence
 from functools import lru_cache
 from typing import Iterable
 
+from .element import FieldElement
 from .errors import CoincidentLines, CoincidentPoints, MixedFields
-from .field import FieldElement, FieldSpec
-from .kernel import _check_field, _text, _triple_index, _triple_values, _triples
+from .field import FieldSpec
+from .kernel import (_check_field, _normalized, _text, _triple_index, _triple_values,
+                     _triples)
 
 
 def _normalize(field: FieldSpec, entries: tuple) -> tuple[int, ...]:
     """Packed values of a homogeneous vector (elements or ints), scaled so
-    that the first nonzero entry is 1; the zero vector is rejected."""
+    that the first nonzero entry is 1 (kernel._normalized); the zero vector
+    is rejected."""
     vals = []
     for c in entries:
         if isinstance(c, FieldElement):
@@ -39,14 +42,7 @@ def _normalize(field: FieldSpec, entries: tuple) -> tuple[int, ...]:
             if not 0 <= v < field.order:
                 raise ValueError(f"entry {v} outside [0, {field.order})")
             vals.append(v)
-    lead = next((v for v in vals if v != 0), None)
-    if lead is None:
-        raise ValueError("the zero vector is not projective")
-    if lead == 1:
-        return tuple(vals)
-    scale = field._inv_i(lead)
-    mul = field._mul_i
-    return tuple(mul(scale, v) for v in vals)
+    return _normalized(field, vals)
 
 
 class _Triple:

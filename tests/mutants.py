@@ -1,14 +1,17 @@
-"""Mutation check of the kernel: every closed form in
-src/galois_arrow/kernel.py is pinned by some test.
+"""Mutation check of the kernel and the field's fast paths: every closed
+form in src/galois_arrow/kernel.py, and the table walk, the product, the
+inverse table and the Zech arithmetic of field.py and zech.py, is pinned
+by some test.
 
     python tests/mutants.py
 
-Each mutation below is applied to a fresh copy of src/, and the tests
-named for it run on that copy in a subprocess (pytest, under a timeout).
-A mutant is killed when they fail or time out, and survives when they
-pass.  The script exits 1 if a mutant survives, if a mutation's source
-text no longer occurs exactly once in the kernel, or if the named tests
-fail on the unmutated copy.  It uses only the standard library and pytest;
+Each mutation below names a file of the package and a text in it.  It is
+applied to a fresh copy of src/, and the tests named for it run on that
+copy in a subprocess (pytest, under a timeout).  A mutant is killed when
+they fail or time out, and survives when they pass.  The script exits 1
+if a mutant survives, if a mutation's source text no longer occurs
+exactly once in its file, or if the named tests fail on the unmutated
+copy.  It uses only the standard library and pytest;
 the tier-1 run does not collect it (it is not a test_*.py file).
 """
 
@@ -24,7 +27,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-KERNEL = Path("galois_arrow") / "kernel.py"
+PACKAGE = Path("galois_arrow")
+KERNEL, FIELD, ZECH = "kernel.py", "field.py", "zech.py"
 TIMEOUT_S = 120
 JOBS = 2
 
@@ -38,10 +42,15 @@ ENUMERATION = ["tests/test_plane.py::test_triple_values_inverts_triple_index",
 LINE_CHECKS = ["tests/test_pencil.py::test_line_validity_from_coefficients_matches_incidence"]
 CONTEXT = ["tests/test_pencil.py::"
            "test_context_reads_its_plane_points_and_lines_from_the_plane_module"]
+MUL = ["tests/test_field.py::test_mul_table_matches_polynomial_reduction"]
+PRIME = ["tests/test_field.py::"
+         "test_prime_field_tables_are_the_powers_of_the_least_primitive_root"]
+INVERSE = ["tests/test_field.py::test_inverse_table_matches_fermat"]
+ZECH_TESTS = ["tests/test_field.py::test_zech_addition_matches_coefficient_arithmetic"]
 
-# (what the mutation breaks, the kernel's text, its replacement, the tests
-# that must fail)
-MUTANTS = [
+# Per file of the package: (what the mutation breaks, its text there, its
+# replacement, the tests that must fail)
+MUTANTS = {KERNEL: [
     ("c^2 -> c in _contacts' t", "cc = mul(c, c)", "cc = c", ARC),
     ("orbit u = b/c^2 -> b/c", "u = mul(b, ctx.spec._inv[mul(c, c)])",
      "u = mul(b, ctx.spec._inv[c])", CONIC),
@@ -87,7 +96,31 @@ MUTANTS = [
     ("an ideal line's nucleus check reads l2", "elif not l3:", "elif not l2:", LINE_CHECKS),
     ("B1 one point further", "self.plane.points[self.spec.order ** 2]",
      "self.plane.points[self.spec.order ** 2 + 1]", CONTEXT),
-]
+    ("a line scaled by its lead, not its inverse", "scale = spec._inv[lead]", "scale = lead",
+     ["tests/test_cli.py::test_single_arrow_runs_load_no_plane_module"]),
+], FIELD: [
+    # equivalent while the generator is x, as under every shipped modulus
+    ("_char2_product's xor -> or", "out ^= a", "out |= a",
+     ["tests/test_field.py::test_char2_tables_walk_a_generator_other_than_x"]),
+    ("_char2_product's shift by two", "a <<= 1", "a <<= 2", MUL),
+    ("_char2_product reduced with or", "a ^= bits", "a |= bits", MUL),
+    ("_char2_product reduced at degree n + 1", "if a >> n:", "if a >> n + 1:", MUL),
+    ("the walk stops at any unit of order above 1", "if k == m - 1:", "if k:", PRIME),
+    ("the walk fills one period of exp", "exp[k] = exp[k + m] = acc", "exp[k] = acc", MUL),
+    ("the log[0] sentinel 2m -> 2m - 1", "log = [2 * m] * q", "log = [2 * m - 1] * q", MUL),
+    ("a product's log sum -> difference", "_e[_l[a] + _l[b]]", "_e[_l[a] - _l[b]]", MUL),
+    ("the inverse g^(-k) -> g^k", "exp[-log[a] % m]", "exp[log[a] % m]", INVERSE),
+], ZECH: [
+    ("Zech's 1 + g^k carries past the lowest digit", "log[e - e % p + (e + 1) % p]",
+     "log[e + 1]", ZECH_TESTS),
+    ("a + b looks up Z(log a - log b)", "zech[(log[b] - log[a]) % m]",
+     "zech[(log[a] - log[b]) % m]", ZECH_TESTS),
+    ("a + 0 -> 0 + a -> a", "if a and b else a | b", "if a and b else a", ZECH_TESTS),
+    ("a - b adds b", "zech[(log[b] + h - log[a]) % m]", "zech[(log[b] - log[a]) % m]",
+     ZECH_TESTS),
+    ("-a = a", "return exp[log[a] + h]", "return exp[log[a]]", ZECH_TESTS),
+    ("-1 = g^(m/2) -> g^(m/2 - 1)", "h = m // 2", "h = m // 2 - 1", ZECH_TESTS),
+]}
 
 
 def _run_tests(src: Path, tests: list[str]) -> tuple[bool, float]:
@@ -105,36 +138,38 @@ def _run_tests(src: Path, tests: list[str]) -> tuple[bool, float]:
     return passed, time.perf_counter() - start
 
 
-def _copy_with(kernel: str, tests: list[str]) -> tuple[bool, float]:
-    """_run_tests on a copy of src/ whose kernel reads kernel."""
+def _copy_with(file: str, text: str, tests: list[str]) -> tuple[bool, float]:
+    """_run_tests on a copy of src/ whose package file reads text."""
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-        (src / KERNEL).write_text(kernel)
+        (src / PACKAGE / file).write_text(text)
         return _run_tests(src, tests)
 
 
 def main() -> int:
-    kernel = (ROOT / "src" / KERNEL).read_text()
-    stale = [name for name, old, _, _ in MUTANTS if kernel.count(old) != 1]
+    sources = {file: (ROOT / "src" / PACKAGE / file).read_text() for file in MUTANTS}
+    mutants = [(file, *mutant) for file, listed in MUTANTS.items() for mutant in listed]
+    stale = [f"{file}: {name}" for file, name, old, _, _ in mutants
+             if sources[file].count(old) != 1]
     if stale:
         print(f"mutations whose text does not occur exactly once: {stale}")
         return 1
-    every_test = sorted({test for *_, tests in MUTANTS for test in tests})
-    passed, took = _copy_with(kernel, every_test)
+    every_test = sorted({test for *_, tests in mutants for test in tests})
+    passed, took = _copy_with(KERNEL, sources[KERNEL], every_test)
     print(f"unmutated: the {len(every_test)} named test groups "
           f"{'pass' if passed else 'FAIL'} ({took:.1f} s)")
     if not passed:
         return 1
     with ThreadPoolExecutor(JOBS) as pool:
-        runs = [pool.submit(_copy_with, kernel.replace(old, new), tests)
-                for _, old, new, tests in MUTANTS]
+        runs = [pool.submit(_copy_with, file, sources[file].replace(old, new), tests)
+                for file, _, old, new, tests in mutants]
         survivors = 0
-        for (name, *_), run in zip(MUTANTS, runs):
+        for (file, name, *_), run in zip(mutants, runs):
             passed, took = run.result()
             survivors += passed
-            print(f"{'SURVIVED' if passed else 'killed  '}  {name} ({took:.1f} s)")
-    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+            print(f"{'SURVIVED' if passed else 'killed  '}  {file}: {name} ({took:.1f} s)")
+    print(f"{len(mutants) - survivors} of {len(mutants)} mutants killed")
     return 1 if survivors else 0
 
 

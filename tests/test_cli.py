@@ -727,12 +727,20 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # the benchmark's set-up child: the field and the time-pencil context
     ("from galois_arrow import make_field, parse_modulus, time_pencil_context",
      ["errors", "field", "kernel"]),
+    # a field over GF(2^n) is built without the element API and the Zech
+    # arithmetic, each loaded on first use
+    ("from galois_arrow import make_field; make_field(2, 8)", ["errors", "field"]),
+    ("from galois_arrow import make_field; make_field(3, 2, (1, 0, 1))",
+     ["errors", "field", "zech"]),
+    ("from galois_arrow import make_field; make_field(2, 3).one", ["element", "errors", "field"]),
+    ("from galois_arrow.field import inv", ["element", "errors", "field"]),
 ])
 def test_imports_load_only_the_modules_they_run(statement, loaded):
     """The package resolves its names lazily, the CLI imports the census
     (pencil), conic and arc modules only in the commands that use them, and
     the kernel reads the plane module only when a plane is asked for, so
-    neither import loads them."""
+    neither import loads them; the field module loads the element API and
+    the Zech arithmetic only when they are first used."""
     want = ["galois_arrow", *(f"galois_arrow.{m}" for m in loaded)]
     assert _added_modules(statement, "m.startswith('galois_arrow')") == f"{want}\n"
 
@@ -773,14 +781,79 @@ def _main_quietly(argvs: list[str]) -> str:
 
 
 def test_arrow_runs_load_only_the_arrow_modules():
-    """The benchmark's sweeps, run through main in a fresh interpreter,
-    load exactly the package, errors, field, kernel and cli, and no json:
-    the sweeps run on value triples, with no plane; the payloads module and
-    json are for the other commands and for diagnostics."""
-    want = ["galois_arrow", *(f"galois_arrow.{m}" for m in ("cli", "errors", "field", "kernel"))]
-    assert _added_modules(_main_quietly(BENCH_ARGVS),
-                          "m.split('.')[0] in ('galois_arrow', 'json')",
-                          preload=("contextlib", "io")) == f"{want}\n"
+    """Each of the benchmark's sweeps, run through main in a fresh
+    interpreter, loads exactly the package, errors, field, kernel, cli and
+    the renderer of its --output, and no json: the sweeps run on value
+    triples, with no plane; the JSON sweep loads no CSV renderer and the
+    CSV sweep no JSON renderer; the payloads module and json are for the
+    other commands and for diagnostics."""
+    for argv, renderer in zip(BENCH_ARGVS, ("arrow_json", "arrow_csv")):
+        loaded = sorted(("cli", "errors", "field", "kernel", renderer))
+        want = ["galois_arrow", *(f"galois_arrow.{m}" for m in loaded)]
+        assert _added_modules(_main_quietly([argv]),
+                              "m.split('.')[0] in ('galois_arrow', 'json')",
+                              preload=("contextlib", "io")) == f"{want}\n", argv
+
+
+# The digests of single arc runs' stdout, recorded when the CLI normalized
+# --linf and --lstar through plane.ProjLine; the second run's lines are not
+# normalized as given.
+SINGLE_ARC_DIGESTS = {
+    "arrow --n 8 --mode arc":
+        "1cd7619f95428710d492899acd953cdbc0c2e2f45c87e28ee1c7ce0ecad09335",
+    "arrow --n 8 --mode arc --linf 2,4,6 --lstar 3,5,0":
+        "18333d1fe17ed42c937c6d73e788aec9f3732bad54229a562416182e78412a07",
+}
+
+
+def test_single_arrow_runs_load_no_plane_module():
+    """A single configuration normalizes its --linf and --lstar by
+    kernel._normalized and checks them by kernel._check_line, so, run
+    through main in a fresh interpreter, it loads no plane module, and
+    prints the recorded bytes; a refused configuration given unnormalized
+    names its lines normalized, as plane.ProjLine did."""
+    runs = ("import hashlib\nimport galois_arrow.cli as c\n"
+            f"for argv in {[argv.split() for argv in SINGLE_ARC_DIGESTS]!r}:\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        assert c.main(argv) == 0\n"
+            "    print(hashlib.sha256(out.getvalue().encode()).hexdigest())")
+    assert _added_modules(runs, "m == 'galois_arrow.plane'", preload=("contextlib", "io")
+                          ).split("\n") == [*SINGLE_ARC_DIGESTS.values(), "[]", ""]
+    code, out, err = _run("arrow --n 8 --mode arc --linf 2,4,6".split())
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "DegenerateContactPoint",
+                               "message": "(1:8e:0) = (1:2:3) \u2227 (1:2:0) lies on a "
+                                          "degenerate member"}
+
+
+# Per argv, the most AST nodes the galois_arrow modules it loads may hold
+# in all, and any one of them.  Without cached bytecode a run compiles every
+# module it loads, and that compile time and memory are most of what the
+# package adds to a gated sweep's wall time and peak RSS; with the element
+# API in field.py, both renderers in cli.py and, for a single run, the plane
+# module loaded, these runs compiled 9,170, 9,170 and 11,002 nodes, and
+# cli.py alone held 3,519.
+COMPILE_BUDGETS = [(BENCH_ARGVS[0], 7900), (BENCH_ARGVS[1], 7300),
+                   ("arrow --n 8 --mode arc", 8100)]
+MODULE_BUDGET = 2500
+
+
+def _ast_nodes(module: str) -> int:
+    """The ast.walk node count of a galois_arrow module's source."""
+    package = Path(cli.__file__).resolve().parent
+    name = module.partition(".")[2] or "__init__"
+    return sum(1 for _ in ast.walk(ast.parse((package / f"{name}.py").read_text())))
+
+
+@pytest.mark.parametrize("argv, budget", COMPILE_BUDGETS, ids=[a for a, _ in COMPILE_BUDGETS])
+def test_arrow_runs_compile_within_their_node_budgets(argv, budget):
+    loaded = ast.literal_eval(_added_modules(_main_quietly([argv]),
+                                             "m.split('.')[0] == 'galois_arrow'",
+                                             preload=("contextlib", "io")))
+    nodes = {module: _ast_nodes(module) for module in loaded}
+    assert sum(nodes.values()) <= budget, nodes
+    assert max(nodes.values()) <= MODULE_BUDGET, nodes
 
 
 @pytest.mark.parametrize("argv", ["field-info --n 2", "plane --n 2", "conic --n 2",

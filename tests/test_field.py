@@ -393,6 +393,27 @@ def test_mul_table_matches_polynomial_reduction(spec):
             assert spec._mul_i(a, b) == spec._mul_slow(a, b)
 
 
+@pytest.mark.parametrize("modulus", [(1, 1, 1, 1, 1), (1, 1, 0, 1, 1, 0, 0, 0, 1)],
+                         ids=["x4+x3+x2+x+1", "x8+x4+x3+x+1"])
+def test_char2_tables_walk_a_generator_other_than_x(modulus):
+    """Under x^4 + x^3 + x^2 + x + 1 and x^8 + x^4 + x^3 + x + 1, x is not
+    primitive (order 5 and 51), so the walk multiplies by x + 1, a product
+    of two shift-and-xor steps, which a generator x never exercises: the
+    tables are the powers of x + 1 by the reference path, and at q = 16
+    every product matches it."""
+    spec = make_field(2, len(modulus) - 1, modulus)
+    m = spec.order - 1
+    powers = [1]
+    for _ in range(2 * m - 1):
+        powers.append(spec._mul_slow(powers[-1], 3))
+    assert spec._exp[:2 * m] == powers
+    assert [spec._log[powers[k]] for k in range(m)] == list(range(m))
+    if spec.order == 16:
+        for a in range(16):
+            for b in range(16):
+                assert spec._mul_i(a, b) == spec._mul_slow(a, b)
+
+
 def _is_primitive_root(h: int, p: int) -> bool:
     """Whether h generates the units of GF(p): h^(m/r) != 1 for every prime
     r dividing m = p - 1."""

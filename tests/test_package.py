@@ -59,3 +59,32 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(galois_arrow, "no_such_name")
     with pytest.raises(ImportError):
         from galois_arrow import no_such_name  # noqa: F401
+
+
+@pytest.mark.parametrize("name", ["FieldElement", "add", "sub", "neg", "mul", "inv",
+                                  "sqrt_char2", "elements"])
+def test_element_names_resolve_from_the_field_module(name):
+    """The element API lives in the element module; the field module and
+    the package resolve each of its names to the one object."""
+    from galois_arrow import element, field
+    value = getattr(field, name)
+    assert value is getattr(element, name)
+    assert value.__module__ == "galois_arrow.element"
+    if name in galois_arrow.__all__:
+        assert getattr(galois_arrow, name) is value
+
+
+def test_field_spec_element_api_is_bound_from_the_element_module():
+    from galois_arrow import element, field
+    from galois_arrow.field import _SPEC_ELEMENT_API, FieldSpec, make_field
+    spec = make_field(2, 3)
+    for name in _SPEC_ELEMENT_API:
+        assert vars(FieldSpec)[name] is vars(element._SpecElementAPI)[name]
+        assert getattr(spec, name) is not None
+    assert spec.one == spec.element(1) and spec.generator.value == 2
+    with pytest.raises(AttributeError, match="no_such_name"):
+        spec.no_such_name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        field.no_such_name
+    with pytest.raises(ImportError):
+        from galois_arrow.field import no_such_name  # noqa: F401
