@@ -11,31 +11,30 @@ from the module that defines it, so importing the package, or one of its
 modules, loads only the modules that are used.
 """
 
-# Every module imports field.  Loaded here, it is compiled before the
-# module a run starts from (python -m galois_arrow.cli compiles cli.py
-# right after this file): without cached bytecode, compiling field.py is
-# the largest transient allocation of start-up.  With field.py at about
-# 2,500 AST nodes and cli.py at 1,900, compiling it before cli.py's code
-# is resident lowers the arc sweep's peak at q = 16 by 0.02-0.08 MiB, and
-# leaves the conic CSV sweep's at q = 32 within 0.03 MiB (VmHWM medians of
-# 15 and of 30 runs, Python 3.11).
-from . import field  # noqa: F401
+# No module is imported here.  Importing field first, so that it compiled
+# before cli.py, lowered a sweep's peak RSS while field.py was the largest
+# module; with no module of an arrow run above 1,200 AST nodes it raises
+# the conic CSV sweep's peak at q = 32 by 0.08 MiB and leaves the arc
+# sweep's at q = 16 unchanged (VmHWM medians of 30 and 40 runs without
+# cached bytecode, Python 3.11).
 
 _EXPORTS = {
     "errors": ("GeometryError", "InvariantViolation", "ValidationError"),
-    "field": ("FieldSpec", "is_irreducible", "make_field", "parse_modulus"),
+    "field": ("FieldSpec", "make_field"),
+    "polynomial": ("is_irreducible",),
+    "modulus": ("parse_modulus",),
     "element": ("FieldElement", "elements", "inv", "sqrt_char2"),
     "plane": ("Plane", "ProjLine", "ProjPoint", "build_plane", "collinear", "incident",
-              "line_through", "meet", "points_on"),
+              "line_through", "meet", "points_on", "validate_ideal_line"),
     "conic": ("Conic", "DegeneracyClass", "LineClass", "canonical_conic", "classify",
               "classify_line", "evaluate", "fit_conic", "nucleus", "parametrize_canonical",
               "point_set", "solve_homogeneous", "tangent_lines"),
     "pencil": ("Pencil", "PencilMember", "base_points", "common_nucleus", "member_through",
                "members", "time_pencil"),
-    "kernel": ("TemporalClass", "time_pencil_context", "validate_ideal_line"),
+    "kernel": ("time_pencil_context",),
     "arc": ("Arc", "ArcFamily", "augment_with_nucleus", "build_time_family", "family_to_dict",
             "is_arc", "is_conic_arc", "puncture", "touch_point"),
-    "arrow": ("ArrowReport", "arc_arrow", "classify_member", "conic_arrow"),
+    "arrow": ("ArrowReport", "TemporalClass", "arc_arrow", "classify_member", "conic_arrow"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -8,9 +8,9 @@ From each proper pencil member delete the single point where L* touches
 it and add the nucleus.  Every resulting set is again a (q+1)-arc, and exactly
 one of them is tangent to the ideal line.
 
-The configuration's checks, and its contact point A and member Q* in
-closed form, are the kernel's (kernel.validate_lines, kernel._contacts),
-shared with the arrow pass, which loads no module of arcs.
+The configuration's checks (plane.validate_lines, by lines._check_line)
+and its contact point A and member Q* in closed form (witnesses._contacts)
+are shared with the arrow pass, which loads no module of arcs.
 """
 
 from __future__ import annotations
@@ -40,14 +40,11 @@ from .conic import (
     point_set,
 )
 from .pencil import Pencil, time_pencil
-from .kernel import (
-    TimePencilContext,
-    _contacts,
-    _degenerate_contact,
-    time_pencil_context,
-    validate_lines,
-)
-from .plane import Plane, ProjLine, ProjPoint, _line_hits, _triple_index, collinear, incident
+from .kernel import TimePencilContext, time_pencil_context
+from .linetext import _degenerate_contact
+from .plane import (Plane, ProjLine, ProjPoint, _line_hits, _triple_index, collinear, incident,
+                    validate_lines)
+from .witnesses import _contacts
 
 
 class Arc:

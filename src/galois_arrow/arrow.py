@@ -9,33 +9,42 @@ common nucleus is off it - so the pencil's arrow has no Present.  The
 arc family built from the same pencil restores exactly one Present
 member.
 
-Both arrows classify in closed form, in the kernel module: a table of
-roots of y^2 + y = k per field, one classification per orbit of ideal
-lines, and the arc arrow as the conic arrow with the one member Q*
-through the contact point changed (the kernel's docstring derives each).
+Both arrows classify in closed form, in the kernel and witnesses modules:
+a table of roots of y^2 + y = k per field, one classification per orbit
+of ideal lines, and the arc arrow as the conic arrow with the one member
+Q* through the contact point changed (their docstrings derive each).
 conic_arrow and arc_arrow build their reports from it; classify_member,
 the incidence scan, is its oracle.  The CLI renders the kernel's plane
-indices itself and does not import this module.
+indices itself and does not import this module.  TemporalClass, the enum
+of the three classes, is defined here; the kernel and the CLI's renderers
+use the classes' names (kernel._CLASS_BY_HITS).
 """
 
 from __future__ import annotations
 
+import enum
 from typing import NamedTuple, Sequence
 
 from .errors import OddCharacteristic
 from .field import FieldSpec
 from .conic import _hit_count
 from .arc import ArcFamily
-from .kernel import (
-    _TEMPORAL_BY_HITS,
-    TemporalClass,
-    TimePencilContext,
-    _arc_deltas,
-    _witnesses,
-    time_pencil_context,
-    validate_ideal_line,
-)
-from .plane import ProjLine, ProjPoint
+from .kernel import _CLASS_BY_HITS, TimePencilContext, time_pencil_context
+from .plane import ProjLine, ProjPoint, validate_ideal_line
+from .witnesses import _arc_deltas, _witnesses
+
+
+class TemporalClass(enum.Enum):
+    PAST = "Past"
+    PRESENT = "Present"
+    FUTURE = "Future"
+
+    def __str__(self):
+        return self.value
+
+
+# indexed by the number of points on the ideal line, as conic.classify_line
+_TEMPORAL_BY_HITS = tuple(map(TemporalClass, _CLASS_BY_HITS))
 
 
 class MemberClassification(NamedTuple):

@@ -1,19 +1,19 @@
 """CSV rows of the arrow command: one chunk per ideal line, holding its
 rows, the header with the first.
 
-cli._execute imports this module only for --output csv, so a JSON run
-does not compile it.  The reports come from cli._arrow_reports, one ideal
+driver._execute imports this module only for --output csv, so a JSON run
+does not compile it.  The reports come from driver._arrow_reports, one ideal
 line at a time.  The members' rows are rendered once per orbit of ideal
 lines (kernel._orbit) and prefixed per configuration by one join; in arc
 mode, per L*, only the row of the member Q* through the contact point
-differs (kernel._arc_deltas).
+differs (witnesses._arc_deltas).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
-from .kernel import _TEMPORAL_BY_HITS, TimePencilContext, _orbit, time_pencil_context
+from .kernel import _CLASS_BY_HITS, TimePencilContext, _orbit, time_pencil_context
 
 if TYPE_CHECKING:
     from .cli import RunConfig
@@ -41,13 +41,13 @@ class _MemberRows:
             t1, t2 = self._thetas[i]
             row = self._csv_rows[hits][i] = (
                 f"{self._ids[i]},{self.coords[t1]}:{self.coords[t2]},"
-                f"{_TEMPORAL_BY_HITS[hits].value}\n")
+                f"{_CLASS_BY_HITS[hits]}\n")
         return row
 
 
 def _arrow_csv(spec: FieldSpec, config: RunConfig, reports: Iterator) -> Iterator[str]:
     """One chunk per ideal line, holding its rows, the header with the
-    first; reports is cli._arrow_reports."""
+    first; reports is driver._arrow_reports."""
     ctx = time_pencil_context(spec)
     text = _MemberRows(ctx)
     coords = text.coords
@@ -58,7 +58,7 @@ def _arrow_csv(spec: FieldSpec, config: RunConfig, reports: Iterator) -> Iterato
     for linf, _, configurations in reports:
         u, ys = _orbit(ctx, linf)
         rows = rows_by_orbit.get(u)
-        if rows is None:   # a member with no root y is Future, as in kernel._witnesses
+        if rows is None:   # a member with no root y is Future, as in witnesses._witnesses
             hits = [0 if y is None else 2 for y in ys]
             rows = rows_by_orbit[u] = ["", *map(text.member_csv, range(len(hits)), hits)]
         pieces = [header]

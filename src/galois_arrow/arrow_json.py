@@ -2,11 +2,11 @@
 reports, then a sweep's summary, byte-equal to json.dumps of
 ArrowReport.to_dict with indent=2 (the test suite's oracle).
 
-cli._execute imports this module only for --output json, so a CSV run
-does not compile it.  The reports come from cli._arrow_reports, one ideal
+driver._execute imports this module only for --output json, so a CSV run
+does not compile it.  The reports come from driver._arrow_reports, one ideal
 line at a time.  Members' texts are made once per ideal line; in arc
 mode, per L*, only the member Q* through the contact point is rendered
-anew (kernel._arc_deltas).  Each member's text, but for its witness
+anew (witnesses._arc_deltas).  Each member's text, but for its witness
 points, is made once per run.  A single configuration's report is laid
 out as a sweep's entry and dedented to the top level.
 """
@@ -15,21 +15,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
-from .kernel import (_TEMPORAL_BY_HITS, TimePencilContext, Values, _triple_values,
-                     time_pencil_context)
+from .kernel import _CLASS_BY_HITS, TimePencilContext, Values, time_pencil_context
+from .witnesses import _triple_values
 
 if TYPE_CHECKING:
     from .cli import RunConfig
     from .field import FieldSpec
-
-
-def _json_block(items: list[str], pad: str, brackets: str = "[]") -> str:
-    """A list or dict laid out as json.dumps(..., indent=2) lays it out,
-    from its rendered items (each starting with its own newline and
-    indentation); pad is the indentation of the closing bracket."""
-    if not items:
-        return brackets
-    return brackets[0] + ",".join(items) + "\n" + pad + brackets[1]
 
 
 class _ReportText:
@@ -91,7 +82,7 @@ class _ReportText:
         t1, t2 = self._thetas[i]
         head = (f'\n        {{\n          "id": {self._ids[i]},\n          "theta": [\n'
                 f'            "{self.coords[t1]}",\n            "{self.coords[t2]}"\n'
-                f'          ],\n          "class": "{_TEMPORAL_BY_HITS[hits].value}",\n'
+                f'          ],\n          "class": "{_CLASS_BY_HITS[hits]}",\n'
                 f'          "witnesses": ' + ('[\n            "' if hits else '[]\n        }'))
         self._member_heads[hits][i] = head
         return head
@@ -102,7 +93,6 @@ class _ReportText:
         head = self._member_heads[len(witnesses)][i] or self._member_head(i, len(witnesses))
         if not witnesses:
             return head
-        # _json_block inlined: this runs once per member of every ideal line
         points = self._points
         a = witnesses[0]
         text = head + (points[a] if a in points else self.point(a))
@@ -115,7 +105,7 @@ class _ReportText:
 def _arrow_json(spec: FieldSpec, config: RunConfig, reports: Iterator,
                 rejected: list[tuple[Values, int]]) -> Iterator[str]:
     """One chunk per ideal line, holding its reports, then the summary;
-    reports is cli._arrow_reports, which appends a sweep's rejected
+    reports is driver._arrow_reports, which appends a sweep's rejected
     configurations to rejected."""
     ctx = time_pencil_context(spec)
     text = _ReportText(ctx)
@@ -159,8 +149,14 @@ def _arrow_json(spec: FieldSpec, config: RunConfig, reports: Iterator,
                for linf, a in rejected]
     counts = [f'\n      "{key}": {distribution[key]}' for key in sorted(distribution)]
     valid = sum(distribution.values())
+    # the rejections and the distribution, each laid out as json.dumps(...,
+    # indent=2) lays out a list or dict: its items (each starting with its
+    # own newline and indentation) and its closing bracket on a line of its
+    # own, or [] and {} when empty
+    rejected_block = "[" + ",".join(entries) + "\n  ]" if entries else "[]"
+    counts_block = "{" + ",".join(counts) + "\n    }" if counts else "{}"
     yield ("\n  ]" if distribution else opening + "]") + (
-        f',\n  "rejected": {_json_block(entries, "  ")},\n  "summary": {{\n'
+        f',\n  "rejected": {rejected_block},\n  "summary": {{\n'
         f'    "total_configurations": {valid + len(rejected)},\n'
         f'    "valid": {valid},\n    "rejected": {len(rejected)},\n'
-        f'    "tally_distribution": {_json_block(counts, "    ", "{}")}\n  }}\n}}\n')
+        f'    "tally_distribution": {counts_block}\n  }}\n}}\n')

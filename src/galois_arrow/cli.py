@@ -1,49 +1,30 @@
-"""Command-line surface.
+"""Command-line surface: argv read into a RunConfig, then run.
 
 Reports go to stdout, diagnostics to stderr as a single machine-parsable
 JSON line.  Exit codes: 0 success, 2 rejected input or usage error, 3
 internal invariant violation (never reachable from shipped defaults).
 
-Output is byte-identical across runs for identical configurations.  The
-arrow command runs one loop over ideal lines L-infinity, each with its
-configurations (L-infinity, L*), _arrow_reports; a single configuration
-is the one-pair case.  Each ideal line's reports are joined into one
-string by the renderer of the --output format and written as soon as
-that line is done: JSON in the arrow_json module, CSV in the arrow_csv
-module, each imported only for its format.
-
-The arrow command runs on the kernel module alone, on lines as value
-triples: a single run normalizes its --linf and --lstar by
-kernel._normalized and checks them by kernel._check_line, so no arrow run
-loads the plane module.  The other commands' payloads live in the
-payloads module, imported only when they run.  argv in plain form, a
-command and then options by their full flags, is read without argparse,
-from the table of options argparse is built from; help and any other argv
-go to argparse, which is imported only then.
+Output is byte-identical across runs for identical configurations.  This
+module reads argv; the driver module runs the command (run), and the
+renderers and payload builders it imports make its stdout.  argv in plain
+form, a command and then options by their full flags, is read without
+argparse, from the table of options argparse is built from; help and any
+other argv go to the argparser module, which imports argparse, loaded
+only then.  --modulus is read by the modulus module and --linf and
+--lstar by the linetext module, each imported only when its option is
+given.
 """
 
 from __future__ import annotations
 
-import os
 import sys
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
-from .errors import (
-    InvariantViolation,
-    OrderTooLarge,
-    UsageError,
-    ValidationError,
-)
-from .field import FieldSpec, field_order, make_field, parse_modulus
-from .kernel import (Values, _arc_deltas, _check_line, _degenerate_contact, _normalized,
-                     _valid_lines, _witnesses, time_pencil_context)
+from .driver import _emit_error, run
+from .errors import OrderTooLarge, UsageError
+from .field import field_order
 
 COMMANDS = ("field-info", "plane", "conic", "pencil", "family", "arrow")
-_DESCRIPTION = (
-    "Exact finite geometry over GF(p^n): the field, PG(2, q), the canonical conic, the time "
-    "pencil, its arc family and their members' Past/Present/Future classes on an ideal line. "
-    "Reports go to stdout; a failure prints one JSON line on stderr.  Exit codes: 0 success, "
-    "2 rejected input or usage error, 3 internal invariant violation.")
 _CSV_COMMANDS = ("pencil", "family", "arrow")
 # The largest order at which the commands that scan or print the whole
 # plane, and arrow sweeps, are accepted.  Their work grows as q^2 or
@@ -80,29 +61,6 @@ _OPTIONS = (
 )
 
 
-def _build_parser():
-    """The argparse parser: the reference for every argv, and the only
-    reader of help requests and of argv that is not in plain form."""
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        def error(self, message):
-            raise UsageError(message)
-
-    parser = _Parser(prog="galois-arrow", description=_DESCRIPTION)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        cmd = sub.add_parser(name)
-        for flag, kind, default, choices, commands in _OPTIONS:
-            if name not in commands:
-                continue
-            if kind is bool:
-                cmd.add_argument(flag, action="store_true")
-            else:
-                cmd.add_argument(flag, type=kind, default=default, choices=choices)
-    return parser
-
-
 def _plain_args(argv: list[str]) -> dict | None:
     """vars() of the namespace argparse makes from argv, when argv is in
     plain form: a command, then options by their full flags, each but
@@ -137,26 +95,13 @@ def _plain_args(argv: list[str]) -> dict | None:
     return values
 
 
-def _parse_triple(text: str, q: int) -> tuple[int, int, int]:
-    try:
-        parts = tuple(int(tok, 0) for tok in text.split(","))
-    except ValueError as exc:
-        raise UsageError(f"malformed coordinate triple {text!r}") from exc
-    if len(parts) != 3:
-        raise UsageError(f"expected three comma-separated coordinates, got {text!r}")
-    if any(not 0 <= v < q for v in parts):
-        raise UsageError(f"coordinates in {text!r} must lie in [0, {q})")
-    if all(v == 0 for v in parts):
-        raise UsageError("the zero triple is not a line")
-    return parts
-
-
 def parse_args(argv: list[str]) -> RunConfig:
     """Deterministic parse; invalid combinations raise UsageError.  argv
     in plain form is read without argparse, which reads any other."""
     args = _plain_args(argv)
     if args is None:
-        args = vars(_build_parser().parse_args(argv))
+        from .argparser import _build_parser
+        args = vars(_build_parser(COMMANDS, _OPTIONS).parse_args(argv))
     command, p, n = args["command"], args["p"], args["n"]
     if p < 2:
         raise UsageError(f"--p must be at least 2, got {p}")
@@ -164,6 +109,7 @@ def parse_args(argv: list[str]) -> RunConfig:
         raise UsageError(f"--n must be at least 1, got {n}")
     modulus = None
     if args["modulus"] is not None:
+        from .modulus import parse_modulus
         try:
             modulus = parse_modulus(args["modulus"], p)
         except ValueError as exc:
@@ -188,6 +134,8 @@ def parse_args(argv: list[str]) -> RunConfig:
         raise UsageError("--exhaustive sweeps every valid line and takes no --linf or --lstar")
     if command == "arrow" and mode == "conic" and lstar_text is not None:
         raise UsageError("--lstar selects the arc family; --mode conic takes none")
+    if linf_text or lstar_text:
+        from .linetext import _parse_triple
     gen = p if n >= 2 else 1   # canonical generator value
     linf = _parse_triple(linf_text, q) if linf_text else (1, 1, 1)
     lstar = _parse_triple(lstar_text, q) if lstar_text else (1, gen, 0)
@@ -196,103 +144,6 @@ def parse_args(argv: list[str]) -> RunConfig:
         linf=linf, lstar=lstar, mode=mode, output=args["output"],
         exhaustive=exhaustive,
     )
-
-
-# --- arrow reports, streamed ------------------------------------------------
-
-def _arrow_reports(spec: FieldSpec, config: RunConfig, rejected: list[tuple[Values, int]]
-                   ) -> Iterator[tuple[Values, tuple[tuple[int, ...], ...] | None,
-                                       list[tuple[int | None, tuple[int, int] | None]]]]:
-    """Per L-infinity = (1 : b : c) of the run, one at a time: its values,
-    its members' witnesses as plane indices (kernel._witnesses; None in a
-    conic CSV run, whose rows come from the line's orbit) and its
-    configurations (a, delta), L* = (1 : a : 0), one per report.  A delta
-    (position, witness) is the member in which the report differs from the
-    line's conic classification: Q*, Present with that one witness.  In
-    conic mode the one configuration is (None, None); in arc mode there is
-    one per L*, from the line's one pass, kernel._arc_deltas.  A single run
-    is the one-pair case, its lines normalized by kernel._normalized and
-    checked by kernel._check_line.  Arc configurations whose contact point lies on a
-    degenerate member are appended to rejected during a sweep; a single run
-    raises DegenerateContactPoint."""
-    ctx = time_pencil_context(spec)
-    arc = config.mode == "arc"
-    if config.exhaustive:
-        linfs, lstar_as = _valid_lines(spec.order)
-    else:
-        linf = _normalized(spec, config.linf)
-        lstars = (_normalized(spec, config.lstar),) if arc else ()
-        _check_line(spec, linf, False)
-        for lstar in lstars:
-            _check_line(spec, lstar, True)
-        linfs, lstar_as = (linf,), [lstar[1] for lstar in lstars]
-    for linf in linfs:
-        witnesses = _witnesses(ctx, linf) if arc or config.output == "json" else None
-        if not arc:
-            yield linf, witnesses, [(None, None)]
-            continue
-        configurations = []
-        for a, delta in zip(lstar_as, _arc_deltas(ctx, linf, lstar_as, witnesses)):
-            if delta is not None:
-                configurations.append((a, delta))
-            elif config.exhaustive:
-                rejected.append((linf, a))
-            else:
-                raise _degenerate_contact(spec, linf, a)
-        yield linf, witnesses, configurations
-
-
-# --- driver ---------------------------------------------------------------------
-
-def _execute(config: RunConfig) -> Iterator[str]:
-    """The command's stdout, in chunks; an arrow run yields one per report."""
-    spec = make_field(config.p, config.n, config.modulus)
-    if config.command == "arrow":
-        rejected: list[tuple[Values, int]] = []
-        reports = _arrow_reports(spec, config, rejected)
-        if config.output == "csv":
-            from .arrow_csv import _arrow_csv
-            yield from _arrow_csv(spec, config, reports)
-        else:
-            from .arrow_json import _arrow_json
-            yield from _arrow_json(spec, config, reports, rejected)
-        return
-    from .payloads import render
-    yield render(spec, config)
-
-
-def _emit_error(exc: Exception) -> None:
-    import json
-    line = json.dumps({"error": type(exc).__name__, "message": str(exc)})
-    print(line, file=sys.stderr)
-
-
-def run(config: RunConfig) -> int:
-    """Execute one command; report on stdout, exit code returned.
-
-    Output is written as it is produced, so after exit 3 stdout may hold
-    a truncated report.  stdout is flushed before a diagnostic is written,
-    so the report text made before a failure reaches stdout first."""
-    code, error = 0, None
-    try:
-        try:
-            for chunk in _execute(config):
-                sys.stdout.write(chunk)
-        except InvariantViolation as exc:
-            code, error = 3, exc
-        except ValidationError as exc:
-            code, error = 2, exc
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader has closed stdout (as `| head` does): what it did not
-        # read is dropped, and stdout points at devnull so that the flush at
-        # interpreter exit does not raise again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-    if error is not None:
-        _emit_error(error)
-    return code
 
 
 def main(argv: list[str] | None = None) -> int:

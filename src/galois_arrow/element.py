@@ -1,5 +1,5 @@
 """Field elements: FieldElement, a field's element API and the module-level
-element operations.
+element operations, and FieldSpec's reference methods.
 
 A FieldElement pairs a FieldSpec with a packed value and computes through
 the spec's tables.  The field module constructs fields on packed values
@@ -7,18 +7,55 @@ and does not import this one: an arrow run never makes an element, so it
 does not compile this module.  Its names resolve from the field module
 and the package on first access (PEP 562), and the first read of a
 spec's element API (element, zero, one, generator, elements, _pow_i,
-_sqrt_i) loads this module, which binds that API onto FieldSpec.
+_sqrt_i) or of its reference methods (coeffs_of, value_of, the polynomial
+product _mul_slow and the checked inverse _inv_i) loads this module,
+which binds them onto FieldSpec.
 """
 
 from __future__ import annotations
 
-from .errors import MixedFields, OddCharacteristic
+from typing import Iterable
+
+from .errors import DivisionByZero, MixedFields, OddCharacteristic
 from .field import _SPEC_ELEMENT_API, FieldSpec
+from .polynomial import _poly_mod, _poly_mul, _trim
 
 
 class _SpecElementAPI:
-    """FieldSpec's methods that make elements or serve them, bound onto
+    """FieldSpec's methods that make elements, serve them or read their
+    coefficients, and its reference product and inverse, bound onto
     FieldSpec when this module is loaded."""
+
+    def coeffs_of(self, value: int) -> tuple[int, ...]:
+        """Canonical length-n coefficient vector (low-to-high) of a value."""
+        p, n = self.characteristic, self.degree
+        out = []
+        for _ in range(n):
+            out.append(value % p)
+            value //= p
+        return tuple(out)
+
+    def value_of(self, coeffs: Iterable[int]) -> int:
+        p, n = self.characteristic, self.degree
+        cs = list(coeffs)
+        if len(cs) > n:
+            raise ValueError(f"coefficient vector longer than degree {n}")
+        v = 0
+        for c in reversed(cs):
+            v = v * p + (c % p)
+        return v
+
+    def _mul_slow(self, a: int, b: int) -> int:
+        """Reference multiplication: polynomial product reduced by the modulus."""
+        p = self.characteristic
+        prod = _poly_mul(_trim(self.coeffs_of(a)), _trim(self.coeffs_of(b)), p)
+        return self.value_of(_poly_mod(prod, self.modulus, p))
+
+    def _inv_i(self, a: int) -> int:
+        """Inverse by table lookup; the oracle is Fermat's a^(q-2)."""
+        if a == 0:
+            raise DivisionByZero("0 has no multiplicative inverse")
+        return self._inv[a]
 
     def _pow_i(self, a: int, e: int) -> int:
         if e < 0:

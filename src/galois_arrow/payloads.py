@@ -2,7 +2,7 @@
 pencil and family.  Each builds its whole payload and prints it as JSON
 (json.dumps with indent=2) or, for pencil and family, as CSV rows.
 
-cli._execute imports this module for those commands only, so an arrow
+driver._execute imports this module for those commands only, so an arrow
 run does not compile it.  Each builder imports the modules it reads when
 it runs.
 """

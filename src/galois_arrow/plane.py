@@ -1,16 +1,22 @@
-"""The projective plane PG(2, q): points, lines, incidence, collinearity.
+"""The projective plane PG(2, q): points, lines, incidence, collinearity,
+and the time-pencil context's plane-facing members.
 
 Points and lines are normalized homogeneous triples (first nonzero
 coordinate scaled to 1), so projectively equal triples compare equal.
 Incidence is the exact dot-product test and stays the oracle.  The fast
 path is the plane's enumeration, a function of the index: point and line
-i both have the values _triple_values(q, i), whose inverse is
+i both have the values _triple_values(q, i) (from the witnesses module,
+which the arrow command runs on without this module), whose inverse is
 _triple_index, so the plane stores no points or lines and makes one only
-when it is read.  The enumeration is defined in the kernel module, which
-runs the arrow command on values alone, without this module.  The
-indices of a line's points (and of a point's lines) are solved for in
-closed form in O(q); the test suite checks them against the incidence
-scan exhaustively.
+when it is read.  The indices of a line's points (and of a point's lines)
+are solved for in closed form in O(q); the test suite checks them against
+the incidence scan exhaustively.
+
+The kernel's TimePencilContext reads its plane, B1, B2, N and its valid
+lines as plane items from here: loading this module binds them onto it
+(_PLANE_MEMBERS), and the first read of one loads it.  validate_ideal_line
+and validate_lines check lines given as plane items by their values
+(lines._check_line).
 """
 
 from __future__ import annotations
@@ -18,18 +24,43 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from functools import lru_cache
-from typing import Iterable
+from itertools import chain, product
+from typing import Iterable, Iterator
 
 from .element import FieldElement
 from .errors import CoincidentLines, CoincidentPoints, MixedFields
 from .field import FieldSpec
-from .kernel import (_check_field, _normalized, _text, _triple_index, _triple_values,
-                     _triples)
+from .kernel import _PLANE_MEMBERS, TimePencilContext, Values
+from .linetext import _text
+from .lines import _check_line, _normalized
+from .witnesses import _triple_values
+
+
+def _triples(q: int) -> Iterator[Values]:
+    """The normalized values of the plane's enumeration, in order: (1 : a : b)
+    by a, then b, then (0 : 1 : a), then (0 : 0 : 1)."""
+    return chain(product((1,), range(q), range(q)), product((0,), (1,), range(q)), [(0, 0, 1)])
+
+
+def _triple_index(q: int, values: Values) -> int:
+    """Position of normalized values in the enumeration; _triple_values
+    inverts it."""
+    x1, x2, x3 = values
+    if x1:
+        return x2 * q + x3
+    if x2:
+        return q * q + x3
+    return q * q + q
+
+
+def _check_field(a, b):
+    if a.field != b.field:
+        raise MixedFields("operands belong to different fields")
 
 
 def _normalize(field: FieldSpec, entries: tuple) -> tuple[int, ...]:
     """Packed values of a homogeneous vector (elements or ints), scaled so
-    that the first nonzero entry is 1 (kernel._normalized); the zero vector
+    that the first nonzero entry is 1 (lines._normalized); the zero vector
     is rejected."""
     vals = []
     for c in entries:
@@ -255,3 +286,71 @@ def collinear(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> bool:
 def points_on(line: ProjLine, plane: Plane) -> list[ProjPoint]:
     """The q+1 points of the line, in plane point order."""
     return list(plane.points_on(line))
+
+
+def validate_ideal_line(linf: ProjLine, plane: Plane) -> None:
+    """Reject ideal lines through a base point, B1 = (0:1:0) or
+    B2 = (1:0:0), or the nucleus N = (0:0:1).
+
+    Valid lines are exactly those with all three coefficients nonzero.
+    """
+    _check_field(linf, plane)
+    _check_line(linf.field, linf.values, False)
+
+
+def validate_lines(ctx: TimePencilContext, linfs: Iterable[ProjLine],
+                   lstars: Iterable[ProjLine]) -> None:
+    """The line checks of a family configuration, in this order: each ideal
+    line by validate_ideal_line, then each L* must pass through the nucleus
+    N = (0:0:1) and miss both base points (_check_line).
+    witnesses._contacts checks each pair."""
+    for linf in linfs:
+        validate_ideal_line(linf, ctx.plane)
+    for lstar in lstars:
+        _check_field(lstar, ctx.plane)
+        _check_line(ctx.spec, lstar.values, True)
+
+
+class _ContextPlane:
+    """TimePencilContext's plane-facing members, bound onto it when this
+    module is loaded."""
+
+    @property
+    def plane(self) -> Plane:
+        """build_plane(spec)."""
+        return build_plane(self.spec)
+
+    @property
+    def B1(self) -> ProjPoint:
+        """The base point (0:1:0), at index q*q."""
+        return self.plane.points[self.spec.order ** 2]
+
+    @property
+    def B2(self) -> ProjPoint:
+        """The base point (1:0:0), at index 0."""
+        return self.plane.points[0]
+
+    @property
+    def N(self) -> ProjPoint:
+        """The nucleus (0:0:1), the last point."""
+        return self.plane.points[-1]
+
+    def valid_ideal_lines(self) -> tuple[ProjLine, ...]:
+        """Lines passing validate_ideal_line, those with all three
+        coefficients nonzero, which are the lines (1 : b : c) with bc != 0,
+        at index b*q + c, in plane line order."""
+        q = self.spec.order
+        lines = self.plane.lines
+        return tuple([lines[b * q + c] for b in range(1, q) for c in range(1, q)])
+
+    def valid_tangent_lines(self) -> tuple[ProjLine, ...]:
+        """Lines through N other than (1:0:0) and (0:1:0), its joins with B1
+        and B2, which are the lines (1 : a : 0) with a != 0, at index a*q, in
+        plane line order."""
+        q = self.spec.order
+        lines = self.plane.lines
+        return tuple([lines[a * q] for a in range(1, q)])
+
+
+for _name in _PLANE_MEMBERS:
+    setattr(TimePencilContext, _name, vars(_ContextPlane)[_name])

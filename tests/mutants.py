@@ -1,6 +1,9 @@
-"""Mutation check of the kernel and the field's fast paths: every closed
-form in src/galois_arrow/kernel.py, and the table walk, the product, the
-inverse table and the Zech arithmetic of field.py and zech.py, is pinned
+"""Mutation check of the closed forms and fast paths: every closed form the
+arrows run on (kernel.py, witnesses.py, lines.py, linetext.py and the
+sweep's lines in driver.py), the plane's enumeration and incidence indices
+(plane.py), the text layout of the arrow command's JSON and CSV
+(arrow_json.py, arrow_csv.py), and the table walk, the product, the
+inverse table and the Zech arithmetic of tables.py and zech.py, is pinned
 by some test.
 
     python tests/mutants.py
@@ -28,7 +31,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path("galois_arrow")
-KERNEL, FIELD, ZECH = "kernel.py", "field.py", "zech.py"
 TIMEOUT_S = 120
 JOBS = 2
 
@@ -36,24 +38,31 @@ ARC = ["tests/test_arrow.py::test_arc_pass_matches_the_incidence_oracle[q8]"]
 SIGMA = ["tests/test_arrow.py::test_arc_pass_is_its_orbit_representatives_image[q8]"]
 CONIC = ["tests/test_arrow.py::test_conic_arrow_matches_incidence_oracle[q8]"]
 SWEEPS = ["tests/test_golden_stdout.py::test_sweep_stdout_matches_benchmark_digest"]
+GOLDEN = ["tests/test_golden_stdout.py::test_stdout_matches_golden_digest"]
 ENUMERATION = ["tests/test_plane.py::test_triple_values_inverts_triple_index",
                "tests/test_plane.py::test_triple_index_is_the_enumeration_position",
                "tests/test_plane.py::test_plane_equals_the_normalizing_construction"]
+INCIDENCE = ["tests/test_plane.py::test_plane_caches_agree_with_incidence_oracle"]
 LINE_CHECKS = ["tests/test_pencil.py::test_line_validity_from_coefficients_matches_incidence"]
 CONTEXT = ["tests/test_pencil.py::"
            "test_context_reads_its_plane_points_and_lines_from_the_plane_module"]
 MUL = ["tests/test_field.py::test_mul_table_matches_polynomial_reduction"]
 PRIME = ["tests/test_field.py::"
          "test_prime_field_tables_are_the_powers_of_the_least_primitive_root"]
+ODD = ["tests/test_field.py::test_odd_field_tables_are_the_powers_of_the_least_generator"]
 INVERSE = ["tests/test_field.py::test_inverse_table_matches_fermat"]
 ZECH_TESTS = ["tests/test_field.py::test_zech_addition_matches_coefficient_arithmetic"]
 
 # Per file of the package: (what the mutation breaks, its text there, its
 # replacement, the tests that must fail)
-MUTANTS = {KERNEL: [
-    ("c^2 -> c in _contacts' t", "cc = mul(c, c)", "cc = c", ARC),
+MUTANTS = {"kernel.py": [
     ("orbit u = b/c^2 -> b/c", "u = mul(b, ctx.spec._inv[mul(c, c)])",
      "u = mul(b, ctx.spec._inv[c])", CONIC),
+    ("the roots of y^2 + y -> of y^2", "roots[spec._mul_i(y, y) ^ y] = y",
+     "roots[spec._mul_i(y, y)] = y", CONIC),
+    ("orbits looked up by b, not u", "ys = ctx.orbits.get(u)", "ys = ctx.orbits.get(b)", CONIC),
+], "witnesses.py": [
+    ("c^2 -> c in _contacts' t", "cc = mul(c, c)", "cc = c", ARC),
     ("the second witness s1 = s0 ^ d -> s0", "s1 = s0 ^ d", "s1 = s0", CONIC),
     ("the root y -> y + 1", "s0 = mul(d, y)", "s0 = mul(d, y + 1)", CONIC),
     ("a witness (1 : t*s^2 : s) -> (1 : t*s : s)", "i0 = mul(t, mul(s0, s0)) * q + s0",
@@ -62,9 +71,6 @@ MUTANTS = {KERNEL: [
      "i1 = mul(t, mul(s1, s1)) * q - s1", CONIC),
     ("witnesses left unsorted", "out.append((i0, i1) if i0 < i1 else (i1, i0))",
      "out.append((i0, i1))", CONIC),
-    ("the roots of y^2 + y -> of y^2", "roots[spec._mul_i(y, y) ^ y] = y",
-     "roots[spec._mul_i(y, y)] = y", CONIC),
-    ("orbits looked up by b, not u", "ys = ctx.orbits.get(u)", "ys = ctx.orbits.get(b)", CONIC),
     ("Q*'s other witness hits[1] -> hits[0]", "hits[1] if hits[0] == index else hits[0]",
      "hits[0] if hits[0] == index else hits[0]", ARC),
     ("Q*'s position t - 1 -> t", "out.append((t - 1, ", "out.append((t, ", ARC),
@@ -73,32 +79,69 @@ MUTANTS = {KERNEL: [
     ("Q* not checked for the contact point", "if len(hits) != 2 or index not in hits:",
      "if len(hits) != 2:",
      ["tests/test_cli.py::test_qstar_not_past_with_the_contact_point_exits_3"]),
+    ("i // q -> i % q in _triple_values", "return (1, i // q, i % q)",
+     "return (1, i % q, i % q)", ENUMERATION),
+    ("the points (0 : 1 : x) one further in _triple_values", "if i < q * q + q:",
+     "if i <= q * q + q:", ENUMERATION),
+], "linetext.py": [
     ("the refused contact point (1 : 1/a : 0) -> (1 : a : 0)", "(1, spec._inv[a], 0)",
      "(1, a, 0)", ["tests/test_arc.py::test_contact_member_matches_the_incidence_oracle[q8]"]),
-    *[(f"the sweep's {name} {what}", "product((1,), range(1, q), range(1, q)), range(1, q)",
-       text, SWEEPS) for name, what, text in [
+], "driver.py": [
+    (f"the sweep's {name} {what}", "product((1,), range(1, q), range(1, q)), range(1, q)",
+     text, SWEEPS) for name, what, text in [
         ("b", "from 0", "product((1,), range(0, q), range(1, q)), range(1, q)"),
         ("c", "from 0", "product((1,), range(1, q), range(0, q)), range(1, q)"),
         ("a", "from 0", "product((1,), range(1, q), range(1, q)), range(0, q)"),
         ("b", "stopping at q - 1", "product((1,), range(1, q - 1), range(1, q)), range(1, q)"),
         ("c", "stopping at q - 1", "product((1,), range(1, q), range(1, q - 1)), range(1, q)"),
         ("a", "stopping at q - 1", "product((1,), range(1, q), range(1, q)), range(1, q - 1)"),
-    ]],
-    ("i // q -> i % q in _triple_values", "return (1, i // q, i % q)",
-     "return (1, i % q, i % q)", ENUMERATION),
-    ("the points (0 : 1 : x) one further in _triple_values", "if i < q * q + q:",
-     "if i <= q * q + q:", ENUMERATION),
-    ("_triple_index off by one", "return q * q + x3", "return q * q + x3 + 1", ENUMERATION),
-    ("and -> or in the ideal line check", "elif not (l1 and l2):", "elif not (l1 or l2):",
-     LINE_CHECKS),
-    ("and -> or in the L* check", "        if not (l1 and l2):", "        if not (l1 or l2):",
+    ]
+], "lines.py": [
+    ("and -> or in the ideal line check",
+     "elif not (l1 and l2):\n        error, message = HitsBasePoint",
+     "elif not (l1 or l2):\n        error, message = HitsBasePoint", LINE_CHECKS),
+    ("and -> or in the L* check", "        elif not (l1 and l2):", "        elif not (l1 or l2):",
      LINE_CHECKS),
     ("an ideal line's nucleus check reads l2", "elif not l3:", "elif not l2:", LINE_CHECKS),
-    ("B1 one point further", "self.plane.points[self.spec.order ** 2]",
-     "self.plane.points[self.spec.order ** 2 + 1]", CONTEXT),
     ("a line scaled by its lead, not its inverse", "scale = spec._inv[lead]", "scale = lead",
      ["tests/test_cli.py::test_single_arrow_runs_load_no_plane_module"]),
-], FIELD: [
+], "plane.py": [
+    ("_triple_index off by one", "return q * q + x3", "return q * q + x3 + 1", ENUMERATION),
+    ("B1 one point further", "self.plane.points[self.spec.order ** 2]",
+     "self.plane.points[self.spec.order ** 2 + 1]", CONTEXT),
+    ("the context's valid ideal lines with b from 0",
+     "for b in range(1, q) for c in range(1, q)", "for b in range(0, q) for c in range(1, q)",
+     LINE_CHECKS),
+    ("the context's valid L* with a from 0", "[lines[a * q] for a in range(1, q)]",
+     "[lines[a * q] for a in range(0, q)]", LINE_CHECKS),
+    # equivalent in characteristic 2, where -a = a: killed by GF(3), GF(5), GF(9)
+    ("a line's points (1 : a : b) without the minus", "s = neg(field._inv_i(l3))",
+     "s = field._inv_i(l3)", INCIDENCE),
+    ("a line's point (0 : 1 : c) with c = -l1/l3", "[q * q + mul(s, l2)]",
+     "[q * q + mul(s, l1)]", INCIDENCE),
+    ("a line's points (1 : a : b), l3 = 0, with a = l1/l2",
+     "a = mul(neg(l1), field._inv_i(l2))", "a = mul(l1, field._inv_i(l2))", INCIDENCE),
+    ("a line's points (1 : a : b), l3 = 0, one short", "[*range(a * q, a * q + q), q * q + q]",
+     "[*range(a * q, a * q + q - 1), q * q + q]", INCIDENCE),
+    ("the line x1 = 0 without (0:0:1)", "list(range(q * q, q * q + q + 1))",
+     "list(range(q * q, q * q + q))", INCIDENCE),
+], "arrow_json.py": [
+    ("a sweep's reports separated without their indent", r'separator = ",\n    "',
+     r'separator = ",\n  "', GOLDEN),
+    ("a member's id indented one column less", r'\n        {{\n          "id": ',
+     r'\n        {{\n         "id": ', GOLDEN),
+    ("a member's class name in lower case", '"class": "{_CLASS_BY_HITS[hits]}"',
+     '"class": "{_CLASS_BY_HITS[hits].lower()}"', GOLDEN),
+    ("the rejections' closing bracket indented one column more", '"\\n  ]" if entries',
+     '"\\n   ]" if entries', GOLDEN),
+], "arrow_csv.py": [
+    ("a row's theta joined by a comma", "{self.coords[t1]}:{self.coords[t2]},",
+     "{self.coords[t1]},{self.coords[t2]},", GOLDEN),
+    ("a row's class name in upper case", 'f"{_CLASS_BY_HITS[hits]}\\n")',
+     'f"{_CLASS_BY_HITS[hits].upper()}\\n")', GOLDEN),
+    ("a sweep's L* column without its parentheses", 'f"(1:{coords[a]}:0),"',
+     'f"1:{coords[a]}:0,"', GOLDEN),
+], "tables.py": [
     # equivalent while the generator is x, as under every shipped modulus
     ("_char2_product's xor -> or", "out ^= a", "out |= a",
      ["tests/test_field.py::test_char2_tables_walk_a_generator_other_than_x"]),
@@ -110,7 +153,7 @@ MUTANTS = {KERNEL: [
     ("the log[0] sentinel 2m -> 2m - 1", "log = [2 * m] * q", "log = [2 * m - 1] * q", MUL),
     ("a product's log sum -> difference", "_e[_l[a] + _l[b]]", "_e[_l[a] - _l[b]]", MUL),
     ("the inverse g^(-k) -> g^k", "exp[-log[a] % m]", "exp[log[a] % m]", INVERSE),
-], ZECH: [
+], "zech.py": [
     ("Zech's 1 + g^k carries past the lowest digit", "log[e - e % p + (e + 1) % p]",
      "log[e + 1]", ZECH_TESTS),
     ("a + b looks up Z(log a - log b)", "zech[(log[b] - log[a]) % m]",
@@ -120,6 +163,19 @@ MUTANTS = {KERNEL: [
      ZECH_TESTS),
     ("-a = a", "return exp[log[a] + h]", "return exp[log[a]]", ZECH_TESTS),
     ("-1 = g^(m/2) -> g^(m/2 - 1)", "h = m // 2", "h = m // 2 - 1", ZECH_TESTS),
+    ("the generator's order tested at m, not m/r", "m // r, modulus, p)", "m, modulus, p)",
+     ODD),
+    ("the order test passes any unit", "!= (1,) for r in primes", "!= () for r in primes",
+     ODD),
+    ("only the even divisors of m tried as primes", "        r += 1", "        r += 2", ODD),
+    ("the largest prime factor of m dropped", "    if rest > 1:\n        primes.append(rest)",
+     "    if rest > m:\n        primes.append(rest)", ODD),
+    ("the walk's slots wide enough for one term, not n", "w = (n * (p - 1) ** 2).bit_length()",
+     "w = ((p - 1) ** 2).bit_length()", ODD),
+    ("the walk's columns x^i * g -> g * x^(i-1)", "column = _poly_mod((0, *column), modulus, p)",
+     "column = _poly_mod((*column, 0), modulus, p)", ODD),
+    ("the walk's slots left unreduced mod p", "(slots >> shift & mask) % p",
+     "(slots >> shift & mask)", ODD),
 ]}
 
 
@@ -156,7 +212,7 @@ def main() -> int:
         print(f"mutations whose text does not occur exactly once: {stale}")
         return 1
     every_test = sorted({test for *_, tests in mutants for test in tests})
-    passed, took = _copy_with(KERNEL, sources[KERNEL], every_test)
+    passed, took = _copy_with("kernel.py", sources["kernel.py"], every_test)
     print(f"unmutated: the {len(every_test)} named test groups "
           f"{'pass' if passed else 'FAIL'} ({took:.1f} s)")
     if not passed:

@@ -19,14 +19,15 @@ from galois_arrow.errors import (
     InvariantViolation,
     UsageError,
 )
-from galois_arrow import cli
-from galois_arrow import kernel
+from galois_arrow import cli, driver, plane, witnesses
 from galois_arrow.arc import Arc, build_time_family
+from galois_arrow.argparser import _build_parser
 from galois_arrow.arrow import arc_arrow, classify_member, conic_arrow
 from galois_arrow.field import make_field
-from galois_arrow.kernel import TemporalClass, _arc_deltas, _witnesses, time_pencil_context
+from galois_arrow.kernel import TemporalClass, time_pencil_context
 from galois_arrow.pencil import PencilMember, members, time_pencil
 from galois_arrow.plane import ProjLine, _line_hits, _triple_index
+from galois_arrow.witnesses import _arc_deltas, _witnesses
 
 
 def _run(argv):
@@ -169,7 +170,7 @@ def test_plain_argv_reads_as_argparse_does():
     every other argv to it: on each argv of the grid the plain reader
     either defers or returns exactly argparse's namespace, and it answers
     every golden and benchmark command itself."""
-    parser = cli._build_parser()
+    parser = _build_parser(cli.COMMANDS, cli._OPTIONS)
     answered = 0
     for argv in _argv_grid():
         plain = cli._plain_args(argv)
@@ -282,7 +283,7 @@ def test_usage_error_exits_2():
 def test_invariant_violation_exits_3(monkeypatch):
     def boom(config):
         raise InvariantViolation("forced for the exit-code contract")
-    monkeypatch.setattr(cli, "_execute", boom)
+    monkeypatch.setattr(driver, "_execute", boom)
     code, _, err = _run(["arrow", "--n", "3"])
     assert code == 3
     assert json.loads(err.strip())["error"] == "InvariantViolation"
@@ -498,7 +499,7 @@ def test_first_report_is_written_before_the_last_configuration_is_built(monkeypa
         lengths.extend([len(out.getvalue())] * len(deltas))
         return deltas
 
-    monkeypatch.setattr(cli, "_arc_deltas", recording)
+    monkeypatch.setattr(witnesses, "_arc_deltas", recording)
     with redirect_stdout(out):
         code = cli.main(["arrow", "--n", "2", "--mode", "arc", "--exhaustive"])
     assert code == 0 and len(lengths) == 27
@@ -511,7 +512,7 @@ SWEEP_Q4 = ["arrow", "--n", "2", "--mode", "arc", "--exhaustive"]
 def _fail_on_the_second_ideal_line(monkeypatch) -> str:
     """Make the arc pass over SWEEP_Q4's second ideal line raise an
     InvariantViolation; the stdout chunk made before it is returned."""
-    first = next(cli._execute(cli.parse_args(SWEEP_Q4)))
+    first = next(driver._execute(cli.parse_args(SWEEP_Q4)))
     built = []
 
     def second_fails(*args):
@@ -520,7 +521,7 @@ def _fail_on_the_second_ideal_line(monkeypatch) -> str:
             raise InvariantViolation("forced on the second ideal line")
         return _arc_deltas(*args)
 
-    monkeypatch.setattr(cli, "_arc_deltas", second_fails)
+    monkeypatch.setattr(witnesses, "_arc_deltas", second_fails)
     return first
 
 
@@ -642,7 +643,7 @@ def test_qstar_not_past_with_the_contact_point_exits_3(monkeypatch, change, argv
     def changed(ctx, linf):
         return tuple(change(_witnesses(ctx, linf), ctx))
 
-    monkeypatch.setattr(cli, "_witnesses", changed)
+    monkeypatch.setattr(witnesses, "_witnesses", changed)
     code, out, err = _run(argv.split())
     assert code == 3 and not out
     lines = err.splitlines()
@@ -672,10 +673,10 @@ def test_single_arrow_run_reads_o_of_q_plane_items(monkeypatch, mode, tallies):
     """A single arrow run at q = 1024 reads a few plane items per member,
     not the q^2 + q + 1 of a plane scan.  Every item made from its
     position (_triple_values) and every item of a scan (_triples) counts,
-    in whichever module calls it: the kernel defines both, and the plane
-    module imports them."""
+    in whichever module calls it: the witnesses module defines the first
+    and the plane module the second, and other modules import them."""
     read = [0]
-    originals = {name: getattr(kernel, name) for name in ("_triple_values", "_triples")}
+    originals = {"_triple_values": witnesses._triple_values, "_triples": plane._triples}
 
     def triple_values(q, i):
         read[0] += 1
@@ -721,26 +722,37 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 
 
 @pytest.mark.parametrize("statement, loaded", [
-    # the arrow command runs on the kernel alone
+    # the arrow command runs on the kernel alone; a field's construction
+    # loads the polynomials (its modulus is validated) and the table build
     ("import galois_arrow.cli",
-     ["cli", "errors", "field", "kernel"]),
+     ["cli", "driver", "errors", "field", "kernel", "polynomial", "tables"]),
     # the benchmark's set-up child: the field and the time-pencil context
     ("from galois_arrow import make_field, parse_modulus, time_pencil_context",
-     ["errors", "field", "kernel"]),
+     ["errors", "field", "kernel", "modulus", "polynomial", "tables"]),
     # a field over GF(2^n) is built without the element API and the Zech
     # arithmetic, each loaded on first use
-    ("from galois_arrow import make_field; make_field(2, 8)", ["errors", "field"]),
+    ("from galois_arrow import make_field; make_field(2, 8)",
+     ["errors", "field", "polynomial", "tables"]),
     ("from galois_arrow import make_field; make_field(3, 2, (1, 0, 1))",
-     ["errors", "field", "zech"]),
-    ("from galois_arrow import make_field; make_field(2, 3).one", ["element", "errors", "field"]),
-    ("from galois_arrow.field import inv", ["element", "errors", "field"]),
+     ["errors", "field", "polynomial", "tables", "zech"]),
+    ("from galois_arrow import make_field; make_field(2, 3).one",
+     ["element", "errors", "field", "polynomial", "tables"]),
+    ("from galois_arrow.field import inv", ["element", "errors", "field", "polynomial", "tables"]),
+    ("from galois_arrow.field import parse_modulus",
+     ["errors", "field", "modulus", "polynomial", "tables"]),
+    # the context's plane-facing members load the plane module, and what
+    # it imports, on their first read
+    ("from galois_arrow import make_field, time_pencil_context\n"
+     "time_pencil_context(make_field(2, 3)).N",
+     ["element", "errors", "field", "kernel", "lines", "linetext", "plane", "polynomial",
+      "tables", "witnesses"]),
 ])
 def test_imports_load_only_the_modules_they_run(statement, loaded):
     """The package resolves its names lazily, the CLI imports the census
     (pencil), conic and arc modules only in the commands that use them, and
     the kernel reads the plane module only when a plane is asked for, so
-    neither import loads them; the field module loads the element API and
-    the Zech arithmetic only when they are first used."""
+    neither import loads them; the field module loads the element API, the
+    --modulus reader and the Zech arithmetic only when they are first used."""
     want = ["galois_arrow", *(f"galois_arrow.{m}" for m in loaded)]
     assert _added_modules(statement, "m.startswith('galois_arrow')") == f"{want}\n"
 
@@ -782,13 +794,16 @@ def _main_quietly(argvs: list[str]) -> str:
 
 def test_arrow_runs_load_only_the_arrow_modules():
     """Each of the benchmark's sweeps, run through main in a fresh
-    interpreter, loads exactly the package, errors, field, kernel, cli and
-    the renderer of its --output, and no json: the sweeps run on value
-    triples, with no plane; the JSON sweep loads no CSV renderer and the
-    CSV sweep no JSON renderer; the payloads module and json are for the
-    other commands and for diagnostics."""
-    for argv, renderer in zip(BENCH_ARGVS, ("arrow_json", "arrow_csv")):
-        loaded = sorted(("cli", "errors", "field", "kernel", renderer))
+    interpreter, loads exactly the package, cli, driver, errors, the field
+    with its polynomials, tables and --modulus reader, kernel and the
+    renderer of its --output, and for the arc sweep the witnesses, and no
+    json: the sweeps run on value triples, with no plane; the JSON sweep
+    loads no CSV renderer and the CSV sweep no JSON renderer nor witnesses;
+    the payloads module and json are for the other commands and for
+    diagnostics."""
+    for argv, extra in zip(BENCH_ARGVS, (("arrow_json", "witnesses"), ("arrow_csv",))):
+        loaded = sorted(("cli", "driver", "errors", "field", "kernel", "modulus", "polynomial",
+                         "tables", *extra))
         want = ["galois_arrow", *(f"galois_arrow.{m}" for m in loaded)]
         assert _added_modules(_main_quietly([argv]),
                               "m.split('.')[0] in ('galois_arrow', 'json')",
@@ -830,13 +845,17 @@ def test_single_arrow_runs_load_no_plane_module():
 # Per argv, the most AST nodes the galois_arrow modules it loads may hold
 # in all, and any one of them.  Without cached bytecode a run compiles every
 # module it loads, and that compile time and memory are most of what the
-# package adds to a gated sweep's wall time and peak RSS; with the element
-# API in field.py, both renderers in cli.py and, for a single run, the plane
+# package adds to a gated sweep's wall time and peak RSS, the peak being
+# set while the largest module compiles.  With the element API in
+# field.py, both renderers in cli.py and, for a single run, the plane
 # module loaded, these runs compiled 9,170, 9,170 and 11,002 nodes, and
-# cli.py alone held 3,519.
-COMPILE_BUDGETS = [(BENCH_ARGVS[0], 7900), (BENCH_ARGVS[1], 7300),
-                   ("arrow --n 8 --mode arc", 8100)]
-MODULE_BUDGET = 2500
+# cli.py alone held 3,519; with field.py's polynomials and reference
+# methods, kernel.py's plane-facing members and witness pass and cli.py's
+# run driver and argparse reader in the modules they loaded, 7,866, 7,255
+# and 7,866, and field.py held 2,480.
+COMPILE_BUDGETS = [(BENCH_ARGVS[0], 6800), (BENCH_ARGVS[1], 5500),
+                   ("arrow --n 8 --mode arc", 6900)]
+MODULE_BUDGET = 1200
 
 
 def _ast_nodes(module: str) -> int:
@@ -854,6 +873,64 @@ def test_arrow_runs_compile_within_their_node_budgets(argv, budget):
     nodes = {module: _ast_nodes(module) for module in loaded}
     assert sum(nodes.values()) <= budget, nodes
     assert max(nodes.values()) <= MODULE_BUDGET, nodes
+
+
+# The functions a module these runs load may hold without entering them,
+# each with its reason; any other function they load and never call is
+# compiled for nothing.
+NEVER_CALLED = {
+    "__getattr__": "the PEP 562 hooks of the package and of the field and kernel modules, and "
+                   "the class hooks that bind the element API onto FieldSpec and the plane's "
+                   "members onto TimePencilContext on first read",
+    "__dir__": "the package's PEP 562 dir()",
+    "__repr__": "FieldSpec's text for a prompt or a traceback",
+    "__reduce__": "FieldSpec's copy and pickle support",
+    "_emit_error": "the diagnostic line of a failed run",
+}
+
+_NEVER_ENTERED = """
+import ast, contextlib, io, sys
+entered = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        code = frame.f_code
+        entered.add((code.co_filename, code.co_firstlineno, code.co_name))
+
+sys.setprofile(profile)
+import galois_arrow.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = galois_arrow.cli.main(sys.argv[1:])
+sys.setprofile(None)
+assert code == 0
+never = []
+for name, module in sorted(sys.modules.items()):
+    if name.split(".")[0] != "galois_arrow":
+        continue
+    for node in ast.walk(ast.parse(open(module.__file__).read())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            # a decorated function's code starts at its first decorator
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            if (module.__file__, first, node.name) not in entered:
+                never.append(f"{name}.{node.name}")
+print(never)
+"""
+
+
+@pytest.mark.parametrize("argv", [*BENCH_ARGVS, "arrow --n 8 --mode arc"])
+def test_arrow_runs_compile_no_function_they_never_call(argv):
+    """Run through main in a fresh interpreter under sys.setprofile, each
+    benchmark sweep and a single arc run enter every function of every
+    galois_arrow module they load, but for the hooks, text forms and error
+    path of NEVER_CALLED: each module loads only for the runs that call
+    it."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", _NEVER_ENTERED, *argv.split()], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    never = ast.literal_eval(proc.stdout)
+    assert [name for name in never if name.rpartition(".")[2] not in NEVER_CALLED] == []
 
 
 @pytest.mark.parametrize("argv", ["field-info --n 2", "plane --n 2", "conic --n 2",

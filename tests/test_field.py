@@ -205,7 +205,7 @@ def test_is_irreducible_constants_are_units():
 
 def _brute_force_irreducible(coeffs, p):
     """Oracle: trial division by every monic polynomial of degree <= deg/2."""
-    from galois_arrow.field import _deg, _monic, _poly_mod, _trim
+    from galois_arrow.polynomial import _deg, _monic, _poly_mod, _trim
 
     f = _monic(_trim(c % p for c in coeffs), p)
     d = _deg(f)
@@ -435,6 +435,37 @@ def test_prime_field_tables_are_the_powers_of_the_least_primitive_root(p):
     assert [spec._log[spec._exp[k]] for k in range(m)] == list(range(m))
     assert _is_primitive_root(g, p)
     assert not any(_is_primitive_root(h, p) for h in range(1, g))
+
+
+def _order(spec, h):
+    """The multiplicative order of the nonzero value h, by _mul_slow."""
+    k, power = 1, h
+    while power != 1:
+        k, power = k + 1, spec._mul_slow(power, h)
+    return k
+
+
+@pytest.mark.parametrize("p, n, modulus", [(3, 2, (1, 0, 1)), (3, 2, (2, 1, 1)), (5, 2, (2, 0, 1)),
+                                           (7, 2, (1, 0, 1)), (3, 3, (1, 2, 0, 1)),
+                                           (3, 4, (2, 1, 0, 0, 1)), (7, 3, (1, 1, 0, 1))],
+                         ids=lambda v: str(v).replace(" ", ""))
+def test_odd_field_tables_are_the_powers_of_the_least_generator(p, n, modulus):
+    """An odd field's tables for n > 1, walked by the zech module's product
+    of packed coefficient vectors, against _mul_slow: exp[k] = g^k over both
+    periods, log inverts exp, and g is the least value from 1 upwards of
+    order q - 1, the one the walk of each candidate in turn finds (x + 1,
+    not x, under x^2 + 1 over GF(3)); q - 1 = 342 = 2 * 3^2 * 19 has two odd
+    prime factors."""
+    spec = make_field(p, n, modulus)
+    m = spec.order - 1
+    g = spec._exp[1]
+    powers = [1]
+    for _ in range(2 * m - 1):
+        powers.append(spec._mul_slow(powers[-1], g))
+    assert spec._exp[:2 * m] == powers
+    assert [spec._log[spec._exp[k]] for k in range(m)] == list(range(m))
+    assert _order(spec, g) == m
+    assert all(_order(spec, h) < m for h in range(1, g))
 
 
 @pytest.mark.parametrize("spec", [GF2, GF3, GF4, GF8, make_field(3, 2, (1, 0, 1)),

@@ -88,3 +88,34 @@ def test_field_spec_element_api_is_bound_from_the_element_module():
         field.no_such_name
     with pytest.raises(ImportError):
         from galois_arrow.field import no_such_name  # noqa: F401
+
+
+@pytest.mark.parametrize("module, name, home", [
+    ("field", "is_irreducible", "polynomial"), ("field", "parse_modulus", "modulus"),
+    ("kernel", "TemporalClass", "arrow"), ("kernel", "validate_ideal_line", "plane"),
+    ("kernel", "validate_lines", "plane")])
+def test_moved_names_resolve_from_the_modules_that_held_them(module, name, home):
+    """A public name defined in a module an arrow run does not load still
+    resolves from the module that used to define it, to the one object."""
+    from importlib import import_module
+    value = getattr(import_module(f"galois_arrow.{module}"), name)
+    assert value is getattr(import_module(f"galois_arrow.{home}"), name)
+    assert value.__module__ == f"galois_arrow.{home}"
+    if name in galois_arrow.__all__:
+        assert getattr(galois_arrow, name) is value
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(import_module(f"galois_arrow.{module}"), "no_such_name")
+
+
+def test_context_plane_members_are_bound_from_the_plane_module():
+    from galois_arrow import plane
+    from galois_arrow.field import make_field
+    from galois_arrow.kernel import _PLANE_MEMBERS, TimePencilContext, time_pencil_context
+    ctx = time_pencil_context(make_field(2, 3))
+    assert ctx.plane is plane.build_plane(ctx.spec)
+    for name in _PLANE_MEMBERS:
+        assert vars(TimePencilContext)[name] is vars(plane._ContextPlane)[name]
+    assert (ctx.B1.values, ctx.B2.values, ctx.N.values) == ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+    assert len(ctx.valid_ideal_lines()) == 49 and len(ctx.valid_tangent_lines()) == 7
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ctx.no_such_name
