@@ -9,8 +9,8 @@ The arrow command runs one loop over ideal lines L-infinity, each with its
 configurations (L-infinity, L*), _arrow_reports; a single configuration
 is the one-pair case.  Each ideal line's reports are joined into one
 string by the renderer of the --output format and written as soon as
-that line is done: JSON in the arrow_json module, CSV in the arrow_csv
-module, each imported only for its format.
+that line is done: JSON in arrow_json and report_text, CSV in arrow_csv,
+each of them loaded only for its format.
 
 The arrow command runs on value triples, from the kernel and the modules
 it imports only for the runs that call them: the witnesses module for arc

@@ -19,7 +19,9 @@ def parse_modulus(text: str, p: int) -> tuple[int, ...]:
         mask = int(text, 16)
         if mask <= 0:
             raise ValueError("modulus bitmask must be positive")
-        return tuple((mask >> i) & 1 for i in range(mask.bit_length()))
+        # the binary digits after "0b", lowest first: one pass over the
+        # text, where a shift per bit is quadratic in the mask's length
+        return tuple(map(int, bin(mask)[:1:-1]))
     try:
         coeffs = tuple(int(tok, 0) for tok in text.split(","))
     except ValueError as exc:

@@ -13,8 +13,6 @@ import json
 
 from .errors import OddCharacteristic
 from .field import FieldSpec
-from .kernel import time_pencil_context
-from .plane import ProjLine, build_plane
 
 
 def _payload_field_info(spec: FieldSpec) -> dict:
@@ -32,6 +30,7 @@ def _payload_field_info(spec: FieldSpec) -> dict:
 
 
 def _payload_plane(spec: FieldSpec) -> dict:
+    from .plane import build_plane
     plane = build_plane(spec)
     return {
         "q": spec.order,
@@ -44,6 +43,7 @@ def _payload_plane(spec: FieldSpec) -> dict:
 
 def _payload_conic(spec: FieldSpec) -> dict:
     from .conic import _nucleus_char2, canonical_conic, classify, point_set, tangent_lines
+    from .plane import build_plane
     plane = build_plane(spec)
     conic = canonical_conic(spec)
     tangents = tangent_lines(conic, plane)
@@ -63,6 +63,7 @@ def _payload_conic(spec: FieldSpec) -> dict:
 
 
 def _payload_pencil(spec: FieldSpec) -> dict:
+    from .kernel import time_pencil_context
     from .pencil import common_nucleus, members, time_pencil
     ctx = time_pencil_context(spec)
     pencil = time_pencil(spec)
@@ -87,6 +88,7 @@ def _payload_pencil(spec: FieldSpec) -> dict:
 
 def _payload_family(spec: FieldSpec, config) -> dict:
     from .arc import build_time_family, family_to_dict
+    from .plane import ProjLine
     linf, lstar = ProjLine(spec, config.linf), ProjLine(spec, config.lstar)
     return family_to_dict(build_time_family(spec, linf, lstar))
 

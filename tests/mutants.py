@@ -2,9 +2,9 @@
 arrows run on (kernel.py, witnesses.py, lines.py, linetext.py and the
 sweep's lines in driver.py), the plane's enumeration and incidence indices
 (plane.py), the text layout of the arrow command's JSON and CSV
-(arrow_json.py, arrow_csv.py), and the table walk, the product, the
-inverse table and the Zech arithmetic of tables.py and zech.py, is pinned
-by some test.
+(arrow_json.py, report_text.py, arrow_csv.py), the expansion of a hex
+modulus (modulus.py), and the table walk, the product, the inverse table
+and the Zech arithmetic of tables.py and zech.py, is pinned by some test.
 
     python tests/mutants.py
 
@@ -52,6 +52,7 @@ PRIME = ["tests/test_field.py::"
 ODD = ["tests/test_field.py::test_odd_field_tables_are_the_powers_of_the_least_generator"]
 INVERSE = ["tests/test_field.py::test_inverse_table_matches_fermat"]
 ZECH_TESTS = ["tests/test_field.py::test_zech_addition_matches_coefficient_arithmetic"]
+HEX = ["tests/test_field.py::test_hex_modulus_expands_to_the_mask_bits"]
 
 # Per file of the package: (what the mutation breaks, its text there, its
 # replacement, the tests that must fail)
@@ -128,12 +129,13 @@ MUTANTS = {"kernel.py": [
 ], "arrow_json.py": [
     ("a sweep's reports separated without their indent", r'separator = ",\n    "',
      r'separator = ",\n  "', GOLDEN),
+    ("the rejections' closing bracket indented one column more", '"\\n  ]" if entries',
+     '"\\n   ]" if entries', GOLDEN),
+], "report_text.py": [
     ("a member's id indented one column less", r'\n        {{\n          "id": ',
      r'\n        {{\n         "id": ', GOLDEN),
     ("a member's class name in lower case", '"class": "{_CLASS_BY_HITS[hits]}"',
      '"class": "{_CLASS_BY_HITS[hits].lower()}"', GOLDEN),
-    ("the rejections' closing bracket indented one column more", '"\\n  ]" if entries',
-     '"\\n   ]" if entries', GOLDEN),
 ], "arrow_csv.py": [
     ("a row's theta joined by a comma", "{self.coords[t1]}:{self.coords[t2]},",
      "{self.coords[t1]},{self.coords[t2]},", GOLDEN),
@@ -141,6 +143,9 @@ MUTANTS = {"kernel.py": [
      'f"{_CLASS_BY_HITS[hits].upper()}\\n")', GOLDEN),
     ("a sweep's L* column without its parentheses", 'f"(1:{coords[a]}:0),"',
      'f"1:{coords[a]}:0,"', GOLDEN),
+], "modulus.py": [
+    ("a hex modulus's bits highest first", "bin(mask)[:1:-1]", "bin(mask)[2:]", HEX),
+    ("a hex modulus's top bit dropped", "bin(mask)[:1:-1]", "bin(mask)[:2:-1]", HEX),
 ], "tables.py": [
     # equivalent while the generator is x, as under every shipped modulus
     ("_char2_product's xor -> or", "out ^= a", "out |= a",

@@ -117,6 +117,10 @@ def test_help_exits_0_and_names_no_private_function(argv):
                 " invariant violation.") in " ".join(text.split())
 
 
+# A hex modulus of 120,000 digits, near the 128 KiB the kernel allows one
+# argv string, whose degree is refused after its bits are expanded.
+LONG_MODULUS = ["field-info", "--n", "4", "--modulus", "0x1" + "0" * 119_999]
+
 GOLDEN_COMMANDS = [
     *json.loads((Path(__file__).resolve().parent / "golden_stdout.json").read_text()),
     *json.loads((Path(__file__).resolve().parents[1] / "bench" / "golden.json").read_text()),
@@ -162,6 +166,7 @@ def _argv_grid() -> list[list[str]]:
                      [command, flag, "2", flag, last], [command, flag, last, flag, "x"],
                      [command, flag[:4], last], [command, flag[:-1], last],
                      [command, "--", flag, last], [command, flag, last, "stray"]]
+    grid.append(LONG_MODULUS)
     return grid
 
 
@@ -365,10 +370,11 @@ def test_csv_exhaustive_includes_configuration_columns():
     (["pencil", "--p", "65521", "--modulus", "0,1"], "OrderTooLarge"),
     (["family", "--n", "16", "--modulus", "0x1100b"], "OrderTooLarge"),
     (["arrow", "--n", "11", "--modulus", "0x805", "--exhaustive"], "OrderTooLarge"),
+    (LONG_MODULUS, "ModulusDegreeMismatch"),
 ])
 def test_rejected_input_follows_the_exit_code_contract(argv, error):
     code, out, err = _run(argv)   # an exception escaping main is a traceback
-    assert code in (0, 2, 3) and not out
+    assert code == 2 and not out
     lines = err.splitlines()
     assert len(lines) == 1 and "Traceback" not in err
     assert json.loads(lines[0])["error"] == error
@@ -746,6 +752,13 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
      "time_pencil_context(make_field(2, 3)).N",
      ["element", "errors", "field", "kernel", "lines", "linetext", "plane", "polynomial",
       "tables", "witnesses"]),
+    # field-info reads the field and its element API only: the payload
+    # builders import the plane and the context when they run
+    ("import contextlib, io\nimport galois_arrow.cli as c\n"
+     "with contextlib.redirect_stdout(io.StringIO()):\n"
+     "    assert c.main(['field-info', '--n', '2']) == 0",
+     ["cli", "driver", "element", "errors", "field", "kernel", "payloads", "polynomial",
+      "tables"]),
 ])
 def test_imports_load_only_the_modules_they_run(statement, loaded):
     """The package resolves its names lazily, the CLI imports the census
@@ -796,12 +809,13 @@ def test_arrow_runs_load_only_the_arrow_modules():
     """Each of the benchmark's sweeps, run through main in a fresh
     interpreter, loads exactly the package, cli, driver, errors, the field
     with its polynomials, tables and --modulus reader, kernel and the
-    renderer of its --output, and for the arc sweep the witnesses, and no
-    json: the sweeps run on value triples, with no plane; the JSON sweep
-    loads no CSV renderer and the CSV sweep no JSON renderer nor witnesses;
-    the payloads module and json are for the other commands and for
-    diagnostics."""
-    for argv, extra in zip(BENCH_ARGVS, (("arrow_json", "witnesses"), ("arrow_csv",))):
+    renderer of its --output (for JSON, the document and the report text),
+    and for the arc sweep the witnesses, and no json: the sweeps run on
+    value triples, with no plane; the JSON sweep loads no CSV renderer and
+    the CSV sweep no JSON renderer nor witnesses; the payloads module and
+    json are for the other commands and for diagnostics."""
+    for argv, extra in zip(BENCH_ARGVS, (("arrow_json", "report_text", "witnesses"),
+                                          ("arrow_csv",))):
         loaded = sorted(("cli", "driver", "errors", "field", "kernel", "modulus", "polynomial",
                          "tables", *extra))
         want = ["galois_arrow", *(f"galois_arrow.{m}" for m in loaded)]
@@ -852,10 +866,15 @@ def test_single_arrow_runs_load_no_plane_module():
 # cli.py alone held 3,519; with field.py's polynomials and reference
 # methods, kernel.py's plane-facing members and witness pass and cli.py's
 # run driver and argparse reader in the modules they loaded, 7,866, 7,255
-# and 7,866, and field.py held 2,480.
+# and 7,866, and field.py held 2,480.  With the JSON renderer in one module
+# of 1,161 nodes, compiled last, the arc runs' peak was set while it
+# compiled; its document and its report text are two modules of at most
+# JSON_RENDERER_BUDGET nodes each.
 COMPILE_BUDGETS = [(BENCH_ARGVS[0], 6800), (BENCH_ARGVS[1], 5500),
                    ("arrow --n 8 --mode arc", 6900)]
-MODULE_BUDGET = 1200
+MODULE_BUDGET = 1010
+JSON_RENDERER = ("galois_arrow.arrow_json", "galois_arrow.report_text")
+JSON_RENDERER_BUDGET = 650
 
 
 def _ast_nodes(module: str) -> int:
@@ -873,6 +892,7 @@ def test_arrow_runs_compile_within_their_node_budgets(argv, budget):
     nodes = {module: _ast_nodes(module) for module in loaded}
     assert sum(nodes.values()) <= budget, nodes
     assert max(nodes.values()) <= MODULE_BUDGET, nodes
+    assert all(nodes[m] <= JSON_RENDERER_BUDGET for m in JSON_RENDERER if m in nodes), nodes
 
 
 # The functions a module these runs load may hold without entering them,

@@ -7,6 +7,7 @@ import pickle
 import random
 import sys
 import threading
+import time
 import weakref
 from itertools import product
 
@@ -547,6 +548,28 @@ def test_parse_modulus_hex_bitmask():
         parse_modulus("0xB", 3)
     with pytest.raises(ValueError):
         parse_modulus("x^3+x+1", 2)
+
+
+@pytest.mark.parametrize("mask", [0x1, 0x3, 0xB, 0x13, 0x1100b, 0x9 << 700 | 0x5, 1 << 4000],
+                         ids=lambda mask: f"bits{mask.bit_length()}")
+def test_hex_modulus_expands_to_the_mask_bits(mask):
+    """A hex modulus is the bits of its mask, lowest first: the same tuple
+    as a shift per bit, the reference expansion."""
+    assert parse_modulus(hex(mask), 2) == tuple((mask >> i) & 1 for i in range(mask.bit_length()))
+
+
+def test_hex_modulus_expansion_takes_linear_time():
+    """Ten times the hex digits take less than 40 times as long (a shift per
+    bit, which is quadratic in the mask's length, takes about 100 times)."""
+    def best(digits: int) -> float:
+        text = "0x1" + "0" * (digits - 1)
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            parse_modulus(text, 2)
+            times.append(time.perf_counter() - start)
+        return min(times)
+    assert best(120_000) < 40 * best(12_000)
 
 
 def test_hex_and_list_moduli_agree():

@@ -46,6 +46,7 @@ from galois_arrow.plane import (
 from galois_arrow.arc import _member_points
 from galois_arrow.kernel import (
     TimePencilContext,
+    _orbit,
     _quadratic_roots,
     time_pencil_context,
     validate_ideal_line,
@@ -381,11 +382,12 @@ def test_validate_ideal_line_rejects_other_fields():
 
 
 def _trace(spec, k):
-    """Absolute trace k + k^2 + k^4 + ... + k^(2^(n-1)) of GF(2^n)."""
-    total = 0
-    for _ in range(spec.degree):
-        total ^= k
+    """Absolute trace k + k^2 + k^4 + ... + k^(2^(n-1)) of GF(2^n), by n - 1
+    squarings."""
+    total = k
+    for _ in range(spec.degree - 1):
         k = spec._mul_i(k, k)
+        total ^= k
     return total
 
 
@@ -406,6 +408,35 @@ def test_quadratic_roots_follow_the_trace(spec):
             assert spec._mul_i(y, y) ^ y == k
     if spec.order <= 32:
         assert time_pencil_context(spec).roots == roots
+
+
+# Moduli of GF(2^n) for n > 8, where none is shipped.
+TRACE_MODULI = {9: "0x211", 10: "0x409", 11: "0x805", 12: "0x1053", 13: "0x201b",
+                14: "0x4443", 15: "0x8003", 16: "0x1100b"}
+
+
+@pytest.mark.parametrize("n", range(2, 17), ids=lambda n: f"q{2 ** n}")
+def test_conic_tallies_follow_the_trace_at_every_supported_order(n):
+    """On the orbit representative (1 : u : 1), member t meets the ideal line
+    where y^2 + y = u*t, so it is Past exactly when Tr(u*t) = 0; as t runs
+    over GF(q)* so does u*t.  So every valid ideal line has as many Past
+    members as GF(q)* has elements of trace 0, q/2 - 1: the conic arrow
+    {(q-2)/2, 0, q/2}.  The context's roots follow the trace at every
+    supported q = 2^n, and at q <= 64 every valid ideal line's orbit has
+    that many Past members."""
+    modulus = TRACE_MODULI.get(n)
+    spec = make_field(2, n, modulus and parse_modulus(modulus, 2))
+    ctx = time_pencil_context(spec)
+    q = spec.order
+    traces = [_trace(spec, k) for k in range(q)]
+    assert [root is not None for root in ctx.roots] == [tr == 0 for tr in traces]
+    past = traces[1:].count(0)
+    assert past == q // 2 - 1
+    if q <= 64:
+        for b in range(1, q):
+            for c in range(1, q):
+                _, ys = _orbit(ctx, (1, b, c))
+                assert len(ys) - ys.count(None) == past, (b, c)
 
 
 def test_context_has_no_roots_in_odd_characteristic():
