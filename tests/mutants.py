@@ -2,9 +2,11 @@
 arrows run on (kernel.py, witnesses.py, lines.py, linetext.py and the
 sweep's lines in driver.py), the plane's enumeration and incidence indices
 (plane.py), the text layout of the arrow command's JSON and CSV
-(arrow_json.py, report_text.py, arrow_csv.py), the expansion of a hex
-modulus (modulus.py), and the table walk, the product, the inverse table
-and the Zech arithmetic of tables.py and zech.py, is pinned by some test.
+(arrow_json.py, report_text.py, arrow_csv.py), the closed forms the conic
+and pencil commands print and the family's CSV rows (payloads.py), the
+expansion of a hex modulus (modulus.py), and the table walk, the product,
+the inverse table and the Zech arithmetic of tables.py and zech.py, is
+pinned by some test.
 
     python tests/mutants.py
 
@@ -53,6 +55,13 @@ ODD = ["tests/test_field.py::test_odd_field_tables_are_the_powers_of_the_least_g
 INVERSE = ["tests/test_field.py::test_inverse_table_matches_fermat"]
 ZECH_TESTS = ["tests/test_field.py::test_zech_addition_matches_coefficient_arithmetic"]
 HEX = ["tests/test_field.py::test_hex_modulus_expands_to_the_mask_bits"]
+# the conic and pencil commands' digests at q = 16, over GF(25) (odd, with
+# -2 != 1) and over GF(27), and those of the family's CSV at q = 4 and 8
+PAYLOADS = [f"tests/test_golden_stdout.py::test_stdout_matches_large_golden_digest[{command}]"
+            for command in ("conic --n 4", "conic --p 5 --n 2 --modulus 2,0,1",
+                            "pencil --n 4 --output json", "pencil --p 3 --n 3 --modulus 1,2,0,1")
+            ] + [f"tests/test_golden_stdout.py::test_stdout_matches_golden_digest[{command}]"
+                 for command in ("family --n 2 --output csv", "family --n 3 --output csv")]
 
 # Per file of the package: (what the mutation breaks, its text there, its
 # replacement, the tests that must fail)
@@ -143,6 +152,22 @@ MUTANTS = {"kernel.py": [
      'f"{_CLASS_BY_HITS[hits].upper()}\\n")', GOLDEN),
     ("a sweep's L* column without its parentheses", 'f"(1:{coords[a]}:0),"',
      'f"1:{coords[a]}:0,"', GOLDEN),
+], "payloads.py": [
+    # the polar (x1 : x2 : -2x3) or (x2 : x1 : 2x3) would be equivalent: the
+    # conic and its set of tangents are fixed by x1 <-> x2 and by x3 -> -x3
+    ("a tangent's -2x3 -> x3", "spec._neg_i(spec._add_i(x3, x3))", "x3", PAYLOADS),
+    ("the tangents in reverse plane order", "key=plane.lines.index)",
+     "key=plane.lines.index, reverse=True)", PAYLOADS),
+    ("the conic's points in parametrization order",
+     "sorted(parametrize_canonical(spec), key=plane.points.index)",
+     "list(parametrize_canonical(spec))", PAYLOADS),
+    ("RealLinePair and DoubleLine swapped", '("DoubleLine", "RealLinePair")[t1]',
+     '("RealLinePair", "DoubleLine")[t1]', PAYLOADS),
+    ("the member (1, 0) proper", '"Proper" if t1 * t2 else', '"Proper" if t1 else', PAYLOADS),
+    ("the common nucleus read from B1", "str(ctx.N)", "str(ctx.B1)", PAYLOADS),
+    ("a family CSV row's is_conic at q = 8, not 4", "str(q == 4)", "str(q == 8)", PAYLOADS),
+    ("a family CSV row's size one short", "{len(arc.points)}", "{len(arc.points) - 1}",
+     PAYLOADS),
 ], "modulus.py": [
     ("a hex modulus's bits highest first", "bin(mask)[:1:-1]", "bin(mask)[2:]", HEX),
     ("a hex modulus's top bit dropped", "bin(mask)[:1:-1]", "bin(mask)[:2:-1]", HEX),

@@ -229,21 +229,27 @@ def test_run_conic_includes_nucleus_only_for_even_q():
     assert json.loads(out3)["nucleus"] is None
 
 
-def test_run_conic_scans_the_lines_for_tangents_once(monkeypatch):
-    """The nucleus comes from the closed form, not from a second scan of
-    every line through conic.nucleus.  The payload builder imports
-    conic.tangent_lines when it runs, so it calls the patched one."""
-    from galois_arrow import conic
-    tangent_lines, calls = conic.tangent_lines, []
+@pytest.mark.parametrize("argv", ["conic --n 3", "conic --p 3", "pencil --n 3",
+                                  "pencil --n 3 --output csv", "pencil --p 5",
+                                  "pencil --p 5 --output csv"])
+def test_run_conic_and_pencil_call_no_scan_tally_or_census(monkeypatch, argv):
+    """conic and pencil print closed forms: neither calls the plane scan
+    point_set, the tangent tally tangent_lines, the member census members
+    or common_nucleus, which stay their oracles.  The payload builders
+    import what they read when they run, so they would call the patched
+    counters."""
+    from galois_arrow import conic, pencil
+    calls = []
+    for module, name in [(conic, "point_set"), (conic, "tangent_lines"),
+                         (pencil, "members"), (pencil, "common_nucleus")]:
+        def counting(*args, name=name, original=getattr(module, name)):
+            calls.append(name)
+            return original(*args)
 
-    def counting(*args):
-        calls.append(args)
-        return tangent_lines(*args)
-
-    monkeypatch.setattr(conic, "tangent_lines", counting)
-    code, out, _ = _run(["conic", "--n", "3"])
-    assert code == 0 and json.loads(out)["nucleus"] == "(0:0:1)"
-    assert len(calls) == 1
+        monkeypatch.setattr(module, name, counting)
+    code, out, _ = _run(argv.split())
+    assert code == 0 and out
+    assert calls == []
 
 
 def test_run_pencil_census_json():
@@ -759,6 +765,13 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
      "    assert c.main(['field-info', '--n', '2']) == 0",
      ["cli", "driver", "element", "errors", "field", "kernel", "payloads", "polynomial",
       "tables"]),
+    # pencil reads its members from the context and its points from the
+    # plane module: neither the census (pencil) nor the conic module
+    ("import contextlib, io\nimport galois_arrow.cli as c\n"
+     "with contextlib.redirect_stdout(io.StringIO()):\n"
+     "    assert c.main(['pencil', '--n', '2']) == 0",
+     ["cli", "driver", "element", "errors", "field", "kernel", "lines", "linetext", "payloads",
+      "plane", "polynomial", "tables", "witnesses"]),
 ])
 def test_imports_load_only_the_modules_they_run(statement, loaded):
     """The package resolves its names lazily, the CLI imports the census
@@ -951,6 +964,49 @@ def test_arrow_runs_compile_no_function_they_never_call(argv):
     assert (proc.returncode, proc.stderr) == (0, "")
     never = ast.literal_eval(proc.stdout)
     assert [name for name in never if name.rpartition(".")[2] not in NEVER_CALLED] == []
+
+
+_CALLS_PER_ORDER = """
+import contextlib, io, sys
+import galois_arrow.cli
+calls = 0
+
+def profile(frame, event, arg):
+    global calls
+    if event == "call":
+        calls += 1
+
+def run(n):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert galois_arrow.cli.main([*sys.argv[1:], "--n", str(n)]) == 0
+
+run(3)
+counts = []
+for n in (4, 6, 8):
+    calls = 0
+    sys.setprofile(profile)
+    run(n)
+    sys.setprofile(None)
+    counts.append(calls)
+print(counts)
+"""
+
+
+@pytest.mark.parametrize("argv", ["conic", "pencil", "pencil --output csv"])
+def test_conic_and_pencil_do_o_of_q_work(argv):
+    """The Python calls of conic and pencil at q = 16, 64 and 256, counted
+    under sys.setprofile in a fresh interpreter after a run at q = 8 has
+    loaded the modules (the caches of point_set, members and build_plane
+    are keyed by field, so no count reads another's): each fourfold q at
+    most multiplies them by 6, where O(q) work gives about 4 and a plane
+    scan or a tally of its lines about 16."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", _CALLS_PER_ORDER, *argv.split()], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    q16, q64, q256 = ast.literal_eval(proc.stdout)
+    assert q64 / q16 < 6 and q256 / q64 < 6, (q16, q64, q256)
 
 
 @pytest.mark.parametrize("argv", ["field-info --n 2", "plane --n 2", "conic --n 2",

@@ -1,10 +1,12 @@
 """Byte-identity gate: the CLI's stdout for a fixed command set must keep
-the sha256 digests recorded in golden_stdout.json.
+the sha256 digests recorded in golden_stdout.json, and that of the other
+commands at larger q in golden_stdout_large.json.
 
 A refactor that changes one byte of any report fails here.  After an
 intended output change, regenerate the digests with
 
     PYTHONPATH=src python tests/test_golden_stdout.py > tests/golden_stdout.json
+    PYTHONPATH=src python tests/test_golden_stdout.py large > tests/golden_stdout_large.json
 """
 
 import hashlib
@@ -21,6 +23,7 @@ import pytest
 from galois_arrow import cli
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden_stdout.json"
+LARGE_GOLDEN_PATH = GOLDEN_PATH.with_name("golden_stdout_large.json")
 # the benchmark's own digests, every sweep modulus and both single
 # configurations; read here, never written
 BENCH_GOLDEN_PATH = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
@@ -53,6 +56,31 @@ def _commands() -> list[str]:
     return out
 
 
+def _large_commands() -> list[str]:
+    """plane, conic, pencil and family at q = 16 to 256, under non-default
+    moduli of GF(2^6) and GF(2^8) (0x11b's table generator is x + 1, not
+    x), and over odd fields that have no default modulus; family also at
+    other (L-infinity, L*) pairs, one given unnormalized."""
+    defaults = [f"--n {n}" for n in (4, 5, 6, 8)]
+    gf64, gf256 = "--n 6 --modulus 0x5b", "--n 8 --modulus 0x11b"
+    out = []
+    for f in defaults + [gf64, gf256]:
+        out += [f"conic {f}", f"pencil {f} --output json", f"pencil {f} --output csv",
+                f"family {f} --output csv"]
+    # the family's JSON under 0x11b at a pair below
+    out += [f"family {f} --output json" for f in defaults + [gf64]]
+    out += [f"plane {f}" for f in defaults]
+    for f in ("--p 5 --n 2 --modulus 2,0,1", "--p 3 --n 3 --modulus 1,2,0,1",
+              "--p 7 --n 2 --modulus 1,0,1", "--p 3 --n 4 --modulus 2,1,0,0,1"):
+        out += [f"conic {f}", f"pencil {f}", f"pencil {f} --output csv"]
+    pairs = ("--linf 1,2,3 --lstar 1,5,0", "--linf 1,7,1 --lstar 1,1,0",
+             "--linf 2,4,6 --lstar 3,5,0")
+    for f in defaults[:3] + [gf64]:
+        out += [f"family {f} {pair}" for pair in pairs]
+    out += [f"family --n 8 {pairs[2]}", f"family {gf256} {pairs[0]}"]
+    return out
+
+
 def _stdout_digest(command: str) -> str:
     buf = io.StringIO()
     with redirect_stdout(buf):
@@ -61,17 +89,23 @@ def _stdout_digest(command: str) -> str:
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
-def _golden() -> dict[str, str]:
-    return json.loads(GOLDEN_PATH.read_text())
+def _golden(path: Path = GOLDEN_PATH) -> dict[str, str]:
+    return json.loads(path.read_text())
 
 
 def test_golden_covers_exactly_the_command_set():
     assert sorted(_golden()) == sorted(_commands())
+    assert sorted(_golden(LARGE_GOLDEN_PATH)) == sorted(_large_commands())
 
 
 @pytest.mark.parametrize("command", _commands())
 def test_stdout_matches_golden_digest(command):
     assert _stdout_digest(command) == _golden()[command]
+
+
+@pytest.mark.parametrize("command", _large_commands())
+def test_stdout_matches_large_golden_digest(command):
+    assert _stdout_digest(command) == _golden(LARGE_GOLDEN_PATH)[command]
 
 
 @pytest.mark.parametrize("command", [
@@ -96,4 +130,5 @@ def test_sweep_stdout_matches_benchmark_digest(command):
 
 
 if __name__ == "__main__":
-    print(json.dumps({c: _stdout_digest(c) for c in _commands()}, indent=2))
+    commands = _large_commands() if sys.argv[1:] == ["large"] else _commands()
+    print(json.dumps({c: _stdout_digest(c) for c in commands}, indent=2))
