@@ -26,10 +26,10 @@ from .field import field_order
 
 COMMANDS = ("field-info", "plane", "conic", "pencil", "family", "arrow")
 _CSV_COMMANDS = ("pencil", "family", "arrow")
-# The largest order at which the commands that scan or print the whole
-# plane, and arrow sweeps, are accepted.  Their work grows as q^2 or
-# faster; at q = 2^10 each of plane, conic, pencil and family takes at
-# most about 8 s and 425 MiB on 2 cores.
+# The largest order at which plane, conic, pencil, family and arrow sweeps
+# are accepted.  At q = 2^10 on 2 cores plane and family take about 6 s and
+# 373-424 MiB, and conic and pencil, O(q), under 0.2 s.  It stays until a
+# closed-form work estimate replaces it (ROADMAP item 6).
 _PLANE_MAX_ORDER = 1 << 10
 _PLANE_COMMANDS = ("plane", "conic", "pencil", "family")
 

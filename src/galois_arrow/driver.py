@@ -31,10 +31,10 @@ from typing import TYPE_CHECKING, Iterator
 
 from .errors import InvariantViolation, ValidationError
 from .field import FieldSpec, make_field
-from .kernel import Values, time_pencil_context
 
 if TYPE_CHECKING:
     from .cli import RunConfig
+    from .kernel import Values
 
 
 # --- arrow reports, streamed ------------------------------------------------
@@ -58,6 +58,7 @@ def _arrow_reports(spec: FieldSpec, config: RunConfig, rejected: list[tuple[Valu
     configurations whose contact point lies on a degenerate member are
     appended to rejected during a sweep; a single run raises
     DegenerateContactPoint."""
+    from .kernel import time_pencil_context
     ctx = time_pencil_context(spec)
     arc = config.mode == "arc"
     if config.exhaustive:

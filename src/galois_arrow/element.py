@@ -4,12 +4,13 @@ element operations, and FieldSpec's reference methods.
 A FieldElement pairs a FieldSpec with a packed value and computes through
 the spec's tables.  The field module constructs fields on packed values
 and does not import this one: an arrow run never makes an element, so it
-does not compile this module.  Its names resolve from the field module
-and the package on first access (PEP 562), and the first read of a
-spec's element API (element, zero, one, generator, elements, _pow_i,
-_sqrt_i) or of its reference methods (coeffs_of, value_of, the polynomial
-product _mul_slow and the checked inverse _inv_i) loads this module,
-which binds them onto FieldSpec.
+does not compile this module.  FieldElement, elements, inv and
+sqrt_char2 also resolve from the package on first access (PEP 562).  The
+members of _SpecElementAPI are FieldSpec's element API (element, zero,
+one, generator, elements, _pow_i, _sqrt_i) and its reference methods
+(coeffs_of, value_of, the polynomial product _mul_slow and the checked
+inverse _inv_i).  Loading this module binds each onto FieldSpec, and the
+first read of a name a spec lacks loads it (FieldSpec.__getattr__).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import DivisionByZero, MixedFields, OddCharacteristic
-from .field import _SPEC_ELEMENT_API, FieldSpec
+from .field import FieldSpec
 from .polynomial import _poly_mod, _poly_mul, _trim
 
 
@@ -102,8 +103,9 @@ class _SpecElementAPI:
         return [FieldElement(self, v) for v in range(self.order)]
 
 
-for _name in _SPEC_ELEMENT_API:
-    setattr(FieldSpec, _name, vars(_SpecElementAPI)[_name])
+for _name, _member in vars(_SpecElementAPI).items():
+    if not _name.startswith("__"):
+        setattr(FieldSpec, _name, _member)
 
 
 class FieldElement:

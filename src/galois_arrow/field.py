@@ -15,15 +15,14 @@ module, imported only when an odd-characteristic field is built).
 This module holds what constructing a field runs: validation (the
 irreducibility test and the polynomials over GF(p) are the polynomial
 module's), the tables (the tables module's), format and make_field.  What
-no construction runs is loaded on its first use, from here (PEP 562,
-FieldSpec.__getattr__) or from the package: parse_modulus from the
-modulus module, and the element API from the element module, that is
-FieldElement, the module-level add, sub, neg, mul, inv, sqrt_char2 and
-elements, FieldSpec's element, zero, one, generator, elements, _pow_i and
-_sqrt_i, and its reference methods coeffs_of, value_of, _mul_slow and
-_inv_i.  So a run on packed values, as the arrow command is, does not
-compile the element module, nor one on a shipped modulus the modulus
-module.
+no construction runs lives in its own module and is imported from there:
+parse_modulus from the modulus module, and FieldElement and the
+module-level element operations from the element module.  The element
+module also defines FieldSpec's element API and reference methods; the
+first read of a name FieldSpec lacks loads it (FieldSpec.__getattr__),
+which binds them onto the class.  So a run on packed values, as the arrow
+command is, does not compile the element module, nor one on a shipped
+modulus the modulus module.
 """
 
 from __future__ import annotations
@@ -70,23 +69,6 @@ def field_order(p: int, n: int) -> int:
     if n > 16 or p ** n > MAX_ORDER:
         raise OrderTooLarge(f"order {p}^{n} exceeds the supported bound 2^16")
     return p ** n
-
-
-# The element API, defined in the element module and loaded on first use:
-# FieldSpec's methods that make, serve or read elements, its reference
-# methods, and the module's names.
-_SPEC_ELEMENT_API = ("_pow_i", "_sqrt_i", "element", "zero", "one", "generator", "elements",
-                     "coeffs_of", "value_of", "_mul_slow", "_inv_i")
-_ELEMENT_NAMES = ("FieldElement", "add", "sub", "neg", "mul", "inv", "sqrt_char2", "elements")
-
-
-def __getattr__(name: str):
-    module = ("modulus" if name == "parse_modulus" else
-              "element" if name in _ELEMENT_NAMES else None)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-    return getattr(import_module(f"{__package__}.{module}"), name)
 
 
 # (p, n, monic modulus) -> the live FieldSpec of that field; weak, so a spec
@@ -163,12 +145,13 @@ class FieldSpec:
 
     def __getattr__(self, name: str):
         # called only for a name the spec and its class lack: loading the
-        # element module binds the element API onto this class, so this runs
-        # at most once per name
-        if name not in _SPEC_ELEMENT_API:
+        # element module binds its members onto this class, so this runs at
+        # most once per name; a dunder, as copy.deepcopy probes for, is
+        # refused without loading it
+        if name.startswith("__"):
             raise AttributeError(f"'FieldSpec' object has no attribute {name!r}")
         from . import element  # noqa: F401
-        return getattr(self, name)
+        return object.__getattribute__(self, name)
 
 
 # ---------------------------------------------------------------------------

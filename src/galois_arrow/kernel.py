@@ -14,10 +14,10 @@ call them, so it loads no plane, census, conic or arc module:
 A sweep takes its lines in closed form: the ideal lines (1 : b : c),
 bc != 0, and the lines L* = (1 : a : 0), a != 0 (driver._arrow_reports).
 The plane module, and the oracles in it, import the kernel, never the
-reverse: the context's plane-facing members (plane, B1, B2, N and the
-valid lines as plane items) and the validation of lines given as plane
-items are defined there, and bound onto TimePencilContext when they are
-first read.
+reverse.  It defines the validation of lines given as plane items
+(validate_ideal_line, validate_lines) and the context's plane-facing
+members (plane, B1, B2, N and the valid lines as plane items); loading it
+binds those onto TimePencilContext, and the first read of one loads it.
 
 The canonical ("time") pencil, pencil.time_pencil, is spanned by x1*x2 and
 x3^2.  Its members are indexed by theta = (t1, t2), normalized so the
@@ -56,20 +56,6 @@ Values = tuple[int, int, int]
 # is the enum of them.
 _CLASS_BY_HITS = ("Future", "Present", "Past")
 
-# Names defined in other modules, resolved from here on first access (PEP 562).
-_MOVED = {"TemporalClass": "arrow", "validate_ideal_line": "plane", "validate_lines": "plane"}
-# The context's members defined in the plane module and bound onto
-# TimePencilContext when that module is loaded.
-_PLANE_MEMBERS = ("plane", "B1", "B2", "N", "valid_ideal_lines", "valid_tangent_lines")
-
-
-def __getattr__(name: str):
-    module = _MOVED.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-    return getattr(import_module(f"{__package__}.{module}"), name)
-
 
 def _quadratic_roots(spec: FieldSpec) -> list[int | None]:
     """For each k of GF(2^n), a root y of y^2 + y = k, or None if there is
@@ -103,12 +89,12 @@ class TimePencilContext:
 
     def __getattr__(self, name: str):
         # called only for a name the context and its class lack: loading the
-        # plane module binds the plane-facing members onto this class, so
-        # this runs at most once per name
-        if name not in _PLANE_MEMBERS:
+        # plane module binds its members onto this class, so this runs at
+        # most once per name; a dunder is refused without loading it
+        if name.startswith("__"):
             raise AttributeError(f"'TimePencilContext' object has no attribute {name!r}")
         from . import plane  # noqa: F401
-        return getattr(self, name)
+        return object.__getattribute__(self, name)
 
 
 @lru_cache(maxsize=None)

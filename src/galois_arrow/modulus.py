@@ -2,8 +2,8 @@
 it.
 
 cli.parse_args imports this module only when --modulus is given, so a run
-on a shipped modulus does not compile it.  parse_modulus resolves from the
-field module and the package on first access (PEP 562).
+on a shipped modulus does not compile it.  parse_modulus also resolves from
+the package on first access (PEP 562).
 """
 
 from __future__ import annotations

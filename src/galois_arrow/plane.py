@@ -13,9 +13,10 @@ are solved for in closed form in O(q); the test suite checks them against
 the incidence scan exhaustively.
 
 The kernel's TimePencilContext reads its plane, B1, B2, N and its valid
-lines as plane items from here: loading this module binds them onto it
-(_PLANE_MEMBERS), and the first read of one loads it.  validate_ideal_line
-and validate_lines check lines given as plane items by their values
+lines as plane items from here: loading this module binds each member of
+_ContextPlane onto it, and the first read of a name a context lacks loads
+it (TimePencilContext.__getattr__).  validate_ideal_line and
+validate_lines check lines given as plane items by their values
 (lines._check_line).
 """
 
@@ -30,7 +31,7 @@ from typing import Iterable, Iterator
 from .element import FieldElement
 from .errors import CoincidentLines, CoincidentPoints, MixedFields
 from .field import FieldSpec
-from .kernel import _PLANE_MEMBERS, TimePencilContext, Values
+from .kernel import TimePencilContext, Values
 from .linetext import _text
 from .lines import _check_line, _normalized
 from .witnesses import _triple_values
@@ -352,5 +353,6 @@ class _ContextPlane:
         return tuple([lines[a * q] for a in range(1, q)])
 
 
-for _name in _PLANE_MEMBERS:
-    setattr(TimePencilContext, _name, vars(_ContextPlane)[_name])
+for _name, _member in vars(_ContextPlane).items():
+    if not _name.startswith("__"):
+        setattr(TimePencilContext, _name, _member)

@@ -20,10 +20,11 @@ from galois_arrow.plane import (
     build_plane,
     incident,
     meet,
+    validate_ideal_line,
 )
 from galois_arrow.arc import _member_points, build_time_family
-from galois_arrow.arrow import arc_arrow, classify_member, conic_arrow
-from galois_arrow.kernel import TemporalClass, time_pencil_context, validate_ideal_line
+from galois_arrow.arrow import TemporalClass, arc_arrow, classify_member, conic_arrow
+from galois_arrow.kernel import time_pencil_context
 from galois_arrow.witnesses import _arc_deltas, _contacts, _triple_values, _witnesses
 
 GF4 = make_field(2, 2)

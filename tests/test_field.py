@@ -25,20 +25,10 @@ from galois_arrow.errors import (
     ReducibleModulus,
     ZeroPolynomial,
 )
-from galois_arrow.field import (
-    DEFAULT_MODULI,
-    FieldSpec,
-    add,
-    elements,
-    inv,
-    is_irreducible,
-    make_field,
-    mul,
-    neg,
-    parse_modulus,
-    sqrt_char2,
-    sub,
-)
+from galois_arrow.element import add, elements, inv, mul, neg, sqrt_char2, sub
+from galois_arrow.field import DEFAULT_MODULI, FieldSpec, make_field
+from galois_arrow.modulus import parse_modulus
+from galois_arrow.polynomial import is_irreducible
 from galois_arrow.conic import solve_homogeneous
 from galois_arrow.plane import ProjLine, ProjPoint, incident
 

@@ -61,42 +61,34 @@ def test_unknown_name_raises_attribute_error():
         from galois_arrow import no_such_name  # noqa: F401
 
 
-@pytest.mark.parametrize("name", ["FieldElement", "add", "sub", "neg", "mul", "inv",
-                                  "sqrt_char2", "elements"])
-def test_element_names_resolve_from_the_field_module(name):
-    """The element API lives in the element module; the field module and
-    the package resolve each of its names to the one object."""
-    from galois_arrow import element, field
-    value = getattr(field, name)
-    assert value is getattr(element, name)
-    assert value.__module__ == "galois_arrow.element"
-    if name in galois_arrow.__all__:
-        assert getattr(galois_arrow, name) is value
-
-
 def test_field_spec_element_api_is_bound_from_the_element_module():
-    from galois_arrow import element, field
-    from galois_arrow.field import _SPEC_ELEMENT_API, FieldSpec, make_field
+    """Loading the element module binds every member of _SpecElementAPI
+    that is not a dunder onto FieldSpec; a name a spec lacks still raises
+    the AttributeError of a missing attribute."""
+    from galois_arrow import element
+    from galois_arrow.field import FieldSpec, make_field
     spec = make_field(2, 3)
-    for name in _SPEC_ELEMENT_API:
+    members = [name for name in vars(element._SpecElementAPI) if not name.startswith("__")]
+    assert {"element", "zero", "one", "generator", "elements", "_pow_i", "_sqrt_i",
+            "coeffs_of", "value_of", "_mul_slow", "_inv_i"} == set(members)
+    for name in members:
         assert vars(FieldSpec)[name] is vars(element._SpecElementAPI)[name]
         assert getattr(spec, name) is not None
+    assert (FieldSpec.__module__, FieldSpec.__qualname__) == ("galois_arrow.field", "FieldSpec")
     assert spec.one == spec.element(1) and spec.generator.value == 2
-    with pytest.raises(AttributeError, match="no_such_name"):
-        spec.no_such_name
-    with pytest.raises(AttributeError, match="no_such_name"):
-        field.no_such_name
+    for name in ("no_such_name", "__no_such_name__"):
+        with pytest.raises(AttributeError) as caught:
+            getattr(spec, name)
+        assert str(caught.value) == f"'FieldSpec' object has no attribute {name!r}"
     with pytest.raises(ImportError):
         from galois_arrow.field import no_such_name  # noqa: F401
 
 
-@pytest.mark.parametrize("module, name, home", [
-    ("field", "is_irreducible", "polynomial"), ("field", "parse_modulus", "modulus"),
-    ("kernel", "TemporalClass", "arrow"), ("kernel", "validate_ideal_line", "plane"),
-    ("kernel", "validate_lines", "plane")])
+@pytest.mark.parametrize("module, name, home", [("field", "is_irreducible", "polynomial")])
 def test_moved_names_resolve_from_the_modules_that_held_them(module, name, home):
-    """A public name defined in a module an arrow run does not load still
-    resolves from the module that used to define it, to the one object."""
+    """A public name that a module imports from its home, as the field
+    module imports is_irreducible to validate every modulus, is the one
+    object; a name neither defines nor imports raises AttributeError."""
     from importlib import import_module
     value = getattr(import_module(f"galois_arrow.{module}"), name)
     assert value is getattr(import_module(f"galois_arrow.{home}"), name)
@@ -107,15 +99,47 @@ def test_moved_names_resolve_from_the_modules_that_held_them(module, name, home)
         getattr(import_module(f"galois_arrow.{module}"), "no_such_name")
 
 
+@pytest.mark.parametrize("module, name, home", [
+    *[("field", name, "element") for name in ("FieldElement", "add", "sub", "neg", "mul",
+                                              "inv", "sqrt_char2", "elements")],
+    ("field", "parse_modulus", "modulus"), ("kernel", "TemporalClass", "arrow"),
+    ("kernel", "validate_ideal_line", "plane"), ("kernel", "validate_lines", "plane")])
+def test_each_name_resolves_only_from_its_home(module, name, home):
+    """A name that a module neither defines nor imports does not resolve
+    from it, even after its home is loaded: the field module does not
+    hand out the element API or parse_modulus, nor the kernel module the
+    arrow and plane names; each comes from its home, as the one object
+    the package exports."""
+    from importlib import import_module
+    value = getattr(import_module(f"galois_arrow.{home}"), name)
+    assert value.__module__ == f"galois_arrow.{home}"
+    if name in galois_arrow.__all__:
+        assert getattr(galois_arrow, name) is value
+    held = import_module(f"galois_arrow.{module}")
+    assert name not in vars(held)
+    with pytest.raises(AttributeError, match=name):
+        getattr(held, name)
+    with pytest.raises(ImportError):
+        exec(f"from galois_arrow.{module} import {name}", {})
+
+
 def test_context_plane_members_are_bound_from_the_plane_module():
+    """Loading the plane module binds every member of _ContextPlane that is
+    not a dunder onto TimePencilContext; a name a context lacks still
+    raises the AttributeError of a missing attribute."""
     from galois_arrow import plane
     from galois_arrow.field import make_field
-    from galois_arrow.kernel import _PLANE_MEMBERS, TimePencilContext, time_pencil_context
+    from galois_arrow.kernel import TimePencilContext, time_pencil_context
     ctx = time_pencil_context(make_field(2, 3))
     assert ctx.plane is plane.build_plane(ctx.spec)
-    for name in _PLANE_MEMBERS:
+    members = [name for name in vars(plane._ContextPlane) if not name.startswith("__")]
+    assert {"plane", "B1", "B2", "N", "valid_ideal_lines", "valid_tangent_lines"} == set(members)
+    for name in members:
         assert vars(TimePencilContext)[name] is vars(plane._ContextPlane)[name]
+    assert TimePencilContext.__module__ == "galois_arrow.kernel"
     assert (ctx.B1.values, ctx.B2.values, ctx.N.values) == ((0, 1, 0), (1, 0, 0), (0, 0, 1))
     assert len(ctx.valid_ideal_lines()) == 49 and len(ctx.valid_tangent_lines()) == 7
-    with pytest.raises(AttributeError, match="no_such_name"):
-        ctx.no_such_name
+    for name in ("no_such_name", "__no_such_name__"):
+        with pytest.raises(AttributeError) as caught:
+            getattr(ctx, name)
+        assert str(caught.value) == f"'TimePencilContext' object has no attribute {name!r}"

@@ -16,7 +16,8 @@ from galois_arrow.errors import (
     NoProperMember,
     NucleiDiffer,
 )
-from galois_arrow.field import make_field, parse_modulus
+from galois_arrow.field import make_field
+from galois_arrow.modulus import parse_modulus
 from galois_arrow.conic import (
     Conic,
     DegeneracyClass,
@@ -42,16 +43,11 @@ from galois_arrow.plane import (
     incident,
     line_through,
     meet,
-)
-from galois_arrow.arc import _member_points
-from galois_arrow.kernel import (
-    TimePencilContext,
-    _orbit,
-    _quadratic_roots,
-    time_pencil_context,
     validate_ideal_line,
     validate_lines,
 )
+from galois_arrow.arc import _member_points
+from galois_arrow.kernel import TimePencilContext, _orbit, _quadratic_roots, time_pencil_context
 
 from oracles import _join_index
 
