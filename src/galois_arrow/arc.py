@@ -8,9 +8,11 @@ From each proper pencil member delete the single point where L* touches
 it and add the nucleus.  Every resulting set is again a (q+1)-arc, and exactly
 one of them is tangent to the ideal line.
 
-The configuration's checks (plane.validate_lines, by lines._check_line)
-and its contact point A and member Q* in closed form (witnesses._contacts)
-are shared with the arrow pass, which loads no module of arcs.
+build_time_family and the family's CSV rows check a configuration by one
+function, _check_configuration, on the lines' values: the field, each
+line (lines._check_line) and the contact point A and member Q* in closed
+form (witnesses._contacts); the arrow pass, which loads no module of
+arcs, runs the same line checks and contacts.
 """
 
 from __future__ import annotations
@@ -40,10 +42,11 @@ from .conic import (
     point_set,
 )
 from .pencil import Pencil, time_pencil
-from .kernel import TimePencilContext, time_pencil_context
+from .kernel import TimePencilContext, Values, time_pencil_context
+from .lines import _check_line
 from .linetext import _degenerate_contact
-from .plane import (Plane, ProjLine, ProjPoint, _line_hits, _triple_index, collinear, incident,
-                    validate_lines)
+from .plane import (Plane, ProjLine, ProjPoint, _check_field, _line_hits, _triple_index,
+                    collinear, incident)
 from .witnesses import _contacts
 
 
@@ -177,6 +180,36 @@ def _member_points(ctx: TimePencilContext) -> tuple[tuple[ProjPoint, ...], ...]:
     return tuple(out)
 
 
+def _check_configuration(spec: FieldSpec, linf: Values, lstar: Values) -> tuple[int, int]:
+    """The checks of a family configuration over spec, its lines given by
+    their normalized values, in this order: the field (characteristic 2,
+    q >= 4), the ideal line, then L* (lines._check_line), then the
+    contact point A = linf ∧ lstar, refused if it lies on a degenerate
+    member.  Returns, from witnesses._contacts, the plane index of A and
+    the t of the proper member Q* = (1, t) through it."""
+    if spec.characteristic != 2:
+        raise OddCharacteristic("the family construction needs characteristic 2")
+    if spec.order < 4:
+        raise UnsupportedField("no valid configuration exists over GF(2)")
+    _check_line(spec, linf, False)
+    _check_line(spec, lstar, True)
+    (contact,) = _contacts(spec, linf, (lstar[1],))
+    if contact is None:
+        raise _degenerate_contact(spec, linf, lstar[1])
+    return contact
+
+
+def _is_conic(q: int) -> bool:
+    """Whether each member of a family over GF(q) lies on a conic, in closed
+    form; is_conic_arc is the oracle.  A member is C - P + N: a pencil conic
+    C without its touch point P on L*, plus the nucleus N.  At q = 4 that
+    is 5 points, no three collinear, which lie on exactly one conic.  At
+    q >= 8, a conic C' through C - P + N would share those q > 4 points
+    with C, and two distinct conics share at most 4, so C' = C; but N is
+    not on C."""
+    return q == 4
+
+
 def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine) -> ArcFamily:
     """Build the arc family: per proper member, delete its touch point on
     lstar and add the nucleus.
@@ -198,17 +231,14 @@ def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine) -> ArcFa
     squaring being a bijection in characteristic 2; so in plane order its
     point with x2 = v is at position v, and its touch point at position
     1/a.  member_through over the points of lstar is the oracle in tests.
+
+    Lines of another field are refused (MixedFields) before the checks of
+    _check_configuration.
     """
-    if spec.characteristic != 2:
-        raise OddCharacteristic("the family construction needs characteristic 2")
-    if spec.order < 4:
-        raise UnsupportedField("no valid configuration exists over GF(2)")
     ctx = time_pencil_context(spec)
-    validate_lines(ctx, (linf,), (lstar,))
-    (contact,) = _contacts(spec, linf.values, (lstar.values[1],))
-    if contact is None:
-        raise _degenerate_contact(spec, linf.values, lstar.values[1])
-    index, t = contact
+    _check_field(linf, ctx.plane)
+    _check_field(lstar, ctx.plane)
+    index, t = _check_configuration(spec, linf.values, lstar.values)
     k = spec._inv_i(lstar.values[1])
     member_points = _member_points(ctx)
     touches = tuple([pts[k] for pts in member_points])
@@ -223,13 +253,7 @@ def family_to_dict(family: ArcFamily) -> dict:
     spec = family.spec
     prov = family.provenance
     fmt = spec.format
-    # Whether each member lies on a conic, in closed form; is_conic_arc is
-    # the oracle.  A member is C - P + N: a pencil conic C without its touch
-    # point P on L*, plus the nucleus N.  At q = 4 that is 5 points, no
-    # three collinear, which lie on exactly one conic.  At q >= 8, a conic
-    # C' through C - P + N would share those q > 4 points with C, and two
-    # distinct conics share at most 4, so C' = C; but N is not on C.
-    is_conic = spec.order == 4
+    is_conic = _is_conic(spec.order)
     return {
         "q": spec.order,
         "Linf": str(prov.linf),

@@ -2,9 +2,10 @@
 arrows run on (kernel.py, witnesses.py, lines.py, linetext.py and the
 sweep's lines in driver.py), the plane's enumeration and incidence indices
 (plane.py), the text layout of the arrow command's JSON and CSV
-(arrow_json.py, report_text.py, arrow_csv.py), the closed forms the conic
-and pencil commands print and the family's CSV rows (payloads.py), the
-expansion of a hex modulus (modulus.py), and the table walk, the product,
+(arrow_json.py, report_text.py, arrow_csv.py), what the plane, conic and
+pencil commands print and the family's CSV rows (payloads.py), the
+family's configuration checks and is_conic rule (arc.py), the expansion
+of a hex modulus (modulus.py), and the table walk, the product,
 the inverse table and the Zech arithmetic of tables.py and zech.py, is
 pinned by some test.
 
@@ -16,8 +17,9 @@ copy in a subprocess (pytest, under a timeout).  A mutant is killed when
 they fail or time out, and survives when they pass.  The script exits 1
 if a mutant survives, if a mutation's source text no longer occurs
 exactly once in its file, or if the named tests fail on the unmutated
-copy.  It uses only the standard library and pytest;
-the tier-1 run does not collect it (it is not a test_*.py file).
+copy.  It uses only the standard library and pytest, with pytest's
+plugin autoload off in each run; the tier-1 run does not collect it (it
+is not a test_*.py file).
 """
 
 from __future__ import annotations
@@ -62,6 +64,16 @@ PAYLOADS = [f"tests/test_golden_stdout.py::test_stdout_matches_large_golden_dige
                             "pencil --n 4 --output json", "pencil --p 3 --n 3 --modulus 1,2,0,1")
             ] + [f"tests/test_golden_stdout.py::test_stdout_matches_golden_digest[{command}]"
                  for command in ("family --n 2 --output csv", "family --n 3 --output csv")]
+# the plane command's digests over GF(4) and GF(3), and the family's CSV
+# against the refusals of its build
+PLANE = [f"tests/test_golden_stdout.py::test_stdout_matches_golden_digest[plane {field}]"
+         for field in ("--n 2", "--p 3")]
+FAMILY_REFUSALS = ["tests/test_cli.py::test_family_csv_refuses_what_the_family_build_refuses"]
+# the checks build_time_family shares with the family's CSV, against the
+# incidence oracle and a family's digest on lines other than the default
+FAMILY_CHECKS = ["tests/test_arc.py::test_contact_member_matches_the_incidence_oracle[q8]",
+                 "tests/test_golden_stdout.py::test_stdout_matches_golden_digest["
+                 "family --n 3 --modulus 0xD --linf 1,5,3 --lstar 1,6,0]"]
 
 # Per file of the package: (what the mutation breaks, its text there, its
 # replacement, the tests that must fail)
@@ -164,10 +176,35 @@ MUTANTS = {"kernel.py": [
     ("RealLinePair and DoubleLine swapped", '("DoubleLine", "RealLinePair")[t1]',
      '("RealLinePair", "DoubleLine")[t1]', PAYLOADS),
     ("the member (1, 0) proper", '"Proper" if t1 * t2 else', '"Proper" if t1 else', PAYLOADS),
-    ("the common nucleus read from B1", "str(ctx.N)", "str(ctx.B1)", PAYLOADS),
-    ("a family CSV row's is_conic at q = 8, not 4", "str(q == 4)", "str(q == 8)", PAYLOADS),
-    ("a family CSV row's size one short", "{len(arc.points)}", "{len(arc.points) - 1}",
+    ("the common nucleus (0:0:1) -> B1 (0:1:0)", "_text(spec, (0, 0, 1))",
+     "_text(spec, (0, 1, 0))", PAYLOADS),
+    ("the base points swapped", "[_text(spec, (1, 0, 0)), _text(spec, (0, 1, 0))]",
+     "[_text(spec, (0, 1, 0)), _text(spec, (1, 0, 0))]", PAYLOADS),
+    ("the plane without its first point", "for values in _triples(spec.order)]",
+     "for values in list(_triples(spec.order))[1:]]", PLANE),
+    ("the plane's point count one short", '"num_points": len(texts),',
+     '"num_points": len(texts) - 1,', PLANE),
+    ("the plane's line count one more", '"num_lines": len(texts),', '"num_lines": len(texts) + 1,',
+     PLANE),
+    ("the plane's points in reverse order", '"points": texts,', '"points": texts[::-1],', PLANE),
+    ("the plane's lines in reverse order", '"lines": texts,', '"lines": texts[::-1],', PLANE),
+    ("a family CSV row's size q, not q + 1", "{q + 1}", "{q}", PAYLOADS),
+    ("a family CSV row's is_conic read at 2q", "str(_is_conic(q))", "str(_is_conic(2 * q))",
      PAYLOADS),
+    ("the family CSV's member ids from 1", "enumerate(time_pencil_context(spec).thetas)",
+     "enumerate(time_pencil_context(spec).thetas, 1)", PAYLOADS),
+    ("a family CSV row's theta (1, t) -> (1, t - 1)", "{fmt(t1)}:{fmt(t2)}{tail}",
+     "{fmt(t1)}:{fmt(t2 - 1)}{tail}", PAYLOADS),
+    ("the family CSV's configuration unchecked", "    _check_configuration(spec, _normalized",
+     "    (spec, _normalized", FAMILY_REFUSALS),
+    ("the family CSV's L* checked unnormalized", "_normalized(spec, config.lstar))",
+     "config.lstar)", FAMILY_REFUSALS),
+], "arc.py": [
+    ("a family's members on a conic at q = 8, not 4", "return q == 4", "return q == 8", PAYLOADS),
+    ("a configuration's L* checked as an ideal line", "_check_line(spec, lstar, True)",
+     "_check_line(spec, lstar, False)", FAMILY_CHECKS),
+    ("a configuration's contact point read from L*'s x1", "(lstar[1],))", "(lstar[0],))",
+     FAMILY_CHECKS),
 ], "modulus.py": [
     ("a hex modulus's bits highest first", "bin(mask)[:1:-1]", "bin(mask)[2:]", HEX),
     ("a hex modulus's top bit dropped", "bin(mask)[:1:-1]", "bin(mask)[:2:-1]", HEX),
@@ -213,7 +250,9 @@ def _run_tests(src: Path, tests: list[str]) -> tuple[bool, float]:
     """Whether the tests pass with the package imported from src, and how
     long they took; a run past the timeout counts as failed."""
     start = time.perf_counter()
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    # the suite uses no third-party plugin, so none is imported
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1",
+               PYTEST_DISABLE_PLUGIN_AUTOLOAD="1")
     try:
         proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p",
                                "no:cacheprovider", *tests],

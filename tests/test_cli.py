@@ -318,6 +318,87 @@ def test_csv_pencil_rows():
     assert len(lines) == 1 + 5
 
 
+def test_plane_command_makes_no_plane_item(monkeypatch):
+    """The plane command prints the text of each value triple of the
+    enumeration, one list for its points and its lines: it makes no
+    ProjPoint or ProjLine, and prints what str() of build_plane's items,
+    the oracle, gives."""
+    made = []
+    item, init = plane._Enumeration._item, plane._Triple.__init__
+    monkeypatch.setattr(plane._Enumeration, "_item",
+                        lambda self, values: made.append(values) or item(self, values))
+    monkeypatch.setattr(plane._Triple, "__init__",
+                        lambda self, *args: made.append(args) or init(self, *args))
+    code, out, err = _run(["plane", "--n", "3"])
+    monkeypatch.undo()
+    assert (code, err, made) == (0, "", [])
+    oracle = plane.build_plane(make_field(2, 3))
+    assert json.loads(out) == {"q": 8, "num_points": 73, "num_lines": 73,
+                               "points": [str(p) for p in oracle.points],
+                               "lines": [str(l) for l in oracle.lines]}
+
+
+def _scaled(spec, values, k) -> str:
+    return ",".join(str(spec._mul_i(k, v)) for v in values)
+
+
+# Three (L-infinity, L*) pairs that every GF(2^n), n >= 2, accepts, as
+# normalized values, each with the scales its lines are given by: the last
+# pair is given unnormalized.
+FAMILY_CSV_PAIRS = [((1, 1, 1), (1, 2, 0), (1, 1)), ((1, 2, 3), (1, 3, 0), (1, 1)),
+                    ((1, 3, 1), (1, 1, 0), (2, 3))]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4], ids=lambda n: f"q{2 ** n}")
+def test_family_csv_builds_no_family(monkeypatch, n):
+    """The family's CSV rows come from the context's thetas once the
+    configuration passes arc._check_configuration: neither
+    build_time_family nor arc._member_points is called, and the rows equal
+    those read off the built family, each member's size len(arc.points),
+    its theta and is_conic_arc, the oracles."""
+    from galois_arrow import arc
+    spec = make_field(2, n)
+    q, fmt = spec.order, spec.format
+    calls = []
+    for name in ("build_time_family", "_member_points"):
+        def counting(*args, name=name, original=getattr(arc, name)):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(arc, name, counting)
+    for linf, lstar, (k, kstar) in FAMILY_CSV_PAIRS:
+        family = build_time_family(spec, ProjLine(spec, linf), ProjLine(spec, lstar))
+        want = ["q,member_id,theta,size,is_conic"] + [
+            f"{q},{m},{fmt(t1)}:{fmt(t2)},{len(a.points)},{str(arc.is_conic_arc(a)).lower()}"
+            for m, ((t1, t2), a) in enumerate(zip(family.thetas, family.members))]
+        calls.clear()
+        code, out, err = _run(["family", "--n", str(n), "--linf", _scaled(spec, linf, k),
+                               "--lstar", _scaled(spec, lstar, kstar), "--output", "csv"])
+        assert (code, err, calls) == (0, "", [])
+        assert out.splitlines() == want
+
+
+FAMILY_LINES = ["1,1,1", "2,4,6", "1,2,3", "7,7,7", "1,0,0", "0,1,0", "0,0,1", "0,3,4",
+                "1,1,0", "1,2,0", "2,4,0", "3,5,0", "5,5,0"]
+
+
+def test_family_csv_refuses_what_the_family_build_refuses():
+    """On every pair of a grid of lines over GF(8), valid and invalid, some
+    given unnormalized, the family's CSV exits as its JSON, which builds the
+    family, does: 0, or 2 with the same diagnostic line."""
+    errors = set()
+    for linf in FAMILY_LINES:
+        for lstar in FAMILY_LINES:
+            argv = ["family", "--n", "3", "--linf", linf, "--lstar", lstar]
+            code, out, err = _run(argv)
+            csv_code, csv_out, csv_err = _run([*argv, "--output", "csv"])
+            assert (csv_code, csv_err) == (code, err), argv
+            assert bool(csv_out) == bool(out) == (code == 0), argv
+            errors.add(json.loads(err)["error"] if err else None)
+    assert errors == {None, "HitsBasePoint", "HitsNucleus", "InvalidTangentLine",
+                      "DegenerateContactPoint"}
+
+
 def test_json_output_round_trips():
     for argv in (["arrow", "--n", "2", "--mode", "arc"],
                  ["arrow", "--n", "2", "--mode", "conic"],
@@ -768,13 +849,27 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
      "with contextlib.redirect_stdout(io.StringIO()):\n"
      "    assert c.main(['field-info', '--n', '2']) == 0",
      ["cli", "driver", "element", "errors", "field", "payloads", "polynomial", "tables"]),
-    # pencil reads its members from the context and its points from the
-    # plane module: neither the census (pencil) nor the conic module
+    # pencil reads its members from the context and prints its points from
+    # their values: no plane module, census (pencil) or conic module
     ("import contextlib, io\nimport galois_arrow.cli as c\n"
      "with contextlib.redirect_stdout(io.StringIO()):\n"
      "    assert c.main(['pencil', '--n', '2']) == 0",
+     ["cli", "driver", "errors", "field", "kernel", "linetext", "payloads", "polynomial",
+      "tables"]),
+    # plane prints the enumeration's values (plane._triples), the plane
+    # module loaded with what it imports
+    ("import contextlib, io\nimport galois_arrow.cli as c\n"
+     "with contextlib.redirect_stdout(io.StringIO()):\n"
+     "    assert c.main(['plane', '--n', '2']) == 0",
      ["cli", "driver", "element", "errors", "field", "kernel", "lines", "linetext", "payloads",
       "plane", "polynomial", "tables", "witnesses"]),
+    # the family's CSV checks its configuration in the arc module, which
+    # loads the plane, census and conic modules, and builds no family
+    ("import contextlib, io\nimport galois_arrow.cli as c\n"
+     "with contextlib.redirect_stdout(io.StringIO()):\n"
+     "    assert c.main(['family', '--n', '2', '--output', 'csv']) == 0",
+     ["arc", "cli", "conic", "driver", "element", "errors", "field", "kernel", "lines",
+      "linetext", "payloads", "pencil", "plane", "polynomial", "tables", "witnesses"]),
     # a dunder a spec or a context lacks, as copy probes for, is refused
     # without loading the element or the plane module
     ("from galois_arrow import make_field, time_pencil_context\n"
@@ -1003,14 +1098,16 @@ print(counts)
 """
 
 
-@pytest.mark.parametrize("argv", ["conic", "pencil", "pencil --output csv"])
+@pytest.mark.parametrize("argv", ["conic", "pencil", "pencil --output csv",
+                                  "family --output csv"])
 def test_conic_and_pencil_do_o_of_q_work(argv):
-    """The Python calls of conic and pencil at q = 16, 64 and 256, counted
-    under sys.setprofile in a fresh interpreter after a run at q = 8 has
-    loaded the modules (the caches of point_set, members and build_plane
-    are keyed by field, so no count reads another's): each fourfold q at
-    most multiplies them by 6, where O(q) work gives about 4 and a plane
-    scan or a tally of its lines about 16."""
+    """The Python calls of conic, pencil and the family's CSV at q = 16, 64
+    and 256, counted under sys.setprofile in a fresh interpreter after a
+    run at q = 8 has loaded the modules (the caches of point_set, members
+    and build_plane are keyed by field, so no count reads another's): each
+    fourfold q at most multiplies them by 6, where O(q) work gives about 4
+    and a plane scan, a tally of its lines or a build of the family's
+    (q-1)(q+1) points about 16."""
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", _CALLS_PER_ORDER, *argv.split()], env=env,
