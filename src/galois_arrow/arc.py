@@ -8,18 +8,21 @@ From each proper pencil member delete the single point where L* touches
 it and add the nucleus.  Every resulting set is again a (q+1)-arc, and exactly
 one of them is tangent to the ideal line.
 
-build_time_family and the family's CSV rows check a configuration by one
-function, _check_configuration, on the lines' values: the field, each
-line (lines._check_line) and the contact point A and member Q* in closed
-form (witnesses._contacts); the arrow pass, which loads no module of
-arcs, runs the same line checks and contacts.
+The family's points are values first: _member_values gives each proper
+member's points in plane order, and _family_values, one member at a
+time, its touch point on L* and its arc.  build_time_family makes them
+plane items; the family command prints their text (payloads.py), and
+family_to_dict of the built family is its oracle in tests.  Both check a
+configuration by one function, _check_configuration, on the lines'
+values: the field, each line (lines._check_line) and the contact point A
+and member Q* in closed form (witnesses._contacts); the arrow pass, which
+loads no module of arcs, runs the same line checks and contacts.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     ArcTooSmall,
@@ -42,7 +45,7 @@ from .conic import (
     point_set,
 )
 from .pencil import Pencil, time_pencil
-from .kernel import TimePencilContext, Values, time_pencil_context
+from .kernel import Values, time_pencil_context
 from .lines import _check_line
 from .linetext import _degenerate_contact
 from .plane import (Plane, ProjLine, ProjPoint, _check_field, _line_hits, _triple_index,
@@ -161,23 +164,27 @@ def touch_point(conic: Conic, lstar: ProjLine, plane: Plane) -> ProjPoint:
     return hits[0]
 
 
-@lru_cache(maxsize=None)
-def _member_points(ctx: TimePencilContext) -> tuple[tuple[ProjPoint, ...], ...]:
-    """Per proper member x1*x2 + t*x3^2 of the time pencil, in member order,
-    its q+1 points in plane order, in O(q) each: (1 : -t*c^2 : c), c in the
-    field, then (0:1:0).  Built on first use, once per context;
-    conic.point_set's plane scan is the oracle in tests."""
-    spec = ctx.spec
-    q = spec.order
+def _member_values(spec: FieldSpec, t: int) -> list[Values]:
+    """The q+1 points of the time pencil's member x1*x2 + t*x3^2, t != 0, in
+    plane order, as values: (1 : -t*c^2 : c), c in the field, sorted, then
+    (0:1:0), which comes after every (1 : x2 : x3).  conic.point_set's plane
+    scan is the oracle in tests."""
     mul = spec._mul_i
-    points = ctx.plane.points
-    out = []
-    for t in ctx.ids:
-        s = spec._neg_i(t)
-        indices = sorted([_triple_index(q, (1, mul(s, mul(c, c)), c)) for c in range(q)])
-        # (0:1:0), at index q*q, comes after every (1 : x2 : x3)
-        out.append(tuple([points[i] for i in indices] + [points[q * q]]))
-    return tuple(out)
+    s = spec._neg_i(t)
+    return [*sorted([(1, mul(s, mul(c, c)), c) for c in range(spec.order)]), (0, 1, 0)]
+
+
+def _family_values(spec: FieldSpec, a: int) -> Iterator[tuple[Values, list[Values]]]:
+    """Per proper member (1, t) of the time pencil, in member order, one at a
+    time, as values: its touch point on L* = (1 : a : 0), at position 1/a of
+    its points (_member_values), and its arc, those points without it and
+    with N = (0:0:1) last (see build_time_family)."""
+    k = spec._inv[a]
+    for t in range(1, spec.order):
+        points = _member_values(spec, t)
+        touch = points.pop(k)
+        points.append((0, 0, 1))
+        yield touch, points
 
 
 def _check_configuration(spec: FieldSpec, linf: Values, lstar: Values) -> tuple[int, int]:
@@ -215,7 +222,7 @@ def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine) -> ArcFa
     lstar and add the nucleus.
 
     No arc is checked here.  Each proper member's discriminant is nonzero,
-    so its q+1 points (_member_points; the tests check that they are zeros
+    so its q+1 points (_member_values; the tests check that they are zeros
     of its form with distinct joins to N) form an oval.  In characteristic
     2 its nucleus N joins them by q+1 distinct lines, so the oval plus N is
     a (q+2)-arc, and the member, without its touch point, stays an arc for
@@ -231,6 +238,8 @@ def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine) -> ArcFa
     squaring being a bijection in characteristic 2; so in plane order its
     point with x2 = v is at position v, and its touch point at position
     1/a.  member_through over the points of lstar is the oracle in tests.
+    The family's points are those of _family_values, each made a plane
+    item here.
 
     Lines of another field are refused (MixedFields) before the checks of
     _check_configuration.
@@ -239,10 +248,9 @@ def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine) -> ArcFa
     _check_field(linf, ctx.plane)
     _check_field(lstar, ctx.plane)
     index, t = _check_configuration(spec, linf.values, lstar.values)
-    k = spec._inv_i(lstar.values[1])
-    member_points = _member_points(ctx)
-    touches = tuple([pts[k] for pts in member_points])
-    arcs = tuple([Arc(pts[:k] + pts[k + 1:] + (ctx.N,)) for pts in member_points])
+    item = ctx.plane.points._item
+    touches, arcs = zip(*[(item(touch), Arc(tuple(map(item, points))))
+                          for touch, points in _family_values(spec, lstar.values[1])])
     provenance = FamilyProvenance(time_pencil(spec), linf, lstar, ctx.plane.points[index],
                                   (1, t))
     return ArcFamily(spec, ctx.plane, arcs, ctx.ids, ctx.thetas, touches, provenance)
@@ -259,10 +267,10 @@ def family_to_dict(family: ArcFamily) -> dict:
         "Linf": str(prov.linf),
         "Lstar": str(prov.lstar),
         "A": str(prov.contact_point),
-        "Qstar_theta": [fmt(prov.qstar_theta[0]), fmt(prov.qstar_theta[1])],
+        "Qstar_theta": [*map(fmt, prov.qstar_theta)],
         "members": [
             {
-                "theta": [fmt(theta[0]), fmt(theta[1])],
+                "theta": [*map(fmt, theta)],
                 "points": [str(p) for p in arc.points],
                 "is_conic": is_conic,
             }

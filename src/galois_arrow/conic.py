@@ -39,6 +39,7 @@ from .errors import (
     UnclassifiableConic,
 )
 from .field import FieldSpec
+from .kernel import Values
 from .plane import (
     Plane,
     ProjLine,
@@ -177,13 +178,17 @@ def canonical_conic(spec: FieldSpec) -> Conic:
     return Conic(spec, (0, 1, 0, 0, 0, spec._neg_i(1)))
 
 
+def _canonical_values(spec: FieldSpec) -> list[Values]:
+    """The canonical conic's points as normalized values, in parametrization
+    order: (1:0:0), then (s^2 : 1 : s) for s in element order, which is
+    (0:1:0) at s = 0 and (1 : c^2 : c), c = 1/s, otherwise."""
+    return [(1, 0, 0), (0, 1, 0), *[(1, spec._mul_i(c, c), c) for c in spec._inv[1:]]]
+
+
 def parametrize_canonical(spec: FieldSpec) -> list[ProjPoint]:
-    """(1,0,0) followed by (s^2, 1, s) for s in element order; equals the
-    canonical conic's zero set as a set."""
-    pts = [ProjPoint(spec, (1, 0, 0))]
-    mul = spec._mul_i
-    pts.extend(ProjPoint(spec, (mul(s, s), 1, s)) for s in range(spec.order))
-    return pts
+    """(1,0,0) followed by (s^2, 1, s) for s in element order, the points of
+    _canonical_values; equals the canonical conic's zero set as a set."""
+    return [ProjPoint(spec, values) for values in _canonical_values(spec)]
 
 
 def _hit_count(points: Iterable[ProjPoint], line: ProjLine) -> int:

@@ -14,10 +14,11 @@ call them, so it loads no plane, census, conic or arc module:
 A sweep takes its lines in closed form: the ideal lines (1 : b : c),
 bc != 0, and the lines L* = (1 : a : 0), a != 0 (driver._arrow_reports).
 The plane module, and the oracles in it, import the kernel, never the
-reverse.  It defines the validation of lines given as plane items
-(validate_ideal_line, validate_lines) and the context's plane-facing
-members (plane, B1, B2, N and the valid lines as plane items); loading it
-binds those onto TimePencilContext, and the first read of one loads it.
+reverse.  It checks an ideal line given as a plane item by
+lines._check_line (validate_ideal_line; arc._check_configuration checks
+a family's lines) and defines the context's plane-facing members (plane,
+B1, B2, N and the valid lines as plane items); loading it binds those
+onto TimePencilContext, and the first read of one loads it.
 
 The canonical ("time") pencil, pencil.time_pencil, is spanned by x1*x2 and
 x3^2.  Its members are indexed by theta = (t1, t2), normalized so the

@@ -2,23 +2,23 @@
 pencil and family.  Each builds its whole payload and prints it as JSON
 (json.dumps with indent=2) or, for pencil and family, as CSV rows.
 
-plane, pencil and the family's CSV rows print from values, with no plane
-item or arc family made only to be printed.  plane prints the text of
-each value triple of the enumeration (plane._triples) once, as both its
-points and its lines, since point i and line i share their values.  The
-family's q-1 CSV rows, one per proper member, come from the context's
-thetas once the configuration passes arc._check_configuration, the checks
-build_time_family makes: each member has q+1 points, and lies on a conic
-by arc._is_conic.  The family's JSON prints family_to_dict of the built
-family.
-
-conic and pencil print closed forms in O(q): the canonical conic's points
-from its parametrization, each point's tangent as its polar line, and the
-time pencil's members and classes from the kernel's context, its base
-points (1:0:0) and (0:1:0) and common nucleus (0:0:1) from their values.
-The builds, plane scans and tallies that find the same (build_plane,
-build_time_family, conic.point_set, conic.tangent_lines, pencil.members,
-pencil.common_nucleus) are the tests' oracles, not called here.
+plane, conic, pencil and family print from values and closed forms, with
+no plane item or arc family made only to be printed.  plane prints the
+text of each value triple of the enumeration (plane._triples) once, as
+both its points and its lines, since point i and line i share their
+values.  conic prints the canonical conic's points (conic._canonical_values)
+in plane order and each point's tangent as its polar line, scaled to
+normal form; pencil its members and classes from the kernel's context,
+its base points (1:0:0) and (0:1:0) and common nucleus (0:0:1) from their
+values.  family checks its configuration by arc._check_configuration,
+the checks build_time_family makes, then prints each member's arc from
+arc._family_values, or, as CSV, one row per proper member from the
+context's thetas, each of size q+1, on a conic by arc._is_conic.  The
+library calls that make the same plane items and families (build_plane,
+parametrize_canonical, build_time_family, family_to_dict) and the scans
+and tallies that find the same (conic.point_set, conic.tangent_lines,
+pencil.members, pencil.common_nucleus) are the tests' oracles, not called
+here.
 
 driver._execute imports this module for those commands only, so an arrow
 run does not compile it.  Each builder imports the modules it reads when
@@ -61,23 +61,26 @@ def _payload_plane(spec: FieldSpec) -> dict:
 
 
 def _payload_conic(spec: FieldSpec) -> dict:
-    from .conic import _nucleus_char2, canonical_conic, classify, parametrize_canonical
-    from .plane import ProjLine, build_plane
-    plane = build_plane(spec)
-    conic = canonical_conic(spec)
-    points = sorted(parametrize_canonical(spec), key=plane.points.index)
+    from functools import partial
+    from .conic import _canonical_values, canonical_conic
+    from .lines import _normalized
+    from .linetext import _text
+    from .plane import _triple_index
+    in_plane_order = partial(_triple_index, spec.order)
+    points = sorted(_canonical_values(spec), key=in_plane_order)
     # each point's tangent is its polar line (x2 : x1 : -2x3) of x1*x2 - x3^2,
     # in characteristic 2 its join with N; conic.tangent_lines is the oracle
-    tangents = sorted([ProjLine(spec, (x2, x1, spec._neg_i(spec._add_i(x3, x3))))
-                       for x1, x2, x3 in (pt.values for pt in points)], key=plane.lines.index)
+    tangents = sorted([_normalized(spec, (x2, x1, spec._neg_i(spec._add_i(x3, x3))))
+                       for x1, x2, x3 in points], key=in_plane_order)
     return {
         "q": spec.order,
-        "coefficients": [str(c) for c in conic.coefficients],
-        # Delta != 0, so classify scans nothing
-        "class": str(classify(conic, plane)),
-        "points": [str(p) for p in points],
-        "tangent_lines": [str(l) for l in tangents],
-        "nucleus": str(_nucleus_char2(conic)) if spec.characteristic == 2 else None,
+        "coefficients": [*map(spec.format, canonical_conic(spec).values)],
+        # x1*x2 - x3^2 has Delta = 1; conic.classify is the oracle
+        "class": "Proper",
+        "points": [_text(spec, values) for values in points],
+        "tangent_lines": [_text(spec, values) for values in tangents],
+        # (c23 : c13 : c12) of x1*x2 + x3^2; conic.nucleus is the oracle
+        "nucleus": _text(spec, (0, 0, 1)) if spec.characteristic == 2 else None,
     }
 
 
@@ -107,27 +110,43 @@ def _payload_pencil(spec: FieldSpec) -> dict:
     return payload
 
 
-def _payload_family(spec: FieldSpec, config) -> dict:
-    from .arc import build_time_family, family_to_dict
-    from .plane import ProjLine
-    return family_to_dict(build_time_family(spec, ProjLine(spec, config.linf),
-                                            ProjLine(spec, config.lstar)))
-
-
-def _family_csv_lines(spec: FieldSpec, config) -> list[str]:
-    """The family's CSV rows, one per proper member (1, t), t != 0, in
-    member order, each of size q+1, once the configuration passes the
-    checks build_time_family makes; build_time_family is the oracle."""
-    from .arc import _check_configuration, _is_conic
+def _payload_family(spec: FieldSpec, config) -> dict | list[str]:
+    """The family's payload, or with --output csv its rows, once its
+    configuration passes arc._check_configuration, the checks
+    build_time_family makes.  Each member's points are the text of its arc
+    from arc._family_values; each CSV row, one per proper member (1, t),
+    t != 0, in member order, has size q+1.  family_to_dict of
+    build_time_family is the oracle."""
+    from .arc import _check_configuration, _family_values, _is_conic
     from .kernel import time_pencil_context
     from .lines import _normalized
-    _check_configuration(spec, _normalized(spec, config.linf), _normalized(spec, config.lstar))
+    from .linetext import _text
+    linf, lstar = _normalized(spec, config.linf), _normalized(spec, config.lstar)
+    index, t = _check_configuration(spec, linf, lstar)
     q = spec.order
     fmt = spec.format
-    tail = f",{q + 1},{str(_is_conic(q)).lower()}"
-    return ["q,member_id,theta,size,is_conic",
-            *[f"{q},{i},{fmt(t1)}:{fmt(t2)}{tail}"
-              for i, (t1, t2) in enumerate(time_pencil_context(spec).thetas)]]
+    thetas = time_pencil_context(spec).thetas
+    is_conic = _is_conic(q)
+    if config.output == "csv":
+        tail = f",{q + 1},{str(is_conic).lower()}"
+        return ["q,member_id,theta,size,is_conic",
+                *[f"{q},{i},{fmt(t1)}:{fmt(t2)}{tail}" for i, (t1, t2) in enumerate(thetas)]]
+    from .witnesses import _triple_values
+    return {
+        "q": q,
+        "Linf": _text(spec, linf),
+        "Lstar": _text(spec, lstar),
+        "A": _text(spec, _triple_values(q, index)),
+        "Qstar_theta": [fmt(1), fmt(t)],
+        "members": [
+            {
+                "theta": [*map(fmt, theta)],
+                "points": [_text(spec, values) for values in arc],
+                "is_conic": is_conic,
+            }
+            for theta, (_, arc) in zip(thetas, _family_values(spec, lstar[1]))
+        ],
+    }
 
 
 def _pencil_csv_lines(payload: dict) -> list[str]:
@@ -140,13 +159,11 @@ def _pencil_csv_lines(payload: dict) -> list[str]:
 def render(spec: FieldSpec, config) -> str:
     """The whole stdout of config (a cli.RunConfig) for one of the commands
     above."""
-    if config.output == "csv":
-        lines = (_family_csv_lines(spec, config) if config.command == "family"
-                 else _pencil_csv_lines(_payload_pencil(spec)))
-        return "\n".join(lines) + "\n"
     if config.command == "family":
         payload = _payload_family(spec, config)
+    elif config.output == "csv":
+        payload = _pencil_csv_lines(_payload_pencil(spec))
     else:
         payload = {"field-info": _payload_field_info, "plane": _payload_plane,
                    "conic": _payload_conic, "pencil": _payload_pencil}[config.command](spec)
-    return json.dumps(payload, indent=2) + "\n"
+    return ("\n".join(payload) if config.output == "csv" else json.dumps(payload, indent=2)) + "\n"

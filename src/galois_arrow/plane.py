@@ -15,9 +15,9 @@ the incidence scan exhaustively.
 The kernel's TimePencilContext reads its plane, B1, B2, N and its valid
 lines as plane items from here: loading this module binds each member of
 _ContextPlane onto it, and the first read of a name a context lacks loads
-it (TimePencilContext.__getattr__).  validate_ideal_line and
-validate_lines check lines given as plane items by their values
-(lines._check_line).
+it (TimePencilContext.__getattr__).  validate_ideal_line checks an ideal
+line given as a plane item by its values (lines._check_line); a family's
+lines are checked by arc._check_configuration.
 """
 
 from __future__ import annotations
@@ -297,19 +297,6 @@ def validate_ideal_line(linf: ProjLine, plane: Plane) -> None:
     """
     _check_field(linf, plane)
     _check_line(linf.field, linf.values, False)
-
-
-def validate_lines(ctx: TimePencilContext, linfs: Iterable[ProjLine],
-                   lstars: Iterable[ProjLine]) -> None:
-    """The line checks of a family configuration, in this order: each ideal
-    line by validate_ideal_line, then each L* must pass through the nucleus
-    N = (0:0:1) and miss both base points (_check_line).
-    witnesses._contacts checks each pair."""
-    for linf in linfs:
-        validate_ideal_line(linf, ctx.plane)
-    for lstar in lstars:
-        _check_field(lstar, ctx.plane)
-        _check_line(ctx.spec, lstar.values, True)
 
 
 class _ContextPlane:

@@ -63,7 +63,7 @@ def _triple_values(q: int, i: int) -> Values:
 def _contacts(spec: FieldSpec, linf: Values, lstar_as: Iterable[int]
               ) -> list[tuple[int, int] | None]:
     """For linf = (1 : b : c), bc != 0, and each lstar = (1 : a : 0), a != 0,
-    a in lstar_as (lines passing plane.validate_lines): None if the contact
+    a in lstar_as (lines passing lines._check_line): None if the contact
     point A = linf ∧ lstar lies on a degenerate member, else the plane index
     of A and the t of the proper member Q* = (1, t) through it.
 

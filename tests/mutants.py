@@ -2,10 +2,11 @@
 arrows run on (kernel.py, witnesses.py, lines.py, linetext.py and the
 sweep's lines in driver.py), the plane's enumeration and incidence indices
 (plane.py), the text layout of the arrow command's JSON and CSV
-(arrow_json.py, report_text.py, arrow_csv.py), what the plane, conic and
-pencil commands print and the family's CSV rows (payloads.py), the
-family's configuration checks and is_conic rule (arc.py), the expansion
-of a hex modulus (modulus.py), and the table walk, the product,
+(arrow_json.py, report_text.py, arrow_csv.py), what the plane, conic,
+pencil and family commands print (payloads.py), the family's member and
+touch points, configuration checks and is_conic rule (arc.py), the
+canonical conic's points (conic.py), the expansion of a hex modulus
+(modulus.py), and the table walk, the product,
 the inverse table and the Zech arithmetic of tables.py and zech.py, is
 pinned by some test.
 
@@ -64,8 +65,16 @@ PAYLOADS = [f"tests/test_golden_stdout.py::test_stdout_matches_large_golden_dige
                             "pencil --n 4 --output json", "pencil --p 3 --n 3 --modulus 1,2,0,1")
             ] + [f"tests/test_golden_stdout.py::test_stdout_matches_golden_digest[{command}]"
                  for command in ("family --n 2 --output csv", "family --n 3 --output csv")]
-# the plane command's digests over GF(4) and GF(3), and the family's CSV
-# against the refusals of its build
+# the family's JSON digests at q = 4 and 8, and on lines other than the default
+FAMILY_JSON = [f"tests/test_golden_stdout.py::test_stdout_matches_golden_digest[{command}]"
+               for command in ("family --n 2 --output json", "family --n 3 --output json",
+                               "family --n 3 --modulus 0xD --linf 1,5,3 --lstar 1,6,0")]
+# the built family's members against their arcs, touch points and plane order
+FAMILY_ARCS = ["tests/test_arc.py::test_family_members_are_arcs_for_every_lstar[q8]"]
+MEMBER_POINTS = ["tests/test_pencil.py::test_context_masks_are_the_member_point_sets[q8]"]
+PARAMETRIZATION = ["tests/test_conic.py::test_parametrization_is_in_element_order[q8]"]
+# the plane command's digests over GF(4) and GF(3), and the family's JSON
+# and CSV against the refusals of its build
 PLANE = [f"tests/test_golden_stdout.py::test_stdout_matches_golden_digest[plane {field}]"
          for field in ("--n 2", "--p 3")]
 FAMILY_REFUSALS = ["tests/test_cli.py::test_family_csv_refuses_what_the_family_build_refuses"]
@@ -168,16 +177,21 @@ MUTANTS = {"kernel.py": [
     # the polar (x1 : x2 : -2x3) or (x2 : x1 : 2x3) would be equivalent: the
     # conic and its set of tangents are fixed by x1 <-> x2 and by x3 -> -x3
     ("a tangent's -2x3 -> x3", "spec._neg_i(spec._add_i(x3, x3))", "x3", PAYLOADS),
-    ("the tangents in reverse plane order", "key=plane.lines.index)",
-     "key=plane.lines.index, reverse=True)", PAYLOADS),
+    ("a tangent left unnormalized",
+     "_normalized(spec, (x2, x1, spec._neg_i(spec._add_i(x3, x3))))",
+     "(x2, x1, spec._neg_i(spec._add_i(x3, x3)))", PAYLOADS),
+    ("the tangents in reverse plane order", "for x1, x2, x3 in points], key=in_plane_order)",
+     "for x1, x2, x3 in points], key=in_plane_order, reverse=True)", PAYLOADS),
     ("the conic's points in parametrization order",
-     "sorted(parametrize_canonical(spec), key=plane.points.index)",
-     "list(parametrize_canonical(spec))", PAYLOADS),
+     "sorted(_canonical_values(spec), key=in_plane_order)", "_canonical_values(spec)",
+     PAYLOADS),
     ("RealLinePair and DoubleLine swapped", '("DoubleLine", "RealLinePair")[t1]',
      '("RealLinePair", "DoubleLine")[t1]', PAYLOADS),
     ("the member (1, 0) proper", '"Proper" if t1 * t2 else', '"Proper" if t1 else', PAYLOADS),
-    ("the common nucleus (0:0:1) -> B1 (0:1:0)", "_text(spec, (0, 0, 1))",
-     "_text(spec, (0, 1, 0))", PAYLOADS),
+    ("the common nucleus (0:0:1) -> B1 (0:1:0)", '"common_nucleus"] = _text(spec, (0, 0, 1))',
+     '"common_nucleus"] = _text(spec, (0, 1, 0))', PAYLOADS),
+    ("the conic's nucleus (0:0:1) -> (0:1:0)", '"nucleus": _text(spec, (0, 0, 1))',
+     '"nucleus": _text(spec, (0, 1, 0))', PAYLOADS),
     ("the base points swapped", "[_text(spec, (1, 0, 0)), _text(spec, (0, 1, 0))]",
      "[_text(spec, (0, 1, 0)), _text(spec, (1, 0, 0))]", PAYLOADS),
     ("the plane without its first point", "for values in _triples(spec.order)]",
@@ -189,18 +203,30 @@ MUTANTS = {"kernel.py": [
     ("the plane's points in reverse order", '"points": texts,', '"points": texts[::-1],', PLANE),
     ("the plane's lines in reverse order", '"lines": texts,', '"lines": texts[::-1],', PLANE),
     ("a family CSV row's size q, not q + 1", "{q + 1}", "{q}", PAYLOADS),
-    ("a family CSV row's is_conic read at 2q", "str(_is_conic(q))", "str(_is_conic(2 * q))",
+    ("the family's is_conic read at 2q", "is_conic = _is_conic(q)",
+     "is_conic = _is_conic(2 * q)", PAYLOADS),
+    ("the family CSV's member ids from 1", "enumerate(thetas)", "enumerate(thetas, 1)",
      PAYLOADS),
-    ("the family CSV's member ids from 1", "enumerate(time_pencil_context(spec).thetas)",
-     "enumerate(time_pencil_context(spec).thetas, 1)", PAYLOADS),
     ("a family CSV row's theta (1, t) -> (1, t - 1)", "{fmt(t1)}:{fmt(t2)}{tail}",
      "{fmt(t1)}:{fmt(t2 - 1)}{tail}", PAYLOADS),
-    ("the family CSV's configuration unchecked", "    _check_configuration(spec, _normalized",
-     "    (spec, _normalized", FAMILY_REFUSALS),
-    ("the family CSV's L* checked unnormalized", "_normalized(spec, config.lstar))",
-     "config.lstar)", FAMILY_REFUSALS),
+    ("the family's configuration unchecked", "index, t = _check_configuration(spec, linf, lstar)",
+     "index, t = 0, 1", FAMILY_REFUSALS),
+    ("the family's L* checked unnormalized", "_normalized(spec, config.lstar)", "config.lstar",
+     FAMILY_REFUSALS),
+    ("the family's contact point A read at index 0", "_triple_values(q, index)",
+     "_triple_values(q, 0)", FAMILY_JSON),
+], "conic.py": [
+    ("the canonical conic's points (1 : c^2 : c) in the order of c, not of s = 1/c",
+     "for c in spec._inv[1:]", "for c in range(1, spec.order)", PARAMETRIZATION),
 ], "arc.py": [
     ("a family's members on a conic at q = 8, not 4", "return q == 4", "return q == 8", PAYLOADS),
+    ("a member's points in the order of c, not of plane order",
+     "*sorted([(1, mul(s, mul(c, c)), c) for c in range(spec.order)])",
+     "*[(1, mul(s, mul(c, c)), c) for c in range(spec.order)]", MEMBER_POINTS + FAMILY_JSON),
+    ("the touch point at position a, not 1/a", "k = spec._inv[a]", "k = a",
+     FAMILY_ARCS + FAMILY_JSON),
+    ("N first in each arc, not last", "points.append((0, 0, 1))", "points.insert(0, (0, 0, 1))",
+     FAMILY_ARCS + FAMILY_JSON),
     ("a configuration's L* checked as an ideal line", "_check_line(spec, lstar, True)",
      "_check_line(spec, lstar, False)", FAMILY_CHECKS),
     ("a configuration's contact point read from L*'s x1", "(lstar[1],))", "(lstar[0],))",

@@ -28,7 +28,7 @@ from galois_arrow.kernel import time_pencil_context
 from galois_arrow.plane import ProjLine, ProjPoint, build_plane, incident, meet, points_on
 from galois_arrow.arc import (
     Arc,
-    _member_points,
+    _member_values,
     augment_with_nucleus,
     build_time_family,
     family_to_dict,
@@ -204,9 +204,10 @@ def test_family_q4_default_configuration():
 def test_family_members_share_q_points_with_their_conic():
     fam = _family(GF8)
     ctx = time_pencil_context(GF8)
-    for member, pts, arc in zip(_proper(ctx), _member_points(ctx), fam.members, strict=True):
-        assert pts == point_set(member.conic, ctx.plane)
-        assert len(set(arc.points) & set(pts)) == 8
+    for member, t, arc in zip(_proper(ctx), ctx.ids, fam.members, strict=True):
+        pts = _member_values(GF8, t)
+        assert pts == [p.values for p in point_set(member.conic, ctx.plane)]
+        assert len({p.values for p in arc.points} & set(pts)) == 8
 
 
 def test_family_rejects_nb1_as_tangent_line():

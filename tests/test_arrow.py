@@ -15,6 +15,7 @@ from galois_arrow.field import make_field
 from galois_arrow.pencil import member_through, members, time_pencil
 from galois_arrow.plane import (
     ProjLine,
+    ProjPoint,
     _line_hits,
     _triple_index,
     build_plane,
@@ -22,7 +23,7 @@ from galois_arrow.plane import (
     meet,
     validate_ideal_line,
 )
-from galois_arrow.arc import _member_points, build_time_family
+from galois_arrow.arc import _member_values, build_time_family
 from galois_arrow.arrow import TemporalClass, arc_arrow, classify_member, conic_arrow
 from galois_arrow.kernel import time_pencil_context
 from galois_arrow.witnesses import _arc_deltas, _contacts, _triple_values, _witnesses
@@ -39,10 +40,13 @@ def _family(spec, linf=(1, 1, 1), lstar=None):
 
 def _proper(ctx):
     """Per proper member, in member order: its id and member from the
-    census members(), and its closed-form points from arc._member_points."""
+    census members(), and its closed-form points from arc._member_values,
+    as plane points."""
     census = [(i, m) for i, m in enumerate(members(time_pencil(ctx.spec), ctx.plane))
               if m.is_proper]
-    return [(i, m, pts) for (i, m), pts in zip(census, _member_points(ctx), strict=True)]
+    points = [tuple(ProjPoint(ctx.spec, v) for v in _member_values(ctx.spec, t))
+              for t in ctx.ids]
+    return [(i, m, pts) for (i, m), pts in zip(census, points, strict=True)]
 
 
 def test_validate_ideal_line_accepts_all_nonzero():

@@ -18,6 +18,7 @@ from galois_arrow.errors import (
     DegenerateContactPoint,
     InvariantViolation,
     UsageError,
+    ValidationError,
 )
 from galois_arrow import cli, driver, plane, witnesses
 from galois_arrow.arc import Arc, build_time_family
@@ -352,15 +353,16 @@ FAMILY_CSV_PAIRS = [((1, 1, 1), (1, 2, 0), (1, 1)), ((1, 2, 3), (1, 3, 0), (1, 1
 @pytest.mark.parametrize("n", [2, 3, 4], ids=lambda n: f"q{2 ** n}")
 def test_family_csv_builds_no_family(monkeypatch, n):
     """The family's CSV rows come from the context's thetas once the
-    configuration passes arc._check_configuration: neither
-    build_time_family nor arc._member_points is called, and the rows equal
+    configuration passes arc._check_configuration: none of
+    build_time_family, arc._family_values and arc._member_values is
+    called, and the rows equal
     those read off the built family, each member's size len(arc.points),
     its theta and is_conic_arc, the oracles."""
     from galois_arrow import arc
     spec = make_field(2, n)
     q, fmt = spec.order, spec.format
     calls = []
-    for name in ("build_time_family", "_member_points"):
+    for name in ("build_time_family", "_family_values", "_member_values"):
         def counting(*args, name=name, original=getattr(arc, name)):
             calls.append(name)
             return original(*args)
@@ -378,23 +380,99 @@ def test_family_csv_builds_no_family(monkeypatch, n):
         assert out.splitlines() == want
 
 
+def _run_counting_plane_items(argv):
+    """_run of argv, and what it made of the plane and the family: each
+    ProjPoint and ProjLine, each Plane and build_plane call, and each call
+    of build_time_family and family_to_dict."""
+    from galois_arrow import arc
+    made = []
+    item, init, plane_init = plane._Enumeration._item, plane._Triple.__init__, plane.Plane.__init__
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(plane._Enumeration, "_item",
+                      lambda self, values: made.append(values) or item(self, values))
+        patch.setattr(plane._Triple, "__init__",
+                      lambda self, *args: made.append(args) or init(self, *args))
+        patch.setattr(plane.Plane, "__init__",
+                      lambda self, *args: made.append("Plane") or plane_init(self, *args))
+        for module, name in ((plane, "build_plane"), (arc, "build_time_family"),
+                             (arc, "family_to_dict")):
+            def counting(*args, name=name, original=getattr(module, name)):
+                made.append(name)
+                return original(*args)
+
+            patch.setattr(module, name, counting)
+        return (*_run(argv), made)
+
+
+@pytest.mark.parametrize("spec", [make_field(2, 2), make_field(2, 3), make_field(2, 4),
+                                  make_field(3, 2, (1, 0, 1)), make_field(5, 2, (2, 0, 1))],
+                         ids=lambda s: f"q{s.order}")
+def test_conic_and_family_commands_make_no_plane_item(spec):
+    """conic, and family in JSON and CSV, print from values: they make no
+    ProjPoint, ProjLine or plane and call neither build_time_family nor
+    family_to_dict.  Their stdout is what the library, the oracle, gives:
+    for conic, str() of parametrize_canonical's points in plane order and
+    of their polar lines, which are tangent_lines' tally, with classify and
+    nucleus; for family, family_to_dict of build_time_family and the rows
+    read off that family, on three (L-infinity, L*) pairs, the last given
+    unnormalized.  In odd characteristic, where the polar of (x1 : x2 : x3)
+    is (x2 : x1 : -2x3) scaled to normal form, conic runs alone."""
+    from galois_arrow.arc import family_to_dict, is_conic_arc
+    from galois_arrow.conic import (canonical_conic, classify, nucleus, parametrize_canonical,
+                                    tangent_lines)
+    q, fmt = spec.order, spec.format
+    field = ["--p", str(spec.characteristic), "--n", str(spec.degree),
+             "--modulus", ",".join(map(str, spec.modulus))]
+    conic, oracle = canonical_conic(spec), plane.build_plane(spec)
+    points = sorted(parametrize_canonical(spec), key=oracle.points.index)
+    polars = sorted([ProjLine(spec, (x2, x1, spec._neg_i(spec._add_i(x3, x3))))
+                     for x1, x2, x3 in (p.values for p in points)], key=oracle.lines.index)
+    assert polars == tangent_lines(conic, oracle)
+    want = {"q": q, "coefficients": [str(c) for c in conic.coefficients],
+            "class": str(classify(conic, oracle)), "points": [str(p) for p in points],
+            "tangent_lines": [str(l) for l in polars],
+            "nucleus": str(nucleus(conic, oracle)) if spec.characteristic == 2 else None}
+    assert _run_counting_plane_items(["conic", *field]) == (
+        0, json.dumps(want, indent=2) + "\n", "", [])
+    pairs = FAMILY_CSV_PAIRS if spec.characteristic == 2 else []
+    for linf, lstar, (k, kstar) in pairs:
+        family = build_time_family(spec, ProjLine(spec, linf), ProjLine(spec, lstar))
+        rows = ["q,member_id,theta,size,is_conic"] + [
+            f"{q},{m},{fmt(t1)}:{fmt(t2)},{len(a.points)},{str(is_conic_arc(a)).lower()}"
+            for m, ((t1, t2), a) in enumerate(zip(family.thetas, family.members))]
+        argv = ["family", *field, "--linf", _scaled(spec, linf, k),
+                "--lstar", _scaled(spec, lstar, kstar)]
+        assert _run_counting_plane_items(argv) == (
+            0, json.dumps(family_to_dict(family), indent=2) + "\n", "", [])
+        assert _run_counting_plane_items([*argv, "--output", "csv"]) == (
+            0, "\n".join(rows) + "\n", "", [])
+
+
 FAMILY_LINES = ["1,1,1", "2,4,6", "1,2,3", "7,7,7", "1,0,0", "0,1,0", "0,0,1", "0,3,4",
                 "1,1,0", "1,2,0", "2,4,0", "3,5,0", "5,5,0"]
 
 
 def test_family_csv_refuses_what_the_family_build_refuses():
     """On every pair of a grid of lines over GF(8), valid and invalid, some
-    given unnormalized, the family's CSV exits as its JSON, which builds the
-    family, does: 0, or 2 with the same diagnostic line."""
+    given unnormalized, the family's JSON and CSV exit as build_time_family,
+    the oracle, does on the same lines: 0, or 2 with the diagnostic line of
+    the error it raises."""
+    spec = make_field(2, 3)
     errors = set()
     for linf in FAMILY_LINES:
         for lstar in FAMILY_LINES:
+            try:
+                build_time_family(spec, *(ProjLine(spec, map(int, line.split(",")))
+                                          for line in (linf, lstar)))
+                want = None
+            except ValidationError as exc:
+                want = {"error": type(exc).__name__, "message": str(exc)}
             argv = ["family", "--n", "3", "--linf", linf, "--lstar", lstar]
-            code, out, err = _run(argv)
-            csv_code, csv_out, csv_err = _run([*argv, "--output", "csv"])
-            assert (csv_code, csv_err) == (code, err), argv
-            assert bool(csv_out) == bool(out) == (code == 0), argv
-            errors.add(json.loads(err)["error"] if err else None)
+            for output in ("json", "csv"):
+                code, out, err = _run([*argv, "--output", output])
+                assert (code, bool(out), json.loads(err) if err else None) == (
+                    (0, True, None) if want is None else (2, False, want)), (argv, output)
+            errors.add(want and want["error"])
     assert errors == {None, "HitsBasePoint", "HitsNucleus", "InvalidTangentLine",
                       "DegenerateContactPoint"}
 

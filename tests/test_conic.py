@@ -199,6 +199,15 @@ def test_parametrization_matches_point_set(spec):
     assert set(pts) == set(point_set(canonical_conic(spec), plane))
 
 
+@pytest.mark.parametrize("spec", [GF2, GF3, GF4, GF5, GF8, GF9], ids=lambda s: f"q{s.order}")
+def test_parametrization_is_in_element_order(spec):
+    """parametrize_canonical is (1:0:0), then (s^2 : 1 : s) for s in element
+    order, each made by ProjPoint's normalizing constructor."""
+    mul = spec._mul_i
+    assert parametrize_canonical(spec) == [
+        ProjPoint(spec, (1, 0, 0)), *(ProjPoint(spec, (mul(s, s), 1, s)) for s in range(spec.order))]
+
+
 def test_classify_line_examples():
     plane = build_plane(GF4)
     pts = point_set(canonical_conic(GF4), plane)

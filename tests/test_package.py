@@ -103,7 +103,7 @@ def test_moved_names_resolve_from_the_modules_that_held_them(module, name, home)
     *[("field", name, "element") for name in ("FieldElement", "add", "sub", "neg", "mul",
                                               "inv", "sqrt_char2", "elements")],
     ("field", "parse_modulus", "modulus"), ("kernel", "TemporalClass", "arrow"),
-    ("kernel", "validate_ideal_line", "plane"), ("kernel", "validate_lines", "plane")])
+    ("kernel", "validate_ideal_line", "plane")])
 def test_each_name_resolves_only_from_its_home(module, name, home):
     """A name that a module neither defines nor imports does not resolve
     from it, even after its home is loaded: the field module does not

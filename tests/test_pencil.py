@@ -44,10 +44,10 @@ from galois_arrow.plane import (
     line_through,
     meet,
     validate_ideal_line,
-    validate_lines,
 )
-from galois_arrow.arc import _member_points
+from galois_arrow.arc import _member_values
 from galois_arrow.kernel import TimePencilContext, _orbit, _quadratic_roots, time_pencil_context
+from galois_arrow.lines import _check_line
 
 from oracles import _join_index
 
@@ -218,7 +218,7 @@ def test_context_collects_proper_members_in_order():
     ctx = time_pencil_context(GF8)
     assert ctx.ids == tuple(range(1, 8))
     assert list(ctx.thetas) == [(1, t) for t in range(1, 8)]
-    assert all(len(pts) == 9 for pts in _member_points(ctx))
+    assert all(len(_member_values(GF8, t)) == 9 for t in ctx.ids)
     assert len(ctx.valid_ideal_lines()) == 7 * 7
     assert len(ctx.valid_tangent_lines()) == 7
 
@@ -253,13 +253,13 @@ def test_context_ids_and_thetas_are_the_census_proper_members(spec):
 @pytest.mark.parametrize("spec", [GF3, GF4, GF5, GF8, GF9, GF16, GF32],
                          ids=lambda s: f"q{s.order}")
 def test_context_masks_are_the_member_point_sets(spec):
-    """The closed-form member points (arc._member_points) against the
+    """The closed-form member points (arc._member_values) against the
     point_set scan, and the degenerate members' scans against their lines."""
     ctx = time_pencil_context(spec)
     plane = ctx.plane
     x1, x2, x3 = (plane.points_on(ProjLine(spec, v))
                   for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    proper = zip(ctx.ids, ctx.thetas, _member_points(ctx), strict=True)
+    proper = zip(ctx.ids, ctx.thetas, [_member_values(spec, t) for t in ctx.ids], strict=True)
     for idx, m in enumerate(members(time_pencil(ctx.spec), plane)):
         scan = point_set(m.conic, plane)
         if m.theta == (1, 0):       # x1*x2: the lines x1 = 0 and x2 = 0
@@ -272,7 +272,7 @@ def test_context_masks_are_the_member_point_sets(spec):
             assert m.is_proper
             member_id, theta, pts = next(proper)
             assert (member_id, theta) == (idx, m.theta)
-            assert pts == scan and all(a == b for a, b in zip(pts, scan))
+            assert pts == [p.values for p in scan]
     assert next(proper, None) is None
 
 
@@ -286,12 +286,13 @@ def test_member_points_are_zeros_with_distinct_joins_to_n(spec):
     ctx = time_pencil_context(spec)
     q = spec.order
     n = ctx.N.values
-    for t, pts in zip(ctx.ids, _member_points(ctx), strict=True):
+    for t in ctx.ids:
+        pts = _member_values(spec, t)
         values = (0, 1, 0, 0, 0, t)   # x1*x2 + t*x3^2
         assert len(set(pts)) == q + 1
-        assert not any(_evaluate_values(spec, values, p.values) for p in pts)
+        assert not any(_evaluate_values(spec, values, p) for p in pts)
         if spec.characteristic == 2:
-            assert len({_join_index(spec, n, p.values) for p in pts}) == q + 1
+            assert len({_join_index(spec, n, p) for p in pts}) == q + 1
 
 
 @pytest.mark.parametrize("spec", [GF4, GF9], ids=lambda s: f"q{s.order}")
@@ -324,9 +325,9 @@ def test_context_set_up_runs_no_census_scan_or_check(spec):
                          ids=lambda s: f"q{s.order}")
 def test_line_validity_from_coefficients_matches_incidence(spec):
     """The valid ideal and tangent lines, and the errors validate_ideal_line
-    and validate_lines raise for every plane line, all read off
-    coefficients, against their incidence definitions: an ideal line avoids
-    B1, B2 and N; L* passes through N and is neither NB1 nor NB2."""
+    and lines._check_line, on an L*, raise for every plane line, all read
+    off coefficients, against their incidence definitions: an ideal line
+    avoids B1, B2 and N; L* passes through N and is neither NB1 nor NB2."""
     ctx = time_pencil_context(spec)
     plane = ctx.plane
     nb1, nb2 = line_through(ctx.N, ctx.B1), line_through(ctx.N, ctx.B2)
@@ -338,7 +339,7 @@ def test_line_validity_from_coefficients_matches_incidence(spec):
         else:
             expected = None
         try:
-            validate_lines(ctx, (), (line,))
+            _check_line(spec, line.values, True)
             got = None
         except InvalidTangentLine as exc:
             got = (type(exc), str(exc))
