@@ -21,6 +21,7 @@ loads no module of arcs, runs the same line checks and contacts.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
@@ -187,6 +188,17 @@ def _family_values(spec: FieldSpec, a: int) -> Iterator[tuple[Values, list[Value
         yield touch, points
 
 
+@lru_cache(maxsize=1)
+def _family_items(spec: FieldSpec, a: int) -> tuple:
+    """The touch points and the arcs' points of the family on
+    L* = (1 : a : 0) (_family_values), as plane items.  They depend on
+    (spec, a) alone, not on the ideal line, so the families of one L*
+    share them; the last L*'s are kept."""
+    item = time_pencil_context(spec).plane.points._item
+    return tuple(zip(*[(item(touch), tuple(map(item, points)))
+                       for touch, points in _family_values(spec, a)]))
+
+
 def _check_configuration(spec: FieldSpec, linf: Values, lstar: Values) -> tuple[int, int]:
     """The checks of a family configuration over spec, its lines given by
     their normalized values, in this order: the field (characteristic 2,
@@ -239,7 +251,7 @@ def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine) -> ArcFa
     point with x2 = v is at position v, and its touch point at position
     1/a.  member_through over the points of lstar is the oracle in tests.
     The family's points are those of _family_values, each made a plane
-    item here.
+    item (_family_items).
 
     Lines of another field are refused (MixedFields) before the checks of
     _check_configuration.
@@ -248,12 +260,11 @@ def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine) -> ArcFa
     _check_field(linf, ctx.plane)
     _check_field(lstar, ctx.plane)
     index, t = _check_configuration(spec, linf.values, lstar.values)
-    item = ctx.plane.points._item
-    touches, arcs = zip(*[(item(touch), Arc(tuple(map(item, points))))
-                          for touch, points in _family_values(spec, lstar.values[1])])
+    touches, arcs = _family_items(spec, lstar.values[1])
     provenance = FamilyProvenance(time_pencil(spec), linf, lstar, ctx.plane.points[index],
                                   (1, t))
-    return ArcFamily(spec, ctx.plane, arcs, ctx.ids, ctx.thetas, touches, provenance)
+    return ArcFamily(spec, ctx.plane, tuple(map(Arc, arcs)), ctx.ids, ctx.thetas, touches,
+                     provenance)
 
 
 def family_to_dict(family: ArcFamily) -> dict:

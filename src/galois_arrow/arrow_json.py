@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
-from .kernel import Values, time_pencil_context
+from .kernel import Values, _text_table, time_pencil_context
 from .report_text import _ReportText
 
 if TYPE_CHECKING:
@@ -32,8 +32,8 @@ def _arrow_json(spec: FieldSpec, config: RunConfig, reports: Iterator,
     """One chunk per ideal line, holding its reports, then the summary;
     reports is driver._arrow_reports, which appends a sweep's rejected
     configurations to rejected."""
-    ctx = time_pencil_context(spec)
-    text = _ReportText(ctx)
+    coords, triple = _text_table(spec)
+    text = _ReportText(time_pencil_context(spec), coords, triple)
     # the opening goes out with the first ideal line's reports, so that a
     # run refused before them prints nothing
     opening = (f'{{\n  "q": {spec.order},\n  "mode": "{config.mode}",\n'
@@ -67,7 +67,6 @@ def _arrow_json(spec: FieldSpec, config: RunConfig, reports: Iterator,
         key = "%d:%d:%d" % tallies
         distribution[key] = distribution.get(key, 0) + len(configurations)
         yield "".join(pieces)
-    triple = text.triple
     entries = [f'\n    {{\n      "linf": "{triple(linf)}",\n'
                f'      "lstar": "{triple((1, a, 0))}",\n'
                f'      "rejected": "DegenerateContactPoint"\n    }}'

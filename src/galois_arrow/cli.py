@@ -27,9 +27,10 @@ from .field import field_order
 COMMANDS = ("field-info", "plane", "conic", "pencil", "family", "arrow")
 _CSV_COMMANDS = ("pencil", "family", "arrow")
 # The largest order at which plane, conic, pencil, family and arrow sweeps
-# are accepted.  At q = 2^10 on 2 cores plane and family take about 6 s and
-# 373-424 MiB, and conic and pencil, O(q), under 0.2 s.  It stays until a
-# closed-form work estimate replaces it (ROADMAP item 6).
+# are accepted.  At q = 2^10 on 2 cores plane takes 0.9-1.2 s and 301 MiB,
+# family (JSON) 1.3-1.4 s and 200 MiB, and conic, pencil and the family's
+# CSV, O(q), 0.08-0.12 s and 15-16 MiB.  It stays until a closed-form work
+# estimate replaces it (ROADMAP item 6).
 _PLANE_MAX_ORDER = 1 << 10
 _PLANE_COMMANDS = ("plane", "conic", "pencil", "family")
 

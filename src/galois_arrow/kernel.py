@@ -8,8 +8,14 @@ call them, so it loads no plane, census, conic or arc module:
 - witnesses: per ideal line, its members' witnesses and the arc pass, as
   plane indices, for arc and JSON runs;
 - lines: a single run's --linf and --lstar, normalized and checked;
-- linetext: the text (x1:x2:x3) of a line, read from argv or written in a
-  diagnostic.
+- linetext: a line read from argv, and the text of a point or line made
+  one at a time, for str() of a plane item or a diagnostic.
+
+The text (x1:x2:x3) of every point and line the package prints has one
+layout, _triple_text, over the text of each coordinate.  A run that makes
+many texts reads them from the field's one table of coordinate strings,
+made once per run by _text_table; a text made one at a time formats only
+its own three coordinates (linetext._text).
 
 A sweep takes its lines in closed form: the ideal lines (1 : b : c),
 bc != 0, and the lines L* = (1 : a : 0), a != 0 (driver._arrow_reports).
@@ -46,7 +52,7 @@ witnesses, as plane indices.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .field import FieldSpec
 
@@ -66,6 +72,22 @@ def _quadratic_roots(spec: FieldSpec) -> list[int | None]:
     for y in range(spec.order):
         roots[spec._mul_i(y, y) ^ y] = y
     return roots
+
+
+def _triple_text(coords, values: Values) -> str:
+    """The text (x1:x2:x3) of a point or line by its values, each read from
+    coords: the field's table (_text_table) or, for a text made one at a
+    time, its three coordinates' texts by value (linetext._text)."""
+    x1, x2, x3 = values
+    return f"({coords[x1]}:{coords[x2]}:{coords[x3]})"
+
+
+def _text_table(spec: FieldSpec) -> tuple:
+    """The field's coordinate strings, spec.format of each value, by value,
+    and _triple_text reading them: the one table of a run that makes many
+    texts of points, lines or members, made once per run."""
+    coords = [*map(spec.format, range(spec.order))]
+    return coords, partial(_triple_text, coords)
 
 
 class TimePencilContext:

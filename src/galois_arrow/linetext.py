@@ -1,6 +1,7 @@
-"""The text (x1:x2:x3) of a point or line: read from the command line's
---linf and --lstar, and written by str() of a plane item and in the
-diagnostics that name a line.
+"""Lines read from the command line's --linf and --lstar, and the text
+(x1:x2:x3) of a point or line made one at a time, by str() of a plane item
+and in the diagnostics that name a line, in the kernel's one layout
+(kernel._triple_text).
 
 The arrow command imports this module only when --linf or --lstar is
 given or a diagnostic names a line, so a run on the default lines that
@@ -9,9 +10,9 @@ succeeds does not compile it.
 
 from __future__ import annotations
 
-from .errors import DegenerateContactPoint, UsageError
+from .errors import ArcDeltaMismatch, DegenerateContactPoint, UsageError
 from .field import FieldSpec
-from .kernel import Values
+from .kernel import _CLASS_BY_HITS, Values, _triple_text
 
 
 def _parse_triple(text: str, q: int) -> tuple[int, int, int]:
@@ -29,8 +30,10 @@ def _parse_triple(text: str, q: int) -> tuple[int, int, int]:
 
 
 def _text(spec: FieldSpec, values: Values) -> str:
-    """The text (x1:x2:x3) of a point or line by its values, as str() of it."""
-    return "(" + ":".join(map(spec.format, values)) + ")"
+    """The text (x1:x2:x3) of a point or line by its values, as str() of it:
+    kernel._triple_text over the texts of its three coordinates alone, so
+    that a text made one at a time builds no table of the field."""
+    return _triple_text({v: spec.format(v) for v in values}, values)
 
 
 def _degenerate_contact(spec: FieldSpec, linf: Values, a: int) -> DegenerateContactPoint:
@@ -40,3 +43,15 @@ def _degenerate_contact(spec: FieldSpec, linf: Values, a: int) -> DegenerateCont
     return DegenerateContactPoint(
         f"{_text(spec, (1, spec._inv[a], 0))} = {_text(spec, linf)} ∧ {_text(spec, (1, a, 0))}"
         " lies on a degenerate member")
+
+
+def _delta_mismatch(spec: FieldSpec, linf: Values, t: int, index: int,
+                    hits: tuple[int, ...]) -> ArcDeltaMismatch:
+    """The stop of an arc pass (witnesses._arc_deltas) whose member
+    Q* = (1, t), through the contact point A at plane index index, has the
+    witnesses hits on linf, not two of which A is one."""
+    from .witnesses import _triple_values
+    a, *others = [_text(spec, _triple_values(spec.order, i)) for i in (index, *hits)]
+    return ArcDeltaMismatch(
+        f"member (1, {t}) through {a} is {_CLASS_BY_HITS[len(hits)]} on"
+        f" {_text(spec, linf)} with witnesses {', '.join(others)}")

@@ -18,7 +18,9 @@ library calls that make the same plane items and families (build_plane,
 parametrize_canonical, build_time_family, family_to_dict) and the scans
 and tallies that find the same (conic.point_set, conic.tangent_lines,
 pencil.members, pencil.common_nucleus) are the tests' oracles, not called
-here.
+here.  Every text of a point, line or coordinate is read from the field's
+coordinate strings, made once per command, each point and line in the
+kernel's layout (kernel._text_table).
 
 driver._execute imports this module for those commands only, so an arrow
 run does not compile it.  Each builder imports the modules it reads when
@@ -47,10 +49,10 @@ def _payload_field_info(spec: FieldSpec) -> dict:
 
 
 def _payload_plane(spec: FieldSpec) -> dict:
-    from .linetext import _text
+    from .kernel import _text_table
     from .plane import _triples
     # point i and line i share their values, so one list is both
-    texts = [_text(spec, values) for values in _triples(spec.order)]
+    texts = [*map(_text_table(spec)[1], _triples(spec.order))]
     return {
         "q": spec.order,
         "num_points": len(texts),
@@ -63,9 +65,10 @@ def _payload_plane(spec: FieldSpec) -> dict:
 def _payload_conic(spec: FieldSpec) -> dict:
     from functools import partial
     from .conic import _canonical_values, canonical_conic
+    from .kernel import _text_table
     from .lines import _normalized
-    from .linetext import _text
     from .plane import _triple_index
+    coords, text = _text_table(spec)
     in_plane_order = partial(_triple_index, spec.order)
     points = sorted(_canonical_values(spec), key=in_plane_order)
     # each point's tangent is its polar line (x2 : x1 : -2x3) of x1*x2 - x3^2,
@@ -74,39 +77,38 @@ def _payload_conic(spec: FieldSpec) -> dict:
                        for x1, x2, x3 in points], key=in_plane_order)
     return {
         "q": spec.order,
-        "coefficients": [*map(spec.format, canonical_conic(spec).values)],
+        "coefficients": [coords[c] for c in canonical_conic(spec).values],
         # x1*x2 - x3^2 has Delta = 1; conic.classify is the oracle
         "class": "Proper",
-        "points": [_text(spec, values) for values in points],
-        "tangent_lines": [_text(spec, values) for values in tangents],
+        "points": [*map(text, points)],
+        "tangent_lines": [*map(text, tangents)],
         # (c23 : c13 : c12) of x1*x2 + x3^2; conic.nucleus is the oracle
-        "nucleus": _text(spec, (0, 0, 1)) if spec.characteristic == 2 else None,
+        "nucleus": text((0, 0, 1)) if spec.characteristic == 2 else None,
     }
 
 
 def _payload_pencil(spec: FieldSpec) -> dict:
-    from .kernel import time_pencil_context
-    from .linetext import _text
+    from .kernel import _text_table, time_pencil_context
     ctx = time_pencil_context(spec)
-    fmt = spec.format
+    coords, text = _text_table(spec)
     payload = {
         "q": spec.order,
         # x1*x2 = x3^2 = 0 in plane order, for every q; pencil.base_points is the oracle
-        "base_points": [_text(spec, (1, 0, 0)), _text(spec, (0, 1, 0))],
+        "base_points": [text((1, 0, 0)), text((0, 1, 0))],
         # the members t1*x1*x2 + t2*x3^2 in closed form: (1, 0), the proper
         # (1, t) of discriminant -t, then (0, 1); pencil.members, the census
         # by classify, is the oracle, and pencil.common_nucleus for N
         "members": [
             {
-                "theta": [fmt(t1), fmt(t2)],
-                "conic": [fmt(c) for c in (0, t1, 0, 0, 0, t2)],
+                "theta": [coords[t1], coords[t2]],
+                "conic": [coords[c] for c in (0, t1, 0, 0, 0, t2)],
                 "class": "Proper" if t1 * t2 else ("DoubleLine", "RealLinePair")[t1],
             }
             for t1, t2 in ((1, 0), *ctx.thetas, (0, 1))
         ],
     }
     if spec.characteristic == 2:
-        payload["common_nucleus"] = _text(spec, (0, 0, 1))
+        payload["common_nucleus"] = text((0, 0, 1))
     return payload
 
 
@@ -118,33 +120,32 @@ def _payload_family(spec: FieldSpec, config) -> dict | list[str]:
     t != 0, in member order, has size q+1.  family_to_dict of
     build_time_family is the oracle."""
     from .arc import _check_configuration, _family_values, _is_conic
-    from .kernel import time_pencil_context
+    from .kernel import _text_table, time_pencil_context
     from .lines import _normalized
-    from .linetext import _text
     linf, lstar = _normalized(spec, config.linf), _normalized(spec, config.lstar)
     index, t = _check_configuration(spec, linf, lstar)
     q = spec.order
-    fmt = spec.format
+    coords, text = _text_table(spec)
     thetas = time_pencil_context(spec).thetas
     is_conic = _is_conic(q)
     if config.output == "csv":
         tail = f",{q + 1},{str(is_conic).lower()}"
         return ["q,member_id,theta,size,is_conic",
-                *[f"{q},{i},{fmt(t1)}:{fmt(t2)}{tail}" for i, (t1, t2) in enumerate(thetas)]]
+                *[f"{q},{i},{coords[t1]}:{coords[t2]}{tail}" for i, (t1, t2) in enumerate(thetas)]]
     from .witnesses import _triple_values
     return {
         "q": q,
-        "Linf": _text(spec, linf),
-        "Lstar": _text(spec, lstar),
-        "A": _text(spec, _triple_values(q, index)),
-        "Qstar_theta": [fmt(1), fmt(t)],
+        "Linf": text(linf),
+        "Lstar": text(lstar),
+        "A": text(_triple_values(q, index)),
+        "Qstar_theta": [coords[1], coords[t]],
         "members": [
             {
-                "theta": [*map(fmt, theta)],
-                "points": [_text(spec, values) for values in arc],
+                "theta": [coords[t1], coords[t2]],
+                "points": [*map(text, arc)],
                 "is_conic": is_conic,
             }
-            for theta, (_, arc) in zip(thetas, _family_values(spec, lstar[1]))
+            for (t1, t2), (_, arc) in zip(thetas, _family_values(spec, lstar[1]))
         ],
     }
 

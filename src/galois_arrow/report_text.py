@@ -1,6 +1,7 @@
-"""The text of the arrow command's JSON reports: the q coordinate
-strings, point texts, each member's text up to its first witness per
-class, and L* tails, each made once per run.
+"""The text of the arrow command's JSON reports: each member's text up to
+its first witness per class, point texts and L* tails, each made once per
+run from the field's coordinate strings, in the kernel's layout
+(kernel._text_table).
 
 arrow_json._arrow_json makes one _ReportText per run and lays its texts
 out as the document; like that module, this one is loaded by JSON arrow
@@ -8,6 +9,8 @@ runs only.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .kernel import _CLASS_BY_HITS, TimePencilContext, Values
 from .witnesses import _triple_values
@@ -22,28 +25,21 @@ class _ReportText:
     members' texts and its tail; the caller makes the members' texts once
     per ideal line.  Made on first use and kept for the run: a Future
     member's whole text, a Past or Present member's text up to its first
-    witness, point texts and L* tails.  Point and line texts are made from
-    the q coordinate strings."""
+    witness, point texts and L* tails, from the field's coordinate strings
+    coords and the text of a point or line read from them, triple
+    (kernel._text_table)."""
 
-    def __init__(self, ctx: TimePencilContext):
-        spec = ctx.spec
-        self._q = spec.order
-        self.coords = [spec.format(v) for v in range(spec.order)]
+    def __init__(self, ctx: TimePencilContext, coords: list[str], triple):
+        q = self._q = ctx.spec.order
+        self._coords = coords
+        self._triple = triple
         self._ids = ctx.ids
         self._thetas = ctx.thetas
-        self._points: dict[int, str] = {}
+        # the text of the plane point at each index, from its values
+        self._point = lru_cache(maxsize=None)(lambda i: triple(_triple_values(q, i)))
         # per number of witnesses (Future, Present, Past), per member position
         self._member_heads: list[list[str | None]] = [[None] * len(ctx.ids) for _ in range(3)]
         self._json_tails: dict[int | None, str] = {}
-
-    def triple(self, values: Values) -> str:
-        coords = self.coords
-        return "(" + ":".join([coords[v] for v in values]) + ")"
-
-    def point(self, index: int) -> str:
-        """The text of the plane point at index, made from its values."""
-        text = self._points[index] = self.triple(_triple_values(self._q, index))
-        return text
 
     def json_head(self, mode: str, linf: Values, tallies: tuple[int, int, int]) -> str:
         """The report's text up to the opening bracket of its members (every
@@ -51,7 +47,7 @@ class _ReportText:
         past, present, future = tallies
         return (
             f'{{\n      "q": {self._q},\n      "mode": "{mode}",\n'
-            f'      "ideal_line": "{self.triple(linf)}",\n'
+            f'      "ideal_line": "{self._triple(linf)}",\n'
             f'      "tallies": {{\n        "past": {past},\n'
             f'        "present": {present},\n'
             f'        "future": {future}\n      }},\n'
@@ -62,7 +58,7 @@ class _ReportText:
         arc report."""
         text = self._json_tails.get(a)
         if text is None:
-            tail = f',\n      "lstar": "{self.triple((1, a, 0))}"' if a else ""
+            tail = f',\n      "lstar": "{self._triple((1, a, 0))}"' if a else ""
             text = self._json_tails[a] = f"\n      ]{tail}\n    }}"
         return text
 
@@ -71,7 +67,7 @@ class _ReportText:
         its first witness; the whole text for a Future member."""
         t1, t2 = self._thetas[i]
         head = (f'\n        {{\n          "id": {self._ids[i]},\n          "theta": [\n'
-                f'            "{self.coords[t1]}",\n            "{self.coords[t2]}"\n'
+                f'            "{self._coords[t1]}",\n            "{self._coords[t2]}"\n'
                 f'          ],\n          "class": "{_CLASS_BY_HITS[hits]}",\n'
                 f'          "witnesses": ' + ('[\n            "' if hits else '[]\n        }'))
         self._member_heads[hits][i] = head
@@ -83,10 +79,7 @@ class _ReportText:
         head = self._member_heads[len(witnesses)][i] or self._member_head(i, len(witnesses))
         if not witnesses:
             return head
-        points = self._points
-        a = witnesses[0]
-        text = head + (points.get(a) or self.point(a))
+        text = head + self._point(witnesses[0])
         if len(witnesses) == 2:   # Past; Present has one witness
-            b = witnesses[1]
-            text += '",\n            "' + (points.get(b) or self.point(b))
+            text += '",\n            "' + self._point(witnesses[1])
         return text + '"\n          ]\n        }'

@@ -34,9 +34,10 @@ witnesses:
 _arc_deltas is that change for every L* of one ideal line in one pass on
 plane indices: A and Q* from _contacts' closed form, a rejection where A
 is on a degenerate member, and Q*'s witness other than A, read off the
-line's conic witnesses.  It raises ArcDeltaMismatch if Q* is not Past
-with A as a witness.  arrow.arc_arrow and the CLI, single runs and sweeps
-alike, take the arc arrow from it.  Its oracles, in tests only:
+line's conic witnesses.  It raises ArcDeltaMismatch (made by
+linetext._delta_mismatch) if Q* is not Past with A as a witness.
+arrow.arc_arrow and the CLI, single runs and sweeps alike, take the arc
+arrow from it.  Its oracles, in tests only:
 plane.meet for A, pencil.member_through for Q*, and the incidence scan of
 Q*'s points on L-infinity for the witness.
 """
@@ -45,9 +46,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import ArcDeltaMismatch
 from .field import FieldSpec
-from .kernel import _CLASS_BY_HITS, TimePencilContext, Values, _orbit
+from .kernel import TimePencilContext, Values, _orbit
 
 
 def _triple_values(q: int, i: int) -> Values:
@@ -128,11 +128,7 @@ def _arc_deltas(ctx: TimePencilContext, linf: Values, lstar_as: Sequence[int],
         # the proper members are (1, t), t = 1 .. q-1, in order
         hits = witnesses[t - 1]
         if len(hits) != 2 or index not in hits:
-            from .linetext import _text
-            spec = ctx.spec
-            a, *others = [_text(spec, _triple_values(spec.order, i)) for i in (index, *hits)]
-            raise ArcDeltaMismatch(
-                f"member (1, {t}) through {a} is {_CLASS_BY_HITS[len(hits)]} on"
-                f" {_text(spec, linf)} with witnesses {', '.join(others)}")
+            from .linetext import _delta_mismatch
+            raise _delta_mismatch(ctx.spec, linf, t, index, hits)
         out.append((t - 1, hits[1] if hits[0] == index else hits[0]))
     return out

@@ -1,8 +1,10 @@
 """Mutation check of the closed forms and fast paths: every closed form the
 arrows run on (kernel.py, witnesses.py, lines.py, linetext.py and the
 sweep's lines in driver.py), the plane's enumeration and incidence indices
-(plane.py), the text layout of the arrow command's JSON and CSV
-(arrow_json.py, report_text.py, arrow_csv.py), what the plane, conic,
+(plane.py), the one text of a point or line and the field's table of
+coordinate strings (kernel.py, linetext.py), the text layout of the arrow
+command's JSON and CSV (arrow_json.py, report_text.py, arrow_csv.py), what
+the plane, conic,
 pencil and family commands print (payloads.py), the family's member and
 touch points, configuration checks and is_conic rule (arc.py), the
 canonical conic's points (conic.py), the expansion of a hex modulus
@@ -73,6 +75,8 @@ FAMILY_JSON = [f"tests/test_golden_stdout.py::test_stdout_matches_golden_digest[
 FAMILY_ARCS = ["tests/test_arc.py::test_family_members_are_arcs_for_every_lstar[q8]"]
 MEMBER_POINTS = ["tests/test_pencil.py::test_context_masks_are_the_member_point_sets[q8]"]
 PARAMETRIZATION = ["tests/test_conic.py::test_parametrization_is_in_element_order[q8]"]
+# every point and line's text from the table against spec.format and str()
+TEXTS = ["tests/test_plane.py::test_point_and_line_texts_match_the_formatted_coordinates[q9]"]
 # the plane command's digests over GF(4) and GF(3), and the family's JSON
 # and CSV against the refusals of its build
 PLANE = [f"tests/test_golden_stdout.py::test_stdout_matches_golden_digest[plane {field}]"
@@ -92,6 +96,12 @@ MUTANTS = {"kernel.py": [
     ("the roots of y^2 + y -> of y^2", "roots[spec._mul_i(y, y) ^ y] = y",
      "roots[spec._mul_i(y, y)] = y", CONIC),
     ("orbits looked up by b, not u", "ys = ctx.orbits.get(u)", "ys = ctx.orbits.get(b)", CONIC),
+    ("a point's text with a comma for its first colon", 'f"({coords[x1]}:{coords[x2]}:',
+     'f"({coords[x1]},{coords[x2]}:', PLANE + GOLDEN),
+    ("a point's text without its closing parenthesis", ':{coords[x3]})"', ':{coords[x3]}"',
+     PLANE + PAYLOADS),
+    ("the coordinate strings read one value off", "[*map(spec.format, range(spec.order))]",
+     "[*map(spec.format, range(1, spec.order + 1))]", PLANE + PAYLOADS + GOLDEN),
 ], "witnesses.py": [
     ("c^2 -> c in _contacts' t", "cc = mul(c, c)", "cc = c", ARC),
     ("the second witness s1 = s0 ^ d -> s0", "s1 = s0 ^ d", "s1 = s0", CONIC),
@@ -115,6 +125,8 @@ MUTANTS = {"kernel.py": [
     ("the points (0 : 1 : x) one further in _triple_values", "if i < q * q + q:",
      "if i <= q * q + q:", ENUMERATION),
 ], "linetext.py": [
+    ("a text made one at a time reads its coordinates one off",
+     "{v: spec.format(v) for v in values}", "{v: spec.format(v ^ 1) for v in values}", TEXTS),
     ("the refused contact point (1 : 1/a : 0) -> (1 : a : 0)", "(1, spec._inv[a], 0)",
      "(1, a, 0)", ["tests/test_arc.py::test_contact_member_matches_the_incidence_oracle[q8]"]),
 ], "driver.py": [
@@ -167,12 +179,12 @@ MUTANTS = {"kernel.py": [
     ("a member's class name in lower case", '"class": "{_CLASS_BY_HITS[hits]}"',
      '"class": "{_CLASS_BY_HITS[hits].lower()}"', GOLDEN),
 ], "arrow_csv.py": [
-    ("a row's theta joined by a comma", "{self.coords[t1]}:{self.coords[t2]},",
-     "{self.coords[t1]},{self.coords[t2]},", GOLDEN),
+    ("a row's theta joined by a comma", "{coords[t1]}:{coords[t2]},",
+     "{coords[t1]},{coords[t2]},", GOLDEN),
     ("a row's class name in upper case", 'f"{_CLASS_BY_HITS[hits]}\\n")',
      'f"{_CLASS_BY_HITS[hits].upper()}\\n")', GOLDEN),
-    ("a sweep's L* column without its parentheses", 'f"(1:{coords[a]}:0),"',
-     'f"1:{coords[a]}:0,"', GOLDEN),
+    ("a sweep's L* column (1:a:0) -> (1:0:a)", "triple((1, a, 0))", "triple((1, 0, a))",
+     GOLDEN),
 ], "payloads.py": [
     # the polar (x1 : x2 : -2x3) or (x2 : x1 : 2x3) would be equivalent: the
     # conic and its set of tangents are fixed by x1 <-> x2 and by x3 -> -x3
@@ -188,14 +200,14 @@ MUTANTS = {"kernel.py": [
     ("RealLinePair and DoubleLine swapped", '("DoubleLine", "RealLinePair")[t1]',
      '("RealLinePair", "DoubleLine")[t1]', PAYLOADS),
     ("the member (1, 0) proper", '"Proper" if t1 * t2 else', '"Proper" if t1 else', PAYLOADS),
-    ("the common nucleus (0:0:1) -> B1 (0:1:0)", '"common_nucleus"] = _text(spec, (0, 0, 1))',
-     '"common_nucleus"] = _text(spec, (0, 1, 0))', PAYLOADS),
-    ("the conic's nucleus (0:0:1) -> (0:1:0)", '"nucleus": _text(spec, (0, 0, 1))',
-     '"nucleus": _text(spec, (0, 1, 0))', PAYLOADS),
-    ("the base points swapped", "[_text(spec, (1, 0, 0)), _text(spec, (0, 1, 0))]",
-     "[_text(spec, (0, 1, 0)), _text(spec, (1, 0, 0))]", PAYLOADS),
-    ("the plane without its first point", "for values in _triples(spec.order)]",
-     "for values in list(_triples(spec.order))[1:]]", PLANE),
+    ("the common nucleus (0:0:1) -> B1 (0:1:0)", '"common_nucleus"] = text((0, 0, 1))',
+     '"common_nucleus"] = text((0, 1, 0))', PAYLOADS),
+    ("the conic's nucleus (0:0:1) -> (0:1:0)", '"nucleus": text((0, 0, 1))',
+     '"nucleus": text((0, 1, 0))', PAYLOADS),
+    ("the base points swapped", "[text((1, 0, 0)), text((0, 1, 0))]",
+     "[text((0, 1, 0)), text((1, 0, 0))]", PAYLOADS),
+    ("the plane without its first point", "_triples(spec.order))]",
+     "list(_triples(spec.order))[1:])]", PLANE),
     ("the plane's point count one short", '"num_points": len(texts),',
      '"num_points": len(texts) - 1,', PLANE),
     ("the plane's line count one more", '"num_lines": len(texts),', '"num_lines": len(texts) + 1,',
@@ -207,8 +219,8 @@ MUTANTS = {"kernel.py": [
      "is_conic = _is_conic(2 * q)", PAYLOADS),
     ("the family CSV's member ids from 1", "enumerate(thetas)", "enumerate(thetas, 1)",
      PAYLOADS),
-    ("a family CSV row's theta (1, t) -> (1, t - 1)", "{fmt(t1)}:{fmt(t2)}{tail}",
-     "{fmt(t1)}:{fmt(t2 - 1)}{tail}", PAYLOADS),
+    ("a family CSV row's theta (1, t) -> (1, t - 1)", "{coords[t1]}:{coords[t2]}{tail}",
+     "{coords[t1]}:{coords[t2 - 1]}{tail}", PAYLOADS),
     ("the family's configuration unchecked", "index, t = _check_configuration(spec, linf, lstar)",
      "index, t = 0, 1", FAMILY_REFUSALS),
     ("the family's L* checked unnormalized", "_normalized(spec, config.lstar)", "config.lstar",
@@ -227,6 +239,8 @@ MUTANTS = {"kernel.py": [
      FAMILY_ARCS + FAMILY_JSON),
     ("N first in each arc, not last", "points.append((0, 0, 1))", "points.insert(0, (0, 0, 1))",
      FAMILY_ARCS + FAMILY_JSON),
+    ("the built family's points read at L* = (1 : 1 : 0)", "in _family_values(spec, a)]",
+     "in _family_values(spec, 1)]", FAMILY_ARCS),
     ("a configuration's L* checked as an ideal line", "_check_line(spec, lstar, True)",
      "_check_line(spec, lstar, False)", FAMILY_CHECKS),
     ("a configuration's contact point read from L*'s x1", "(lstar[1],))", "(lstar[0],))",

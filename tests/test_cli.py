@@ -928,12 +928,12 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
      "    assert c.main(['field-info', '--n', '2']) == 0",
      ["cli", "driver", "element", "errors", "field", "payloads", "polynomial", "tables"]),
     # pencil reads its members from the context and prints its points from
-    # their values: no plane module, census (pencil) or conic module
+    # their values by the kernel's text table: no plane module, census
+    # (pencil), conic module or linetext
     ("import contextlib, io\nimport galois_arrow.cli as c\n"
      "with contextlib.redirect_stdout(io.StringIO()):\n"
      "    assert c.main(['pencil', '--n', '2']) == 0",
-     ["cli", "driver", "errors", "field", "kernel", "linetext", "payloads", "polynomial",
-      "tables"]),
+     ["cli", "driver", "errors", "field", "kernel", "payloads", "polynomial", "tables"]),
     # plane prints the enumeration's values (plane._triples), the plane
     # module loaded with what it imports
     ("import contextlib, io\nimport galois_arrow.cli as c\n"

@@ -6,6 +6,8 @@ import pytest
 
 from galois_arrow.errors import CoincidentLines, CoincidentPoints, MixedFields
 from galois_arrow.field import make_field
+from galois_arrow.kernel import _text_table
+from galois_arrow.linetext import _text
 from galois_arrow.plane import (
     ProjLine,
     ProjPoint,
@@ -295,6 +297,22 @@ def test_point_serialization_format():
     assert str(ProjPoint(gf16, (1, 10, 15))) == "(1:a:f)"
     gf3 = make_field(3, 1)
     assert str(ProjPoint(gf3, (1, 2, 0))) == "(1:2:0)"
+
+
+@pytest.mark.parametrize("spec", [GF4, GF9, make_field(2, 4)], ids=_q)
+def test_point_and_line_texts_match_the_formatted_coordinates(spec):
+    """For every point and line of PG(2, q), q in {4, 9, 16} (hex and
+    decimal coordinates), its text read from the field's table of
+    coordinate strings (kernel._text_table) is its coordinates each
+    formatted by spec.format, as linetext._text makes a text one at a time
+    and as str() of the plane's ProjPoint and ProjLine gives it."""
+    coords, text = _text_table(spec)
+    assert coords == [spec.format(v) for v in range(spec.order)]
+    plane = build_plane(spec)
+    for point, line in zip(plane.points, plane.lines, strict=True):
+        formatted = "(" + ":".join(map(spec.format, point.values)) + ")"
+        assert text(point.values) == _text(spec, point.values) == str(point) == formatted
+        assert text(line.values) == _text(spec, line.values) == str(line) == formatted
 
 
 def test_plane_order_is_deterministic():
