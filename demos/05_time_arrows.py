@@ -15,11 +15,13 @@ through A = ideal line ∧ L*) comes out Present.
 
 from galois_arrow import (
     ProjLine,
+    ProjPoint,
     arc_arrow,
+    build_plane,
     build_time_family,
     conic_arrow,
+    incident,
     make_field,
-    time_pencil_context,
 )
 
 f8 = make_field(2, 3)
@@ -36,12 +38,17 @@ print(f"\narc arrow, same ideal line: {arc_report.tallies}")
 print(f"the unique Present member is id {arc_report.present_member_ids[0]}, "
       f"theta {family.provenance.qstar_theta} - the member through A")
 
-# Present = 0 for the conic arrow no matter which valid ideal line we pick
-ctx = time_pencil_context(f8)
-presents = {conic_arrow(f8, line).tallies["present"]
-            for line in ctx.valid_ideal_lines()}
+# Present = 0 for the conic arrow no matter which valid ideal line we pick.
+# A valid ideal line misses the base points B1 = (0:1:0) and B2 = (1:0:0)
+# and the nucleus N = (0:0:1), so none of its three coefficients is zero:
+# scaled to lead with 1, it is (1 : b : c) with b and c both nonzero, one
+# line for each of the (q-1)^2 such pairs.
+avoided = [ProjPoint(f8, values) for values in ((0, 1, 0), (1, 0, 0), (0, 0, 1))]
+valid_lines = [line for line in build_plane(f8).lines
+               if not any(incident(point, line) for point in avoided)]
+presents = {conic_arrow(f8, line).tallies["present"] for line in valid_lines}
 print(f"\nconic-arrow Present tallies across all "
-      f"{len(ctx.valid_ideal_lines())} valid ideal lines: {presents}")
+      f"{len(valid_lines)} valid ideal lines: {presents}")
 
 # and the closed forms, visible already at small q
 for n in (2, 3, 4):

@@ -11,12 +11,14 @@ one of them is tangent to the ideal line.
 The family's points are values first: _member_values gives each proper
 member's points in plane order, and _family_values, one member at a
 time, its touch point on L* and its arc.  build_time_family makes them
-plane items; the family command prints their text (payloads.py), and
-family_to_dict of the built family is its oracle in tests.  Both check a
-configuration by one function, _check_configuration, on the lines'
-values: the field, each line (lines._check_line) and the contact point A
-and member Q* in closed form (witnesses._contacts); the arrow pass, which
-loads no module of arcs, runs the same line checks and contacts.
+items of the plane build_plane(spec), its member ids and thetas read from
+the kernel's time-pencil context; the family command prints their text
+(payloads.py), and family_to_dict of the built family is its oracle in
+tests.  Both check a configuration by one function, _check_configuration,
+on the lines' values: the field, each line (lines._check_line) and the
+contact point A and member Q* in closed form (witnesses._contacts); the
+arrow pass, which loads no module of arcs, runs the same line checks and
+contacts.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .kernel import Values, time_pencil_context
 from .lines import _check_line
 from .linetext import _degenerate_contact
 from .plane import (Plane, ProjLine, ProjPoint, _check_field, _line_hits, _triple_index,
-                    collinear, incident)
+                    build_plane, collinear, incident)
 from .witnesses import _contacts
 
 
@@ -194,7 +196,7 @@ def _family_items(spec: FieldSpec, a: int) -> tuple:
     L* = (1 : a : 0) (_family_values), as plane items.  They depend on
     (spec, a) alone, not on the ideal line, so the families of one L*
     share them; the last L*'s are kept."""
-    item = time_pencil_context(spec).plane.points._item
+    item = build_plane(spec).points._item
     return tuple(zip(*[(item(touch), tuple(map(item, points)))
                        for touch, points in _family_values(spec, a)]))
 
@@ -257,13 +259,13 @@ def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine) -> ArcFa
     _check_configuration.
     """
     ctx = time_pencil_context(spec)
-    _check_field(linf, ctx.plane)
-    _check_field(lstar, ctx.plane)
+    plane = build_plane(spec)
+    _check_field(linf, plane)
+    _check_field(lstar, plane)
     index, t = _check_configuration(spec, linf.values, lstar.values)
     touches, arcs = _family_items(spec, lstar.values[1])
-    provenance = FamilyProvenance(time_pencil(spec), linf, lstar, ctx.plane.points[index],
-                                  (1, t))
-    return ArcFamily(spec, ctx.plane, tuple(map(Arc, arcs)), ctx.ids, ctx.thetas, touches,
+    provenance = FamilyProvenance(time_pencil(spec), linf, lstar, plane.points[index], (1, t))
+    return ArcFamily(spec, plane, tuple(map(Arc, arcs)), ctx.ids, ctx.thetas, touches,
                      provenance)
 
 

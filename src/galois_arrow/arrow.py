@@ -30,7 +30,7 @@ from .field import FieldSpec
 from .conic import _hit_count
 from .arc import ArcFamily
 from .kernel import _CLASS_BY_HITS, TimePencilContext, time_pencil_context
-from .plane import ProjLine, ProjPoint, validate_ideal_line
+from .plane import ProjLine, ProjPoint, build_plane, validate_ideal_line
 from .witnesses import _arc_deltas, _witnesses
 
 
@@ -102,7 +102,7 @@ def _report(ctx: TimePencilContext, mode: str, linf: ProjLine,
             witnesses: Sequence[tuple[int, ...]]) -> ArrowReport:
     """The report of the proper members of the time pencil on linf, each
     classed by the number of its witnesses, given as plane indices."""
-    points = ctx.plane.points
+    points = build_plane(ctx.spec).points
     return ArrowReport(ctx.spec.order, mode, linf, tuple([
         MemberClassification(member_id, theta, _TEMPORAL_BY_HITS[len(hits)],
                              tuple([points[i] for i in hits]))
@@ -115,7 +115,7 @@ def conic_arrow(spec: FieldSpec, linf: ProjLine) -> ArrowReport:
     if spec.characteristic != 2:
         raise OddCharacteristic("the conic arrow is defined over GF(2^n)")
     ctx = time_pencil_context(spec)
-    validate_ideal_line(linf, ctx.plane)
+    validate_ideal_line(linf, build_plane(spec))
     return _report(ctx, "conic", linf, _witnesses(ctx, linf.values))
 
 

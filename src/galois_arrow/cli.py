@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .driver import _emit_error, run
 from .errors import OrderTooLarge, UsageError
-from .field import field_order
+from .field import _generator_value, field_order
 
 COMMANDS = ("field-info", "plane", "conic", "pencil", "family", "arrow")
 _CSV_COMMANDS = ("pencil", "family", "arrow")
@@ -137,9 +137,8 @@ def parse_args(argv: list[str]) -> RunConfig:
         raise UsageError("--lstar selects the arc family; --mode conic takes none")
     if linf_text or lstar_text:
         from .linetext import _parse_triple
-    gen = p if n >= 2 else 1   # canonical generator value
     linf = _parse_triple(linf_text, q) if linf_text else (1, 1, 1)
-    lstar = _parse_triple(lstar_text, q) if lstar_text else (1, gen, 0)
+    lstar = _parse_triple(lstar_text, q) if lstar_text else (1, _generator_value(p, n), 0)
     return RunConfig(
         command=command, p=p, n=n, modulus=modulus,
         linf=linf, lstar=lstar, mode=mode, output=args["output"],

@@ -51,10 +51,11 @@ def _arrow_reports(spec: FieldSpec, config: RunConfig, rejected: list[tuple[Valu
     conic mode the one configuration is (None, None); in arc mode there is
     one per L*, from the line's one pass, witnesses._arc_deltas.  A sweep
     takes every valid configuration, in plane line order: the ideal lines
-    (1 : b : c), bc != 0, and the lines L* = (1 : a : 0), a != 0 (the
-    context's valid_ideal_lines and valid_tangent_lines, as values).  A
-    single run is the one-pair case, its lines normalized by
-    lines._normalized and checked by lines._check_line.  Arc
+    (1 : b : c), bc != 0, which miss B1 = (0:1:0), B2 = (1:0:0) and
+    N = (0:0:1), and the lines L* = (1 : a : 0), a != 0, the lines through
+    N other than its joins with B1 and B2; this is the package's one
+    definition of them.  A single run is the one-pair case, its lines
+    normalized by lines._normalized and checked by lines._check_line.  Arc
     configurations whose contact point lies on a degenerate member are
     appended to rejected during a sweep; a single run raises
     DegenerateContactPoint."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import DivisionByZero, MixedFields, OddCharacteristic
-from .field import FieldSpec
+from .field import FieldSpec, _generator_value
 from .polynomial import _poly_mod, _poly_mul, _trim
 
 
@@ -96,8 +96,8 @@ class _SpecElementAPI:
 
     @property
     def generator(self) -> FieldElement:
-        """The canonical generator: the class of x for n >= 2, else 1."""
-        return FieldElement(self, self.characteristic if self.degree >= 2 else 1)
+        """The canonical generator (field._generator_value)."""
+        return FieldElement(self, _generator_value(self.characteristic, self.degree))
 
     def elements(self) -> list[FieldElement]:
         return [FieldElement(self, v) for v in range(self.order)]

@@ -21,8 +21,9 @@ module-level element operations from the element module.  The element
 module also defines FieldSpec's element API and reference methods; the
 first read of a name FieldSpec lacks loads it (FieldSpec.__getattr__),
 which binds them onto the class.  So a run on packed values, as the arrow
-command is, does not compile the element module, nor one on a shipped
-modulus the modulus module.
+and field-info commands are, does not compile the element module, nor one
+on a shipped modulus the modulus module; the canonical generator's value
+is _generator_value's, here.
 """
 
 from __future__ import annotations
@@ -69,6 +70,12 @@ def field_order(p: int, n: int) -> int:
     if n > 16 or p ** n > MAX_ORDER:
         raise OrderTooLarge(f"order {p}^{n} exceeds the supported bound 2^16")
     return p ** n
+
+
+def _generator_value(p: int, n: int) -> int:
+    """The packed value of GF(p^n)'s canonical generator: the class of x,
+    which is p, for n >= 2, else 1."""
+    return p if n >= 2 else 1
 
 
 # (p, n, monic modulus) -> the live FieldSpec of that field; weak, so a spec

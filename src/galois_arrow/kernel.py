@@ -18,13 +18,14 @@ made once per run by _text_table; a text made one at a time formats only
 its own three coordinates (linetext._text).
 
 A sweep takes its lines in closed form: the ideal lines (1 : b : c),
-bc != 0, and the lines L* = (1 : a : 0), a != 0 (driver._arrow_reports).
-The plane module, and the oracles in it, import the kernel, never the
-reverse.  It checks an ideal line given as a plane item by
-lines._check_line (validate_ideal_line; arc._check_configuration checks
-a family's lines) and defines the context's plane-facing members (plane,
-B1, B2, N and the valid lines as plane items); loading it binds those
-onto TimePencilContext, and the first read of one loads it.
+bc != 0, and the lines L* = (1 : a : 0), a != 0, written only in
+driver._arrow_reports.  The context is plain data the kernel computes;
+the plane, its points B1 = (0:1:0), B2 = (1:0:0) and N = (0:0:1) and the
+lines as plane items are the plane module's (plane.build_plane), which
+the modules that make plane items call.  The plane module imports the
+kernel's Values, never the reverse; it checks an ideal line given as a
+plane item by lines._check_line (validate_ideal_line;
+arc._check_configuration checks a family's lines).
 
 The canonical ("time") pencil, pencil.time_pencil, is spanned by x1*x2 and
 x3^2.  Its members are indexed by theta = (t1, t2), normalized so the
@@ -91,10 +92,9 @@ def _text_table(spec: FieldSpec) -> tuple:
 
 
 class TimePencilContext:
-    """The proper members' ids and thetas, all in closed form, and, read
-    from the plane module on request, the plane and the distinguished points
-    B1, B2 and N.  One per field, cached; the pencil itself is
-    pencil.time_pencil(spec).
+    """The proper members' ids and thetas, all in closed form, and what
+    classifies them on an ideal line.  One per field, cached; the pencil
+    itself is pencil.time_pencil(spec) and its plane plane.build_plane(spec).
 
     The proper members are (1, t), t != 0 (see the module docstring), at
     position t of pencil.members, which is their id.  In characteristic 2,
@@ -109,15 +109,6 @@ class TimePencilContext:
         self.thetas = tuple([(1, t) for t in self.ids])
         self.roots = _quadratic_roots(spec) if spec.characteristic == 2 else None
         self.orbits: dict[int, tuple[int | None, ...]] = {}   # _orbit, per orbit u
-
-    def __getattr__(self, name: str):
-        # called only for a name the context and its class lack: loading the
-        # plane module binds its members onto this class, so this runs at
-        # most once per name; a dunder is refused without loading it
-        if name.startswith("__"):
-            raise AttributeError(f"'TimePencilContext' object has no attribute {name!r}")
-        from . import plane  # noqa: F401
-        return object.__getattribute__(self, name)
 
 
 @lru_cache(maxsize=None)

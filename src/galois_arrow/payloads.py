@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 
-from .field import FieldSpec
+from .field import FieldSpec, _generator_value
 
 
 def _payload_field_info(spec: FieldSpec) -> dict:
@@ -40,7 +40,7 @@ def _payload_field_info(spec: FieldSpec) -> dict:
         "n": spec.degree,
         "q": spec.order,
         "modulus": list(spec.modulus),
-        "generator": str(spec.generator),
+        "generator": spec.format(_generator_value(spec.characteristic, spec.degree)),
         "num_elements": spec.order,
     }
     if spec.characteristic == 2:

@@ -1,5 +1,4 @@
-"""The projective plane PG(2, q): points, lines, incidence, collinearity,
-and the time-pencil context's plane-facing members.
+"""The projective plane PG(2, q): points, lines, incidence and collinearity.
 
 Points and lines are normalized homogeneous triples (first nonzero
 coordinate scaled to 1), so projectively equal triples compare equal.
@@ -12,12 +11,10 @@ when it is read.  The indices of a line's points (and of a point's lines)
 are solved for in closed form in O(q); the test suite checks them against
 the incidence scan exhaustively.
 
-The kernel's TimePencilContext reads its plane, B1, B2, N and its valid
-lines as plane items from here: loading this module binds each member of
-_ContextPlane onto it, and the first read of a name a context lacks loads
-it (TimePencilContext.__getattr__).  validate_ideal_line checks an ideal
-line given as a plane item by its values (lines._check_line); a family's
-lines are checked by arc._check_configuration.
+The modules that make plane items read the plane from build_plane; the
+kernel's time-pencil context holds no plane.  validate_ideal_line checks
+an ideal line given as a plane item by its values (lines._check_line); a
+family's lines are checked by arc._check_configuration.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from typing import Iterable, Iterator
 from .element import FieldElement
 from .errors import CoincidentLines, CoincidentPoints, MixedFields
 from .field import FieldSpec
-from .kernel import TimePencilContext, Values
+from .kernel import Values
 from .linetext import _text
 from .lines import _check_line, _normalized
 from .witnesses import _triple_values
@@ -297,49 +294,3 @@ def validate_ideal_line(linf: ProjLine, plane: Plane) -> None:
     """
     _check_field(linf, plane)
     _check_line(linf.field, linf.values, False)
-
-
-class _ContextPlane:
-    """TimePencilContext's plane-facing members, bound onto it when this
-    module is loaded."""
-
-    @property
-    def plane(self) -> Plane:
-        """build_plane(spec)."""
-        return build_plane(self.spec)
-
-    @property
-    def B1(self) -> ProjPoint:
-        """The base point (0:1:0), at index q*q."""
-        return self.plane.points[self.spec.order ** 2]
-
-    @property
-    def B2(self) -> ProjPoint:
-        """The base point (1:0:0), at index 0."""
-        return self.plane.points[0]
-
-    @property
-    def N(self) -> ProjPoint:
-        """The nucleus (0:0:1), the last point."""
-        return self.plane.points[-1]
-
-    def valid_ideal_lines(self) -> tuple[ProjLine, ...]:
-        """Lines passing validate_ideal_line, those with all three
-        coefficients nonzero, which are the lines (1 : b : c) with bc != 0,
-        at index b*q + c, in plane line order."""
-        q = self.spec.order
-        lines = self.plane.lines
-        return tuple([lines[b * q + c] for b in range(1, q) for c in range(1, q)])
-
-    def valid_tangent_lines(self) -> tuple[ProjLine, ...]:
-        """Lines through N other than (1:0:0) and (0:1:0), its joins with B1
-        and B2, which are the lines (1 : a : 0) with a != 0, at index a*q, in
-        plane line order."""
-        q = self.spec.order
-        lines = self.plane.lines
-        return tuple([lines[a * q] for a in range(1, q)])
-
-
-for _name, _member in vars(_ContextPlane).items():
-    if not _name.startswith("__"):
-        setattr(TimePencilContext, _name, _member)

@@ -47,13 +47,6 @@ def _poly_sub(a, b, p):
                  for i in range(n))
 
 
-def _poly_scale(a, k, p):
-    k %= p
-    if k == 0:
-        return ()
-    return _trim((c * k) % p for c in a)
-
-
 def _poly_mul(a, b, p):
     if not a or not b:
         return ()
@@ -85,9 +78,12 @@ def _poly_mod(a, b, p):
 
 
 def _monic(a, p):
+    """a times the inverse of its leading coefficient, which becomes 1; every
+    caller passes coefficients reduced mod p, the last nonzero."""
     if not a:
         return a
-    return _poly_scale(a, pow(a[-1], p - 2, p), p)
+    inv_lead = pow(a[-1], p - 2, p)
+    return tuple(c * inv_lead % p for c in a)
 
 
 def _poly_gcd(a, b, p):

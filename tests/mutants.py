@@ -4,13 +4,12 @@ sweep's lines in driver.py), the plane's enumeration and incidence indices
 (plane.py), the one text of a point or line and the field's table of
 coordinate strings (kernel.py, linetext.py), the text layout of the arrow
 command's JSON and CSV (arrow_json.py, report_text.py, arrow_csv.py), what
-the plane, conic,
-pencil and family commands print (payloads.py), the family's member and
-touch points, configuration checks and is_conic rule (arc.py), the
-canonical conic's points (conic.py), the expansion of a hex modulus
-(modulus.py), and the table walk, the product,
-the inverse table and the Zech arithmetic of tables.py and zech.py, is
-pinned by some test.
+the plane, conic, pencil and family commands print (payloads.py), the
+family's member and touch points, configuration checks and is_conic rule
+(arc.py), the canonical conic's points (conic.py), the expansion of a hex
+modulus (modulus.py), the canonical generator's value (field.py), and the
+table walk, the product, the inverse table and the Zech arithmetic of
+tables.py and zech.py, is pinned by some test.
 
     python tests/mutants.py
 
@@ -45,14 +44,14 @@ ARC = ["tests/test_arrow.py::test_arc_pass_matches_the_incidence_oracle[q8]"]
 SIGMA = ["tests/test_arrow.py::test_arc_pass_is_its_orbit_representatives_image[q8]"]
 CONIC = ["tests/test_arrow.py::test_conic_arrow_matches_incidence_oracle[q8]"]
 SWEEPS = ["tests/test_golden_stdout.py::test_sweep_stdout_matches_benchmark_digest"]
+# the sweep's lines against the valid lines by incidence
+SWEEP_LINES = ["tests/test_cli.py::test_sweep_lines_are_the_valid_lines_by_incidence"]
 GOLDEN = ["tests/test_golden_stdout.py::test_stdout_matches_golden_digest"]
 ENUMERATION = ["tests/test_plane.py::test_triple_values_inverts_triple_index",
                "tests/test_plane.py::test_triple_index_is_the_enumeration_position",
                "tests/test_plane.py::test_plane_equals_the_normalizing_construction"]
 INCIDENCE = ["tests/test_plane.py::test_plane_caches_agree_with_incidence_oracle"]
 LINE_CHECKS = ["tests/test_pencil.py::test_line_validity_from_coefficients_matches_incidence"]
-CONTEXT = ["tests/test_pencil.py::"
-           "test_context_reads_its_plane_points_and_lines_from_the_plane_module"]
 MUL = ["tests/test_field.py::test_mul_table_matches_polynomial_reduction"]
 PRIME = ["tests/test_field.py::"
          "test_prime_field_tables_are_the_powers_of_the_least_primitive_root"]
@@ -131,7 +130,7 @@ MUTANTS = {"kernel.py": [
      "(1, a, 0)", ["tests/test_arc.py::test_contact_member_matches_the_incidence_oracle[q8]"]),
 ], "driver.py": [
     (f"the sweep's {name} {what}", "product((1,), range(1, q), range(1, q)), range(1, q)",
-     text, SWEEPS) for name, what, text in [
+     text, SWEEP_LINES + SWEEPS) for name, what, text in [
         ("b", "from 0", "product((1,), range(0, q), range(1, q)), range(1, q)"),
         ("c", "from 0", "product((1,), range(1, q), range(0, q)), range(1, q)"),
         ("a", "from 0", "product((1,), range(1, q), range(1, q)), range(0, q)"),
@@ -150,13 +149,6 @@ MUTANTS = {"kernel.py": [
      ["tests/test_cli.py::test_single_arrow_runs_load_no_plane_module"]),
 ], "plane.py": [
     ("_triple_index off by one", "return q * q + x3", "return q * q + x3 + 1", ENUMERATION),
-    ("B1 one point further", "self.plane.points[self.spec.order ** 2]",
-     "self.plane.points[self.spec.order ** 2 + 1]", CONTEXT),
-    ("the context's valid ideal lines with b from 0",
-     "for b in range(1, q) for c in range(1, q)", "for b in range(0, q) for c in range(1, q)",
-     LINE_CHECKS),
-    ("the context's valid L* with a from 0", "[lines[a * q] for a in range(1, q)]",
-     "[lines[a * q] for a in range(0, q)]", LINE_CHECKS),
     # equivalent in characteristic 2, where -a = a: killed by GF(3), GF(5), GF(9)
     ("a line's points (1 : a : b) without the minus", "s = neg(field._inv_i(l3))",
      "s = field._inv_i(l3)", INCIDENCE),
@@ -248,6 +240,10 @@ MUTANTS = {"kernel.py": [
 ], "modulus.py": [
     ("a hex modulus's bits highest first", "bin(mask)[:1:-1]", "bin(mask)[2:]", HEX),
     ("a hex modulus's top bit dropped", "bin(mask)[:1:-1]", "bin(mask)[:2:-1]", HEX),
+], "field.py": [
+    # field-info --n 2 and --p 3 print both branches
+    ("the canonical generator x at n > 2, not n >= 2", "p if n >= 2 else 1", "p if n > 2 else 1",
+     GOLDEN),
 ], "tables.py": [
     # equivalent while the generator is x, as under every shipped modulus
     ("_char2_product's xor -> or", "out ^= a", "out |= a",

@@ -39,7 +39,8 @@ from galois_arrow.conic import (
 from galois_arrow.pencil import members, time_pencil
 from galois_arrow.arc import build_time_family, is_arc, is_conic_arc, touch_point
 from galois_arrow.arrow import arc_arrow, conic_arrow
-from galois_arrow.kernel import time_pencil_context
+
+from oracles import _valid_ideal_lines, _valid_tangent_lines
 
 GF2 = make_field(2, 1)
 GF3 = make_field(3, 1)
@@ -180,8 +181,7 @@ def test_criterion_06_family_members_conic_or_not():
 def test_criterion_07_conic_arrow_lacks_the_present():
     def check():
         for spec in (GF4, GF8, GF16):
-            ctx = time_pencil_context(spec)
-            lines = ctx.valid_ideal_lines()
+            lines = _valid_ideal_lines(spec)
             assert len(lines) == (spec.order - 1) ** 2
             for linf in lines:
                 assert conic_arrow(spec, linf).tallies["present"] == 0, \
@@ -203,10 +203,9 @@ def _assert_present_is_qstar(family):
 def test_criterion_08_arc_arrow_restores_the_present():
     def check():
         for spec in (GF4, GF8):
-            ctx = time_pencil_context(spec)
             valid = 0
-            for linf in ctx.valid_ideal_lines():
-                for lstar in ctx.valid_tangent_lines():
+            for linf in _valid_ideal_lines(spec):
+                for lstar in _valid_tangent_lines(spec):
                     try:
                         family = build_time_family(spec, linf, lstar)
                     except DegenerateContactPoint:
@@ -216,10 +215,9 @@ def test_criterion_08_arc_arrow_restores_the_present():
             assert valid > 0
         rng = random.Random(20260808)
         for spec in (GF16, GF32):
-            ctx = time_pencil_context(spec)
             configs = [(linf, lstar)
-                       for linf in ctx.valid_ideal_lines()
-                       for lstar in ctx.valid_tangent_lines()]
+                       for linf in _valid_ideal_lines(spec)
+                       for lstar in _valid_tangent_lines(spec)]
             rng.shuffle(configs)
             checked = 0
             for linf, lstar in configs:
@@ -241,10 +239,10 @@ def test_criterion_08_arc_arrow_restores_the_present():
 def _conic_tallies_by_ideal_points(spec, linf):
     """Second counting path: walk the ideal line's points and count, per
     proper member, the points of the line lying on it."""
-    ctx = time_pencil_context(spec)
-    proper = [m for m in members(time_pencil(ctx.spec), ctx.plane) if m.is_proper]
+    plane = build_plane(spec)
+    proper = [m for m in members(time_pencil(spec), plane) if m.is_proper]
     counts = {m.theta: 0 for m in proper}
-    for pt in points_on(linf, ctx.plane):
+    for pt in points_on(linf, plane):
         for member in proper:
             if not evaluate(member.conic, pt):
                 counts[member.theta] += 1
@@ -258,11 +256,11 @@ def _arc_tallies_by_ideal_points(spec, linf, lstar):
     """Second counting path for arcs: an ideal point belongs to the arc of
     member theta iff it is on that member's conic and is not the touch
     point (the nucleus is never on a valid ideal line)."""
-    ctx = time_pencil_context(spec)
-    proper = [m for m in members(time_pencil(ctx.spec), ctx.plane) if m.is_proper]
-    touches = [touch_point(member.conic, lstar, ctx.plane) for member in proper]
+    plane = build_plane(spec)
+    proper = [m for m in members(time_pencil(spec), plane) if m.is_proper]
+    touches = [touch_point(member.conic, lstar, plane) for member in proper]
     counts = {m.theta: 0 for m in proper}
-    for pt in points_on(linf, ctx.plane):
+    for pt in points_on(linf, plane):
         for member, touch in zip(proper, touches):
             if pt != touch and not evaluate(member.conic, pt):
                 counts[member.theta] += 1
@@ -359,14 +357,13 @@ def _tally_fingerprint(spec):
     linf, lstar = _default_lines(spec)
     census = _census(spec)
     family = _default_family(spec)
-    ctx = time_pencil_context(spec)
     exhaustive_conic = sorted(
         tuple(sorted(conic_arrow(spec, line).tallies.items()))
-        for line in ctx.valid_ideal_lines()
+        for line in _valid_ideal_lines(spec)
     )
     exhaustive_arc: dict[str, int] = {}
-    for line in ctx.valid_ideal_lines():
-        for tangent in ctx.valid_tangent_lines():
+    for line in _valid_ideal_lines(spec):
+        for tangent in _valid_tangent_lines(spec):
             try:
                 fam = build_time_family(spec, line, tangent)
             except DegenerateContactPoint:

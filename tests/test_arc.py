@@ -38,6 +38,8 @@ from galois_arrow.arc import (
     touch_point,
 )
 
+from oracles import _valid_ideal_lines, _valid_tangent_lines
+
 GF2 = make_field(2, 1)
 GF4 = make_field(2, 2)
 GF8 = make_field(2, 3)
@@ -49,9 +51,9 @@ def _family(spec, linf=(1, 1, 1), lstar=None):
     return build_time_family(spec, ProjLine(spec, linf), ProjLine(spec, lstar))
 
 
-def _proper(ctx):
+def _proper(spec):
     """The proper members of the census members(), in member order."""
-    return [m for m in members(time_pencil(ctx.spec), ctx.plane) if m.is_proper]
+    return [m for m in members(time_pencil(spec), build_plane(spec)) if m.is_proper]
 
 
 # --- is_arc ---------------------------------------------------------------------
@@ -161,26 +163,24 @@ def test_fitted_conic_through_family_arc_is_proper_but_not_containing():
 # --- touch points --------------------------------------------------------------------
 
 def test_touch_point_is_the_unique_intersection():
-    ctx = time_pencil_context(GF4)
-    member = _proper(ctx)[0]
+    plane = build_plane(GF4)
+    member = _proper(GF4)[0]
     lstar = ProjLine(GF4, (1, 2, 0))
-    got = touch_point(member.conic, lstar, ctx.plane)
-    brute = [p for p in point_set(member.conic, ctx.plane) if incident(p, lstar)]
+    got = touch_point(member.conic, lstar, plane)
+    brute = [p for p in point_set(member.conic, plane) if incident(p, lstar)]
     assert brute == [got]
 
 
 def test_touch_point_on_nb1_is_b1_for_every_member():
-    ctx = time_pencil_context(GF8)
     nb1 = ProjLine(GF8, (1, 0, 0))
-    for member in _proper(ctx):
-        assert touch_point(member.conic, nb1, ctx.plane) == ProjPoint(GF8, (0, 1, 0))
+    for member in _proper(GF8):
+        assert touch_point(member.conic, nb1, build_plane(GF8)) == ProjPoint(GF8, (0, 1, 0))
 
 
 def test_touch_point_requires_line_through_nucleus():
-    ctx = time_pencil_context(GF4)
-    member = _proper(ctx)[0]
+    member = _proper(GF4)[0]
     with pytest.raises(NotThroughNucleus):
-        touch_point(member.conic, ProjLine(GF4, (1, 1, 1)), ctx.plane)
+        touch_point(member.conic, ProjLine(GF4, (1, 1, 1)), build_plane(GF4))
 
 
 # --- the family ------------------------------------------------------------------------
@@ -204,9 +204,9 @@ def test_family_q4_default_configuration():
 def test_family_members_share_q_points_with_their_conic():
     fam = _family(GF8)
     ctx = time_pencil_context(GF8)
-    for member, t, arc in zip(_proper(ctx), ctx.ids, fam.members, strict=True):
+    for member, t, arc in zip(_proper(GF8), ctx.ids, fam.members, strict=True):
         pts = _member_values(GF8, t)
-        assert pts == [p.values for p in point_set(member.conic, ctx.plane)]
+        assert pts == [p.values for p in point_set(member.conic, fam.plane)]
         assert len({p.values for p in arc.points} & set(pts)) == 8
 
 
@@ -250,18 +250,19 @@ def test_contact_member_matches_the_incidence_oracle(n):
     a pair whose A lies on a degenerate member is refused with its message."""
     spec = make_field(2, n)
     ctx = time_pencil_context(spec)
+    plane = build_plane(spec)
     pencil = time_pencil(spec)
     rejected = 0
-    for lstar in ctx.valid_tangent_lines():
+    for lstar in _valid_tangent_lines(spec):
         # each point of L* lies on its own member, so each member's touch
         # point is single: N on x1*x2, one point on x3^2, one per proper member
-        on_member = {member_through(pencil, p, ctx.plane).theta: p
-                     for p in points_on(lstar, ctx.plane)}
+        on_member = {member_through(pencil, p, plane).theta: p
+                     for p in points_on(lstar, plane)}
         assert len(on_member) == spec.order + 1
         touches = tuple(on_member[theta] for theta in ctx.thetas)
-        for linf in ctx.valid_ideal_lines():
+        for linf in _valid_ideal_lines(spec):
             contact = meet(linf, lstar)
-            qstar = member_through(pencil, contact, ctx.plane)
+            qstar = member_through(pencil, contact, plane)
             if not qstar.is_proper:
                 rejected += 1
                 with pytest.raises(DegenerateContactPoint) as exc:
@@ -311,24 +312,24 @@ def test_family_refuses_lstar_not_one_to_one_on_members():
     """Each point of a valid L* lies on its own member, so each member's
     touch point is single; every other line of the plane meets some member
     in no point or in more than one, and the family refuses it."""
-    ctx = time_pencil_context(GF8)
-    census = [set(point_set(m.conic, ctx.plane)) for m in members(time_pencil(ctx.spec), ctx.plane)]
+    plane = build_plane(GF8)
+    census = [set(point_set(m.conic, plane)) for m in members(time_pencil(GF8), plane)]
     one_to_one = []
-    for line in ctx.plane.lines:
-        pts = set(points_on(line, ctx.plane))
+    for line in plane.lines:
+        pts = set(points_on(line, plane))
         if all(len(pts & zeros) == 1 for zeros in census):
             one_to_one.append(line)
-            assert _first_unrejected_family(ctx, line).provenance.lstar == line
+            assert _first_unrejected_family(GF8, line).provenance.lstar == line
             continue
         with pytest.raises(InvalidTangentLine):
             _family(GF8, lstar=line.values)
-    assert tuple(one_to_one) == ctx.valid_tangent_lines()
+    assert tuple(one_to_one) == _valid_tangent_lines(GF8)
 
 
-def _first_unrejected_family(ctx, lstar):
-    for linf in ctx.valid_ideal_lines():
+def _first_unrejected_family(spec, lstar):
+    for linf in _valid_ideal_lines(spec):
         try:
-            return build_time_family(ctx.spec, linf, lstar)
+            return build_time_family(spec, linf, lstar)
         except DegenerateContactPoint:
             pass
     raise AssertionError(f"every ideal line is rejected for {lstar}")
@@ -341,12 +342,11 @@ def test_family_members_are_arcs_for_every_lstar(spec):
     L*, with the first L-infinity that is not rejected, every member is a
     (q+1)-arc listed in plane order, without its member's touch point on
     L* as the touch_point oracle finds it."""
-    ctx = time_pencil_context(spec)
-    proper = _proper(ctx)
-    lstars = ctx.valid_tangent_lines()
+    proper = _proper(spec)
+    lstars = _valid_tangent_lines(spec)
     assert len(lstars) == spec.order - 1
     for lstar in lstars:
-        fam = _first_unrejected_family(ctx, lstar)
+        fam = _first_unrejected_family(spec, lstar)
         assert len(fam.members) == spec.order - 1
         # the closed-form is_conic against the five-point fit
         assert ([m["is_conic"] for m in family_to_dict(fam)["members"]]

@@ -28,6 +28,8 @@ from galois_arrow.arrow import TemporalClass, arc_arrow, classify_member, conic_
 from galois_arrow.kernel import time_pencil_context
 from galois_arrow.witnesses import _arc_deltas, _contacts, _triple_values, _witnesses
 
+from oracles import _valid_ideal_lines, _valid_tangent_lines
+
 GF4 = make_field(2, 2)
 GF8 = make_field(2, 3)
 
@@ -42,7 +44,7 @@ def _proper(ctx):
     """Per proper member, in member order: its id and member from the
     census members(), and its closed-form points from arc._member_values,
     as plane points."""
-    census = [(i, m) for i, m in enumerate(members(time_pencil(ctx.spec), ctx.plane))
+    census = [(i, m) for i, m in enumerate(members(time_pencil(ctx.spec), build_plane(ctx.spec)))
               if m.is_proper]
     points = [tuple(ProjPoint(ctx.spec, v) for v in _member_values(ctx.spec, t))
               for t in ctx.ids]
@@ -112,8 +114,7 @@ def test_conic_arrow_q4_reference_tallies():
 
 
 def test_conic_arrow_never_present_q8_all_lines():
-    ctx = time_pencil_context(GF8)
-    for linf in ctx.valid_ideal_lines():
+    for linf in _valid_ideal_lines(GF8):
         assert conic_arrow(GF8, linf).tallies["present"] == 0
 
 
@@ -217,7 +218,7 @@ def test_conic_arrow_matches_incidence_oracle(n):
     spec = make_field(2, n)
     ctx = time_pencil_context(spec)
     proper = _proper(ctx)
-    for linf in ctx.valid_ideal_lines():
+    for linf in _valid_ideal_lines(spec):
         expected = [_oracle_row(member_id, member.theta, pts, linf)
                     for member_id, member, pts in proper]
         assert _rows(conic_arrow(spec, linf)) == expected
@@ -232,8 +233,8 @@ def test_arc_arrow_matches_incidence_oracle(n):
     ctx = time_pencil_context(spec)
     proper = _proper(ctx)
     built = 0
-    for linf in ctx.valid_ideal_lines():
-        for lstar in ctx.valid_tangent_lines():
+    for linf in _valid_ideal_lines(spec):
+        for lstar in _valid_tangent_lines(spec):
             try:
                 family = build_time_family(spec, linf, lstar)
             except DegenerateContactPoint:
@@ -242,7 +243,7 @@ def test_arc_arrow_matches_incidence_oracle(n):
             expected = []
             for member_id, member, pts in proper:
                 (touch,) = _line_hits(pts, lstar)
-                arc_pts = [p for p in pts if p != touch] + [ctx.N]
+                arc_pts = [p for p in pts if p != touch] + [ProjPoint(spec, (0, 0, 1))]
                 expected.append(_oracle_row(member_id, member.theta, arc_pts, linf))
             assert _rows(arc_arrow(family)) == expected
     assert built == (spec.order - 1) ** 3 - (spec.order - 1) ** 2
@@ -259,25 +260,26 @@ def test_arc_pass_matches_the_incidence_oracle(n):
     spec = make_field(2, n)
     q = spec.order
     ctx = time_pencil_context(spec)
+    plane = build_plane(spec)
     pencil = time_pencil(spec)
-    lstars = ctx.valid_tangent_lines()
+    lstars = _valid_tangent_lines(spec)
     lstar_as = [lstar.values[1] for lstar in lstars]
     points_of = {member.theta: pts for _, member, pts in _proper(ctx)}
     valid = rejected = 0
-    for linf in ctx.valid_ideal_lines():
+    for linf in _valid_ideal_lines(spec):
         contacts = _contacts(spec, linf.values, lstar_as)
         deltas = _arc_deltas(ctx, linf.values, lstar_as, _witnesses(ctx, linf.values))
         for lstar, contact, delta in zip(lstars, contacts, deltas, strict=True):
             a = meet(linf, lstar)
-            qstar = member_through(pencil, a, ctx.plane)
+            qstar = member_through(pencil, a, plane)
             if lstar.values[1] == linf.values[1]:
                 rejected += 1
                 assert not qstar.is_proper and contact is None and delta is None
                 continue
             valid += 1
             index, t = contact
-            assert ctx.plane.points[index] == a
-            assert members(pencil, ctx.plane)[t] == qstar
+            assert plane.points[index] == a
+            assert members(pencil, plane)[t] == qstar
             hits = _line_hits(points_of[qstar.theta], linf)
             assert len(hits) == 2 and a in hits
             (other,) = [p for p in hits if p != a]
@@ -301,7 +303,7 @@ def test_arc_pass_is_its_orbit_representatives_image(n):
     ctx = time_pencil_context(spec)
     lstar_as = range(1, q)
     orbits, rejected = set(), 0
-    for linf in ctx.valid_ideal_lines():
+    for linf in _valid_ideal_lines(spec):
         _, b, c = linf.values
         ic = inv(c)
         ic2 = mul(ic, ic)
@@ -329,10 +331,9 @@ def _check_orbits(spec):
     and as witnesses the images (1 : y2/c^2 : y3/c) under sigma_{1/c} of the
     representative's, in plane order.  Returns each class pattern with the
     set of orbits u that show it."""
-    ctx = time_pencil_context(spec)
     q, mul, inv = spec.order, spec._mul_i, spec._inv_i
     representatives, patterns = {}, {}
-    for linf in ctx.valid_ideal_lines():
+    for linf in _valid_ideal_lines(spec):
         _, b, c = linf.values
         u = mul(b, inv(mul(c, c)))
         if u not in representatives:

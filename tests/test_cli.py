@@ -25,10 +25,11 @@ from galois_arrow.arc import Arc, build_time_family
 from galois_arrow.argparser import _build_parser
 from galois_arrow.arrow import TemporalClass, arc_arrow, classify_member, conic_arrow
 from galois_arrow.field import make_field
-from galois_arrow.kernel import time_pencil_context
 from galois_arrow.pencil import PencilMember, members, time_pencil
-from galois_arrow.plane import ProjLine, _line_hits, _triple_index
+from galois_arrow.plane import ProjLine, _line_hits, _triple_index, build_plane
 from galois_arrow.witnesses import _arc_deltas, _witnesses
+
+from oracles import _valid_ideal_lines, _valid_tangent_lines
 
 
 def _run(argv):
@@ -562,13 +563,12 @@ def _oracle_payload(config) -> dict:
             return conic_arrow(spec, linf).to_dict()
         return _oracle_arc_report(
             build_time_family(spec, linf, ProjLine(spec, config.lstar)))
-    ctx = time_pencil_context(spec)
     reports, rejected = [], []
     if config.mode == "conic":
-        reports = [conic_arrow(spec, linf).to_dict() for linf in ctx.valid_ideal_lines()]
+        reports = [conic_arrow(spec, linf).to_dict() for linf in _valid_ideal_lines(spec)]
     else:
-        for linf in ctx.valid_ideal_lines():
-            for lstar in ctx.valid_tangent_lines():
+        for linf in _valid_ideal_lines(spec):
+            for lstar in _valid_tangent_lines(spec):
                 try:
                     family = build_time_family(spec, linf, lstar)
                 except DegenerateContactPoint:
@@ -778,9 +778,8 @@ def test_arc_sweep_matches_the_incidence_oracle(n):
     assert code == 0 and not err
     reports = iter(json.loads(out)["reports"])
     spec = make_field(2, n)
-    ctx = time_pencil_context(spec)
-    for linf in ctx.valid_ideal_lines():
-        for lstar in ctx.valid_tangent_lines():
+    for linf in _valid_ideal_lines(spec):
+        for lstar in _valid_tangent_lines(spec):
             try:
                 family = build_time_family(spec, linf, lstar)
             except DegenerateContactPoint:
@@ -795,13 +794,44 @@ def test_arc_sweep_matches_the_incidence_oracle(n):
     assert next(reports, None) is None
 
 
+@pytest.mark.parametrize("mode, n", [("conic", 1), ("arc", 2), ("arc", 3), ("arc", 4)],
+                         ids=lambda v: v if isinstance(v, str) else f"q{2 ** v}")
+def test_sweep_lines_are_the_valid_lines_by_incidence(mode, n):
+    """A sweep's lines, the package's one definition of the valid lines,
+    against their incidence definitions over every plane line: its
+    L-infinity are the lines that miss B1, B2 and N, which are the lines
+    (1 : b : c), bc != 0, all coefficients nonzero, and in arc mode the
+    L* of each, from its configurations and its rejections, are the lines
+    through N other than N∨B1 and N∨B2, the lines (1 : a : 0), a != 0;
+    each in plane line order."""
+    spec = make_field(2, n)
+    q = spec.order
+    lines = build_plane(spec).lines
+    ideal, tangent = _valid_ideal_lines(spec), _valid_tangent_lines(spec)
+    assert ideal == tuple(line for line in lines if all(line.values))
+    assert ideal == tuple(ProjLine(spec, (1, b, c)) for b in range(1, q) for c in range(1, q))
+    assert tangent == tuple(ProjLine(spec, (1, a, 0)) for a in range(1, q))
+    assert (len(ideal), len(tangent)) == ((q - 1) ** 2, q - 1)
+    config = cli.parse_args(f"arrow --n {n} --mode {mode} --exhaustive --output csv".split())
+    rejected = []
+    linfs = []
+    for linf, _, configurations in driver._arrow_reports(spec, config, rejected):
+        linfs.append(linf)
+        if mode == "arc":
+            lstar_as = [a for a, _ in configurations] + [a for _, a in rejected]
+            assert {line for line, _ in rejected} <= {linf}
+            assert [(1, a, 0) for a in sorted(lstar_as)] == [line.values for line in tangent]
+            rejected.clear()
+    assert linfs == [line.values for line in ideal]
+
+
 def _future(witnesses, ctx):
     return [() for _ in witnesses]
 
 
 def _past_without_the_contact_point(witnesses, ctx):
     # B2 and N lie on no valid ideal line, so neither is a contact point
-    others = tuple(_triple_index(ctx.spec.order, p.values) for p in (ctx.B2, ctx.N))
+    others = tuple(_triple_index(ctx.spec.order, values) for values in ((1, 0, 0), (0, 0, 1)))
     return [others if hits else hits for hits in witnesses]
 
 
@@ -915,18 +945,18 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     ("from galois_arrow.element import inv",
      ["element", "errors", "field", "polynomial", "tables"]),
     ("from galois_arrow.modulus import parse_modulus", ["modulus"]),
-    # the context's plane-facing members load the plane module, and what
-    # it imports, on their first read
+    # a context is the kernel's data alone: it has no plane, and reading
+    # one loads no plane module
     ("from galois_arrow import make_field, time_pencil_context\n"
-     "time_pencil_context(make_field(2, 3)).N",
-     ["element", "errors", "field", "kernel", "lines", "linetext", "plane", "polynomial",
-      "tables", "witnesses"]),
-    # field-info reads the field and its element API only: the payload
-    # builders import the plane and the context when they run
+     "assert not hasattr(time_pencil_context(make_field(2, 3)), 'plane')",
+     ["errors", "field", "kernel", "polynomial", "tables"]),
+    # field-info reads the field only, its generator's value from the field
+    # module: no element API, and the payload builders import the plane and
+    # the context when they run
     ("import contextlib, io\nimport galois_arrow.cli as c\n"
      "with contextlib.redirect_stdout(io.StringIO()):\n"
      "    assert c.main(['field-info', '--n', '2']) == 0",
-     ["cli", "driver", "element", "errors", "field", "payloads", "polynomial", "tables"]),
+     ["cli", "driver", "errors", "field", "payloads", "polynomial", "tables"]),
     # pencil reads its members from the context and prints its points from
     # their values by the kernel's text table: no plane module, census
     # (pencil), conic module or linetext
@@ -949,7 +979,7 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
      ["arc", "cli", "conic", "driver", "element", "errors", "field", "kernel", "lines",
       "linetext", "payloads", "pencil", "plane", "polynomial", "tables", "witnesses"]),
     # a dunder a spec or a context lacks, as copy probes for, is refused
-    # without loading the element or the plane module
+    # without loading the element module
     ("from galois_arrow import make_field, time_pencil_context\n"
      "assert not hasattr(make_field(2, 3), '__deepcopy__')\n"
      "assert not hasattr(time_pencil_context(make_field(2, 3)), '__deepcopy__')",
@@ -958,10 +988,10 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 def test_imports_load_only_the_modules_they_run(statement, loaded):
     """The package resolves its names lazily, the CLI imports the census
     (pencil), conic and arc modules only in the commands that use them, and
-    the kernel reads the plane module only when a plane is asked for, so
-    neither import loads them; a spec loads the element API, and a field
-    the Zech arithmetic, only when first used, and the --modulus reader
-    loads only where it is imported."""
+    the kernel never reads the plane module, so neither import loads them;
+    a spec loads the element API, and a field the Zech arithmetic, only
+    when first used, and the --modulus reader loads only where it is
+    imported."""
     want = ["galois_arrow", *(f"galois_arrow.{m}" for m in loaded)]
     assert _added_modules(statement, "m.startswith('galois_arrow')") == f"{want}\n"
 
@@ -1097,8 +1127,8 @@ def test_arrow_runs_compile_within_their_node_budgets(argv, budget):
 # each with its reason; any other function they load and never call is
 # compiled for nothing.
 NEVER_CALLED = {
-    "__getattr__": "the package's PEP 562 hook, and the class hooks that bind the element API "
-                   "onto FieldSpec and the plane's members onto TimePencilContext on first read",
+    "__getattr__": "the package's PEP 562 hook, and FieldSpec's hook that binds the element "
+                   "API onto it on first read",
     "__dir__": "the package's PEP 562 dir()",
     "__repr__": "FieldSpec's text for a prompt or a traceback",
     "__reduce__": "FieldSpec's copy and pickle support",
@@ -1205,8 +1235,7 @@ def test_other_commands_load_the_payloads_module(argv):
 def _records():
     """Per record type: two equal records built apart, and an unequal one."""
     gf8 = make_field(2, 3)
-    ctx = time_pencil_context(gf8)
-    census = members(time_pencil(ctx.spec), ctx.plane)
+    census = members(time_pencil(gf8), build_plane(gf8))
     families = [build_time_family(gf8, ProjLine(gf8, (1, 1, 1)), ProjLine(gf8, lstar))
                 for lstar in ((1, 2, 0), (1, 2, 0), (1, 3, 0))]
     reports = [arc_arrow(family) for family in families]

@@ -122,24 +122,3 @@ def test_each_name_resolves_only_from_its_home(module, name, home):
     with pytest.raises(ImportError):
         exec(f"from galois_arrow.{module} import {name}", {})
 
-
-def test_context_plane_members_are_bound_from_the_plane_module():
-    """Loading the plane module binds every member of _ContextPlane that is
-    not a dunder onto TimePencilContext; a name a context lacks still
-    raises the AttributeError of a missing attribute."""
-    from galois_arrow import plane
-    from galois_arrow.field import make_field
-    from galois_arrow.kernel import TimePencilContext, time_pencil_context
-    ctx = time_pencil_context(make_field(2, 3))
-    assert ctx.plane is plane.build_plane(ctx.spec)
-    members = [name for name in vars(plane._ContextPlane) if not name.startswith("__")]
-    assert {"plane", "B1", "B2", "N", "valid_ideal_lines", "valid_tangent_lines"} == set(members)
-    for name in members:
-        assert vars(TimePencilContext)[name] is vars(plane._ContextPlane)[name]
-    assert TimePencilContext.__module__ == "galois_arrow.kernel"
-    assert (ctx.B1.values, ctx.B2.values, ctx.N.values) == ((0, 1, 0), (1, 0, 0), (0, 0, 1))
-    assert len(ctx.valid_ideal_lines()) == 49 and len(ctx.valid_tangent_lines()) == 7
-    for name in ("no_such_name", "__no_such_name__"):
-        with pytest.raises(AttributeError) as caught:
-            getattr(ctx, name)
-        assert str(caught.value) == f"'TimePencilContext' object has no attribute {name!r}"

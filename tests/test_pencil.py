@@ -26,6 +26,7 @@ from galois_arrow.conic import (
     evaluate,
     nucleus,
     point_set,
+    tangent_lines,
 )
 from galois_arrow.pencil import (
     Pencil,
@@ -49,7 +50,8 @@ from galois_arrow.arc import _member_values
 from galois_arrow.kernel import TimePencilContext, _orbit, _quadratic_roots, time_pencil_context
 from galois_arrow.lines import _check_line
 
-from oracles import _join_index
+from oracles import (_base_points_and_nucleus, _join_index, _valid_ideal_lines,
+                     _valid_tangent_lines)
 
 GF2 = make_field(2, 1)
 GF3 = make_field(3, 1)
@@ -113,9 +115,9 @@ def test_base_points():
 def test_time_pencil_base_points_are_b2_then_b1(spec):
     """The pencil command prints (B2, B1) = ((1:0:0), (0:1:0)) in closed form;
     base_points' scan of every plane point is its oracle."""
-    ctx = time_pencil_context(spec)
-    assert base_points(time_pencil(ctx.spec), ctx.plane) == (ctx.B2, ctx.B1)
-    assert [p.values for p in (ctx.B2, ctx.B1)] == [(1, 0, 0), (0, 1, 0)]
+    b1, b2, _ = _base_points_and_nucleus(spec)
+    assert base_points(time_pencil(spec), build_plane(spec)) == (b2, b1)
+    assert [p.values for p in (b2, b1)] == [(1, 0, 0), (0, 1, 0)]
 
 
 def test_base_points_of_double_line_pencil():
@@ -214,29 +216,44 @@ def test_every_proper_member_contains_both_base_points():
             assert b1 in pts and b2 in pts
 
 
+@pytest.mark.parametrize("spec", [GF4, GF8, GF16, GF32], ids=lambda s: f"q{s.order}")
+def test_time_pencil_is_self_dual_under_the_standard_polarity(spec):
+    """The abstract calls the time pencil "self-dual" (galois-arrow, arXiv
+    2003; PAPER.md holds only the abstract).  The reading checked here: the
+    polarity (x1:x2:x3) -> [x1:x2:x3] of PG(2, 2^n) maps the pencil's
+    distinguished points onto its degenerate members and back.  It takes the
+    base points B1 and B2 to the lines x2 = 0 and x1 = 0, the two lines of
+    the real line pair x1*x2 = 0, and the nucleus N to the double line
+    x3 = 0.  It takes the points of the double line onto the lines through
+    N, which are the tangents of every proper member, and the points of
+    the line pair onto the lines through B1 or B2."""
+    plane = build_plane(spec)
+    b1, b2, n = _base_points_and_nucleus(spec)
+
+    def polar(point):
+        return ProjLine(spec, point.values)
+
+    pair, *proper, double = members(time_pencil(spec), plane)
+    assert (pair.degeneracy, double.degeneracy) == (DegeneracyClass.REAL_LINE_PAIR,
+                                                    DegeneracyClass.DOUBLE_LINE)
+    x1, x2, x3 = (ProjLine(spec, v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert (polar(b1), polar(b2), polar(n)) == (x2, x1, x3)
+    assert set(point_set(pair.conic, plane)) == set(plane.points_on(x1) + plane.points_on(x2))
+    assert point_set(double.conic, plane) == plane.points_on(x3)
+    through_n = set(plane.lines_through(n))
+    assert {polar(p) for p in point_set(double.conic, plane)} == through_n
+    assert all(set(tangent_lines(m.conic, plane)) == through_n for m in proper)
+    assert ({polar(p) for p in point_set(pair.conic, plane)}
+            == set(plane.lines_through(b1) + plane.lines_through(b2)))
+
+
 def test_context_collects_proper_members_in_order():
     ctx = time_pencil_context(GF8)
     assert ctx.ids == tuple(range(1, 8))
     assert list(ctx.thetas) == [(1, t) for t in range(1, 8)]
     assert all(len(_member_values(GF8, t)) == 9 for t in ctx.ids)
-    assert len(ctx.valid_ideal_lines()) == 7 * 7
-    assert len(ctx.valid_tangent_lines()) == 7
-
-
-@pytest.mark.parametrize("spec", [GF4, GF8, GF16], ids=lambda s: f"q{s.order}")
-def test_context_reads_its_plane_points_and_lines_from_the_plane_module(spec):
-    """The plane, B1, B2 and N, read from the plane module when asked for,
-    and the valid lines are what the context built when it held them: the
-    cached plane, the points (0:1:0), (1:0:0) and (0:0:1), and the lines
-    (1 : b : c), bc != 0, and (1 : a : 0), a != 0, in plane line order."""
-    q = spec.order
-    ctx = time_pencil_context(spec)
-    assert ctx.plane is build_plane(spec)
-    assert [(type(p), p.field, p.values) for p in (ctx.B1, ctx.B2, ctx.N)] == [
-        (ProjPoint, spec, values) for values in ((0, 1, 0), (1, 0, 0), (0, 0, 1))]
-    assert ctx.valid_ideal_lines() == tuple(
-        ProjLine(spec, (1, b, c)) for b in range(1, q) for c in range(1, q))
-    assert ctx.valid_tangent_lines() == tuple(ProjLine(spec, (1, a, 0)) for a in range(1, q))
+    assert len(_valid_ideal_lines(GF8)) == 7 * 7
+    assert len(_valid_tangent_lines(GF8)) == 7
 
 
 @pytest.mark.parametrize("spec", [GF3, GF4, GF5, GF8, GF9, GF16, GF32],
@@ -245,7 +262,7 @@ def test_context_ids_and_thetas_are_the_census_proper_members(spec):
     """The context's closed-form ids and thetas, (1, t) at position t for
     t != 0, against the proper members of the census members()."""
     ctx = time_pencil_context(spec)
-    census = members(time_pencil(ctx.spec), ctx.plane)
+    census = members(time_pencil(spec), build_plane(spec))
     assert ctx.ids == tuple(i for i, m in enumerate(census) if m.is_proper)
     assert ctx.thetas == tuple(census[i].theta for i in ctx.ids)
 
@@ -256,11 +273,11 @@ def test_context_masks_are_the_member_point_sets(spec):
     """The closed-form member points (arc._member_values) against the
     point_set scan, and the degenerate members' scans against their lines."""
     ctx = time_pencil_context(spec)
-    plane = ctx.plane
+    plane = build_plane(spec)
     x1, x2, x3 = (plane.points_on(ProjLine(spec, v))
                   for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     proper = zip(ctx.ids, ctx.thetas, [_member_values(spec, t) for t in ctx.ids], strict=True)
-    for idx, m in enumerate(members(time_pencil(ctx.spec), plane)):
+    for idx, m in enumerate(members(time_pencil(spec), plane)):
         scan = point_set(m.conic, plane)
         if m.theta == (1, 0):       # x1*x2: the lines x1 = 0 and x2 = 0
             assert m.degeneracy is DegeneracyClass.REAL_LINE_PAIR
@@ -285,7 +302,7 @@ def test_member_points_are_zeros_with_distinct_joins_to_n(spec):
     leaves an arc, which build_time_family relies on."""
     ctx = time_pencil_context(spec)
     q = spec.order
-    n = ctx.N.values
+    n = (0, 0, 1)
     for t in ctx.ids:
         pts = _member_values(spec, t)
         values = (0, 1, 0, 0, 0, t)   # x1*x2 + t*x3^2
@@ -324,16 +341,17 @@ def test_context_set_up_runs_no_census_scan_or_check(spec):
 @pytest.mark.parametrize("spec", [GF3, GF4, GF5, GF8, GF9, GF16],
                          ids=lambda s: f"q{s.order}")
 def test_line_validity_from_coefficients_matches_incidence(spec):
-    """The valid ideal and tangent lines, and the errors validate_ideal_line
-    and lines._check_line, on an L*, raise for every plane line, all read
-    off coefficients, against their incidence definitions: an ideal line
-    avoids B1, B2 and N; L* passes through N and is neither NB1 nor NB2."""
-    ctx = time_pencil_context(spec)
-    plane = ctx.plane
-    nb1, nb2 = line_through(ctx.N, ctx.B1), line_through(ctx.N, ctx.B2)
+    """The errors validate_ideal_line and lines._check_line, on an L*,
+    raise for every plane line, read off coefficients, against their
+    incidence definitions: an ideal line avoids B1, B2 and N; L* passes
+    through N and is neither NB1 nor NB2.  The valid lines themselves are
+    the sweep's (test_cli.py::test_sweep_lines_are_the_valid_lines_by_incidence)."""
+    plane = build_plane(spec)
+    b1, b2, n = _base_points_and_nucleus(spec)
+    nb1, nb2 = line_through(n, b1), line_through(n, b2)
     for line in plane.lines:
-        if not incident(ctx.N, line):
-            expected = (InvalidTangentLine, f"{line} does not pass through the nucleus {ctx.N}")
+        if not incident(n, line):
+            expected = (InvalidTangentLine, f"{line} does not pass through the nucleus {n}")
         elif line in (nb1, nb2):
             expected = (InvalidTangentLine, f"{line} joins the nucleus to a base point")
         else:
@@ -344,10 +362,10 @@ def test_line_validity_from_coefficients_matches_incidence(spec):
         except InvalidTangentLine as exc:
             got = (type(exc), str(exc))
         assert got == expected
-        if incident(ctx.B1, line) or incident(ctx.B2, line):
+        if incident(b1, line) or incident(b2, line):
             expected = (HitsBasePoint, f"ideal line {line} passes through a base point")
-        elif incident(ctx.N, line):
-            expected = (HitsNucleus, f"ideal line {line} passes through the nucleus {ctx.N}")
+        elif incident(n, line):
+            expected = (HitsNucleus, f"ideal line {line} passes through the nucleus {n}")
         else:
             expected = None
         try:
@@ -356,21 +374,6 @@ def test_line_validity_from_coefficients_matches_incidence(spec):
         except InvalidIdealLine as exc:
             got = (type(exc), str(exc))
         assert got == expected
-    assert ctx.valid_ideal_lines() == tuple(
-        l for l in plane.lines if not any(incident(pt, l) for pt in (ctx.B1, ctx.B2, ctx.N)))
-    assert ctx.valid_tangent_lines() == tuple(
-        l for l in plane.lines if incident(ctx.N, l) and l not in (nb1, nb2))
-
-
-@pytest.mark.parametrize("spec", [GF2, GF4, GF8, GF16, GF32], ids=lambda s: f"q{s.order}")
-def test_valid_ideal_lines_match_the_coefficient_filter(spec):
-    """The closed-form valid ideal lines, (1 : b : c) at index b*q + c,
-    against the filter of the plane's lines by their coefficients."""
-    ctx = time_pencil_context(spec)
-    expected = tuple(line for line in ctx.plane.lines if all(line.values))
-    got = ctx.valid_ideal_lines()
-    assert len(got) == len(expected) == (spec.order - 1) ** 2
-    assert all(a == b for a, b in zip(got, expected))
 
 
 def test_validate_ideal_line_rejects_other_fields():
