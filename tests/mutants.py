@@ -44,8 +44,9 @@ ARC = ["tests/test_arrow.py::test_arc_pass_matches_the_incidence_oracle[q8]"]
 SIGMA = ["tests/test_arrow.py::test_arc_pass_is_its_orbit_representatives_image[q8]"]
 CONIC = ["tests/test_arrow.py::test_conic_arrow_matches_incidence_oracle[q8]"]
 SWEEPS = ["tests/test_golden_stdout.py::test_sweep_stdout_matches_benchmark_digest"]
-# the sweep's lines against the valid lines by incidence
-SWEEP_LINES = ["tests/test_cli.py::test_sweep_lines_are_the_valid_lines_by_incidence"]
+# the sweep's lines against the valid lines by incidence and by coefficients
+SWEEP_LINES = ["tests/test_cli.py::test_sweep_lines_are_the_valid_lines_by_incidence",
+               "tests/test_pencil.py::test_valid_ideal_lines_match_the_coefficient_filter"]
 GOLDEN = ["tests/test_golden_stdout.py::test_stdout_matches_golden_digest"]
 ENUMERATION = ["tests/test_plane.py::test_triple_values_inverts_triple_index",
                "tests/test_plane.py::test_triple_index_is_the_enumeration_position",

@@ -16,6 +16,7 @@ from galois_arrow.errors import (
     NoProperMember,
     NucleiDiffer,
 )
+from galois_arrow import cli, driver
 from galois_arrow.field import make_field
 from galois_arrow.modulus import parse_modulus
 from galois_arrow.conic import (
@@ -375,6 +376,17 @@ def test_line_validity_from_coefficients_matches_incidence(spec):
             got = (type(exc), str(exc))
         assert got == expected
 
+
+@pytest.mark.parametrize("spec", [GF2, GF4, GF8, GF16, GF32], ids=lambda s: f"q{s.order}")
+def test_valid_ideal_lines_match_the_coefficient_filter(spec):
+    """The closed-form valid ideal lines of a sweep, (1 : b : c) at index
+    b*q + c, against the filter of the plane's lines by their coefficients."""
+    config = cli.parse_args(
+        f"arrow --n {spec.degree} --mode conic --exhaustive --output csv".split())
+    expected = tuple(line.values for line in build_plane(spec).lines if all(line.values))
+    got = tuple(linf for linf, _, _ in driver._arrow_reports(spec, config, []))
+    assert len(got) == len(expected) == (spec.order - 1) ** 2
+    assert all(a == b for a, b in zip(got, expected))
 
 def test_validate_ideal_line_rejects_other_fields():
     with pytest.raises(MixedFields):
