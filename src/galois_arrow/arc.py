@@ -8,10 +8,11 @@ From each proper pencil member delete the single point where L* touches
 it and add the nucleus.  Every resulting set is again a (q+1)-arc, and exactly
 one of them is tangent to the ideal line.
 
-The family's points are values first: _member_values gives each proper
-member's points in plane order, and _family_values, one member at a
-time, its touch point on L* and its arc.  build_time_family makes them
-items of the plane build_plane(spec), its member ids and thetas read from
+The family's points are values first: each proper member's points are
+its zero set in plane order (conic._zero_values, in O(q)), and
+_family_values gives, one member at a time, its touch point on L* and
+its arc.  build_time_family makes them items of the plane
+build_plane(spec), its member ids and thetas read from
 the kernel's time-pencil context; the family command prints their text
 (payloads.py), and family_to_dict of the built family is its oracle in
 tests.  Both check a configuration by one function, _check_configuration,
@@ -42,6 +43,7 @@ from .conic import (
     Conic,
     DegeneracyClass,
     _nucleus_char2,
+    _zero_values,
     classify,
     evaluate,
     fit_conic,
@@ -167,24 +169,15 @@ def touch_point(conic: Conic, lstar: ProjLine, plane: Plane) -> ProjPoint:
     return hits[0]
 
 
-def _member_values(spec: FieldSpec, t: int) -> list[Values]:
-    """The q+1 points of the time pencil's member x1*x2 + t*x3^2, t != 0, in
-    plane order, as values: (1 : -t*c^2 : c), c in the field, sorted, then
-    (0:1:0), which comes after every (1 : x2 : x3).  conic.point_set's plane
-    scan is the oracle in tests."""
-    mul = spec._mul_i
-    s = spec._neg_i(t)
-    return [*sorted([(1, mul(s, mul(c, c)), c) for c in range(spec.order)]), (0, 1, 0)]
-
-
 def _family_values(spec: FieldSpec, a: int) -> Iterator[tuple[Values, list[Values]]]:
-    """Per proper member (1, t) of the time pencil, in member order, one at a
-    time, as values: its touch point on L* = (1 : a : 0), at position 1/a of
-    its points (_member_values), and its arc, those points without it and
-    with N = (0:0:1) last (see build_time_family)."""
+    """Per proper member x1*x2 + t*x3^2, t != 0, of the time pencil, in
+    member order, one at a time, as values: its touch point on
+    L* = (1 : a : 0), at position 1/a of its zero set (conic._zero_values,
+    in plane order), and its arc, those points without it and with
+    N = (0:0:1) last (see build_time_family)."""
     k = spec._inv[a]
     for t in range(1, spec.order):
-        points = _member_values(spec, t)
+        points = _zero_values(spec, (0, 1, 0, 0, 0, t))
         touch = points.pop(k)
         points.append((0, 0, 1))
         yield touch, points
@@ -236,9 +229,9 @@ def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine) -> ArcFa
     lstar and add the nucleus.
 
     No arc is checked here.  Each proper member's discriminant is nonzero,
-    so its q+1 points (_member_values; the tests check that they are zeros
-    of its form with distinct joins to N) form an oval.  In characteristic
-    2 its nucleus N joins them by q+1 distinct lines, so the oval plus N is
+    so its q+1 points (its zero set; the tests check that they have
+    distinct joins to N) form an oval.  In characteristic 2 its nucleus N
+    joins them by q+1 distinct lines, so the oval plus N is
     a (q+2)-arc, and the member, without its touch point, stays an arc for
     every lstar.  Each arc keeps its member's plane order, N being the last
     plane point.

@@ -13,10 +13,15 @@ still decides degeneracy in characteristic 2.)  A degenerate form is one
 point (conjugate line pair), q+1 points (double line) or 2q+1 points (real
 line pair), so the size of its zero set names its class.
 
-point_set scans the whole plane; it is the oracle for closed-form zero
-sets such as the time pencil's members.  The join census of the test
-suite (distinct lines through pairs of zero-set points) is the oracle for
-classify, beside the triple loop of arc.is_arc.
+Every zero set comes from one closed form, _zero_values, in O(q): each row
+of the plane's enumeration is a quadratic in x3, solved from the field's
+tables of square roots and of roots of y^2 + y = k (Lidl & Niederreiter,
+Finite Fields, 2.3).  point_set makes those zeros plane items, classify
+counts them, and the pencil and arc modules read them; the scan of the
+whole plane is the test suite's oracle (tests/oracles.py), not the
+library's.  The join census of the test suite (distinct lines through
+pairs of zero-set points) is the oracle for classify, beside the triple
+loop of arc.is_arc.
 """
 
 from __future__ import annotations
@@ -39,15 +44,15 @@ from .errors import (
     UnclassifiableConic,
 )
 from .field import FieldSpec
-from .kernel import Values
+from .kernel import Values, _quadratic_roots
 from .plane import (
     Plane,
     ProjLine,
     ProjPoint,
+    _check_field,
     _incidence_indices,
     _line_hits,
     _normalize,
-    _triples,
     collinear,
     incident,
     meet,
@@ -127,13 +132,76 @@ def evaluate(conic: Conic, point: ProjPoint) -> FieldElement:
                         _evaluate_values(conic.field, conic.values, point.values))
 
 
-@lru_cache(maxsize=8192)
+@lru_cache(maxsize=1)
+def _root_tables(spec: FieldSpec):
+    """The field's square roots, by value the ascending y with y^2 = v
+    (one in characteristic 2, else none, one for 0, or two), and in
+    characteristic 2 kernel._quadratic_roots, a root of y^2 + y = k by k.
+    O(q) each; the last field's are kept, since the arc family reads q-1
+    zero sets of one field."""
+    squares = [() for _ in range(spec.order)]
+    for y in range(spec.order):
+        squares[spec._mul_i(y, y)] += (y,)
+    return squares, _quadratic_roots(spec) if spec.characteristic == 2 else None
+
+
+def _row_values(spec: FieldSpec, k0, k1, k2):
+    """k0 + k1*s + k2*s^2 at each s of the field, in field order."""
+    mul, add = spec._mul_i, spec._add_i
+    values = [mul(k1, s) for s in range(spec.order)] if k1 else [0] * spec.order
+    if k2:
+        values = [add(v, mul(k2, mul(s, s))) for s, v in enumerate(values)]
+    return [add(k0, v) for v in values] if k0 else values
+
+
+def _zero_values(spec: FieldSpec, coeffs: Sequence[int]) -> list[Values]:
+    """The zeros of the form a*x1^2 + h*x1x2 + g*x1x3 + b*x2^2 + f*x2x3 +
+    c*x3^2 (coeffs in COEFF_NAMES order) as normalized values, in plane
+    order, in O(q).
+
+    The zeros (1 : s : y) of row s solve c*y^2 + beta*y + gamma = 0 with
+    beta = g + f*s and gamma = a + h*s + b*s^2, those (0 : 1 : y) the same
+    with beta = f and gamma = b, and (0:0:1) is a zero iff c = 0.  When
+    c != 0 the form is first scaled by -1/c, so each row reads
+    y^2 = beta*y + gamma: y is a square root of gamma when beta = 0; in
+    characteristic 2 y = beta*z with z^2 + z = gamma/beta^2, two roots or
+    none; otherwise y = m +- r with m = beta/2 and r^2 = m^2 + gamma.  When
+    c = 0 a row has the one root -gamma/beta, or, for beta = 0, every y
+    when gamma = 0 and none otherwise."""
+    a, h, g, b, f, c = coeffs
+    q = spec.order
+    mul, add, inv = spec._mul_i, spec._add_i, spec._inv
+    if c:
+        k = spec._neg_i(inv[c])
+        a, h, g, b, f = [mul(k, x) for x in (a, h, g, b, f)]
+    squares, halves = _root_tables(spec)
+
+    def roots(beta, gamma):
+        if not c:
+            if beta:
+                return (mul(spec._neg_i(gamma), inv[beta]),)
+            return () if gamma else range(q)
+        if halves:
+            z = halves[mul(gamma, inv[mul(beta, beta)])]
+            return () if z is None else sorted((mul(beta, z), mul(beta, z ^ 1)))
+        m = mul(beta, inv[2])   # 1/2, the packed 2 being 1 + 1 for p > 2
+        return sorted(add(m, r) for r in squares[add(mul(m, m), gamma)])
+
+    rows = [*((1, s) for s in range(q)), (0, 1)]
+    betas = [*_row_values(spec, g, f, 0), f]
+    gammas = [*_row_values(spec, a, h, b), b]
+    # a row with beta = 0 reads its roots in one lookup, as every row of a
+    # time-pencil member does
+    zeros = [(*row, y) for row, beta, gamma in zip(rows, betas, gammas)
+             for y in (roots(beta, gamma) if beta or not c else squares[gamma])]
+    return zeros if c else [*zeros, (0, 0, 1)]
+
+
 def point_set(conic: Conic, plane: Plane) -> tuple[ProjPoint, ...]:
-    """All plane points where the form vanishes, in plane order, by a scan
-    of the whole plane; the oracle for closed-form zero sets."""
-    field, coeffs = conic.field, conic.values
-    return tuple([plane.points[i] for i, values in enumerate(_triples(plane.order))
-                  if _evaluate_values(field, coeffs, values) == 0])
+    """All plane points where the form vanishes, in plane order: the closed
+    form _zero_values, made plane items."""
+    _check_field(conic, plane)
+    return tuple(map(plane.points._item, _zero_values(conic.field, conic.values)))
 
 
 def _discriminant(field: FieldSpec, coeffs: Sequence[int]) -> int:
@@ -155,13 +223,13 @@ def classify(conic: Conic, plane: Plane) -> DegeneracyClass:
     """Degeneracy class by the discriminant.
 
     Delta != 0 -> proper, and no zero set is computed.  Otherwise the size
-    of the zero set decides: 1 point -> conjugate line pair, q+1 -> double
+    of the zero set (_zero_values, in O(q)) decides: 1 point -> conjugate line pair, q+1 -> double
     line, 2q+1 -> real line pair.  Any other size is impossible for a
     genuine quadratic form and raises UnclassifiableConic.
     """
     if _discriminant(conic.field, conic.values):
         return DegeneracyClass.PROPER
-    size = len(point_set(conic, plane))
+    size = len(_zero_values(conic.field, conic.values))
     q = plane.order
     if size == 1:
         return DegeneracyClass.CONJUGATE_LINE_PAIR
@@ -178,17 +246,12 @@ def canonical_conic(spec: FieldSpec) -> Conic:
     return Conic(spec, (0, 1, 0, 0, 0, spec._neg_i(1)))
 
 
-def _canonical_values(spec: FieldSpec) -> list[Values]:
-    """The canonical conic's points as normalized values, in parametrization
-    order: (1:0:0), then (s^2 : 1 : s) for s in element order, which is
-    (0:1:0) at s = 0 and (1 : c^2 : c), c = 1/s, otherwise."""
-    return [(1, 0, 0), (0, 1, 0), *[(1, spec._mul_i(c, c), c) for c in spec._inv[1:]]]
-
-
 def parametrize_canonical(spec: FieldSpec) -> list[ProjPoint]:
-    """(1,0,0) followed by (s^2, 1, s) for s in element order, the points of
-    _canonical_values; equals the canonical conic's zero set as a set."""
-    return [ProjPoint(spec, values) for values in _canonical_values(spec)]
+    """(1,0,0) followed by (s^2, 1, s) for s in element order, which is
+    (0:1:0) at s = 0 and (1 : c^2 : c), c = 1/s, otherwise; equals the
+    canonical conic's zero set as a set."""
+    return [ProjPoint(spec, values) for values in
+            [(1, 0, 0), (0, 1, 0), *[(1, spec._mul_i(c, c), c) for c in spec._inv[1:]]]]
 
 
 def _hit_count(points: Iterable[ProjPoint], line: ProjLine) -> int:

@@ -26,6 +26,4 @@ def parse_modulus(text: str, p: int) -> tuple[int, ...]:
         coeffs = tuple(int(tok, 0) for tok in text.split(","))
     except ValueError as exc:
         raise ValueError(f"malformed modulus {text!r}") from exc
-    if not coeffs:
-        raise ValueError("empty modulus")
     return coeffs

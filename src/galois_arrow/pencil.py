@@ -8,14 +8,17 @@ The member (1, t) has discriminant -t, so the proper members are (1, t),
 t != 0, and the two degenerate ones are the real line pair (1, 0) and the
 double line (0, 1).  The time pencil context, kernel.TimePencilContext,
 keeps these closed forms; members(), the census by classify, is their
-oracle.  This module imports the kernel only to bind time_pencil_context
-here as well, the name the benchmark's spans time the context under.
+oracle.  members classifies each member by its discriminant and counts
+the zeros of the two degenerate ones, and base_points filters the first
+generator's zeros by the second, each zero set from conic._zero_values
+in O(q), so neither scans the plane nor keeps a cache.  This module
+imports the kernel only to bind time_pencil_context here as well, the
+name the benchmark's spans time the context under.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import BasePoint, NoProperMember, NucleiDiffer
@@ -26,9 +29,10 @@ from .conic import (
     _evaluate_values,
     _nucleus_char2,
     classify,
+    point_set,
 )
 from .kernel import time_pencil_context  # noqa: F401  (see the module docstring)
-from .plane import Plane, ProjPoint, _normalize, _triples
+from .plane import Plane, ProjPoint, _normalize
 
 
 class Pencil(namedtuple("Pencil", "generator1 generator2")):
@@ -73,7 +77,6 @@ def _combine(pencil: Pencil, theta: tuple[int, int]) -> Conic:
     return Conic(field, coeffs)
 
 
-@lru_cache(maxsize=None)
 def members(pencil: Pencil, plane: Plane) -> tuple[PencilMember, ...]:
     """All q+1 members, one per normalized parameter: (1, t) in field
     order, then (0, 1) last."""
@@ -86,24 +89,25 @@ def members(pencil: Pencil, plane: Plane) -> tuple[PencilMember, ...]:
 
 
 def base_points(pencil: Pencil, plane: Plane) -> tuple[ProjPoint, ...]:
-    """Points lying on every member, i.e. on both generators; plane order."""
-    field = pencil.field
-    g1, g2 = pencil.generator1.values, pencil.generator2.values
-    return tuple([plane.points[i] for i, values in enumerate(_triples(plane.order))
-                  if _evaluate_values(field, g1, values) == 0
-                  and _evaluate_values(field, g2, values) == 0])
+    """Points lying on every member, i.e. on both generators: the first
+    generator's zeros, in plane order, that the second's form vanishes at."""
+    g2 = pencil.generator2
+    return tuple([p for p in point_set(pencil.generator1, plane)
+                  if not _evaluate_values(g2.field, g2.values, p.values)])
 
 
 def member_through(pencil: Pencil, point: ProjPoint, plane: Plane) -> PencilMember:
-    """The unique member whose conic vanishes at the point."""
+    """The unique member whose conic vanishes at the point: the one of
+    parameter (v2 : -v1), v1 and v2 the generators' values there, made
+    alone, as members() lists it."""
     field = pencil.field
     v1 = _evaluate_values(field, pencil.generator1.values, point.values)
     v2 = _evaluate_values(field, pencil.generator2.values, point.values)
     if v1 == 0 and v2 == 0:
         raise BasePoint(f"{point} lies on every member")
-    t1, t2 = _normalize(field, (v2, field._neg_i(v1)))
-    # members() lists (1, t) at position t and (0, 1) last, at position q
-    return members(pencil, plane)[t2 if t1 else field.order]
+    theta = _normalize(field, (v2, field._neg_i(v1)))
+    conic = _combine(pencil, theta)
+    return PencilMember(theta, conic, classify(conic, plane))
 
 
 def common_nucleus(pencil: Pencil, plane: Plane) -> ProjPoint:

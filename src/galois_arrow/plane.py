@@ -216,8 +216,9 @@ def _incidence_indices(field: FieldSpec, values: tuple[int, int, int]) -> list[i
 
 @lru_cache(maxsize=None)
 def build_plane(spec: FieldSpec) -> Plane:
-    """PG(2, q) over the given field; cached, since planes are immutable and
-    the caches of pencil.members and conic.point_set are keyed on them."""
+    """PG(2, q) over the given field; cached, since a Plane compares equal
+    only to itself, and families and records (ArcFamily) built apart over
+    one field must compare equal, so they must hold one plane."""
     return Plane(spec)
 
 

@@ -6,7 +6,8 @@ coordinate strings (kernel.py, linetext.py), the text layout of the arrow
 command's JSON and CSV (arrow_json.py, report_text.py, arrow_csv.py), what
 the plane, conic, pencil and family commands print (payloads.py), the
 family's member and touch points, configuration checks and is_conic rule
-(arc.py), the canonical conic's points (conic.py), the expansion of a hex
+(arc.py), the closed-form zero set of every conic and the canonical
+conic's parametrization (conic.py), the expansion of a hex
 modulus (modulus.py), the canonical generator's value (field.py), and the
 table walk, the product, the inverse table and the Zech arithmetic of
 tables.py and zech.py, is pinned by some test.
@@ -73,7 +74,9 @@ FAMILY_JSON = [f"tests/test_golden_stdout.py::test_stdout_matches_golden_digest[
                                "family --n 3 --modulus 0xD --linf 1,5,3 --lstar 1,6,0")]
 # the built family's members against their arcs, touch points and plane order
 FAMILY_ARCS = ["tests/test_arc.py::test_family_members_are_arcs_for_every_lstar[q8]"]
-MEMBER_POINTS = ["tests/test_pencil.py::test_context_masks_are_the_member_point_sets[q8]"]
+# every form's closed-form zero set against the plane scan, over GF(4) and GF(3)
+ZEROS_EVEN = ["tests/test_conic.py::test_zero_values_are_the_scan_on_every_form[q4]"]
+ZEROS_ODD = ["tests/test_conic.py::test_zero_values_are_the_scan_on_every_form[q3]"]
 PARAMETRIZATION = ["tests/test_conic.py::test_parametrization_is_in_element_order[q8]"]
 # every point and line's text from the table against spec.format and str()
 TEXTS = ["tests/test_plane.py::test_point_and_line_texts_match_the_formatted_coordinates[q9]"]
@@ -187,9 +190,8 @@ MUTANTS = {"kernel.py": [
      "(x2, x1, spec._neg_i(spec._add_i(x3, x3)))", PAYLOADS),
     ("the tangents in reverse plane order", "for x1, x2, x3 in points], key=in_plane_order)",
      "for x1, x2, x3 in points], key=in_plane_order, reverse=True)", PAYLOADS),
-    ("the conic's points in parametrization order",
-     "sorted(_canonical_values(spec), key=in_plane_order)", "_canonical_values(spec)",
-     PAYLOADS),
+    ("the conic's points in reverse plane order", "points = _zero_values(spec, conic)",
+     "points = _zero_values(spec, conic)[::-1]", PAYLOADS),
     ("RealLinePair and DoubleLine swapped", '("DoubleLine", "RealLinePair")[t1]',
      '("RealLinePair", "DoubleLine")[t1]', PAYLOADS),
     ("the member (1, 0) proper", '"Proper" if t1 * t2 else', '"Proper" if t1 else', PAYLOADS),
@@ -223,11 +225,27 @@ MUTANTS = {"kernel.py": [
 ], "conic.py": [
     ("the canonical conic's points (1 : c^2 : c) in the order of c, not of s = 1/c",
      "for c in spec._inv[1:]", "for c in range(1, spec.order)", PARAMETRIZATION),
+    # equivalent in characteristic 2, where -1/c = 1/c
+    ("the form scaled by 1/c, not -1/c", "k = spec._neg_i(inv[c])", "k = inv[c]", ZEROS_ODD),
+    ("a row's b*s^2 read as b*s", "mul(k2, mul(s, s))", "mul(k2, s)", ZEROS_ODD),
+    # equivalent over GF(3), where 1/beta = beta
+    ("the c = 0 root -gamma/beta read as -gamma*beta", "inv[beta]),)", "beta),)", ZEROS_EVEN),
+    ("the c = 0, beta = gamma = 0 row without y = 0", "() if gamma else range(q)",
+     "() if gamma else range(1, q)", ZEROS_ODD),
+    ("the beta = 0 root sqrt(gamma) read as gamma", "else squares[gamma])", "else (gamma,))",
+     ZEROS_EVEN),
+    ("the second root beta*(z + 1) read as beta*z", "mul(beta, z ^ 1)", "mul(beta, z)",
+     ZEROS_EVEN),
+    ("a row's two roots in the order found, not ascending",
+     "sorted((mul(beta, z), mul(beta, z ^ 1)))", "(mul(beta, z), mul(beta, z ^ 1))", ZEROS_EVEN),
+    ("the odd rows centred at beta, not beta/2", "m = mul(beta, inv[2])", "m = beta", ZEROS_ODD),
+    ("(0:0:1) never a zero", "return zeros if c else [*zeros, (0, 0, 1)]", "return zeros",
+     ZEROS_ODD),
 ], "arc.py": [
     ("a family's members on a conic at q = 8, not 4", "return q == 4", "return q == 8", PAYLOADS),
-    ("a member's points in the order of c, not of plane order",
-     "*sorted([(1, mul(s, mul(c, c)), c) for c in range(spec.order)])",
-     "*[(1, mul(s, mul(c, c)), c) for c in range(spec.order)]", MEMBER_POINTS + FAMILY_JSON),
+    ("a member's points those of x1*x2 + x3^2, not x1*x2 + t*x3^2",
+     "_zero_values(spec, (0, 1, 0, 0, 0, t))", "_zero_values(spec, (0, 1, 0, 0, 0, 1))",
+     FAMILY_ARCS + FAMILY_JSON),
     ("the touch point at position a, not 1/a", "k = spec._inv[a]", "k = a",
      FAMILY_ARCS + FAMILY_JSON),
     ("N first in each arc, not last", "points.append((0, 0, 1))", "points.insert(0, (0, 0, 1))",

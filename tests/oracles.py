@@ -3,8 +3,18 @@ itself never calls them."""
 
 from functools import lru_cache
 
+from galois_arrow.conic import _evaluate_values
 from galois_arrow.field import FieldSpec
-from galois_arrow.plane import ProjPoint, _cross, build_plane, incident, line_through
+from galois_arrow.plane import ProjPoint, _cross, _triples, build_plane, incident, line_through
+
+
+def _point_set_scan(conic, plane) -> tuple:
+    """All plane points where the conic's form vanishes, in plane order, by
+    evaluating it at every point of the plane: the oracle of the closed-form
+    zero sets (conic._zero_values, point_set)."""
+    field, coeffs = conic.field, conic.values
+    return tuple([plane.points[i] for i, values in enumerate(_triples(plane.order))
+                  if _evaluate_values(field, coeffs, values) == 0])
 
 
 def _join_index(f: FieldSpec, a, b) -> int:

@@ -18,6 +18,7 @@ from galois_arrow.errors import (
 from galois_arrow.field import make_field
 from galois_arrow.conic import (
     DegeneracyClass,
+    _zero_values,
     canonical_conic,
     classify,
     fit_conic,
@@ -28,7 +29,6 @@ from galois_arrow.kernel import time_pencil_context
 from galois_arrow.plane import ProjLine, ProjPoint, build_plane, incident, meet, points_on
 from galois_arrow.arc import (
     Arc,
-    _member_values,
     augment_with_nucleus,
     build_time_family,
     family_to_dict,
@@ -38,7 +38,7 @@ from galois_arrow.arc import (
     touch_point,
 )
 
-from oracles import _valid_ideal_lines, _valid_tangent_lines
+from oracles import _point_set_scan, _valid_ideal_lines, _valid_tangent_lines
 
 GF2 = make_field(2, 1)
 GF4 = make_field(2, 2)
@@ -205,8 +205,8 @@ def test_family_members_share_q_points_with_their_conic():
     fam = _family(GF8)
     ctx = time_pencil_context(GF8)
     for member, t, arc in zip(_proper(GF8), ctx.ids, fam.members, strict=True):
-        pts = _member_values(GF8, t)
-        assert pts == [p.values for p in point_set(member.conic, fam.plane)]
+        pts = _zero_values(GF8, (0, 1, 0, 0, 0, t))
+        assert pts == [p.values for p in _point_set_scan(member.conic, fam.plane)]
         assert len({p.values for p in arc.points} & set(pts)) == 8
 
 

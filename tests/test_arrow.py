@@ -11,6 +11,7 @@ from galois_arrow.errors import (
     InvalidIdealLine,
     OddCharacteristic,
 )
+from galois_arrow.conic import _zero_values
 from galois_arrow.field import make_field
 from galois_arrow.pencil import member_through, members, time_pencil
 from galois_arrow.plane import (
@@ -23,7 +24,7 @@ from galois_arrow.plane import (
     meet,
     validate_ideal_line,
 )
-from galois_arrow.arc import _member_values, build_time_family
+from galois_arrow.arc import build_time_family
 from galois_arrow.arrow import TemporalClass, arc_arrow, classify_member, conic_arrow
 from galois_arrow.kernel import time_pencil_context
 from galois_arrow.witnesses import _arc_deltas, _contacts, _triple_values, _witnesses
@@ -42,11 +43,11 @@ def _family(spec, linf=(1, 1, 1), lstar=None):
 
 def _proper(ctx):
     """Per proper member, in member order: its id and member from the
-    census members(), and its closed-form points from arc._member_values,
-    as plane points."""
+    census members(), and its closed-form points, the zero set of
+    x1*x2 + t*x3^2 (conic._zero_values), as plane points."""
     census = [(i, m) for i, m in enumerate(members(time_pencil(ctx.spec), build_plane(ctx.spec)))
               if m.is_proper]
-    points = [tuple(ProjPoint(ctx.spec, v) for v in _member_values(ctx.spec, t))
+    points = [tuple(ProjPoint(ctx.spec, v) for v in _zero_values(ctx.spec, (0, 1, 0, 0, 0, t)))
               for t in ctx.ids]
     return [(i, m, pts) for (i, m), pts in zip(census, points, strict=True)]
 
@@ -265,6 +266,7 @@ def test_arc_pass_matches_the_incidence_oracle(n):
     lstars = _valid_tangent_lines(spec)
     lstar_as = [lstar.values[1] for lstar in lstars]
     points_of = {member.theta: pts for _, member, pts in _proper(ctx)}
+    census = members(pencil, plane)
     valid = rejected = 0
     for linf in _valid_ideal_lines(spec):
         contacts = _contacts(spec, linf.values, lstar_as)
@@ -279,7 +281,7 @@ def test_arc_pass_matches_the_incidence_oracle(n):
             valid += 1
             index, t = contact
             assert plane.points[index] == a
-            assert members(pencil, plane)[t] == qstar
+            assert census[t] == qstar
             hits = _line_hits(points_of[qstar.theta], linf)
             assert len(hits) == 2 and a in hits
             (other,) = [p for p in hits if p != a]

@@ -29,7 +29,7 @@ from galois_arrow.pencil import PencilMember, members, time_pencil
 from galois_arrow.plane import ProjLine, _line_hits, _triple_index, build_plane
 from galois_arrow.witnesses import _arc_deltas, _witnesses
 
-from oracles import _valid_ideal_lines, _valid_tangent_lines
+from oracles import _point_set_scan, _valid_ideal_lines, _valid_tangent_lines
 
 
 def _run(argv):
@@ -355,15 +355,15 @@ FAMILY_CSV_PAIRS = [((1, 1, 1), (1, 2, 0), (1, 1)), ((1, 2, 3), (1, 3, 0), (1, 1
 def test_family_csv_builds_no_family(monkeypatch, n):
     """The family's CSV rows come from the context's thetas once the
     configuration passes arc._check_configuration: none of
-    build_time_family, arc._family_values and arc._member_values is
-    called, and the rows equal
+    build_time_family, arc._family_values and the members' zero sets
+    (conic._zero_values, as arc reads it) is called, and the rows equal
     those read off the built family, each member's size len(arc.points),
     its theta and is_conic_arc, the oracles."""
     from galois_arrow import arc
     spec = make_field(2, n)
     q, fmt = spec.order, spec.format
     calls = []
-    for name in ("build_time_family", "_family_values", "_member_values"):
+    for name in ("build_time_family", "_family_values", "_zero_values"):
         def counting(*args, name=name, original=getattr(arc, name)):
             calls.append(name)
             return original(*args)
@@ -412,8 +412,8 @@ def test_conic_and_family_commands_make_no_plane_item(spec):
     """conic, and family in JSON and CSV, print from values: they make no
     ProjPoint, ProjLine or plane and call neither build_time_family nor
     family_to_dict.  Their stdout is what the library, the oracle, gives:
-    for conic, str() of parametrize_canonical's points in plane order and
-    of their polar lines, which are tangent_lines' tally, with classify and
+    for conic, str() of parametrize_canonical's points in plane order, which
+    are the plane scan's, and of their polar lines, which are tangent_lines' tally, with classify and
     nucleus; for family, family_to_dict of build_time_family and the rows
     read off that family, on three (L-infinity, L*) pairs, the last given
     unnormalized.  In odd characteristic, where the polar of (x1 : x2 : x3)
@@ -426,6 +426,7 @@ def test_conic_and_family_commands_make_no_plane_item(spec):
              "--modulus", ",".join(map(str, spec.modulus))]
     conic, oracle = canonical_conic(spec), plane.build_plane(spec)
     points = sorted(parametrize_canonical(spec), key=oracle.points.index)
+    assert points == list(_point_set_scan(conic, oracle))
     polars = sorted([ProjLine(spec, (x2, x1, spec._neg_i(spec._add_i(x3, x3))))
                      for x1, x2, x3 in (p.values for p in points)], key=oracle.lines.index)
     assert polars == tangent_lines(conic, oracle)
@@ -537,6 +538,7 @@ def test_csv_exhaustive_includes_configuration_columns():
     (["family", "--n", "16", "--modulus", "0x1100b"], "OrderTooLarge"),
     (["arrow", "--n", "11", "--modulus", "0x805", "--exhaustive"], "OrderTooLarge"),
     (LONG_MODULUS, "ModulusDegreeMismatch"),
+    (["field-info", "--modulus", ""], "UsageError"),
 ])
 def test_rejected_input_follows_the_exit_code_contract(argv, error):
     code, out, err = _run(argv)   # an exception escaping main is a traceback
@@ -1211,8 +1213,8 @@ print(counts)
 def test_conic_and_pencil_do_o_of_q_work(argv):
     """The Python calls of conic, pencil and the family's CSV at q = 16, 64
     and 256, counted under sys.setprofile in a fresh interpreter after a
-    run at q = 8 has loaded the modules (the caches of point_set, members
-    and build_plane are keyed by field, so no count reads another's): each
+    run at q = 8 has loaded the modules (build_plane's cache is keyed by
+    field, so no count reads another's): each
     fourfold q at most multiplies them by 6, where O(q) work gives about 4
     and a plane scan, a tally of its lines or a build of the family's
     (q-1)(q+1) points about 16."""

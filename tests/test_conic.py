@@ -21,6 +21,7 @@ from galois_arrow.conic import (
     LineClass,
     _discriminant,
     _nucleus_char2,
+    _zero_values,
     canonical_conic,
     classify,
     classify_line,
@@ -33,7 +34,7 @@ from galois_arrow.conic import (
 )
 from galois_arrow.plane import ProjLine, ProjPoint, build_plane, incident
 
-from oracles import _join_index
+from oracles import _join_index, _point_set_scan
 
 GF2 = make_field(2, 1)
 GF3 = make_field(3, 1)
@@ -44,8 +45,9 @@ GF9 = make_field(3, 2, (1, 0, 1))
 
 
 def _join_census(conic, plane):
-    """Oracle for classify: the degeneracy class read off the zero set by
-    the joins of its pairs of points, or None if no class fits.
+    """Oracle for classify: the degeneracy class read off the zero set, by
+    the plane scan, by the joins of its pairs of points, or None if no
+    class fits.
 
     Exactly one point -> conjugate line pair.  A line holding k of the
     points carries C(k, 2) pairs, so a join carrying C(q+1, 2) pairs is a
@@ -53,7 +55,7 @@ def _join_census(conic, plane):
     q+1 points with C(q+1, 2) distinct joins, i.e. no three collinear ->
     proper; 2q+1 points holding two full joins -> real line pair.
     """
-    pts = point_set(conic, plane)
+    pts = _point_set_scan(conic, plane)
     q = plane.order
     if len(pts) == 1:
         return DegeneracyClass.CONJUGATE_LINE_PAIR
@@ -108,6 +110,43 @@ def test_point_set_of_degenerate_forms():
     assert set(point_set(double, plane)) == set(plane.points_on(ProjLine(GF4, (0, 0, 1))))
     pair = Conic(GF4, (0, 1, 0, 0, 0, 0))          # x1*x2
     assert len(point_set(pair, plane)) == 2 * 4 + 1
+
+
+@pytest.mark.parametrize("spec", [GF2, GF3, GF4], ids=lambda s: f"q{s.order}")
+def test_zero_values_are_the_scan_on_every_form(spec):
+    """The closed form conic._zero_values, on every nonzero form over GF(2),
+    GF(3) and GF(4) as given, unscaled, against the plane scan of its conic,
+    in plane order; point_set is the scan's points."""
+    plane = build_plane(spec)
+    for coeffs in product(range(spec.order), repeat=6):
+        if any(coeffs):
+            conic = Conic(spec, coeffs)
+            scan = _point_set_scan(conic, plane)
+            assert _zero_values(spec, coeffs) == [p.values for p in scan], coeffs
+            assert point_set(conic, plane) == scan
+
+
+@pytest.mark.parametrize("spec", [GF5, make_field(7, 1), GF8, GF9, make_field(2, 4),
+                                  make_field(5, 2, (2, 0, 1)), make_field(3, 3, (1, 2, 0, 1)),
+                                  make_field(2, 6)], ids=lambda s: f"q{s.order}")
+def test_zero_values_are_the_scan_on_sampled_forms(spec):
+    """conic._zero_values against the plane scan, in plane order, on x1^2,
+    x3^2, x1*x2, the canonical conic, a time-pencil member, a conjugate
+    line pair x1^2 + x1*x2 + b*x2^2 (b the first for which the scan finds
+    one point) and 24 seeded forms, about half their coefficients zero."""
+    plane = build_plane(spec)
+    q = spec.order
+    rng = random.Random(q)
+    pairs = (Conic(spec, (1, 1, 0, b, 0, 0)) for b in range(q))
+    forms = [(1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1), (0, 1, 0, 0, 0, 0),
+             canonical_conic(spec).values, (0, 1, 0, 0, 0, q - 1),
+             next(c for c in pairs if len(_point_set_scan(c, plane)) == 1).values]
+    forms += [tuple(rng.randrange(1, q) if rng.random() < 0.5 else 0 for _ in range(6))
+              for _ in range(24)]
+    for coeffs in forms:
+        if any(coeffs):
+            scan = _point_set_scan(Conic(spec, coeffs), plane)
+            assert _zero_values(spec, coeffs) == [p.values for p in scan], coeffs
 
 
 @pytest.mark.parametrize("spec", [GF2, GF3, GF4, GF8], ids=lambda s: f"q{s.order}")
@@ -196,7 +235,7 @@ def test_parametrization_matches_point_set(spec):
     pts = parametrize_canonical(spec)
     assert len(pts) == spec.order + 1
     assert len(set(pts)) == spec.order + 1
-    assert set(pts) == set(point_set(canonical_conic(spec), plane))
+    assert set(pts) == set(_point_set_scan(canonical_conic(spec), plane))
 
 
 @pytest.mark.parametrize("spec", [GF2, GF3, GF4, GF5, GF8, GF9], ids=lambda s: f"q{s.order}")

@@ -540,6 +540,15 @@ def test_parse_modulus_hex_bitmask():
         parse_modulus("x^3+x+1", 2)
 
 
+@pytest.mark.parametrize("text", ["", " ", ",", ",,"])
+def test_parse_modulus_refuses_an_empty_list_as_malformed(text):
+    """A list with no coefficient fails as a list of integers before any
+    other check: "" and " " split into one empty token, "," and ",," into
+    more."""
+    with pytest.raises(ValueError, match=f"^malformed modulus {text.strip()!r}$"):
+        parse_modulus(text, 2)
+
+
 @pytest.mark.parametrize("mask", [0x1, 0x3, 0xB, 0x13, 0x1100b, 0x9 << 700 | 0x5, 1 << 4000],
                          ids=lambda mask: f"bits{mask.bit_length()}")
 def test_hex_modulus_expands_to_the_mask_bits(mask):

@@ -1,8 +1,11 @@
 """The canonical pencil: member census, base points, the member through a
 point, the common nucleus, and the time pencil context's closed forms."""
 
-import inspect
+import ast
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +26,7 @@ from galois_arrow.conic import (
     Conic,
     DegeneracyClass,
     _evaluate_values,
+    _zero_values,
     classify,
     evaluate,
     nucleus,
@@ -47,12 +51,11 @@ from galois_arrow.plane import (
     meet,
     validate_ideal_line,
 )
-from galois_arrow.arc import _member_values
 from galois_arrow.kernel import TimePencilContext, _orbit, _quadratic_roots, time_pencil_context
 from galois_arrow.lines import _check_line
 
-from oracles import (_base_points_and_nucleus, _join_index, _valid_ideal_lines,
-                     _valid_tangent_lines)
+from oracles import (_base_points_and_nucleus, _join_index, _point_set_scan,
+                     _valid_ideal_lines, _valid_tangent_lines)
 
 GF2 = make_field(2, 1)
 GF3 = make_field(3, 1)
@@ -115,10 +118,24 @@ def test_base_points():
 @pytest.mark.parametrize("spec", [GF2, GF3, GF4, GF5, GF8, GF9], ids=lambda s: f"q{s.order}")
 def test_time_pencil_base_points_are_b2_then_b1(spec):
     """The pencil command prints (B2, B1) = ((1:0:0), (0:1:0)) in closed form;
-    base_points' scan of every plane point is its oracle."""
+    base_points is its oracle, and the scan of every plane point on both
+    generators is base_points'."""
     b1, b2, _ = _base_points_and_nucleus(spec)
-    assert base_points(time_pencil(spec), build_plane(spec)) == (b2, b1)
+    pencil, plane = time_pencil(spec), build_plane(spec)
+    assert base_points(pencil, plane) == (b2, b1)
+    on_g2 = set(_point_set_scan(pencil.generator2, plane))
+    assert [p for p in _point_set_scan(pencil.generator1, plane) if p in on_g2] == [b2, b1]
     assert [p.values for p in (b2, b1)] == [(1, 0, 0), (0, 1, 0)]
+
+
+def test_zero_sets_refuse_a_plane_of_another_field():
+    """point_set and base_points make items of the plane they are given, so
+    a plane over another field than the conic's is refused, not filled with
+    that field's zeros."""
+    with pytest.raises(MixedFields):
+        point_set(Conic(GF4, (0, 1, 0, 0, 0, 1)), build_plane(GF8))
+    with pytest.raises(MixedFields):
+        base_points(time_pencil(GF4), build_plane(GF8))
 
 
 def test_base_points_of_double_line_pencil():
@@ -239,12 +256,13 @@ def test_time_pencil_is_self_dual_under_the_standard_polarity(spec):
                                                     DegeneracyClass.DOUBLE_LINE)
     x1, x2, x3 = (ProjLine(spec, v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     assert (polar(b1), polar(b2), polar(n)) == (x2, x1, x3)
-    assert set(point_set(pair.conic, plane)) == set(plane.points_on(x1) + plane.points_on(x2))
-    assert point_set(double.conic, plane) == plane.points_on(x3)
+    pair_points, double_points = (_point_set_scan(m.conic, plane) for m in (pair, double))
+    assert set(pair_points) == set(plane.points_on(x1) + plane.points_on(x2))
+    assert double_points == plane.points_on(x3)
     through_n = set(plane.lines_through(n))
-    assert {polar(p) for p in point_set(double.conic, plane)} == through_n
+    assert {polar(p) for p in double_points} == through_n
     assert all(set(tangent_lines(m.conic, plane)) == through_n for m in proper)
-    assert ({polar(p) for p in point_set(pair.conic, plane)}
+    assert ({polar(p) for p in pair_points}
             == set(plane.lines_through(b1) + plane.lines_through(b2)))
 
 
@@ -252,7 +270,7 @@ def test_context_collects_proper_members_in_order():
     ctx = time_pencil_context(GF8)
     assert ctx.ids == tuple(range(1, 8))
     assert list(ctx.thetas) == [(1, t) for t in range(1, 8)]
-    assert all(len(_member_values(GF8, t)) == 9 for t in ctx.ids)
+    assert all(len(_zero_values(GF8, (0, 1, 0, 0, 0, t))) == 9 for t in ctx.ids)
     assert len(_valid_ideal_lines(GF8)) == 7 * 7
     assert len(_valid_tangent_lines(GF8)) == 7
 
@@ -271,15 +289,17 @@ def test_context_ids_and_thetas_are_the_census_proper_members(spec):
 @pytest.mark.parametrize("spec", [GF3, GF4, GF5, GF8, GF9, GF16, GF32],
                          ids=lambda s: f"q{s.order}")
 def test_context_masks_are_the_member_point_sets(spec):
-    """The closed-form member points (arc._member_values) against the
-    point_set scan, and the degenerate members' scans against their lines."""
+    """The closed-form member points (conic._zero_values of x1*x2 + t*x3^2)
+    against the plane scan, and the degenerate members' scans against their
+    lines."""
     ctx = time_pencil_context(spec)
     plane = build_plane(spec)
     x1, x2, x3 = (plane.points_on(ProjLine(spec, v))
                   for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    proper = zip(ctx.ids, ctx.thetas, [_member_values(spec, t) for t in ctx.ids], strict=True)
+    proper = zip(ctx.ids, ctx.thetas, [_zero_values(spec, (0, 1, 0, 0, 0, t)) for t in ctx.ids],
+                 strict=True)
     for idx, m in enumerate(members(time_pencil(spec), plane)):
-        scan = point_set(m.conic, plane)
+        scan = _point_set_scan(m.conic, plane)
         if m.theta == (1, 0):       # x1*x2: the lines x1 = 0 and x2 = 0
             assert m.degeneracy is DegeneracyClass.REAL_LINE_PAIR
             assert list(scan) == sorted(set(x1) | set(x2), key=plane.points.index)
@@ -305,8 +325,8 @@ def test_member_points_are_zeros_with_distinct_joins_to_n(spec):
     q = spec.order
     n = (0, 0, 1)
     for t in ctx.ids:
-        pts = _member_values(spec, t)
         values = (0, 1, 0, 0, 0, t)   # x1*x2 + t*x3^2
+        pts = _zero_values(spec, values)
         assert len(set(pts)) == q + 1
         assert not any(_evaluate_values(spec, values, p) for p in pts)
         if spec.characteristic == 2:
@@ -315,13 +335,13 @@ def test_member_points_are_zeros_with_distinct_joins_to_n(spec):
 
 @pytest.mark.parametrize("spec", [GF4, GF9], ids=lambda s: f"q{s.order}")
 def test_context_set_up_runs_no_census_scan_or_check(spec):
-    """Building the context classifies no member, scans no zero set and
-    joins no points: none of classify, point_set, _evaluate_values and
-    _join_index is called.  The census members() on a fresh plane, which
-    no cache holds, calls the first three under the same watch, so the
-    watch sees such calls."""
-    watched = {inspect.unwrap(func).__code__: func.__name__
-               for func in (classify, point_set, _evaluate_values, _join_index)}
+    """Building the context classifies no member, finds no zero set and
+    joins no points: none of classify, point_set, _zero_values,
+    _evaluate_values and _join_index is called.  The census members(),
+    which keeps no cache, calls classify and _zero_values under the same
+    watch, so the watch sees such calls."""
+    watched = {func.__code__: func.__name__
+               for func in (classify, point_set, _zero_values, _evaluate_values, _join_index)}
     called = []
 
     def watch(frame, event, arg):
@@ -332,11 +352,65 @@ def test_context_set_up_runs_no_census_scan_or_check(spec):
     try:
         ctx = TimePencilContext(spec)
         set_up = set(called)
-        members.__wrapped__(time_pencil(ctx.spec), Plane(spec))
+        members(time_pencil(ctx.spec), Plane(spec))
     finally:
         sys.setprofile(None)
     assert set_up == set()
-    assert set(called) == {"classify", "point_set", "_evaluate_values"}
+    assert set(called) == {"classify", "_zero_values"}
+
+
+_LIBRARY_CALLS = """
+import sys
+from galois_arrow.conic import Conic, classify, point_set
+from galois_arrow.field import make_field
+from galois_arrow.pencil import base_points, members, time_pencil
+from galois_arrow.plane import build_plane
+calls = 0
+
+def profile(frame, event, arg):
+    global calls
+    if event == "call":
+        calls += 1
+
+def work(spec, plane):
+    return {
+        "point_set x1x2+x3^2": lambda: point_set(Conic(spec, (0, 1, 0, 0, 0, 1)), plane),
+        "point_set x3^2": lambda: point_set(Conic(spec, (0, 0, 0, 0, 0, 1)), plane),
+        "classify x1x2": lambda: classify(Conic(spec, (0, 1, 0, 0, 0, 0)), plane),
+        "classify x3^2": lambda: classify(Conic(spec, (0, 0, 0, 0, 0, 1)), plane),
+        "members": lambda: members(time_pencil(spec), plane),
+        "base_points": lambda: base_points(time_pencil(spec), plane),
+    }[sys.argv[1]]
+
+counts = []
+for n in (4, 6, 8):
+    spec = make_field(2, n)
+    run = work(spec, build_plane(spec))
+    calls = 0
+    sys.setprofile(profile)
+    run()
+    sys.setprofile(None)
+    counts.append(calls)
+print(counts)
+"""
+
+
+@pytest.mark.parametrize("call", ["point_set x1x2+x3^2", "point_set x3^2", "classify x1x2",
+                                  "classify x3^2", "members", "base_points"])
+def test_zero_sets_and_census_do_o_of_q_work(call):
+    """The Python calls of point_set, of classify with Delta = 0, of the
+    census members and of base_points at q = 16, 64 and 256, counted under
+    sys.setprofile in a fresh interpreter once the field and its plane are
+    built: each fourfold q at most multiplies them by 6, where the closed
+    form (conic._zero_values) gives about 4 and a scan of the plane about
+    16."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", _LIBRARY_CALLS, call], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    q16, q64, q256 = ast.literal_eval(proc.stdout)
+    assert q64 / q16 < 6 and q256 / q64 < 6, (q16, q64, q256)
 
 
 @pytest.mark.parametrize("spec", [GF3, GF4, GF5, GF8, GF9, GF16],
