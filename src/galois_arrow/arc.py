@@ -30,7 +30,6 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     ArcTooSmall,
-    DegenerateConic,
     DuplicatePoints,
     IntersectionNotSingle,
     NotThroughNucleus,
@@ -41,12 +40,10 @@ from .errors import (
 from .field import FieldSpec
 from .conic import (
     Conic,
-    DegeneracyClass,
-    _nucleus_char2,
     _zero_values,
-    classify,
     evaluate,
     fit_conic,
+    nucleus,
     point_set,
 )
 from .pencil import Pencil, time_pencil
@@ -126,10 +123,7 @@ def augment_with_nucleus(conic: Conic, plane: Plane) -> Arc:
     """The conic's points plus its nucleus: a (q+2)-arc for q even."""
     if plane.field.characteristic != 2:
         raise OddCharacteristic("only even-order conics have a nucleus")
-    if classify(conic, plane) is not DegeneracyClass.PROPER:
-        raise DegenerateConic(f"{conic} is degenerate")
-    pts = set(point_set(conic, plane))
-    pts.add(_nucleus_char2(conic))
+    pts = {nucleus(conic, plane), *point_set(conic, plane)}
     q = plane.order
     return Arc(tuple(sorted(pts, key=lambda pt: _triple_index(q, pt.values))))
 
@@ -158,9 +152,7 @@ def touch_point(conic: Conic, lstar: ProjLine, plane: Plane) -> ProjPoint:
     """The single point where a line through the nucleus meets the conic."""
     if plane.field.characteristic != 2:
         raise OddCharacteristic("touch points need characteristic 2")
-    if classify(conic, plane) is not DegeneracyClass.PROPER:
-        raise DegenerateConic(f"{conic} is degenerate")
-    if not incident(_nucleus_char2(conic), lstar):
+    if not incident(nucleus(conic, plane), lstar):
         raise NotThroughNucleus(f"{lstar} misses the nucleus")
     # every line through the nucleus is tangent in characteristic 2
     hits = _line_hits(point_set(conic, plane), lstar)

@@ -17,18 +17,22 @@ Every zero set comes from one closed form, _zero_values, in O(q): each row
 of the plane's enumeration is a quadratic in x3, solved from the field's
 tables of square roots and of roots of y^2 + y = k (Lidl & Niederreiter,
 Finite Fields, 2.3).  point_set makes those zeros plane items, classify
-counts them, and the pencil and arc modules read them; the scan of the
-whole plane is the test suite's oracle (tests/oracles.py), not the
-library's.  The join census of the test suite (distinct lines through
-pairs of zero-set points) is the oracle for classify, beside the triple
-loop of arc.is_arc.
+counts them, and the pencil and arc modules read them.  A proper conic's
+tangent at a zero x is its polar line M*x, M the form's symmetric matrix
+(_tangent_values), and in characteristic 2 every tangent passes through
+the nucleus (c23 : c13 : c12), the null space of M (Hirschfeld,
+Projective Geometries over Finite Fields).  The test suite's oracles
+(tests/oracles.py) are the brute forces these replace: the scan of the
+whole plane, the tally of the lines through the conic's points, and the
+meet of those tangents.  The join census of the test suite (distinct
+lines through pairs of zero-set points) is the oracle for classify,
+beside the triple loop of arc.is_arc.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -45,17 +49,16 @@ from .errors import (
 )
 from .field import FieldSpec
 from .kernel import Values, _quadratic_roots
+from .lines import _normalized
 from .plane import (
     Plane,
     ProjLine,
     ProjPoint,
     _check_field,
-    _incidence_indices,
     _line_hits,
     _normalize,
+    _triple_index,
     collinear,
-    incident,
-    meet,
 )
 
 # coefficient order, fixed everywhere: x1^2, x1x2, x1x3, x2^2, x2x3, x3^2
@@ -223,14 +226,17 @@ def classify(conic: Conic, plane: Plane) -> DegeneracyClass:
     """Degeneracy class by the discriminant.
 
     Delta != 0 -> proper, and no zero set is computed.  Otherwise the size
-    of the zero set (_zero_values, in O(q)) decides: 1 point -> conjugate line pair, q+1 -> double
-    line, 2q+1 -> real line pair.  Any other size is impossible for a
-    genuine quadratic form and raises UnclassifiableConic.
+    of the zero set (_zero_values, in O(q)) decides, q the conic's order:
+    1 point -> conjugate line pair, q+1 -> double line, 2q+1 -> real line
+    pair.  Any other size is impossible for a genuine quadratic form and
+    raises UnclassifiableConic.  A plane of another field raises
+    MixedFields.
     """
+    _check_field(conic, plane)
     if _discriminant(conic.field, conic.values):
         return DegeneracyClass.PROPER
     size = len(_zero_values(conic.field, conic.values))
-    q = plane.order
+    q = conic.field.order
     if size == 1:
         return DegeneracyClass.CONJUGATE_LINE_PAIR
     if size == q + 1:
@@ -268,38 +274,39 @@ def classify_line(points: Iterable[ProjPoint], line: ProjLine) -> LineClass:
     return (LineClass.EXTERNAL, LineClass.TANGENT, LineClass.SECANT)[_hit_count(points, line)]
 
 
+def _tangent_values(spec: FieldSpec, coeffs: Sequence[int]) -> list[Values]:
+    """The tangents of the proper form with coefficients (a, h, g, b, f, c)
+    in COEFF_NAMES order, one per zero x (_zero_values), as normalized
+    values in plane line order: the polar line M*x of x, M the symmetric
+    matrix with rows (2a, h, g), (h, 2b, f), (g, f, 2c).  M*x is nonzero at
+    every zero of a proper form; in characteristic 2, where the diagonal
+    vanishes, only at the nucleus, which lies on no proper conic."""
+    a, h, g, b, f, c = coeffs
+    mul, add = spec._mul_i, spec._add_i
+    rows = ((add(a, a), h, g), (h, add(b, b), f), (g, f, add(c, c)))
+    polars = [_normalized(spec, [reduce(add, map(mul, row, x)) for row in rows])
+              for x in _zero_values(spec, coeffs)]
+    return sorted(polars, key=partial(_triple_index, spec.order))
+
+
 def tangent_lines(conic: Conic, plane: Plane) -> list[ProjLine]:
-    """All lines meeting the conic in exactly one point, in plane line order:
-    the indices of the lines through each conic point are tallied, and a
-    tangent is a line counted once.  classify_line is its oracle in the
-    test suite."""
+    """All lines meeting the proper conic in exactly one point, in plane
+    line order: each point's polar line (_tangent_values), in O(q)."""
     if classify(conic, plane) is not DegeneracyClass.PROPER:
         raise DegenerateConic(f"{conic} is degenerate")
-    hits = Counter(i for pt in point_set(conic, plane)
-                   for i in _incidence_indices(plane.field, pt.values))
-    return [plane.lines[i] for i in sorted(hits) if hits[i] == 1]
+    return [*map(plane.lines._item, _tangent_values(conic.field, conic.values))]
 
 
 def nucleus(conic: Conic, plane: Plane) -> ProjPoint:
-    """The common point of all tangents of a proper conic (q even only)."""
-    tangents = tangent_lines(conic, plane)
-    candidate = meet(tangents[0], tangents[1])
-    if all(incident(candidate, t) for t in tangents[2:]):
-        return candidate
-    raise OddCharacteristic("tangent lines are not concurrent")
-
-
-def _nucleus_char2(conic: Conic) -> ProjPoint:
-    """Closed-form nucleus in characteristic 2, the common zero of the partial
-    derivatives: their matrix is alternating, of rank 0 or 2, and a nonzero
-    (c23, c13, c12) spans its null space.  Must agree with nucleus()."""
-    f = conic.field
-    if f.characteristic != 2:
-        raise OddCharacteristic("fast nucleus path needs characteristic 2")
+    """The common point of all tangents of a proper conic, q even only:
+    (c23 : c13 : c12), which spans the null space of the form's
+    alternating matrix and is nonzero when the conic is proper."""
+    if classify(conic, plane) is not DegeneracyClass.PROPER:
+        raise DegenerateConic(f"{conic} is degenerate")
+    if conic.field.characteristic != 2:
+        raise OddCharacteristic("only even-order conics have a nucleus")
     _, c12, c13, _, c23, _ = conic.values
-    if not (c12 or c13 or c23):
-        raise DegenerateConic(f"{conic} has no single nucleus")
-    return ProjPoint(f, (c23, c13, c12))
+    return ProjPoint(conic.field, (c23, c13, c12))
 
 
 def _common_field(rows) -> FieldSpec:

@@ -7,20 +7,21 @@ no plane item or arc family made only to be printed.  plane prints the
 text of each value triple of the enumeration (plane._triples) once, as
 both its points and its lines, since point i and line i share their
 values.  conic prints the canonical conic's zero set (conic._zero_values,
-in plane order) and each point's tangent as its polar line, scaled to
-normal form; pencil its members and classes from the kernel's context,
-its base points (1:0:0) and (0:1:0) and common nucleus (0:0:1) from their
-values.  family checks its configuration by arc._check_configuration,
-the checks build_time_family makes, then prints each member's arc from
-arc._family_values, or, as CSV, one row per proper member from the
-context's thetas, each of size q+1, on a conic by arc._is_conic.  The
-library calls that make the same plane items and families (build_plane,
-parametrize_canonical, build_time_family, family_to_dict), the census
-and tallies that find the same (conic.tangent_lines, pencil.members,
-pencil.common_nucleus) and the plane scan of the tests are their
-oracles, not called here.  Every text of a point, line or coordinate is
-read from the field's coordinate strings, made once per command, each
-point and line in the kernel's layout (kernel._text_table).
+in plane order) and its tangents, each point's polar line in plane line
+order (conic._tangent_values); pencil its members and classes from the
+kernel's context, its base points (1:0:0) and (0:1:0) and common nucleus
+(0:0:1) from their values.  family checks its configuration by
+arc._check_configuration, the checks build_time_family makes, then
+prints each member's arc from arc._family_values, or, as CSV, one row
+per proper member from the context's thetas, each of size q+1, on a
+conic by arc._is_conic.  The library calls that make the same plane
+items and families (build_plane, parametrize_canonical,
+build_time_family, family_to_dict), the census that finds the same
+(pencil.members, pencil.common_nucleus) and the tests' plane scan and
+tangent tally are their oracles, not called here.  Every text of a
+point, line or coordinate is read from the field's coordinate strings,
+made once per command, each point and line in the kernel's layout
+(kernel._text_table).
 
 driver._execute imports this module for those commands only, so an arrow
 run does not compile it.  Each builder imports the modules it reads when
@@ -63,26 +64,17 @@ def _payload_plane(spec: FieldSpec) -> dict:
 
 
 def _payload_conic(spec: FieldSpec) -> dict:
-    from functools import partial
-    from .conic import _zero_values, canonical_conic
+    from .conic import _tangent_values, _zero_values, canonical_conic
     from .kernel import _text_table
-    from .lines import _normalized
-    from .plane import _triple_index
     coords, text = _text_table(spec)
-    in_plane_order = partial(_triple_index, spec.order)
     conic = canonical_conic(spec).values
-    points = _zero_values(spec, conic)
-    # each point's tangent is its polar line (x2 : x1 : -2x3) of x1*x2 - x3^2,
-    # in characteristic 2 its join with N; conic.tangent_lines is the oracle
-    tangents = sorted([_normalized(spec, (x2, x1, spec._neg_i(spec._add_i(x3, x3))))
-                       for x1, x2, x3 in points], key=in_plane_order)
     return {
         "q": spec.order,
         "coefficients": [coords[c] for c in conic],
         # x1*x2 - x3^2 has Delta = 1; conic.classify is the oracle
         "class": "Proper",
-        "points": [*map(text, points)],
-        "tangent_lines": [*map(text, tangents)],
+        "points": [*map(text, _zero_values(spec, conic))],
+        "tangent_lines": [*map(text, _tangent_values(spec, conic))],
         # (c23 : c13 : c12) of x1*x2 + x3^2; conic.nucleus is the oracle
         "nucleus": text((0, 0, 1)) if spec.characteristic == 2 else None,
     }

@@ -6,8 +6,8 @@ coordinate strings (kernel.py, linetext.py), the text layout of the arrow
 command's JSON and CSV (arrow_json.py, report_text.py, arrow_csv.py), what
 the plane, conic, pencil and family commands print (payloads.py), the
 family's member and touch points, configuration checks and is_conic rule
-(arc.py), the closed-form zero set of every conic and the canonical
-conic's parametrization (conic.py), the expansion of a hex
+(arc.py), the closed-form zero set, tangents and nucleus of every conic
+and the canonical conic's parametrization (conic.py), the expansion of a hex
 modulus (modulus.py), the canonical generator's value (field.py), and the
 table walk, the product, the inverse table and the Zech arithmetic of
 tables.py and zech.py, is pinned by some test.
@@ -78,6 +78,11 @@ FAMILY_ARCS = ["tests/test_arc.py::test_family_members_are_arcs_for_every_lstar[
 ZEROS_EVEN = ["tests/test_conic.py::test_zero_values_are_the_scan_on_every_form[q4]"]
 ZEROS_ODD = ["tests/test_conic.py::test_zero_values_are_the_scan_on_every_form[q3]"]
 PARAMETRIZATION = ["tests/test_conic.py::test_parametrization_is_in_element_order[q8]"]
+# every proper form's tangents and nucleus against the tally and the meet
+# of its tangents, over GF(4) and GF(3)
+TANGENTS_EVEN, TANGENTS_ODD = (
+    [f"tests/test_conic.py::test_tangents_and_nucleus_are_the_oracles_on_every_form[{q}]"]
+    for q in ("q4", "q3"))
 # every point and line's text from the table against spec.format and str()
 TEXTS = ["tests/test_plane.py::test_point_and_line_texts_match_the_formatted_coordinates[q9]"]
 # the plane command's digests over GF(4) and GF(3), and the family's JSON
@@ -182,16 +187,8 @@ MUTANTS = {"kernel.py": [
     ("a sweep's L* column (1:a:0) -> (1:0:a)", "triple((1, a, 0))", "triple((1, 0, a))",
      GOLDEN),
 ], "payloads.py": [
-    # the polar (x1 : x2 : -2x3) or (x2 : x1 : 2x3) would be equivalent: the
-    # conic and its set of tangents are fixed by x1 <-> x2 and by x3 -> -x3
-    ("a tangent's -2x3 -> x3", "spec._neg_i(spec._add_i(x3, x3))", "x3", PAYLOADS),
-    ("a tangent left unnormalized",
-     "_normalized(spec, (x2, x1, spec._neg_i(spec._add_i(x3, x3))))",
-     "(x2, x1, spec._neg_i(spec._add_i(x3, x3)))", PAYLOADS),
-    ("the tangents in reverse plane order", "for x1, x2, x3 in points], key=in_plane_order)",
-     "for x1, x2, x3 in points], key=in_plane_order, reverse=True)", PAYLOADS),
-    ("the conic's points in reverse plane order", "points = _zero_values(spec, conic)",
-     "points = _zero_values(spec, conic)[::-1]", PAYLOADS),
+    ("the conic's points in reverse plane order", "_zero_values(spec, conic))]",
+     "_zero_values(spec, conic)[::-1])]", PAYLOADS),
     ("RealLinePair and DoubleLine swapped", '("DoubleLine", "RealLinePair")[t1]',
      '("RealLinePair", "DoubleLine")[t1]', PAYLOADS),
     ("the member (1, 0) proper", '"Proper" if t1 * t2 else', '"Proper" if t1 else', PAYLOADS),
@@ -241,6 +238,24 @@ MUTANTS = {"kernel.py": [
     ("the odd rows centred at beta, not beta/2", "m = mul(beta, inv[2])", "m = beta", ZEROS_ODD),
     ("(0:0:1) never a zero", "return zeros if c else [*zeros, (0, 0, 1)]", "return zeros",
      ZEROS_ODD),
+    # the canonical conic's polar (x2 : x1 : -2x3) -> (x2 : x1 : x3)
+    ("the polar's x3 coefficient 2c -> 1", "(g, f, add(c, c)))", "(g, f, 1))",
+     PAYLOADS + TANGENTS_ODD),
+    ("a tangent left unnormalized", "[_normalized(spec, [reduce", "[tuple([reduce",
+     PAYLOADS + TANGENTS_EVEN),
+    ("the tangents in reverse plane order", "key=partial(_triple_index, spec.order))",
+     "key=partial(_triple_index, spec.order), reverse=True)", PAYLOADS + TANGENTS_EVEN),
+    ("the tangents in point order, unsorted",
+     "return sorted(polars, key=partial(_triple_index, spec.order))", "return polars",
+     TANGENTS_EVEN),
+    ("the polar's diagonal 2a, 2b, 2c -> a, b, c",
+     "rows = ((add(a, a), h, g), (h, add(b, b), f), (g, f, add(c, c)))",
+     "rows = ((a, h, g), (h, b, f), (g, f, c))", TANGENTS_ODD),
+    ("the polar's h (x1x2) and g (x1x3) swapped",
+     "rows = ((add(a, a), h, g), (h, add(b, b), f), (g, f, add(c, c)))",
+     "rows = ((add(a, a), g, h), (g, add(b, b), f), (h, f, add(c, c)))", TANGENTS_ODD),
+    ("the nucleus (c23 : c13 : c12) -> (c12 : c13 : c23)", "(c23, c13, c12))",
+     "(c12, c13, c23))", TANGENTS_EVEN),
 ], "arc.py": [
     ("a family's members on a conic at q = 8, not 4", "return q == 4", "return q == 8", PAYLOADS),
     ("a member's points those of x1*x2 + x3^2, not x1*x2 + t*x3^2",

@@ -1,11 +1,14 @@
 """Reference computations shared by several test modules; the package
 itself never calls them."""
 
+from collections import Counter
 from functools import lru_cache
 
-from galois_arrow.conic import _evaluate_values
+from galois_arrow.conic import _evaluate_values, point_set
+from galois_arrow.errors import OddCharacteristic
 from galois_arrow.field import FieldSpec
-from galois_arrow.plane import ProjPoint, _cross, _triples, build_plane, incident, line_through
+from galois_arrow.plane import (ProjPoint, _cross, _incidence_indices, _triples, build_plane,
+                                incident, line_through, meet)
 
 
 def _point_set_scan(conic, plane) -> tuple:
@@ -15,6 +18,27 @@ def _point_set_scan(conic, plane) -> tuple:
     field, coeffs = conic.field, conic.values
     return tuple([plane.points[i] for i, values in enumerate(_triples(plane.order))
                   if _evaluate_values(field, coeffs, values) == 0])
+
+
+def _tangent_tally(conic, plane) -> list:
+    """The lines meeting the conic in exactly one point, in plane line
+    order: the indices of the lines through each of its points are
+    tallied, and a tangent is a line counted once.  The oracle of the
+    closed-form tangents (conic._tangent_values, tangent_lines)."""
+    hits = Counter(i for pt in point_set(conic, plane)
+                   for i in _incidence_indices(plane.field, pt.values))
+    return [plane.lines[i] for i in sorted(hits) if hits[i] == 1]
+
+
+def _nucleus_by_tangents(conic, plane) -> ProjPoint:
+    """The common point of the conic's tallied tangents: the meet of the
+    first two, checked on all the others; OddCharacteristic if they are not
+    concurrent.  The oracle of the closed-form nucleus (conic.nucleus)."""
+    tangents = _tangent_tally(conic, plane)
+    candidate = meet(tangents[0], tangents[1])
+    if all(incident(candidate, t) for t in tangents[2:]):
+        return candidate
+    raise OddCharacteristic("tangent lines are not concurrent")
 
 
 def _join_index(f: FieldSpec, a, b) -> int:

@@ -29,7 +29,8 @@ from galois_arrow.pencil import PencilMember, members, time_pencil
 from galois_arrow.plane import ProjLine, _line_hits, _triple_index, build_plane
 from galois_arrow.witnesses import _arc_deltas, _witnesses
 
-from oracles import _point_set_scan, _valid_ideal_lines, _valid_tangent_lines
+from oracles import (_nucleus_by_tangents, _point_set_scan, _tangent_tally,
+                     _valid_ideal_lines, _valid_tangent_lines)
 
 
 def _run(argv):
@@ -235,9 +236,9 @@ def test_run_conic_includes_nucleus_only_for_even_q():
                                   "pencil --n 3 --output csv", "pencil --p 5",
                                   "pencil --p 5 --output csv"])
 def test_run_conic_and_pencil_call_no_scan_tally_or_census(monkeypatch, argv):
-    """conic and pencil print closed forms: neither calls the plane scan
-    point_set, the tangent tally tangent_lines, the member census members
-    or common_nucleus, which stay their oracles.  The payload builders
+    """conic and pencil print closed forms: neither calls point_set or
+    tangent_lines, which make plane items, the member census members or
+    common_nucleus, which stay their oracles.  The payload builders
     import what they read when they run, so they would call the patched
     counters."""
     from galois_arrow import conic, pencil
@@ -413,14 +414,14 @@ def test_conic_and_family_commands_make_no_plane_item(spec):
     ProjPoint, ProjLine or plane and call neither build_time_family nor
     family_to_dict.  Their stdout is what the library, the oracle, gives:
     for conic, str() of parametrize_canonical's points in plane order, which
-    are the plane scan's, and of their polar lines, which are tangent_lines' tally, with classify and
-    nucleus; for family, family_to_dict of build_time_family and the rows
-    read off that family, on three (L-infinity, L*) pairs, the last given
-    unnormalized.  In odd characteristic, where the polar of (x1 : x2 : x3)
-    is (x2 : x1 : -2x3) scaled to normal form, conic runs alone."""
+    are the plane scan's, and of their polar lines, which are the tangent
+    tally's, with classify and the meet of the tallied tangents; for family,
+    family_to_dict of build_time_family and the rows read off that family,
+    on three (L-infinity, L*) pairs, the last given unnormalized.  In odd
+    characteristic, where the polar of (x1 : x2 : x3) is (x2 : x1 : -2x3)
+    scaled to normal form, conic runs alone."""
     from galois_arrow.arc import family_to_dict, is_conic_arc
-    from galois_arrow.conic import (canonical_conic, classify, nucleus, parametrize_canonical,
-                                    tangent_lines)
+    from galois_arrow.conic import canonical_conic, classify, parametrize_canonical
     q, fmt = spec.order, spec.format
     field = ["--p", str(spec.characteristic), "--n", str(spec.degree),
              "--modulus", ",".join(map(str, spec.modulus))]
@@ -429,11 +430,12 @@ def test_conic_and_family_commands_make_no_plane_item(spec):
     assert points == list(_point_set_scan(conic, oracle))
     polars = sorted([ProjLine(spec, (x2, x1, spec._neg_i(spec._add_i(x3, x3))))
                      for x1, x2, x3 in (p.values for p in points)], key=oracle.lines.index)
-    assert polars == tangent_lines(conic, oracle)
+    assert polars == _tangent_tally(conic, oracle)
     want = {"q": q, "coefficients": [str(c) for c in conic.coefficients],
             "class": str(classify(conic, oracle)), "points": [str(p) for p in points],
             "tangent_lines": [str(l) for l in polars],
-            "nucleus": str(nucleus(conic, oracle)) if spec.characteristic == 2 else None}
+            "nucleus": (str(_nucleus_by_tangents(conic, oracle))
+                        if spec.characteristic == 2 else None)}
     assert _run_counting_plane_items(["conic", *field]) == (
         0, json.dumps(want, indent=2) + "\n", "", [])
     pairs = FAMILY_CSV_PAIRS if spec.characteristic == 2 else []

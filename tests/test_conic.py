@@ -11,6 +11,7 @@ from galois_arrow.errors import (
     CollinearTriple,
     DegenerateConic,
     IntersectionTooLarge,
+    MixedFields,
     OddCharacteristic,
 )
 from galois_arrow.arc import is_arc
@@ -20,7 +21,7 @@ from galois_arrow.conic import (
     DegeneracyClass,
     LineClass,
     _discriminant,
-    _nucleus_char2,
+    _tangent_values,
     _zero_values,
     canonical_conic,
     classify,
@@ -34,7 +35,7 @@ from galois_arrow.conic import (
 )
 from galois_arrow.plane import ProjLine, ProjPoint, build_plane, incident
 
-from oracles import _join_index, _point_set_scan
+from oracles import _join_index, _nucleus_by_tangents, _point_set_scan, _tangent_tally
 
 GF2 = make_field(2, 1)
 GF3 = make_field(3, 1)
@@ -167,6 +168,19 @@ def test_classify_conjugate_line_pair():
     plane4 = build_plane(GF4)
     conic4 = Conic(GF4, (1, 1, 0, 2, 0, 0))
     assert classify(conic4, plane4) is DegeneracyClass.CONJUGATE_LINE_PAIR
+
+
+def test_classify_refuses_a_plane_of_another_field():
+    """classify counts a degenerate conic's zeros against its own order and
+    refuses a plane of another field, as point_set does: over GF(4), x3^2
+    has 5 zeros and x1^2 + x1*x2 + x2^2 9, q+1 and 2q+1 for q = 8 and 4."""
+    double, pair = Conic(GF4, (0, 0, 0, 0, 0, 1)), Conic(GF4, (1, 1, 0, 1, 0, 0))
+    assert classify(double, build_plane(GF4)) is DegeneracyClass.DOUBLE_LINE
+    assert classify(pair, build_plane(GF4)) is DegeneracyClass.REAL_LINE_PAIR
+    for conic in (double, pair, canonical_conic(GF4)):
+        for call in (classify, tangent_lines, nucleus):
+            with pytest.raises(MixedFields):
+                call(conic, build_plane(GF8))
 
 
 def test_classify_hidden_double_line_char2():
@@ -349,11 +363,11 @@ def test_nucleus_rejects_degenerate():
 def test_nucleus_fast_path_agrees_with_tangent_oracle(spec):
     plane = build_plane(spec)
     conic = canonical_conic(spec)
-    assert _nucleus_char2(conic) == nucleus(conic, plane)
+    assert nucleus(conic, plane) == _nucleus_by_tangents(conic, plane)
     # every proper member of the canonical pencil too
     for t in range(1, spec.order):
         member = Conic(spec, (0, 1, 0, 0, 0, t))
-        assert _nucleus_char2(member) == nucleus(member, plane)
+        assert nucleus(member, plane) == _nucleus_by_tangents(member, plane)
 
 
 @pytest.mark.parametrize("spec", [GF2, GF4], ids=lambda s: f"q{s.order}")
@@ -366,9 +380,57 @@ def test_nucleus_closed_form_agrees_with_tangent_oracle_on_every_form(spec):
         _, c12, c13, _, c23, _ = conic.values
         if not (c12 or c13 or c23):
             with pytest.raises(DegenerateConic):
-                _nucleus_char2(conic)
+                nucleus(conic, plane)
         if classify(conic, plane) is DegeneracyClass.PROPER:
-            assert _nucleus_char2(conic) == nucleus(conic, plane)
+            assert nucleus(conic, plane) == _nucleus_by_tangents(conic, plane)
+
+
+def _tangents_match_the_oracles(spec, coeffs, plane):
+    """Whether coeffs, as given, make a proper conic; if so, its closed-form
+    tangents, unscaled and through tangent_lines, are the tally's, and its
+    nucleus is the meet of the tallied tangents, or neither exists in odd
+    characteristic."""
+    conic = Conic(spec, coeffs)
+    if classify(conic, plane) is not DegeneracyClass.PROPER:
+        return False
+    tally = _tangent_tally(conic, plane)
+    assert _tangent_values(spec, coeffs) == [line.values for line in tally], coeffs
+    assert tangent_lines(conic, plane) == tally, coeffs
+    if spec.characteristic == 2:
+        assert nucleus(conic, plane) == _nucleus_by_tangents(conic, plane), coeffs
+    else:
+        for call in (nucleus, _nucleus_by_tangents):
+            with pytest.raises(OddCharacteristic):
+                call(conic, plane)
+    return True
+
+
+@pytest.mark.parametrize("spec", [GF2, GF3, GF4], ids=lambda s: f"q{s.order}")
+def test_tangents_and_nucleus_are_the_oracles_on_every_form(spec):
+    """conic._tangent_values, tangent_lines and nucleus on every proper form
+    over GF(2), GF(3) and GF(4), as given, unscaled, against the tangent
+    tally and the meet of its tangents: (q - 1)(q^5 - q^2) forms, q - 1
+    scalings of each of the q^5 - q^2 proper conics."""
+    plane = build_plane(spec)
+    proper = sum(_tangents_match_the_oracles(spec, coeffs, plane)
+                 for coeffs in product(range(spec.order), repeat=6) if any(coeffs))
+    assert proper == (spec.order - 1) * (spec.order ** 5 - spec.order ** 2)
+
+
+@pytest.mark.parametrize("spec", [GF5, make_field(7, 1), GF8, GF9, make_field(2, 4),
+                                  make_field(2, 6)], ids=lambda s: f"q{s.order}")
+def test_tangents_and_nucleus_are_the_oracles_on_seeded_forms(spec):
+    """The same on the canonical conic, a time-pencil member and 20 seeded
+    proper forms, about a third of their coefficients zero."""
+    plane = build_plane(spec)
+    q = spec.order
+    rng = random.Random(q)
+    forms = [canonical_conic(spec).values, (0, 1, 0, 0, 0, q - 1)]
+    while len(forms) < 22:
+        coeffs = tuple(rng.randrange(1, q) if rng.random() < 0.7 else 0 for _ in range(6))
+        if any(coeffs) and classify(Conic(spec, coeffs), plane) is DegeneracyClass.PROPER:
+            forms.append(coeffs)
+    assert all(_tangents_match_the_oracles(spec, coeffs, plane) for coeffs in forms)
 
 
 def test_fit_conic_recovers_canonical():

@@ -29,7 +29,6 @@ from galois_arrow.conic import (
     _zero_values,
     classify,
     evaluate,
-    nucleus,
     point_set,
     tangent_lines,
 )
@@ -54,8 +53,8 @@ from galois_arrow.plane import (
 from galois_arrow.kernel import TimePencilContext, _orbit, _quadratic_roots, time_pencil_context
 from galois_arrow.lines import _check_line
 
-from oracles import (_base_points_and_nucleus, _join_index, _point_set_scan,
-                     _valid_ideal_lines, _valid_tangent_lines)
+from oracles import (_base_points_and_nucleus, _join_index, _nucleus_by_tangents,
+                     _point_set_scan, _valid_ideal_lines, _valid_tangent_lines)
 
 GF2 = make_field(2, 1)
 GF3 = make_field(3, 1)
@@ -197,7 +196,8 @@ def test_common_nucleus(spec):
 def test_common_nucleus_closed_form_agrees_with_tangent_oracle(spec):
     plane = build_plane(spec)
     pencil = time_pencil(spec)
-    oracle = {nucleus(m.conic, plane) for m in members(pencil, plane) if m.is_proper}
+    oracle = {_nucleus_by_tangents(m.conic, plane)
+              for m in members(pencil, plane) if m.is_proper}
     assert oracle == {common_nucleus(pencil, plane)}
 
 
@@ -361,7 +361,7 @@ def test_context_set_up_runs_no_census_scan_or_check(spec):
 
 _LIBRARY_CALLS = """
 import sys
-from galois_arrow.conic import Conic, classify, point_set
+from galois_arrow.conic import Conic, classify, nucleus, point_set, tangent_lines
 from galois_arrow.field import make_field
 from galois_arrow.pencil import base_points, members, time_pencil
 from galois_arrow.plane import build_plane
@@ -373,11 +373,14 @@ def profile(frame, event, arg):
         calls += 1
 
 def work(spec, plane):
+    proper = Conic(spec, (0, 1, 0, 0, 0, 1))
     return {
         "point_set x1x2+x3^2": lambda: point_set(Conic(spec, (0, 1, 0, 0, 0, 1)), plane),
         "point_set x3^2": lambda: point_set(Conic(spec, (0, 0, 0, 0, 0, 1)), plane),
         "classify x1x2": lambda: classify(Conic(spec, (0, 1, 0, 0, 0, 0)), plane),
         "classify x3^2": lambda: classify(Conic(spec, (0, 0, 0, 0, 0, 1)), plane),
+        "tangent_lines x1x2+x3^2": lambda: tangent_lines(proper, plane),
+        "nucleus": lambda: nucleus(proper, plane),
         "members": lambda: members(time_pencil(spec), plane),
         "base_points": lambda: base_points(time_pencil(spec), plane),
     }[sys.argv[1]]
@@ -396,14 +399,16 @@ print(counts)
 
 
 @pytest.mark.parametrize("call", ["point_set x1x2+x3^2", "point_set x3^2", "classify x1x2",
-                                  "classify x3^2", "members", "base_points"])
+                                  "classify x3^2", "tangent_lines x1x2+x3^2", "nucleus",
+                                  "members", "base_points"])
 def test_zero_sets_and_census_do_o_of_q_work(call):
-    """The Python calls of point_set, of classify with Delta = 0, of the
-    census members and of base_points at q = 16, 64 and 256, counted under
-    sys.setprofile in a fresh interpreter once the field and its plane are
-    built: each fourfold q at most multiplies them by 6, where the closed
-    form (conic._zero_values) gives about 4 and a scan of the plane about
-    16."""
+    """The Python calls of point_set, of classify with Delta = 0, of
+    tangent_lines and nucleus of a proper conic, of the census members and
+    of base_points at q = 16, 64 and 256, counted under sys.setprofile in a
+    fresh interpreter once the field and its plane are built: each fourfold
+    q at most multiplies them by 6, where the closed forms
+    (conic._zero_values, conic._tangent_values) give about 4, and a scan of
+    the plane or a tally of the lines through a conic's points about 16."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", _LIBRARY_CALLS, call], env=env,
