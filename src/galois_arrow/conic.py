@@ -16,12 +16,15 @@ line pair), so the size of its zero set names its class.
 Every zero set comes from one closed form, _zero_values, in O(q): each row
 of the plane's enumeration is a quadratic in x3, solved from the field's
 tables of square roots and of roots of y^2 + y = k (Lidl & Niederreiter,
-Finite Fields, 2.3).  point_set makes those zeros plane items, classify
-counts them, and the pencil and arc modules read them.  A proper conic's
-tangent at a zero x is its polar line M*x, M the form's symmetric matrix
-(_tangent_values), and in characteristic 2 every tangent passes through
-the nucleus (c23 : c13 : c12), the null space of M (Hirschfeld,
-Projective Geometries over Finite Fields).  The test suite's oracles
+Finite Fields, 2.3).  Both tables live on the field's time-pencil context
+(kernel.time_pencil_context), so each is made once per field, the square
+roots by the first zero set, and freed with the field.  point_set makes
+those zeros plane items, classify counts them, and the pencil and arc
+modules read them.  A proper conic's tangent at a zero x is its polar
+line M*x, M the form's symmetric matrix (_tangent_values), and in
+characteristic 2 every tangent passes through the nucleus
+(c23 : c13 : c12), the null space of M (Hirschfeld, Projective
+Geometries over Finite Fields).  The test suite's oracles
 (tests/oracles.py) are the brute forces these replace: the scan of the
 whole plane, the tally of the lines through the conic's points, and the
 meet of those tangents.  The join census of the test suite (distinct
@@ -32,7 +35,7 @@ beside the triple loop of arc.is_arc.
 from __future__ import annotations
 
 import enum
-from functools import lru_cache, partial, reduce
+from functools import partial, reduce
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -48,7 +51,7 @@ from .errors import (
     UnclassifiableConic,
 )
 from .field import FieldSpec
-from .kernel import Values, _quadratic_roots
+from .kernel import Values, time_pencil_context
 from .lines import _normalized
 from .plane import (
     Plane,
@@ -135,19 +138,6 @@ def evaluate(conic: Conic, point: ProjPoint) -> FieldElement:
                         _evaluate_values(conic.field, conic.values, point.values))
 
 
-@lru_cache(maxsize=1)
-def _root_tables(spec: FieldSpec):
-    """The field's square roots, by value the ascending y with y^2 = v
-    (one in characteristic 2, else none, one for 0, or two), and in
-    characteristic 2 kernel._quadratic_roots, a root of y^2 + y = k by k.
-    O(q) each; the last field's are kept, since the arc family reads q-1
-    zero sets of one field."""
-    squares = [() for _ in range(spec.order)]
-    for y in range(spec.order):
-        squares[spec._mul_i(y, y)] += (y,)
-    return squares, _quadratic_roots(spec) if spec.characteristic == 2 else None
-
-
 def _row_values(spec: FieldSpec, k0, k1, k2):
     """k0 + k1*s + k2*s^2 at each s of the field, in field order."""
     mul, add = spec._mul_i, spec._add_i
@@ -170,14 +160,23 @@ def _zero_values(spec: FieldSpec, coeffs: Sequence[int]) -> list[Values]:
     characteristic 2 y = beta*z with z^2 + z = gamma/beta^2, two roots or
     none; otherwise y = m +- r with m = beta/2 and r^2 = m^2 + gamma.  When
     c = 0 a row has the one root -gamma/beta, or, for beta = 0, every y
-    when gamma = 0 and none otherwise."""
+    when gamma = 0 and none otherwise.  Both root tables are the field's
+    time-pencil context's: squares, made here by the field's first zero
+    set, and roots (kernel._quadratic_roots)."""
     a, h, g, b, f, c = coeffs
     q = spec.order
     mul, add, inv = spec._mul_i, spec._add_i, spec._inv
     if c:
         k = spec._neg_i(inv[c])
         a, h, g, b, f = [mul(k, x) for x in (a, h, g, b, f)]
-    squares, halves = _root_tables(spec)
+    ctx = time_pencil_context(spec)
+    if ctx.squares is None:
+        # the field's square roots, by value the ascending y with y^2 = v:
+        # one in characteristic 2, else none, one for 0, or two
+        ctx.squares = [() for _ in range(q)]
+        for y in range(q):
+            ctx.squares[mul(y, y)] += (y,)
+    squares, halves = ctx.squares, ctx.roots
 
     def roots(beta, gamma):
         if not c:
@@ -298,11 +297,17 @@ def tangent_lines(conic: Conic, plane: Plane) -> list[ProjLine]:
 
 
 def nucleus(conic: Conic, plane: Plane) -> ProjPoint:
-    """The common point of all tangents of a proper conic, q even only:
-    (c23 : c13 : c12), which spans the null space of the form's
-    alternating matrix and is nonzero when the conic is proper."""
+    """The common point of all tangents of a proper conic, q even only
+    (_nucleus)."""
     if classify(conic, plane) is not DegeneracyClass.PROPER:
         raise DegenerateConic(f"{conic} is degenerate")
+    return _nucleus(conic)
+
+
+def _nucleus(conic: Conic) -> ProjPoint:
+    """The nucleus of a conic known to be proper, q even only:
+    (c23 : c13 : c12), which spans the null space of the form's
+    alternating matrix and is nonzero when the conic is proper."""
     if conic.field.characteristic != 2:
         raise OddCharacteristic("only even-order conics have a nucleus")
     _, c12, c13, _, c23, _ = conic.values

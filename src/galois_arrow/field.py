@@ -79,8 +79,10 @@ def _generator_value(p: int, n: int) -> int:
 
 
 # (p, n, monic modulus) -> the live FieldSpec of that field; weak, so a spec
-# nobody holds (and its tables) is still freed.  Stores take the lock, so two
-# threads building the same field still end up with one spec.
+# nobody holds is still freed, with its tables and its time-pencil context
+# (the two refer to each other, so the cycle collector frees them).  Stores
+# take the lock, so two threads building the same field still end up with
+# one spec.
 _LIVE_SPECS = weakref.WeakValueDictionary()
 _LIVE_SPECS_LOCK = threading.Lock()
 
@@ -88,14 +90,17 @@ _LIVE_SPECS_LOCK = threading.Lock()
 class FieldSpec:
     """The field GF(p^n) for a fixed irreducible modulus.
 
-    Immutable after construction; all arithmetic tables are built once.
-    Construction returns the one live spec of each field, so equality is identity.
+    Its arithmetic tables are built once, at construction.  Its one
+    time-pencil context (kernel.time_pencil_context), which holds the root
+    tables, is made on first use and kept in _context, so it lives and dies
+    with the spec.  Construction returns the one live spec of each field,
+    so equality is identity.
     """
 
     __slots__ = (
         "characteristic", "degree", "modulus", "order",
         "_add_i", "_sub_i", "_neg_i", "_mul_i",
-        "_exp", "_log", "_inv", "__weakref__",
+        "_exp", "_log", "_inv", "_context", "__weakref__",
     )
 
     def __new__(cls, p: int, n: int, modulus: Sequence[int] | None = None):
@@ -131,6 +136,7 @@ class FieldSpec:
         spec.degree = n
         spec.modulus = mod
         spec.order = order
+        spec._context = None
         _build_tables(spec)
         with _LIVE_SPECS_LOCK:
             return _LIVE_SPECS.setdefault((p, n, mod), spec)

@@ -53,7 +53,7 @@ witnesses, as plane indices.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 
 from .field import FieldSpec
 
@@ -93,27 +93,33 @@ def _text_table(spec: FieldSpec) -> tuple:
 
 class TimePencilContext:
     """The proper members' ids and thetas, all in closed form, and what
-    classifies them on an ideal line.  One per field, cached; the pencil
+    classifies them on an ideal line.  One per field, kept on its spec by
+    time_pencil_context, so it lives and dies with the spec; the pencil
     itself is pencil.time_pencil(spec) and its plane plane.build_plane(spec).
 
     The proper members are (1, t), t != 0 (see the module docstring), at
     position t of pencil.members, which is their id.  In characteristic 2,
     roots is _quadratic_roots(spec), by which _orbit classifies each member
-    on an ideal line, and orbits keeps those classifications."""
+    on an ideal line, and orbits keeps those classifications.  squares, the
+    field's square roots by value, is made by the field's first zero set
+    (conic._zero_values), so no arrow run makes it."""
 
-    __slots__ = ("spec", "ids", "thetas", "roots", "orbits")
+    __slots__ = ("spec", "ids", "thetas", "roots", "squares", "orbits")
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
         self.ids = tuple(range(1, spec.order))
         self.thetas = tuple([(1, t) for t in self.ids])
         self.roots = _quadratic_roots(spec) if spec.characteristic == 2 else None
-        self.orbits: dict[int, tuple[int | None, ...]] = {}   # _orbit, per orbit u
+        self.squares = None
+        self.orbits = {}   # _orbit's classification, per orbit u
 
 
-@lru_cache(maxsize=None)
 def time_pencil_context(spec: FieldSpec) -> TimePencilContext:
-    return TimePencilContext(spec)
+    """The spec's one context, made on the first call."""
+    if spec._context is None:
+        spec._context = TimePencilContext(spec)
+    return spec._context
 
 
 def _orbit(ctx: TimePencilContext, linf: Values) -> tuple[int, tuple[int | None, ...]]:

@@ -27,8 +27,8 @@ from .conic import (
     Conic,
     DegeneracyClass,
     _evaluate_values,
+    _nucleus,
     classify,
-    nucleus,
     point_set,
 )
 from .kernel import time_pencil_context  # noqa: F401  (see the module docstring)
@@ -112,15 +112,16 @@ def member_through(pencil: Pencil, point: ProjPoint, plane: Plane) -> PencilMemb
 
 def common_nucleus(pencil: Pencil, plane: Plane) -> ProjPoint:
     """The nucleus shared by all proper members (characteristic 2), each
-    member's in closed form (conic.nucleus); the meet of each member's
-    tangents is the test suite's oracle.
+    member's in closed form from the coefficients of those the census has
+    classed proper (conic._nucleus), so each member is classified once; the
+    meet of each member's tangents is the test suite's oracle.
 
     NucleiDiffer is a legitimate outcome for general pencils, not a bug.
     """
     proper = [m for m in members(pencil, plane) if m.is_proper]
     if not proper:
         raise NoProperMember("pencil has no proper member")
-    nuclei = [nucleus(m.conic, plane) for m in proper]
+    nuclei = [_nucleus(m.conic) for m in proper]
     first = nuclei[0]
     if any(nuc != first for nuc in nuclei[1:]):
         raise NucleiDiffer("proper members have distinct nuclei")

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from functools import lru_cache
 from itertools import chain, product
 from typing import Iterable, Iterator
 
@@ -163,7 +162,9 @@ class _Enumeration(Sequence):
 
 class Plane:
     """All points and lines of PG(2, q), in a fixed enumeration order, as
-    two sequences that store no items."""
+    two sequences that store no items.  A plane is a function of its field,
+    so planes compare equal and hash by their field, and families and
+    records (ArcFamily) built apart over one field compare equal."""
 
     __slots__ = ("field", "points", "lines")
 
@@ -171,6 +172,12 @@ class Plane:
         self.field = field
         self.points = _Enumeration(ProjPoint, field)
         self.lines = _Enumeration(ProjLine, field)
+
+    def __eq__(self, other):
+        return isinstance(other, Plane) and self.field == other.field
+
+    def __hash__(self):
+        return hash(self.field)
 
     @property
     def order(self) -> int:
@@ -214,11 +221,9 @@ def _incidence_indices(field: FieldSpec, values: tuple[int, int, int]) -> list[i
     return list(range(q * q, q * q + q + 1))
 
 
-@lru_cache(maxsize=None)
 def build_plane(spec: FieldSpec) -> Plane:
-    """PG(2, q) over the given field; cached, since a Plane compares equal
-    only to itself, and families and records (ArcFamily) built apart over
-    one field must compare equal, so they must hold one plane."""
+    """PG(2, q) over the given field, which stores no items, so making one
+    costs O(1)."""
     return Plane(spec)
 
 

@@ -10,8 +10,6 @@ runs only.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .kernel import _CLASS_BY_HITS, TimePencilContext, Values
 from .witnesses import _triple_values
 
@@ -23,23 +21,23 @@ class _ReportText:
     Every string in a report is hex or decimal digits, (a:b:c) or a class
     name, so nothing needs escaping.  A report's text is its head, its
     members' texts and its tail; the caller makes the members' texts once
-    per ideal line.  Made on first use and kept for the run: a Future
-    member's whole text, a Past or Present member's text up to its first
-    witness, point texts and L* tails, from the field's coordinate strings
-    coords and the text of a point or line read from them, triple
-    (kernel._text_table)."""
+    per ideal line.  Made on first use and kept for the run, in dicts and
+    lists of this object, so freed with it: a Future member's whole text, a
+    Past or Present member's text up to its first witness, point texts and
+    L* tails, from the field's coordinate strings coords and the text of a
+    point or line read from them, triple (kernel._text_table)."""
 
     def __init__(self, ctx: TimePencilContext, coords: list[str], triple):
-        q = self._q = ctx.spec.order
+        self._q = ctx.spec.order
         self._coords = coords
         self._triple = triple
         self._ids = ctx.ids
         self._thetas = ctx.thetas
-        # the text of the plane point at each index, from its values
-        self._point = lru_cache(maxsize=None)(lambda i: triple(_triple_values(q, i)))
-        # per number of witnesses (Future, Present, Past), per member position
-        self._member_heads: list[list[str | None]] = [[None] * len(ctx.ids) for _ in range(3)]
-        self._json_tails: dict[int | None, str] = {}
+        self._points = {}   # _point, by plane index
+        # per number of witnesses (Future, Present, Past), per member
+        # position, its text or None
+        self._member_heads = [[None] * len(ctx.ids) for _ in range(3)]
+        self._json_tails = {}   # json_tail, by L*'s a, None for a conic report
 
     def json_head(self, mode: str, linf: Values, tallies: tuple[int, int, int]) -> str:
         """The report's text up to the opening bracket of its members (every
@@ -60,6 +58,13 @@ class _ReportText:
         if text is None:
             tail = f',\n      "lstar": "{self._triple((1, a, 0))}"' if a else ""
             text = self._json_tails[a] = f"\n      ]{tail}\n    }}"
+        return text
+
+    def _point(self, i: int) -> str:
+        """The text of the plane point at index i, from its values."""
+        text = self._points.get(i)
+        if text is None:
+            text = self._points[i] = self._triple(_triple_values(self._q, i))
         return text
 
     def _member_head(self, i: int, hits: int) -> str:

@@ -1,16 +1,17 @@
 """Mutation check of the closed forms and fast paths: every closed form the
 arrows run on (kernel.py, witnesses.py, lines.py, linetext.py and the
-sweep's lines in driver.py), the plane's enumeration and incidence indices
-(plane.py), the one text of a point or line and the field's table of
-coordinate strings (kernel.py, linetext.py), the text layout of the arrow
-command's JSON and CSV (arrow_json.py, report_text.py, arrow_csv.py), what
-the plane, conic, pencil and family commands print (payloads.py), the
-family's member and touch points, configuration checks and is_conic rule
-(arc.py), the closed-form zero set, tangents and nucleus of every conic
-and the canonical conic's parametrization (conic.py), the expansion of a hex
-modulus (modulus.py), the canonical generator's value (field.py), and the
-table walk, the product, the inverse table and the Zech arithmetic of
-tables.py and zech.py, is pinned by some test.
+sweep's lines in driver.py), the field's one time-pencil context
+(kernel.py), the plane's enumeration and incidence indices and its
+equality by field (plane.py), the one text of a point or line and the
+field's table of coordinate strings (kernel.py, linetext.py), the text
+layout of the arrow command's JSON and CSV (arrow_json.py, report_text.py,
+arrow_csv.py), what the plane, conic, pencil and family commands print
+(payloads.py), the family's member and touch points, configuration checks
+and is_conic rule (arc.py), the closed-form zero set, tangents and nucleus
+of every conic and the canonical conic's parametrization (conic.py), the
+expansion of a hex modulus (modulus.py), the canonical generator's value
+(field.py), and the table walk, the product, the inverse table and the
+Zech arithmetic of tables.py and zech.py, is pinned by some test.
 
     python tests/mutants.py
 
@@ -20,9 +21,10 @@ copy in a subprocess (pytest, under a timeout).  A mutant is killed when
 they fail or time out, and survives when they pass.  The script exits 1
 if a mutant survives, if a mutation's source text no longer occurs
 exactly once in its file, or if the named tests fail on the unmutated
-copy.  It uses only the standard library and pytest, with pytest's
-plugin autoload off in each run; the tier-1 run does not collect it (it
-is not a test_*.py file).
+copy.  It runs up to four mutants at once, one per core.  It uses only
+the standard library and pytest, with pytest's plugin autoload off in
+each run; the tier-1 run does not collect it (it is not a test_*.py
+file).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path("galois_arrow")
 TIMEOUT_S = 120
-JOBS = 2
+JOBS = min(4, os.cpu_count() or 1)
 
 ARC = ["tests/test_arrow.py::test_arc_pass_matches_the_incidence_oracle[q8]"]
 SIGMA = ["tests/test_arrow.py::test_arc_pass_is_its_orbit_representatives_image[q8]"]
@@ -90,6 +92,9 @@ TEXTS = ["tests/test_plane.py::test_point_and_line_texts_match_the_formatted_coo
 PLANE = [f"tests/test_golden_stdout.py::test_stdout_matches_golden_digest[plane {field}]"
          for field in ("--n 2", "--p 3")]
 FAMILY_REFUSALS = ["tests/test_cli.py::test_family_csv_refuses_what_the_family_build_refuses"]
+# the field's one time-pencil context, and planes built apart over one field
+CONTEXT = ["tests/test_pencil.py::test_context_is_made_once_and_lives_on_its_spec"]
+PLANES = ["tests/test_plane.py::test_planes_built_apart_over_one_field_are_equal"]
 # the checks build_time_family shares with the family's CSV, against the
 # incidence oracle and a family's digest on lines other than the default
 FAMILY_CHECKS = ["tests/test_arc.py::test_contact_member_matches_the_incidence_oracle[q8]",
@@ -104,6 +109,7 @@ MUTANTS = {"kernel.py": [
     ("the roots of y^2 + y -> of y^2", "roots[spec._mul_i(y, y) ^ y] = y",
      "roots[spec._mul_i(y, y)] = y", CONIC),
     ("orbits looked up by b, not u", "ys = ctx.orbits.get(u)", "ys = ctx.orbits.get(b)", CONIC),
+    ("a new context on each call", "if spec._context is None:", "if True:", CONTEXT),
     ("a point's text with a comma for its first colon", 'f"({coords[x1]}:{coords[x2]}:',
      'f"({coords[x1]},{coords[x2]}:', PLANE + GOLDEN),
     ("a point's text without its closing parenthesis", ':{coords[x3]})"', ':{coords[x3]}"',
@@ -157,6 +163,9 @@ MUTANTS = {"kernel.py": [
     ("a line scaled by its lead, not its inverse", "scale = spec._inv[lead]", "scale = lead",
      ["tests/test_cli.py::test_single_arrow_runs_load_no_plane_module"]),
 ], "plane.py": [
+    ("a plane equal only to itself",
+     "return isinstance(other, Plane) and self.field == other.field", "return self is other",
+     PLANES),
     ("_triple_index off by one", "return q * q + x3", "return q * q + x3 + 1", ENUMERATION),
     # equivalent in characteristic 2, where -a = a: killed by GF(3), GF(5), GF(9)
     ("a line's points (1 : a : b) without the minus", "s = neg(field._inv_i(l3))",

@@ -1215,9 +1215,9 @@ print(counts)
 def test_conic_and_pencil_do_o_of_q_work(argv):
     """The Python calls of conic, pencil and the family's CSV at q = 16, 64
     and 256, counted under sys.setprofile in a fresh interpreter after a
-    run at q = 8 has loaded the modules (build_plane's cache is keyed by
-    field, so no count reads another's): each
-    fourfold q at most multiplies them by 6, where O(q) work gives about 4
+    run at q = 8 has loaded the modules (each field's derived data lives on
+    its own spec, so no count reads another's): each fourfold q at most
+    multiplies them by 6, where O(q) work gives about 4
     and a plane scan, a tally of its lines or a build of the family's
     (q-1)(q+1) points about 16."""
     src = Path(cli.__file__).resolve().parents[1]

@@ -131,17 +131,40 @@ def test_distinct_moduli_are_distinct_specs():
 
 
 def test_dropped_spec_leaves_the_registry():
+    """A spec nobody holds is freed, with its tables, also after the library
+    has made its derived data: the time-pencil context and its root tables
+    live on the spec, and no cache keeps a spec.  The spec and its context
+    refer to each other, so the cycle collector frees them."""
     from galois_arrow.field import _LIVE_SPECS
+    from galois_arrow.arrow import conic_arrow
+    from galois_arrow.conic import canonical_conic, point_set
+    from galois_arrow.kernel import time_pencil_context
+    from galois_arrow.pencil import members, time_pencil
+    from galois_arrow.plane import build_plane
 
     assert isinstance(_LIVE_SPECS, weakref.WeakValueDictionary)
-    spec = make_field(2, 6, (1, 0, 0, 0, 0, 1, 1))  # x^6 + x^5 + 1, unused elsewhere
-    key = (2, 6, spec.modulus)
-    assert _LIVE_SPECS[key] is spec
-    ref = weakref.ref(spec)
-    del spec
-    gc.collect()
-    assert ref() is None
-    assert key not in _LIVE_SPECS
+
+    def used(spec):
+        plane = build_plane(spec)
+        q = spec.order
+        assert time_pencil_context(spec).spec is spec
+        assert len(point_set(canonical_conic(spec), plane)) == q + 1
+        assert len(members(time_pencil(spec), plane)) == q + 1
+        tallies = conic_arrow(spec, ProjLine(spec, (1, 1, 1))).tallies
+        assert tallies == {"past": q // 2 - 1, "present": 0, "future": q // 2}
+        return spec
+
+    # x^6 + x^5 + 1 and x^6 + x^5 + x^4 + x + 1, each unused elsewhere
+    for modulus, seen in (((1, 0, 0, 0, 0, 1, 1), lambda spec: spec),
+                          ((1, 1, 0, 0, 1, 1, 1), used)):
+        spec = seen(make_field(2, 6, modulus))
+        key = (2, 6, spec.modulus)
+        assert _LIVE_SPECS[key] is spec
+        ref = weakref.ref(spec)
+        del spec
+        gc.collect()
+        assert ref() is None
+        assert key not in _LIVE_SPECS
 
 
 def test_threads_building_one_field_get_one_spec():

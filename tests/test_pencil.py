@@ -19,7 +19,7 @@ from galois_arrow.errors import (
     NoProperMember,
     NucleiDiffer,
 )
-from galois_arrow import cli, driver
+from galois_arrow import cli, conic, driver, kernel, pencil
 from galois_arrow.field import make_field
 from galois_arrow.modulus import parse_modulus
 from galois_arrow.conic import (
@@ -50,6 +50,7 @@ from galois_arrow.plane import (
     meet,
     validate_ideal_line,
 )
+from galois_arrow.arrow import conic_arrow
 from galois_arrow.kernel import TimePencilContext, _orbit, _quadratic_roots, time_pencil_context
 from galois_arrow.lines import _check_line
 
@@ -199,6 +200,23 @@ def test_common_nucleus_closed_form_agrees_with_tangent_oracle(spec):
     oracle = {_nucleus_by_tangents(m.conic, plane)
               for m in members(pencil, plane) if m.is_proper}
     assert oracle == {common_nucleus(pencil, plane)}
+
+
+def test_common_nucleus_classifies_each_member_once(monkeypatch):
+    """common_nucleus reads each proper member's nucleus from the census's
+    classes, not through conic.nucleus, which classifies its conic again:
+    q + 1 calls of classify at q = 256, one per member."""
+    calls = []
+
+    def counted(conic, plane):
+        calls.append(conic)
+        return classify(conic, plane)
+
+    for module in (conic, pencil):
+        monkeypatch.setattr(module, "classify", counted)
+    nucleus = common_nucleus(time_pencil(GF256), build_plane(GF256))
+    assert nucleus == ProjPoint(GF256, (0, 0, 1))
+    assert len(calls) == GF256.order + 1
 
 
 def test_common_nucleus_no_proper_member():
@@ -528,6 +546,31 @@ def test_conic_tallies_follow_the_trace_at_every_supported_order(n):
             for c in range(1, q):
                 _, ys = _orbit(ctx, (1, b, c))
                 assert len(ys) - ys.count(None) == past, (b, c)
+
+
+def test_context_is_made_once_and_lives_on_its_spec(monkeypatch):
+    """time_pencil_context(spec) is one object for as long as spec lives,
+    kept on the spec, which _orbit's per-orbit memo relies on; a new spec
+    has none until it is asked for.  The root table of y^2 + y = k is made
+    once per field, by the context, and the zero sets and the conic arrow
+    read it from there."""
+    made = []
+
+    def counted(spec):
+        made.append(spec)
+        return _quadratic_roots(spec)
+
+    monkeypatch.setattr(kernel, "_quadratic_roots", counted)
+    spec = make_field(2, 6, (1, 1, 1, 0, 0, 1, 1))   # x^6 + x^5 + x^2 + x + 1, unused elsewhere
+    assert spec._context is None
+    ctx = time_pencil_context(spec)
+    plane = build_plane(spec)
+    assert len(point_set(Conic(spec, (0, 1, 0, 0, 0, 1)), plane)) == spec.order + 1
+    assert len(members(time_pencil(spec), plane)) == spec.order + 1
+    conic_arrow(spec, ProjLine(spec, (1, 1, 1)))
+    assert time_pencil_context(spec) is ctx is spec._context
+    assert time_pencil_context(make_field(2, 6, (1, 1, 1, 0, 0, 1, 1))) is ctx
+    assert made == [spec]
 
 
 def test_context_has_no_roots_in_odd_characteristic():

@@ -4,11 +4,13 @@ from itertools import combinations, product
 
 import pytest
 
+from galois_arrow.arc import build_time_family
 from galois_arrow.errors import CoincidentLines, CoincidentPoints, MixedFields
 from galois_arrow.field import make_field
 from galois_arrow.kernel import _text_table
 from galois_arrow.linetext import _text
 from galois_arrow.plane import (
+    Plane,
     ProjLine,
     ProjPoint,
     _incidence_indices,
@@ -319,6 +321,19 @@ def test_plane_order_is_deterministic():
     p1 = build_plane(GF4)
     spec_again = make_field(2, 2)
     p2 = build_plane(spec_again)
-    assert p1 is p2  # equal specs share the cached plane
+    assert p1 == p2 and hash(p1) == hash(p2)  # a plane is a function of its field
     assert [str(p) for p in p1.points[:5]] == ["(1:0:0)", "(1:0:1)", "(1:0:2)",
                                                "(1:0:3)", "(1:1:0)"]
+
+
+def test_planes_built_apart_over_one_field_are_equal():
+    """A plane compares equal and hashes by its field, with no cache to
+    share one object: families built apart over one field, each holding
+    its own plane, compare equal, and planes of other fields do not."""
+    linf, lstar = ProjLine(GF8, (1, 1, 1)), ProjLine(GF8, (1, 2, 0))
+    first, second = (build_time_family(GF8, linf, lstar) for _ in range(2))
+    assert first.plane is not second.plane
+    assert first == second and hash(first) == hash(second)
+    plane = Plane(GF8)
+    assert plane == build_plane(GF8) and hash(plane) == hash(build_plane(GF8))
+    assert plane != build_plane(GF4) and plane != GF8
