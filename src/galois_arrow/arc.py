@@ -8,25 +8,24 @@ From each proper pencil member delete the single point where L* touches
 it and add the nucleus.  Every resulting set is again a (q+1)-arc, and exactly
 one of them is tangent to the ideal line.
 
-The family's points are values first: each proper member's points are
-its zero set in plane order (conic._zero_values, in O(q)), and
-_family_values gives, one member at a time, its touch point on L* and
-its arc.  build_time_family makes them items of the plane
-build_plane(spec), its member ids and thetas read from
-the kernel's time-pencil context; the family command prints their text
-(payloads.py), and family_to_dict of the built family is its oracle in
-tests.  Both check a configuration by one function, _check_configuration,
-on the lines' values: the field, each line (lines._check_line) and the
-contact point A and member Q* in closed form (witnesses._contacts); the
-arrow pass, which loads no module of arcs, runs the same line checks and
-contacts.
+A member's arc is made from values when it is read: _member_values gives
+one member's, its zero set in plane order (conic._zero_values, in O(q))
+without its touch point on L* and with N last.  build_time_family keeps
+no member's points: ArcFamily.members makes the arcs as items of the
+plane build_plane(spec) on each read, from the field and L* alone, and
+the touch points are one closed form in O(q).  The family command prints
+the text of _member_values (payloads.py), and family_to_dict of the built
+family is its oracle in tests.  Both check a configuration by one
+function, _check_configuration, on the lines' values: the field, each
+line (lines._check_line) and the contact point A and member Q* in closed
+form (witnesses._contacts); the arrow pass, which loads no module of
+arcs, runs the same line checks and contacts.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import (
     ArcTooSmall,
@@ -104,11 +103,19 @@ class ArcFamily(NamedTuple):
     """One arc per proper pencil member, in member order."""
     spec: FieldSpec
     plane: Plane
-    members: tuple[Arc, ...]
     member_ids: tuple[int, ...]
     thetas: tuple[tuple[int, int], ...]
     touch_points: tuple[ProjPoint, ...]
     provenance: FamilyProvenance
+
+    @property
+    def members(self) -> tuple[Arc, ...]:
+        """The members' arcs (_member_values), made on each read, O(q^2):
+        they are a function of spec and provenance's L*, so the family is
+        equal and hashed by value without them."""
+        item, a = self.plane.points._item, self.provenance.lstar.values[1]
+        return tuple(Arc(tuple(map(item, _member_values(self.spec, a, t))))
+                     for _, t in self.thetas)
 
 
 def is_arc(points: Iterable[ProjPoint]) -> bool:
@@ -161,29 +168,15 @@ def touch_point(conic: Conic, lstar: ProjLine, plane: Plane) -> ProjPoint:
     return hits[0]
 
 
-def _family_values(spec: FieldSpec, a: int) -> Iterator[tuple[Values, list[Values]]]:
-    """Per proper member x1*x2 + t*x3^2, t != 0, of the time pencil, in
-    member order, one at a time, as values: its touch point on
-    L* = (1 : a : 0), at position 1/a of its zero set (conic._zero_values,
-    in plane order), and its arc, those points without it and with
-    N = (0:0:1) last (see build_time_family)."""
-    k = spec._inv[a]
-    for t in range(1, spec.order):
-        points = _zero_values(spec, (0, 1, 0, 0, 0, t))
-        touch = points.pop(k)
-        points.append((0, 0, 1))
-        yield touch, points
-
-
-@lru_cache(maxsize=1)
-def _family_items(spec: FieldSpec, a: int) -> tuple:
-    """The touch points and the arcs' points of the family on
-    L* = (1 : a : 0) (_family_values), as plane items.  They depend on
-    (spec, a) alone, not on the ideal line, so the families of one L*
-    share them; the last L*'s are kept."""
-    item = build_plane(spec).points._item
-    return tuple(zip(*[(item(touch), tuple(map(item, points)))
-                       for touch, points in _family_values(spec, a)]))
+def _member_values(spec: FieldSpec, a: int, t: int) -> list[Values]:
+    """The arc of the proper member x1*x2 + t*x3^2, t != 0, of the time
+    pencil on L* = (1 : a : 0), as values: its zero set in plane order
+    (conic._zero_values) without its touch point on L*, at position 1/a,
+    and with N = (0:0:1) last (see build_time_family)."""
+    points = _zero_values(spec, (0, 1, 0, 0, 0, t))
+    del points[spec._inv[a]]
+    points.append((0, 0, 1))
+    return points
 
 
 def _check_configuration(spec: FieldSpec, linf: Values, lstar: Values) -> tuple[int, int]:
@@ -236,9 +229,11 @@ def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine) -> ArcFa
     have x2 = t*c^2, which takes each value of the field once as c does,
     squaring being a bijection in characteristic 2; so in plane order its
     point with x2 = v is at position v, and its touch point at position
-    1/a.  member_through over the points of lstar is the oracle in tests.
-    The family's points are those of _family_values, each made a plane
-    item (_family_items).
+    1/a (_member_values).  The touch points are one pass over c != 0: the
+    point (1 : 1/a : c) lies on the member t = 1/(a*c^2), at position t - 1
+    of the member order, with no square root taken.  member_through over
+    the points of lstar is the oracle in tests.  The family keeps no
+    member's points: ArcFamily.members makes them on each read.
 
     Lines of another field are refused (MixedFields) before the checks of
     _check_configuration.
@@ -248,10 +243,12 @@ def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine) -> ArcFa
     _check_field(linf, plane)
     _check_field(lstar, plane)
     index, t = _check_configuration(spec, linf.values, lstar.values)
-    touches, arcs = _family_items(spec, lstar.values[1])
+    inv, mul, item, a = spec._inv, spec._mul_i, plane.points._item, lstar.values[1]
+    touches = [None] * len(ctx.ids)
+    for c in ctx.ids:
+        touches[inv[mul(a, mul(c, c))] - 1] = item((1, inv[a], c))
     provenance = FamilyProvenance(time_pencil(spec), linf, lstar, plane.points[index], (1, t))
-    return ArcFamily(spec, plane, tuple(map(Arc, arcs)), ctx.ids, ctx.thetas, touches,
-                     provenance)
+    return ArcFamily(spec, plane, ctx.ids, ctx.thetas, tuple(touches), provenance)
 
 
 def family_to_dict(family: ArcFamily) -> dict:

@@ -12,7 +12,7 @@ order (conic._tangent_values); pencil its members and classes from the
 kernel's context, its base points (1:0:0) and (0:1:0) and common nucleus
 (0:0:1) from their values.  family checks its configuration by
 arc._check_configuration, the checks build_time_family makes, then
-prints each member's arc from arc._family_values, or, as CSV, one row
+prints each member's arc from arc._member_values, or, as CSV, one row
 per proper member from the context's thetas, each of size q+1, on a
 conic by arc._is_conic.  The library calls that make the same plane
 items and families (build_plane, parametrize_canonical,
@@ -109,10 +109,10 @@ def _payload_family(spec: FieldSpec, config) -> dict | list[str]:
     """The family's payload, or with --output csv its rows, once its
     configuration passes arc._check_configuration, the checks
     build_time_family makes.  Each member's points are the text of its arc
-    from arc._family_values; each CSV row, one per proper member (1, t),
+    from arc._member_values; each CSV row, one per proper member (1, t),
     t != 0, in member order, has size q+1.  family_to_dict of
     build_time_family is the oracle."""
-    from .arc import _check_configuration, _family_values, _is_conic
+    from .arc import _check_configuration, _is_conic, _member_values
     from .kernel import _text_table, time_pencil_context
     from .lines import _normalized
     linf, lstar = _normalized(spec, config.linf), _normalized(spec, config.lstar)
@@ -135,10 +135,10 @@ def _payload_family(spec: FieldSpec, config) -> dict | list[str]:
         "members": [
             {
                 "theta": [coords[t1], coords[t2]],
-                "points": [*map(text, arc)],
+                "points": [*map(text, _member_values(spec, lstar[1], t2))],
                 "is_conic": is_conic,
             }
-            for (t1, t2), (_, arc) in zip(thetas, _family_values(spec, lstar[1]))
+            for t1, t2 in thetas
         ],
     }
 

@@ -14,6 +14,19 @@ from .kernel import _CLASS_BY_HITS, TimePencilContext, Values
 from .witnesses import _triple_values
 
 
+class _PointTexts(dict):
+    """The text of each plane point read, by its index, made from its
+    values on the first read; later reads are dict hits, in C."""
+
+    def __init__(self, q: int, triple):
+        self._q = q
+        self._triple = triple
+
+    def __missing__(self, i: int) -> str:
+        text = self[i] = self._triple(_triple_values(self._q, i))
+        return text
+
+
 class _ReportText:
     """JSON text of arrow reports, byte-equal to json.dumps of
     ArrowReport.to_dict with indent=2, laid out as an entry of a sweep's
@@ -33,7 +46,7 @@ class _ReportText:
         self._triple = triple
         self._ids = ctx.ids
         self._thetas = ctx.thetas
-        self._points = {}   # _point, by plane index
+        self._points = _PointTexts(self._q, triple)
         # per number of witnesses (Future, Present, Past), per member
         # position, its text or None
         self._member_heads = [[None] * len(ctx.ids) for _ in range(3)]
@@ -60,13 +73,6 @@ class _ReportText:
             text = self._json_tails[a] = f"\n      ]{tail}\n    }}"
         return text
 
-    def _point(self, i: int) -> str:
-        """The text of the plane point at index i, from its values."""
-        text = self._points.get(i)
-        if text is None:
-            text = self._points[i] = self._triple(_triple_values(self._q, i))
-        return text
-
     def _member_head(self, i: int, hits: int) -> str:
         """The text of the member at position i with hits witnesses, up to
         its first witness; the whole text for a Future member."""
@@ -84,7 +90,7 @@ class _ReportText:
         head = self._member_heads[len(witnesses)][i] or self._member_head(i, len(witnesses))
         if not witnesses:
             return head
-        text = head + self._point(witnesses[0])
+        text = head + self._points[witnesses[0]]
         if len(witnesses) == 2:   # Past; Present has one witness
-            text += '",\n            "' + self._point(witnesses[1])
+            text += '",\n            "' + self._points[witnesses[1]]
         return text + '"\n          ]\n        }'

@@ -5,9 +5,10 @@ sweep's lines in driver.py), the field's one time-pencil context
 equality by field (plane.py), the one text of a point or line and the
 field's table of coordinate strings (kernel.py, linetext.py), the text
 layout of the arrow command's JSON and CSV (arrow_json.py, report_text.py,
-arrow_csv.py), what the plane, conic, pencil and family commands print
-(payloads.py), the family's member and touch points, configuration checks
-and is_conic rule (arc.py), the closed-form zero set, tangents and nucleus
+arrow_csv.py) and its point texts made once per run (report_text.py),
+what the plane, conic, pencil and family commands print (payloads.py),
+the family's member and touch points, configuration checks and is_conic
+rule (arc.py), the closed-form zero set, tangents and nucleus
 of every conic and the canonical conic's parametrization (conic.py), the
 expansion of a hex modulus (modulus.py), the canonical generator's value
 (field.py), and the table walk, the product, the inverse table and the
@@ -95,6 +96,8 @@ FAMILY_REFUSALS = ["tests/test_cli.py::test_family_csv_refuses_what_the_family_b
 # the field's one time-pencil context, and planes built apart over one field
 CONTEXT = ["tests/test_pencil.py::test_context_is_made_once_and_lives_on_its_spec"]
 PLANES = ["tests/test_plane.py::test_planes_built_apart_over_one_field_are_equal"]
+# the family's closed-form touch points against member_through over L*
+TOUCHES = ["tests/test_arc.py::test_contact_member_matches_the_incidence_oracle[q8]"]
 # the checks build_time_family shares with the family's CSV, against the
 # incidence oracle and a family's digest on lines other than the default
 FAMILY_CHECKS = ["tests/test_arc.py::test_contact_member_matches_the_incidence_oracle[q8]",
@@ -188,6 +191,10 @@ MUTANTS = {"kernel.py": [
      r'\n        {{\n         "id": ', GOLDEN),
     ("a member's class name in lower case", '"class": "{_CLASS_BY_HITS[hits]}"',
      '"class": "{_CLASS_BY_HITS[hits].lower()}"', GOLDEN),
+    # the same bytes, remade on each read
+    ("a point's text not kept once made", "text = self[i] = self._triple(",
+     "text = self._triple(",
+     ["tests/test_cli.py::test_json_sweep_makes_each_point_text_in_python_once"]),
 ], "arrow_csv.py": [
     ("a row's theta joined by a comma", "{coords[t1]}:{coords[t2]},",
      "{coords[t1]},{coords[t2]},", GOLDEN),
@@ -270,12 +277,19 @@ MUTANTS = {"kernel.py": [
     ("a member's points those of x1*x2 + x3^2, not x1*x2 + t*x3^2",
      "_zero_values(spec, (0, 1, 0, 0, 0, t))", "_zero_values(spec, (0, 1, 0, 0, 0, 1))",
      FAMILY_ARCS + FAMILY_JSON),
-    ("the touch point at position a, not 1/a", "k = spec._inv[a]", "k = a",
+    ("the touch point at position a, not 1/a", "del points[spec._inv[a]]", "del points[a]",
      FAMILY_ARCS + FAMILY_JSON),
     ("N first in each arc, not last", "points.append((0, 0, 1))", "points.insert(0, (0, 0, 1))",
      FAMILY_ARCS + FAMILY_JSON),
-    ("the built family's points read at L* = (1 : 1 : 0)", "in _family_values(spec, a)]",
-     "in _family_values(spec, 1)]", FAMILY_ARCS),
+    ("the built family's members read at L* = (1 : 1 : 0)",
+     "item, a = self.plane.points._item, self.provenance.lstar.values[1]",
+     "item, a = self.plane.points._item, 1", FAMILY_ARCS),
+    ("the built family's members read one member back", "_member_values(self.spec, a, t))))",
+     "_member_values(self.spec, a, t - 1))))", FAMILY_ARCS),
+    ("a touch point placed on the member a*c^2, not 1/(a*c^2)",
+     "touches[inv[mul(a, mul(c, c))] - 1]", "touches[mul(a, mul(c, c)) - 1]", TOUCHES),
+    ("a touch point (1 : a : c), not (1 : 1/a : c)", "item((1, inv[a], c))", "item((1, a, c))",
+     TOUCHES),
     ("a configuration's L* checked as an ideal line", "_check_line(spec, lstar, True)",
      "_check_line(spec, lstar, False)", FAMILY_CHECKS),
     ("a configuration's contact point read from L*'s x1", "(lstar[1],))", "(lstar[0],))",

@@ -1,6 +1,9 @@
 """Arcs: verification, hyperoval construction, puncturing, the conic test,
 touch points, and the pencil-derived arc family."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from galois_arrow.errors import (
@@ -358,6 +361,51 @@ def test_family_members_are_arcs_for_every_lstar(spec):
             assert is_arc(arc.points)
             assert list(arc.points) == sorted(arc.points,
                                               key=fam.plane.points.index)
+
+
+@pytest.mark.parametrize("spec", [GF4, GF8, make_field(2, 4)],
+                         ids=lambda s: f"q{s.order}")
+def test_family_members_are_made_when_read(monkeypatch, spec):
+    """build_time_family makes no member's zero set (conic._zero_values,
+    as arc reads it); each read of family.members makes the q-1 members'
+    zero sets anew, in member order, and equal arcs."""
+    from galois_arrow import arc
+    calls = []
+
+    def counting(*args, original=arc._zero_values):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(arc, "_zero_values", counting)
+    fam = _family(spec)
+    assert calls == []
+    first = fam.members
+    want = [(0, 1, 0, 0, 0, t) for t in fam.member_ids]
+    assert calls == want and len(want) == spec.order - 1
+    assert fam.members == first
+    assert calls == want + want
+
+
+def test_family_build_is_o_of_q_and_keeps_nothing():
+    """At q = 256, under tracemalloc, a family on an L* not built before
+    peaks at O(q) bytes, its q-1 touch points (a build of its (q-1)(q+1)
+    member points took 10 MiB), and once dropped leaves nothing behind."""
+    spec = make_field(2, 8)
+    linf = ProjLine(spec, (1, 1, 1))
+    build_time_family(spec, linf, ProjLine(spec, (1, 3, 0)))
+    lstar = ProjLine(spec, (1, 2, 0))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fam = build_time_family(spec, linf, lstar)
+        peak = tracemalloc.get_traced_memory()[1] - before
+        del fam
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * spec.order and kept < 1024, (peak, kept)
 
 
 def test_family_serialization_schema():

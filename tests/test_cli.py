@@ -356,7 +356,7 @@ FAMILY_CSV_PAIRS = [((1, 1, 1), (1, 2, 0), (1, 1)), ((1, 2, 3), (1, 3, 0), (1, 1
 def test_family_csv_builds_no_family(monkeypatch, n):
     """The family's CSV rows come from the context's thetas once the
     configuration passes arc._check_configuration: none of
-    build_time_family, arc._family_values and the members' zero sets
+    build_time_family, arc._member_values and the members' zero sets
     (conic._zero_values, as arc reads it) is called, and the rows equal
     those read off the built family, each member's size len(arc.points),
     its theta and is_conic_arc, the oracles."""
@@ -364,7 +364,7 @@ def test_family_csv_builds_no_family(monkeypatch, n):
     spec = make_field(2, n)
     q, fmt = spec.order, spec.format
     calls = []
-    for name in ("build_time_family", "_family_values", "_zero_values"):
+    for name in ("build_time_family", "_member_values", "_zero_values"):
         def counting(*args, name=name, original=getattr(arc, name)):
             calls.append(name)
             return original(*args)
@@ -1182,6 +1182,44 @@ def test_arrow_runs_compile_no_function_they_never_call(argv):
     assert (proc.returncode, proc.stderr) == (0, "")
     never = ast.literal_eval(proc.stdout)
     assert [name for name in never if name.rpartition(".")[2] not in NEVER_CALLED] == []
+
+
+_REPORT_TEXT_CALLS = """
+import collections, contextlib, io, json, sys
+import galois_arrow.cli
+calls = collections.Counter()
+
+def profile(frame, event, arg):
+    if event == "call" and frame.f_back.f_code.co_name == "member_json":
+        calls[frame.f_code.co_name] += 1
+
+out = io.StringIO()
+sys.setprofile(profile)
+with contextlib.redirect_stdout(out):
+    code = galois_arrow.cli.main(sys.argv[1:])
+sys.setprofile(None)
+assert code == 0
+witnesses = [w for report in json.loads(out.getvalue())["reports"]
+             for member in report["members"] for w in member["witnesses"]]
+print([dict(calls), len(witnesses), len(set(witnesses))])
+"""
+
+
+def test_json_sweep_makes_each_point_text_in_python_once():
+    """The JSON arc sweep at q = 16, run through main in a fresh interpreter
+    under sys.setprofile: the Python calls report_text's member_json makes,
+    but for the member heads, are one per distinct witness, when its point
+    text is made; every later read of it is a dict hit, with no Python
+    call per witness read."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", _REPORT_TEXT_CALLS, *BENCH_ARGVS[0].split()],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    calls, reads, distinct = ast.literal_eval(proc.stdout)
+    assert reads > distinct
+    calls.pop("_member_head")
+    assert sum(calls.values()) == distinct, (calls, reads, distinct)
 
 
 _CALLS_PER_ORDER = """

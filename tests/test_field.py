@@ -133,9 +133,11 @@ def test_distinct_moduli_are_distinct_specs():
 def test_dropped_spec_leaves_the_registry():
     """A spec nobody holds is freed, with its tables, also after the library
     has made its derived data: the time-pencil context and its root tables
-    live on the spec, and no cache keeps a spec.  The spec and its context
-    refer to each other, so the cycle collector frees them."""
+    live on the spec, and no cache keeps a spec, nor an arc family's
+    points once the family is dropped.  The spec and its context refer to
+    each other, so the cycle collector frees them."""
     from galois_arrow.field import _LIVE_SPECS
+    from galois_arrow.arc import build_time_family
     from galois_arrow.arrow import conic_arrow
     from galois_arrow.conic import canonical_conic, point_set
     from galois_arrow.kernel import time_pencil_context
@@ -152,6 +154,8 @@ def test_dropped_spec_leaves_the_registry():
         assert len(members(time_pencil(spec), plane)) == q + 1
         tallies = conic_arrow(spec, ProjLine(spec, (1, 1, 1))).tallies
         assert tallies == {"past": q // 2 - 1, "present": 0, "future": q // 2}
+        family = build_time_family(spec, ProjLine(spec, (1, 1, 1)), ProjLine(spec, (1, 2, 0)))
+        assert [arc.size for arc in family.members] == [q + 1] * (q - 1)
         return spec
 
     # x^6 + x^5 + 1 and x^6 + x^5 + x^4 + x + 1, each unused elsewhere
