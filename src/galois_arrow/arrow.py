@@ -128,7 +128,7 @@ def arc_arrow(family: ArcFamily) -> ArrowReport:
     is read, not its members."""
     ctx = time_pencil_context(family.spec)
     linf, lstar = family.provenance.linf, family.provenance.lstar
-    witnesses = list(_witnesses(ctx, linf.values))
+    witnesses = _witnesses(ctx, linf.values)
     # build_time_family refuses the configurations _arc_deltas rejects
     ((position, witness),) = _arc_deltas(ctx, linf.values, (lstar.values[1],), witnesses)
     witnesses[position] = (witness,)

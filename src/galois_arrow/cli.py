@@ -27,10 +27,11 @@ from .field import _generator_value, field_order
 COMMANDS = ("field-info", "plane", "conic", "pencil", "family", "arrow")
 _CSV_COMMANDS = ("pencil", "family", "arrow")
 # The largest order at which plane, conic, pencil, family and arrow sweeps
-# are accepted.  At q = 2^10 on 2 cores plane takes 0.9-1.2 s and 301 MiB,
-# family (JSON) 1.3-1.4 s and 200 MiB, and conic, pencil and the family's
-# CSV, O(q), 0.08-0.12 s and 15-16 MiB.  It stays until a closed-form work
-# estimate replaces it (ROADMAP item 6).
+# are accepted.  At q = 2^10 on 2 cores, streamed, plane takes 0.07-0.11 s
+# and 14 MiB and family (JSON) 0.54-0.63 s and 15 MiB (0.8-0.9 s and 301
+# MiB, 0.9 s and 200 MiB whole); conic, pencil and the family's CSV, O(q),
+# 0.06-0.07 s and 15-16 MiB.  It stays until a closed-form work estimate
+# replaces it (ROADMAP item 6).
 _PLANE_MAX_ORDER = 1 << 10
 _PLANE_COMMANDS = ("plane", "conic", "pencil", "family")
 

@@ -8,9 +8,10 @@ violation (never reachable from shipped defaults).
 The arrow command runs one loop over ideal lines L-infinity, each with its
 configurations (L-infinity, L*), _arrow_reports; a single configuration
 is the one-pair case.  Each ideal line's reports are joined into one
-string by the renderer of the --output format and written as soon as
-that line is done: JSON in arrow_json and report_text, CSV in arrow_csv,
-each of them loaded only for its format.
+chunk by the renderer of the --output format: JSON in arrow_json and
+report_text, CSV in arrow_csv, each of them loaded only for its format.
+run, the one writer of every command's stdout, writes the chunks in
+blocks of at least _BLOCK characters.
 
 The arrow command runs on value triples, from the kernel and the modules
 it imports only for the runs that call them: the witnesses module for arc
@@ -40,7 +41,7 @@ if TYPE_CHECKING:
 # --- arrow reports, streamed ------------------------------------------------
 
 def _arrow_reports(spec: FieldSpec, config: RunConfig, rejected: list[tuple[Values, int]]
-                   ) -> Iterator[tuple[Values, tuple[tuple[int, ...], ...] | None,
+                   ) -> Iterator[tuple[Values, list[tuple[int, ...]] | None,
                                        list[tuple[int | None, tuple[int, int] | None]]]]:
     """Per L-infinity = (1 : b : c) of the run, one at a time: its values,
     its members' witnesses as plane indices (witnesses._witnesses; None in
@@ -95,8 +96,19 @@ def _arrow_reports(spec: FieldSpec, config: RunConfig, rejected: list[tuple[Valu
 
 # --- driver ---------------------------------------------------------------------
 
+# The least stdout write but the last, in characters: half of Linux's
+# default 64 KiB pipe buffer, and subprocess.communicate's read size.  A
+# conic sweep's line chunks of about 1 KB go out 33 to a write, not one
+# each as an unbuffered stdout (PYTHONUNBUFFERED) writes them; 64 KiB
+# would join two of the q = 16 arc sweep's 42 KB chunks, for a higher peak.
+_BLOCK = 1 << 15
+
+
 def _execute(config: RunConfig) -> Iterator[str]:
-    """The command's stdout, in chunks; an arrow run yields one per report."""
+    """The command's stdout, in chunks: an arrow sweep yields one per ideal
+    line, then its summary; a single arrow run, plane and family (JSON)
+    yield theirs in pieces of bounded size, and the other commands their
+    whole text."""
     spec = make_field(config.p, config.n, config.modulus)
     if config.command == "arrow":
         rejected: list[tuple[Values, int]] = []
@@ -109,7 +121,7 @@ def _execute(config: RunConfig) -> Iterator[str]:
             yield from _arrow_json(spec, config, reports, rejected)
         return
     from .payloads import render
-    yield render(spec, config)
+    yield from render(spec, config)
 
 
 def _emit_error(exc: Exception) -> None:
@@ -121,18 +133,26 @@ def _emit_error(exc: Exception) -> None:
 def run(config: RunConfig) -> int:
     """Execute one command; report on stdout, exit code returned.
 
-    Output is written as it is produced, so after exit 3 stdout may hold
-    a truncated report.  stdout is flushed before a diagnostic is written,
-    so the report text made before a failure reaches stdout first."""
-    code, error = 0, None
+    This is the one writer of stdout.  It joins the chunks _execute yields
+    until they reach _BLOCK characters (all ASCII, so as many bytes), then
+    writes them as one string; a chunk that large, with nothing held, goes
+    out as it is.  What it holds is written before a diagnostic and at the
+    end, so after exit 3 stdout may hold a truncated report, and the report
+    text made before a failure reaches stdout, flushed, before the
+    diagnostic."""
+    code, error, held = 0, None, ""
     try:
         try:
             for chunk in _execute(config):
-                sys.stdout.write(chunk)
+                held += chunk
+                if len(held) >= _BLOCK:
+                    sys.stdout.write(held)
+                    held = ""
         except InvariantViolation as exc:
             code, error = 3, exc
         except ValidationError as exc:
             code, error = 2, exc
+        sys.stdout.write(held)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader has closed stdout (as `| head` does): what it did not

@@ -14,8 +14,9 @@ call them, so it loads no plane, census, conic or arc module:
 The text (x1:x2:x3) of every point and line the package prints has one
 layout, _triple_text, over the text of each coordinate.  A run that makes
 many texts reads them from the field's one table of coordinate strings,
-made once per run by _text_table; a text made one at a time formats only
-its own three coordinates (linetext._text).
+made once per run by _text_table (a JSON arrow run's are made on their
+first read); a text made one at a time formats only its own three
+coordinates (linetext._text).
 
 A sweep takes its lines in closed form: the ideal lines (1 : b : c),
 bc != 0, and the lines L* = (1 : a : 0), a != 0, written only in
@@ -83,11 +84,14 @@ def _triple_text(coords, values: Values) -> str:
     return f"({coords[x1]}:{coords[x2]}:{coords[x3]})"
 
 
-def _text_table(spec: FieldSpec) -> tuple:
+def _text_table(spec: FieldSpec, coords=None) -> tuple:
     """The field's coordinate strings, spec.format of each value, by value,
     and _triple_text reading them: the one table of a run that makes many
-    texts of points, lines or members, made once per run."""
-    coords = [*map(spec.format, range(spec.order))]
+    texts of points, lines or members, made once per run.  Given coords, a
+    mapping that makes each string on its first read (report_text._Texts),
+    no table is made."""
+    if coords is None:
+        coords = [*map(spec.format, range(spec.order))]
     return coords, partial(_triple_text, coords)
 
 

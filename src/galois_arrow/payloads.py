@@ -1,12 +1,16 @@
 """Stdout of the commands other than arrow: field-info, plane, conic,
-pencil and family.  Each builds its whole payload and prints it as JSON
-(json.dumps with indent=2) or, for pencil and family, as CSV rows.
+pencil and family, in chunks for driver.run to write.  plane and family
+(JSON), whose output is O(q^2), stream their JSON in chunks of O(q),
+laid out as json.dumps with indent=2 lays out their whole payloads (the
+tests' oracles._payload_plane and _payload_family).  field-info, conic
+and pencil, whose output is O(q), build their whole payload and print it
+by json.dumps with indent=2, and pencil and family their CSV rows whole.
 
 plane, conic, pencil and family print from values and closed forms, with
 no plane item or arc family made only to be printed.  plane prints the
-text of each value triple of the enumeration (plane._triples) once, as
-both its points and its lines, since point i and line i share their
-values.  conic prints the canonical conic's zero set (conic._zero_values,
+text of each value triple of the enumeration (plane._triples), in rows
+joined from the coordinate strings, as its points and again as its lines,
+since point i and line i share their values.  conic prints the canonical conic's zero set (conic._zero_values,
 in plane order) and its tangents, each point's polar line in plane line
 order (conic._tangent_values); pencil its members and classes from the
 kernel's context, its base points (1:0:0) and (0:1:0) and common nucleus
@@ -25,12 +29,14 @@ made once per command, each point and line in the kernel's layout
 
 driver._execute imports this module for those commands only, so an arrow
 run does not compile it.  Each builder imports the modules it reads when
-it runs.
+it runs.  Every string they print is hex or decimal digits, (a:b:c), a
+class name or a boolean, so nothing needs escaping.
 """
 
 from __future__ import annotations
 
 import json
+from typing import Iterator
 
 from .field import FieldSpec, _generator_value
 
@@ -47,20 +53,6 @@ def _payload_field_info(spec: FieldSpec) -> dict:
     if spec.characteristic == 2:
         payload["modulus_hex"] = hex(sum(c << i for i, c in enumerate(spec.modulus)))
     return payload
-
-
-def _payload_plane(spec: FieldSpec) -> dict:
-    from .kernel import _text_table
-    from .plane import _triples
-    # point i and line i share their values, so one list is both
-    texts = [*map(_text_table(spec)[1], _triples(spec.order))]
-    return {
-        "q": spec.order,
-        "num_points": len(texts),
-        "num_lines": len(texts),
-        "points": texts,
-        "lines": texts,
-    }
 
 
 def _payload_conic(spec: FieldSpec) -> dict:
@@ -105,13 +97,36 @@ def _payload_pencil(spec: FieldSpec) -> dict:
     return payload
 
 
-def _payload_family(spec: FieldSpec, config) -> dict | list[str]:
-    """The family's payload, or with --output csv its rows, once its
-    configuration passes arc._check_configuration, the checks
-    build_time_family makes.  Each member's points are the text of its arc
-    from arc._member_values; each CSV row, one per proper member (1, t),
-    t != 0, in member order, has size q+1.  family_to_dict of
-    build_time_family is the oracle."""
+def _plane_json(spec: FieldSpec) -> Iterator[str]:
+    """plane's JSON, laid out as json.dumps(payload, indent=2) lays out
+    the whole payload (tests' oracles._payload_plane): its counts, then its
+    points and again its lines, since point i and line i share their
+    values.  Each list goes out in the rows (x1 : x2 : *) of the plane's
+    enumeration (plane._triples), one chunk of q texts per row joined from
+    the coordinate strings, then (0 : 0 : 1) with what closes the list."""
+    from .kernel import _text_table
+    coords = _text_table(spec)[0]
+    zero, one = coords[0], coords[1]
+    q = spec.order
+    count = q * q + q + 1
+    tails = [f'{c})"' for c in coords]
+    # the rows (1 : x2 : *), x2 in element order, then (0 : 1 : *)
+    rows = [f'\n    "({one}:{x2}:' for x2 in coords] + [f'\n    "({zero}:{one}:']
+    yield f'{{\n  "q": {q},\n  "num_points": {count},\n  "num_lines": {count},\n  "points": ['
+    for close in ('\n  ],\n  "lines": [', "\n  ]\n}\n"):
+        for row in rows:
+            yield row + ("," + row).join(tails) + ","
+        yield f'\n    "({zero}:{zero}:{one})"' + close
+
+
+def _family(spec: FieldSpec, config) -> Iterator[str]:
+    """The family's stdout once its configuration passes
+    arc._check_configuration, the checks build_time_family makes.  As
+    JSON, laid out as json.dumps(payload, indent=2) lays out the whole
+    payload (tests' oracles._payload_family), one chunk per member: the
+    text of its arc from arc._member_values.  As CSV, whole: one row per
+    proper member (1, t), t != 0, in member order, of size q+1.
+    family_to_dict of build_time_family is the oracle of both."""
     from .arc import _check_configuration, _is_conic, _member_values
     from .kernel import _text_table, time_pencil_context
     from .lines import _normalized
@@ -120,27 +135,25 @@ def _payload_family(spec: FieldSpec, config) -> dict | list[str]:
     q = spec.order
     coords, text = _text_table(spec)
     thetas = time_pencil_context(spec).thetas
-    is_conic = _is_conic(q)
+    is_conic = str(_is_conic(q)).lower()
     if config.output == "csv":
-        tail = f",{q + 1},{str(is_conic).lower()}"
-        return ["q,member_id,theta,size,is_conic",
-                *[f"{q},{i},{coords[t1]}:{coords[t2]}{tail}" for i, (t1, t2) in enumerate(thetas)]]
+        tail = f",{q + 1},{is_conic}"
+        yield "\n".join(["q,member_id,theta,size,is_conic",
+                         *[f"{q},{i},{coords[t1]}:{coords[t2]}{tail}"
+                           for i, (t1, t2) in enumerate(thetas)]]) + "\n"
+        return
     from .witnesses import _triple_values
-    return {
-        "q": q,
-        "Linf": text(linf),
-        "Lstar": text(lstar),
-        "A": text(_triple_values(q, index)),
-        "Qstar_theta": [coords[1], coords[t]],
-        "members": [
-            {
-                "theta": [coords[t1], coords[t2]],
-                "points": [*map(text, _member_values(spec, lstar[1], t2))],
-                "is_conic": is_conic,
-            }
-            for t1, t2 in thetas
-        ],
-    }
+    separator = (f'{{\n  "q": {q},\n  "Linf": "{text(linf)}",\n  "Lstar": "{text(lstar)}",\n'
+                 f'  "A": "{text(_triple_values(q, index))}",\n'
+                 f'  "Qstar_theta": [\n    "{coords[1]}",\n    "{coords[t]}"\n  ],\n'
+                 f'  "members": [')
+    for t1, t2 in thetas:
+        points = '",\n        "'.join(map(text, _member_values(spec, lstar[1], t2)))
+        yield (f'{separator}\n    {{\n      "theta": [\n        "{coords[t1]}",\n'
+               f'        "{coords[t2]}"\n      ],\n      "points": [\n        "{points}"\n'
+               f'      ],\n      "is_conic": {is_conic}\n    }}')
+        separator = ","
+    yield "\n  ]\n}\n"
 
 
 def _pencil_csv_lines(payload: dict) -> list[str]:
@@ -150,14 +163,16 @@ def _pencil_csv_lines(payload: dict) -> list[str]:
     return lines
 
 
-def render(spec: FieldSpec, config) -> str:
-    """The whole stdout of config (a cli.RunConfig) for one of the commands
-    above."""
-    if config.command == "family":
-        payload = _payload_family(spec, config)
+def render(spec: FieldSpec, config) -> Iterator[str]:
+    """The stdout of config (a cli.RunConfig) for one of the commands
+    above, in chunks: plane's and family's streamed, the others' whole."""
+    if config.command == "plane":
+        yield from _plane_json(spec)
+    elif config.command == "family":
+        yield from _family(spec, config)
     elif config.output == "csv":
-        payload = _pencil_csv_lines(_payload_pencil(spec))
+        yield "\n".join(_pencil_csv_lines(_payload_pencil(spec))) + "\n"
     else:
-        payload = {"field-info": _payload_field_info, "plane": _payload_plane,
-                   "conic": _payload_conic, "pencil": _payload_pencil}[config.command](spec)
-    return ("\n".join(payload) if config.output == "csv" else json.dumps(payload, indent=2)) + "\n"
+        payload = {"field-info": _payload_field_info, "conic": _payload_conic,
+                   "pencil": _payload_pencil}[config.command](spec)
+        yield json.dumps(payload, indent=2) + "\n"

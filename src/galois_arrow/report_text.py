@@ -1,29 +1,28 @@
 """The text of the arrow command's JSON reports: each member's text up to
-its first witness per class, point texts and L* tails, each made once per
-run from the field's coordinate strings, in the kernel's layout
-(kernel._text_table).
+its first witness per class, point texts and L* tails, each made once by
+a _ReportText from the field's coordinate strings, each of them formatted
+on its first read, in the kernel's layout (kernel._text_table).
 
-arrow_json._arrow_json makes one _ReportText per run and lays its texts
-out as the document; like that module, this one is loaded by JSON arrow
-runs only.
+arrow_json._arrow_json makes one _ReportText per sweep, and per chunk of
+a single run's members, and lays its texts out as the document; like that
+module, this one is loaded by JSON arrow runs only.
 """
 
 from __future__ import annotations
 
-from .kernel import _CLASS_BY_HITS, TimePencilContext, Values
+from .kernel import _CLASS_BY_HITS, TimePencilContext, Values, _text_table
 from .witnesses import _triple_values
 
 
-class _PointTexts(dict):
-    """The text of each plane point read, by its index, made from its
-    values on the first read; later reads are dict hits, in C."""
+class _Texts(dict):
+    """Texts by key, each made by make on its first read; later reads are
+    dict hits, in C."""
 
-    def __init__(self, q: int, triple):
-        self._q = q
-        self._triple = triple
+    def __init__(self, make):
+        self._make = make
 
-    def __missing__(self, i: int) -> str:
-        text = self[i] = self._triple(_triple_values(self._q, i))
+    def __missing__(self, key) -> str:
+        text = self[key] = self._make(key)
         return text
 
 
@@ -34,22 +33,23 @@ class _ReportText:
     Every string in a report is hex or decimal digits, (a:b:c) or a class
     name, so nothing needs escaping.  A report's text is its head, its
     members' texts and its tail; the caller makes the members' texts once
-    per ideal line.  Made on first use and kept for the run, in dicts and
-    lists of this object, so freed with it: a Future member's whole text, a
-    Past or Present member's text up to its first witness, point texts and
-    L* tails, from the field's coordinate strings coords and the text of a
-    point or line read from them, triple (kernel._text_table)."""
+    per ideal line.  Made on first use and kept, in dicts of this object,
+    so freed with it (a sweep makes one, a single run one per chunk of
+    members): a Future member's whole text, a Past or Present member's text
+    up to its first witness, point texts, L* tails and the coordinate
+    strings they read, with the text of a point or line read from those,
+    triple (kernel._text_table)."""
 
-    def __init__(self, ctx: TimePencilContext, coords: list[str], triple):
-        self._q = ctx.spec.order
-        self._coords = coords
-        self._triple = triple
+    def __init__(self, ctx: TimePencilContext):
+        self._q = q = ctx.spec.order
+        self._coords, triple = _text_table(ctx.spec, _Texts(ctx.spec.format))
+        self.triple = triple
         self._ids = ctx.ids
         self._thetas = ctx.thetas
-        self._points = _PointTexts(self._q, triple)
-        # per number of witnesses (Future, Present, Past), per member
-        # position, its text or None
-        self._member_heads = [[None] * len(ctx.ids) for _ in range(3)]
+        self._points = _Texts(lambda i: triple(_triple_values(q, i)))
+        # per number of witnesses (Future, Present, Past), by member
+        # position, the member's text
+        self._member_heads = ({}, {}, {})
         self._json_tails = {}   # json_tail, by L*'s a, None for a conic report
 
     def json_head(self, mode: str, linf: Values, tallies: tuple[int, int, int]) -> str:
@@ -58,7 +58,7 @@ class _ReportText:
         past, present, future = tallies
         return (
             f'{{\n      "q": {self._q},\n      "mode": "{mode}",\n'
-            f'      "ideal_line": "{self._triple(linf)}",\n'
+            f'      "ideal_line": "{self.triple(linf)}",\n'
             f'      "tallies": {{\n        "past": {past},\n'
             f'        "present": {present},\n'
             f'        "future": {future}\n      }},\n'
@@ -69,7 +69,7 @@ class _ReportText:
         arc report."""
         text = self._json_tails.get(a)
         if text is None:
-            tail = f',\n      "lstar": "{self._triple((1, a, 0))}"' if a else ""
+            tail = f',\n      "lstar": "{self.triple((1, a, 0))}"' if a else ""
             text = self._json_tails[a] = f"\n      ]{tail}\n    }}"
         return text
 
@@ -87,7 +87,10 @@ class _ReportText:
     def member_json(self, i: int, witnesses: tuple[int, ...]) -> str:
         """The text of the proper member at position i, classed by its
         number of witnesses on the ideal line, given as plane indices."""
-        head = self._member_heads[len(witnesses)][i] or self._member_head(i, len(witnesses))
+        try:
+            head = self._member_heads[len(witnesses)][i]
+        except KeyError:   # its first read; in a single run, every read
+            head = self._member_head(i, len(witnesses))
         if not witnesses:
             return head
         text = head + self._points[witnesses[0]]

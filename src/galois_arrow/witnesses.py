@@ -19,6 +19,12 @@ included, and the (q-1)^3 configurations fall into (q-1)^2 orbits, q-1 of
 them rejected.  The test suite checks this for every configuration at
 q <= 16.
 
+The τ-lemma.  τ_μ : (x1 : x2 : x3) -> (x1 : μx2 : x3) maps member t to
+member μt and fixes N, B1 and B2.  τ_μ∘σ_λ, λ = c, μ = b/c^2, the point
+map (x1 : b x2 : c x3), takes the report on ((1 : b : c), (1 : a : 0)) to
+the one on ((1 : 1 : 1), (1 : a/b : 0)), member t to member μt: a sweep is
+the q-1 reports on (1 : 1 : 1), relabelled (checked at q <= 16).
+
 The arc arrow is the conic arrow with one member changed.  Fix a valid
 (L-infinity, L*) with contact point A = L-infinity ∧ L* on a proper member
 Q*.  Then the arc arrow equals the conic arrow on L-infinity member for
@@ -84,9 +90,10 @@ def _contacts(spec: FieldSpec, linf: Values, lstar_as: Iterable[int]
     return out
 
 
-def _witnesses(ctx: TimePencilContext, linf: Values) -> tuple[tuple[int, ...], ...]:
+def _witnesses(ctx: TimePencilContext, linf: Values) -> list[tuple[int, ...]]:
     """Per proper member of the time pencil, in member order, the plane
-    indices of its points on linf, ascending: two (Past) or none (Future).
+    indices of its points on linf, ascending: two (Past) or none (Future),
+    in a new list.
 
     linf = (1 : b : c), bc != 0, misses (0:1:0) and meets the member
     x1*x2 + t*x3^2 at the points (1 : t*s^2 : s) with b*t*s^2 + c*s = 1.
@@ -108,7 +115,7 @@ def _witnesses(ctx: TimePencilContext, linf: Values) -> tuple[tuple[int, ...], .
         i0 = mul(t, mul(s0, s0)) * q + s0
         i1 = mul(t, mul(s1, s1)) * q + s1
         out.append((i0, i1) if i0 < i1 else (i1, i0))
-    return tuple(out)
+    return out
 
 
 def _arc_deltas(ctx: TimePencilContext, linf: Values, lstar_as: Sequence[int],

@@ -104,6 +104,12 @@ FAMILY_CHECKS = ["tests/test_arc.py::test_contact_member_matches_the_incidence_o
                  "tests/test_golden_stdout.py::test_stdout_matches_golden_digest["
                  "family --n 3 --modulus 0xD --linf 1,5,3 --lstar 1,6,0]"]
 
+# the writer of stdout: its blocks at q = 32, and a single arrow run's
+# chunks at q = 1024
+BLOCKS = ["tests/test_cli.py::test_stdout_is_written_in_blocks"]
+SINGLE_CHUNKS = ["tests/test_cli.py::test_single_arrow_json_goes_out_in_chunks_of_256_members"]
+HELD_WRITE = "        sys.stdout.write(held)\n        sys.stdout.flush()"
+
 # Per file of the package: (what the mutation breaks, its text there, its
 # replacement, the tests that must fail)
 MUTANTS = {"kernel.py": [
@@ -147,15 +153,22 @@ MUTANTS = {"kernel.py": [
     ("the refused contact point (1 : 1/a : 0) -> (1 : a : 0)", "(1, spec._inv[a], 0)",
      "(1, a, 0)", ["tests/test_arc.py::test_contact_member_matches_the_incidence_oracle[q8]"]),
 ], "driver.py": [
-    (f"the sweep's {name} {what}", "product((1,), range(1, q), range(1, q)), range(1, q)",
-     text, SWEEP_LINES + SWEEPS) for name, what, text in [
+    *[(f"the sweep's {name} {what}", "product((1,), range(1, q), range(1, q)), range(1, q)",
+       text, SWEEP_LINES + SWEEPS) for name, what, text in [
         ("b", "from 0", "product((1,), range(0, q), range(1, q)), range(1, q)"),
         ("c", "from 0", "product((1,), range(1, q), range(0, q)), range(1, q)"),
         ("a", "from 0", "product((1,), range(1, q), range(1, q)), range(0, q)"),
         ("b", "stopping at q - 1", "product((1,), range(1, q - 1), range(1, q)), range(1, q)"),
         ("c", "stopping at q - 1", "product((1,), range(1, q), range(1, q - 1)), range(1, q)"),
         ("a", "stopping at q - 1", "product((1,), range(1, q), range(1, q)), range(1, q - 1)"),
-    ]
+    ]],
+    ("the held text not written before a diagnostic", HELD_WRITE,
+     HELD_WRITE.replace("write(held)", 'write("" if error else held)'),
+     ["tests/test_cli.py::test_invariant_violation_mid_sweep_exits_3",
+      "tests/test_cli.py::test_report_text_reaches_stdout_before_the_diagnostic"]),
+    ("the final write of the held text dropped", HELD_WRITE, "        sys.stdout.flush()",
+     BLOCKS),
+    ("blocks of 64 KiB", "_BLOCK = 1 << 15", "_BLOCK = 1 << 16", BLOCKS),
 ], "lines.py": [
     ("and -> or in the ideal line check",
      "elif not (l1 and l2):\n        error, message = HitsBasePoint",
@@ -184,6 +197,12 @@ MUTANTS = {"kernel.py": [
 ], "arrow_json.py": [
     ("a sweep's reports separated without their indent", r'separator = ",\n    "',
      r'separator = ",\n  "', GOLDEN),
+    ("a single run's chunks of 255 members, each dropping the 256th",
+     "witnesses[i:i + 256]", "witnesses[i:i + 255]", SINGLE_CHUNKS),
+    ("a single run's chunks joined without a comma", '                head = ","',
+     '                head = ""', SINGLE_CHUNKS),
+    ("a single run's Q* left Past", "witnesses[delta[0]] = delta[1:]",
+     "witnesses[delta[0]] = witnesses[delta[0]]", GOLDEN),
     ("the rejections' closing bracket indented one column more", '"\\n  ]" if entries',
      '"\\n   ]" if entries', GOLDEN),
 ], "report_text.py": [
@@ -192,8 +211,8 @@ MUTANTS = {"kernel.py": [
     ("a member's class name in lower case", '"class": "{_CLASS_BY_HITS[hits]}"',
      '"class": "{_CLASS_BY_HITS[hits].lower()}"', GOLDEN),
     # the same bytes, remade on each read
-    ("a point's text not kept once made", "text = self[i] = self._triple(",
-     "text = self._triple(",
+    ("a point's text not kept once made", "text = self[key] = self._make(key)",
+     "text = self._make(key)",
      ["tests/test_cli.py::test_json_sweep_makes_each_point_text_in_python_once"]),
 ], "arrow_csv.py": [
     ("a row's theta joined by a comma", "{coords[t1]}:{coords[t2]},",
@@ -214,17 +233,25 @@ MUTANTS = {"kernel.py": [
      '"nucleus": text((0, 1, 0))', PAYLOADS),
     ("the base points swapped", "[text((1, 0, 0)), text((0, 1, 0))]",
      "[text((0, 1, 0)), text((1, 0, 0))]", PAYLOADS),
-    ("the plane without its first point", "_triples(spec.order))]",
-     "list(_triples(spec.order))[1:])]", PLANE),
-    ("the plane's point count one short", '"num_points": len(texts),',
-     '"num_points": len(texts) - 1,', PLANE),
-    ("the plane's line count one more", '"num_lines": len(texts),', '"num_lines": len(texts) + 1,',
+    ("the plane without its first row (1 : 0 : *)", "for x2 in coords]",
+     "for x2 in coords[1:]]", PLANE),
+    ("the plane's row (0 : 1 : *) as (1 : 1 : *)", """"({zero}:{one}:']""",
+     """"({one}:{one}:']""", PLANE),
+    ("the plane's last point (0 : 0 : 1) -> (0 : 0 : 0)", "{zero}:{zero}:{one}",
+     "{zero}:{zero}:{zero}", PLANE),
+    ("the plane's point count one short", '"num_points": {count},',
+     '"num_points": {count - 1},', PLANE),
+    ("the plane's line count one more", '"num_lines": {count},', '"num_lines": {count + 1},',
      PLANE),
-    ("the plane's points in reverse order", '"points": texts,', '"points": texts[::-1],', PLANE),
-    ("the plane's lines in reverse order", '"lines": texts,', '"lines": texts[::-1],', PLANE),
+    ("the plane's rows in reverse order of x3", "for c in coords]", "for c in coords[::-1]]",
+     PLANE),
+    ("a second comma before each list's last point (0 : 0 : 1)",
+     r"""yield f'\n    "({zero}""", r"""yield f',\n    "({zero}""", PLANE),
     ("a family CSV row's size q, not q + 1", "{q + 1}", "{q}", PAYLOADS),
-    ("the family's is_conic read at 2q", "is_conic = _is_conic(q)",
-     "is_conic = _is_conic(2 * q)", PAYLOADS),
+    ("the family's is_conic read at 2q", "str(_is_conic(q))", "str(_is_conic(2 * q))",
+     PAYLOADS),
+    ("the family's members separated without a comma", '        separator = ","',
+     '        separator = ""', FAMILY_JSON),
     ("the family CSV's member ids from 1", "enumerate(thetas)", "enumerate(thetas, 1)",
      PAYLOADS),
     ("a family CSV row's theta (1, t) -> (1, t - 1)", "{coords[t1]}:{coords[t2]}{tail}",

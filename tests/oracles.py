@@ -4,11 +4,15 @@ itself never calls them."""
 from collections import Counter
 from functools import lru_cache
 
+from galois_arrow.arc import _check_configuration, _is_conic, _member_values
 from galois_arrow.conic import _evaluate_values, point_set
 from galois_arrow.errors import OddCharacteristic
 from galois_arrow.field import FieldSpec
+from galois_arrow.kernel import _text_table, time_pencil_context
+from galois_arrow.lines import _normalized
 from galois_arrow.plane import (ProjPoint, _cross, _incidence_indices, _triples, build_plane,
                                 incident, line_through, meet)
+from galois_arrow.witnesses import _triple_values
 
 
 def _point_set_scan(conic, plane) -> tuple:
@@ -77,3 +81,45 @@ def _valid_tangent_lines(f: FieldSpec) -> tuple:
     joins = (line_through(n, b1), line_through(n, b2))
     return tuple([line for line in build_plane(f).lines
                   if incident(n, line) and line not in joins])
+
+
+def _payload_plane(spec: FieldSpec) -> dict:
+    """The plane command's whole payload: the text of each value triple of
+    the enumeration, one list for its points and its lines, since point i
+    and line i share their values.  json.dumps of it with indent=2 is the
+    oracle of the command's streamed JSON (payloads._plane_json)."""
+    texts = [*map(_text_table(spec)[1], _triples(spec.order))]
+    return {
+        "q": spec.order,
+        "num_points": len(texts),
+        "num_lines": len(texts),
+        "points": texts,
+        "lines": texts,
+    }
+
+
+def _payload_family(spec: FieldSpec, linf, lstar) -> dict:
+    """The family command's whole payload on (linf, lstar), given as
+    values: its checked configuration and each member's arc from
+    arc._member_values.  json.dumps of it with indent=2 is the oracle of
+    the command's streamed JSON (payloads._family); family_to_dict of
+    build_time_family is the oracle of both."""
+    linf, lstar = _normalized(spec, linf), _normalized(spec, lstar)
+    index, t = _check_configuration(spec, linf, lstar)
+    q = spec.order
+    coords, text = _text_table(spec)
+    return {
+        "q": q,
+        "Linf": text(linf),
+        "Lstar": text(lstar),
+        "A": text(_triple_values(q, index)),
+        "Qstar_theta": [coords[1], coords[t]],
+        "members": [
+            {
+                "theta": [coords[t1], coords[t2]],
+                "points": [*map(text, _member_values(spec, lstar[1], t2))],
+                "is_conic": _is_conic(q),
+            }
+            for t1, t2 in time_pencil_context(spec).thetas
+        ],
+    }

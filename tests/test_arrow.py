@@ -1,6 +1,10 @@
 """Temporal classification: validation of ideal lines, per-member classes,
 and the two arrow modes."""
 
+import io
+import json
+from contextlib import redirect_stdout
+
 import pytest
 
 from galois_arrow.errors import (
@@ -24,6 +28,7 @@ from galois_arrow.plane import (
     meet,
     validate_ideal_line,
 )
+from galois_arrow import cli
 from galois_arrow.arc import build_time_family
 from galois_arrow.arrow import TemporalClass, arc_arrow, classify_member, conic_arrow
 from galois_arrow.kernel import time_pencil_context
@@ -325,6 +330,50 @@ def test_arc_pass_is_its_orbit_representatives_image(n):
         orbits.update((rep[1], a) for a in rep_as)
         rejected += deltas.count(None)
     assert len(orbits) == (q - 1) ** 2 and rejected == (q - 1) ** 2
+
+
+def _values(text: str) -> tuple[int, ...]:
+    """The values of a point or line's text (x1:x2:x3) over GF(2^n)."""
+    return tuple(int(x, 16) for x in text[1:-1].split(":"))
+
+
+@pytest.mark.parametrize("mode", ["conic", "arc"])
+@pytest.mark.parametrize("n", [2, 3, 4], ids=lambda n: f"q{2 ** n}")
+def test_every_report_is_the_image_of_a_report_on_1_1_1(mode, n):
+    """The τ-lemma (witnesses docstring), for every report of the JSON
+    sweep: the point map (x1 : b x2 : c x3), τ_μ∘σ_λ with λ = c and
+    μ = b/c^2, takes the report on ((1 : b : c), (1 : a : 0)) to the report
+    on ((1 : 1 : 1), (1 : a/b : 0)).  Its tallies are that report's, and
+    its member t has the class of that report's member μt and as
+    witnesses the preimages of that member's.  In arc mode every rejected
+    configuration is taken to ((1 : 1 : 1), (1 : 1 : 0)), rejected too;
+    in conic mode the sweep is the one report on (1 : 1 : 1), relabelled."""
+    spec = make_field(2, n)
+    mul, inv = spec._mul_i, spec._inv_i
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(["arrow", "--n", str(n), "--mode", mode, "--exhaustive"]) == 0
+    sweep = json.loads(out.getvalue())
+    # the representatives' reports, by L*'s a (None in conic mode)
+    representatives = {_values(r["lstar"])[1] if mode == "arc" else None: r
+                       for r in sweep["reports"] if r["ideal_line"] == "(1:1:1)"}
+    assert len(representatives) == (spec.order - 2 if mode == "arc" else 1)
+    for report in sweep["reports"]:
+        _, b, c = _values(report["ideal_line"])
+        mu = mul(b, inv(mul(c, c)))
+        image = representatives[mul(_values(report["lstar"])[1], inv(b))
+                                if mode == "arc" else None]
+        assert report["tallies"] == image["tallies"]
+        members = {m["id"]: m for m in image["members"]}
+        for member in report["members"]:
+            want = members[mul(mu, member["id"])]
+            assert member["class"] == want["class"]
+            images = {(x1, mul(b, x2), mul(c, x3))
+                      for x1, x2, x3 in map(_values, member["witnesses"])}
+            assert images == set(map(_values, want["witnesses"]))
+    rejected = [(_values(r["linf"]), _values(r["lstar"])) for r in sweep["rejected"]]
+    assert all(mul(a, inv(b)) == 1 for (_, b, _), (_, a, _) in rejected)
+    assert len(rejected) == ((spec.order - 1) ** 2 if mode == "arc" else 0)
 
 
 def _check_orbits(spec):

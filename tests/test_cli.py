@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -29,8 +30,8 @@ from galois_arrow.pencil import PencilMember, members, time_pencil
 from galois_arrow.plane import ProjLine, _line_hits, _triple_index, build_plane
 from galois_arrow.witnesses import _arc_deltas, _witnesses
 
-from oracles import (_nucleus_by_tangents, _point_set_scan, _tangent_tally,
-                     _valid_ideal_lines, _valid_tangent_lines)
+from oracles import (_nucleus_by_tangents, _payload_family, _payload_plane, _point_set_scan,
+                     _tangent_tally, _valid_ideal_lines, _valid_tangent_lines)
 
 
 def _run(argv):
@@ -341,6 +342,61 @@ def test_plane_command_makes_no_plane_item(monkeypatch):
                                "lines": [str(l) for l in oracle.lines]}
 
 
+@pytest.mark.parametrize("argv", [
+    "plane --n 1", "plane --n 2", "plane --p 3", "plane --n 3 --modulus 0xd", "plane --n 4",
+    "plane --p 3 --n 2 --modulus 1,0,1", "plane --p 5 --n 2 --modulus 2,0,1",
+    "family --n 2", "family --n 3 --modulus 0xd --linf 1,5,3 --lstar 1,6,0",
+    "family --n 4 --linf 2,4,6 --lstar 3,5,0", "family --n 5 --linf 1,7,1 --lstar 1,1,0"])
+def test_plane_and_family_stream_the_json_of_their_whole_payload(argv):
+    """plane and family (JSON) yield from driver._execute the text of
+    json.dumps(payload, indent=2) of their whole payloads, the oracles,
+    in chunks of a row of the plane or one member each: no chunk holds
+    more than 4/q of the output."""
+    config = cli.parse_args(argv.split())
+    spec = make_field(config.p, config.n, config.modulus)
+    payload = (_payload_plane(spec) if config.command == "plane"
+               else _payload_family(spec, config.linf, config.lstar))
+    chunks = list(driver._execute(config))
+    out = "".join(chunks)
+    assert out == json.dumps(payload, indent=2) + "\n"
+    assert max(map(len, chunks)) * spec.order < 4 * len(out)
+
+
+class _Sink(io.TextIOBase):
+    """A stdout that counts the characters written and keeps none."""
+
+    def __init__(self):
+        super().__init__()
+        self.written = 0
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        self.written += len(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("argv", ["plane --n 8", "family --n 8"])
+def test_plane_and_family_json_hold_less_than_a_tenth_of_their_output(argv):
+    """At q = 256, plane (2.2 MB) and family (1.4 MB) in JSON, run through
+    main with the modules loaded, allocate at their peak (tracemalloc)
+    less than a tenth of what they print: the payload is never whole,
+    nor is its text.  Built whole and encoded by json.dumps, each peaked
+    at about 7 times its output."""
+    with redirect_stdout(_Sink()):
+        assert cli.main(argv.split()) == 0
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(sink):
+            code = cli.main(argv.split())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak * 10 < sink.written, (peak, sink.written)
+
+
 def _scaled(spec, values, k) -> str:
     return ",".join(str(spec._mul_i(k, v)) for v in values)
 
@@ -625,6 +681,9 @@ def _oracle_stdout(argv) -> str:
 
 
 STREAMED_FIELDS = ["--n 2", "--n 3", "--n 3 --modulus 0xd", "--n 4"]
+# the benchmark's two sweeps, as bench/run.py runs them
+BENCH_ARGVS = ["arrow --n 4 --modulus 0x13 --mode arc --exhaustive",
+               "arrow --n 5 --modulus 0x25 --mode conic --exhaustive --output csv"]
 
 
 @pytest.mark.parametrize("field", STREAMED_FIELDS)
@@ -666,7 +725,20 @@ def test_single_arrow_json_matches_the_to_dict_oracle_at_q32_and_q64(argv):
     assert out == _oracle_stdout(argv.split())
 
 
+@pytest.mark.parametrize("mode", ["conic", "arc"])
+def test_single_arrow_json_goes_out_in_chunks_of_256_members(mode):
+    """A single run at q = 1024 yields its report from driver._execute in
+    chunks of 256 members, the head with the first, then its tail: the
+    1023 members in four chunks, whose text is the to_dict oracle's."""
+    argv = f"arrow --n 10 --modulus 0x409 --mode {mode}".split()
+    chunks = list(driver._execute(cli.parse_args(argv)))
+    assert [chunk.count('"id": ') for chunk in chunks] == [256, 256, 256, 255, 0]
+    assert "".join(chunks) == _oracle_stdout(argv)
+
+
 def test_first_report_is_written_before_the_last_configuration_is_built(monkeypatch):
+    """The q = 8 arc sweep, 445 KB, goes out in several blocks: some of it
+    is on stdout before the last ideal line's configurations are built."""
     out, lengths = io.StringIO(), []
 
     def recording(*args):
@@ -676,8 +748,8 @@ def test_first_report_is_written_before_the_last_configuration_is_built(monkeypa
 
     monkeypatch.setattr(witnesses, "_arc_deltas", recording)
     with redirect_stdout(out):
-        code = cli.main(["arrow", "--n", "2", "--mode", "arc", "--exhaustive"])
-    assert code == 0 and len(lengths) == 27
+        code = cli.main(["arrow", "--n", "3", "--mode", "arc", "--exhaustive"])
+    assert code == 0 and len(lengths) == 7 ** 3
     assert 0 < lengths[-1] < len(out.getvalue())
 
 
@@ -746,30 +818,37 @@ def test_report_text_reaches_stdout_before_the_diagnostic(monkeypatch):
     assert seen and all(data == first.encode() for data in seen)
 
 
-class _CountingStdout(io.StringIO):
+class _RecordingStdout(io.StringIO):
+    """A stdout that keeps the text of each write."""
+
     def __init__(self):
         super().__init__()
-        self.writes = 0
+        self.writes = []
 
     def write(self, text):
-        self.writes += 1
+        self.writes.append(text)
         return super().write(text)
 
 
-@pytest.mark.parametrize("output", ["json", "csv"])
-def test_arc_sweep_writes_once_per_ideal_line(output):
-    """Each valid ideal line's reports go out in one write: at q = 8, 49
-    writes, the first also holding the opening (the JSON head or the CSV
-    header), and in JSON one more for the closing summary; not one per
-    configuration."""
-    out = _CountingStdout()
+@pytest.mark.parametrize("argv, writes", [
+    # each ideal line's chunk of 42 KB as it is, then the summary
+    (BENCH_ARGVS[0], range(226, 227)),
+    # 961 chunks of about 1 KB, one per ideal line, joined into blocks:
+    # at most ceil(962,001 / 32 KiB) writes, not 961
+    (BENCH_ARGVS[1], range(1, -(-962_001 // (1 << 15)) + 1)),
+], ids=["arc-q16", "conic-csv-q32"])
+def test_stdout_is_written_in_blocks(argv, writes):
+    """driver.run, the one writer of stdout, joins the chunks a run yields
+    into blocks: every write but the last holds at least 32 KiB, the
+    writes concatenate to the to_dict oracle's stdout, the q = 16 arc
+    sweep makes 226 writes and the q = 32 conic CSV sweep at most 30."""
+    out = _RecordingStdout()
     with redirect_stdout(out):
-        code = cli.main(["arrow", "--n", "3", "--mode", "arc", "--exhaustive",
-                         "--output", output])
-    assert code == 0
-    assert out.writes == 7 * 7 + (1 if output == "json" else 0)
-    assert out.getvalue() == _oracle_stdout(
-        ["arrow", "--n", "3", "--mode", "arc", "--exhaustive", "--output", output])
+        code = cli.main(argv.split())
+    assert code == 0 and driver._BLOCK == 1 << 15
+    assert all(len(text) >= 1 << 15 for text in out.writes[:-1])
+    assert len(out.writes) in writes
+    assert "".join(out.writes) == _oracle_stdout(argv.split())
 
 
 @pytest.mark.parametrize("n", [2, 3, 4], ids=lambda n: f"q{2 ** n}")
@@ -857,19 +936,25 @@ def test_qstar_not_past_with_the_contact_point_exits_3(monkeypatch, change, argv
     assert issubclass(ArcDeltaMismatch, InvariantViolation)
 
 
-def test_closed_stdout_exits_0_quietly():
+@pytest.mark.parametrize("argv", BENCH_ARGVS)
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_0_quietly(argv, unbuffered):
+    """Each benchmark sweep as a real process, its stdout closed by the
+    reader after one byte, as `| head -c 1` does, with stdout buffered and
+    with PYTHONUNBUFFERED=1: the write that meets the closed pipe, the
+    final write of the held text included, ends the run with exit 0 and
+    nothing on stderr."""
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "galois_arrow.cli", "arrow", "--n", "4",
-         "--mode", "arc", "--exhaustive"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    head = proc.stdout.read(100)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "galois_arrow.cli", *argv.split()],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(1)
     proc.stdout.close()
     err = proc.stderr.read()
-    assert proc.wait(timeout=120) == 0
-    assert len(head) == 100
-    assert err == b"" and b"Traceback" not in err
+    assert (proc.wait(timeout=60), len(head), err) == (0, 1, b"")
 
 
 @pytest.mark.parametrize("mode, tallies", [("conic", [511, 0, 512]), ("arc", [510, 1, 512])],
@@ -968,13 +1053,12 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
      "with contextlib.redirect_stdout(io.StringIO()):\n"
      "    assert c.main(['pencil', '--n', '2']) == 0",
      ["cli", "driver", "errors", "field", "kernel", "payloads", "polynomial", "tables"]),
-    # plane prints the enumeration's values (plane._triples), the plane
-    # module loaded with what it imports
+    # plane joins the rows of the enumeration from the kernel's coordinate
+    # strings: no plane module
     ("import contextlib, io\nimport galois_arrow.cli as c\n"
      "with contextlib.redirect_stdout(io.StringIO()):\n"
      "    assert c.main(['plane', '--n', '2']) == 0",
-     ["cli", "driver", "element", "errors", "field", "kernel", "lines", "linetext", "payloads",
-      "plane", "polynomial", "tables", "witnesses"]),
+     ["cli", "driver", "errors", "field", "kernel", "payloads", "polynomial", "tables"]),
     # the family's CSV checks its configuration in the arc module, which
     # loads the plane, census and conic modules, and builds no family
     ("import contextlib, io\nimport galois_arrow.cli as c\n"
@@ -998,10 +1082,6 @@ def test_imports_load_only_the_modules_they_run(statement, loaded):
     imported."""
     want = ["galois_arrow", *(f"galois_arrow.{m}" for m in loaded)]
     assert _added_modules(statement, "m.startswith('galois_arrow')") == f"{want}\n"
-
-
-BENCH_ARGVS = ["arrow --n 4 --modulus 0x13 --mode arc --exhaustive",
-               "arrow --n 5 --modulus 0x25 --mode conic --exhaustive --output csv"]
 
 
 def test_plain_argv_loads_no_argparse():
