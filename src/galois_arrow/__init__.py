@@ -31,7 +31,7 @@ _EXPORTS = {
               "point_set", "solve_homogeneous", "tangent_lines"),
     "pencil": ("Pencil", "PencilMember", "base_points", "common_nucleus", "member_through",
                "members", "time_pencil"),
-    "kernel": ("time_pencil_context",),
+    "context": ("time_pencil_context",),
     "arc": ("Arc", "ArcFamily", "augment_with_nucleus", "build_time_family", "family_to_dict",
             "is_arc", "is_conic_arc", "puncture", "touch_point"),
     "arrow": ("ArrowReport", "TemporalClass", "arc_arrow", "classify_member", "conic_arrow"),

@@ -46,7 +46,7 @@ from .conic import (
     point_set,
 )
 from .pencil import Pencil, time_pencil
-from .kernel import Values, time_pencil_context
+from .kernel import Values
 from .lines import _check_line
 from .linetext import _degenerate_contact
 from .plane import (Plane, ProjLine, ProjPoint, _check_field, _line_hits, _triple_index,
@@ -238,17 +238,17 @@ def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine) -> ArcFa
     Lines of another field are refused (MixedFields) before the checks of
     _check_configuration.
     """
-    ctx = time_pencil_context(spec)
     plane = build_plane(spec)
     _check_field(linf, plane)
     _check_field(lstar, plane)
     index, t = _check_configuration(spec, linf.values, lstar.values)
     inv, mul, item, a = spec._inv, spec._mul_i, plane.points._item, lstar.values[1]
-    touches = [None] * len(ctx.ids)
-    for c in ctx.ids:
+    ids = tuple(range(1, spec.order))
+    touches = [None] * len(ids)
+    for c in ids:
         touches[inv[mul(a, mul(c, c))] - 1] = item((1, inv[a], c))
     provenance = FamilyProvenance(time_pencil(spec), linf, lstar, plane.points[index], (1, t))
-    return ArcFamily(spec, plane, ctx.ids, ctx.thetas, tuple(touches), provenance)
+    return ArcFamily(spec, plane, ids, tuple([(1, c) for c in ids]), tuple(touches), provenance)
 
 
 def family_to_dict(family: ArcFamily) -> dict:

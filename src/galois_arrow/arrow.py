@@ -10,9 +10,10 @@ arc family built from the same pencil restores exactly one Present
 member.
 
 Both arrows classify in closed form, in the kernel and witnesses modules:
-a table of roots of y^2 + y = k per field, one classification per orbit
-of ideal lines, and the arc arrow as the conic arrow with the one member
-Q* through the contact point changed (their docstrings derive each).
+the Past members of an ideal line and the points they hold, read off the
+line's points (kernel._past_members), and the arc arrow as the conic
+arrow with the one member Q* through the contact point changed (their
+docstrings derive each); no arrow makes the field's context.
 conic_arrow and arc_arrow build their reports from it; classify_member,
 the incidence scan, is its oracle.  The CLI renders the kernel's plane
 indices itself and does not import this module.  TemporalClass, the enum
@@ -29,7 +30,7 @@ from .errors import OddCharacteristic
 from .field import FieldSpec
 from .conic import _hit_count
 from .arc import ArcFamily
-from .kernel import _CLASS_BY_HITS, TimePencilContext, time_pencil_context
+from .kernel import _CLASS_BY_HITS
 from .plane import ProjLine, ProjPoint, build_plane, validate_ideal_line
 from .witnesses import _arc_deltas, _witnesses
 
@@ -98,15 +99,16 @@ def classify_member(points, linf: ProjLine) -> TemporalClass:
     return _TEMPORAL_BY_HITS[_hit_count(points, linf)]
 
 
-def _report(ctx: TimePencilContext, mode: str, linf: ProjLine,
+def _report(spec: FieldSpec, mode: str, linf: ProjLine,
             witnesses: Sequence[tuple[int, ...]]) -> ArrowReport:
-    """The report of the proper members of the time pencil on linf, each
-    classed by the number of its witnesses, given as plane indices."""
-    points = build_plane(ctx.spec).points
-    return ArrowReport(ctx.spec.order, mode, linf, tuple([
-        MemberClassification(member_id, theta, _TEMPORAL_BY_HITS[len(hits)],
+    """The report of the proper members (1, t) of the time pencil on linf,
+    member t at position t - 1, each classed by the number of its
+    witnesses, given as plane indices."""
+    points = build_plane(spec).points
+    return ArrowReport(spec.order, mode, linf, tuple([
+        MemberClassification(t, (1, t), _TEMPORAL_BY_HITS[len(hits)],
                              tuple([points[i] for i in hits]))
-        for member_id, theta, hits in zip(ctx.ids, ctx.thetas, witnesses)]))
+        for t, hits in enumerate(witnesses, 1)]))
 
 
 def conic_arrow(spec: FieldSpec, linf: ProjLine) -> ArrowReport:
@@ -114,9 +116,8 @@ def conic_arrow(spec: FieldSpec, linf: ProjLine) -> ArrowReport:
     ideal line.  Over GF(2^n) the Present tally is always zero."""
     if spec.characteristic != 2:
         raise OddCharacteristic("the conic arrow is defined over GF(2^n)")
-    ctx = time_pencil_context(spec)
     validate_ideal_line(linf, build_plane(spec))
-    return _report(ctx, "conic", linf, _witnesses(ctx, linf.values))
+    return _report(spec, "conic", linf, _witnesses(spec, linf.values))
 
 
 def arc_arrow(family: ArcFamily) -> ArrowReport:
@@ -126,10 +127,10 @@ def arc_arrow(family: ArcFamily) -> ArrowReport:
     This is the conic classification with the member Q* through the
     contact point changed by _arc_deltas, so only the family's provenance
     is read, not its members."""
-    ctx = time_pencil_context(family.spec)
+    spec = family.spec
     linf, lstar = family.provenance.linf, family.provenance.lstar
-    witnesses = _witnesses(ctx, linf.values)
+    witnesses = _witnesses(spec, linf.values)
     # build_time_family refuses the configurations _arc_deltas rejects
-    ((position, witness),) = _arc_deltas(ctx, linf.values, (lstar.values[1],), witnesses)
+    ((position, witness),) = _arc_deltas(spec, linf.values, (lstar.values[1],), witnesses)
     witnesses[position] = (witness,)
-    return _report(ctx, "arc", linf, witnesses)
+    return _report(spec, "arc", linf, witnesses)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
-from .kernel import Values, time_pencil_context
+from .kernel import Values
 from .report_text import _ReportText
 
 if TYPE_CHECKING:
@@ -35,8 +35,7 @@ def _arrow_json(spec: FieldSpec, config: RunConfig, reports: Iterator,
     summary; in a single run the report in chunks of 256 members.  reports
     is driver._arrow_reports, which appends a sweep's rejected
     configurations to rejected."""
-    ctx = time_pencil_context(spec)
-    text = _ReportText(ctx)
+    text = _ReportText(spec)
     # the opening goes out with the first ideal line's reports, so that a
     # run refused before them prints nothing
     opening = (f'{{\n  "q": {spec.order},\n  "mode": "{config.mode}",\n'
@@ -58,7 +57,7 @@ def _arrow_json(spec: FieldSpec, config: RunConfig, reports: Iterator,
             if delta:   # Q* is Present, with its one witness
                 witnesses[delta[0]] = delta[1:]
             for i in range(0, len(witnesses), 256):
-                yield (head + ",".join(map(_ReportText(ctx).member_json,
+                yield (head + ",".join(map(_ReportText(spec).member_json,
                                            range(i, i + 256), witnesses[i:i + 256]))
                        ).replace("\n    ", "\n")
                 head = ","

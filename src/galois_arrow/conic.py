@@ -17,10 +17,10 @@ Every zero set comes from one closed form, _zero_values, in O(q): each row
 of the plane's enumeration is a quadratic in x3, solved from the field's
 tables of square roots and of roots of y^2 + y = k (Lidl & Niederreiter,
 Finite Fields, 2.3).  Both tables live on the field's time-pencil context
-(kernel.time_pencil_context), so each is made once per field, the square
-roots by the first zero set, and freed with the field.  point_set makes
-those zeros plane items, classify counts them, and the pencil and arc
-modules read them.  A proper conic's tangent at a zero x is its polar
+(context.time_pencil_context), so each is made once per field, the square
+roots by the first zero set, and freed with the field; no arrow run makes
+it.  point_set makes those zeros plane items, classify counts them, and
+the pencil and arc modules read them.  A proper conic's tangent at a zero x is its polar
 line M*x, M the form's symmetric matrix (_tangent_values), and in
 characteristic 2 every tangent passes through the nucleus
 (c23 : c13 : c12), the null space of M (Hirschfeld, Projective
@@ -51,7 +51,8 @@ from .errors import (
     UnclassifiableConic,
 )
 from .field import FieldSpec
-from .kernel import Values, time_pencil_context
+from .context import time_pencil_context
+from .kernel import Values
 from .lines import _normalized
 from .plane import (
     Plane,
@@ -162,7 +163,7 @@ def _zero_values(spec: FieldSpec, coeffs: Sequence[int]) -> list[Values]:
     c = 0 a row has the one root -gamma/beta, or, for beta = 0, every y
     when gamma = 0 and none otherwise.  Both root tables are the field's
     time-pencil context's: squares, made here by the field's first zero
-    set, and roots (kernel._quadratic_roots)."""
+    set, and roots (context._quadratic_roots)."""
     a, h, g, b, f, c = coeffs
     q = spec.order
     mul, add, inv = spec._mul_i, spec._add_i, spec._inv

@@ -45,7 +45,7 @@ def _arrow_reports(spec: FieldSpec, config: RunConfig, rejected: list[tuple[Valu
                                        list[tuple[int | None, tuple[int, int] | None]]]]:
     """Per L-infinity = (1 : b : c) of the run, one at a time: its values,
     its members' witnesses as plane indices (witnesses._witnesses; None in
-    a conic CSV run, whose rows come from the line's orbit) and its
+    a conic CSV run, whose rows come from the line's Past members) and its
     configurations (a, delta), L* = (1 : a : 0), one per report.  A delta
     (position, witness) is the member in which the report differs from the
     line's conic classification: Q*, Present with that one witness.  In
@@ -60,8 +60,6 @@ def _arrow_reports(spec: FieldSpec, config: RunConfig, rejected: list[tuple[Valu
     configurations whose contact point lies on a degenerate member are
     appended to rejected during a sweep; a single run raises
     DegenerateContactPoint."""
-    from .kernel import time_pencil_context
-    ctx = time_pencil_context(spec)
     arc = config.mode == "arc"
     if config.exhaustive:
         q = spec.order
@@ -78,12 +76,12 @@ def _arrow_reports(spec: FieldSpec, config: RunConfig, rejected: list[tuple[Valu
     if witnessed:
         from .witnesses import _arc_deltas, _witnesses
     for linf in linfs:
-        witnesses = _witnesses(ctx, linf) if witnessed else None
+        witnesses = _witnesses(spec, linf) if witnessed else None
         if not arc:
             yield linf, witnesses, [(None, None)]
             continue
         configurations = []
-        for a, delta in zip(lstar_as, _arc_deltas(ctx, linf, lstar_as, witnesses)):
+        for a, delta in zip(lstar_as, _arc_deltas(spec, linf, lstar_as, witnesses)):
             if delta is not None:
                 configurations.append((a, delta))
             elif config.exhaustive:

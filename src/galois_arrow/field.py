@@ -91,9 +91,9 @@ class FieldSpec:
     """The field GF(p^n) for a fixed irreducible modulus.
 
     Its arithmetic tables are built once, at construction.  Its one
-    time-pencil context (kernel.time_pencil_context), which holds the root
-    tables, is made on first use and kept in _context, so it lives and dies
-    with the spec.  Construction returns the one live spec of each field,
+    time-pencil context (context.time_pencil_context), which holds the root
+    tables of its zero sets, is made on first use and kept in _context, so
+    it lives and dies with the spec.  Construction returns the one live spec of each field,
     so equality is identity.
     """
 

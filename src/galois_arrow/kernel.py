@@ -1,9 +1,10 @@
-"""The closed forms both arrows over GF(2^n) start from: the time-pencil
-context and, per orbit of ideal lines, the classification of its members.
+"""The closed forms both arrows over GF(2^n) start from: per ideal line,
+the Past members of the time pencil and the points they hold.
 
 This module imports only field.  A line is its value triple, and the arrow
 command runs on this module and those it loads only for the runs that
-call them, so it loads no plane, census, conic or arc module:
+call them, so it loads no plane, census, conic or arc module, and makes
+no field context (context.time_pencil_context):
 
 - witnesses: per ideal line, its members' witnesses and the arc pass, as
   plane indices, for arc and JSON runs;
@@ -20,41 +21,50 @@ coordinates (linetext._text).
 
 A sweep takes its lines in closed form: the ideal lines (1 : b : c),
 bc != 0, and the lines L* = (1 : a : 0), a != 0, written only in
-driver._arrow_reports.  The context is plain data the kernel computes;
-the plane, its points B1 = (0:1:0), B2 = (1:0:0) and N = (0:0:1) and the
-lines as plane items are the plane module's (plane.build_plane), which
-the modules that make plane items call.  The plane module imports the
-kernel's Values, never the reverse; it checks an ideal line given as a
-plane item by lines._check_line (validate_ideal_line;
-arc._check_configuration checks a family's lines).
+driver._arrow_reports.  The plane, its points B1 = (0:1:0), B2 = (1:0:0)
+and N = (0:0:1) and the lines as plane items are the plane module's
+(plane.build_plane), which the modules that make plane items call.  The
+plane module imports the kernel's Values, never the reverse; it checks an
+ideal line given as a plane item by lines._check_line
+(validate_ideal_line; arc._check_configuration checks a family's lines).
 
 The canonical ("time") pencil, pencil.time_pencil, is spanned by x1*x2 and
 x3^2.  Its members are indexed by theta = (t1, t2), normalized so the
 first nonzero entry is 1, in the order (1, t), t over the field, then
 (0, 1).  The member (1, t) has discriminant -t, so the proper members are
-(1, t), t != 0, at position t, which is their id; pencil.members, the
-census by classify, is the oracle.
+(1, t), t != 0, at position t of the census, which is their id, and at
+position t - 1 of an arrow's members; pencil.members, the census by
+classify, is the oracle.
 
-A proper member meets a valid ideal line where y^2 + y = k for one k of
-the field, which has two roots when the absolute trace of k is 0 and none
-otherwise (Lidl and Niederreiter, Finite Fields).  A table of roots per
-field turns each member into one lookup; arrow.classify_member, the
-incidence scan, is the oracle.
+Each point (1 : x2 : x3), x2*x3 != 0, lies on exactly one proper member,
+x1*x2 + t*x3^2 with t = x2/x3^2, and no proper member holds a point with
+x1 = 0 or x2*x3 = 0 but B1 and B2, which no valid ideal line holds.  So a
+member's class on an ideal line is the number of the line's points it
+holds.  The points of (1 : 1 : 1) off B1 and B2 are (1 : 1 + w : w),
+w != 0, 1, on the member (1 + w)/w^2 = y^2 + y, y = 1/w; y and y + 1 give
+the same member, and no other y does.  So the Past members of (1 : 1 : 1)
+are y^2 + y, one per pair {y, y + 1} of roots, y = 2, 4, ..., q - 2, each
+holding the two points with w = 1/y and 1/(y + 1): the q/2 - 1 nonzero
+elements of trace 0 (Lidl and Niederreiter, Finite Fields).  The other
+members are Future.
 
-The conic arrow on (1 : b : c) depends only on its orbit u = b/c^2.  The
-collineation σ_λ : (x1 : x2 : x3) -> (x1 : λ^2 x2 : λ x3) scales each
-member x1*x2 + t*x3^2 by λ^2, so fixes its points as a set, and maps
-(1 : b : c) to (1 : b/λ^2 : c/λ).  As (1 : b : c) = σ_{1/c}(1 : u : 1), each
-member has the same class on both lines, and its witnesses on (1 : b : c)
-are the images (1 : y2/c^2 : y3/c) of those (1 : y2 : y3) on (1 : u : 1).
-So the (q-1)^2 valid ideal lines form q-1 orbits of q-1 lines; _orbit
-classifies once per orbit, and witnesses._witnesses finds its line's
-witnesses, as plane indices.
+The τ-lemma.  τ_μ : (x1 : x2 : x3) -> (x1 : μx2 : x3) maps member t to
+member μt, and σ_λ : (x1 : x2 : x3) -> (x1 : λ^2 x2 : λx3) scales each
+member by λ^2, so fixes it; both fix N, B1 and B2.  Their product with
+λ = 1/c and μ = c^2/b, the point map (x1 : x2/b : x3/c), takes (1 : 1 : 1)
+to (1 : b : c) and member t to member t*c^2/b.  So the Past members of
+(1 : b : c) are (y^2 + y)*c^2/b, each holding the two points
+(1 : (1 + w)/b : w/c), w = 1/y and 1/(y + 1): _past_members, the one
+place this is written.  The lines with one k = c^2/b, q - 1 lines for
+each of the q - 1 values of k, have the same Past members; a sweep is the
+reports on (1 : 1 : 1) relabelled (checked at q <= 16), and
+arrow.classify_member, the incidence scan, is the oracle.
 """
 
 from __future__ import annotations
 
 from functools import partial
+from typing import Iterator
 
 from .field import FieldSpec
 
@@ -64,16 +74,6 @@ Values = tuple[int, int, int]
 # shares with the ideal line, as conic.classify_line; arrow.TemporalClass
 # is the enum of them.
 _CLASS_BY_HITS = ("Future", "Present", "Past")
-
-
-def _quadratic_roots(spec: FieldSpec) -> list[int | None]:
-    """For each k of GF(2^n), a root y of y^2 + y = k, or None if there is
-    none, which is exactly when the absolute trace of k is 1; y + 1 is the
-    other root.  y -> y^2 + y is two-to-one, so one pass over y fills it."""
-    roots = [None] * spec.order
-    for y in range(spec.order):
-        roots[spec._mul_i(y, y) ^ y] = y
-    return roots
 
 
 def _triple_text(coords, values: Values) -> str:
@@ -95,46 +95,14 @@ def _text_table(spec: FieldSpec, coords=None) -> tuple:
     return coords, partial(_triple_text, coords)
 
 
-class TimePencilContext:
-    """The proper members' ids and thetas, all in closed form, and what
-    classifies them on an ideal line.  One per field, kept on its spec by
-    time_pencil_context, so it lives and dies with the spec; the pencil
-    itself is pencil.time_pencil(spec) and its plane plane.build_plane(spec).
-
-    The proper members are (1, t), t != 0 (see the module docstring), at
-    position t of pencil.members, which is their id.  In characteristic 2,
-    roots is _quadratic_roots(spec), by which _orbit classifies each member
-    on an ideal line, and orbits keeps those classifications.  squares, the
-    field's square roots by value, is made by the field's first zero set
-    (conic._zero_values), so no arrow run makes it."""
-
-    __slots__ = ("spec", "ids", "thetas", "roots", "squares", "orbits")
-
-    def __init__(self, spec: FieldSpec):
-        self.spec = spec
-        self.ids = tuple(range(1, spec.order))
-        self.thetas = tuple([(1, t) for t in self.ids])
-        self.roots = _quadratic_roots(spec) if spec.characteristic == 2 else None
-        self.squares = None
-        self.orbits = {}   # _orbit's classification, per orbit u
-
-
-def time_pencil_context(spec: FieldSpec) -> TimePencilContext:
-    """The spec's one context, made on the first call."""
-    if spec._context is None:
-        spec._context = TimePencilContext(spec)
-    return spec._context
-
-
-def _orbit(ctx: TimePencilContext, linf: Values) -> tuple[int, tuple[int | None, ...]]:
-    """The orbit u = b/c^2 of linf = (1 : b : c), 1/c^2 read from the field's
-    table of inverses, and its classification, made once per orbit and kept
-    on ctx: for each proper member x1*x2 + t*x3^2, a root y of
-    y^2 + y = u*t, or None (Future)."""
-    mul = ctx.spec._mul_i
+def _past_members(spec: FieldSpec, linf: Values) -> tuple[int, Iterator[tuple[int, int]]]:
+    """The scale k = c^2/b of linf = (1 : b : c), bc != 0, which the lines
+    with the same Past members share, and those members, lazily: per pair
+    {y, y + 1} of roots, y = 2, 4, ..., q - 2, the member t = (y^2 + y)*k
+    with y, which holds linf's points (1 : (1 + w)/b : w/c), w = 1/y and
+    1/(y + 1) (the τ-lemma, see the module docstring).  Every other proper
+    member is Future."""
+    mul = spec._mul_i
     _, b, c = linf
-    u = mul(b, ctx.spec._inv[mul(c, c)])
-    ys = ctx.orbits.get(u)
-    if ys is None:
-        ys = ctx.orbits[u] = tuple([ctx.roots[mul(u, t)] for t in ctx.ids])
-    return u, ys
+    k = mul(mul(c, c), spec._inv[b])
+    return k, ((mul(mul(y, y) ^ y, k), y) for y in range(2, spec.order, 2))

@@ -9,15 +9,16 @@ by json.dumps with indent=2, and pencil and family their CSV rows whole.
 plane, conic, pencil and family print from values and closed forms, with
 no plane item or arc family made only to be printed.  plane prints the
 text of each value triple of the enumeration (plane._triples), in rows
-joined from the coordinate strings, as its points and again as its lines,
-since point i and line i share their values.  conic prints the canonical conic's zero set (conic._zero_values,
-in plane order) and its tangents, each point's polar line in plane line
-order (conic._tangent_values); pencil its members and classes from the
-kernel's context, its base points (1:0:0) and (0:1:0) and common nucleus
+joined from the coordinate strings, as its points and again as its
+lines, since point i and line i share their values.  conic prints the
+canonical conic's zero set (conic._zero_values, in plane order) and its
+tangents, each point's polar line in plane line order
+(conic._tangent_values); pencil its members and classes in closed form,
+its base points (1:0:0) and (0:1:0) and common nucleus
 (0:0:1) from their values.  family checks its configuration by
 arc._check_configuration, the checks build_time_family makes, then
 prints each member's arc from arc._member_values, or, as CSV, one row
-per proper member from the context's thetas, each of size q+1, on a
+per proper member (1, t), t != 0, each of size q+1, on a
 conic by arc._is_conic.  The library calls that make the same plane
 items and families (build_plane, parametrize_canonical,
 build_time_family, family_to_dict), the census that finds the same
@@ -73,8 +74,7 @@ def _payload_conic(spec: FieldSpec) -> dict:
 
 
 def _payload_pencil(spec: FieldSpec) -> dict:
-    from .kernel import _text_table, time_pencil_context
-    ctx = time_pencil_context(spec)
+    from .kernel import _text_table
     coords, text = _text_table(spec)
     payload = {
         "q": spec.order,
@@ -89,7 +89,7 @@ def _payload_pencil(spec: FieldSpec) -> dict:
                 "conic": [coords[c] for c in (0, t1, 0, 0, 0, t2)],
                 "class": "Proper" if t1 * t2 else ("DoubleLine", "RealLinePair")[t1],
             }
-            for t1, t2 in ((1, 0), *ctx.thetas, (0, 1))
+            for t1, t2 in [(1, 0), *[(1, t) for t in range(1, spec.order)], (0, 1)]
         ],
     }
     if spec.characteristic == 2:
@@ -128,13 +128,13 @@ def _family(spec: FieldSpec, config) -> Iterator[str]:
     proper member (1, t), t != 0, in member order, of size q+1.
     family_to_dict of build_time_family is the oracle of both."""
     from .arc import _check_configuration, _is_conic, _member_values
-    from .kernel import _text_table, time_pencil_context
+    from .kernel import _text_table
     from .lines import _normalized
     linf, lstar = _normalized(spec, config.linf), _normalized(spec, config.lstar)
     index, t = _check_configuration(spec, linf, lstar)
     q = spec.order
     coords, text = _text_table(spec)
-    thetas = time_pencil_context(spec).thetas
+    thetas = [(1, s) for s in range(1, q)]
     is_conic = str(_is_conic(q)).lower()
     if config.output == "csv":
         tail = f",{q + 1},{is_conic}"

@@ -6,14 +6,14 @@ are indexed by theta = (t1, t2), normalized so the first nonzero entry is
 1; the enumeration runs (1, t2) over the field order and ends with (0, 1).
 The member (1, t) has discriminant -t, so the proper members are (1, t),
 t != 0, and the two degenerate ones are the real line pair (1, 0) and the
-double line (0, 1).  The time pencil context, kernel.TimePencilContext,
-keeps these closed forms; members(), the census by classify, is their
+double line (0, 1).  The arrows read these in closed form
+(kernel._past_members); members(), the census by classify, is their
 oracle.  members classifies each member by its discriminant and counts
 the zeros of the two degenerate ones, and base_points filters the first
 generator's zeros by the second, each zero set from conic._zero_values
 in O(q), so neither scans the plane nor keeps a cache.  This module
-imports the kernel only to bind time_pencil_context here as well, the
-name the benchmark's spans time the context under.
+imports the context module only to bind time_pencil_context here as
+well, the name the benchmark's spans time the context under.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .conic import (
     classify,
     point_set,
 )
-from .kernel import time_pencil_context  # noqa: F401  (see the module docstring)
+from .context import time_pencil_context  # noqa: F401  (see the module docstring)
 from .plane import Plane, ProjPoint, _normalize
 
 

@@ -10,7 +10,8 @@ module, this one is loaded by JSON arrow runs only.
 
 from __future__ import annotations
 
-from .kernel import _CLASS_BY_HITS, TimePencilContext, Values, _text_table
+from .field import FieldSpec
+from .kernel import _CLASS_BY_HITS, Values, _text_table
 from .witnesses import _triple_values
 
 
@@ -40,12 +41,10 @@ class _ReportText:
     strings they read, with the text of a point or line read from those,
     triple (kernel._text_table)."""
 
-    def __init__(self, ctx: TimePencilContext):
-        self._q = q = ctx.spec.order
-        self._coords, triple = _text_table(ctx.spec, _Texts(ctx.spec.format))
+    def __init__(self, spec: FieldSpec):
+        self._q = q = spec.order
+        self._coords, triple = _text_table(spec, _Texts(spec.format))
         self.triple = triple
-        self._ids = ctx.ids
-        self._thetas = ctx.thetas
         self._points = _Texts(lambda i: triple(_triple_values(q, i)))
         # per number of witnesses (Future, Present, Past), by member
         # position, the member's text
@@ -74,11 +73,11 @@ class _ReportText:
         return text
 
     def _member_head(self, i: int, hits: int) -> str:
-        """The text of the member at position i with hits witnesses, up to
-        its first witness; the whole text for a Future member."""
-        t1, t2 = self._thetas[i]
-        head = (f'\n        {{\n          "id": {self._ids[i]},\n          "theta": [\n'
-                f'            "{self._coords[t1]}",\n            "{self._coords[t2]}"\n'
+        """The text of the member (1, t), t = i + 1, at position i with hits
+        witnesses, up to its first witness; the whole text for a Future
+        member."""
+        head = (f'\n        {{\n          "id": {i + 1},\n          "theta": [\n'
+                f'            "{self._coords[1]}",\n            "{self._coords[i + 1]}"\n'
                 f'          ],\n          "class": "{_CLASS_BY_HITS[hits]}",\n'
                 f'          "witnesses": ' + ('[\n            "' if hits else '[]\n        }'))
         self._member_heads[hits][i] = head

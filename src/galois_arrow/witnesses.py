@@ -2,28 +2,24 @@
 pass, the one member the arc arrow changes for each of its lines L*.
 
 The arrow command loads this module for arc runs and JSON runs only; a
-conic CSV run's rows come from the line's orbit (kernel._orbit) alone.  A
-plane index is a position in the plane's enumeration, whose values
-_triple_values gives; plane._triple_index, its inverse, and the plane
-module's items are made from it.
+conic CSV run's rows come from the line's Past members
+(kernel._past_members) alone.  A plane index is a position in the plane's
+enumeration, whose values _triple_values gives; plane._triple_index, its
+inverse, and the plane module's items are made from it.
 
-The σ-lemma for (L-infinity, L*) pairs.  σ_λ (see the kernel's docstring)
-also maps L* = (1 : a : 0) to (1 : a/λ^2 : 0), and it fixes N, B1, B2 and
-every pencil member.  So it maps the configuration ((1 : b : c),
-(1 : a : 0)) to ((1 : u : 1), (1 : a/c^2 : 0)) for λ = c, its contact point
-to that configuration's contact point and its member Q* to the same
-member; a = b holds exactly when a/c^2 = u, so rejections are preserved.
-Hence the arc pass on (1 : b : c) is the σ_{1/c}-image of the pass on its
-representative (1 : u : 1) with each a taken to a/c^2, rejections
-included, and the (q-1)^3 configurations fall into (q-1)^2 orbits, q-1 of
-them rejected.  The test suite checks this for every configuration at
-q <= 16.
-
-The τ-lemma.  τ_μ : (x1 : x2 : x3) -> (x1 : μx2 : x3) maps member t to
-member μt and fixes N, B1 and B2.  τ_μ∘σ_λ, λ = c, μ = b/c^2, the point
-map (x1 : b x2 : c x3), takes the report on ((1 : b : c), (1 : a : 0)) to
-the one on ((1 : 1 : 1), (1 : a/b : 0)), member t to member μt: a sweep is
-the q-1 reports on (1 : 1 : 1), relabelled (checked at q <= 16).
+The σ-lemma for (L-infinity, L*) pairs.  σ_λ : (x1 : x2 : x3) ->
+(x1 : λ^2 x2 : λx3) (see the kernel's docstring) fixes N, B1, B2 and every
+pencil member, and maps (1 : b : c) to (1 : b/λ^2 : c/λ) and
+L* = (1 : a : 0) to (1 : a/λ^2 : 0).  So it maps the configuration
+((1 : b : c), (1 : a : 0)) to ((1 : u : 1), (1 : a/c^2 : 0)), u = b/c^2,
+for λ = c, its contact point to that configuration's contact point and
+its member Q* to the same member; a = b holds exactly when a/c^2 = u, so
+rejections are preserved.  Hence the arc pass on (1 : b : c) is the
+σ_{1/c}-image of the pass on its representative (1 : u : 1) with each a
+taken to a/c^2, rejections included, and the (q-1)^3 configurations are
+the images of the (q-1)^2 on the lines (1 : u : 1), q-1 of them rejected.  The test suite checks this
+for every configuration at q <= 16, and the kernel's τ-lemma, which also
+takes L* = (1 : a : 0) to (1 : a/b : 0) on (1 : 1 : 1), for every report.
 
 The arc arrow is the conic arrow with one member changed.  Fix a valid
 (L-infinity, L*) with contact point A = L-infinity ∧ L* on a proper member
@@ -53,7 +49,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .field import FieldSpec
-from .kernel import TimePencilContext, Values, _orbit
+from .kernel import Values, _past_members
 
 
 def _triple_values(q: int, i: int) -> Values:
@@ -90,35 +86,25 @@ def _contacts(spec: FieldSpec, linf: Values, lstar_as: Iterable[int]
     return out
 
 
-def _witnesses(ctx: TimePencilContext, linf: Values) -> list[tuple[int, ...]]:
+def _witnesses(spec: FieldSpec, linf: Values) -> list[tuple[int, ...]]:
     """Per proper member of the time pencil, in member order, the plane
     indices of its points on linf, ascending: two (Past) or none (Future),
-    in a new list.
-
-    linf = (1 : b : c), bc != 0, misses (0:1:0) and meets the member
-    x1*x2 + t*x3^2 at the points (1 : t*s^2 : s) with b*t*s^2 + c*s = 1.
-    With k = (b/c^2)*t and s = d*y, d = 1/(c*k), that is y^2 + y = k: roots
-    y (from _orbit) and y + 1 when Tr(k) = 0 (Past), none otherwise (Future)."""
-    spec = ctx.spec
+    in a new list; the Past members and their points are
+    kernel._past_members'."""
     q = spec.order
     mul, inv = spec._mul_i, spec._inv
-    u, ys = _orbit(ctx, linf)
-    cu = mul(linf[2], u)
-    out = []
-    for t, y in zip(ctx.ids, ys):
-        if y is None:
-            out.append(())
-            continue
-        d = inv[mul(cu, t)]
-        s0 = mul(d, y)
-        s1 = s0 ^ d
-        i0 = mul(t, mul(s0, s0)) * q + s0
-        i1 = mul(t, mul(s1, s1)) * q + s1
-        out.append((i0, i1) if i0 < i1 else (i1, i0))
+    _, b, c = linf
+    ib, ic = inv[b], inv[c]
+    out = [()] * (q - 1)
+    for t, y in _past_members(spec, linf)[1]:
+        w0, w1 = inv[y], inv[y ^ 1]
+        i0 = mul(1 ^ w0, ib) * q + mul(w0, ic)
+        i1 = mul(1 ^ w1, ib) * q + mul(w1, ic)
+        out[t - 1] = (i0, i1) if i0 < i1 else (i1, i0)
     return out
 
 
-def _arc_deltas(ctx: TimePencilContext, linf: Values, lstar_as: Sequence[int],
+def _arc_deltas(spec: FieldSpec, linf: Values, lstar_as: Sequence[int],
                 witnesses: Sequence[tuple[int, ...]]) -> list[tuple[int, int] | None]:
     """The arc pass over one ideal line linf, whose conic witnesses are
     witnesses (from _witnesses): per L* = (1 : a : 0), a in lstar_as, None
@@ -127,7 +113,7 @@ def _arc_deltas(ctx: TimePencilContext, linf: Values, lstar_as: Sequence[int],
     module docstring): the position of Q* and the plane index of its one
     witness as a Present member, the one other than the contact point A."""
     out = []
-    for contact in _contacts(ctx.spec, linf, lstar_as):
+    for contact in _contacts(spec, linf, lstar_as):
         if contact is None:
             out.append(None)
             continue
@@ -136,6 +122,6 @@ def _arc_deltas(ctx: TimePencilContext, linf: Values, lstar_as: Sequence[int],
         hits = witnesses[t - 1]
         if len(hits) != 2 or index not in hits:
             from .linetext import _delta_mismatch
-            raise _delta_mismatch(ctx.spec, linf, t, index, hits)
+            raise _delta_mismatch(spec, linf, t, index, hits)
         out.append((t - 1, hits[1] if hits[0] == index else hits[0]))
     return out

@@ -1,7 +1,7 @@
 """Mutation check of the closed forms and fast paths: every closed form the
 arrows run on (kernel.py, witnesses.py, lines.py, linetext.py and the
-sweep's lines in driver.py), the field's one time-pencil context
-(kernel.py), the plane's enumeration and incidence indices and its
+sweep's lines in driver.py), the field's one time-pencil context and its
+root table (context.py), the plane's enumeration and incidence indices and its
 equality by field (plane.py), the one text of a point or line and the
 field's table of coordinate strings (kernel.py, linetext.py), the text
 layout of the arrow command's JSON and CSV (arrow_json.py, report_text.py,
@@ -47,6 +47,9 @@ JOBS = min(4, os.cpu_count() or 1)
 ARC = ["tests/test_arrow.py::test_arc_pass_matches_the_incidence_oracle[q8]"]
 SIGMA = ["tests/test_arrow.py::test_arc_pass_is_its_orbit_representatives_image[q8]"]
 CONIC = ["tests/test_arrow.py::test_conic_arrow_matches_incidence_oracle[q8]"]
+# the τ-lemma over every report of the conic and arc JSON sweeps at q = 8
+TAU = [f"tests/test_arrow.py::test_every_report_is_the_image_of_a_report_on_1_1_1[{case}]"
+       for case in ("q8-conic", "q8-arc")]
 SWEEPS = ["tests/test_golden_stdout.py::test_sweep_stdout_matches_benchmark_digest"]
 # the sweep's lines against the valid lines by incidence and by coefficients
 SWEEP_LINES = ["tests/test_cli.py::test_sweep_lines_are_the_valid_lines_by_incidence",
@@ -113,28 +116,33 @@ HELD_WRITE = "        sys.stdout.write(held)\n        sys.stdout.flush()"
 # Per file of the package: (what the mutation breaks, its text there, its
 # replacement, the tests that must fail)
 MUTANTS = {"kernel.py": [
-    ("orbit u = b/c^2 -> b/c", "u = mul(b, ctx.spec._inv[mul(c, c)])",
-     "u = mul(b, ctx.spec._inv[c])", CONIC),
-    ("the roots of y^2 + y -> of y^2", "roots[spec._mul_i(y, y) ^ y] = y",
-     "roots[spec._mul_i(y, y)] = y", CONIC),
-    ("orbits looked up by b, not u", "ys = ctx.orbits.get(u)", "ys = ctx.orbits.get(b)", CONIC),
-    ("a new context on each call", "if spec._context is None:", "if True:", CONTEXT),
+    ("the member map t -> t*c^2/b -> t*c/b", "k = mul(mul(c, c), spec._inv[b])",
+     "k = mul(c, spec._inv[b])", TAU),
+    ("the roots y from 0, not 2", "for y in range(2, spec.order, 2))",
+     "for y in range(0, spec.order, 2))", CONIC),
+    ("the member (y^2 + y)*k -> y^2*k", "((mul(mul(y, y) ^ y, k), y)", "((mul(mul(y, y), k), y)",
+     CONIC),
     ("a point's text with a comma for its first colon", 'f"({coords[x1]}:{coords[x2]}:',
      'f"({coords[x1]},{coords[x2]}:', PLANE + GOLDEN),
     ("a point's text without its closing parenthesis", ':{coords[x3]})"', ':{coords[x3]}"',
      PLANE + PAYLOADS),
     ("the coordinate strings read one value off", "[*map(spec.format, range(spec.order))]",
      "[*map(spec.format, range(1, spec.order + 1))]", PLANE + PAYLOADS + GOLDEN),
+], "context.py": [
+    ("the roots of y^2 + y -> of y^2", "roots[spec._mul_i(y, y) ^ y] = y",
+     "roots[spec._mul_i(y, y)] = y", ZEROS_EVEN),
+    ("a new context on each call", "if spec._context is None:", "if True:", CONTEXT),
 ], "witnesses.py": [
     ("c^2 -> c in _contacts' t", "cc = mul(c, c)", "cc = c", ARC),
-    ("the second witness s1 = s0 ^ d -> s0", "s1 = s0 ^ d", "s1 = s0", CONIC),
-    ("the root y -> y + 1", "s0 = mul(d, y)", "s0 = mul(d, y + 1)", CONIC),
-    ("a witness (1 : t*s^2 : s) -> (1 : t*s : s)", "i0 = mul(t, mul(s0, s0)) * q + s0",
-     "i0 = mul(t, s0) * q + s0", CONIC),
-    ("+ -> - in a witness's index", "i1 = mul(t, mul(s1, s1)) * q + s1",
-     "i1 = mul(t, mul(s1, s1)) * q - s1", CONIC),
-    ("witnesses left unsorted", "out.append((i0, i1) if i0 < i1 else (i1, i0))",
-     "out.append((i0, i1))", CONIC),
+    ("the pairing w = 1/(y + 1) -> 1/y", "w0, w1 = inv[y], inv[y ^ 1]", "w0, w1 = inv[y], inv[y]",
+     CONIC),
+    ("a witness's x2 term (1 + w)/b -> w/b", "i0 = mul(1 ^ w0, ib) * q + mul(w0, ic)",
+     "i0 = mul(w0, ib) * q + mul(w0, ic)", CONIC),
+    ("a witness's x3 = w/c -> w/b", "i1 = mul(1 ^ w1, ib) * q + mul(w1, ic)",
+     "i1 = mul(1 ^ w1, ib) * q + mul(w1, ib)", CONIC),
+    ("a Past member at position t, not t - 1", "out[t - 1] = ", "out[t % (q - 1)] = ", CONIC),
+    ("witnesses left unsorted", "out[t - 1] = (i0, i1) if i0 < i1 else (i1, i0)",
+     "out[t - 1] = (i0, i1)", CONIC),
     ("Q*'s other witness hits[1] -> hits[0]", "hits[1] if hits[0] == index else hits[0]",
      "hits[0] if hits[0] == index else hits[0]", ARC),
     ("Q*'s position t - 1 -> t", "out.append((t - 1, ", "out.append((t, ", ARC),
@@ -215,8 +223,8 @@ MUTANTS = {"kernel.py": [
      "text = self._make(key)",
      ["tests/test_cli.py::test_json_sweep_makes_each_point_text_in_python_once"]),
 ], "arrow_csv.py": [
-    ("a row's theta joined by a comma", "{coords[t1]}:{coords[t2]},",
-     "{coords[t1]},{coords[t2]},", GOLDEN),
+    ("a row's theta joined by a comma", "{coords[1]}:{coords[i + 1]},",
+     "{coords[1]},{coords[i + 1]},", GOLDEN),
     ("a row's class name in upper case", 'f"{_CLASS_BY_HITS[hits]}\\n")',
      'f"{_CLASS_BY_HITS[hits].upper()}\\n")', GOLDEN),
     ("a sweep's L* column (1:a:0) -> (1:0:a)", "triple((1, a, 0))", "triple((1, 0, a))",

@@ -8,7 +8,7 @@ from galois_arrow.arc import _check_configuration, _is_conic, _member_values
 from galois_arrow.conic import _evaluate_values, point_set
 from galois_arrow.errors import OddCharacteristic
 from galois_arrow.field import FieldSpec
-from galois_arrow.kernel import _text_table, time_pencil_context
+from galois_arrow.kernel import _text_table
 from galois_arrow.lines import _normalized
 from galois_arrow.plane import (ProjPoint, _cross, _incidence_indices, _triples, build_plane,
                                 incident, line_through, meet)
@@ -120,6 +120,6 @@ def _payload_family(spec: FieldSpec, linf, lstar) -> dict:
                 "points": [*map(text, _member_values(spec, lstar[1], t2))],
                 "is_conic": _is_conic(q),
             }
-            for t1, t2 in time_pencil_context(spec).thetas
+            for t1, t2 in [(1, t) for t in range(1, q)]
         ],
     }

@@ -28,7 +28,6 @@ from galois_arrow.conic import (
     point_set,
 )
 from galois_arrow.pencil import member_through, members, time_pencil
-from galois_arrow.kernel import time_pencil_context
 from galois_arrow.plane import ProjLine, ProjPoint, build_plane, incident, meet, points_on
 from galois_arrow.arc import (
     Arc,
@@ -206,8 +205,8 @@ def test_family_q4_default_configuration():
 
 def test_family_members_share_q_points_with_their_conic():
     fam = _family(GF8)
-    ctx = time_pencil_context(GF8)
-    for member, t, arc in zip(_proper(GF8), ctx.ids, fam.members, strict=True):
+    for t, (member, arc) in enumerate(zip(_proper(GF8), fam.members, strict=True), 1):
+        assert member.theta == (1, t)
         pts = _zero_values(GF8, (0, 1, 0, 0, 0, t))
         assert pts == [p.values for p in _point_set_scan(member.conic, fam.plane)]
         assert len({p.values for p in arc.points} & set(pts)) == 8
@@ -249,12 +248,14 @@ def test_family_rejects_degenerate_contact_point():
 def test_contact_member_matches_the_incidence_oracle(n):
     """On every valid (L-infinity, L*) pair, the family's contact point A and
     contact member Q* against plane.meet and member_through, and its
-    closed-form touch points against member_through over the points of L*;
-    a pair whose A lies on a degenerate member is refused with its message."""
+    closed-form touch points against member_through over the points of L*,
+    and its member ids and thetas against the census; a pair whose A lies on a degenerate member is refused with its message."""
     spec = make_field(2, n)
-    ctx = time_pencil_context(spec)
     plane = build_plane(spec)
     pencil = time_pencil(spec)
+    # the census's proper members, ids and thetas: (1, t) at position t - 1, id t
+    proper = [(i, m.theta) for i, m in enumerate(members(pencil, plane)) if m.is_proper]
+    assert proper == [(t, (1, t)) for t in range(1, spec.order)]
     rejected = 0
     for lstar in _valid_tangent_lines(spec):
         # each point of L* lies on its own member, so each member's touch
@@ -262,7 +263,7 @@ def test_contact_member_matches_the_incidence_oracle(n):
         on_member = {member_through(pencil, p, plane).theta: p
                      for p in points_on(lstar, plane)}
         assert len(on_member) == spec.order + 1
-        touches = tuple(on_member[theta] for theta in ctx.thetas)
+        touches = tuple(on_member[theta] for _, theta in proper)
         for linf in _valid_ideal_lines(spec):
             contact = meet(linf, lstar)
             qstar = member_through(pencil, contact, plane)
@@ -274,6 +275,7 @@ def test_contact_member_matches_the_incidence_oracle(n):
                 continue
             fam = build_time_family(spec, linf, lstar)
             assert fam.touch_points == touches
+            assert (fam.member_ids, fam.thetas) == tuple(map(tuple, zip(*proper)))
             assert fam.provenance == (pencil, linf, lstar, contact, qstar.theta)
     # A lies on the double line x3 = 0 exactly when L-infinity = (1 : a : c), L* = (1 : a : 0)
     assert rejected == (spec.order - 1) ** 2

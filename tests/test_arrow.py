@@ -4,6 +4,7 @@ and the two arrow modes."""
 import io
 import json
 from contextlib import redirect_stdout
+from itertools import product
 
 import pytest
 
@@ -15,7 +16,7 @@ from galois_arrow.errors import (
     InvalidIdealLine,
     OddCharacteristic,
 )
-from galois_arrow.conic import _zero_values
+from galois_arrow.conic import _zero_values, canonical_conic, point_set
 from galois_arrow.field import make_field
 from galois_arrow.pencil import member_through, members, time_pencil
 from galois_arrow.plane import (
@@ -31,7 +32,6 @@ from galois_arrow.plane import (
 from galois_arrow import cli
 from galois_arrow.arc import build_time_family
 from galois_arrow.arrow import TemporalClass, arc_arrow, classify_member, conic_arrow
-from galois_arrow.kernel import time_pencil_context
 from galois_arrow.witnesses import _arc_deltas, _contacts, _triple_values, _witnesses
 
 from oracles import _valid_ideal_lines, _valid_tangent_lines
@@ -46,15 +46,15 @@ def _family(spec, linf=(1, 1, 1), lstar=None):
     return build_time_family(spec, ProjLine(spec, linf), ProjLine(spec, lstar))
 
 
-def _proper(ctx):
+def _proper(spec):
     """Per proper member, in member order: its id and member from the
     census members(), and its closed-form points, the zero set of
     x1*x2 + t*x3^2 (conic._zero_values), as plane points."""
-    census = [(i, m) for i, m in enumerate(members(time_pencil(ctx.spec), build_plane(ctx.spec)))
+    census = [(i, m) for i, m in enumerate(members(time_pencil(spec), build_plane(spec)))
               if m.is_proper]
-    points = [tuple(ProjPoint(ctx.spec, v) for v in _zero_values(ctx.spec, (0, 1, 0, 0, 0, t)))
-              for t in ctx.ids]
-    return [(i, m, pts) for (i, m), pts in zip(census, points, strict=True)]
+    assert [m.theta for _, m in census] == [(1, i) for i, _ in census]
+    return [(i, m, tuple(ProjPoint(spec, v) for v in _zero_values(spec, (0, 1, 0, 0, 0, i))))
+            for i, m in census]
 
 
 def test_validate_ideal_line_accepts_all_nonzero():
@@ -176,9 +176,8 @@ def test_witnesses_lie_on_line_and_member():
 
 
 def test_conic_witness_counts_match_secant_structure():
-    ctx = time_pencil_context(GF8)
     report = conic_arrow(GF8, ProjLine(GF8, (1, 1, 1)))
-    for cls, (_, _, pts) in zip(report.classifications, _proper(ctx)):
+    for cls, (_, _, pts) in zip(report.classifications, _proper(GF8)):
         assert set(cls.witnesses) <= set(pts)
     total_witnesses = sum(len(c.witnesses) for c in report.classifications)
     assert total_witnesses == 2 * report.tallies["past"]
@@ -222,8 +221,7 @@ def test_conic_arrow_matches_incidence_oracle(n):
     """The closed-form classification agrees with the incidence scan, class
     and witnesses in plane order, for every valid ideal line."""
     spec = make_field(2, n)
-    ctx = time_pencil_context(spec)
-    proper = _proper(ctx)
+    proper = _proper(spec)
     for linf in _valid_ideal_lines(spec):
         expected = [_oracle_row(member_id, member.theta, pts, linf)
                     for member_id, member, pts in proper]
@@ -236,8 +234,7 @@ def test_arc_arrow_matches_incidence_oracle(n):
     rebuilds each arc from the member's points, its touch point on L* and
     the nucleus."""
     spec = make_field(2, n)
-    ctx = time_pencil_context(spec)
-    proper = _proper(ctx)
+    proper = _proper(spec)
     built = 0
     for linf in _valid_ideal_lines(spec):
         for lstar in _valid_tangent_lines(spec):
@@ -265,17 +262,16 @@ def test_arc_pass_matches_the_incidence_oracle(n):
     _line_hits."""
     spec = make_field(2, n)
     q = spec.order
-    ctx = time_pencil_context(spec)
     plane = build_plane(spec)
     pencil = time_pencil(spec)
     lstars = _valid_tangent_lines(spec)
     lstar_as = [lstar.values[1] for lstar in lstars]
-    points_of = {member.theta: pts for _, member, pts in _proper(ctx)}
+    points_of = {member.theta: pts for _, member, pts in _proper(spec)}
     census = members(pencil, plane)
     valid = rejected = 0
     for linf in _valid_ideal_lines(spec):
         contacts = _contacts(spec, linf.values, lstar_as)
-        deltas = _arc_deltas(ctx, linf.values, lstar_as, _witnesses(ctx, linf.values))
+        deltas = _arc_deltas(spec, linf.values, lstar_as, _witnesses(spec, linf.values))
         for lstar, contact, delta in zip(lstars, contacts, deltas, strict=True):
             a = meet(linf, lstar)
             qstar = member_through(pencil, a, plane)
@@ -291,14 +287,14 @@ def test_arc_pass_matches_the_incidence_oracle(n):
             assert len(hits) == 2 and a in hits
             (other,) = [p for p in hits if p != a]
             position, witness = delta
-            assert ctx.thetas[position] == qstar.theta
+            assert (1, position + 1) == qstar.theta
             assert witness == _triple_index(q, other.values)
     assert (valid, rejected) == ((q - 1) ** 2 * (q - 2), (q - 1) ** 2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4], ids=lambda n: f"q{2 ** n}")
 def test_arc_pass_is_its_orbit_representatives_image(n):
-    """The sigma-lemma for (L-infinity, L*) pairs (kernel docstring), for
+    """The sigma-lemma for (L-infinity, L*) pairs (witnesses docstring), for
     every configuration: the arc pass on L-infinity = (1 : b : c), contacts
     included, is the image under sigma_{1/c} of the pass on (1 : u : 1),
     u = b/c^2, with each L* = (1 : a : 0) taken to (1 : a/c^2 : 0).  The
@@ -307,7 +303,6 @@ def test_arc_pass_is_its_orbit_representatives_image(n):
     The (q-1)^3 configurations fall into (q-1)^2 orbits."""
     spec = make_field(2, n)
     q, mul, inv = spec.order, spec._mul_i, spec._inv_i
-    ctx = time_pencil_context(spec)
     lstar_as = range(1, q)
     orbits, rejected = set(), 0
     for linf in _valid_ideal_lines(spec):
@@ -324,12 +319,33 @@ def test_arc_pass_is_its_orbit_representatives_image(n):
         contacts = [None if x is None else (image(x[0]), x[1])
                     for x in _contacts(spec, rep, rep_as)]
         deltas = [None if x is None else (x[0], image(x[1]))
-                  for x in _arc_deltas(ctx, rep, rep_as, _witnesses(ctx, rep))]
+                  for x in _arc_deltas(spec, rep, rep_as, _witnesses(spec, rep))]
         assert _contacts(spec, linf.values, lstar_as) == contacts
-        assert _arc_deltas(ctx, linf.values, lstar_as, _witnesses(ctx, linf.values)) == deltas
+        assert _arc_deltas(spec, linf.values, lstar_as, _witnesses(spec, linf.values)) == deltas
         orbits.update((rep[1], a) for a in rep_as)
         rejected += deltas.count(None)
     assert len(orbits) == (q - 1) ** 2 and rejected == (q - 1) ** 2
+
+
+def test_no_arrow_run_makes_the_field_context():
+    """The arrows read their members' points off the ideal line's points
+    (kernel._past_members), so no arrow run makes the field's context:
+    the sweeps and single runs of the CLI in both modes and both outputs,
+    run in process, conic_arrow and arc_arrow, over a spec made for this
+    test.  A zero set makes it, so the check sees one being made."""
+    spec = make_field(2, 4, (1, 0, 0, 1, 1))   # x^4 + x^3 + 1, unused elsewhere
+    assert spec._context is None
+    for mode, output, sweep in product(("conic", "arc"), ("json", "csv"), ([], ["--exhaustive"])):
+        argv = ["arrow", "--n", "4", "--modulus", "0x19", "--mode", mode, "--output", output]
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(argv + sweep) == 0
+    linf = ProjLine(spec, (1, 1, 1))
+    assert conic_arrow(spec, linf).tallies == {"past": 7, "present": 0, "future": 8}
+    family = build_time_family(spec, linf, ProjLine(spec, (1, 2, 0)))
+    assert arc_arrow(family).tallies == {"past": 6, "present": 1, "future": 8}
+    assert spec._context is None
+    assert len(point_set(canonical_conic(spec), build_plane(spec))) == 17
+    assert spec._context is not None
 
 
 def _values(text: str) -> tuple[int, ...]:
@@ -340,7 +356,7 @@ def _values(text: str) -> tuple[int, ...]:
 @pytest.mark.parametrize("mode", ["conic", "arc"])
 @pytest.mark.parametrize("n", [2, 3, 4], ids=lambda n: f"q{2 ** n}")
 def test_every_report_is_the_image_of_a_report_on_1_1_1(mode, n):
-    """The τ-lemma (witnesses docstring), for every report of the JSON
+    """The τ-lemma (kernel docstring), for every report of the JSON
     sweep: the point map (x1 : b x2 : c x3), τ_μ∘σ_λ with λ = c and
     μ = b/c^2, takes the report on ((1 : b : c), (1 : a : 0)) to the report
     on ((1 : 1 : 1), (1 : a/b : 0)).  Its tallies are that report's, and
@@ -410,7 +426,7 @@ def _check_orbits(spec):
 def test_conic_arrow_is_its_orbit_representatives_image(n):
     """The q-1 orbits of valid ideal lines under sigma show q-1 distinct
     class patterns, one per orbit, and each line's witnesses are the
-    images of its representative's (the proof is in arrow's docstring)."""
+    images of its representative's (the kernel's docstring proves it)."""
     spec = make_field(2, n)
     assert len(_check_orbits(spec)) == spec.order - 1
 
@@ -420,8 +436,7 @@ def test_conic_arrow_matches_incidence_oracle_q64_by_orbits():
     (1 : u : 1), and every other valid ideal line is checked against its
     representative by _check_orbits."""
     spec = make_field(2, 6)
-    ctx = time_pencil_context(spec)
-    proper = _proper(ctx)
+    proper = _proper(spec)
     for u in range(1, spec.order):
         linf = ProjLine(spec, (1, u, 1))
         expected = [_oracle_row(member_id, member.theta, pts, linf)

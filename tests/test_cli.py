@@ -908,13 +908,13 @@ def test_sweep_lines_are_the_valid_lines_by_incidence(mode, n):
     assert linfs == [line.values for line in ideal]
 
 
-def _future(witnesses, ctx):
+def _future(witnesses, spec):
     return [() for _ in witnesses]
 
 
-def _past_without_the_contact_point(witnesses, ctx):
+def _past_without_the_contact_point(witnesses, spec):
     # B2 and N lie on no valid ideal line, so neither is a contact point
-    others = tuple(_triple_index(ctx.spec.order, values) for values in ((1, 0, 0), (0, 0, 1)))
+    others = tuple(_triple_index(spec.order, values) for values in ((1, 0, 0), (0, 0, 1)))
     return [others if hits else hits for hits in witnesses]
 
 
@@ -924,8 +924,8 @@ def _past_without_the_contact_point(witnesses, ctx):
 def test_qstar_not_past_with_the_contact_point_exits_3(monkeypatch, change, argv):
     """The arc reports rely on Q* being Past with the contact point as a
     witness; a classification that breaks this stops the run with exit 3."""
-    def changed(ctx, linf):
-        return tuple(change(_witnesses(ctx, linf), ctx))
+    def changed(spec, linf):
+        return tuple(change(_witnesses(spec, linf), spec))
 
     monkeypatch.setattr(witnesses, "_witnesses", changed)
     code, out, err = _run(argv.split())
@@ -1020,9 +1020,10 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # the kernel loads with the arrow command's first run
     ("import galois_arrow.cli",
      ["cli", "driver", "errors", "field", "polynomial", "tables"]),
-    # the benchmark's set-up child: the field and the time-pencil context
+    # the benchmark's set-up child: the field and the time-pencil context,
+    # in a module of its own
     ("from galois_arrow import make_field, parse_modulus, time_pencil_context",
-     ["errors", "field", "kernel", "modulus", "polynomial", "tables"]),
+     ["context", "errors", "field", "modulus", "polynomial", "tables"]),
     # a field over GF(2^n) is built without the element API and the Zech
     # arithmetic, each loaded on first use
     ("from galois_arrow import make_field; make_field(2, 8)",
@@ -1034,11 +1035,23 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     ("from galois_arrow.element import inv",
      ["element", "errors", "field", "polynomial", "tables"]),
     ("from galois_arrow.modulus import parse_modulus", ["modulus"]),
-    # a context is the kernel's data alone: it has no plane, and reading
-    # one loads no plane module
+    # a context is the field's root tables alone: it has no plane, and
+    # reading one loads no plane module
     ("from galois_arrow import make_field, time_pencil_context\n"
      "assert not hasattr(time_pencil_context(make_field(2, 3)), 'plane')",
-     ["errors", "field", "kernel", "polynomial", "tables"]),
+     ["context", "errors", "field", "polynomial", "tables"]),
+    # a single arrow run reads its members off the line's points, in the
+    # kernel and witnesses, and loads no context module, as no sweep does
+    ("import contextlib, io\nimport galois_arrow.cli as c\n"
+     "with contextlib.redirect_stdout(io.StringIO()):\n"
+     "    assert c.main(['arrow', '--n', '3']) == 0",
+     ["arrow_json", "cli", "driver", "errors", "field", "kernel", "lines", "polynomial",
+      "report_text", "tables", "witnesses"]),
+    ("import contextlib, io\nimport galois_arrow.cli as c\n"
+     "with contextlib.redirect_stdout(io.StringIO()):\n"
+     "    assert c.main(['arrow', '--n', '3', '--mode', 'arc', '--output', 'csv']) == 0",
+     ["arrow_csv", "cli", "driver", "errors", "field", "kernel", "lines", "polynomial",
+      "tables", "witnesses"]),
     # field-info reads the field only, its generator's value from the field
     # module: no element API, and the payload builders import the plane and
     # the context when they run
@@ -1046,8 +1059,8 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
      "with contextlib.redirect_stdout(io.StringIO()):\n"
      "    assert c.main(['field-info', '--n', '2']) == 0",
      ["cli", "driver", "errors", "field", "payloads", "polynomial", "tables"]),
-    # pencil reads its members from the context and prints its points from
-    # their values by the kernel's text table: no plane module, census
+    # pencil prints its members in closed form and its points from their
+    # values by the kernel's text table: no context, plane module, census
     # (pencil), conic module or linetext
     ("import contextlib, io\nimport galois_arrow.cli as c\n"
      "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -1064,19 +1077,20 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     ("import contextlib, io\nimport galois_arrow.cli as c\n"
      "with contextlib.redirect_stdout(io.StringIO()):\n"
      "    assert c.main(['family', '--n', '2', '--output', 'csv']) == 0",
-     ["arc", "cli", "conic", "driver", "element", "errors", "field", "kernel", "lines",
-      "linetext", "payloads", "pencil", "plane", "polynomial", "tables", "witnesses"]),
+     ["arc", "cli", "conic", "context", "driver", "element", "errors", "field", "kernel",
+      "lines", "linetext", "payloads", "pencil", "plane", "polynomial", "tables", "witnesses"]),
     # a dunder a spec or a context lacks, as copy probes for, is refused
     # without loading the element module
     ("from galois_arrow import make_field, time_pencil_context\n"
      "assert not hasattr(make_field(2, 3), '__deepcopy__')\n"
      "assert not hasattr(time_pencil_context(make_field(2, 3)), '__deepcopy__')",
-     ["errors", "field", "kernel", "polynomial", "tables"]),
+     ["context", "errors", "field", "polynomial", "tables"]),
 ])
 def test_imports_load_only_the_modules_they_run(statement, loaded):
     """The package resolves its names lazily, the CLI imports the census
     (pencil), conic and arc modules only in the commands that use them, and
     the kernel never reads the plane module, so neither import loads them;
+    no arrow run loads the context module;
     a spec loads the element API, and a field the Zech arithmetic, only
     when first used, and the --modulus reader loads only where it is
     imported."""

@@ -140,7 +140,7 @@ def test_dropped_spec_leaves_the_registry():
     from galois_arrow.arc import build_time_family
     from galois_arrow.arrow import conic_arrow
     from galois_arrow.conic import canonical_conic, point_set
-    from galois_arrow.kernel import time_pencil_context
+    from galois_arrow.context import time_pencil_context
     from galois_arrow.pencil import members, time_pencil
     from galois_arrow.plane import build_plane
 

@@ -19,7 +19,7 @@ from galois_arrow.errors import (
     NoProperMember,
     NucleiDiffer,
 )
-from galois_arrow import cli, conic, driver, kernel, pencil
+from galois_arrow import cli, conic, context, driver, pencil
 from galois_arrow.field import make_field
 from galois_arrow.modulus import parse_modulus
 from galois_arrow.conic import (
@@ -51,8 +51,9 @@ from galois_arrow.plane import (
     validate_ideal_line,
 )
 from galois_arrow.arrow import conic_arrow
-from galois_arrow.kernel import TimePencilContext, _orbit, _quadratic_roots, time_pencil_context
+from galois_arrow.context import TimePencilContext, _quadratic_roots, time_pencil_context
 from galois_arrow.lines import _check_line
+from galois_arrow.witnesses import _witnesses
 
 from oracles import (_base_points_and_nucleus, _join_index, _nucleus_by_tangents,
                      _point_set_scan, _valid_ideal_lines, _valid_tangent_lines)
@@ -284,24 +285,29 @@ def test_time_pencil_is_self_dual_under_the_standard_polarity(spec):
             == set(plane.lines_through(b1) + plane.lines_through(b2)))
 
 
-def test_context_collects_proper_members_in_order():
-    ctx = time_pencil_context(GF8)
-    assert ctx.ids == tuple(range(1, 8))
-    assert list(ctx.thetas) == [(1, t) for t in range(1, 8)]
-    assert all(len(_zero_values(GF8, (0, 1, 0, 0, 0, t))) == 9 for t in ctx.ids)
+def test_arrow_members_are_the_proper_members_in_order():
+    """An arrow's members, (1, t) with id t at position t - 1, are the
+    census's proper members in order, each of q + 1 points."""
+    census = members(time_pencil(GF8), build_plane(GF8))
+    proper = [(i, m.theta) for i, m in enumerate(census) if m.is_proper]
+    assert proper == [(t, (1, t)) for t in range(1, 8)]
+    report = conic_arrow(GF8, ProjLine(GF8, (1, 1, 1)))
+    assert [(c.member_id, c.theta) for c in report.classifications] == proper
+    assert all(len(_zero_values(GF8, (0, 1, 0, 0, 0, t))) == 9 for t in range(1, 8))
     assert len(_valid_ideal_lines(GF8)) == 7 * 7
     assert len(_valid_tangent_lines(GF8)) == 7
 
 
 @pytest.mark.parametrize("spec", [GF3, GF4, GF5, GF8, GF9, GF16, GF32],
                          ids=lambda s: f"q{s.order}")
-def test_context_ids_and_thetas_are_the_census_proper_members(spec):
-    """The context's closed-form ids and thetas, (1, t) at position t for
-    t != 0, against the proper members of the census members()."""
-    ctx = time_pencil_context(spec)
+def test_closed_form_ids_and_thetas_are_the_census_proper_members(spec):
+    """The closed-form ids and thetas, (1, t) at census position t for
+    t != 0 and at position t - 1 of the proper members, against the proper
+    members of the census members()."""
     census = members(time_pencil(spec), build_plane(spec))
-    assert ctx.ids == tuple(i for i, m in enumerate(census) if m.is_proper)
-    assert ctx.thetas == tuple(census[i].theta for i in ctx.ids)
+    ids = tuple(range(1, spec.order))
+    assert ids == tuple(i for i, m in enumerate(census) if m.is_proper)
+    assert tuple([(1, t) for t in ids]) == tuple(census[i].theta for i in ids)
 
 
 @pytest.mark.parametrize("spec", [GF3, GF4, GF5, GF8, GF9, GF16, GF32],
@@ -310,11 +316,11 @@ def test_context_masks_are_the_member_point_sets(spec):
     """The closed-form member points (conic._zero_values of x1*x2 + t*x3^2)
     against the plane scan, and the degenerate members' scans against their
     lines."""
-    ctx = time_pencil_context(spec)
     plane = build_plane(spec)
     x1, x2, x3 = (plane.points_on(ProjLine(spec, v))
                   for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    proper = zip(ctx.ids, ctx.thetas, [_zero_values(spec, (0, 1, 0, 0, 0, t)) for t in ctx.ids],
+    ids = range(1, spec.order)
+    proper = zip(ids, [(1, t) for t in ids], [_zero_values(spec, (0, 1, 0, 0, 0, t)) for t in ids],
                  strict=True)
     for idx, m in enumerate(members(time_pencil(spec), plane)):
         scan = _point_set_scan(m.conic, plane)
@@ -339,10 +345,9 @@ def test_member_points_are_zeros_with_distinct_joins_to_n(spec):
     form, so all of its zero set; in characteristic 2, N joins them by q+1
     distinct lines, so N is its nucleus and swapping any one point for N
     leaves an arc, which build_time_family relies on."""
-    ctx = time_pencil_context(spec)
     q = spec.order
     n = (0, 0, 1)
-    for t in ctx.ids:
+    for t in range(1, q):
         values = (0, 1, 0, 0, 0, t)   # x1*x2 + t*x3^2
         pts = _zero_values(spec, values)
         assert len(set(pts)) == q + 1
@@ -526,13 +531,13 @@ TRACE_MODULI = {9: "0x211", 10: "0x409", 11: "0x805", 12: "0x1053", 13: "0x201b"
 
 @pytest.mark.parametrize("n", range(2, 17), ids=lambda n: f"q{2 ** n}")
 def test_conic_tallies_follow_the_trace_at_every_supported_order(n):
-    """On the orbit representative (1 : u : 1), member t meets the ideal line
-    where y^2 + y = u*t, so it is Past exactly when Tr(u*t) = 0; as t runs
-    over GF(q)* so does u*t.  So every valid ideal line has as many Past
-    members as GF(q)* has elements of trace 0, q/2 - 1: the conic arrow
+    """On (1 : b : c), member t meets the ideal line where y^2 + y = u*t,
+    u = b/c^2, so it is Past exactly when Tr(u*t) = 0; as t runs over
+    GF(q)* so does u*t.  So every valid ideal line has as many Past members
+    as GF(q)* has elements of trace 0, q/2 - 1: the conic arrow
     {(q-2)/2, 0, q/2}.  The context's roots follow the trace at every
-    supported q = 2^n, and at q <= 64 every valid ideal line's orbit has
-    that many Past members."""
+    supported q = 2^n, and at q <= 64 every valid ideal line's Past members
+    by _witnesses are those with Tr(u*t) = 0, that many."""
     modulus = TRACE_MODULI.get(n)
     spec = make_field(2, n, modulus and parse_modulus(modulus, 2))
     ctx = time_pencil_context(spec)
@@ -544,23 +549,25 @@ def test_conic_tallies_follow_the_trace_at_every_supported_order(n):
     if q <= 64:
         for b in range(1, q):
             for c in range(1, q):
-                _, ys = _orbit(ctx, (1, b, c))
-                assert len(ys) - ys.count(None) == past, (b, c)
+                witnesses = _witnesses(spec, (1, b, c))
+                u = spec._mul_i(b, spec._inv[spec._mul_i(c, c)])
+                assert [len(w) == 2 for w in witnesses] == [
+                    traces[spec._mul_i(u, t)] == 0 for t in range(1, q)], (b, c)
+                assert len(witnesses) - witnesses.count(()) == past, (b, c)
 
 
 def test_context_is_made_once_and_lives_on_its_spec(monkeypatch):
     """time_pencil_context(spec) is one object for as long as spec lives,
-    kept on the spec, which _orbit's per-orbit memo relies on; a new spec
-    has none until it is asked for.  The root table of y^2 + y = k is made
-    once per field, by the context, and the zero sets and the conic arrow
-    read it from there."""
+    kept on the spec; a new spec has none until it is asked for.  The root
+    table of y^2 + y = k is made once per field, by the context, and the
+    zero sets read it from there; the conic arrow does not read it."""
     made = []
 
     def counted(spec):
         made.append(spec)
         return _quadratic_roots(spec)
 
-    monkeypatch.setattr(kernel, "_quadratic_roots", counted)
+    monkeypatch.setattr(context, "_quadratic_roots", counted)
     spec = make_field(2, 6, (1, 1, 1, 0, 0, 1, 1))   # x^6 + x^5 + x^2 + x + 1, unused elsewhere
     assert spec._context is None
     ctx = time_pencil_context(spec)
