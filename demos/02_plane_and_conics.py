@@ -26,8 +26,8 @@ print(f"{plane}: {len(plane.points)} points, {len(plane.lines)} lines "
       f"(q^2 + q + 1 = {8 ** 2 + 8 + 1})")
 
 conic = canonical_conic(f8)
-pts = point_set(conic, plane)
-print(f"canonical conic {conic}: {len(pts)} points, class {classify(conic, plane)}")
+pts = point_set(conic)
+print(f"canonical conic {conic}: {len(pts)} points, class {classify(conic)}")
 print("parametrized as (1:0:0) then (s^2:1:s):",
       [str(p) for p in parametrize_canonical(f8)[:4]], "...")
 
@@ -38,14 +38,14 @@ for line in plane.lines:
 print(f"line census vs the conic: {census} "
       f"(expect tangents q+1, secants q(q+1)/2, externals q(q-1)/2)")
 
-tangents = tangent_lines(conic, plane)
-nuc = nucleus(conic, plane)
+tangents = tangent_lines(conic)
+nuc = nucleus(conic)
 print(f"all {len(tangents)} tangents pass through the nucleus {nuc}")
 
 # the odd-order contrast: in PG(2,9) the ten tangents have no common point
 f9 = make_field(3, 2, (1, 0, 1))
 plane9 = build_plane(f9)
-tangents9 = tangent_lines(canonical_conic(f9), plane9)
+tangents9 = tangent_lines(canonical_conic(f9))
 common = set(plane9.points_on(tangents9[0]))
 for t in tangents9[1:]:
     common &= set(plane9.points_on(t))

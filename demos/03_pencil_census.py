@@ -26,23 +26,23 @@ plane = build_plane(f8)
 pencil = time_pencil(f8)
 
 print("member census over GF(8):")
-for m in members(pencil, plane):
+for m in members(pencil):
     print(f"  theta={m.theta}  conic={m.conic}  {m.degeneracy}")
 
-print("base points:", [str(p) for p in base_points(pencil, plane)])
-print("common nucleus of the proper members:", common_nucleus(pencil, plane))
+print("base points:", [str(p) for p in base_points(pencil)])
+print("common nucleus of the proper members:", common_nucleus(pencil))
 
 # the members partition the rest of the plane
-base = set(base_points(pencil, plane))
+base = set(base_points(pencil))
 counts = {}
 for pt in plane.points:
     if pt in base:
         continue
-    theta = member_through(pencil, pt, plane).theta
+    theta = member_through(pencil, pt).theta
     counts[theta] = counts.get(theta, 0) + 1
 print("points per member (base points excluded):", dict(sorted(counts.items())))
 
 # a spot check: the member through a point really vanishes there
 pt = ProjPoint(f8, (1, 3, 5))
-m = member_through(pencil, pt, plane)
+m = member_through(pencil, pt)
 print(f"member through {pt}: theta={m.theta}, value there = {evaluate(m.conic, pt)}")

@@ -14,7 +14,6 @@ from galois_arrow import (
     ProjLine,
     ProjPoint,
     augment_with_nucleus,
-    build_plane,
     build_time_family,
     canonical_conic,
     family_to_dict,
@@ -25,10 +24,9 @@ from galois_arrow import (
 )
 
 f8 = make_field(2, 3)
-plane = build_plane(f8)
 conic = canonical_conic(f8)
 
-hyperoval = augment_with_nucleus(conic, plane)
+hyperoval = augment_with_nucleus(conic)
 print(f"conic + nucleus: {hyperoval.size}-point arc (a hyperoval), "
       f"arc check: {is_arc(hyperoval.points)}")
 

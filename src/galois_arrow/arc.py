@@ -11,12 +11,14 @@ one of them is tangent to the ideal line.
 A member's arc is made from values when it is read: _member_values gives
 one member's, its zero set in plane order (conic._zero_values, in O(q))
 without its touch point on L* and with N last.  build_time_family keeps
-no member's points: ArcFamily.members makes the arcs as items of the
-plane build_plane(spec) on each read, from the field and L* alone, and
-the touch points are one closed form in O(q).  The family command prints
-the text of _member_values (payloads.py), and family_to_dict of the built
-family is its oracle in tests.  Both check a configuration by one
-function, _check_configuration, on the lines' values: the field, each
+no member's points, nor the plane, which is a function of the field:
+ArcFamily.members makes the arcs as items of the plane build_plane(spec)
+on each read, from the field and L* alone, and the touch points are one
+closed form in O(q).  No function here takes a plane; augment_with_nucleus
+and touch_point read the field from the conic.  The family command
+prints the text of _member_values (payloads.py), and family_to_dict of
+the built family is its oracle in tests.  Both check a configuration by
+one function, _check_configuration, on the lines' values: the field, each
 line (lines._check_line) and the contact point A and member Q* in closed
 form (witnesses._contacts); the arrow pass, which loads no module of
 arcs, runs the same line checks and contacts.
@@ -31,6 +33,7 @@ from .errors import (
     ArcTooSmall,
     DuplicatePoints,
     IntersectionNotSingle,
+    MixedFields,
     NotThroughNucleus,
     OddCharacteristic,
     PointNotInArc,
@@ -49,8 +52,8 @@ from .pencil import Pencil, time_pencil
 from .kernel import Values
 from .lines import _check_line
 from .linetext import _degenerate_contact
-from .plane import (Plane, ProjLine, ProjPoint, _check_field, _line_hits, _triple_index,
-                    build_plane, collinear, incident)
+from .plane import (ProjLine, ProjPoint, _line_hits, _triple_index, build_plane, collinear,
+                    incident)
 from .witnesses import _contacts
 
 
@@ -102,7 +105,6 @@ class FamilyProvenance(NamedTuple):
 class ArcFamily(NamedTuple):
     """One arc per proper pencil member, in member order."""
     spec: FieldSpec
-    plane: Plane
     member_ids: tuple[int, ...]
     thetas: tuple[tuple[int, int], ...]
     touch_points: tuple[ProjPoint, ...]
@@ -113,7 +115,7 @@ class ArcFamily(NamedTuple):
         """The members' arcs (_member_values), made on each read, O(q^2):
         they are a function of spec and provenance's L*, so the family is
         equal and hashed by value without them."""
-        item, a = self.plane.points._item, self.provenance.lstar.values[1]
+        item, a = build_plane(self.spec).points._item, self.provenance.lstar.values[1]
         return tuple(Arc(tuple(map(item, _member_values(self.spec, a, t))))
                      for _, t in self.thetas)
 
@@ -126,12 +128,12 @@ def is_arc(points: Iterable[ProjPoint]) -> bool:
     return not any(collinear(a, b, c) for a, b, c in combinations(pts, 3))
 
 
-def augment_with_nucleus(conic: Conic, plane: Plane) -> Arc:
+def augment_with_nucleus(conic: Conic) -> Arc:
     """The conic's points plus its nucleus: a (q+2)-arc for q even."""
-    if plane.field.characteristic != 2:
+    if conic.field.characteristic != 2:
         raise OddCharacteristic("only even-order conics have a nucleus")
-    pts = {nucleus(conic, plane), *point_set(conic, plane)}
-    q = plane.order
+    pts = {nucleus(conic), *point_set(conic)}
+    q = conic.field.order
     return Arc(tuple(sorted(pts, key=lambda pt: _triple_index(q, pt.values))))
 
 
@@ -155,14 +157,14 @@ def is_conic_arc(arc: Arc) -> bool:
     return all(not evaluate(fitted, p) for p in arc.points)
 
 
-def touch_point(conic: Conic, lstar: ProjLine, plane: Plane) -> ProjPoint:
+def touch_point(conic: Conic, lstar: ProjLine) -> ProjPoint:
     """The single point where a line through the nucleus meets the conic."""
-    if plane.field.characteristic != 2:
+    if conic.field.characteristic != 2:
         raise OddCharacteristic("touch points need characteristic 2")
-    if not incident(nucleus(conic, plane), lstar):
+    if not incident(nucleus(conic), lstar):
         raise NotThroughNucleus(f"{lstar} misses the nucleus")
     # every line through the nucleus is tangent in characteristic 2
-    hits = _line_hits(point_set(conic, plane), lstar)
+    hits = _line_hits(point_set(conic), lstar)
     if len(hits) != 1:
         raise IntersectionNotSingle(f"{lstar} meets the conic in {len(hits)} points")
     return hits[0]
@@ -238,17 +240,17 @@ def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine) -> ArcFa
     Lines of another field are refused (MixedFields) before the checks of
     _check_configuration.
     """
-    plane = build_plane(spec)
-    _check_field(linf, plane)
-    _check_field(lstar, plane)
+    if linf.field != spec or lstar.field != spec:
+        raise MixedFields("the family's lines belong to a different field")
     index, t = _check_configuration(spec, linf.values, lstar.values)
-    inv, mul, item, a = spec._inv, spec._mul_i, plane.points._item, lstar.values[1]
+    points = build_plane(spec).points
+    inv, mul, item, a = spec._inv, spec._mul_i, points._item, lstar.values[1]
     ids = tuple(range(1, spec.order))
     touches = [None] * len(ids)
     for c in ids:
         touches[inv[mul(a, mul(c, c))] - 1] = item((1, inv[a], c))
-    provenance = FamilyProvenance(time_pencil(spec), linf, lstar, plane.points[index], (1, t))
-    return ArcFamily(spec, plane, ids, tuple([(1, c) for c in ids]), tuple(touches), provenance)
+    provenance = FamilyProvenance(time_pencil(spec), linf, lstar, points[index], (1, t))
+    return ArcFamily(spec, ids, tuple([(1, c) for c in ids]), tuple(touches), provenance)
 
 
 def family_to_dict(family: ArcFamily) -> dict:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple, Sequence
 
-from .errors import OddCharacteristic
+from .errors import MixedFields, OddCharacteristic
 from .field import FieldSpec
 from .conic import _hit_count
 from .arc import ArcFamily
@@ -113,10 +113,14 @@ def _report(spec: FieldSpec, mode: str, linf: ProjLine,
 
 def conic_arrow(spec: FieldSpec, linf: ProjLine) -> ArrowReport:
     """Classify the proper members of the canonical pencil against the
-    ideal line.  Over GF(2^n) the Present tally is always zero."""
+    ideal line.  Over GF(2^n) the Present tally is always zero.  An ideal
+    line of another field is refused (MixedFields) before its values are
+    checked."""
     if spec.characteristic != 2:
         raise OddCharacteristic("the conic arrow is defined over GF(2^n)")
-    validate_ideal_line(linf, build_plane(spec))
+    if linf.field != spec:
+        raise MixedFields("the ideal line belongs to a different field")
+    validate_ideal_line(linf)
     return _report(spec, "conic", linf, _witnesses(spec, linf.values))
 
 

@@ -19,11 +19,12 @@ tables of square roots and of roots of y^2 + y = k (Lidl & Niederreiter,
 Finite Fields, 2.3).  Both tables live on the field's time-pencil context
 (context.time_pencil_context), so each is made once per field, the square
 roots by the first zero set, and freed with the field; no arrow run makes
-it.  point_set makes those zeros plane items, classify counts them, and
-the pencil and arc modules read them.  A proper conic's tangent at a zero x is its polar
-line M*x, M the form's symmetric matrix (_tangent_values), and in
-characteristic 2 every tangent passes through the nucleus
-(c23 : c13 : c12), the null space of M (Hirschfeld, Projective
+it.  point_set makes those zeros items of the plane of the conic's field
+(plane.build_plane), so no function here takes a plane; classify counts
+them, and the pencil and arc modules read them.  A proper conic's
+tangent at a zero x is its polar line M*x, M the form's symmetric matrix
+(_tangent_values), and in characteristic 2 every tangent passes through
+the nucleus (c23 : c13 : c12), the null space of M (Hirschfeld, Projective
 Geometries over Finite Fields).  The test suite's oracles
 (tests/oracles.py) are the brute forces these replace: the scan of the
 whole plane, the tally of the lines through the conic's points, and the
@@ -55,13 +56,12 @@ from .context import time_pencil_context
 from .kernel import Values
 from .lines import _normalized
 from .plane import (
-    Plane,
     ProjLine,
     ProjPoint,
-    _check_field,
     _line_hits,
     _normalize,
     _triple_index,
+    build_plane,
     collinear,
 )
 
@@ -200,11 +200,11 @@ def _zero_values(spec: FieldSpec, coeffs: Sequence[int]) -> list[Values]:
     return zeros if c else [*zeros, (0, 0, 1)]
 
 
-def point_set(conic: Conic, plane: Plane) -> tuple[ProjPoint, ...]:
-    """All plane points where the form vanishes, in plane order: the closed
-    form _zero_values, made plane items."""
-    _check_field(conic, plane)
-    return tuple(map(plane.points._item, _zero_values(conic.field, conic.values)))
+def point_set(conic: Conic) -> tuple[ProjPoint, ...]:
+    """All points where the form vanishes, in plane order: the closed form
+    _zero_values, made items of the plane of the conic's field."""
+    return tuple(map(build_plane(conic.field).points._item,
+                     _zero_values(conic.field, conic.values)))
 
 
 def _discriminant(field: FieldSpec, coeffs: Sequence[int]) -> int:
@@ -222,17 +222,15 @@ def _discriminant(field: FieldSpec, coeffs: Sequence[int]) -> int:
     return delta
 
 
-def classify(conic: Conic, plane: Plane) -> DegeneracyClass:
+def classify(conic: Conic) -> DegeneracyClass:
     """Degeneracy class by the discriminant.
 
     Delta != 0 -> proper, and no zero set is computed.  Otherwise the size
     of the zero set (_zero_values, in O(q)) decides, q the conic's order:
     1 point -> conjugate line pair, q+1 -> double line, 2q+1 -> real line
     pair.  Any other size is impossible for a genuine quadratic form and
-    raises UnclassifiableConic.  A plane of another field raises
-    MixedFields.
+    raises UnclassifiableConic.
     """
-    _check_field(conic, plane)
     if _discriminant(conic.field, conic.values):
         return DegeneracyClass.PROPER
     size = len(_zero_values(conic.field, conic.values))
@@ -289,18 +287,19 @@ def _tangent_values(spec: FieldSpec, coeffs: Sequence[int]) -> list[Values]:
     return sorted(polars, key=partial(_triple_index, spec.order))
 
 
-def tangent_lines(conic: Conic, plane: Plane) -> list[ProjLine]:
+def tangent_lines(conic: Conic) -> list[ProjLine]:
     """All lines meeting the proper conic in exactly one point, in plane
     line order: each point's polar line (_tangent_values), in O(q)."""
-    if classify(conic, plane) is not DegeneracyClass.PROPER:
+    if classify(conic) is not DegeneracyClass.PROPER:
         raise DegenerateConic(f"{conic} is degenerate")
-    return [*map(plane.lines._item, _tangent_values(conic.field, conic.values))]
+    return [*map(build_plane(conic.field).lines._item,
+                 _tangent_values(conic.field, conic.values))]
 
 
-def nucleus(conic: Conic, plane: Plane) -> ProjPoint:
+def nucleus(conic: Conic) -> ProjPoint:
     """The common point of all tangents of a proper conic, q even only
     (_nucleus)."""
-    if classify(conic, plane) is not DegeneracyClass.PROPER:
+    if classify(conic) is not DegeneracyClass.PROPER:
         raise DegenerateConic(f"{conic} is degenerate")
     return _nucleus(conic)
 

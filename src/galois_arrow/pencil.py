@@ -11,7 +11,9 @@ double line (0, 1).  The arrows read these in closed form
 oracle.  members classifies each member by its discriminant and counts
 the zeros of the two degenerate ones, and base_points filters the first
 generator's zeros by the second, each zero set from conic._zero_values
-in O(q), so neither scans the plane nor keeps a cache.  This module
+in O(q), so neither scans the plane nor keeps a cache.  No function
+here takes a plane: base_points makes its points in the plane of the
+pencil's field (conic.point_set).  This module
 imports the context module only to bind time_pencil_context here as
 well, the name the benchmark's spans time the context under.
 """
@@ -32,7 +34,7 @@ from .conic import (
     point_set,
 )
 from .context import time_pencil_context  # noqa: F401  (see the module docstring)
-from .plane import Plane, ProjPoint, _normalize
+from .plane import ProjPoint, _normalize
 
 
 class Pencil(namedtuple("Pencil", "generator1 generator2")):
@@ -77,26 +79,26 @@ def _combine(pencil: Pencil, theta: tuple[int, int]) -> Conic:
     return Conic(field, coeffs)
 
 
-def members(pencil: Pencil, plane: Plane) -> tuple[PencilMember, ...]:
+def members(pencil: Pencil) -> tuple[PencilMember, ...]:
     """All q+1 members, one per normalized parameter: (1, t) in field
     order, then (0, 1) last."""
     thetas = [(1, t) for t in range(pencil.field.order)] + [(0, 1)]
     out = []
     for theta in thetas:
         conic = _combine(pencil, theta)
-        out.append(PencilMember(theta, conic, classify(conic, plane)))
+        out.append(PencilMember(theta, conic, classify(conic)))
     return tuple(out)
 
 
-def base_points(pencil: Pencil, plane: Plane) -> tuple[ProjPoint, ...]:
+def base_points(pencil: Pencil) -> tuple[ProjPoint, ...]:
     """Points lying on every member, i.e. on both generators: the first
     generator's zeros, in plane order, that the second's form vanishes at."""
     g2 = pencil.generator2
-    return tuple([p for p in point_set(pencil.generator1, plane)
+    return tuple([p for p in point_set(pencil.generator1)
                   if not _evaluate_values(g2.field, g2.values, p.values)])
 
 
-def member_through(pencil: Pencil, point: ProjPoint, plane: Plane) -> PencilMember:
+def member_through(pencil: Pencil, point: ProjPoint) -> PencilMember:
     """The unique member whose conic vanishes at the point: the one of
     parameter (v2 : -v1), v1 and v2 the generators' values there, made
     alone, as members() lists it."""
@@ -107,10 +109,10 @@ def member_through(pencil: Pencil, point: ProjPoint, plane: Plane) -> PencilMemb
         raise BasePoint(f"{point} lies on every member")
     theta = _normalize(field, (v2, field._neg_i(v1)))
     conic = _combine(pencil, theta)
-    return PencilMember(theta, conic, classify(conic, plane))
+    return PencilMember(theta, conic, classify(conic))
 
 
-def common_nucleus(pencil: Pencil, plane: Plane) -> ProjPoint:
+def common_nucleus(pencil: Pencil) -> ProjPoint:
     """The nucleus shared by all proper members (characteristic 2), each
     member's in closed form from the coefficients of those the census has
     classed proper (conic._nucleus), so each member is classified once; the
@@ -118,7 +120,7 @@ def common_nucleus(pencil: Pencil, plane: Plane) -> ProjPoint:
 
     NucleiDiffer is a legitimate outcome for general pencils, not a bug.
     """
-    proper = [m for m in members(pencil, plane) if m.is_proper]
+    proper = [m for m in members(pencil) if m.is_proper]
     if not proper:
         raise NoProperMember("pencil has no proper member")
     nuclei = [_nucleus(m.conic) for m in proper]

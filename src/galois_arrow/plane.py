@@ -11,10 +11,12 @@ when it is read.  The indices of a line's points (and of a point's lines)
 are solved for in closed form in O(q); the test suite checks them against
 the incidence scan exhaustively.
 
-The modules that make plane items read the plane from build_plane; the
-kernel's time-pencil context holds no plane.  validate_ideal_line checks
-an ideal line given as a plane item by its values (lines._check_line); a
-family's lines are checked by arc._check_configuration.
+A plane is a function of its field, so no function of the package takes
+one: the modules that make plane items read the plane of the items'
+field from build_plane, and the kernel's time-pencil context holds no
+plane.  validate_ideal_line checks an ideal line given as a plane item
+by its values (lines._check_line); a family's lines are checked by
+arc._check_configuration.
 """
 
 from __future__ import annotations
@@ -163,8 +165,8 @@ class _Enumeration(Sequence):
 class Plane:
     """All points and lines of PG(2, q), in a fixed enumeration order, as
     two sequences that store no items.  A plane is a function of its field,
-    so planes compare equal and hash by their field, and families and
-    records (ArcFamily) built apart over one field compare equal."""
+    so planes compare equal and hash by their field, and no function or
+    record of the package takes or holds one."""
 
     __slots__ = ("field", "points", "lines")
 
@@ -287,16 +289,15 @@ def collinear(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> bool:
     return det == 0
 
 
-def points_on(line: ProjLine, plane: Plane) -> list[ProjPoint]:
+def points_on(line: ProjLine) -> list[ProjPoint]:
     """The q+1 points of the line, in plane point order."""
-    return list(plane.points_on(line))
+    return list(build_plane(line.field).points_on(line))
 
 
-def validate_ideal_line(linf: ProjLine, plane: Plane) -> None:
+def validate_ideal_line(linf: ProjLine) -> None:
     """Reject ideal lines through a base point, B1 = (0:1:0) or
     B2 = (1:0:0), or the nucleus N = (0:0:1).
 
     Valid lines are exactly those with all three coefficients nonzero.
     """
-    _check_field(linf, plane)
     _check_line(linf.field, linf.values, False)

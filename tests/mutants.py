@@ -10,6 +10,7 @@ what the plane, conic, pencil and family commands print (payloads.py),
 the family's member and touch points, configuration checks and is_conic
 rule (arc.py), the closed-form zero set, tangents and nucleus
 of every conic and the canonical conic's parametrization (conic.py), the
+conic arrow's refusal of an ideal line of another field (arrow.py), the
 expansion of a hex modulus (modulus.py), the canonical generator's value
 (field.py), and the table walk, the product, the inverse table and the
 Zech arithmetic of tables.py and zech.py, is pinned by some test.
@@ -99,6 +100,8 @@ FAMILY_REFUSALS = ["tests/test_cli.py::test_family_csv_refuses_what_the_family_b
 # the field's one time-pencil context, and planes built apart over one field
 CONTEXT = ["tests/test_pencil.py::test_context_is_made_once_and_lives_on_its_spec"]
 PLANES = ["tests/test_plane.py::test_planes_built_apart_over_one_field_are_equal"]
+# the conic arrow's refusal of an ideal line of another field
+ARROW_FIELD = ["tests/test_arrow.py::test_conic_arrow_refuses_an_ideal_line_of_another_field"]
 # the family's closed-form touch points against member_through over L*
 TOUCHES = ["tests/test_arc.py::test_contact_member_matches_the_incidence_oracle[q8]"]
 # the checks build_time_family shares with the family's CSV, against the
@@ -317,8 +320,8 @@ MUTANTS = {"kernel.py": [
     ("N first in each arc, not last", "points.append((0, 0, 1))", "points.insert(0, (0, 0, 1))",
      FAMILY_ARCS + FAMILY_JSON),
     ("the built family's members read at L* = (1 : 1 : 0)",
-     "item, a = self.plane.points._item, self.provenance.lstar.values[1]",
-     "item, a = self.plane.points._item, 1", FAMILY_ARCS),
+     "item, a = build_plane(self.spec).points._item, self.provenance.lstar.values[1]",
+     "item, a = build_plane(self.spec).points._item, 1", FAMILY_ARCS),
     ("the built family's members read one member back", "_member_values(self.spec, a, t))))",
      "_member_values(self.spec, a, t - 1))))", FAMILY_ARCS),
     ("a touch point placed on the member a*c^2, not 1/(a*c^2)",
@@ -329,6 +332,9 @@ MUTANTS = {"kernel.py": [
      "_check_line(spec, lstar, False)", FAMILY_CHECKS),
     ("a configuration's contact point read from L*'s x1", "(lstar[1],))", "(lstar[0],))",
      FAMILY_CHECKS),
+], "arrow.py": [
+    ("the conic arrow takes an ideal line of another field", "if linf.field != spec:",
+     "if False:", ARROW_FIELD),
 ], "modulus.py": [
     ("a hex modulus's bits highest first", "bin(mask)[:1:-1]", "bin(mask)[2:]", HEX),
     ("a hex modulus's top bit dropped", "bin(mask)[:1:-1]", "bin(mask)[:2:-1]", HEX),

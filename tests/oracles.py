@@ -15,30 +15,32 @@ from galois_arrow.plane import (ProjPoint, _cross, _incidence_indices, _triples,
 from galois_arrow.witnesses import _triple_values
 
 
-def _point_set_scan(conic, plane) -> tuple:
+def _point_set_scan(conic) -> tuple:
     """All plane points where the conic's form vanishes, in plane order, by
     evaluating it at every point of the plane: the oracle of the closed-form
     zero sets (conic._zero_values, point_set)."""
     field, coeffs = conic.field, conic.values
-    return tuple([plane.points[i] for i, values in enumerate(_triples(plane.order))
+    points = build_plane(field).points
+    return tuple([points[i] for i, values in enumerate(_triples(field.order))
                   if _evaluate_values(field, coeffs, values) == 0])
 
 
-def _tangent_tally(conic, plane) -> list:
+def _tangent_tally(conic) -> list:
     """The lines meeting the conic in exactly one point, in plane line
     order: the indices of the lines through each of its points are
     tallied, and a tangent is a line counted once.  The oracle of the
     closed-form tangents (conic._tangent_values, tangent_lines)."""
-    hits = Counter(i for pt in point_set(conic, plane)
-                   for i in _incidence_indices(plane.field, pt.values))
-    return [plane.lines[i] for i in sorted(hits) if hits[i] == 1]
+    hits = Counter(i for pt in point_set(conic)
+                   for i in _incidence_indices(conic.field, pt.values))
+    lines = build_plane(conic.field).lines
+    return [lines[i] for i in sorted(hits) if hits[i] == 1]
 
 
-def _nucleus_by_tangents(conic, plane) -> ProjPoint:
+def _nucleus_by_tangents(conic) -> ProjPoint:
     """The common point of the conic's tallied tangents: the meet of the
     first two, checked on all the others; OddCharacteristic if they are not
     concurrent.  The oracle of the closed-form nucleus (conic.nucleus)."""
-    tangents = _tangent_tally(conic, plane)
+    tangents = _tangent_tally(conic)
     candidate = meet(tangents[0], tangents[1])
     if all(incident(candidate, t) for t in tangents[2:]):
         return candidate

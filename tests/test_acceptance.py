@@ -78,8 +78,7 @@ def _default_family(spec):
 def test_criterion_01_conic_cardinality():
     def check():
         for spec in (GF2, GF3, GF4, GF8, GF16, GF32):
-            plane = build_plane(spec)
-            pts = point_set(canonical_conic(spec), plane)
+            pts = point_set(canonical_conic(spec))
             assert len(pts) == spec.order + 1, f"q={spec.order}"
             assert set(parametrize_canonical(spec)) == set(pts), f"q={spec.order}"
     _criterion(1, "canonical conic has q+1 points, matching its parametrization",
@@ -91,8 +90,7 @@ def test_criterion_01_conic_cardinality():
 def test_criterion_02_conics_are_arcs():
     def check():
         for spec in (GF2, GF3, GF4, GF8, GF16, GF32):
-            plane = build_plane(spec)
-            assert is_arc(point_set(canonical_conic(spec), plane)), f"q={spec.order}"
+            assert is_arc(point_set(canonical_conic(spec))), f"q={spec.order}"
     _criterion(2, "no three points of the canonical conic are collinear", check)
 
 
@@ -109,16 +107,16 @@ def test_criterion_03_tangent_concurrency_even_vs_odd():
     def check():
         for spec in EVEN_FIELDS:
             plane = build_plane(spec)
-            tangents = tangent_lines(canonical_conic(spec), plane)
+            tangents = tangent_lines(canonical_conic(spec))
             assert len(tangents) == spec.order + 1, f"q={spec.order}"
             assert len(_common_points_of(tangents, plane)) == 1, f"q={spec.order}"
         for spec in (GF3, GF9):
             plane = build_plane(spec)
-            tangents = tangent_lines(canonical_conic(spec), plane)
+            tangents = tangent_lines(canonical_conic(spec))
             assert len(tangents) == spec.order + 1, f"q={spec.order}"
             assert not _common_points_of(tangents, plane), f"q={spec.order}"
             with pytest.raises(OddCharacteristic):
-                nucleus(canonical_conic(spec), plane)
+                nucleus(canonical_conic(spec))
     _criterion(3, "tangents concur at one point for even q; concurrency fails "
                   "for q in {3, 9}", check)
 
@@ -128,11 +126,10 @@ def test_criterion_03_tangent_concurrency_even_vs_odd():
 def test_criterion_04_common_nucleus_of_the_pencil():
     def check():
         for spec in (GF4, GF8, GF16, GF32):
-            plane = build_plane(spec)
             n = ProjPoint(spec, (0, 0, 1))
-            for member in members(time_pencil(spec), plane):
+            for member in members(time_pencil(spec)):
                 if member.is_proper:
-                    assert nucleus(member.conic, plane) == n, \
+                    assert nucleus(member.conic) == n, \
                         f"q={spec.order}, theta={member.theta}"
     _criterion(4, "every proper pencil member has nucleus (0:0:1)", check)
 
@@ -140,8 +137,7 @@ def test_criterion_04_common_nucleus_of_the_pencil():
 # --- criterion 5 ----------------------------------------------------------------
 
 def _census(spec):
-    plane = build_plane(spec)
-    ms = members(time_pencil(spec), plane)
+    ms = members(time_pencil(spec))
     return {
         "count": len(ms),
         "by_theta": {m.theta: m.degeneracy.value for m in ms if not m.is_proper},
@@ -239,10 +235,9 @@ def test_criterion_08_arc_arrow_restores_the_present():
 def _conic_tallies_by_ideal_points(spec, linf):
     """Second counting path: walk the ideal line's points and count, per
     proper member, the points of the line lying on it."""
-    plane = build_plane(spec)
-    proper = [m for m in members(time_pencil(spec), plane) if m.is_proper]
+    proper = [m for m in members(time_pencil(spec)) if m.is_proper]
     counts = {m.theta: 0 for m in proper}
-    for pt in points_on(linf, plane):
+    for pt in points_on(linf):
         for member in proper:
             if not evaluate(member.conic, pt):
                 counts[member.theta] += 1
@@ -256,11 +251,10 @@ def _arc_tallies_by_ideal_points(spec, linf, lstar):
     """Second counting path for arcs: an ideal point belongs to the arc of
     member theta iff it is on that member's conic and is not the touch
     point (the nucleus is never on a valid ideal line)."""
-    plane = build_plane(spec)
-    proper = [m for m in members(time_pencil(spec), plane) if m.is_proper]
-    touches = [touch_point(member.conic, lstar, plane) for member in proper]
+    proper = [m for m in members(time_pencil(spec)) if m.is_proper]
+    touches = [touch_point(member.conic, lstar) for member in proper]
     counts = {m.theta: 0 for m in proper}
-    for pt in points_on(linf, plane):
+    for pt in points_on(linf):
         for member, touch in zip(proper, touches):
             if pt != touch and not evaluate(member.conic, pt):
                 counts[member.theta] += 1
@@ -288,7 +282,6 @@ def test_criterion_09_closed_form_tallies_two_paths():
 # --- criterion 10 ----------------------------------------------------------------
 
 def _all_proper_conic_point_sets(spec):
-    plane = build_plane(spec)
     seen = set()
     out = set()
     for coeffs in product(range(spec.order), repeat=6):
@@ -298,8 +291,8 @@ def _all_proper_conic_point_sets(spec):
         if conic in seen:
             continue
         seen.add(conic)
-        if classify(conic, plane) is DegeneracyClass.PROPER:
-            out.add(frozenset(point_set(conic, plane)))
+        if classify(conic) is DegeneracyClass.PROPER:
+            out.add(frozenset(point_set(conic)))
     return out
 
 
@@ -345,7 +338,7 @@ def test_criterion_10_segre_contrast_q5_slow():
         for arc in arcs:
             fitted = fit_conic(arc[:5])
             assert not evaluate(fitted, arc[5]), f"6-arc off its conic: {arc}"
-            assert classify(fitted, plane) is DegeneracyClass.PROPER
+            assert classify(fitted) is DegeneracyClass.PROPER
     _criterion(10, "every 6-arc of PG(2,5) lies on a proper conic "
                    "(pruned search)", check)
 
@@ -376,8 +369,8 @@ def _tally_fingerprint(spec):
         "census": (census["count"], census["proper"],
                    tuple(sorted((t, c) for t, c in census["by_theta"].items()))),
         "nucleus_common": all(
-            nucleus(m.conic, build_plane(spec)) == ProjPoint(spec, (0, 0, 1))
-            for m in members(time_pencil(spec), build_plane(spec)) if m.is_proper),
+            nucleus(m.conic) == ProjPoint(spec, (0, 0, 1))
+            for m in members(time_pencil(spec)) if m.is_proper),
         "is_conic_flags": tuple(is_conic_arc(a) for a in family.members),
         "conic_tallies": conic_arrow(spec, linf).tallies,
         "arc_tallies": arc_arrow(family).tallies,

@@ -55,14 +55,13 @@ def _family(spec, linf=(1, 1, 1), lstar=None):
 
 def _proper(spec):
     """The proper members of the census members(), in member order."""
-    return [m for m in members(time_pencil(spec), build_plane(spec)) if m.is_proper]
+    return [m for m in members(time_pencil(spec)) if m.is_proper]
 
 
 # --- is_arc ---------------------------------------------------------------------
 
 def test_conic_points_form_an_arc():
-    plane = build_plane(GF8)
-    assert is_arc(point_set(canonical_conic(GF8), plane))
+    assert is_arc(point_set(canonical_conic(GF8)))
 
 
 def test_line_points_are_not_an_arc():
@@ -71,8 +70,7 @@ def test_line_points_are_not_an_arc():
 
 
 def test_conic_plus_nucleus_is_an_arc():
-    plane = build_plane(GF8)
-    pts = list(point_set(canonical_conic(GF8), plane))
+    pts = list(point_set(canonical_conic(GF8)))
     pts.append(ProjPoint(GF8, (0, 0, 1)))
     assert is_arc(pts)
 
@@ -87,8 +85,7 @@ def test_is_arc_rejects_duplicates():
 
 @pytest.mark.parametrize("spec", [GF2, GF4, GF8], ids=lambda s: f"q{s.order}")
 def test_augment_with_nucleus_sizes(spec):
-    plane = build_plane(spec)
-    hyper = augment_with_nucleus(canonical_conic(spec), plane)
+    hyper = augment_with_nucleus(canonical_conic(spec))
     assert hyper.size == spec.order + 2
     assert is_arc(hyper.points)
     assert ProjPoint(spec, (0, 0, 1)) in hyper
@@ -97,29 +94,26 @@ def test_augment_with_nucleus_sizes(spec):
 def test_augment_rejects_odd_characteristic():
     gf3 = make_field(3, 1)
     with pytest.raises(OddCharacteristic):
-        augment_with_nucleus(canonical_conic(gf3), build_plane(gf3))
+        augment_with_nucleus(canonical_conic(gf3))
 
 
 def test_puncture_conic_point_keeps_nucleus():
-    plane = build_plane(GF8)
-    hyper = augment_with_nucleus(canonical_conic(GF8), plane)
+    hyper = augment_with_nucleus(canonical_conic(GF8))
     conic_pt = next(p for p in hyper.points if p != ProjPoint(GF8, (0, 0, 1)))
     arc = puncture(hyper, conic_pt)
     assert arc.size == 9
     assert ProjPoint(GF8, (0, 0, 1)) in arc
-    assert len(set(arc.points) & set(point_set(canonical_conic(GF8), plane))) == 8
+    assert len(set(arc.points) & set(point_set(canonical_conic(GF8)))) == 8
 
 
 def test_puncture_nucleus_recovers_the_conic():
-    plane = build_plane(GF8)
-    hyper = augment_with_nucleus(canonical_conic(GF8), plane)
+    hyper = augment_with_nucleus(canonical_conic(GF8))
     arc = puncture(hyper, ProjPoint(GF8, (0, 0, 1)))
-    assert set(arc.points) == set(point_set(canonical_conic(GF8), plane))
+    assert set(arc.points) == set(point_set(canonical_conic(GF8)))
 
 
 def test_puncture_missing_point():
-    plane = build_plane(GF4)
-    hyper = augment_with_nucleus(canonical_conic(GF4), plane)
+    hyper = augment_with_nucleus(canonical_conic(GF4))
     with pytest.raises(PointNotInArc):
         puncture(hyper, ProjPoint(GF4, (1, 2, 2)))
 
@@ -127,27 +121,23 @@ def test_puncture_missing_point():
 # --- is_conic_arc -------------------------------------------------------------------
 
 def test_conic_point_set_is_a_conic_arc():
-    plane = build_plane(GF8)
-    assert is_conic_arc(Arc(point_set(canonical_conic(GF8), plane)))
+    assert is_conic_arc(Arc(point_set(canonical_conic(GF8))))
 
 
 def test_punctured_hyperoval_is_not_a_conic_for_q8():
-    plane = build_plane(GF8)
-    hyper = augment_with_nucleus(canonical_conic(GF8), plane)
+    hyper = augment_with_nucleus(canonical_conic(GF8))
     conic_pt = next(p for p in hyper.points if p != ProjPoint(GF8, (0, 0, 1)))
     assert not is_conic_arc(puncture(hyper, conic_pt))
 
 
 def test_punctured_hyperoval_is_a_conic_for_q4():
-    plane = build_plane(GF4)
-    hyper = augment_with_nucleus(canonical_conic(GF4), plane)
+    hyper = augment_with_nucleus(canonical_conic(GF4))
     conic_pt = next(p for p in hyper.points if p != ProjPoint(GF4, (0, 0, 1)))
     assert is_conic_arc(puncture(hyper, conic_pt))
 
 
 def test_is_conic_arc_needs_five_points():
-    plane = build_plane(GF2)
-    hyper = augment_with_nucleus(canonical_conic(GF2), plane)  # 4 points
+    hyper = augment_with_nucleus(canonical_conic(GF2))  # 4 points
     with pytest.raises(ArcTooSmall):
         is_conic_arc(hyper)
 
@@ -155,34 +145,32 @@ def test_is_conic_arc_needs_five_points():
 def test_fitted_conic_through_family_arc_is_proper_but_not_containing():
     from galois_arrow.conic import evaluate
     fam = _family(GF8)
-    plane = fam.plane
     arc = fam.members[0]
     fitted = fit_conic(arc.points[:5])
-    assert classify(fitted, plane) is DegeneracyClass.PROPER
+    assert classify(fitted) is DegeneracyClass.PROPER
     assert any(evaluate(fitted, p) for p in arc.points)
 
 
 # --- touch points --------------------------------------------------------------------
 
 def test_touch_point_is_the_unique_intersection():
-    plane = build_plane(GF4)
     member = _proper(GF4)[0]
     lstar = ProjLine(GF4, (1, 2, 0))
-    got = touch_point(member.conic, lstar, plane)
-    brute = [p for p in point_set(member.conic, plane) if incident(p, lstar)]
+    got = touch_point(member.conic, lstar)
+    brute = [p for p in point_set(member.conic) if incident(p, lstar)]
     assert brute == [got]
 
 
 def test_touch_point_on_nb1_is_b1_for_every_member():
     nb1 = ProjLine(GF8, (1, 0, 0))
     for member in _proper(GF8):
-        assert touch_point(member.conic, nb1, build_plane(GF8)) == ProjPoint(GF8, (0, 1, 0))
+        assert touch_point(member.conic, nb1) == ProjPoint(GF8, (0, 1, 0))
 
 
 def test_touch_point_requires_line_through_nucleus():
     member = _proper(GF4)[0]
     with pytest.raises(NotThroughNucleus):
-        touch_point(member.conic, ProjLine(GF4, (1, 1, 1)), build_plane(GF4))
+        touch_point(member.conic, ProjLine(GF4, (1, 1, 1)))
 
 
 # --- the family ------------------------------------------------------------------------
@@ -208,7 +196,7 @@ def test_family_members_share_q_points_with_their_conic():
     for t, (member, arc) in enumerate(zip(_proper(GF8), fam.members, strict=True), 1):
         assert member.theta == (1, t)
         pts = _zero_values(GF8, (0, 1, 0, 0, 0, t))
-        assert pts == [p.values for p in _point_set_scan(member.conic, fam.plane)]
+        assert pts == [p.values for p in _point_set_scan(member.conic)]
         assert len({p.values for p in arc.points} & set(pts)) == 8
 
 
@@ -251,22 +239,21 @@ def test_contact_member_matches_the_incidence_oracle(n):
     closed-form touch points against member_through over the points of L*,
     and its member ids and thetas against the census; a pair whose A lies on a degenerate member is refused with its message."""
     spec = make_field(2, n)
-    plane = build_plane(spec)
     pencil = time_pencil(spec)
     # the census's proper members, ids and thetas: (1, t) at position t - 1, id t
-    proper = [(i, m.theta) for i, m in enumerate(members(pencil, plane)) if m.is_proper]
+    proper = [(i, m.theta) for i, m in enumerate(members(pencil)) if m.is_proper]
     assert proper == [(t, (1, t)) for t in range(1, spec.order)]
     rejected = 0
     for lstar in _valid_tangent_lines(spec):
         # each point of L* lies on its own member, so each member's touch
         # point is single: N on x1*x2, one point on x3^2, one per proper member
-        on_member = {member_through(pencil, p, plane).theta: p
-                     for p in points_on(lstar, plane)}
+        on_member = {member_through(pencil, p).theta: p
+                     for p in points_on(lstar)}
         assert len(on_member) == spec.order + 1
         touches = tuple(on_member[theta] for _, theta in proper)
         for linf in _valid_ideal_lines(spec):
             contact = meet(linf, lstar)
-            qstar = member_through(pencil, contact, plane)
+            qstar = member_through(pencil, contact)
             if not qstar.is_proper:
                 rejected += 1
                 with pytest.raises(DegenerateContactPoint) as exc:
@@ -303,11 +290,11 @@ def test_touch_points_partition_lstar():
     """On L*: q-1 distinct touch points, the nucleus, and one point on the
     double line account for all q+1 points."""
     fam = _family(GF8)
-    lstar_pts = set(points_on(fam.provenance.lstar, fam.plane))
+    lstar_pts = set(points_on(fam.provenance.lstar))
     touches = set(fam.touch_points)
     assert len(touches) == 7
     n = ProjPoint(GF8, (0, 0, 1))
-    double_line_pts = set(points_on(ProjLine(GF8, (0, 0, 1)), fam.plane))
+    double_line_pts = set(points_on(ProjLine(GF8, (0, 0, 1))))
     leftovers = lstar_pts - touches - {n}
     assert len(leftovers) == 1
     assert leftovers <= double_line_pts
@@ -318,10 +305,10 @@ def test_family_refuses_lstar_not_one_to_one_on_members():
     touch point is single; every other line of the plane meets some member
     in no point or in more than one, and the family refuses it."""
     plane = build_plane(GF8)
-    census = [set(point_set(m.conic, plane)) for m in members(time_pencil(GF8), plane)]
+    census = [set(point_set(m.conic)) for m in members(time_pencil(GF8))]
     one_to_one = []
     for line in plane.lines:
-        pts = set(points_on(line, plane))
+        pts = set(points_on(line))
         if all(len(pts & zeros) == 1 for zeros in census):
             one_to_one.append(line)
             assert _first_unrejected_family(GF8, line).provenance.lstar == line
@@ -357,12 +344,12 @@ def test_family_members_are_arcs_for_every_lstar(spec):
         assert ([m["is_conic"] for m in family_to_dict(fam)["members"]]
                 == [is_conic_arc(arc) for arc in fam.members])
         for member, arc, touch in zip(proper, fam.members, fam.touch_points):
-            assert touch == touch_point(member.conic, lstar, fam.plane)
+            assert touch == touch_point(member.conic, lstar)
             assert arc.size == spec.order + 1
             assert touch not in arc
             assert is_arc(arc.points)
             assert list(arc.points) == sorted(arc.points,
-                                              key=fam.plane.points.index)
+                                              key=build_plane(spec).points.index)
 
 
 @pytest.mark.parametrize("spec", [GF4, GF8, make_field(2, 4)],

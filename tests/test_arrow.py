@@ -14,6 +14,7 @@ from galois_arrow.errors import (
     HitsNucleus,
     IntersectionTooLarge,
     InvalidIdealLine,
+    MixedFields,
     OddCharacteristic,
 )
 from galois_arrow.conic import _zero_values, canonical_conic, point_set
@@ -50,7 +51,7 @@ def _proper(spec):
     """Per proper member, in member order: its id and member from the
     census members(), and its closed-form points, the zero set of
     x1*x2 + t*x3^2 (conic._zero_values), as plane points."""
-    census = [(i, m) for i, m in enumerate(members(time_pencil(spec), build_plane(spec)))
+    census = [(i, m) for i, m in enumerate(members(time_pencil(spec)))
               if m.is_proper]
     assert [m.theta for _, m in census] == [(1, i) for i, _ in census]
     return [(i, m, tuple(ProjPoint(spec, v) for v in _zero_values(spec, (0, 1, 0, 0, 0, i))))
@@ -58,19 +59,25 @@ def _proper(spec):
 
 
 def test_validate_ideal_line_accepts_all_nonzero():
-    plane = build_plane(GF8)
-    validate_ideal_line(ProjLine(GF8, (1, 1, 1)), plane)
-    validate_ideal_line(ProjLine(GF8, (1, 5, 3)), plane)
+    validate_ideal_line(ProjLine(GF8, (1, 1, 1)))
+    validate_ideal_line(ProjLine(GF8, (1, 5, 3)))
 
 
 def test_validate_ideal_line_rejections():
-    plane = build_plane(GF8)
     with pytest.raises(HitsBasePoint):
-        validate_ideal_line(ProjLine(GF8, (1, 0, 0)), plane)  # through B1 and N
+        validate_ideal_line(ProjLine(GF8, (1, 0, 0)))  # through B1 and N
     with pytest.raises(HitsBasePoint):
-        validate_ideal_line(ProjLine(GF8, (0, 0, 1)), plane)  # through B1 and B2
+        validate_ideal_line(ProjLine(GF8, (0, 0, 1)))  # through B1 and B2
     with pytest.raises(HitsNucleus):
-        validate_ideal_line(ProjLine(GF8, (1, 1, 0)), plane)  # through N only
+        validate_ideal_line(ProjLine(GF8, (1, 1, 0)))  # through N only
+
+
+def test_conic_arrow_refuses_an_ideal_line_of_another_field():
+    """conic_arrow checks the ideal line's field before its values:
+    (1 : 1 : 1) is a valid ideal line over GF(4), and refused over GF(8)."""
+    validate_ideal_line(ProjLine(GF4, (1, 1, 1)))
+    with pytest.raises(MixedFields):
+        conic_arrow(GF8, ProjLine(GF4, (1, 1, 1)))
 
 
 def test_valid_iff_all_coefficients_nonzero():
@@ -78,10 +85,10 @@ def test_valid_iff_all_coefficients_nonzero():
     for line in plane.lines:
         ok = all(v != 0 for v in line.values)
         if ok:
-            validate_ideal_line(line, plane)
+            validate_ideal_line(line)
         else:
             with pytest.raises(InvalidIdealLine):
-                validate_ideal_line(line, plane)
+                validate_ideal_line(line)
 
 
 def test_classify_member_mapping():
@@ -267,14 +274,14 @@ def test_arc_pass_matches_the_incidence_oracle(n):
     lstars = _valid_tangent_lines(spec)
     lstar_as = [lstar.values[1] for lstar in lstars]
     points_of = {member.theta: pts for _, member, pts in _proper(spec)}
-    census = members(pencil, plane)
+    census = members(pencil)
     valid = rejected = 0
     for linf in _valid_ideal_lines(spec):
         contacts = _contacts(spec, linf.values, lstar_as)
         deltas = _arc_deltas(spec, linf.values, lstar_as, _witnesses(spec, linf.values))
         for lstar, contact, delta in zip(lstars, contacts, deltas, strict=True):
             a = meet(linf, lstar)
-            qstar = member_through(pencil, a, plane)
+            qstar = member_through(pencil, a)
             if lstar.values[1] == linf.values[1]:
                 rejected += 1
                 assert not qstar.is_proper and contact is None and delta is None
@@ -344,7 +351,7 @@ def test_no_arrow_run_makes_the_field_context():
     family = build_time_family(spec, linf, ProjLine(spec, (1, 2, 0)))
     assert arc_arrow(family).tallies == {"past": 6, "present": 1, "future": 8}
     assert spec._context is None
-    assert len(point_set(canonical_conic(spec), build_plane(spec))) == 17
+    assert len(point_set(canonical_conic(spec))) == 17
     assert spec._context is not None
 
 

@@ -483,14 +483,14 @@ def test_conic_and_family_commands_make_no_plane_item(spec):
              "--modulus", ",".join(map(str, spec.modulus))]
     conic, oracle = canonical_conic(spec), plane.build_plane(spec)
     points = sorted(parametrize_canonical(spec), key=oracle.points.index)
-    assert points == list(_point_set_scan(conic, oracle))
+    assert points == list(_point_set_scan(conic))
     polars = sorted([ProjLine(spec, (x2, x1, spec._neg_i(spec._add_i(x3, x3))))
                      for x1, x2, x3 in (p.values for p in points)], key=oracle.lines.index)
-    assert polars == _tangent_tally(conic, oracle)
+    assert polars == _tangent_tally(conic)
     want = {"q": q, "coefficients": [str(c) for c in conic.coefficients],
-            "class": str(classify(conic, oracle)), "points": [str(p) for p in points],
+            "class": str(classify(conic)), "points": [str(p) for p in points],
             "tangent_lines": [str(l) for l in polars],
-            "nucleus": (str(_nucleus_by_tangents(conic, oracle))
+            "nucleus": (str(_nucleus_by_tangents(conic))
                         if spec.characteristic == 2 else None)}
     assert _run_counting_plane_items(["conic", *field]) == (
         0, json.dumps(want, indent=2) + "\n", "", [])
@@ -1371,7 +1371,7 @@ def test_other_commands_load_the_payloads_module(argv):
 def _records():
     """Per record type: two equal records built apart, and an unequal one."""
     gf8 = make_field(2, 3)
-    census = members(time_pencil(gf8), build_plane(gf8))
+    census = members(time_pencil(gf8))
     families = [build_time_family(gf8, ProjLine(gf8, (1, 1, 1)), ProjLine(gf8, lstar))
                 for lstar in ((1, 2, 0), (1, 2, 0), (1, 3, 0))]
     reports = [arc_arrow(family) for family in families]

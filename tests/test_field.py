@@ -142,16 +142,14 @@ def test_dropped_spec_leaves_the_registry():
     from galois_arrow.conic import canonical_conic, point_set
     from galois_arrow.context import time_pencil_context
     from galois_arrow.pencil import members, time_pencil
-    from galois_arrow.plane import build_plane
 
     assert isinstance(_LIVE_SPECS, weakref.WeakValueDictionary)
 
     def used(spec):
-        plane = build_plane(spec)
         q = spec.order
         assert time_pencil_context(spec).spec is spec
-        assert len(point_set(canonical_conic(spec), plane)) == q + 1
-        assert len(members(time_pencil(spec), plane)) == q + 1
+        assert len(point_set(canonical_conic(spec))) == q + 1
+        assert len(members(time_pencil(spec))) == q + 1
         tallies = conic_arrow(spec, ProjLine(spec, (1, 1, 1))).tallies
         assert tallies == {"past": q // 2 - 1, "present": 0, "future": q // 2}
         family = build_time_family(spec, ProjLine(spec, (1, 1, 1)), ProjLine(spec, (1, 2, 0)))

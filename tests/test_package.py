@@ -2,6 +2,7 @@
 object its defining module binds, __all__ lists exactly them, and the
 submodules stay importable from the package."""
 
+import inspect
 import sys
 from types import ModuleType
 
@@ -43,6 +44,24 @@ def test_all_lists_the_public_names_and_star_import_binds_them():
     exec("from galois_arrow import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(PUBLIC_NAMES)
     assert set(PUBLIC_NAMES) <= set(dir(galois_arrow))
+
+
+def test_no_public_function_takes_a_plane_and_no_record_holds_one():
+    """A plane is a function of its field, so no public function takes one
+    as a parameter and no public record, nor a record one of them holds,
+    has a plane field."""
+    from galois_arrow.arc import FamilyProvenance
+    from galois_arrow.arrow import MemberClassification
+    values = [getattr(galois_arrow, name) for name in galois_arrow.__all__]
+    functions = [f for f in values if inspect.isfunction(f)]
+    assert len(functions) > 30
+    assert [f.__name__ for f in functions if "plane" in inspect.signature(f).parameters] == []
+    records = [v for v in values if isinstance(v, type) and issubclass(v, tuple)]
+    records += [FamilyProvenance, MemberClassification]
+    assert sorted(r.__name__ for r in records) == [
+        "ArcFamily", "ArrowReport", "FamilyProvenance", "MemberClassification", "Pencil",
+        "PencilMember"]
+    assert [r.__name__ for r in records if "plane" in r._fields] == []
 
 
 def test_submodules_import_from_the_package():

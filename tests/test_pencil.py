@@ -15,7 +15,6 @@ from galois_arrow.errors import (
     HitsNucleus,
     InvalidIdealLine,
     InvalidTangentLine,
-    MixedFields,
     NoProperMember,
     NucleiDiffer,
 )
@@ -41,7 +40,6 @@ from galois_arrow.pencil import (
     time_pencil,
 )
 from galois_arrow.plane import (
-    Plane,
     ProjLine,
     ProjPoint,
     build_plane,
@@ -85,8 +83,7 @@ def test_pencil_requires_independent_generators():
 @pytest.mark.parametrize("spec,proper", [(GF2, 1), (GF4, 3), (GF8, 7), (GF16, 15)],
                          ids=lambda v: str(v))
 def test_member_census(spec, proper):
-    plane = build_plane(spec)
-    ms = members(time_pencil(spec), plane)
+    ms = members(time_pencil(spec))
     assert len(ms) == spec.order + 1
     assert ms[0].theta == (1, 0)
     assert ms[0].degeneracy is DegeneracyClass.REAL_LINE_PAIR
@@ -97,12 +94,12 @@ def test_member_census(spec, proper):
 
 
 def test_member_ordering_is_theta2_in_field_order():
-    ms = members(time_pencil(GF8), build_plane(GF8))
+    ms = members(time_pencil(GF8))
     assert [m.theta for m in ms] == [(1, t) for t in range(8)] + [(0, 1)]
 
 
 def test_member_conics_are_the_stated_combinations():
-    ms = members(time_pencil(GF8), build_plane(GF8))
+    ms = members(time_pencil(GF8))
     for m in ms:
         t1, t2 = m.theta
         expected = (0, t1, 0, 0, 0, t2)
@@ -111,8 +108,7 @@ def test_member_conics_are_the_stated_combinations():
 
 def test_base_points():
     for spec in (GF4, GF16):
-        plane = build_plane(spec)
-        got = set(base_points(time_pencil(spec), plane))
+        got = set(base_points(time_pencil(spec)))
         assert got == {ProjPoint(spec, (0, 1, 0)), ProjPoint(spec, (1, 0, 0))}
 
 
@@ -122,37 +118,26 @@ def test_time_pencil_base_points_are_b2_then_b1(spec):
     base_points is its oracle, and the scan of every plane point on both
     generators is base_points'."""
     b1, b2, _ = _base_points_and_nucleus(spec)
-    pencil, plane = time_pencil(spec), build_plane(spec)
-    assert base_points(pencil, plane) == (b2, b1)
-    on_g2 = set(_point_set_scan(pencil.generator2, plane))
-    assert [p for p in _point_set_scan(pencil.generator1, plane) if p in on_g2] == [b2, b1]
+    pencil = time_pencil(spec)
+    assert base_points(pencil) == (b2, b1)
+    on_g2 = set(_point_set_scan(pencil.generator2))
+    assert [p for p in _point_set_scan(pencil.generator1) if p in on_g2] == [b2, b1]
     assert [p.values for p in (b2, b1)] == [(1, 0, 0), (0, 1, 0)]
-
-
-def test_zero_sets_refuse_a_plane_of_another_field():
-    """point_set and base_points make items of the plane they are given, so
-    a plane over another field than the conic's is refused, not filled with
-    that field's zeros."""
-    with pytest.raises(MixedFields):
-        point_set(Conic(GF4, (0, 1, 0, 0, 0, 1)), build_plane(GF8))
-    with pytest.raises(MixedFields):
-        base_points(time_pencil(GF4), build_plane(GF8))
 
 
 def test_base_points_of_double_line_pencil():
     pencil = Pencil(Conic(GF4, (1, 0, 0, 0, 0, 0)), Conic(GF4, (0, 0, 0, 1, 0, 0)))
-    got = base_points(pencil, build_plane(GF4))
+    got = base_points(pencil)
     assert set(got) == {ProjPoint(GF4, (0, 0, 1))}
 
 
 def test_member_through_examples():
-    plane = build_plane(GF4)
     pencil = time_pencil(GF4)
-    m = member_through(pencil, ProjPoint(GF4, (1, 1, 0)), plane)
+    m = member_through(pencil, ProjPoint(GF4, (1, 1, 0)))
     assert m.theta == (0, 1) and m.degeneracy is DegeneracyClass.DOUBLE_LINE
-    m = member_through(pencil, ProjPoint(GF4, (0, 1, 1)), plane)
+    m = member_through(pencil, ProjPoint(GF4, (0, 1, 1)))
     assert m.theta == (1, 0) and m.degeneracy is DegeneracyClass.REAL_LINE_PAIR
-    m = member_through(pencil, ProjPoint(GF4, (2, 1, 3)), plane)
+    m = member_through(pencil, ProjPoint(GF4, (2, 1, 3)))
     assert m.is_proper and m.theta == (1, 1)
 
 
@@ -164,22 +149,21 @@ def test_member_through_vanishes_at_the_point():
     for pt in plane.points:
         if pt in (b1, b2):
             continue
-        member = member_through(pencil, pt, plane)
+        member = member_through(pencil, pt)
         assert not evaluate(member.conic, pt)
 
 
 def test_member_through_base_point():
-    plane = build_plane(GF4)
     with pytest.raises(BasePoint):
-        member_through(time_pencil(GF4), ProjPoint(GF4, (0, 1, 0)), plane)
+        member_through(time_pencil(GF4), ProjPoint(GF4, (0, 1, 0)))
 
 
 @pytest.mark.parametrize("spec", [GF4, GF8], ids=lambda s: f"q{s.order}")
 def test_members_partition_non_base_points(spec):
     plane = build_plane(spec)
     pencil = time_pencil(spec)
-    base = set(base_points(pencil, plane))
-    ms = members(pencil, plane)
+    base = set(base_points(pencil))
+    ms = members(pencil)
     for pt in plane.points:
         if pt in base:
             continue
@@ -190,17 +174,15 @@ def test_members_partition_non_base_points(spec):
 @pytest.mark.parametrize("spec", [GF4, GF8, make_field(2, 5)],
                          ids=lambda s: f"q{s.order}")
 def test_common_nucleus(spec):
-    plane = build_plane(spec)
-    assert common_nucleus(time_pencil(spec), plane) == ProjPoint(spec, (0, 0, 1))
+    assert common_nucleus(time_pencil(spec)) == ProjPoint(spec, (0, 0, 1))
 
 
 @pytest.mark.parametrize("spec", [GF4, GF8, GF16], ids=lambda s: f"q{s.order}")
 def test_common_nucleus_closed_form_agrees_with_tangent_oracle(spec):
-    plane = build_plane(spec)
     pencil = time_pencil(spec)
-    oracle = {_nucleus_by_tangents(m.conic, plane)
-              for m in members(pencil, plane) if m.is_proper}
-    assert oracle == {common_nucleus(pencil, plane)}
+    oracle = {_nucleus_by_tangents(m.conic)
+              for m in members(pencil) if m.is_proper}
+    assert oracle == {common_nucleus(pencil)}
 
 
 def test_common_nucleus_classifies_each_member_once(monkeypatch):
@@ -209,13 +191,13 @@ def test_common_nucleus_classifies_each_member_once(monkeypatch):
     q + 1 calls of classify at q = 256, one per member."""
     calls = []
 
-    def counted(conic, plane):
+    def counted(conic):
         calls.append(conic)
-        return classify(conic, plane)
+        return classify(conic)
 
     for module in (conic, pencil):
         monkeypatch.setattr(module, "classify", counted)
-    nucleus = common_nucleus(time_pencil(GF256), build_plane(GF256))
+    nucleus = common_nucleus(time_pencil(GF256))
     assert nucleus == ProjPoint(GF256, (0, 0, 1))
     assert len(calls) == GF256.order + 1
 
@@ -224,32 +206,31 @@ def test_common_nucleus_no_proper_member():
     # theta1*x1^2 + theta2*x2^2 = (s*x1 + t*x2)^2 in char 2: all double lines
     pencil = Pencil(Conic(GF4, (1, 0, 0, 0, 0, 0)), Conic(GF4, (0, 0, 0, 1, 0, 0)))
     with pytest.raises(NoProperMember):
-        common_nucleus(pencil, build_plane(GF4))
+        common_nucleus(pencil)
 
 
 def test_common_nucleus_differs_for_general_pencil():
     # x1*x2 + x3^2 has nucleus (0,0,1); x1*x3 + x2^2 has nucleus (0,1,0)
     pencil = Pencil(Conic(GF4, (0, 1, 0, 0, 0, 1)), Conic(GF4, (0, 0, 1, 1, 0, 0)))
     with pytest.raises(NucleiDiffer):
-        common_nucleus(pencil, build_plane(GF4))
+        common_nucleus(pencil)
 
 
 def test_real_pair_component_lines_concur_at_n():
     plane = build_plane(GF8)
-    pair = members(time_pencil(GF8), plane)[0]
+    pair = members(time_pencil(GF8))[0]
     l1, l2 = ProjLine(GF8, (1, 0, 0)), ProjLine(GF8, (0, 1, 0))
     union = set(plane.points_on(l1)) | set(plane.points_on(l2))
-    assert set(point_set(pair.conic, plane)) == union
+    assert set(point_set(pair.conic)) == union
     assert meet(l1, l2) == ProjPoint(GF8, (0, 0, 1))
 
 
 def test_every_proper_member_contains_both_base_points():
-    plane = build_plane(GF8)
     pencil = time_pencil(GF8)
     b1, b2 = ProjPoint(GF8, (0, 1, 0)), ProjPoint(GF8, (1, 0, 0))
-    for m in members(pencil, plane):
+    for m in members(pencil):
         if m.is_proper:
-            pts = set(point_set(m.conic, plane))
+            pts = set(point_set(m.conic))
             assert b1 in pts and b2 in pts
 
 
@@ -270,17 +251,17 @@ def test_time_pencil_is_self_dual_under_the_standard_polarity(spec):
     def polar(point):
         return ProjLine(spec, point.values)
 
-    pair, *proper, double = members(time_pencil(spec), plane)
+    pair, *proper, double = members(time_pencil(spec))
     assert (pair.degeneracy, double.degeneracy) == (DegeneracyClass.REAL_LINE_PAIR,
                                                     DegeneracyClass.DOUBLE_LINE)
     x1, x2, x3 = (ProjLine(spec, v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     assert (polar(b1), polar(b2), polar(n)) == (x2, x1, x3)
-    pair_points, double_points = (_point_set_scan(m.conic, plane) for m in (pair, double))
+    pair_points, double_points = (_point_set_scan(m.conic) for m in (pair, double))
     assert set(pair_points) == set(plane.points_on(x1) + plane.points_on(x2))
     assert double_points == plane.points_on(x3)
     through_n = set(plane.lines_through(n))
     assert {polar(p) for p in double_points} == through_n
-    assert all(set(tangent_lines(m.conic, plane)) == through_n for m in proper)
+    assert all(set(tangent_lines(m.conic)) == through_n for m in proper)
     assert ({polar(p) for p in pair_points}
             == set(plane.lines_through(b1) + plane.lines_through(b2)))
 
@@ -288,7 +269,7 @@ def test_time_pencil_is_self_dual_under_the_standard_polarity(spec):
 def test_arrow_members_are_the_proper_members_in_order():
     """An arrow's members, (1, t) with id t at position t - 1, are the
     census's proper members in order, each of q + 1 points."""
-    census = members(time_pencil(GF8), build_plane(GF8))
+    census = members(time_pencil(GF8))
     proper = [(i, m.theta) for i, m in enumerate(census) if m.is_proper]
     assert proper == [(t, (1, t)) for t in range(1, 8)]
     report = conic_arrow(GF8, ProjLine(GF8, (1, 1, 1)))
@@ -304,7 +285,7 @@ def test_closed_form_ids_and_thetas_are_the_census_proper_members(spec):
     """The closed-form ids and thetas, (1, t) at census position t for
     t != 0 and at position t - 1 of the proper members, against the proper
     members of the census members()."""
-    census = members(time_pencil(spec), build_plane(spec))
+    census = members(time_pencil(spec))
     ids = tuple(range(1, spec.order))
     assert ids == tuple(i for i, m in enumerate(census) if m.is_proper)
     assert tuple([(1, t) for t in ids]) == tuple(census[i].theta for i in ids)
@@ -322,8 +303,8 @@ def test_context_masks_are_the_member_point_sets(spec):
     ids = range(1, spec.order)
     proper = zip(ids, [(1, t) for t in ids], [_zero_values(spec, (0, 1, 0, 0, 0, t)) for t in ids],
                  strict=True)
-    for idx, m in enumerate(members(time_pencil(spec), plane)):
-        scan = _point_set_scan(m.conic, plane)
+    for idx, m in enumerate(members(time_pencil(spec))):
+        scan = _point_set_scan(m.conic)
         if m.theta == (1, 0):       # x1*x2: the lines x1 = 0 and x2 = 0
             assert m.degeneracy is DegeneracyClass.REAL_LINE_PAIR
             assert list(scan) == sorted(set(x1) | set(x2), key=plane.points.index)
@@ -375,7 +356,7 @@ def test_context_set_up_runs_no_census_scan_or_check(spec):
     try:
         ctx = TimePencilContext(spec)
         set_up = set(called)
-        members(time_pencil(ctx.spec), Plane(spec))
+        members(time_pencil(ctx.spec))
     finally:
         sys.setprofile(None)
     assert set_up == set()
@@ -387,7 +368,6 @@ import sys
 from galois_arrow.conic import Conic, classify, nucleus, point_set, tangent_lines
 from galois_arrow.field import make_field
 from galois_arrow.pencil import base_points, members, time_pencil
-from galois_arrow.plane import build_plane
 calls = 0
 
 def profile(frame, event, arg):
@@ -395,23 +375,23 @@ def profile(frame, event, arg):
     if event == "call":
         calls += 1
 
-def work(spec, plane):
+def work(spec):
     proper = Conic(spec, (0, 1, 0, 0, 0, 1))
     return {
-        "point_set x1x2+x3^2": lambda: point_set(Conic(spec, (0, 1, 0, 0, 0, 1)), plane),
-        "point_set x3^2": lambda: point_set(Conic(spec, (0, 0, 0, 0, 0, 1)), plane),
-        "classify x1x2": lambda: classify(Conic(spec, (0, 1, 0, 0, 0, 0)), plane),
-        "classify x3^2": lambda: classify(Conic(spec, (0, 0, 0, 0, 0, 1)), plane),
-        "tangent_lines x1x2+x3^2": lambda: tangent_lines(proper, plane),
-        "nucleus": lambda: nucleus(proper, plane),
-        "members": lambda: members(time_pencil(spec), plane),
-        "base_points": lambda: base_points(time_pencil(spec), plane),
+        "point_set x1x2+x3^2": lambda: point_set(Conic(spec, (0, 1, 0, 0, 0, 1))),
+        "point_set x3^2": lambda: point_set(Conic(spec, (0, 0, 0, 0, 0, 1))),
+        "classify x1x2": lambda: classify(Conic(spec, (0, 1, 0, 0, 0, 0))),
+        "classify x3^2": lambda: classify(Conic(spec, (0, 0, 0, 0, 0, 1))),
+        "tangent_lines x1x2+x3^2": lambda: tangent_lines(proper),
+        "nucleus": lambda: nucleus(proper),
+        "members": lambda: members(time_pencil(spec)),
+        "base_points": lambda: base_points(time_pencil(spec)),
     }[sys.argv[1]]
 
 counts = []
 for n in (4, 6, 8):
     spec = make_field(2, n)
-    run = work(spec, build_plane(spec))
+    run = work(spec)
     calls = 0
     sys.setprofile(profile)
     run()
@@ -428,7 +408,7 @@ def test_zero_sets_and_census_do_o_of_q_work(call):
     """The Python calls of point_set, of classify with Delta = 0, of
     tangent_lines and nucleus of a proper conic, of the census members and
     of base_points at q = 16, 64 and 256, counted under sys.setprofile in a
-    fresh interpreter once the field and its plane are built: each fourfold
+    fresh interpreter once the field is built: each fourfold
     q at most multiplies them by 6, where the closed forms
     (conic._zero_values, conic._tangent_values) give about 4, and a scan of
     the plane or a tally of the lines through a conic's points about 16."""
@@ -472,7 +452,7 @@ def test_line_validity_from_coefficients_matches_incidence(spec):
         else:
             expected = None
         try:
-            validate_ideal_line(line, plane)
+            validate_ideal_line(line)
             got = None
         except InvalidIdealLine as exc:
             got = (type(exc), str(exc))
@@ -489,11 +469,6 @@ def test_valid_ideal_lines_match_the_coefficient_filter(spec):
     got = tuple(linf for linf, _, _ in driver._arrow_reports(spec, config, []))
     assert len(got) == len(expected) == (spec.order - 1) ** 2
     assert all(a == b for a, b in zip(got, expected))
-
-def test_validate_ideal_line_rejects_other_fields():
-    with pytest.raises(MixedFields):
-        validate_ideal_line(ProjLine(GF4, (1, 1, 1)), build_plane(GF8))
-
 
 def _trace(spec, k):
     """Absolute trace k + k^2 + k^4 + ... + k^(2^(n-1)) of GF(2^n), by n - 1
@@ -571,9 +546,8 @@ def test_context_is_made_once_and_lives_on_its_spec(monkeypatch):
     spec = make_field(2, 6, (1, 1, 1, 0, 0, 1, 1))   # x^6 + x^5 + x^2 + x + 1, unused elsewhere
     assert spec._context is None
     ctx = time_pencil_context(spec)
-    plane = build_plane(spec)
-    assert len(point_set(Conic(spec, (0, 1, 0, 0, 0, 1)), plane)) == spec.order + 1
-    assert len(members(time_pencil(spec), plane)) == spec.order + 1
+    assert len(point_set(Conic(spec, (0, 1, 0, 0, 0, 1)))) == spec.order + 1
+    assert len(members(time_pencil(spec))) == spec.order + 1
     conic_arrow(spec, ProjLine(spec, (1, 1, 1)))
     assert time_pencil_context(spec) is ctx is spec._context
     assert time_pencil_context(make_field(2, 6, (1, 1, 1, 0, 0, 1, 1))) is ctx

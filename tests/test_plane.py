@@ -174,13 +174,12 @@ def test_collinear_permutation_invariant():
 
 
 def test_points_on_counts_and_membership():
-    plane2 = build_plane(GF2)
-    got = points_on(ProjLine(GF2, (0, 0, 1)), plane2)
+    got = points_on(ProjLine(GF2, (0, 0, 1)))
     assert got == [ProjPoint(GF2, t) for t in ((1, 0, 0), (1, 1, 0), (0, 1, 0))]
     for spec in (GF4, GF8):
         plane = build_plane(spec)
         for line in plane.lines:
-            assert len(points_on(line, plane)) == spec.order + 1
+            assert len(points_on(line)) == spec.order + 1
 
 
 GF3 = make_field(3)
@@ -328,12 +327,15 @@ def test_plane_order_is_deterministic():
 
 def test_planes_built_apart_over_one_field_are_equal():
     """A plane compares equal and hashes by its field, with no cache to
-    share one object: families built apart over one field, each holding
-    its own plane, compare equal, and planes of other fields do not."""
+    share one object, and planes of other fields do not; families built
+    apart over one field, which hold no plane, compare equal and read
+    equal members."""
+    first, second = build_plane(GF8), Plane(GF8)
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert first != build_plane(GF4) and first != GF8
     linf, lstar = ProjLine(GF8, (1, 1, 1)), ProjLine(GF8, (1, 2, 0))
     first, second = (build_time_family(GF8, linf, lstar) for _ in range(2))
-    assert first.plane is not second.plane
+    assert first is not second
     assert first == second and hash(first) == hash(second)
-    plane = Plane(GF8)
-    assert plane == build_plane(GF8) and hash(plane) == hash(build_plane(GF8))
-    assert plane != build_plane(GF4) and plane != GF8
+    assert first.members == second.members
