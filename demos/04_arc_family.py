@@ -47,8 +47,8 @@ print(f"\nfamily of {len(family.members)} arcs, sizes "
       f"every one contains N: "
       f"{all(ProjPoint(f8, (0, 0, 1)) in a for a in family.members)}")
 print(f"touch points on L*: {[str(p) for p in family.touch_points]}")
-print(f"contact point A = {family.provenance.contact_point}, "
-      f"member through it: theta={family.provenance.qstar_theta}")
+print(f"contact point A = {family.contact_point}, "
+      f"member through it: theta={family.qstar_theta}")
 
 d = family_to_dict(family)
 print("member is_conic flags:", [m["is_conic"] for m in d["members"]])

@@ -36,7 +36,7 @@ family = build_time_family(f8, linf, ProjLine(f8, (1, 2, 0)))
 arc_report = arc_arrow(family)
 print(f"\narc arrow, same ideal line: {arc_report.tallies}")
 print(f"the unique Present member is id {arc_report.present_member_ids[0]}, "
-      f"theta {family.provenance.qstar_theta} - the member through A")
+      f"theta {family.qstar_theta} - the member through A")
 
 # Present = 0 for the conic arrow no matter which valid ideal line we pick.
 # A valid ideal line misses the base points B1 = (0:1:0) and B2 = (1:0:0)

@@ -8,13 +8,17 @@ From each proper pencil member delete the single point where L* touches
 it and add the nucleus.  Every resulting set is again a (q+1)-arc, and exactly
 one of them is tangent to the ideal line.
 
-A member's arc is made from values when it is read: _member_values gives
-one member's, its zero set in plane order (conic._zero_values, in O(q))
-without its touch point on L* and with N last.  build_time_family keeps
-no member's points, nor the plane, which is a function of the field:
-ArcFamily.members makes the arcs as items of the plane build_plane(spec)
-on each read, from the field and L* alone, and the touch points are one
-closed form in O(q).  No function here takes a plane; augment_with_nucleus
+A family is its two lines: ArcFamily stores L-infinity and L*, as
+build_time_family checked them, and nothing else.  Its field and time
+pencil, its members' ids and thetas, its touch points, its contact point
+A and the member Q* through A, and its arcs are functions of those lines,
+so each is a property made when read: the pencil, A and Q* in O(1), A
+and Q* from _check_configuration (witnesses._contacts), the ids, thetas
+and touch points in O(q), the arcs in O(q^2).  A member's arc is made
+from values: _member_values gives one member's, its zero set in plane
+order (conic._zero_values, in O(q)) without its touch point on L* and
+with N last, and ArcFamily.members makes them items of the plane
+build_plane(spec).  No function here takes a plane; augment_with_nucleus
 and touch_point read the field from the conic.  The family command
 prints the text of _member_values (payloads.py), and family_to_dict of
 the built family is its oracle in tests.  Both check a configuration by
@@ -93,31 +97,64 @@ class Arc:
         return iter(self.points)
 
 
-class FamilyProvenance(NamedTuple):
-    """What the family was built from, kept for auditability."""
-    pencil: Pencil
+class ArcFamily(NamedTuple):
+    """The arc family on (L-infinity, L*): one arc per proper member (1, t)
+    of the time pencil, id t = 1 .. q-1, in member order.  It stores only
+    its two lines, normalized and checked by build_time_family; each other
+    attribute is a function of them, made on each read at the cost it
+    names, so two families are equal and hashed by their lines."""
     linf: ProjLine
     lstar: ProjLine
-    contact_point: ProjPoint           # A = linf ∧ lstar
-    qstar_theta: tuple[int, int]       # parameter of the member through A
 
+    @property
+    def spec(self) -> FieldSpec:
+        return self.linf.field
 
-class ArcFamily(NamedTuple):
-    """One arc per proper pencil member, in member order."""
-    spec: FieldSpec
-    member_ids: tuple[int, ...]
-    thetas: tuple[tuple[int, int], ...]
-    touch_points: tuple[ProjPoint, ...]
-    provenance: FamilyProvenance
+    @property
+    def pencil(self) -> Pencil:
+        """The time pencil the family is cut from, O(1)."""
+        return time_pencil(self.spec)
+
+    @property
+    def member_ids(self) -> tuple[int, ...]:
+        """The proper members' ids t = 1 .. q-1, O(q)."""
+        return tuple(range(1, self.spec.order))
+
+    @property
+    def thetas(self) -> tuple[tuple[int, int], ...]:
+        """The proper members' parameters (1, t), in member order, O(q)."""
+        return tuple([(1, t) for t in range(1, self.spec.order)])
+
+    @property
+    def touch_points(self) -> tuple[ProjPoint, ...]:
+        """The point where L* touches each member, in member order, O(q):
+        the point (1 : 1/a : c) of L* = (1 : a : 0) lies on the member
+        t = 1/(a*c^2), at position t - 1 (see build_time_family)."""
+        spec, a = self.spec, self.lstar.values[1]
+        inv, mul, item = spec._inv, spec._mul_i, build_plane(spec).points._item
+        touches = [None] * (spec.order - 1)
+        for c in range(1, spec.order):
+            touches[inv[mul(a, mul(c, c))] - 1] = item((1, inv[a], c))
+        return tuple(touches)
+
+    @property
+    def contact_point(self) -> ProjPoint:
+        """A = linf ∧ lstar, O(1), from _check_configuration."""
+        index, _ = _check_configuration(self.spec, self.linf.values, self.lstar.values)
+        return build_plane(self.spec).points[index]
+
+    @property
+    def qstar_theta(self) -> tuple[int, int]:
+        """The parameter (1, t) of the proper member Q* through A, O(1)."""
+        _, t = _check_configuration(self.spec, self.linf.values, self.lstar.values)
+        return (1, t)
 
     @property
     def members(self) -> tuple[Arc, ...]:
-        """The members' arcs (_member_values), made on each read, O(q^2):
-        they are a function of spec and provenance's L*, so the family is
-        equal and hashed by value without them."""
-        item, a = build_plane(self.spec).points._item, self.provenance.lstar.values[1]
+        """The members' arcs (_member_values), O(q^2) points."""
+        item, a = build_plane(self.spec).points._item, self.lstar.values[1]
         return tuple(Arc(tuple(map(item, _member_values(self.spec, a, t))))
-                     for _, t in self.thetas)
+                     for t in range(1, self.spec.order))
 
 
 def is_arc(points: Iterable[ProjPoint]) -> bool:
@@ -212,8 +249,11 @@ def _is_conic(q: int) -> bool:
 
 
 def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine) -> ArcFamily:
-    """Build the arc family: per proper member, delete its touch point on
-    lstar and add the nucleus.
+    """The arc family on (linf, lstar): per proper member, delete its touch
+    point on lstar and add the nucleus.  Lines of another field are refused
+    (MixedFields), then the configuration by _check_configuration's checks,
+    in their order; the family is the two lines, so once they pass the
+    build does no more work.
 
     No arc is checked here.  Each proper member's discriminant is nonzero,
     so its q+1 points (its zero set; the tests check that they have
@@ -223,48 +263,37 @@ def build_time_family(spec: FieldSpec, linf: ProjLine, lstar: ProjLine) -> ArcFa
     every lstar.  Each arc keeps its member's plane order, N being the last
     plane point.
 
-    All of it is in closed form, with no census of the members.  The
-    contact point A and the member Q* through it come from _contacts.  The
-    points of lstar = (1 : a : 0), that is x1 = a*x2, are N, on x1*x2, and
-    the points (1 : 1/a : x3): one on x3^2 and one on each proper member
-    x1*x2 + t*x3^2, its touch point.  That member's points (1 : t*c^2 : c)
-    have x2 = t*c^2, which takes each value of the field once as c does,
-    squaring being a bijection in characteristic 2; so in plane order its
-    point with x2 = v is at position v, and its touch point at position
-    1/a (_member_values).  The touch points are one pass over c != 0: the
-    point (1 : 1/a : c) lies on the member t = 1/(a*c^2), at position t - 1
-    of the member order, with no square root taken.  member_through over
-    the points of lstar is the oracle in tests.  The family keeps no
-    member's points: ArcFamily.members makes them on each read.
-
-    Lines of another field are refused (MixedFields) before the checks of
-    _check_configuration.
+    All of the family is in closed form, with no census of the members.
+    The contact point A and the member Q* through it come from _contacts.
+    The points of lstar = (1 : a : 0), that is x1 = a*x2, are N, on x1*x2,
+    and the points (1 : 1/a : x3): one on x3^2 and one on each proper
+    member x1*x2 + t*x3^2, its touch point.  That member's points
+    (1 : t*c^2 : c) have x2 = t*c^2, which takes each value of the field
+    once as c does, squaring being a bijection in characteristic 2; so in
+    plane order its point with x2 = v is at position v, and its touch point
+    at position 1/a (_member_values).  The touch points are one pass over
+    c != 0: the point (1 : 1/a : c) lies on the member t = 1/(a*c^2), at
+    position t - 1 of the member order, with no square root taken
+    (ArcFamily.touch_points).  member_through over the points of lstar is
+    the oracle in tests.
     """
     if linf.field != spec or lstar.field != spec:
         raise MixedFields("the family's lines belong to a different field")
-    index, t = _check_configuration(spec, linf.values, lstar.values)
-    points = build_plane(spec).points
-    inv, mul, item, a = spec._inv, spec._mul_i, points._item, lstar.values[1]
-    ids = tuple(range(1, spec.order))
-    touches = [None] * len(ids)
-    for c in ids:
-        touches[inv[mul(a, mul(c, c))] - 1] = item((1, inv[a], c))
-    provenance = FamilyProvenance(time_pencil(spec), linf, lstar, points[index], (1, t))
-    return ArcFamily(spec, ids, tuple([(1, c) for c in ids]), tuple(touches), provenance)
+    _check_configuration(spec, linf.values, lstar.values)
+    return ArcFamily(linf, lstar)
 
 
 def family_to_dict(family: ArcFamily) -> dict:
     """JSON-ready view: configuration plus one entry per member."""
     spec = family.spec
-    prov = family.provenance
     fmt = spec.format
     is_conic = _is_conic(spec.order)
     return {
         "q": spec.order,
-        "Linf": str(prov.linf),
-        "Lstar": str(prov.lstar),
-        "A": str(prov.contact_point),
-        "Qstar_theta": [*map(fmt, prov.qstar_theta)],
+        "Linf": str(family.linf),
+        "Lstar": str(family.lstar),
+        "A": str(family.contact_point),
+        "Qstar_theta": [*map(fmt, family.qstar_theta)],
         "members": [
             {
                 "theta": [*map(fmt, theta)],

@@ -18,7 +18,10 @@ conic_arrow and arc_arrow build their reports from it; classify_member,
 the incidence scan, is its oracle.  The CLI renders the kernel's plane
 indices itself and does not import this module.  TemporalClass, the enum
 of the three classes, is defined here; the kernel and the CLI's renderers
-use the classes' names (kernel._CLASS_BY_HITS).
+use the classes' names (kernel._CLASS_BY_HITS).  A report stores its
+mode, its ideal line and its members' classes with their witnesses; q,
+the order of the line's field, and each member's theta, (1, member_id),
+are read off them.
 """
 
 from __future__ import annotations
@@ -49,18 +52,25 @@ _TEMPORAL_BY_HITS = tuple(map(TemporalClass, _CLASS_BY_HITS))
 
 
 class MemberClassification(NamedTuple):
+    """The class of the proper member (1, member_id) of the time pencil."""
     member_id: int
-    theta: tuple[int, int]
     temporal: TemporalClass
     witnesses: tuple[ProjPoint, ...]   # the member's points on the ideal line
+
+    @property
+    def theta(self) -> tuple[int, int]:
+        return (1, self.member_id)
 
 
 class ArrowReport(NamedTuple):
     """Per-member temporal classes plus tallies, for one ideal line."""
-    q: int
     mode: str                          # "conic" or "arc"
     ideal_line: ProjLine
     classifications: tuple[MemberClassification, ...]
+
+    @property
+    def q(self) -> int:
+        return self.ideal_line.field.order
 
     @property
     def tallies(self) -> dict[str, int]:
@@ -105,8 +115,8 @@ def _report(spec: FieldSpec, mode: str, linf: ProjLine,
     member t at position t - 1, each classed by the number of its
     witnesses, given as plane indices."""
     points = build_plane(spec).points
-    return ArrowReport(spec.order, mode, linf, tuple([
-        MemberClassification(t, (1, t), _TEMPORAL_BY_HITS[len(hits)],
+    return ArrowReport(mode, linf, tuple([
+        MemberClassification(t, _TEMPORAL_BY_HITS[len(hits)],
                              tuple([points[i] for i in hits]))
         for t, hits in enumerate(witnesses, 1)]))
 
@@ -129,10 +139,10 @@ def arc_arrow(family: ArcFamily) -> ArrowReport:
     ideal line; exactly one member comes out Present.
 
     This is the conic classification with the member Q* through the
-    contact point changed by _arc_deltas, so only the family's provenance
-    is read, not its members."""
+    contact point changed by _arc_deltas, so only the family's two lines
+    are read, not its members."""
     spec = family.spec
-    linf, lstar = family.provenance.linf, family.provenance.lstar
+    linf, lstar = family.linf, family.lstar
     witnesses = _witnesses(spec, linf.values)
     # build_time_family refuses the configurations _arc_deltas rejects
     ((position, witness),) = _arc_deltas(spec, linf.values, (lstar.values[1],), witnesses)

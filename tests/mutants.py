@@ -7,11 +7,11 @@ field's table of coordinate strings (kernel.py, linetext.py), the text
 layout of the arrow command's JSON and CSV (arrow_json.py, report_text.py,
 arrow_csv.py) and its point texts made once per run (report_text.py),
 what the plane, conic, pencil and family commands print (payloads.py),
-the family's member and touch points, configuration checks and is_conic
-rule (arc.py), the closed-form zero set, tangents and nucleus
+the family's member, touch and contact points, configuration checks and
+is_conic rule (arc.py), the closed-form zero set, tangents and nucleus
 of every conic and the canonical conic's parametrization (conic.py), the
-conic arrow's refusal of an ideal line of another field (arrow.py), the
-expansion of a hex modulus (modulus.py), the canonical generator's value
+conic arrow's refusal of an ideal line of another field and the q and
+thetas its reports derive (arrow.py), the expansion of a hex modulus (modulus.py), the canonical generator's value
 (field.py), and the table walk, the product, the inverse table and the
 Zech arithmetic of tables.py and zech.py, is pinned by some test.
 
@@ -100,8 +100,10 @@ FAMILY_REFUSALS = ["tests/test_cli.py::test_family_csv_refuses_what_the_family_b
 # the field's one time-pencil context, and planes built apart over one field
 CONTEXT = ["tests/test_pencil.py::test_context_is_made_once_and_lives_on_its_spec"]
 PLANES = ["tests/test_plane.py::test_planes_built_apart_over_one_field_are_equal"]
-# the conic arrow's refusal of an ideal line of another field
+# the conic arrow's refusal of an ideal line of another field, and its
+# report's q
 ARROW_FIELD = ["tests/test_arrow.py::test_conic_arrow_refuses_an_ideal_line_of_another_field"]
+REPORT_Q = ["tests/test_arrow.py::test_conic_arrow_q8_reference_tallies"]
 # the family's closed-form touch points against member_through over L*
 TOUCHES = ["tests/test_arc.py::test_contact_member_matches_the_incidence_oracle[q8]"]
 # the checks build_time_family shares with the family's CSV, against the
@@ -320,7 +322,7 @@ MUTANTS = {"kernel.py": [
     ("N first in each arc, not last", "points.append((0, 0, 1))", "points.insert(0, (0, 0, 1))",
      FAMILY_ARCS + FAMILY_JSON),
     ("the built family's members read at L* = (1 : 1 : 0)",
-     "item, a = build_plane(self.spec).points._item, self.provenance.lstar.values[1]",
+     "item, a = build_plane(self.spec).points._item, self.lstar.values[1]",
      "item, a = build_plane(self.spec).points._item, 1", FAMILY_ARCS),
     ("the built family's members read one member back", "_member_values(self.spec, a, t))))",
      "_member_values(self.spec, a, t - 1))))", FAMILY_ARCS),
@@ -332,9 +334,16 @@ MUTANTS = {"kernel.py": [
      "_check_line(spec, lstar, False)", FAMILY_CHECKS),
     ("a configuration's contact point read from L*'s x1", "(lstar[1],))", "(lstar[0],))",
      FAMILY_CHECKS),
+    ("the family's contact point read one plane index off",
+     "return build_plane(self.spec).points[index]",
+     "return build_plane(self.spec).points[index + 1]", TOUCHES),
 ], "arrow.py": [
     ("the conic arrow takes an ideal line of another field", "if linf.field != spec:",
      "if False:", ARROW_FIELD),
+    ("a member's theta read as (member_id, 1)", "return (1, self.member_id)",
+     "return (self.member_id, 1)", CONIC),
+    ("a report's q read as its number of members", "return self.ideal_line.field.order",
+     "return len(self.classifications)", REPORT_Q),
 ], "modulus.py": [
     ("a hex modulus's bits highest first", "bin(mask)[:1:-1]", "bin(mask)[2:]", HEX),
     ("a hex modulus's top bit dropped", "bin(mask)[:1:-1]", "bin(mask)[:2:-1]", HEX),

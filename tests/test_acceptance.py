@@ -193,7 +193,7 @@ def _assert_present_is_qstar(family):
     assert report.tallies["present"] == 1
     (present_id,) = report.present_member_ids
     position = family.member_ids.index(present_id)
-    assert family.thetas[position] == family.provenance.qstar_theta
+    assert family.thetas[position] == family.qstar_theta
 
 
 def test_criterion_08_arc_arrow_restores_the_present():

@@ -19,6 +19,7 @@ from galois_arrow.errors import (
     UnsupportedField,
 )
 from galois_arrow.field import make_field
+from galois_arrow.modulus import parse_modulus
 from galois_arrow.conic import (
     DegeneracyClass,
     _zero_values,
@@ -263,7 +264,8 @@ def test_contact_member_matches_the_incidence_oracle(n):
             fam = build_time_family(spec, linf, lstar)
             assert fam.touch_points == touches
             assert (fam.member_ids, fam.thetas) == tuple(map(tuple, zip(*proper)))
-            assert fam.provenance == (pencil, linf, lstar, contact, qstar.theta)
+            assert (fam.pencil, fam.linf, fam.lstar, fam.contact_point,
+                    fam.qstar_theta) == (pencil, linf, lstar, contact, qstar.theta)
     # A lies on the double line x3 = 0 exactly when L-infinity = (1 : a : c), L* = (1 : a : 0)
     assert rejected == (spec.order - 1) ** 2
 
@@ -278,11 +280,11 @@ def test_family_unsupported_fields():
 
 def test_family_provenance_records_qstar():
     fam = _family(GF8)
-    a = fam.provenance.contact_point
-    assert incident(a, fam.provenance.linf)
-    assert incident(a, fam.provenance.lstar)
+    a = fam.contact_point
+    assert incident(a, fam.linf)
+    assert incident(a, fam.lstar)
     # the member through A is proper and its touch point is A itself
-    idx = fam.thetas.index(fam.provenance.qstar_theta)
+    idx = fam.thetas.index(fam.qstar_theta)
     assert fam.touch_points[idx] == a
 
 
@@ -290,7 +292,7 @@ def test_touch_points_partition_lstar():
     """On L*: q-1 distinct touch points, the nucleus, and one point on the
     double line account for all q+1 points."""
     fam = _family(GF8)
-    lstar_pts = set(points_on(fam.provenance.lstar))
+    lstar_pts = set(points_on(fam.lstar))
     touches = set(fam.touch_points)
     assert len(touches) == 7
     n = ProjPoint(GF8, (0, 0, 1))
@@ -311,7 +313,7 @@ def test_family_refuses_lstar_not_one_to_one_on_members():
         pts = set(points_on(line))
         if all(len(pts & zeros) == 1 for zeros in census):
             one_to_one.append(line)
-            assert _first_unrejected_family(GF8, line).provenance.lstar == line
+            assert _first_unrejected_family(GF8, line).lstar == line
             continue
         with pytest.raises(InvalidTangentLine):
             _family(GF8, lstar=line.values)
@@ -375,15 +377,29 @@ def test_family_members_are_made_when_read(monkeypatch, spec):
     assert calls == want + want
 
 
-def test_family_build_is_o_of_q_and_keeps_nothing():
-    """At q = 256, under tracemalloc, a family on an L* not built before
-    peaks at O(q) bytes, its q-1 touch points (a build of its (q-1)(q+1)
-    member points took 10 MiB), and once dropped leaves nothing behind."""
-    spec = make_field(2, 8)
+@pytest.mark.parametrize("n, modulus", [(8, None), (12, "0x1053")], ids=["q256", "q4096"])
+def test_family_build_is_o_of_q_and_keeps_nothing(monkeypatch, n, modulus):
+    """At q = 256 and 4096, under tracemalloc, a family on an L* not built
+    before makes no plane item and no member's zero set, peaks under
+    16 KiB whatever q, and once dropped leaves nothing behind: it is its
+    two lines, and its touch points and members are made when read."""
+    from galois_arrow import arc, plane
+    calls = []
+
+    def counting(original):
+        def wrapper(*args):
+            calls.append(original.__name__)
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(plane._Enumeration, "_item", counting(plane._Enumeration._item))
+    monkeypatch.setattr(arc, "_zero_values", counting(arc._zero_values))
+    spec = make_field(2, n, modulus and parse_modulus(modulus, 2))
     linf = ProjLine(spec, (1, 1, 1))
     build_time_family(spec, linf, ProjLine(spec, (1, 3, 0)))
     lstar = ProjLine(spec, (1, 2, 0))
     gc.collect()
+    calls.clear()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -394,7 +410,9 @@ def test_family_build_is_o_of_q_and_keeps_nothing():
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
+    assert calls == []
     assert peak < 1024 * spec.order and kept < 1024, (peak, kept)
+    assert peak < 16 * 1024, peak
 
 
 def test_family_serialization_schema():

@@ -94,7 +94,7 @@ def test_valid_iff_all_coefficients_nonzero():
 def test_classify_member_mapping():
     fam = _family(GF8)
     report = arc_arrow(fam)
-    linf = fam.provenance.linf
+    linf = fam.linf
     for cls, arc in zip(report.classifications, fam.members):
         assert classify_member(arc.points, linf) is cls.temporal
 
@@ -159,7 +159,7 @@ def test_arc_arrow_present_member_comes_from_qstar():
         report = arc_arrow(fam)
         (present_id,) = report.present_member_ids
         position = fam.member_ids.index(present_id)
-        assert fam.thetas[position] == fam.provenance.qstar_theta
+        assert fam.thetas[position] == fam.qstar_theta
 
 
 def test_tally_identity_both_modes():
@@ -174,7 +174,7 @@ def test_tally_identity_both_modes():
 def test_witnesses_lie_on_line_and_member():
     fam = _family(GF8)
     report = arc_arrow(fam)
-    linf = fam.provenance.linf
+    linf = fam.linf
     for cls, arc in zip(report.classifications, fam.members):
         assert len(cls.witnesses) == {"Past": 2, "Present": 1, "Future": 0}[str(cls.temporal)]
         for w in cls.witnesses:

@@ -610,7 +610,7 @@ def test_rejected_input_follows_the_exit_code_contract(argv, error):
 
 def _oracle_arc_report(family) -> dict:
     report = arc_arrow(family).to_dict()
-    report["lstar"] = str(family.provenance.lstar)
+    report["lstar"] = str(family.lstar)
     return report
 
 
@@ -1379,7 +1379,6 @@ def _records():
         "Pencil": [time_pencil(gf8), time_pencil(gf8), time_pencil(make_field(2, 2))],
         "PencilMember": [census[1], PencilMember(*census[1]), census[2]],
         "Arc": [family.members[0] for family in families],
-        "FamilyProvenance": [family.provenance for family in families],
         "ArcFamily": families,
         "MemberClassification": [
             next(c for c in r.classifications if c.temporal is TemporalClass.PRESENT)
@@ -1390,9 +1389,8 @@ def _records():
     }
 
 
-@pytest.mark.parametrize("name", ["Pencil", "PencilMember", "Arc", "FamilyProvenance",
-                                  "ArcFamily", "MemberClassification", "ArrowReport",
-                                  "RunConfig"])
+@pytest.mark.parametrize("name", ["Pencil", "PencilMember", "Arc", "ArcFamily",
+                                  "MemberClassification", "ArrowReport", "RunConfig"])
 def test_records_are_immutable_and_equal_by_value(name):
     record, again, other = _records()[name]
     assert type(record).__name__ == name

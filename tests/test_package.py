@@ -50,18 +50,30 @@ def test_no_public_function_takes_a_plane_and_no_record_holds_one():
     """A plane is a function of its field, so no public function takes one
     as a parameter and no public record, nor a record one of them holds,
     has a plane field."""
-    from galois_arrow.arc import FamilyProvenance
     from galois_arrow.arrow import MemberClassification
     values = [getattr(galois_arrow, name) for name in galois_arrow.__all__]
     functions = [f for f in values if inspect.isfunction(f)]
     assert len(functions) > 30
     assert [f.__name__ for f in functions if "plane" in inspect.signature(f).parameters] == []
     records = [v for v in values if isinstance(v, type) and issubclass(v, tuple)]
-    records += [FamilyProvenance, MemberClassification]
+    records += [MemberClassification]
     assert sorted(r.__name__ for r in records) == [
-        "ArcFamily", "ArrowReport", "FamilyProvenance", "MemberClassification", "Pencil",
-        "PencilMember"]
+        "ArcFamily", "ArrowReport", "MemberClassification", "Pencil", "PencilMember"]
     assert [r.__name__ for r in records if "plane" in r._fields] == []
+
+
+def test_records_store_only_what_they_cannot_derive():
+    """An arc family is its two lines, an arrow report its mode, ideal line
+    and classes, and a member's class its id, class and witnesses: the
+    field, q, the members' ids, thetas, touch points and arcs, the contact
+    point A and the member Q* through it are read off those fields, and no
+    record keeps what the family was built from beside it."""
+    from galois_arrow import arc
+    from galois_arrow.arrow import MemberClassification
+    assert galois_arrow.ArcFamily._fields == ("linf", "lstar")
+    assert galois_arrow.ArrowReport._fields == ("mode", "ideal_line", "classifications")
+    assert MemberClassification._fields == ("member_id", "temporal", "witnesses")
+    assert not hasattr(arc, "FamilyProvenance")
 
 
 def test_submodules_import_from_the_package():
@@ -141,3 +153,59 @@ def test_each_name_resolves_only_from_its_home(module, name, home):
     with pytest.raises(ImportError):
         exec(f"from galois_arrow.{module} import {name}", {})
 
+
+
+def _readme_quickstart() -> tuple[str, int]:
+    """The first python block of README.md and the line it starts on."""
+    from pathlib import Path
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("```python") + 1
+    return "\n".join(lines[start:lines.index("```", start)]) + "\n", start + 1
+
+
+# the quickstart's comments that describe their line's value in words,
+# each with the check it stands for, given the block's namespace and the
+# value of its line
+QUICKSTART_PROSE = {
+    "GF(8), modulus x^3 + x + 1": lambda ns, _: (ns["f8"].order, ns["f8"].modulus) == (
+        8, (1, 1, 0, 1)),
+    "73 points, 73 lines": lambda ns, _: (len(ns["plane"].points), len(ns["plane"].lines)) == (
+        73, 73),
+    "x1*x2 + x3^2": lambda ns, _: all(
+        galois_arrow.evaluate(ns["conic"], p) == x1 * x2 + x3 * x3
+        for p in ns["plane"].points for x1, x2, x3 in [p.coords]),
+    "all False for q = 8": lambda _, value: value == [False] * 7,
+}
+
+
+def test_readme_quickstart_prints_its_commented_values():
+    """The README's quickstart runs statement by statement; a trailing
+    comment on an expression is its value's str or repr, and each comment
+    in words (QUICKSTART_PROSE) holds as its check says."""
+    import ast
+    import io
+    import tokenize
+    source, first = _readme_quickstart()
+    comments = {token.start[0]: token.string.lstrip("# ").rstrip()
+                for token in tokenize.generate_tokens(io.StringIO(source).readline)
+                if token.type == tokenize.COMMENT}
+    namespace: dict = {}
+    checked = []
+    for statement in ast.parse(source).body:
+        comment = comments.get(statement.end_lineno)
+        where = f"README.md:{first + statement.end_lineno - 1}"
+        if isinstance(statement, ast.Expr):
+            value = eval(compile(ast.Expression(statement.value), where, "eval"), namespace)
+        else:
+            exec(compile(ast.Module([statement], []), where, "exec"), namespace)
+            value = None
+        if comment is None:
+            continue
+        if comment in QUICKSTART_PROSE:
+            assert QUICKSTART_PROSE[comment](namespace, value), (where, comment)
+        else:
+            assert isinstance(statement, ast.Expr), (where, comment)
+            assert comment in (str(value), repr(value)), (where, comment, value)
+        checked.append(comment)
+    assert set(QUICKSTART_PROSE) <= set(checked)
+    assert len(checked) == 8, checked
